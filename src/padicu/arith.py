@@ -72,6 +72,14 @@ def prime_to_p_part(n: int, p: int) -> int:
     return n
 
 
+def unipotent_depth(n: int, p: int) -> int:
+    """Least a with p^a >= n: p^a is the exponent of the unipotent n x n matrices over F_p."""
+    a = 0
+    while p**a < n:
+        a += 1
+    return a
+
+
 def order_mod(a: int, m: int) -> int:
     """Multiplicative order of a modulo m by direct iteration (m stays small here)."""
     if m == 1:

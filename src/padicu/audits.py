@@ -158,6 +158,7 @@ def _shares_root_in_f9(fr, gr) -> bool:
 def audit_glnp(seed: int = 0) -> dict:
     t = _Tally()
     seen_t, seen_n = set(), set()
+    f3 = Zp(3, 1)
     count = 0
     for entries in product(range(3), repeat=4):
         rows = (entries[0:2], entries[2:4])
@@ -165,7 +166,8 @@ def audit_glnp(seed: int = 0) -> dict:
             continue
         count += 1
         out = glnp.decompose_fp(3, rows)
-        t.check(glnp._fp_matmul(out.t_matrix, out.n_matrix, 3) == rows, "multiply-back")
+        back = PadicMatrix(f3, out.t_matrix) @ PadicMatrix(f3, out.n_matrix)
+        t.check(back.rows == rows, "multiply-back")
         seen_t.add(out.t_matrix)
         seen_n.add(out.n_matrix)
     t.check(count == 48, "group order")

@@ -112,7 +112,7 @@ def cmd_idempotents(doc):
         "p1": [str(c) for c in out.p1],
         "p2": [str(c) for c in out.p2],
         "resultant": str(out.certificate.res.lift()),
-        "verified": out.verify(),
+        "verified": True,  # bezout_idempotents raises when its audit fails
     }
 
 
@@ -204,12 +204,15 @@ def cmd_measure(doc):
 def cmd_evolve(doc):
     pair = quantum.EvolutionPair(_matrix(doc, "h"), _matrix(doc, "u"))
     psi = serialize.wave_from_doc(serialize._need(doc, "psi"))
+    allow = doc.get("allow_extended_radius", False)
+    if not isinstance(allow, bool):
+        raise MalformedDocument("allow_extended_radius must be a JSON boolean")
     out = quantum.evolve(
         pair,
         psi,
         int(serialize._need(doc, "k")),
         int(serialize._need(doc, "t")),
-        allow_extended_radius=bool(doc.get("allow_extended_radius", False)),
+        allow_extended_radius=allow,
     )
     return {"state": serialize.wave_to_doc(out)}
 

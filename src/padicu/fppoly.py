@@ -1,9 +1,12 @@
-"""Polynomial arithmetic and factorization over F_p.
+"""Dense polynomial arithmetic modulo an integer, and factorization over F_p.
 
-Polynomials are dense ascending coefficient lists of ints in [0, p),
-with no trailing zeros; [] is the zero polynomial.  Factorization is
-squarefree + distinct-degree + Cantor-Zassenhaus equal-degree splitting,
-driven by a seeded generator so runs are reproducible.
+Polynomials are dense ascending coefficient lists with no trailing zeros;
+[] is the zero polynomial.  The arithmetic helpers (add, sub, mul, scale,
+divmod_poly, pow_mod) work modulo any integer p, such as a prime power p^j,
+on coefficients in [0, p); division needs a divisor whose leading
+coefficient is a unit modulo p.  Factorization is over F_p: squarefree +
+distinct-degree + Cantor-Zassenhaus equal-degree splitting, driven by a
+seeded generator so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -232,7 +235,3 @@ def factor(f: list[int], p: int, seed: int = DEFAULT_SEED) -> tuple[int, list[tu
                 merged[key] = merged.get(key, 0) + mult
     ordered = sorted(merged.items(), key=lambda it: (len(it[0]), it[0]))
     return lead, [(list(g), k) for g, k in ordered]
-
-
-def roots_in_prime_field(f: list[int], p: int) -> list[int]:
-    return [x for x in range(p) if evaluate(f, x, p) == 0]

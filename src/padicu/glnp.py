@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import moduli
+from .arith import factorize
 from .errors import InputError, LiftAuditError, NotInvertible, NotUnitary
 from .matrices import PadicMatrix, residue_matrix_order
-from .scalars import Zp, teichmuller_lift
+from .scalars import Zp
 from .unitary import jordan_decompose
 
 
@@ -42,46 +43,12 @@ class PhiWord:
         return len(self.exponents)
 
 
-def _fp_matmul(A, B, p):
-    n = len(A)
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(n)) % p for j in range(n))
-        for i in range(n)
-    )
-
-
-def _fp_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _fp_power(A, e, p):
-    R = _fp_identity(len(A))
-    while e:
-        if e & 1:
-            R = _fp_matmul(R, A, p)
-        A = _fp_matmul(A, A, p)
-        e >>= 1
-    return R
-
-
-def _fp_det(rows, p):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0] % p
-    total = 0
-    for j in range(n):
-        if rows[0][j]:
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            total += (-1 if j % 2 else 1) * rows[0][j] * _fp_det(minor, p)
-    return total % p
-
-
-def _embed_block(block, n, p):
+def _embed_block(block, n, mod):
     k = len(block)
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(k):
         for j in range(k):
-            rows[i][j] = block[i][j] % p
+            rows[i][j] = block[i][j] % mod
     return tuple(tuple(r) for r in rows)
 
 
@@ -94,51 +61,28 @@ class GeneratorSet:
     matrices: tuple  # T_k as n x n int tuples, index k-1
 
     def word_matrix(self, word: PhiWord):
-        acc = _fp_identity(self.n)
-        for k in range(self.n, 0, -1):
-            powered = _fp_power(self.matrices[k - 1], word.exponents[k - 1], self.p)
-            acc = _fp_matmul(acc, powered, self.p)
-        return acc
+        ring = Zp(self.p, 1)
+        return _evaluate_word([PadicMatrix(ring, m) for m in self.matrices], word).rows
 
 
 def build_generators(n: int, p: int) -> GeneratorSet:
     """Companion realizations of primitive elements per degree, orders verified."""
     if n < 1:
         raise InputError("n must be >= 1")
+    ring = Zp(p, 1)
+    identity = PadicMatrix.identity(ring, n)
     mats = []
     for k in range(1, n + 1):
-        poly = moduli.residue_modulus(p, k)
-        if k == 1:
-            block = [[(-poly[0]) % p]]
-        else:
-            block = [[0] * k for _ in range(k)]
-            for i in range(1, k):
-                block[i][i - 1] = 1
-            for i in range(k):
-                block[i][k - 1] = (-poly[i]) % p
-        embedded = _embed_block(block, n, p)
+        block = PadicMatrix.companion(ring, list(moduli.residue_modulus(p, k))[:-1]).rows
+        embedded = PadicMatrix(ring, _embed_block(block, n, p))
         order = p**k - 1
-        if _fp_power(embedded, order, p) != _fp_identity(n):
+        if embedded.matrix_power(order) != identity:
             raise ArithmeticError(f"generator T_{k} does not have order p^{k} - 1")
-        for q in _prime_divisors(order):
-            if _fp_power(embedded, order // q, p) == _fp_identity(n):
+        for q in factorize(order):
+            if embedded.matrix_power(order // q) == identity:
                 raise ArithmeticError(f"generator T_{k} has order below p^{k} - 1")
-        mats.append(embedded)
+        mats.append(embedded.rows)
     return GeneratorSet(p, n, tuple(mats))
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass(frozen=True)
@@ -155,20 +99,21 @@ def decompose_fp(p: int, rows) -> FpDecomposition:
     is the one driving the last row of the k-block to (0, ..., 0, 1); the
     search is brute force over at most p^k - 1 candidates.
     """
-    rows = tuple(tuple(int(v) % p for v in r) for r in rows)
-    n = len(rows)
-    if _fp_det([list(r) for r in rows], p) == 0:
+    ring = Zp(p, 1)
+    A = PadicMatrix.from_rows(ring, rows)
+    n = A.n
+    if not A.is_unitary():
         raise NotInvertible("residue matrix is singular")
     gens = build_generators(n, p)
     exponents = [0] * n
-    current = rows
+    current = A
     for k in range(n, 1, -1):
-        t_inv = _fp_power(gens.matrices[k - 1], p**k - 2, p)  # T_k^{-1}
+        t_inv = PadicMatrix(ring, gens.matrices[k - 1]).inverse()
         candidate = current
         found = None
         for m in range(1, p**k):
-            candidate = _fp_matmul(t_inv, candidate, p)
-            last = candidate[k - 1][:k]
+            candidate = t_inv @ candidate
+            last = candidate.rows[k - 1][:k]
             if last == tuple([0] * (k - 1) + [1]):
                 if found is not None:
                     raise ArithmeticError("exponent at this level is not unique")
@@ -177,13 +122,10 @@ def decompose_fp(p: int, rows) -> FpDecomposition:
             raise ArithmeticError("no exponent found; decomposition failed")
         exponents[k - 1] = found[0]
         # strip the translation column: recurse on the principal block
-        stripped = [list(r) for r in _fp_identity(n)]
-        for i in range(k - 1):
-            for j in range(k - 1):
-                stripped[i][j] = found[1][i][j]
-        current = tuple(tuple(r) for r in stripped)
+        block = [row[: k - 1] for row in found[1].rows[: k - 1]]
+        current = PadicMatrix(ring, _embed_block(block, n, p))
     # level 1: discrete log in F_p^*
-    target = current[0][0]
+    target = current.rows[0][0]
     gen = gens.matrices[0][0][0]
     value = 1
     for m in range(1, p):
@@ -194,27 +136,13 @@ def decompose_fp(p: int, rows) -> FpDecomposition:
     else:
         raise ArithmeticError("level-1 discrete log failed")
     word = PhiWord(p, tuple(exponents))
-    t_matrix = gens.word_matrix(word)
-    t_inv_full = _fp_power(t_matrix, _residue_group_exponent(n, p) - 1, p)
-    n_matrix = _fp_matmul(t_inv_full, rows, p)
-    if not _is_unitriangular(n_matrix, p):
+    t_matrix = PadicMatrix(ring, gens.word_matrix(word))
+    n_matrix = t_matrix.inverse() @ A
+    if not _is_unitriangular(n_matrix.rows, p):
         raise ArithmeticError("cofactor is not unitriangular")
-    if _fp_matmul(t_matrix, n_matrix, p) != rows:
+    if t_matrix @ n_matrix != A:
         raise ArithmeticError("multiply-back failed")
-    return FpDecomposition(word, t_matrix, n_matrix)
-
-
-def _residue_group_exponent(n: int, p: int) -> int:
-    exponent = 1
-    for k in range(1, n + 1):
-        value = p**k - 1
-        from math import gcd
-
-        exponent = exponent * value // gcd(exponent, value)
-    a = 1
-    while p**a < n:
-        a += 1
-    return exponent * p**a
+    return FpDecomposition(word, t_matrix.rows, n_matrix.rows)
 
 
 def _is_unitriangular(rows, p) -> bool:
@@ -245,21 +173,8 @@ def _teichmuller_generators(ring: Zp, n: int) -> list[PadicMatrix]:
     p, K = ring.p, ring.K
     out = []
     for k in range(1, n + 1):
-        if k == 1:
-            root = (-moduli.residue_modulus(p, 1)[0]) % p
-            block = [[teichmuller_lift(ring, root).lift()]]
-        else:
-            block = [
-                list(row)
-                for row in PadicMatrix.companion(
-                    ring, list(moduli.canonical_modulus(p, k, K))[:-1]
-                ).rows
-            ]
-        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i in range(len(block)):
-            for j in range(len(block)):
-                rows[i][j] = block[i][j]
-        out.append(PadicMatrix.from_rows(ring, rows))
+        block = PadicMatrix.companion(ring, list(moduli.canonical_modulus(p, k, K))[:-1]).rows
+        out.append(PadicMatrix(ring, _embed_block(block, n, ring.pk)))
     return out
 
 

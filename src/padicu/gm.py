@@ -167,121 +167,55 @@ class UnitPolynomial(LaurentPoly):
             )
 
 
-# -- dense helpers mod an integer --------------------------------------------
+# -- Sylvester determinant and adjugate ----------------------------------------
 
 
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _det_and_adjugate_last_row(rows: list[list[int]], ring: Zp) -> tuple[int, list[int]]:
+    """det S and the last row of adj S over Z/p^j, entries reduced mod p^j.
+
+    Only the last adjugate row is needed for the Bezout coefficients.  4 x 4
+    matrices (degrees 2 + 2 and 1 + 3, the bulk of an exhaustive degree <= 2
+    sweep) use unrolled cofactors; every other size goes through Berkowitz.
+    """
+    if len(rows) != 4:
+        return _berkowitz_det_and_adjugate_last_row(rows, ring)
+    pk = ring.pk
+    # unrolled cofactors along the last column
+    (a0, a1, a2, _), (b0, b1, b2, _), (c0, c1, c2, _), (d0, d1, d2, _) = rows
+    cd0 = c1 * d2 - c2 * d1
+    cd1 = c0 * d2 - c2 * d0
+    cd2 = c0 * d1 - c1 * d0
+    bd0 = b1 * d2 - b2 * d1
+    bd1 = b0 * d2 - b2 * d0
+    bd2 = b0 * d1 - b1 * d0
+    bc0 = b1 * c2 - b2 * c1
+    bc1 = b0 * c2 - b2 * c0
+    bc2 = b0 * c1 - b1 * c0
+    last = [
+        (-(b0 * cd0 - b1 * cd1 + b2 * cd2)) % pk,
+        (a0 * cd0 - a1 * cd1 + a2 * cd2) % pk,
+        (-(a0 * bd0 - a1 * bd1 + a2 * bd2)) % pk,
+        (a0 * bc0 - a1 * bc1 + a2 * bc2) % pk,
+    ]
+    # cofactor expansion along the last column recovers the determinant
+    return sum(last[r] * rows[r][3] for r in range(4)) % pk, last
 
 
-def _padd(a, b, mod):
-    out = [0] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] + v) % mod
-    return _ptrim(out)
+def _berkowitz_det_and_adjugate_last_row(rows: list[list[int]], ring: Zp) -> tuple[int, list[int]]:
+    """det S and the last row of adj S from the division-free char poly.
 
-
-def _psub(a, b, mod):
-    out = [0] * max(len(a), len(b))
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] - v) % mod
-    return _ptrim(out)
-
-
-def _pmul(a, b, mod):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % mod
-    return _ptrim(out)
-
-
-def _pdivmod(a, b, mod, inv_lead=None):
-    """Division with remainder; leading coefficient of b must be a unit mod p."""
-    a = [v % mod for v in a]
-    _ptrim(a)
-    if inv_lead is None:
-        inv_lead = pow(b[-1], -1, mod)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = (a[-1] * inv_lead) % mod
-        d = len(a) - len(b)
-        q[d] = c
-        for i, bv in enumerate(b):
-            a[d + i] = (a[d + i] - c * bv) % mod
-        _ptrim(a)
-        if not a:
-            break
-    return _ptrim(q), a
-
-
-def _det_int(rows: list[list[int]], mod: int) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1 % mod
-    if n == 1:
-        return rows[0][0] % mod
-    if n == 2:
-        return (rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) % mod
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % mod
-    total = 0
-    for j in range(n):
-        if rows[0][j]:
-            minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-            sign = -1 if j % 2 else 1
-            total += sign * rows[0][j] * _det_int(minor, mod)
-    return total % mod
-
-
-def _adjugate_int(rows: list[list[int]], mod: int) -> list[list[int]]:
-    n = len(rows)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j]
-            sign = -1 if (i + j) % 2 else 1
-            adj[i][j] = (sign * _det_int(minor, mod)) % mod
-    return adj
-
-
-def _adjugate_last_row(rows: list[list[int]], mod: int) -> list[int]:
-    """Only the last adjugate row is needed for the Bezout coefficients."""
-    n = len(rows)
-    if n == 4:
-        # unrolled cofactors along the last column (the dominant sweep case)
-        (a0, a1, a2, _), (b0, b1, b2, _), (c0, c1, c2, _), (d0, d1, d2, _) = rows
-        cd0 = c1 * d2 - c2 * d1
-        cd1 = c0 * d2 - c2 * d0
-        cd2 = c0 * d1 - c1 * d0
-        bd0 = b1 * d2 - b2 * d1
-        bd1 = b0 * d2 - b2 * d0
-        bd2 = b0 * d1 - b1 * d0
-        bc0 = b1 * c2 - b2 * c1
-        bc1 = b0 * c2 - b2 * c0
-        bc2 = b0 * c1 - b1 * c0
-        return [
-            (-(b0 * cd0 - b1 * cd1 + b2 * cd2)) % mod,
-            (a0 * cd0 - a1 * cd1 + a2 * cd2) % mod,
-            (-(a0 * bd0 - a1 * bd1 + a2 * bd2)) % mod,
-            (a0 * bc0 - a1 * bc1 + a2 * bc2) % mod,
-        ]
-    out = [0] * n
-    for j in range(n):
-        minor = [r[:-1] for k, r in enumerate(rows) if k != j]
-        sign = -1 if (n - 1 + j) % 2 else 1
-        out[j] = (sign * _det_int(minor, mod)) % mod
-    return out
+    With det(tI - S) = t^N + c_(N-1) t^(N-1) + ... + c_0, det S = (-1)^N c_0
+    and adj S = (-1)^(N+1) (S^(N-1) + c_(N-1) S^(N-2) + ... + c_1 I), whose
+    last row is a Horner pass on e_N^T.
+    """
+    n, pk = len(rows), ring.pk
+    chi = PadicMatrix(ring, rows).char_poly_raw()
+    v = [0] * (n - 1) + [1]
+    for c in reversed(chi[1:n]):
+        v = [sum(v[r] * rows[r][col] for r in range(n)) % pk for col in range(n)]
+        v[n - 1] = (v[n - 1] + c) % pk
+    sign = 1 if n % 2 else -1  # (-1)^(N+1)
+    return (-sign * chi[0]) % pk, [(sign * x) % pk for x in v]
 
 
 def _sylvester(fc: list[int], gc: list[int]) -> list[list[int]]:
@@ -312,7 +246,7 @@ def resultant(f: LaurentPoly, g: LaurentPoly) -> PadicScalar:
         return ring.scalar(pow(fc[0], n, ring.pk))
     if n == 0:
         return ring.scalar(pow(gc[0], m, ring.pk))
-    return ring.scalar(_det_int(_sylvester(fc, gc), ring.pk))
+    return ring.scalar(_det_and_adjugate_last_row(_sylvester(fc, gc), ring)[0])
 
 
 @dataclass(frozen=True)
@@ -353,11 +287,7 @@ def orthogonality_test(f: LaurentPoly, g: LaurentPoly, j: int) -> OrthogonalityC
             k = LaurentPoly(ring_j, {})
             l = LaurentPoly.from_coeffs(ring_j, [(res.lift() * pow(gc[0], -1, pj)) % pj])
     else:
-        syl = [[v % pj for v in row] for row in _sylvester(fc, gc)]
-        adj_last_row = _adjugate_last_row(syl, pj)
-        size = m + n
-        # cofactor expansion along the last column recovers the determinant
-        res_val = sum(adj_last_row[r] * syl[r][size - 1] for r in range(size)) % pj
+        res_val, adj_last_row = _det_and_adjugate_last_row(_sylvester(fc, gc), ring_j)
         res = ring_j.scalar(res_val)
         if res_val % p == 0:
             return OrthogonalityCertificate(False, res, None, None, (kf, kg))
@@ -369,10 +299,12 @@ def orthogonality_test(f: LaurentPoly, g: LaurentPoly, j: int) -> OrthogonalityC
         l = LaurentPoly(
             ring_j, {m - 1 - i: adj_last_row[n + i] for i in range(m)}
         )
-    combo = _padd(
-        _pmul(_dense_from_laurent(k), fc, pj), _pmul(_dense_from_laurent(l), gc, pj), pj
+    combo = fppoly.add(
+        fppoly.mul(_dense_from_laurent(k), fc, pj),
+        fppoly.mul(_dense_from_laurent(l), gc, pj),
+        pj,
     )
-    if combo != _ptrim([res.lift() % pj]):
+    if combo != fppoly.trim([res.lift() % pj]):
         raise ArithmeticError("Bezout certificate failed self-check")
     return OrthogonalityCertificate(True, res, k, l, (kf, kg))
 
@@ -388,9 +320,6 @@ class BezoutIdempotents:
     p1: list[int]
     p2: list[int]
     certificate: OrthogonalityCertificate
-
-    def _mul(self, a, b):
-        return _pdivmod(_pmul(a, b, self.ring.pk), self.modulus, self.ring.pk)[1]
 
     def p1_poly(self) -> LaurentPoly:
         return LaurentPoly.from_coeffs(self.ring, self.p1)
@@ -408,16 +337,19 @@ class BezoutIdempotents:
         """
         pj = self.ring.pk
         fg = self.modulus
-        inv_lead = pow(fg[-1], -1, pj)
 
         def qmul(a, b):
-            prod = _pmul(a, b, pj)
+            prod = fppoly.mul(a, b, pj)
             if len(prod) >= len(fg):
-                prod = _pdivmod(prod, fg, pj, inv_lead)[1]
+                prod = fppoly.divmod_poly(prod, fg, pj)[1]
             return prod
 
+        # reducing f and g first rejects a modulus with a non-unit leading
+        # coefficient (ValueError from its inverse) before any check runs
+        f = fppoly.divmod_poly(self.f_dense, fg, pj)[1]
+        g = fppoly.divmod_poly(self.g_dense, fg, pj)[1]
         p1, p2 = self.p1, self.p2
-        if _padd(p1, p2, pj) != [1]:
+        if fppoly.add(p1, p2, pj) != [1]:
             return False
         p1sq = qmul(p1, p1)
         if p1sq != p1:
@@ -425,19 +357,17 @@ class BezoutIdempotents:
         if qmul(p1, p2) != []:  # = P2 P1 in the commutative quotient
             return False
         # P2^2 = (1 - P1)^2 = 1 - 2 P1 + P1^2
-        p2sq = _padd(_psub([1], _padd(p1, p1, pj), pj), p1sq, pj)
+        p2sq = fppoly.add(fppoly.sub([1], fppoly.add(p1, p1, pj), pj), p1sq, pj)
         if p2sq != p2:
             return False
-        f = _pdivmod(self.f_dense, fg, pj, inv_lead)[1]
-        g = _pdivmod(self.g_dense, fg, pj, inv_lead)[1]
         p1f = qmul(p1, f)
-        if p1f != f or _psub(f, p1f, pj) != []:  # P1 f = f and P2 f = 0
+        if p1f != f or fppoly.sub(f, p1f, pj) != []:  # P1 f = f and P2 f = 0
             return False
         p1g = qmul(p1, g)
-        if p1g != [] or _psub(g, p1g, pj) != g:  # P1 g = 0 and P2 g = g
+        if p1g != [] or fppoly.sub(g, p1g, pj) != g:  # P1 g = 0 and P2 g = g
             return False
         h = [0, 1] if len(fg) > 2 else [1]
-        return _padd(qmul(p1, h), qmul(p2, h), pj) == h
+        return fppoly.add(qmul(p1, h), qmul(p2, h), pj) == h
 
 
 def bezout_idempotents(
@@ -459,16 +389,16 @@ def bezout_idempotents(
     pj = ring_j.pk
     fc, _ = f.reduce(j).polynomial_part()
     gc, _ = g.reduce(j).polynomial_part()
-    fg = _pmul(fc, gc, pj)
+    fg = fppoly.mul(fc, gc, pj)
     inv_res = pow(cert.res.lift(), -1, pj)
     k_dense = _dense_from_laurent(cert.bezout_k)
     l_dense = _dense_from_laurent(cert.bezout_l)
-    p1 = _ptrim([(v * inv_res) % pj for v in _pmul(k_dense, fc, pj)])
-    p2 = _ptrim([(v * inv_res) % pj for v in _pmul(l_dense, gc, pj)])
+    p1 = fppoly.scale(fppoly.mul(k_dense, fc, pj), inv_res, pj)
+    p2 = fppoly.scale(fppoly.mul(l_dense, gc, pj), inv_res, pj)
     if len(p1) >= len(fg):
-        p1 = _pdivmod(p1, fg, pj)[1]
+        p1 = fppoly.divmod_poly(p1, fg, pj)[1]
     if len(p2) >= len(fg):
-        p2 = _pdivmod(p2, fg, pj)[1]
+        p2 = fppoly.divmod_poly(p2, fg, pj)[1]
     result = BezoutIdempotents(ring_j, fg, fc, gc, p1, p2, cert)
     if not result.verify():
         raise ArithmeticError("idempotent construction failed its audit")
@@ -501,20 +431,27 @@ def _hensel_pair(f, g0, h0, p, j):
     while prec < j:
         prec = min(2 * prec, j)
         mod = p**prec
-        e = _psub([v % mod for v in f], _pmul(g, h, mod), mod)
-        qq, r = _pdivmod(_pmul(t, e, mod), g, mod)
-        g_new = _padd(g, r, mod)
-        h_new, rem = _pdivmod([v % mod for v in f], g_new, mod)
+        f_mod = [v % mod for v in f]
+        e = fppoly.sub(f_mod, fppoly.mul(g, h, mod), mod)
+        _, r = fppoly.divmod_poly(fppoly.mul(t, e, mod), g, mod)
+        g_new = fppoly.add(g, r, mod)
+        h_new, rem = fppoly.divmod_poly(f_mod, g_new, mod)
         if rem:
             raise ArithmeticError("Hensel division left a nonzero remainder")
         # cofactor refresh: s*g + t*h = 1 at the new precision
-        b = _psub(_padd(_pmul(s, g_new, mod), _pmul(t, h_new, mod), mod), [1], mod)
-        cq, cr = _pdivmod(_pmul(s, b, mod), h_new, mod)
-        s_new = _psub(s, cr, mod)
-        t_new = _psub(_psub(t, _pmul(b, t, mod), mod), _pmul(cq, g_new, mod), mod)
+        b = fppoly.sub(
+            fppoly.add(fppoly.mul(s, g_new, mod), fppoly.mul(t, h_new, mod), mod), [1], mod
+        )
+        cq, cr = fppoly.divmod_poly(fppoly.mul(s, b, mod), h_new, mod)
+        s_new = fppoly.sub(s, cr, mod)
+        t_new = fppoly.sub(
+            fppoly.sub(t, fppoly.mul(b, t, mod), mod), fppoly.mul(cq, g_new, mod), mod
+        )
         # normalize degrees: t mod g, then s = (1 - t*h) / g exactly
-        _, t_new = _pdivmod(t_new, g_new, mod)
-        s_new, srem = _pdivmod(_psub([1], _pmul(t_new, h_new, mod), mod), g_new, mod)
+        _, t_new = fppoly.divmod_poly(t_new, g_new, mod)
+        s_new, srem = fppoly.divmod_poly(
+            fppoly.sub([1], fppoly.mul(t_new, h_new, mod), mod), g_new, mod
+        )
         if srem:
             raise ArithmeticError("cofactor refresh failed")
         g, h, s, t = g_new, h_new, s_new, t_new
@@ -553,7 +490,7 @@ class TeichFactorization:
         pj = self.ring.pk
         acc = [self.unit.lift() % pj]
         for factor in self.factors.values():
-            acc = _pmul(acc, factor, pj)
+            acc = fppoly.mul(acc, factor, pj)
         return LaurentPoly.from_coeffs(self.ring, acc, low=self.shift)
 
     def orbit_degrees(self) -> dict[tuple[int, ...], int]:

@@ -491,7 +491,7 @@ def residue_matrix_order(U: PadicMatrix) -> int:
     Found by factoring the (small) group order through its q^k - 1 pieces and
     descending through divisors, so no power enumeration is needed.
     """
-    from .arith import factorize, merge_factorizations
+    from .arith import factorize, merge_factorizations, unipotent_depth
 
     n = U.n
     reduced = U.reduce(1)
@@ -502,12 +502,9 @@ def residue_matrix_order(U: PadicMatrix) -> int:
     for k in range(1, n + 1):
         exponent_fac = merge_factorizations(exponent_fac, factorize(q**k - 1))
     # p-part of the exponent: unipotent order is p^ceil(log_p n)
-    p = U.ring.p
-    a = 0
-    while p**a < n:
-        a += 1
+    a = unipotent_depth(n, U.ring.p)
     if a:
-        exponent_fac = merge_factorizations(exponent_fac, {p: a})
+        exponent_fac = merge_factorizations(exponent_fac, {U.ring.p: a})
     order = 1
     for prime, e in exponent_fac.items():
         order *= prime**e

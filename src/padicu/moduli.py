@@ -77,36 +77,6 @@ def modulus_id(p: int, m: int) -> str:
     return f"{TABLE_VERSION}-p{p}-m{m}"
 
 
-def _polmul_mod(a, b, f, pk):
-    m = len(f) - 1
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % pk
-    for i in range(len(res) - 1, m - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(m):
-                res[i - m + j] = (res[i - m + j] - c * f[j]) % pk
-    out = res[:m]
-    out += [0] * (m - len(out))
-    return out
-
-
-def _polpow_mod(a, e, f, pk):
-    m = len(f) - 1
-    r = [1] + [0] * (m - 1)
-    b = list(a)
-    while e:
-        if e & 1:
-            r = _polmul_mod(r, b, f, pk)
-        b = _polmul_mod(b, b, f, pk)
-        e >>= 1
-    return r
-
-
 @lru_cache(maxsize=None)
 def canonical_modulus(p: int, m: int, K: int) -> tuple[int, ...]:
     """Monic degree-m polynomial over Z/p^K whose roots are Teichmuller units.
@@ -115,48 +85,33 @@ def canonical_modulus(p: int, m: int, K: int) -> tuple[int, ...]:
     and expanding the product over its Frobenius orbit; the coefficients come
     out Galois-fixed, i.e. plain integers mod p^K.
     """
-    if m == 1:
-        base = residue_modulus(p, 1)
-        # root is the table's primitive residue; lift it to its Teichmuller unit
-        r = (-base[0]) % p
-        pk = p**K
-        y = r
-        while True:
-            y2 = pow(y, p, pk)
-            if y2 == y:
-                break
-            y = y2
-        return ((-y) % pk, 1)
     base = residue_modulus(p, m)
     pk = p**K
     naive = [c % pk for c in base]
-    x = [0, 1] + [0] * (m - 2)
-    y = list(x)
+    y = fppoly.divmod_poly([0, 1], naive, pk)[1]
     for _ in range(K + 2):
-        y2 = _polpow_mod(y, p**m, naive, pk)
+        y2 = fppoly.pow_mod(y, p**m, naive, pk)
         if y2 == y:
             break
         y = y2
-    if _polpow_mod(y, p**m, naive, pk) != y:
+    if fppoly.pow_mod(y, p**m, naive, pk) != y:
         raise RuntimeError("Teichmuller iteration failed to stabilize")
     conjugates = [y]
     for _ in range(1, m):
-        conjugates.append(_polpow_mod(conjugates[-1], p, naive, pk))
+        conjugates.append(fppoly.pow_mod(conjugates[-1], p, naive, pk))
     # expand prod (X - conj) with coefficients in the scaffold ring
-    coeffs = [[1] + [0] * (m - 1)]
+    coeffs = [[1]]
     for c in conjugates:
-        neg = [(-v) % pk for v in c]
-        new = [[0] * m for _ in range(len(coeffs) + 1)]
+        neg = fppoly.sub([], c, pk)
+        new = [[] for _ in range(len(coeffs) + 1)]
         for i, gc in enumerate(coeffs):
-            new[i + 1] = [(new[i + 1][t] + gc[t]) % pk for t in range(m)]
-            prod = _polmul_mod(gc, neg, naive, pk)
-            new[i] = [(new[i][t] + prod[t]) % pk for t in range(m)]
+            new[i + 1] = fppoly.add(new[i + 1], gc, pk)
+            prod = fppoly.divmod_poly(fppoly.mul(gc, neg, pk), naive, pk)[1]
+            new[i] = fppoly.add(new[i], prod, pk)
         coeffs = new
-    flat = []
-    for vec in coeffs:
-        if any(v != 0 for v in vec[1:]):
-            raise RuntimeError("orbit product has a non-constant coefficient")
-        flat.append(vec[0])
+    if any(len(vec) > 1 for vec in coeffs):
+        raise RuntimeError("orbit product has a non-constant coefficient")
+    flat = [vec[0] if vec else 0 for vec in coeffs]
     if flat[-1] != 1 or [c % p for c in flat] != [c % p for c in base]:
         raise RuntimeError("canonical modulus failed its reduction audit")
     return tuple(flat)

@@ -61,9 +61,7 @@ def _entry_to_wire(ring: AnyRing, raw):
 
 
 def _entry_from_wire(ring: AnyRing, wire):
-    if isinstance(ring, Zp):
-        return int(wire)
-    if isinstance(wire, str):
+    if isinstance(ring, Zp) or isinstance(wire, str):
         return ring.rfrom_int(int(wire))
     return tuple(int(c) % ring.pk for c in wire)
 

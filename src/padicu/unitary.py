@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from . import fppoly, gm
-from .arith import crt_pair, order_mod, prime_to_p_part
+from .arith import crt_pair, order_mod, prime_to_p_part, unipotent_depth
 from .errors import InputError, NotAUnit, NotContinuous, NotTeichmuller, NotUnitary
 from .matrices import PadicMatrix, residue_matrix_order
 from .scalars import (
@@ -49,13 +49,6 @@ def residual_order(U: PadicMatrix) -> int:
     return residue_matrix_order(U)
 
 
-def _unipotent_depth(n: int, p: int) -> int:
-    a = 0
-    while p**a < n:
-        a += 1
-    return a
-
-
 @dataclass(frozen=True)
 class UnitaryClass:
     kind: str
@@ -64,13 +57,14 @@ class UnitaryClass:
     is_continuous: bool
 
 
-def _jordan_exponent(U: PadicMatrix) -> tuple[int, int]:
-    """(alpha, m): U^alpha is the Teichmuller part; m the prime-to-p residual order."""
+def _jordan_exponent(U: PadicMatrix) -> tuple[int, int, int]:
+    """(alpha, m, A): U^alpha is the Teichmuller part, m the prime-to-p residual
+    order, and p^A bounds the p-part of the order of U at this precision."""
     ring = U.ring
     m = prime_to_p_part(residue_matrix_order(U), ring.p)
-    A = ring.K - 1 + _unipotent_depth(U.n, ring.p)
+    A = ring.K - 1 + unipotent_depth(U.n, ring.p)
     alpha = crt_pair(1 % m, m, 0, ring.p**A)
-    return alpha, m
+    return alpha, m, A
 
 
 def classify(U: PadicMatrix) -> UnitaryClass:
@@ -83,8 +77,7 @@ def classify(U: PadicMatrix) -> UnitaryClass:
     _require_unitary(U)
     ring = U.ring
     p = ring.p
-    m = prime_to_p_part(residue_matrix_order(U), p)
-    A = ring.K - 1 + _unipotent_depth(U.n, p)
+    _, m, A = _jordan_exponent(U)
     modulus = m * p**A  # the order of U divides this
     r = order_mod(p, m)
     k = 1
@@ -111,7 +104,7 @@ def jordan_decompose(U: PadicMatrix) -> tuple[PadicMatrix, PadicMatrix]:
     powers of U times its inverse, so commutation is automatic.
     """
     _require_unitary(U)
-    alpha, _ = _jordan_exponent(U)
+    alpha, _, _ = _jordan_exponent(U)
     u_s = U.matrix_power(alpha)
     u_n = U @ u_s.inverse()
     return u_s, u_n

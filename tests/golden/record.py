@@ -1,0 +1,216 @@
+"""Record the CLI golden corpus: input documents, exact stdout bytes, exit codes.
+
+Usage: PYTHONPATH=src python tests/golden/record.py
+
+The documents are generated from fixed seeds and every one is run in-process
+through ``padicu.cli.main``; the result is written to ``corpus.jsonl`` next to
+this script, one case per line.  ``tests/test_golden.py`` replays the corpus
+and compares bytes, so the corpus is the behaviour contract for refactors:
+re-record it only when a change to the output bytes is intended.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+
+from padicu import cli, fppoly, moduli
+from padicu.matrices import PadicMatrix
+from padicu.sampling import random_continuous, random_teichmuller, random_unitary
+from padicu.scalars import Zp
+from padicu.unitary import jordan_decompose
+
+CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus.jsonl")
+
+
+def matrix_doc(M: PadicMatrix) -> dict:
+    return {"p": M.ring.p, "K": M.ring.K, "n": M.n,
+            "entries": [str(v) for row in M.rows for v in row]}
+
+
+def poly_doc(p: int, K: int, coeffs: list[int], low: int = 0) -> dict:
+    return {"p": p, "K": K, "terms": [[low + i, str(c)] for i, c in enumerate(coeffs) if c]}
+
+
+def _unit_poly(rng, p, pk, d):
+    """Degree-d coefficients mod p^K with unit extreme coefficients."""
+    coeffs = [rng.randrange(pk) for _ in range(d + 1)]
+    for i in (0, d):
+        while coeffs[i] % p == 0:
+            coeffs[i] = rng.randrange(pk)
+    return coeffs
+
+
+def _times(a, b, pk):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % pk
+    return out
+
+
+def polynomial_pairs(rng, p, K, dm, dn, orthogonal):
+    """Unit polynomials of degrees dm, dn whose reductions are coprime or not."""
+    pk = p**K
+    while True:
+        if orthogonal:
+            f, g = _unit_poly(rng, p, pk, dm), _unit_poly(rng, p, pk, dn)
+            if fppoly.gcd([c % p for c in f], [c % p for c in g], p) == [1]:
+                return f, g
+        else:
+            h = _unit_poly(rng, p, pk, 1)
+            f = _times(h, _unit_poly(rng, p, pk, dm - 1), pk)
+            g = _times(h, _unit_poly(rng, p, pk, dn - 1), pk)
+            # perturb by multiples of p: the common residue factor survives
+            f = [(c + p * rng.randrange(pk)) % pk for c in f]
+            g = [(c + p * rng.randrange(pk)) % pk for c in g]
+            if all(c % p for c in (f[0], f[-1], g[0], g[-1])):
+                return f, g
+
+
+def formal_group_cases(rng):
+    cases = []
+    shapes = [(d, d) for d in range(1, 7)] + [(1, 3), (2, 5), (4, 2), (3, 1)]
+    for dm, dn in shapes:
+        for orth in (True, False):
+            for p, K, j in ((5, 3, 3), (3, 4, 2), (7, 2, 2)):
+                if dm + dn >= 10 and p != 5:
+                    continue  # the largest shapes at one prime keep the corpus small
+                f, g = polynomial_pairs(rng, p, K, dm, dn, orth)
+                lf, lg = rng.choice((0, -1, 2)), rng.choice((0, 1, -2))
+                doc = {"f": poly_doc(p, K, f, lf), "g": poly_doc(p, K, g, lg), "j": j}
+                tag = f"{'orth' if orth else 'nonorth'}-{dm}+{dn}-p{p}K{K}j{j}"
+                cases.append(("orthogonal", tag, doc))
+                cases.append(("idempotents", tag, doc))
+    # a constant side, unit and non-unit, on either argument
+    for p, c in ((3, 2), (3, 6), (5, 7)):
+        poly = poly_doc(p, 3, [1, 2, 1, 4])
+        const = poly_doc(p, 3, [c])
+        for name, doc in (("left", {"f": const, "g": poly, "j": 3}),
+                          ("right", {"f": poly, "g": const, "j": 2})):
+            cases.append(("orthogonal", f"const-{name}-p{p}c{c}", doc))
+            cases.append(("idempotents", f"const-{name}-p{p}c{c}", doc))
+    # a non-unit extreme coefficient: f*g has no unit leading coefficient
+    lead = [({"p": 3, "K": 4, "terms": [[-2, "156"], [0, "-19"], [3, "152"]]},
+             {"p": 3, "K": 4, "terms": [[-1, "-80"], [2, "-33"]]}, 4),
+            ({"p": 7, "K": 4, "terms": [[2, "3960"], [3, "-693"]]},
+             {"p": 7, "K": 4, "terms": [[-1, "4050"], [1, "3027"]]}, 4)]
+    for i, (f, g, j) in enumerate(lead):
+        cases.append(("orthogonal", f"nonunit-lead-{i}", {"f": f, "g": g, "j": j}))
+        cases.append(("idempotents", f"nonunit-lead-{i}", {"f": f, "g": g, "j": j}))
+    zero = {"f": {"p": 3, "K": 2, "terms": []}, "g": poly_doc(3, 2, [1, 1]), "j": 2}
+    cases.append(("orthogonal", "zero-poly", zero))
+    cases.append(("idempotents", "missing-j", {"f": poly_doc(3, 2, [1, 1]), "g": poly_doc(3, 2, [2, 1])}))
+    return cases
+
+
+def teich_factor_cases(rng):
+    cases = []
+    for p, K in ((3, 4), (5, 3), (7, 2)):
+        for d in range(1, 7):
+            pk = p**K
+            coeffs = _unit_poly(rng, p, pk, d)
+            j = rng.randint(1, K)
+            low = rng.choice((-1, 0, 1))
+            cases.append(("teich-factor", f"random-d{d}-p{p}K{K}",
+                          {"f": poly_doc(p, K, coeffs, low), "j": j}))
+        # repeated residue factors: (t - 1)^2 (t + 1) (t^2 + 1) mod p, perturbed by p
+        base = _times(_times(_times([p**K - 1, 1], [p**K - 1, 1], p**K), [1, 1], p**K), [1, 0, 1], p**K)
+        base = [(c + p * rng.randrange(p**K)) % p**K for c in base]
+        base[0] = base[0] if base[0] % p else base[0] + 1
+        cases.append(("teich-factor", f"repeated-p{p}K{K}",
+                      {"f": poly_doc(p, K, base), "j": K, "seed": 5}))
+    cases.append(("teich-factor", "not-unit", {"f": poly_doc(3, 2, [3, 1]), "j": 2}))
+    return cases
+
+
+def decompose_fp_cases(rng):
+    cases = []
+    for p, n, count in ((3, 2, 10), (3, 3, 5), (5, 2, 4), (5, 3, 2), (3, 4, 2)):
+        made = 0
+        while made < count:
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            if not PadicMatrix.from_rows(Zp(p, 1), rows).is_unitary():
+                continue
+            made += 1
+            cases.append(("decompose-fp", f"p{p}n{n}-{made}", {"p": p, "matrix": rows}))
+    cases.append(("decompose-fp", "unreduced", {"p": 3, "matrix": [[4, -1], [2, 8]]}))
+    cases.append(("decompose-fp", "identity-3", {"p": 3, "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    cases.append(("decompose-fp", "singular", {"p": 3, "matrix": [[1, 2], [2, 1]]}))
+    return cases
+
+
+def matrix_cases(rng):
+    cases = []
+    grid = ((3, 2, 2), (3, 3, 3), (3, 2, 4), (3, 2, 5), (5, 3, 2), (5, 2, 3), (7, 2, 2), (7, 3, 4))
+    for p, K, n in grid:
+        ring = Zp(p, K)
+        samples = {
+            "unitary": random_unitary(ring, n, rng),
+            "continuous": random_continuous(ring, n, rng),
+            "teichmuller": random_teichmuller(ring, n, rng),
+        }
+        for kind, M in samples.items():
+            tag = f"{kind}-p{p}K{K}n{n}"
+            cases.append(("classify", tag, {"matrix": matrix_doc(M)}))
+            cases.append(("jordan", tag, {"matrix": matrix_doc(M)}))
+            cases.append(("principal-exponent", tag, {"matrix": matrix_doc(M), "j": K}))
+        if n <= 3:
+            u = samples["unitary"]
+            cases.append(("decompose-zp", f"unitary-p{p}K{K}n{n}", {"matrix": matrix_doc(u)}))
+            u_s, _ = jordan_decompose(u)
+            cases.append(("decompose-zp", f"jordan-part-p{p}K{K}n{n}", {"matrix": matrix_doc(u_s)}))
+        if n <= 4:
+            t = samples["teichmuller"]
+            cases.append(("spectral", f"teichmuller-p{p}K{K}n{n}", {"matrix": matrix_doc(t)}))
+            cases.append(("galois-act", f"teichmuller-p{p}K{K}n{n}", {"matrix": matrix_doc(t), "k": 1}))
+            cases.append(("spectrum-table", f"teichmuller-p{p}K{K}n{n}",
+                          {"matrix": matrix_doc(t), "j_list": [1, K, "1-"]}))
+    # orbits of degree 2, 3 and 4 for certain: companions of the canonical moduli
+    for p, K, d in ((3, 3, 2), (5, 2, 3), (7, 2, 2), (3, 2, 4)):
+        comp = PadicMatrix.companion(Zp(p, K), list(moduli.canonical_modulus(p, d, K))[:-1])
+        cases.append(("spectral", f"companion-p{p}K{K}d{d}", {"matrix": matrix_doc(comp)}))
+        cases.append(("classify", f"companion-p{p}K{K}d{d}", {"matrix": matrix_doc(comp)}))
+    cases.append(("spectral", "not-teichmuller", {"matrix": {"p": 3, "K": 3, "n": 2, "entries": ["1", "1", "0", "1"]}}))
+    cases.append(("classify", "singular", {"matrix": {"p": 3, "K": 2, "n": 2, "entries": ["3", "0", "0", "1"]}}))
+    cases.append(("decompose-zp", "identity", {"matrix": {"p": 3, "K": 2, "n": 2, "entries": ["1", "0", "0", "1"]}}))
+    cases.append(("principal-exponent", "poly", {"poly": poly_doc(5, 3, [2, 3, 1]), "j": 2}))
+    return cases
+
+
+def build_cases():
+    rng = random.Random(20231018)
+    return (formal_group_cases(rng) + teich_factor_cases(rng)
+            + decompose_fp_cases(rng) + matrix_cases(rng))
+
+
+def run_case(command: str, raw: str) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(raw)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([command, path])
+    return code, out.getvalue()
+
+
+def main() -> int:
+    with open(CORPUS, "w", encoding="utf-8") as fh:
+        for command, tag, doc in build_cases():
+            raw = json.dumps(doc, sort_keys=True)
+            code, stdout = run_case(command, raw)
+            case = {"case": f"{command}/{tag}", "command": command, "input": raw,
+                    "exit": code, "stdout": stdout}
+            fh.write(json.dumps(case, sort_keys=True) + "\n")
+            print(case["case"], code, file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,7 +14,7 @@ import pytest
 
 from padicu import gm, unitary
 from padicu.errors import NotOrthogonal
-from padicu.glnp import _fp_matmul, decompose_fp
+from padicu.glnp import decompose_fp
 from padicu.matrices import PadicMatrix
 from padicu.quantum import EvolutionPair, WaveFunction, evolve, exp_matrix
 from padicu.sampling import (
@@ -50,7 +50,8 @@ def test_criterion_1_exhaustive_gl2f3():
                 continue
             count += 1
             out = decompose_fp(3, rows)
-            assert _fp_matmul(out.t_matrix, out.n_matrix, 3) == rows
+            flat_t, flat_n = sum(out.t_matrix, ()), sum(out.n_matrix, ())
+            assert _mul2(flat_t, flat_n, 3) == sum(rows, ())
             seen_pairs.add((out.t_matrix, out.n_matrix))
             seen_t.add(out.t_matrix)
             seen_n.add(out.n_matrix)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 
 import pytest
 
@@ -184,3 +185,87 @@ def test_every_command_runs_clean(command, doc, tmp_path, capsys):
     code, out = run_cli(command, doc, tmp_path, capsys)
     assert code == 0, out
     assert "result" in out
+
+
+@pytest.mark.parametrize("entry", ["1", "4", "-2"])
+def test_classify_reads_any_residue_representative(entry, tmp_path, capsys):
+    doc = {"matrix": {"p": 3, "K": 1, "n": 2, "entries": [entry, "0", "0", "1"]}}
+    code, out = run_cli("classify", doc, tmp_path, capsys)
+    assert code == 0
+    assert out["result"]["class"] == "TEICHMULLER"
+
+
+def _integer_slots(doc, pk=None):
+    """(container, index, p^K) for every integer an input document carries mod p^K."""
+    if isinstance(doc, dict):
+        if "p" in doc and "K" in doc:
+            pk = doc["p"] ** doc["K"]
+            for key in ("entries", "values"):
+                for i in range(len(doc.get(key, []))):
+                    yield doc[key], i, pk
+            for term in doc.get("terms", []):
+                yield term, 1, pk
+        for value in doc.values():
+            yield from _integer_slots(value, pk)
+    elif isinstance(doc, list):
+        for value in doc:
+            if isinstance(value, dict):
+                yield from _integer_slots(value, pk)
+
+
+SHIFT_DOCS = [
+    ("classify", {"matrix": matrix_doc([[1, 1], [0, 1]])}),
+    ("classify", {"matrix": matrix_doc([[0, -1], [1, 0]], p=5, K=2)}),
+    ("jordan", {"matrix": matrix_doc([[1, 1], [1, 0]])}),
+    ("spectral", {"matrix": matrix_doc([[0, -1], [1, 0]], p=5, K=2)}),
+    ("power-zp", {"matrix": matrix_doc([[1, 3], [0, 1]]), "t": "5"}),
+    ("seminorm", {"matrix": matrix_doc([[3, 1], [0, 9]])}),
+    ("decompose-zp", {"matrix": matrix_doc([[1, 1], [1, 0]], K=2)}),
+    ("principal-exponent", {"matrix": matrix_doc([[2, 1], [0, 1]], K=2), "j": 2}),
+    ("projection", {"matrix": matrix_doc([[1, 0], [0, 24]], p=5, K=2), "j": 1,
+                    "poly": {"p": 5, "K": 2, "terms": [[0, "-1"], [1, "1"]]}}),
+    ("orthogonal", {"f": {"p": 5, "K": 2, "terms": [[0, "-1"], [1, "1"]]},
+                    "g": {"p": 5, "K": 2, "terms": [[0, "-2"], [1, "1"]]}, "j": 2}),
+    ("measure", {"projector": matrix_doc([[1, 0], [0, 0]], K=2),
+                 "psi": {"p": 3, "K": 2, "values": ["1", "1"]}}),
+    ("torus", {"u": matrix_doc([[1, 0], [0, 24]], p=5, K=2),
+               "v": matrix_doc([[0, 1], [1, 0]], p=5, K=2)}),
+]
+
+
+@pytest.mark.parametrize("command,doc", SHIFT_DOCS, ids=[c for c, _ in SHIFT_DOCS])
+def test_output_ignores_multiples_of_pk(command, doc, tmp_path, capsys):
+    """Adding a multiple of p^K to any entry never changes the output bytes."""
+    path = tmp_path / "in.json"
+
+    def run(d):
+        path.write_text(json.dumps(d))
+        code = cli.main([command, str(path)])
+        return code, capsys.readouterr().out
+
+    expected = run(doc)
+    rng = random.Random(command)
+    for _ in range(6):
+        shifted = json.loads(json.dumps(doc))
+        for container, i, pk in _integer_slots(shifted):
+            if rng.random() < 0.5:
+                container[i] = str(int(container[i]) + pk * rng.choice([-3, -1, 1, 2, 5]))
+        assert run(shifted) == expected
+
+
+def _evolve_doc(allow):
+    nine = matrix_doc([[9, 0], [0, 9]])
+    return {"h": nine, "u": matrix_doc([[1, 0], [0, 1]]),
+            "psi": {"p": 3, "K": 3, "values": ["1", "1"]}, "k": 1, "t": 1,
+            "allow_extended_radius": allow}
+
+
+def test_evolve_override_must_be_a_json_boolean(tmp_path, capsys):
+    code, out = run_cli("evolve", _evolve_doc("false"), tmp_path, capsys)
+    assert code == 2
+    assert out["error"]["code"] == "MalformedDocument"
+    code, out = run_cli("evolve", _evolve_doc(False), tmp_path, capsys)
+    assert code == 3
+    assert out["error"]["code"] == "RadiusViolation"
+    code, out = run_cli("evolve", _evolve_doc(True), tmp_path, capsys)
+    assert code == 0

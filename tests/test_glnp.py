@@ -17,21 +17,22 @@ def test_build_generators_orders():
     gens = glnp.build_generators(1, 3)
     assert gens.matrices[0] == ((2,),)
     gens2 = glnp.build_generators(2, 3)
-    t2 = gens2.matrices[1]
+    t2 = PadicMatrix(Zp(3, 1), gens2.matrices[1])
     power, order = t2, 1
-    identity = glnp._fp_identity(2)
+    identity = PadicMatrix.identity(Zp(3, 1), 2)
     while power != identity:
-        power = glnp._fp_matmul(power, t2, 3)
+        power = power @ t2
         order += 1
     assert order == 8
     # exhaustive order audit for k <= 3, p in {3, 5}
     for p in (3, 5):
         gens3 = glnp.build_generators(3, p)
-        for k, mat in enumerate(gens3.matrices, start=1):
+        for k, rows in enumerate(gens3.matrices, start=1):
+            mat = PadicMatrix(Zp(p, 1), rows)
             power, order = mat, 1
-            identity = glnp._fp_identity(3)
+            identity = PadicMatrix.identity(Zp(p, 1), 3)
             while power != identity:
-                power = glnp._fp_matmul(power, mat, p)
+                power = power @ mat
                 order += 1
             assert order == p**k - 1
 
@@ -40,7 +41,7 @@ def test_decompose_fp_trivial_cases():
     identity = [[1, 0], [0, 1]]
     out = glnp.decompose_fp(3, identity)
     assert out.word.exponents == (2, 8)  # all m_k = p^k - 1 encodes the identity
-    assert out.n_matrix == glnp._fp_identity(2)
+    assert out.n_matrix == PadicMatrix.identity(Zp(3, 1), 2).rows
 
     unitriangular = [[1, 2], [0, 1]]
     out2 = glnp.decompose_fp(3, unitriangular)
@@ -63,7 +64,8 @@ def test_decompose_fp_exhaustive_gl2f3():
             continue
         count += 1
         out = glnp.decompose_fp(3, rows)
-        assert glnp._fp_matmul(out.t_matrix, out.n_matrix, 3) == rows
+        f3 = Zp(3, 1)
+        assert (PadicMatrix(f3, out.t_matrix) @ PadicMatrix(f3, out.n_matrix)).rows == rows
         seen_t.add(out.t_matrix)
         seen_n.add(out.n_matrix)
         seen_pairs.add((out.t_matrix, out.n_matrix))

@@ -257,3 +257,17 @@ def test_evaluate_matrix_requires_matching_precision():
     ext = UnramRing(5, 3, 2)
     out = L(Zp(5, 3), [-1, 1]).evaluate_matrix(PadicMatrix.identity(ext, 2))
     assert out.is_zero()
+
+
+def test_sylvester_4x4_closed_form_matches_berkowitz():
+    """The unrolled 4 x 4 path against the general path on 2 + 2 Sylvester matrices."""
+    rng = random.Random(44)
+    for p, K in ((3, 3), (5, 2), (7, 4)):
+        ring = Zp(p, K)
+        for _ in range(200):
+            fc = [rng.randrange(ring.pk) for _ in range(3)]
+            gc = [rng.randrange(ring.pk) for _ in range(3)]
+            rows = gm._sylvester(fc, gc)
+            assert gm._det_and_adjugate_last_row(
+                rows, ring
+            ) == gm._berkowitz_det_and_adjugate_last_row(rows, ring)
