@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from .errors import InvalidPrime
 
 
@@ -66,12 +68,6 @@ def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     return (r1 + m1 * ((r2 - r1) * inv % m2)) % (m1 * m2)
 
 
-def prime_to_p_part(n: int, p: int) -> int:
-    while n % p == 0:
-        n //= p
-    return n
-
-
 def unipotent_depth(n: int, p: int) -> int:
     """Least a with p^a >= n: p^a is the exponent of the unipotent n x n matrices over F_p."""
     a = 0
@@ -80,29 +76,19 @@ def unipotent_depth(n: int, p: int) -> int:
     return a
 
 
-def order_mod(a: int, m: int) -> int:
-    """Multiplicative order of a modulo m by direct iteration (m stays small here)."""
-    if m == 1:
-        return 1
-    t = a % m
-    o = 1
-    while t != 1:
-        t = t * a % m
-        o += 1
-        if o > m:
-            raise ValueError(f"{a} is not invertible modulo {m}")
-    return o
+def teichmuller_exponent(q: int, p: int, K: int, n: int) -> tuple[int, int]:
+    """(alpha, E) for n x n unitaries mod p^K over a ring with residue field F_q.
 
-
-def multiplicative_order(a: int, modulus: int, exponent_factorization: dict[int, int]) -> int:
-    """Order of a mod `modulus` given the factorization of a known exponent multiple."""
-    order = 1
-    for q, e in exponent_factorization.items():
-        order *= q**e
-    for q in exponent_factorization:
-        while order % q == 0 and pow(a, order // q, modulus) == 1:
-            order //= q
-    return order
+    M = lcm(q^d - 1, d <= n) is the prime-to-p exponent of GL_n(F_q), and the
+    order of such a unitary divides E = M * p^A with A = K - 1 +
+    unipotent_depth(n, p).  alpha = 1 mod M and alpha = 0 mod p^A, so U^alpha
+    is the limit of the factorial powers U^(p^(k!)): its Teichmuller part.
+    """
+    M = 1
+    for d in range(1, n + 1):
+        M = math.lcm(M, q**d - 1)
+    pa = p ** (K - 1 + unipotent_depth(n, p))
+    return crt_pair(1, M, 0, pa), M * pa
 
 
 def factorial_valuation(j: int, p: int) -> int:

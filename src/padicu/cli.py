@@ -31,7 +31,7 @@ def _poly(doc, key):
 
 
 def _seed(doc) -> int:
-    return int(doc.get("seed", fppoly.DEFAULT_SEED))
+    return serialize.int_field(doc, "seed", fppoly.DEFAULT_SEED)
 
 
 def cmd_classify(doc):
@@ -54,19 +54,19 @@ def cmd_spectral(doc):
 
 def cmd_galois_act(doc):
     datum = unitary.teichmuller_spectral(_matrix(doc), seed=_seed(doc))
-    k = int(serialize._need(doc, "k"))
+    k = serialize.int_field(doc, "k")
     return {"acted": serialize.matrix_to_doc(unitary.galois_act(datum, k))}
 
 
 def cmd_power_zp(doc):
     u = _matrix(doc)
-    t = u.ring.scalar(int(serialize._need(doc, "t")))
+    t = u.ring.scalar(serialize.int_field(doc, "t"))
     return {"power": serialize.matrix_to_doc(unitary.power_zp(u, t))}
 
 
 def cmd_projection(doc):
     u = _matrix(doc)
-    j = int(serialize._need(doc, "j"))
+    j = serialize.int_field(doc, "j")
     f = _poly(doc, "poly")
     result = unitary.projection_functors(u, j, f)
     return {
@@ -82,7 +82,8 @@ def cmd_projection(doc):
 def cmd_spectrum_table(doc):
     u = _matrix(doc)
     j_list = [
-        ONE_MINUS if j == "1-" else int(j) for j in serialize._need(doc, "j_list")
+        ONE_MINUS if j == "1-" else serialize.read_int(j, "j_list item")
+        for j in serialize._need(doc, "j_list")
     ]
     table = unitary.spectrum_table(u, j_list, seed=_seed(doc))
     return serialize.spectrum_table_to_doc(table)
@@ -90,7 +91,7 @@ def cmd_spectrum_table(doc):
 
 def cmd_orthogonal(doc):
     f, g = _poly(doc, "f"), _poly(doc, "g")
-    j = int(serialize._need(doc, "j"))
+    j = serialize.int_field(doc, "j")
     cert = gm.orthogonality_test(f, g, j)
     out = {
         "orthogonal": cert.orthogonal,
@@ -105,7 +106,7 @@ def cmd_orthogonal(doc):
 
 def cmd_idempotents(doc):
     f, g = _poly(doc, "f"), _poly(doc, "g")
-    j = int(serialize._need(doc, "j"))
+    j = serialize.int_field(doc, "j")
     out = gm.bezout_idempotents(f, g, j)
     return {
         "modulus": [str(c) for c in out.modulus],
@@ -118,7 +119,7 @@ def cmd_idempotents(doc):
 
 def cmd_teich_factor(doc):
     f = _poly(doc, "f")
-    j = int(serialize._need(doc, "j"))
+    j = serialize.int_field(doc, "j")
     out = gm.teich_factor(f, j, seed=_seed(doc))
     return {
         "unit": str(out.unit.lift()),
@@ -131,7 +132,7 @@ def cmd_teich_factor(doc):
 
 
 def cmd_principal_exponent(doc):
-    j = int(serialize._need(doc, "j"))
+    j = serialize.int_field(doc, "j")
     if "matrix" in doc:
         out = gm.principal_exponent(_matrix(doc), j)
     else:
@@ -141,28 +142,31 @@ def cmd_principal_exponent(doc):
 
 def cmd_shift_sum(doc):
     f = _poly(doc, "f")
-    value = gm.shift_sum(f, int(serialize._need(doc, "c")), int(serialize._need(doc, "d")))
+    value = gm.shift_sum(f, serialize.int_field(doc, "c"), serialize.int_field(doc, "d"))
     return {"sum": str(value.lift())}
 
 
 def cmd_project_mod(doc):
     f = _poly(doc, "f")
-    components = gm.project_mod(f, int(serialize._need(doc, "d")))
+    components = gm.project_mod(f, serialize.int_field(doc, "d"))
     return {"components": [str(s.lift()) for s in components]}
 
 
 def cmd_volume(doc):
     if "quotient_order" in doc:
-        vol = profinite_volume(int(doc["quotient_order"]))
+        vol = profinite_volume(serialize.int_field(doc, "quotient_order"))
     else:
-        vol = haar_volume(int(serialize._need(doc, "c")), int(serialize._need(doc, "d")))
+        vol = haar_volume(serialize.int_field(doc, "c"), serialize.int_field(doc, "d"))
     return {"volume": f"{vol.numerator}/{vol.denominator}"}
 
 
 def cmd_decompose_fp(doc):
-    p = int(serialize._need(doc, "p"))
+    p = serialize.int_field(doc, "p")
     Zp(p, 1)  # validates the prime
-    rows = serialize._need(doc, "matrix")
+    rows = [
+        [serialize.read_int(v, "matrix entry") for v in row]
+        for row in serialize._need(doc, "matrix")
+    ]
     out = glnp.decompose_fp(p, rows)
     return {
         "word": list(out.word.exponents),
@@ -210,8 +214,8 @@ def cmd_evolve(doc):
     out = quantum.evolve(
         pair,
         psi,
-        int(serialize._need(doc, "k")),
-        int(serialize._need(doc, "t")),
+        serialize.int_field(doc, "k"),
+        serialize.int_field(doc, "t"),
         allow_extended_radius=allow,
     )
     return {"state": serialize.wave_to_doc(out)}
@@ -219,9 +223,9 @@ def cmd_evolve(doc):
 
 def cmd_shift_model(doc):
     model = quantum.spectrum_shift_model(
-        int(serialize._need(doc, "size")),
-        int(serialize._need(doc, "p")),
-        int(serialize._need(doc, "K")),
+        serialize.int_field(doc, "size"),
+        serialize.int_field(doc, "p"),
+        serialize.int_field(doc, "K"),
     )
     return {
         "u": serialize.matrix_to_doc(model.U),
@@ -246,14 +250,14 @@ def cmd_torus(doc):
 
 def cmd_seminorm(doc):
     u = _matrix(doc)
-    result = u.spectral_seminorm(int(doc.get("k_max", 16)))
+    result = u.spectral_seminorm(serialize.int_field(doc, "k_max", 16))
     return serialize.seminorm_to_doc(result)
 
 
 def cmd_audit(doc):
     suite = doc.get("suite", "all")
     try:
-        return audits.run_audits(suite, int(doc.get("seed", 0)))
+        return audits.run_audits(suite, serialize.int_field(doc, "seed", 0))
     except KeyError:
         raise MalformedDocument(f"unknown suite {suite!r}") from None
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import moduli
 from .arith import factorize
 from .errors import InputError, LiftAuditError, NotInvertible, NotUnitary
-from .matrices import PadicMatrix, residue_matrix_order
+from .matrices import PadicMatrix
 from .scalars import Zp
 from .unitary import jordan_decompose
 
@@ -205,15 +205,12 @@ def decompose_zp(U: PadicMatrix) -> ZpDecomposition:
     naive_gens = [PadicMatrix.from_rows(ring, g) for g in gens.matrices]
     plain = _evaluate_word(naive_gens, residue.word)
     t_candidate, _ = jordan_decompose(plain)
-    if t_candidate.residue_rows() == residue.t_matrix:
+    # the residue of plain is p-regular exactly when its Teichmuller part keeps it
+    is_teich = t_candidate.residue_rows() == plain.residue_rows()
+    if is_teich:
         t_matrix = t_candidate
-        is_teich = True
     else:
         t_matrix = _evaluate_word(_teichmuller_generators(ring, U.n), residue.word)
-        is_teich = False
-        p_regular = residue_matrix_order(plain) % p != 0
-        if p_regular:
-            raise LiftAuditError("p-regular word lost its residue under the Jordan lift")
     n_matrix = t_matrix.inverse() @ U
     if t_matrix.residue_rows() != residue.t_matrix or not b_membership(n_matrix):
         raise LiftAuditError("lifted decomposition failed its membership audit")

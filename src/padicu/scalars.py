@@ -15,14 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import fppoly, moduli
-from .arith import (
-    check_odd_prime,
-    crt_pair,
-    factorize,
-    multiplicative_order,
-    padic_valuation,
-    prime_to_p_part,
-)
+from .arith import check_odd_prime, padic_valuation, teichmuller_exponent
 from .errors import NotAUnit, PrecisionMismatch
 
 
@@ -606,36 +599,18 @@ def reduce_precision(x: AnyScalar, j) -> AnyScalar:
     return x.reduce(j)
 
 
-def residue_order(ring: AnyRing, raw) -> int:
-    """Multiplicative order of the residue of a unit in the residue field."""
-    p = ring.p
-    if isinstance(ring, Zp):
-        return multiplicative_order(raw % p, p, factorize(p - 1))
-    res_ring = ring.residue_ring()
-    a = res_ring.rreduce(raw, 1)
-    order = 1
-    for q, e in factorize(p**ring.m - 1).items():
-        order *= q**e
-    for q in factorize(p**ring.m - 1):
-        while order % q == 0 and res_ring.rpow(a, order // q) == res_ring.one:
-            order //= q
-    return order
-
-
 def unit_decompose(x: AnyScalar) -> tuple[AnyScalar, AnyScalar]:
     """Split a unit as (principal-unit part, Teichmuller part).
 
     The Teichmuller part is the stabilized value of x^(p^(n!)); it is computed
-    in closed form as x^alpha with alpha = 1 mod (residue order) and
+    in closed form as x^alpha with alpha = 1 mod (q - 1) and
     alpha = 0 mod p^(K-1), which the factorial powers eventually realize.
     """
     ring = x.ring
     raw = x.residue if isinstance(x, PadicScalar) else x.coeff_ints
     if not ring.runit(raw):
         raise NotAUnit("only units decompose")
-    m = residue_order(ring, raw)
-    pa = ring.p ** (ring.K - 1)
-    alpha = crt_pair(1 % m, m, 0, pa)
+    alpha, _ = teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, 1)
     teich_raw = ring.rpow(raw, alpha)
     b1_raw = ring.rmul(raw, ring.rinv(teich_raw))
     return wrap(ring, b1_raw), wrap(ring, teich_raw)
@@ -644,7 +619,3 @@ def unit_decompose(x: AnyScalar) -> tuple[AnyScalar, AnyScalar]:
 def sigma_factorial_limit(x: AnyScalar) -> AnyScalar:
     """Limit of x^(p^(n!)) at this precision; equals the Teichmuller part of x."""
     return unit_decompose(x)[1]
-
-
-def prime_to_p(n: int, p: int) -> int:
-    return prime_to_p_part(n, p)

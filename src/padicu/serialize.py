@@ -8,6 +8,8 @@ errors so the CLI can map them to exit code 2.
 
 from __future__ import annotations
 
+import re
+
 from .errors import MalformedDocument
 from .gm import LaurentPoly
 from .matrices import Norm, PadicMatrix, SeminormResult
@@ -16,12 +18,29 @@ from .scalars import AnyRing, PadicScalar, UnramRing, UnramScalar, Zp
 from .unitary import SpectralDatum, SpectrumTable
 
 SCHEMA = "padicu/1"
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def _need(doc: dict, key: str):
     if not isinstance(doc, dict) or key not in doc:
         raise MalformedDocument(f"missing field {key!r}")
     return doc[key]
+
+
+def read_int(value, what: str) -> int:
+    """A document integer: a JSON integer that is not a boolean, or a decimal string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise MalformedDocument(f"{what} must be an integer or a decimal string, got {value!r}")
+
+
+def int_field(doc: dict, key: str, default: int | None = None) -> int:
+    """The integer field `key` of doc; required unless a default is given."""
+    if default is not None and isinstance(doc, dict) and key not in doc:
+        return default
+    return read_int(_need(doc, key), key)
 
 
 def ring_header(ring: AnyRing) -> dict:
@@ -31,9 +50,9 @@ def ring_header(ring: AnyRing) -> dict:
 
 
 def ring_from_header(doc: dict) -> AnyRing:
-    p = int(_need(doc, "p"))
-    K = int(_need(doc, "K"))
-    m = int(doc.get("m", 1))
+    p = int_field(doc, "p")
+    K = int_field(doc, "K")
+    m = int_field(doc, "m", 1)
     if m == 1:
         return Zp(p, K)
     return UnramRing(p, K, m)
@@ -50,8 +69,8 @@ def scalar_to_doc(x) -> dict:
 def scalar_from_doc(doc: dict):
     ring = ring_from_header(doc)
     if isinstance(ring, Zp):
-        return ring.scalar(int(_need(doc, "value")))
-    return ring.scalar(tuple(int(c) for c in _need(doc, "coeffs")))
+        return ring.scalar(int_field(doc, "value"))
+    return ring.scalar(tuple(read_int(c, "coefficient") for c in _need(doc, "coeffs")))
 
 
 def _entry_to_wire(ring: AnyRing, raw):
@@ -61,9 +80,9 @@ def _entry_to_wire(ring: AnyRing, raw):
 
 
 def _entry_from_wire(ring: AnyRing, wire):
-    if isinstance(ring, Zp) or isinstance(wire, str):
-        return ring.rfrom_int(int(wire))
-    return tuple(int(c) % ring.pk for c in wire)
+    if isinstance(ring, Zp) or not isinstance(wire, list):
+        return ring.rfrom_int(read_int(wire, "matrix entry"))
+    return ring.scalar(tuple(read_int(c, "matrix entry") for c in wire)).coeff_ints
 
 
 def matrix_to_doc(M: PadicMatrix) -> dict:
@@ -76,7 +95,7 @@ def matrix_to_doc(M: PadicMatrix) -> dict:
 
 def matrix_from_doc(doc: dict) -> PadicMatrix:
     ring = ring_from_header(doc)
-    n = int(_need(doc, "n"))
+    n = int_field(doc, "n")
     entries = _need(doc, "entries")
     if len(entries) != n * n:
         raise MalformedDocument(f"expected {n * n} entries, got {len(entries)}")
@@ -101,7 +120,7 @@ def laurent_from_doc(doc: dict) -> LaurentPoly:
     for pair in _need(doc, "terms"):
         if len(pair) != 2:
             raise MalformedDocument("terms are [exponent, coefficient] pairs")
-        terms[int(pair[0])] = int(pair[1])
+        terms[read_int(pair[0], "exponent")] = read_int(pair[1], "coefficient")
     return LaurentPoly(ring, terms)
 
 
@@ -133,7 +152,7 @@ def wave_to_doc(psi: WaveFunction) -> dict:
 
 def wave_from_doc(doc: dict) -> WaveFunction:
     ring = ring_from_header(doc)
-    return WaveFunction(ring, [int(v) for v in _need(doc, "values")])
+    return WaveFunction(ring, [read_int(v, "wave value") for v in _need(doc, "values")])
 
 
 def spectral_datum_to_doc(datum: SpectralDatum) -> dict:

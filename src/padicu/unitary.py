@@ -1,12 +1,11 @@
 """Classification and spectral decomposition of p-adic unitary matrices.
 
-The factorial-power limit of U is computed in closed form: U^alpha with
-alpha = 1 modulo the prime-to-p residual order and alpha = 0 modulo p^A,
-where A bounds the p-part of the order at this precision.  Naive
-"stop when two iterates agree" stabilization is wrong (orders with
-ord_m(p) dividing n!*n but not (n+1)!*(n+1) stall early), so the iteration
-below runs until a provable bound instead and the closed form is used for
-the decomposition itself.
+The factorial-power limit of U is computed in closed form.  The order of U
+divides E = M * p^A, where M = lcm(q^d - 1, d <= n) is the prime-to-p exponent
+of GL_n(F_q) and p^A bounds the p-part at this precision.  The exponents
+p^(k!) are eventually 1 mod M and 0 mod p^A, so the limit is U^alpha for the
+alpha with those residues (`arith.teichmuller_exponent`): the Teichmuller part
+U_s of U = U_s U_n.  Nothing is factored and no residue order is searched.
 
 Spectral data for a Teichmuller-type matrix lives per Frobenius orbit: each
 irreducible residue factor of degree d contributes d eigenvalues in the
@@ -20,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import fppoly, gm
-from .arith import crt_pair, order_mod, prime_to_p_part, unipotent_depth
+from .arith import teichmuller_exponent
 from .errors import InputError, NotAUnit, NotContinuous, NotTeichmuller, NotUnitary
 from .matrices import PadicMatrix, residue_matrix_order
 from .scalars import (
@@ -52,47 +51,26 @@ def residual_order(U: PadicMatrix) -> int:
 @dataclass(frozen=True)
 class UnitaryClass:
     kind: str
-    witness: PadicMatrix  # stabilized factorial-power limit mod p^K
+    witness: PadicMatrix  # factorial-power limit mod p^K, the Teichmuller part
     is_teichmuller: bool
     is_continuous: bool
 
 
-def _jordan_exponent(U: PadicMatrix) -> tuple[int, int, int]:
-    """(alpha, m, A): U^alpha is the Teichmuller part, m the prime-to-p residual
-    order, and p^A bounds the p-part of the order of U at this precision."""
-    ring = U.ring
-    m = prime_to_p_part(residue_matrix_order(U), ring.p)
-    A = ring.K - 1 + unipotent_depth(U.n, ring.p)
-    alpha = crt_pair(1 % m, m, 0, ring.p**A)
-    return alpha, m, A
-
-
 def classify(U: PadicMatrix) -> UnitaryClass:
-    """Stabilize the factorial sigma-powers of U and compare against U and I.
+    """Compare the factorial sigma-power limit U^alpha with U and with I.
 
-    The iteration exponent p^(n!) is reduced modulo m*p^A (a multiple of the
-    order of U), and it runs until n! is divisible by ord_m(p) and at least A,
-    which provably freezes all later iterates.
+    The pro-finite audit U^E = I checks the one fact the closed form relies
+    on: the order of U divides E.
     """
     _require_unitary(U)
     ring = U.ring
-    p = ring.p
-    _, m, A = _jordan_exponent(U)
-    modulus = m * p**A  # the order of U divides this
-    r = order_mod(p, m)
-    k = 1
-    while math.factorial(k) % r != 0 or math.factorial(k) < A:
-        k += 1
-    # at this k every later iterate agrees: the exponent p^(n!) is frozen
-    # both mod m (since r | n!) and mod p^A (since n! >= A)
-    limit = U.matrix_power(pow(p, math.factorial(k), modulus))
-    if U.matrix_power(pow(p, math.factorial(k + 1), modulus)) != limit:
-        raise ArithmeticError("factorial powers failed to stabilize at the bound")
-    # pro-finite sanity audit: U^(n!) -> I, equivalently U^(m p^A) = I
-    if U.matrix_power(modulus) != PadicMatrix.identity(ring, U.n):
+    identity = PadicMatrix.identity(ring, U.n)
+    alpha, E = teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, U.n)
+    if U.matrix_power(E) != identity:
         raise ArithmeticError("unitary matrix failed the pro-finite audit")
+    limit = U.matrix_power(alpha)
     is_teich = limit == U
-    is_cont = limit == PadicMatrix.identity(ring, U.n)
+    is_cont = limit == identity
     kind = TEICHMULLER if is_teich else CONTINUOUS if is_cont else PROFINITE_MIXED
     return UnitaryClass(kind, limit, is_teich, is_cont)
 
@@ -104,7 +82,8 @@ def jordan_decompose(U: PadicMatrix) -> tuple[PadicMatrix, PadicMatrix]:
     powers of U times its inverse, so commutation is automatic.
     """
     _require_unitary(U)
-    alpha, _, _ = _jordan_exponent(U)
+    ring = U.ring
+    alpha, _ = teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, U.n)
     u_s = U.matrix_power(alpha)
     u_n = U @ u_s.inverse()
     return u_s, u_n

@@ -22,13 +22,16 @@ import tempfile
 from padicu import cli, fppoly, moduli
 from padicu.matrices import PadicMatrix
 from padicu.sampling import random_continuous, random_teichmuller, random_unitary
-from padicu.scalars import Zp
+from padicu.scalars import UnramRing, Zp, teichmuller_lift
 from padicu.unitary import jordan_decompose
 
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus.jsonl")
 
 
 def matrix_doc(M: PadicMatrix) -> dict:
+    if isinstance(M.ring, UnramRing):
+        return {"p": M.ring.p, "K": M.ring.K, "m": M.ring.m, "n": M.n,
+                "entries": [[str(c) for c in v] for row in M.rows for v in row]}
     return {"p": M.ring.p, "K": M.ring.K, "n": M.n,
             "entries": [str(v) for row in M.rows for v in row]}
 
@@ -183,10 +186,74 @@ def matrix_cases(rng):
     return cases
 
 
+def power_zp_cases(rng):
+    cases = []
+    for p, K, n in ((3, 2, 2), (3, 4, 3), (5, 3, 2), (5, 2, 4), (7, 3, 3)):
+        w = random_continuous(Zp(p, K), n, rng)
+        for t in (0, 1, rng.randrange(p**K), str(rng.randrange(p**K))):
+            cases.append(("power-zp", f"continuous-p{p}K{K}n{n}-t{t}", {"matrix": matrix_doc(w), "t": t}))
+    teich = random_teichmuller(Zp(3, 3), 2, rng)
+    cases.append(("power-zp", "not-continuous", {"matrix": matrix_doc(teich), "t": 2}))
+    return cases
+
+
+def shift_model_cases():
+    grid = ((3, 3), (5, 2), (7, 4))
+    return [("shift-model", f"size{size}-p{grid[size % 3][0]}K{grid[size % 3][1]}",
+             {"size": size, "p": grid[size % 3][0], "K": grid[size % 3][1]})
+            for size in range(2, 9)]
+
+
+def audit_cases():
+    return [("audit", f"{suite}-seed{seed}", {"suite": suite, "seed": seed})
+            for suite in ("scalars", "unitary", "glnp") for seed in (0, 5)]
+
+
+def unram_matrix_cases(rng):
+    """classify and jordan over degree-2 and degree-3 unramified rings."""
+    cases = []
+    for p, K, m, n in ((3, 2, 2, 2), (3, 3, 2, 3), (5, 2, 2, 2), (3, 2, 3, 2), (5, 2, 3, 2), (7, 2, 2, 3)):
+        ring = UnramRing(p, K, m)
+        u = random_unitary(ring, n, rng)
+        u_s, _ = jordan_decompose(u)
+        noise = [[tuple(p * rng.randrange(p ** (K - 1)) for _ in range(m)) for _ in range(n)]
+                 for _ in range(n)]
+        continuous = PadicMatrix.identity(ring, n) + PadicMatrix(ring, noise)
+        lam = teichmuller_lift(ring, tuple(rng.randrange(p) for _ in range(m - 1)) + (1,))
+        mixed = continuous.scale(lam)
+        samples = {"unitary": u, "teichmuller": u_s, "continuous": continuous, "mixed": mixed}
+        for kind, M in samples.items():
+            tag = f"{kind}-p{p}K{K}m{m}n{n}"
+            cases.append(("classify", tag, {"matrix": matrix_doc(M)}))
+            cases.append(("jordan", tag, {"matrix": matrix_doc(M)}))
+    return cases
+
+
+def decompose_zp_cases(rng):
+    """Random unitaries on both branches of the tower lift, non-Teichmuller first."""
+    cases = []
+    for p, K, n, want in ((3, 2, 2, 6), (3, 3, 2, 4), (3, 2, 3, 3), (5, 2, 2, 3)):
+        ring = Zp(p, K)
+        made = {True: 0, False: 0}
+        while min(made.values()) < want:
+            u = random_unitary(ring, n, rng)
+            raw = json.dumps({"matrix": matrix_doc(u)}, sort_keys=True)
+            branch = json.loads(run_case("decompose-zp", raw)[1])["result"]["teichmuller"]
+            if made[branch] < want:
+                made[branch] += 1
+                tag = f"{'teich' if branch else 'word'}-p{p}K{K}n{n}-{made[branch]}"
+                cases.append(("decompose-zp", tag, {"matrix": matrix_doc(u)}))
+    return cases
+
+
 def build_cases():
     rng = random.Random(20231018)
-    return (formal_group_cases(rng) + teich_factor_cases(rng)
-            + decompose_fp_cases(rng) + matrix_cases(rng))
+    cases = (formal_group_cases(rng) + teich_factor_cases(rng)
+             + decompose_fp_cases(rng) + matrix_cases(rng))
+    # later additions draw from their own generator so earlier cases keep their inputs
+    rng = random.Random(4)
+    return (cases + power_zp_cases(rng) + shift_model_cases() + audit_cases()
+            + unram_matrix_cases(rng) + decompose_zp_cases(rng))
 
 
 def run_case(command: str, raw: str) -> tuple[int, str]:

@@ -269,3 +269,75 @@ def test_evolve_override_must_be_a_json_boolean(tmp_path, capsys):
     assert out["error"]["code"] == "RadiusViolation"
     code, out = run_cli("evolve", _evolve_doc(True), tmp_path, capsys)
     assert code == 0
+
+
+_POLY = {"p": 5, "K": 2, "terms": [[0, "-1"], [1, "1"]]}
+_UNRAM = {"p": 3, "K": 2, "m": 2, "n": 2, "entries": [["1", "1"], ["0", "0"], ["0", "0"], "1"]}
+_WAVE = {"projector": matrix_doc([[1, 0], [0, 0]], K=2), "psi": {"p": 3, "K": 2, "values": ["1", "1"]}}
+
+# (command, document, path to one integer field)
+INTEGER_FIELDS = [
+    ("classify", {"matrix": matrix_doc([[1, 1], [0, 1]])}, ["matrix", "p"]),
+    ("classify", {"matrix": matrix_doc([[1, 1], [0, 1]])}, ["matrix", "K"]),
+    ("classify", {"matrix": matrix_doc([[1, 1], [0, 1]])}, ["matrix", "m"]),
+    ("classify", {"matrix": matrix_doc([[1, 1], [0, 1]])}, ["matrix", "n"]),
+    ("classify", {"matrix": matrix_doc([[1, 1], [0, 1]])}, ["matrix", "entries", 1]),
+    ("classify", {"matrix": _UNRAM}, ["matrix", "entries", 0, 1]),
+    ("classify", {"matrix": _UNRAM}, ["matrix", "entries", 3]),
+    ("power-zp", {"matrix": matrix_doc([[1, 3], [0, 1]]), "t": "5"}, ["t"]),
+    ("galois-act", {"matrix": matrix_doc([[1, 0], [0, 24]], p=5, K=2), "k": 1}, ["k"]),
+    ("projection", {"matrix": matrix_doc([[1, 0], [0, 24]], p=5, K=2), "j": 1, "poly": _POLY}, ["j"]),
+    ("orthogonal", {"f": _POLY, "g": {"p": 5, "K": 2, "terms": [[0, "-2"], [1, "1"]]}, "j": 2},
+     ["f", "terms", 1, 0]),
+    ("orthogonal", {"f": _POLY, "g": {"p": 5, "K": 2, "terms": [[0, "-2"], [1, "1"]]}, "j": 2},
+     ["g", "terms", 0, 1]),
+    ("spectrum-table", {"matrix": matrix_doc([[1, 0], [0, 24]], p=5, K=2), "j_list": [1, "1-"]},
+     ["j_list", 0]),
+    ("teich-factor", {"f": {"p": 5, "K": 3, "terms": [[0, "2"], [1, "122"], [2, "1"]]}, "j": 2, "seed": 7},
+     ["seed"]),
+    ("shift-sum", {"f": _POLY, "c": 0, "d": 2}, ["c"]),
+    ("shift-sum", {"f": _POLY, "c": 0, "d": 2}, ["d"]),
+    ("project-mod", {"f": _POLY, "d": 2}, ["d"]),
+    ("volume", {"quotient_order": 6}, ["quotient_order"]),
+    ("volume", {"c": 1, "d": 3}, ["d"]),
+    ("decompose-fp", {"p": 3, "matrix": [[1, 1], [1, 0]]}, ["p"]),
+    ("decompose-fp", {"p": 3, "matrix": [[1, 1], [1, 0]]}, ["matrix", 1, 0]),
+    ("measure", _WAVE, ["psi", "values", 1]),
+    ("evolve", _evolve_doc(True), ["k"]),
+    ("evolve", _evolve_doc(True), ["t"]),
+    ("shift-model", {"size": 3, "p": 3, "K": 2}, ["size"]),
+    ("shift-model", {"size": 3, "p": 3, "K": 2}, ["K"]),
+    ("seminorm", {"matrix": matrix_doc([[3, 1], [0, 9]]), "k_max": 8}, ["k_max"]),
+    ("audit", {"suite": "linalg", "seed": 3}, ["seed"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command,doc,path", INTEGER_FIELDS,
+    ids=[f"{c}-{'.'.join(map(str, p))}" for c, _, p in INTEGER_FIELDS])
+def test_integer_fields_accept_only_integers_and_digit_strings(command, doc, path, tmp_path, capsys):
+    """A JSON integer and its decimal string read alike; anything else is exit 2."""
+    file = tmp_path / "in.json"
+
+    def run(value):
+        edited = json.loads(json.dumps(doc))
+        slot = edited
+        for key in path[:-1]:
+            slot = slot[key]
+        slot[path[-1]] = value
+        file.write_text(json.dumps(edited))
+        code = cli.main([command, str(file)])
+        return code, capsys.readouterr().out
+
+    slot = doc
+    for key in path:
+        slot = slot[key]
+    value = int(slot)
+    expected = run(value)
+    assert expected[0] == 0, expected
+    assert run(str(value)) == expected
+    for bad in (value + 0.9, float(value), True, False, None, [value], f"{value}.0", f" {value}",
+                f"+{value}", "1e3", "0x1", "", "٣"):
+        code, out = run(bad)
+        assert code == 2, (bad, out)
+        assert json.loads(out)["error"]["code"] == "MalformedDocument", (bad, out)

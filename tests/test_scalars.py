@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicu import scalars
+from padicu.arith import teichmuller_exponent, unipotent_depth
 from padicu.errors import InvalidPrime, NotAUnit, PrecisionMismatch
 from padicu.scalars import (
     ONE_MINUS,
@@ -135,6 +136,38 @@ def test_unit_decomposition_splits(p, K):
         assert b1 * t == ring.scalar(raw)
         assert b1.lift() % p == 1
         assert ring.rteichmuller(t.lift()) == t.lift()
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_unram_unit_decompose_is_factorial_limit(p):
+    """Over UnramRing(p, 2, 2): the Teichmuller part is the limit of x^(p^(k!))."""
+    ring = UnramRing(p, 2, 2)
+    for a in range(ring.pk):
+        for b in range(ring.pk):
+            raw = (a, b)
+            if not ring.runit(raw):
+                continue
+            # independent oracle: the order of x by listing its powers
+            powers = [ring.one]
+            while (nxt := ring.rmul(powers[-1], raw)) != ring.one:
+                powers.append(nxt)
+            seq = [powers[pow(p, math.factorial(k), len(powers))] for k in range(1, 9)]
+            assert seq[-1] == seq[-2] == seq[-3], "factorial powers failed to stabilize"
+            x = ring.scalar(raw)
+            b1, t = unit_decompose(x)
+            assert t.coeff_ints == seq[-1]
+            assert scalars.sigma_factorial_limit(x) == t
+            assert b1 * t == x
+            assert b1.residue_class() == (1, 0)
+
+
+@pytest.mark.parametrize("q,p,K,n", [(3, 3, 1, 1), (3, 3, 4, 1), (9, 3, 2, 2), (5, 5, 3, 4), (125, 5, 2, 3), (7, 7, 30, 8)])
+def test_teichmuller_exponent_residues(q, p, K, n):
+    alpha, E = teichmuller_exponent(q, p, K, n)
+    M = math.lcm(*(q**d - 1 for d in range(1, n + 1)))
+    pa = p ** (K - 1 + unipotent_depth(n, p))
+    assert E == M * pa
+    assert 0 <= alpha < E and alpha % M == 1 % M and alpha % pa == 0
 
 
 def test_unram_frobenius_is_ring_endomorphism():

@@ -69,6 +69,51 @@ def test_classify_witness_is_factorial_limit():
     assert seq[1] == seq[2] != witness
 
 
+def _powers(u):
+    """Every power of u below its order, by repeated multiplication."""
+    identity = PadicMatrix.identity(u.ring, u.n)
+    powers = [identity]
+    while (nxt := powers[-1] @ u) != identity:
+        powers.append(nxt)
+    return powers
+
+
+@pytest.mark.parametrize(
+    "ring,n",
+    [(Zp(3, 2), 2), (Zp(5, 2), 2), (UnramRing(3, 2, 2), 2), (Zp(3, 3), 2), (Zp(3, 2), 3)],
+    ids=["Zp(3,2)-n2", "Zp(5,2)-n2", "UnramRing(3,2,2)-n2", "Zp(3,3)-n2", "Zp(3,2)-n3"],
+)
+def test_classify_witness_is_factorial_limit_on_random_unitaries(ring, n):
+    # independent oracle: ord(U) by listing powers, then literal U^(p^(k!) mod ord(U))
+    rng = random.Random(ring.p * 10 + ring.degree)
+    for _ in range(6):
+        u = random_unitary(ring, n, rng)
+        powers = _powers(u)
+        seq = [powers[pow(ring.p, math.factorial(k), len(powers))] for k in range(1, 9)]
+        assert seq[-1] == seq[-2] == seq[-3], "factorial powers failed to stabilize"
+        cls = unitary.classify(u)
+        assert cls.witness == seq[-1]
+        assert unitary.jordan_decompose(u)[0] == seq[-1]
+        assert cls.is_teichmuller == (seq[-1] == u)
+        assert cls.is_continuous == (seq[-1] == powers[0])
+
+
+def test_large_prime_needs_no_factoring(monkeypatch):
+    # q^k - 1 at p = 1000003 is far beyond trial division; the closed form never factors
+    from padicu import arith
+
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(arith, "factorize", refuse)
+    ring = Zp(1000003, 2)
+    u = random_unitary(ring, 8, random.Random(8))
+    cls = unitary.classify(u)
+    u_s, u_n = unitary.jordan_decompose(u)
+    assert u_s @ u_n == u
+    assert cls.witness == u_s
+
+
 def test_jordan_examples():
     ring = Zp(3, 2)
     rot = M(ring, [[0, -1], [1, 0]])
