@@ -57,7 +57,6 @@ from .scalars import (
     ONE_MINUS,
     PadicScalar,
     UnramRing,
-    UnramScalar,
     Zp,
     frobenius,
     reduce_precision,

@@ -60,7 +60,7 @@ def cmd_galois_act(doc):
 
 def cmd_power_zp(doc):
     u = _matrix(doc)
-    t = u.ring.scalar(serialize.int_field(doc, "t"))
+    t = serialize.int_field(doc, "t")
     return {"power": serialize.matrix_to_doc(unitary.power_zp(u, t))}
 
 
@@ -73,7 +73,7 @@ def cmd_projection(doc):
         "j": result.j,
         "kernel_dimension": result.kernel_dimension,
         "kernel_basis": [
-            [str(s.lift()) for s in vec] for vec in result.kernel_basis
+            [serialize._entry_to_wire(s.ring, s.raw) for s in vec] for vec in result.kernel_basis
         ],
         "cokernel_divisors": list(result.cokernel_divisors),
     }
@@ -240,7 +240,7 @@ def cmd_shift_model(doc):
 def cmd_torus(doc):
     rel = quantum.torus_check(_matrix(doc, "u"), _matrix(doc, "v"))
     return {
-        "xi": str(rel.xi.lift()),
+        "xi": serialize._entry_to_wire(rel.xi.ring, rel.xi.raw),
         "bound": rel.bound,
         "near_commutative_at": list(rel.near_commutative_at)
         if rel.near_commutative_at

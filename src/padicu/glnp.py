@@ -99,6 +99,11 @@ def decompose_fp(p: int, rows) -> FpDecomposition:
     is the one driving the last row of the k-block to (0, ..., 0, 1); the
     search is brute force over at most p^k - 1 candidates.
     """
+    return _decompose_fp(p, rows)[0]
+
+
+def _decompose_fp(p: int, rows) -> tuple[FpDecomposition, GeneratorSet]:
+    """`decompose_fp` together with the generator set it built."""
     ring = Zp(p, 1)
     A = PadicMatrix.from_rows(ring, rows)
     n = A.n
@@ -142,7 +147,7 @@ def decompose_fp(p: int, rows) -> FpDecomposition:
         raise ArithmeticError("cofactor is not unitriangular")
     if t_matrix @ n_matrix != A:
         raise ArithmeticError("multiply-back failed")
-    return FpDecomposition(word, t_matrix.rows, n_matrix.rows)
+    return FpDecomposition(word, t_matrix.rows, n_matrix.rows), gens
 
 
 def _is_unitriangular(rows, p) -> bool:
@@ -200,8 +205,7 @@ def decompose_zp(U: PadicMatrix) -> ZpDecomposition:
         raise NotUnitary("decomposition needs a unitary matrix")
     ring = U.ring
     p = ring.p
-    residue = decompose_fp(p, U.residue_rows())
-    gens = build_generators(U.n, p)
+    residue, gens = _decompose_fp(p, U.residue_rows())
     naive_gens = [PadicMatrix.from_rows(ring, g) for g in gens.matrices]
     plain = _evaluate_word(naive_gens, residue.word)
     t_candidate, _ = jordan_decompose(plain)

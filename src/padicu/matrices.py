@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import NotInvertible, PrecisionMismatch
-from .scalars import AnyRing, AnyScalar, PadicScalar, UnramScalar, Zp, wrap
+from .scalars import AnyRing, PadicScalar, Zp
 
 
 @dataclass(frozen=True)
@@ -73,16 +73,6 @@ class SeminormResult:
         return float(self.p) ** (-self.val / self.best_k)
 
 
-def _coerce_raw(ring: AnyRing, value):
-    if isinstance(value, (PadicScalar, UnramScalar)):
-        return ring.scalar(value).residue if isinstance(ring, Zp) else ring.scalar(value).coeff_ints
-    if isinstance(ring, Zp):
-        return ring.rfrom_int(int(value))
-    if isinstance(value, int):
-        return ring.rfrom_int(value)
-    return ring.scalar(value).coeff_ints
-
-
 class PadicMatrix:
     """Immutable n x n matrix with sup norm; unitary means unit determinant."""
 
@@ -99,7 +89,7 @@ class PadicMatrix:
     # -- construction ---------------------------------------------------
     @classmethod
     def from_rows(cls, ring: AnyRing, rows) -> "PadicMatrix":
-        return cls(ring, [[_coerce_raw(ring, v) for v in row] for row in rows])
+        return cls(ring, [[ring.scalar(v).raw for v in row] for row in rows])
 
     @classmethod
     def identity(cls, ring: AnyRing, n: int) -> "PadicMatrix":
@@ -113,7 +103,7 @@ class PadicMatrix:
 
     @classmethod
     def diagonal(cls, ring: AnyRing, values) -> "PadicMatrix":
-        raws = [_coerce_raw(ring, v) for v in values]
+        raws = [ring.scalar(v).raw for v in values]
         z = ring.zero
         n = len(raws)
         return cls(ring, [[raws[i] if i == j else z for j in range(n)] for i in range(n)])
@@ -121,7 +111,7 @@ class PadicMatrix:
     @classmethod
     def companion(cls, ring: AnyRing, monic_coeffs) -> "PadicMatrix":
         """Companion matrix of t^n + c_{n-1} t^{n-1} + ... + c_0 (ascending c, no lead)."""
-        coeffs = [_coerce_raw(ring, c) for c in monic_coeffs]
+        coeffs = [ring.scalar(c).raw for c in monic_coeffs]
         n = len(coeffs)
         z, o = ring.zero, ring.one
         rows = [[z] * n for _ in range(n)]
@@ -132,11 +122,11 @@ class PadicMatrix:
         return cls(ring, rows)
 
     # -- basics -----------------------------------------------------------
-    def entry(self, i: int, j: int) -> AnyScalar:
-        return wrap(self.ring, self.rows[i][j])
+    def entry(self, i: int, j: int) -> PadicScalar:
+        return PadicScalar(self.ring, self.rows[i][j])
 
-    def entries(self) -> list[list[AnyScalar]]:
-        return [[wrap(self.ring, v) for v in row] for row in self.rows]
+    def entries(self) -> list[list[PadicScalar]]:
+        return [[PadicScalar(self.ring, v) for v in row] for row in self.rows]
 
     def _check(self, other: "PadicMatrix"):
         if self.ring != other.ring:
@@ -181,7 +171,7 @@ class PadicMatrix:
         return PadicMatrix(self.ring, [[neg(a) for a in row] for row in self.rows])
 
     def scale(self, c) -> "PadicMatrix":
-        raw = _coerce_raw(self.ring, c)
+        raw = self.ring.scalar(c).raw
         mul = self.ring.rmul
         return PadicMatrix(self.ring, [[mul(raw, a) for a in row] for row in self.rows])
 
@@ -196,7 +186,7 @@ class PadicMatrix:
 
     def apply(self, vector: Sequence) -> tuple:
         """Matrix-vector product; returns scalar objects."""
-        raws = [_coerce_raw(self.ring, v) for v in vector]
+        raws = [self.ring.scalar(v).raw for v in vector]
         ring = self.ring
         out = []
         for row in self.rows:
@@ -204,16 +194,16 @@ class PadicMatrix:
             for a, x in zip(row, raws):
                 acc = ring.radd(acc, ring.rmul(a, x))
             out.append(acc)
-        return tuple(wrap(ring, v) for v in out)
+        return tuple(PadicScalar(ring, v) for v in out)
 
     def transpose(self) -> "PadicMatrix":
         return PadicMatrix(self.ring, list(zip(*self.rows)))
 
-    def trace(self) -> AnyScalar:
+    def trace(self) -> PadicScalar:
         acc = self.ring.zero
         for i in range(self.n):
             acc = self.ring.radd(acc, self.rows[i][i])
-        return wrap(self.ring, acc)
+        return PadicScalar(self.ring, acc)
 
     # -- norms ------------------------------------------------------------
     def min_valuation(self) -> int:
@@ -263,15 +253,15 @@ class PadicMatrix:
             c = new_c
         return list(reversed(c))
 
-    def char_poly(self) -> list[AnyScalar]:
-        return [wrap(self.ring, v) for v in self.char_poly_raw()]
+    def char_poly(self) -> list[PadicScalar]:
+        return [PadicScalar(self.ring, v) for v in self.char_poly_raw()]
 
     def _det_raw(self):
         c0 = self.char_poly_raw()[0]
         return c0 if self.n % 2 == 0 else self.ring.rneg(c0)
 
-    def det(self) -> AnyScalar:
-        return wrap(self.ring, self._det_raw())
+    def det(self) -> PadicScalar:
+        return PadicScalar(self.ring, self._det_raw())
 
     def inverse(self) -> "PadicMatrix":
         ring, n = self.ring, self.n
@@ -282,9 +272,9 @@ class PadicMatrix:
         acc = PadicMatrix.identity(ring, n)
         for k in range(n - 1, 0, -1):
             acc = self @ acc
-            acc = acc + PadicMatrix.identity(ring, n).scale(wrap(ring, chi[k]))
+            acc = acc + PadicMatrix.identity(ring, n).scale(chi[k])
         factor = ring.rneg(ring.rinv(chi[0]))
-        return acc.scale(wrap(ring, factor))
+        return acc.scale(factor)
 
     def matrix_power(self, e: int) -> "PadicMatrix":
         """A^e by binary exponentiation; negative e inverts first."""
@@ -466,7 +456,7 @@ class SmithProfile:
                 scalef = p ** (j - d)
                 out.append(
                     tuple(
-                        wrap(self.ring, self.ring.rmul(self.ring.rfrom_int(scalef), v))
+                        PadicScalar(self.ring, self.ring.rmul(self.ring.rfrom_int(scalef), v))
                         for v in col
                     )
                 )
@@ -480,7 +470,7 @@ class SmithProfile:
 
 
 def vector_norm(ring: AnyRing, vector: Sequence) -> Norm:
-    raws = [_coerce_raw(ring, v) for v in vector]
+    raws = [ring.scalar(v).raw for v in vector]
     val = min((ring.rval(v) for v in raws), default=ring.K)
     return Norm(ring.p, ring.K, val)
 

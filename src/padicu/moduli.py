@@ -18,6 +18,7 @@ import os
 from functools import lru_cache
 
 from . import fppoly
+from .arith import teichmuller_exponent
 from .errors import InputError
 
 TABLE_VERSION = "cw1"
@@ -81,21 +82,18 @@ def modulus_id(p: int, m: int) -> str:
 def canonical_modulus(p: int, m: int, K: int) -> tuple[int, ...]:
     """Monic degree-m polynomial over Z/p^K whose roots are Teichmuller units.
 
-    Built by moving the naive lift's generator to its Teichmuller representative
-    and expanding the product over its Frobenius orbit; the coefficients come
-    out Galois-fixed, i.e. plain integers mod p^K.
+    Built by moving the naive lift's generator X to its Teichmuller
+    representative X^alpha (alpha = 1 mod p^m - 1, 0 mod p^(K-1)) and expanding
+    the product over its Frobenius orbit; the coefficients come out
+    Galois-fixed, i.e. plain integers mod p^K.
     """
     base = residue_modulus(p, m)
     pk = p**K
     naive = [c % pk for c in base]
-    y = fppoly.divmod_poly([0, 1], naive, pk)[1]
-    for _ in range(K + 2):
-        y2 = fppoly.pow_mod(y, p**m, naive, pk)
-        if y2 == y:
-            break
-        y = y2
+    alpha, _ = teichmuller_exponent(p**m, p, K, 1)
+    y = fppoly.pow_mod([0, 1], alpha, naive, pk)
     if fppoly.pow_mod(y, p**m, naive, pk) != y:
-        raise RuntimeError("Teichmuller iteration failed to stabilize")
+        raise RuntimeError("Teichmuller generator is not fixed by x -> x^(p^m)")
     conjugates = [y]
     for _ in range(1, m):
         conjugates.append(fppoly.pow_mod(conjugates[-1], p, naive, pk))

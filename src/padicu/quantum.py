@@ -25,7 +25,7 @@ from .errors import (
     RadiusViolation,
 )
 from .matrices import Norm, PadicMatrix, vector_norm
-from .scalars import PadicScalar, Zp, teichmuller_lift, wrap
+from .scalars import PadicScalar, Zp, teichmuller_lift
 from .unitary import classify
 
 
@@ -36,15 +36,7 @@ class WaveFunction:
 
     def __init__(self, ring, values):
         self.ring = ring
-        raws = []
-        for v in values:
-            if isinstance(v, PadicScalar):
-                raws.append(ring.scalar(v).residue)
-            elif isinstance(v, int):
-                raws.append(v % ring.pk)
-            else:
-                raws.append(ring.scalar(v).residue)
-        self.values = tuple(raws)
+        self.values = tuple(ring.scalar(v).raw for v in values)
         self._norm = None
 
     @property
@@ -82,7 +74,7 @@ def _as_wave(ring, psi) -> WaveFunction:
 
 
 def _apply(matrix: PadicMatrix, psi: WaveFunction) -> WaveFunction:
-    return WaveFunction(matrix.ring, [s.lift() for s in matrix.apply(psi.values)])
+    return WaveFunction(matrix.ring, [s.raw for s in matrix.apply(psi.values)])
 
 
 def _check_projector(pi: PadicMatrix):
@@ -307,7 +299,7 @@ def torus_check(U: PadicMatrix, V: PadicMatrix, bound: int = 4) -> TorusRelation
     xi_raw = commutator.rows[0][0]
     if commutator != PadicMatrix.identity(ring, n_dim).scale(xi_raw):
         raise NotATorusPair("commutator is not a scalar operator")
-    xi = wrap(ring, xi_raw)
+    xi = PadicScalar(ring, xi_raw)
     near = None
     for a in range(1, bound + 1):
         ua = U.matrix_power(a)

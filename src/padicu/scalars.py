@@ -1,13 +1,17 @@
 """Exact scalars: Z_p and its unramified extensions at fixed absolute precision.
 
-A ring handle (`Zp` or `UnramRing`) owns the arithmetic; scalar objects are
-thin immutable wrappers around canonical raw values (an int in [0, p^K) for
-`Zp`, a coefficient tuple for `UnramRing`).  Matrix and polynomial code works
-on the raw values through the ring handle, which keeps inner loops on plain
-integers.
+A ring handle (`Zp` or `UnramRing`) owns the arithmetic on canonical raw
+values: an int in [0, p^K) for `Zp`, a coefficient tuple for `UnramRing`.
+Matrix and polynomial code works on the raw values through the handle, which
+keeps inner loops on plain integers.  One scalar class, `PadicScalar(ring,
+raw)`, wraps a raw value for the API and delegates every operation to its
+ring; a Z_p scalar meeting a scalar of the unramified ring over the same
+(p, K) is embedded there, in either operand order.
 
 All arithmetic is exact modulo p^K.  Values from different rings never mix
-silently; `PrecisionMismatch` is raised instead.
+silently; `PrecisionMismatch` is raised instead.  The Teichmuller
+representative of a unit a is computed in closed form as a^alpha, with alpha
+= 1 mod (q - 1) and alpha = 0 mod p^(K-1) from `arith.teichmuller_exponent`.
 """
 
 from __future__ import annotations
@@ -111,13 +115,7 @@ class Zp:
         return int(r) % self.pk
 
     def rteichmuller(self, a):
-        """Teichmuller fixed point with the same residue as a (a must be a unit)."""
-        y = a % self.pk
-        while True:
-            y2 = pow(y, self.p, self.pk)
-            if y2 == y:
-                return y
-            y = y2
+        return _teichmuller_raw(self, a)
 
     # -- handles --------------------------------------------------------
     def at_precision(self, j: int) -> "Zp":
@@ -289,13 +287,7 @@ class UnramRing:
         return tuple(int(x) % self.pk for x in r)
 
     def rteichmuller(self, a):
-        q = self.p**self.m
-        y = a
-        while True:
-            y2 = self.rpow(y, q)
-            if y2 == y:
-                return y
-            y = y2
+        return _teichmuller_raw(self, a)
 
     # -- handles ----------------------------------------------------------
     def at_precision(self, j: int) -> "UnramRing":
@@ -308,29 +300,20 @@ class UnramRing:
     def residue_ring(self) -> "UnramRing":
         return UnramRing(self.p, 1, self.m)
 
-    def base_ring(self) -> Zp:
-        return Zp(self.p, self.K)
-
-    def embed(self, value) -> "UnramScalar":
-        if isinstance(value, UnramScalar):
-            if value.ring != self:
-                raise PrecisionMismatch(f"scalar from {value.ring} used in {self}")
-            return value
+    def scalar(self, value) -> "PadicScalar":
+        """A scalar of this ring; Z_p scalars at the same (p, K) and ints are embedded."""
         if isinstance(value, PadicScalar):
-            if (value.ring.p, value.ring.K) != (self.p, self.K):
+            if value.ring == self:
+                return value
+            if not isinstance(value.ring, Zp) or (value.ring.p, value.ring.K) != (self.p, self.K):
                 raise PrecisionMismatch(f"scalar from {value.ring} used in {self}")
-            return UnramScalar(self, self.rfrom_int(value.residue))
+            return PadicScalar(self, self.rfrom_int(value.raw))
         if isinstance(value, int):
-            return UnramScalar(self, self.rfrom_int(value))
-        return self.scalar(value)
-
-    def scalar(self, value) -> "UnramScalar":
-        if isinstance(value, (UnramScalar, PadicScalar, int)):
-            return self.embed(value)
+            return PadicScalar(self, self.rfrom_int(value))
         coeffs = tuple(int(c) % self.pk for c in value)
         if len(coeffs) != self.m:
             raise ValueError(f"expected {self.m} coefficients, got {len(coeffs)}")
-        return UnramScalar(self, coeffs)
+        return PadicScalar(self, coeffs)
 
     def is_base_value(self, a) -> bool:
         return all(x == 0 for x in a[1:])
@@ -349,257 +332,147 @@ class UnramRing:
 
 
 @lru_cache(maxsize=None)
-def zp(p: int, K: int) -> Zp:
-    return Zp(p, K)
-
-
-@lru_cache(maxsize=None)
 def unram(p: int, K: int, m: int) -> UnramRing:
     return UnramRing(p, K, m)
 
 
-class PadicScalar:
-    """Element of Z_p known exactly modulo p^K."""
-
-    __slots__ = ("ring", "residue")
-
-    def __init__(self, ring: Zp, residue: int):
-        self.ring = ring
-        self.residue = residue
-
-    def _coerce(self, other):
-        if isinstance(other, PadicScalar):
-            if other.ring != self.ring:
-                raise PrecisionMismatch(f"{other.ring} vs {self.ring}")
-            return other.residue
-        if isinstance(other, int):
-            return other % self.ring.pk
-        return None
-
-    def __add__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return PadicScalar(self.ring, (self.residue + r) % self.ring.pk)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return PadicScalar(self.ring, (self.residue - r) % self.ring.pk)
-
-    def __rsub__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return PadicScalar(self.ring, (r - self.residue) % self.ring.pk)
-
-    def __mul__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return PadicScalar(self.ring, (self.residue * r) % self.ring.pk)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PadicScalar(self.ring, (-self.residue) % self.ring.pk)
-
-    def __pow__(self, e: int):
-        return PadicScalar(self.ring, self.ring.rpow(self.residue, e))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.residue == other % self.ring.pk
-        return (
-            isinstance(other, PadicScalar)
-            and self.ring == other.ring
-            and self.residue == other.residue
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.residue))
-
-    def valuation(self) -> int:
-        return self.ring.rval(self.residue)
-
-    def is_unit(self) -> bool:
-        return self.ring.runit(self.residue)
-
-    def inverse(self) -> "PadicScalar":
-        return PadicScalar(self.ring, self.ring.rinv(self.residue))
-
-    def lift(self) -> int:
-        return self.residue
-
-    def residue_class(self) -> int:
-        return self.residue % self.ring.p
-
-    def reduce(self, j: int) -> "PadicScalar":
-        target = self.ring.at_precision(j)
-        return PadicScalar(target, self.residue % target.pk)
-
-    def __repr__(self):
-        return f"{self.residue} (mod {self.ring.p}^{self.ring.K})"
-
-
-class UnramScalar:
-    """Element of the degree-m unramified extension, exact modulo p^K."""
-
-    __slots__ = ("ring", "coeff_ints")
-
-    def __init__(self, ring: UnramRing, coeff_ints):
-        self.ring = ring
-        self.coeff_ints = tuple(coeff_ints)
-
-    @property
-    def coeffs(self) -> tuple[PadicScalar, ...]:
-        base = self.ring.base_ring()
-        return tuple(PadicScalar(base, c) for c in self.coeff_ints)
-
-    def _coerce(self, other):
-        if isinstance(other, UnramScalar):
-            if other.ring != self.ring:
-                raise PrecisionMismatch(f"{other.ring} vs {self.ring}")
-            return other.coeff_ints
-        if isinstance(other, (int, PadicScalar)):
-            return self.ring.embed(other).coeff_ints
-        return None
-
-    def __add__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return UnramScalar(self.ring, self.ring.radd(self.coeff_ints, r))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return UnramScalar(self.ring, self.ring.rsub(self.coeff_ints, r))
-
-    def __rsub__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return UnramScalar(self.ring, self.ring.rsub(r, self.coeff_ints))
-
-    def __mul__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return UnramScalar(self.ring, self.ring.rmul(self.coeff_ints, r))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return UnramScalar(self.ring, self.ring.rneg(self.coeff_ints))
-
-    def __pow__(self, e: int):
-        return UnramScalar(self.ring, self.ring.rpow(self.coeff_ints, e))
-
-    def __eq__(self, other):
-        if isinstance(other, (int, PadicScalar)):
-            try:
-                other = self.ring.embed(other)
-            except PrecisionMismatch:
-                return False
-        return (
-            isinstance(other, UnramScalar)
-            and self.ring == other.ring
-            and self.coeff_ints == other.coeff_ints
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.coeff_ints))
-
-    def valuation(self) -> int:
-        return self.ring.rval(self.coeff_ints)
-
-    def is_unit(self) -> bool:
-        return self.ring.runit(self.coeff_ints)
-
-    def inverse(self) -> "UnramScalar":
-        return UnramScalar(self.ring, self.ring.rinv(self.coeff_ints))
-
-    def frobenius(self) -> "UnramScalar":
-        return UnramScalar(self.ring, self.ring.rfrob(self.coeff_ints))
-
-    def residue_class(self) -> tuple[int, ...]:
-        return self.ring.rresidue(self.coeff_ints)
-
-    def reduce(self, j: int) -> "UnramScalar":
-        target = self.ring.at_precision(j)
-        return UnramScalar(target, target.rreduce(self.coeff_ints, j))
-
-    def is_base(self) -> bool:
-        return self.ring.is_base_value(self.coeff_ints)
-
-    def base_value(self) -> PadicScalar:
-        if not self.is_base():
-            raise ValueError(f"{self!r} is not Galois-fixed")
-        return PadicScalar(self.ring.base_ring(), self.coeff_ints[0])
-
-    def __repr__(self):
-        return f"{list(self.coeff_ints)} (mod {self.ring.p}^{self.ring.K}, deg {self.ring.m})"
-
-
-AnyScalar = PadicScalar | UnramScalar
 AnyRing = Zp | UnramRing
 
 
-def wrap(ring: AnyRing, raw) -> AnyScalar:
-    if isinstance(ring, Zp):
-        return PadicScalar(ring, raw)
-    return UnramScalar(ring, raw)
+def _teichmuller_raw(ring: AnyRing, a):
+    """a^alpha: the Teichmuller representative of a unit's residue, 0 for a non-unit."""
+    alpha, _ = teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, 1)
+    return ring.rpow(a, alpha)
 
 
-def valuation(x: AnyScalar) -> int:
+class PadicScalar:
+    """Element of Z_p or of an unramified extension, exact modulo p^K.
+
+    `raw` is the ring handle's raw value; every operation is the ring's.
+    """
+
+    __slots__ = ("ring", "raw")
+
+    def __init__(self, ring: AnyRing, raw):
+        self.ring = ring
+        self.raw = raw
+
+    def _promote(self, other):
+        """(ring, own raw, other raw) in the common ring; None for a foreign operand.
+
+        The reflected operators never run between two scalars (one class), so
+        a Z_p scalar is embedded into an extension here, in either order.
+        """
+        if isinstance(other, int):
+            return self.ring, self.raw, self.ring.rfrom_int(other)
+        if not isinstance(other, PadicScalar):
+            return None
+        ring = self.ring if isinstance(other.ring, Zp) else other.ring
+        return ring, ring.scalar(self).raw, ring.scalar(other).raw
+
+    def _binary(self, other, op: str, reflected: bool = False):
+        args = self._promote(other)
+        if args is None:
+            return NotImplemented
+        ring, a, b = args
+        return PadicScalar(ring, getattr(ring, op)(b, a) if reflected else getattr(ring, op)(a, b))
+
+    def __add__(self, other):
+        return self._binary(other, "radd")
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._binary(other, "rsub")
+
+    def __rsub__(self, other):
+        return self._binary(other, "rsub", reflected=True)
+
+    def __mul__(self, other):
+        return self._binary(other, "rmul")
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return PadicScalar(self.ring, self.ring.rneg(self.raw))
+
+    def __pow__(self, e: int):
+        return PadicScalar(self.ring, self.ring.rpow(self.raw, e))
+
+    def __eq__(self, other):
+        try:
+            args = self._promote(other)
+        except PrecisionMismatch:
+            return False
+        return args is not None and args[1] == args[2]
+
+    def __hash__(self):
+        # a base scalar equals its embeddings, so it hashes like them
+        raw = self.raw
+        if isinstance(raw, tuple) and self.ring.is_base_value(raw):
+            raw = raw[0]
+        return hash((self.ring.p, self.ring.K, raw))
+
+    def valuation(self) -> int:
+        return self.ring.rval(self.raw)
+
+    def inverse(self) -> "PadicScalar":
+        return PadicScalar(self.ring, self.ring.rinv(self.raw))
+
+    def frobenius(self) -> "PadicScalar":
+        return PadicScalar(self.ring, self.ring.rfrob(self.raw))
+
+    def lift(self):
+        return self.raw
+
+    def residue_class(self):
+        return self.ring.rresidue(self.raw)
+
+    def reduce(self, j: int) -> "PadicScalar":
+        return PadicScalar(self.ring.at_precision(j), self.ring.rreduce(self.raw, j))
+
+    def __repr__(self):
+        ring = self.ring
+        if isinstance(ring, Zp):
+            return f"{self.raw} (mod {ring.p}^{ring.K})"
+        return f"{list(self.raw)} (mod {ring.p}^{ring.K}, deg {ring.m})"
+
+
+def valuation(x: PadicScalar) -> int:
     """Largest v <= K with p^v dividing x; K means 'valuation >= K at this precision'."""
     return x.valuation()
 
 
-def unit_inverse(x: AnyScalar) -> AnyScalar:
+def unit_inverse(x: PadicScalar) -> PadicScalar:
     """Multiplicative inverse; requires valuation 0."""
     return x.inverse()
 
 
-def frobenius(x: AnyScalar) -> AnyScalar:
+def frobenius(x: PadicScalar) -> PadicScalar:
     """The canonical lift of the residue Frobenius; identity on Z_p."""
-    if isinstance(x, PadicScalar):
-        return x
     return x.frobenius()
 
 
-def teichmuller_lift(ring: AnyRing, r) -> AnyScalar:
+def teichmuller_lift(ring: AnyRing, r) -> PadicScalar:
     """Teichmuller representative of the nonzero residue r, exact at precision K.
 
-    Computed by iterating x -> x^(p^m) until it fixes; the result satisfies
-    x^(p^m) = x exactly modulo p^K and reduces to r.
+    The result x = r^alpha satisfies x^(p^m) = x exactly modulo p^K and
+    reduces to r.
     """
-    if isinstance(ring, Zp):
-        raw = int(r) % ring.pk
-        if raw % ring.p == 0:
-            raise NotAUnit("zero residue has no Teichmuller lift")
-        return PadicScalar(ring, ring.rteichmuller(raw))
-    raw = ring.rlift_residue(r if not isinstance(r, UnramScalar) else r.coeff_ints)
+    raw = ring.rlift_residue(r.raw if isinstance(r, PadicScalar) else r)
     if not ring.runit(raw):
         raise NotAUnit("zero residue has no Teichmuller lift")
-    return UnramScalar(ring, ring.rteichmuller(raw))
+    return PadicScalar(ring, _teichmuller_raw(ring, raw))
 
 
-def reduce_precision(x: AnyScalar, j) -> AnyScalar:
+def reduce_precision(x: PadicScalar, j) -> PadicScalar:
     """Reduce to absolute precision j (a ring homomorphism); ONE_MINUS means j = 1."""
     if j is ONE_MINUS:
         j = 1
     return x.reduce(j)
 
 
-def unit_decompose(x: AnyScalar) -> tuple[AnyScalar, AnyScalar]:
+def unit_decompose(x: PadicScalar) -> tuple[PadicScalar, PadicScalar]:
     """Split a unit as (principal-unit part, Teichmuller part).
 
     The Teichmuller part is the stabilized value of x^(p^(n!)); it is computed
@@ -607,15 +480,12 @@ def unit_decompose(x: AnyScalar) -> tuple[AnyScalar, AnyScalar]:
     alpha = 0 mod p^(K-1), which the factorial powers eventually realize.
     """
     ring = x.ring
-    raw = x.residue if isinstance(x, PadicScalar) else x.coeff_ints
-    if not ring.runit(raw):
+    if not ring.runit(x.raw):
         raise NotAUnit("only units decompose")
-    alpha, _ = teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, 1)
-    teich_raw = ring.rpow(raw, alpha)
-    b1_raw = ring.rmul(raw, ring.rinv(teich_raw))
-    return wrap(ring, b1_raw), wrap(ring, teich_raw)
+    teich_raw = _teichmuller_raw(ring, x.raw)
+    return PadicScalar(ring, ring.rmul(x.raw, ring.rinv(teich_raw))), PadicScalar(ring, teich_raw)
 
 
-def sigma_factorial_limit(x: AnyScalar) -> AnyScalar:
+def sigma_factorial_limit(x: PadicScalar) -> PadicScalar:
     """Limit of x^(p^(n!)) at this precision; equals the Teichmuller part of x."""
     return unit_decompose(x)[1]

@@ -14,7 +14,7 @@ from .errors import MalformedDocument
 from .gm import LaurentPoly
 from .matrices import Norm, PadicMatrix, SeminormResult
 from .quantum import WaveFunction
-from .scalars import AnyRing, PadicScalar, UnramRing, UnramScalar, Zp
+from .scalars import AnyRing, PadicScalar, UnramRing, Zp
 from .unitary import SpectralDatum, SpectrumTable
 
 SCHEMA = "padicu/1"
@@ -59,11 +59,10 @@ def ring_from_header(doc: dict) -> AnyRing:
 
 
 def scalar_to_doc(x) -> dict:
-    if isinstance(x, PadicScalar):
-        return {**ring_header(x.ring), "value": str(x.lift())}
-    if isinstance(x, UnramScalar):
-        return {**ring_header(x.ring), "coeffs": [str(c) for c in x.coeff_ints]}
-    raise MalformedDocument(f"not a scalar: {x!r}")
+    if not isinstance(x, PadicScalar):
+        raise MalformedDocument(f"not a scalar: {x!r}")
+    key = "value" if isinstance(x.ring, Zp) else "coeffs"
+    return {**ring_header(x.ring), key: _entry_to_wire(x.ring, x.raw)}
 
 
 def scalar_from_doc(doc: dict):
@@ -82,7 +81,7 @@ def _entry_to_wire(ring: AnyRing, raw):
 def _entry_from_wire(ring: AnyRing, wire):
     if isinstance(ring, Zp) or not isinstance(wire, list):
         return ring.rfrom_int(read_int(wire, "matrix entry"))
-    return ring.scalar(tuple(read_int(c, "matrix entry") for c in wire)).coeff_ints
+    return ring.scalar(tuple(read_int(c, "matrix entry") for c in wire)).raw
 
 
 def matrix_to_doc(M: PadicMatrix) -> dict:

@@ -22,15 +22,7 @@ from . import fppoly, gm
 from .arith import teichmuller_exponent
 from .errors import InputError, NotAUnit, NotContinuous, NotTeichmuller, NotUnitary
 from .matrices import PadicMatrix, residue_matrix_order
-from .scalars import (
-    ONE_MINUS,
-    AnyRing,
-    PadicScalar,
-    UnramRing,
-    Zp,
-    unram,
-    wrap,
-)
+from .scalars import ONE_MINUS, AnyRing, PadicScalar, UnramRing, Zp, unram
 
 TEICHMULLER = "TEICHMULLER"
 CONTINUOUS = "CONTINUOUS"
@@ -132,13 +124,7 @@ class SpectralDatum:
 
     def reconstruct(self) -> PadicMatrix:
         """Sum of eigenvalue * projector over every orbit, assembled over Z_p."""
-        total = PadicMatrix.zeros(self.base_ring, self.n)
-        for orbit in self.orbits:
-            partial = PadicMatrix.zeros(orbit.ring, self.n)
-            for lam, proj in zip(orbit.eigenvalues, orbit.projectors):
-                partial = partial + proj.scale(wrap(orbit.ring, lam))
-            total = total + _to_base(self.base_ring, partial)
-        return total
+        return self.galois_image(0)
 
     def galois_image(self, k: int) -> PadicMatrix:
         """Sum of sigma^k(eigenvalue) * projector: the Galois twist of the operator."""
@@ -148,14 +134,14 @@ class SpectralDatum:
             partial = PadicMatrix.zeros(orbit.ring, self.n)
             for t, proj in enumerate(orbit.projectors):
                 lam_twisted = orbit.eigenvalues[(t + k) % d]
-                partial = partial + proj.scale(wrap(orbit.ring, lam_twisted))
+                partial = partial + proj.scale(lam_twisted)
             total = total + _to_base(self.base_ring, partial)
         return total
 
     def eigenvalue_scalars(self) -> list:
         out = []
         for orbit in self.orbits:
-            out.extend(wrap(orbit.ring, lam) for lam in orbit.eigenvalues)
+            out.extend(PadicScalar(orbit.ring, lam) for lam in orbit.eigenvalues)
         return out
 
     def verify(self, expected: PadicMatrix | None = None) -> bool:
@@ -288,12 +274,12 @@ def teichmuller_spectral(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> Spe
             for s, mu in enumerate(eigenvalues):
                 if s == t:
                     continue
-                shifted = U_local - identity.scale(wrap(lam_ring, mu))
+                shifted = U_local - identity.scale(mu)
                 numerator = numerator @ shifted
                 denominator = lam_ring.rmul(denominator, lam_ring.rsub(lam, mu))
             if not lam_ring.runit(denominator):
                 raise NotAUnit("Lagrange denominator is not a unit")  # unreachable
-            projectors.append(numerator.scale(wrap(lam_ring, lam_ring.rinv(denominator))))
+            projectors.append(numerator.scale(lam_ring.rinv(denominator)))
         orbits.append(
             SpectralOrbit(
                 ring=lam_ring,
@@ -383,9 +369,9 @@ def power_zp(U: PadicMatrix, t) -> PadicMatrix:
         raise NotContinuous("one-parameter powers require continuous type")
     ring = U.ring
     if isinstance(t, PadicScalar):
-        if (t.ring.p, t.ring.K) != (ring.p, ring.K):
-            raise InputError("time parameter must live at the operator's (p, K)")
-        t0 = t.lift()
+        if t.ring != Zp(ring.p, ring.K):
+            raise InputError("time parameter must live in Z_p at the operator's (p, K)")
+        t0 = t.raw
     else:
         t0 = int(t) % ring.pk
     n = U.n

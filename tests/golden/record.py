@@ -21,9 +21,10 @@ import tempfile
 
 from padicu import cli, fppoly, moduli
 from padicu.matrices import PadicMatrix
-from padicu.sampling import random_continuous, random_teichmuller, random_unitary
+from padicu.quantum import clock_shift_pair
+from padicu.sampling import random_continuous, random_matrix, random_teichmuller, random_unitary
 from padicu.scalars import UnramRing, Zp, teichmuller_lift
-from padicu.unitary import jordan_decompose
+from padicu.unitary import jordan_decompose, teichmuller_spectral
 
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "corpus.jsonl")
 
@@ -246,14 +247,144 @@ def decompose_zp_cases(rng):
     return cases
 
 
+def _wave_doc(ring, values) -> dict:
+    return {"p": ring.p, "K": ring.K, "values": [str(v) for v in values]}
+
+
+def projection_cases(rng):
+    """Kernels and cokernels of f(U) mod p^j: planted eigenvalues, random and error documents."""
+    cases = []
+    for p, K, n in ((3, 2, 2), (3, 3, 3), (5, 2, 2), (5, 3, 3), (7, 2, 4)):
+        ring = Zp(p, K)
+        pk = p**K
+        diag = [rng.randrange(1, pk) for _ in range(n)]
+        diag[1] = diag[0]  # a repeated eigenvalue: kernel dimension 2 at every level
+        v = random_unitary(ring, n, rng)
+        u = v @ PadicMatrix.diagonal(ring, diag) @ v.inverse()
+        for j in range(1, K + 1):
+            cases.append(("projection", f"planted-p{p}K{K}n{n}-j{j}",
+                          {"matrix": matrix_doc(u), "j": j, "poly": poly_doc(p, K, [(-diag[0]) % pk, 1])}))
+        near = (-diag[-1] + p) % pk  # the root is off by p: divisors below j
+        cases.append(("projection", f"near-root-p{p}K{K}n{n}",
+                      {"matrix": matrix_doc(u), "j": K, "poly": poly_doc(p, K, [near, 1])}))
+        w = random_unitary(ring, n, rng)
+        f = [rng.randrange(pk) for _ in range(3)]
+        cases.append(("projection", f"random-p{p}K{K}n{n}",
+                      {"matrix": matrix_doc(w), "j": rng.randint(1, K), "poly": poly_doc(p, K, f, -1)}))
+    u = PadicMatrix.from_rows(Zp(3, 2), [[1, 0], [0, 8]])
+    cases.append(("projection", "j-zero", {"matrix": matrix_doc(u), "j": 0, "poly": poly_doc(3, 2, [8, 1])}))
+    cases.append(("projection", "j-above-K", {"matrix": matrix_doc(u), "j": 3, "poly": poly_doc(3, 2, [8, 1])}))
+    # over a degree-2 extension f(U) = U is invertible, so the kernel is empty
+    for p, K in ((3, 2), (5, 3)):
+        ext = random_unitary(UnramRing(p, K, 2), 2, rng)
+        cases.append(("projection", f"unram-invertible-p{p}K{K}m2",
+                      {"matrix": matrix_doc(ext), "j": K, "poly": poly_doc(p, K, [0, 1])}))
+    return cases
+
+
+def laurent_scalar_cases(rng):
+    """shift-sum, project-mod and volume on sparse Laurent polynomials and small groups."""
+    cases = []
+    for p, K in ((3, 3), (5, 2), (7, 2)):
+        for i in range(4):
+            terms = {rng.randint(-6, 6): rng.randrange(1, p**K) for _ in range(rng.randint(1, 5))}
+            f = {"p": p, "K": K, "terms": [[e, str(c)] for e, c in sorted(terms.items())]}
+            d = rng.randint(1, 5)
+            cases.append(("shift-sum", f"p{p}K{K}-{i}", {"f": f, "c": rng.randrange(d), "d": d}))
+            cases.append(("project-mod", f"p{p}K{K}-{i}", {"f": f, "d": d}))
+    f = poly_doc(3, 2, [1, 2, 0, 1])
+    cases.append(("shift-sum", "d-zero", {"f": f, "c": 0, "d": 0}))
+    cases.append(("project-mod", "d-zero", {"f": f, "d": 0}))
+    for c, d in ((0, 1), (1, 6), (5, 12), (3, 3), (0, 0), (-1, 4)):
+        cases.append(("volume", f"haar-c{c}-d{d}", {"c": c, "d": d}))
+    for order in (1, 9, 48, 0):
+        cases.append(("volume", f"profinite-{order}", {"quotient_order": order}))
+    return cases
+
+
+def quantum_cases(rng):
+    """probability, measure, evolve and torus over Z_p, with their precondition failures."""
+    cases = []
+    for p, K, n in ((3, 3, 2), (5, 2, 3), (7, 2, 3)):
+        ring = Zp(p, K)
+        datum = teichmuller_spectral(random_teichmuller(ring, n, rng))
+        projectors = [datum.orbit_projector(i) for i in range(len(datum.orbits))]
+        psi = _wave_doc(ring, [rng.randrange(ring.pk) for _ in range(n)])
+        tag = f"p{p}K{K}n{n}"
+        cases.append(("probability", tag, {"projectors": [matrix_doc(P) for P in projectors], "psi": psi}))
+        for i, P in enumerate(projectors):
+            cases.append(("measure", f"{tag}-orbit{i}", {"projector": matrix_doc(P), "psi": psi}))
+        v = random_unitary(ring, n, rng)
+        idem = v @ PadicMatrix.diagonal(ring, [1] + [0] * (n - 1)) @ v.inverse()
+        cases.append(("measure", f"{tag}-rank-one", {"projector": matrix_doc(idem), "psi": psi}))
+        h = random_matrix(ring, n, rng)
+        u = PadicMatrix.identity(ring, n).scale(rng.randrange(1, p)) + h.scale(p)  # commutes with h
+        for k, t, allow in ((0, p, False), (3, p * rng.randrange(1, p), False), (2, 1, False), (1, 1, True)):
+            cases.append(("evolve", f"{tag}-k{k}-t{t}-{'ext' if allow else 'plain'}",
+                          {"h": matrix_doc(h), "u": matrix_doc(u), "psi": psi, "k": k, "t": t,
+                           "allow_extended_radius": allow}))
+        small_h = h.scale(p * p)  # |H| <= 1/p^2, so a unit t is inside the extended radius
+        cases.append(("evolve", f"{tag}-extended-radius",
+                      {"h": matrix_doc(small_h), "u": matrix_doc(u), "psi": psi, "k": 1, "t": 1,
+                       "allow_extended_radius": True}))
+        w = random_unitary(ring, n, rng)
+        cases.append(("evolve", f"{tag}-noncommuting",
+                      {"h": matrix_doc(h), "u": matrix_doc(w), "psi": psi, "k": 1, "t": p}))
+    ring = Zp(3, 2)
+    idem = PadicMatrix.from_rows(ring, [[1, 0], [0, 0]])
+    psi = _wave_doc(ring, [1, 3])
+    cases.append(("probability", "not-orthogonal",
+                  {"projectors": [matrix_doc(idem), matrix_doc(idem)], "psi": psi}))
+    cases.append(("probability", "not-idempotent",
+                  {"projectors": [matrix_doc(idem.scale(2))], "psi": psi}))
+    cases.append(("probability", "empty", {"projectors": [], "psi": psi}))
+    cases.append(("measure", "not-idempotent", {"projector": matrix_doc(idem.scale(2)), "psi": psi}))
+    for p, K, d in ((3, 2, 2), (5, 2, 4), (5, 3, 2), (7, 2, 3), (7, 3, 6)):
+        clock, shift, _ = clock_shift_pair(Zp(p, K), d)
+        cases.append(("torus", f"clock-shift-p{p}K{K}d{d}", {"u": matrix_doc(clock), "v": matrix_doc(shift)}))
+        cases.append(("torus", f"shift-clock-p{p}K{K}d{d}", {"u": matrix_doc(shift), "v": matrix_doc(clock)}))
+    ring = Zp(5, 2)
+    cases.append(("torus", "not-a-pair", {"u": matrix_doc(random_unitary(ring, 3, rng)),
+                                          "v": matrix_doc(random_unitary(ring, 3, rng))}))
+    cases.append(("torus", "not-unitary", {"u": matrix_doc(PadicMatrix.from_rows(ring, [[5, 0], [0, 1]])),
+                                           "v": matrix_doc(PadicMatrix.identity(ring, 2))}))
+    return cases
+
+
+def seminorm_cases(rng):
+    """Spectral seminorms of random, nilpotent-plus-p and extension-ring matrices."""
+    cases = []
+    for p, K, n in ((3, 3, 2), (3, 4, 3), (5, 2, 3), (7, 3, 2)):
+        ring = Zp(p, K)
+        a = random_matrix(ring, n, rng)
+        cases.append(("seminorm", f"random-p{p}K{K}n{n}", {"matrix": matrix_doc(a)}))
+        rows = [[(rng.randrange(ring.pk) if j > i else p * rng.randrange(p ** (K - 1)) if j == i else 0)
+                 for j in range(n)] for i in range(n)]
+        m = PadicMatrix.from_rows(ring, rows)
+        cases.append(("seminorm", f"triangular-p{p}K{K}n{n}", {"matrix": matrix_doc(m), "k_max": rng.randint(1, 20)}))
+    for p, K, m in ((3, 2, 2), (5, 2, 2), (3, 3, 3)):
+        ring = UnramRing(p, K, m)
+        a = random_matrix(ring, 2, rng).scale(p)
+        cases.append(("seminorm", f"unram-p{p}K{K}m{m}", {"matrix": matrix_doc(a)}))
+    return cases
+
+
+def more_audit_cases():
+    return [("audit", f"{suite}-seed{seed}", {"suite": suite, "seed": seed})
+            for suite in ("linalg", "quantum", "gm") for seed in (0, 5)]
+
+
 def build_cases():
     rng = random.Random(20231018)
     cases = (formal_group_cases(rng) + teich_factor_cases(rng)
              + decompose_fp_cases(rng) + matrix_cases(rng))
     # later additions draw from their own generator so earlier cases keep their inputs
     rng = random.Random(4)
-    return (cases + power_zp_cases(rng) + shift_model_cases() + audit_cases()
-            + unram_matrix_cases(rng) + decompose_zp_cases(rng))
+    cases += (power_zp_cases(rng) + shift_model_cases() + audit_cases()
+              + unram_matrix_cases(rng) + decompose_zp_cases(rng))
+    rng = random.Random(5)
+    return (cases + projection_cases(rng) + laurent_scalar_cases(rng) + quantum_cases(rng)
+            + seminorm_cases(rng) + more_audit_cases())
 
 
 def run_case(command: str, raw: str) -> tuple[int, str]:

@@ -341,3 +341,83 @@ def test_integer_fields_accept_only_integers_and_digit_strings(command, doc, pat
         code, out = run(bad)
         assert code == 2, (bad, out)
         assert json.loads(out)["error"]["code"] == "MalformedDocument", (bad, out)
+
+
+def unram_doc(entries, p=3, K=2, m=2):
+    """An n x n matrix over the degree-m unramified ring; entries are coefficient lists."""
+    n = int(len(entries) ** 0.5)
+    return {"p": p, "K": K, "m": m, "n": n, "entries": [[str(c) for c in e] for e in entries]}
+
+
+def run_one_line(command, doc, tmp_path, capsys):
+    """Exit code and the one JSON document the CLI must print."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main([command, str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1, lines
+    return code, json.loads(lines[0])
+
+
+def test_torus_over_extension_ring(tmp_path, capsys):
+    """u = diag(1, -1), v = swap over UnramRing(3, 2, 2): uv = xi vu with xi = -1."""
+    doc = {"u": unram_doc([(1, 0), (0, 0), (0, 0), (8, 0)]),
+           "v": unram_doc([(0, 0), (1, 0), (1, 0), (0, 0)])}
+    code, out = run_one_line("torus", doc, tmp_path, capsys)
+    assert code == 0, out
+    assert out["result"] == {"xi": ["8", "0"], "bound": 4, "near_commutative_at": [1, 2]}
+
+
+def test_torus_with_a_fourth_root_of_unity_outside_zp(tmp_path, capsys):
+    """Z_3 has no primitive 4th root of unity; its degree-2 extension does: xi = i.
+
+    At K = 1 the shipped modulus is w^2 + 2w + 2, so w^2 = w + 1 and i = w^2
+    satisfies i^2 = -1.  The clock diag(i^r) and the cyclic shift give xi = i.
+    """
+    zero, one = (0, 0), (1, 0)
+    powers = [one, (1, 1), (2, 0), (2, 2)]  # i^0, ..., i^3
+    clock = [powers[r] if r == c else zero for r in range(4) for c in range(4)]
+    shift = [one if r == (c + 1) % 4 else zero for r in range(4) for c in range(4)]
+    doc = {"u": unram_doc(clock, K=1), "v": unram_doc(shift, K=1)}
+    code, out = run_one_line("torus", doc, tmp_path, capsys)
+    assert code == 0, out
+    assert out["result"]["xi"] == ["1", "1"]
+
+
+def test_measure_over_extension_ring(tmp_path, capsys):
+    doc = {"projector": unram_doc([(1, 0), (0, 0), (0, 0), (0, 0)]),
+           "psi": {"p": 3, "K": 2, "m": 2, "values": ["1", "1"]}}
+    code, out = run_one_line("measure", doc, tmp_path, capsys)
+    assert code == 0, out
+    assert out["result"]["state"]["values"] == [["1", "0"], ["0", "0"]]
+    assert out["result"]["state"]["m"] == 2
+    assert out["result"]["norm"]["valuation"] == 0
+
+
+def test_probability_over_extension_ring(tmp_path, capsys):
+    doc = {"projectors": [unram_doc([(1, 0), (0, 0), (0, 0), (0, 0)]),
+                          unram_doc([(0, 0), (0, 0), (0, 0), (1, 0)])],
+           "psi": {"p": 3, "K": 2, "m": 2, "values": ["1", "3"]}}
+    code, out = run_one_line("probability", doc, tmp_path, capsys)
+    assert code == 0, out
+    assert [e["valuation"] for e in out["result"]["per_event"]] == [0, 1]
+    assert out["result"]["total"]["valuation"] == 0
+
+
+def test_projection_kernel_over_extension_ring(tmp_path, capsys):
+    """ker(U - I) mod 3 for U = diag(1, -1) over UnramRing(3, 2, 2) is spanned by e_1."""
+    doc = {"matrix": unram_doc([(1, 0), (0, 0), (0, 0), (8, 0)]), "j": 1,
+           "poly": {"p": 3, "K": 2, "terms": [[0, "-1"], [1, "1"]]}}
+    code, out = run_one_line("projection", doc, tmp_path, capsys)
+    assert code == 0, out
+    assert out["result"]["kernel_basis"] == [[["1", "0"], ["0", "0"]]]
+    assert out["result"]["cokernel_divisors"] == [0, 1]
+
+
+@pytest.mark.parametrize("t,upper", [(2, "2"), (10, "1"), (-1, "8")])
+def test_power_zp_over_extension_ring(t, upper, tmp_path, capsys):
+    """[[1, 1], [0, 1]]^t = [[1, t], [0, 1]] over UnramRing(3, 2, 2)."""
+    doc = {"matrix": unram_doc([(1, 0), (1, 0), (0, 0), (1, 0)]), "t": t}
+    code, out = run_one_line("power-zp", doc, tmp_path, capsys)
+    assert code == 0, out
+    assert out["result"]["power"]["entries"] == [["1", "0"], [upper, "0"], ["0", "0"], ["1", "0"]]

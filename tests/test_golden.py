@@ -1,7 +1,7 @@
 """Replay the golden CLI corpus in-process and compare stdout bytes and exit codes.
 
 The corpus (tests/golden/corpus.jsonl, written by tests/golden/record.py) holds
-input documents for the polynomial, tower and spectral commands together with
+input documents for every CLI command together with
 the exact output each produced when it was recorded.
 """
 
@@ -25,3 +25,8 @@ def test_golden_bytes(case, tmp_path, capsys):
     code = cli.main([case["command"], str(path)])
     assert capsys.readouterr().out == case["stdout"]
     assert code == case["exit"]
+
+
+def test_every_command_has_a_golden_case():
+    covered = {case["command"] for case in CASES}
+    assert sorted(set(cli.COMMANDS) - covered) == []

@@ -65,3 +65,29 @@ def test_env_override(tmp_path, monkeypatch):
     assert moduli.residue_modulus(3, 2) == (2, 2, 1)
     with pytest.raises(InputError):
         moduli.residue_modulus(5, 2)
+
+
+def _fixed_point_generator(p, m, K):
+    """Oracle: iterate y -> y^(p^m) from the class of X until it stops moving."""
+    pk = p**K
+    naive = [c % pk for c in moduli.residue_modulus(p, m)]
+    y = fppoly.divmod_poly([0, 1], naive, pk)[1]
+    while (nxt := fppoly.pow_mod(y, p**m, naive, pk)) != y:
+        y = nxt
+    return y, naive
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("K", [1, 2, 5, 20])
+def test_canonical_modulus_vanishes_at_fixed_point_generator(p, m, K):
+    """The monic lift of the residue modulus with the Teichmuller root y is unique: F(y) = 0."""
+    pk = p**K
+    F = moduli.canonical_modulus(p, m, K)
+    assert F[-1] == 1 and len(F) == m + 1
+    assert [c % p for c in F] == [c % p for c in moduli.residue_modulus(p, m)]
+    y, naive = _fixed_point_generator(p, m, K)
+    value = []
+    for c in reversed(F):
+        value = fppoly.add(fppoly.divmod_poly(fppoly.mul(value, y, pk), naive, pk)[1], [c], pk)
+    assert fppoly.trim(value) == []

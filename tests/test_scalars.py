@@ -155,7 +155,7 @@ def test_unram_unit_decompose_is_factorial_limit(p):
             assert seq[-1] == seq[-2] == seq[-3], "factorial powers failed to stabilize"
             x = ring.scalar(raw)
             b1, t = unit_decompose(x)
-            assert t.coeff_ints == seq[-1]
+            assert t.raw == seq[-1]
             assert scalars.sigma_factorial_limit(x) == t
             assert b1 * t == x
             assert b1.residue_class() == (1, 0)
@@ -176,7 +176,7 @@ def test_unram_frobenius_is_ring_endomorphism():
     b = ring.scalar((2, 11))
     assert frobenius(a * b) == frobenius(a) * frobenius(b)
     assert frobenius(a + b) == frobenius(a) + frobenius(b)
-    base = ring.embed(14)
+    base = ring.scalar(14)
     assert frobenius(base) == base
 
 
@@ -197,7 +197,7 @@ def test_unram_valuation_and_inverse():
     x = ring.scalar((10, 25))
     assert valuation(x) == 1
     u = ring.scalar((3, 5))
-    assert u * u.inverse() == ring.embed(1)
+    assert u * u.inverse() == ring.scalar(1)
     with pytest.raises(NotAUnit):
         ring.scalar((5, 10)).inverse()
 
@@ -213,3 +213,83 @@ def test_scalar_repr_round_trip_values():
     x = Zp(3, 4).scalar(-1)
     assert x.lift() == 3**4 - 1
     assert (x * x).lift() == 1
+
+
+def _fixed_point_teichmuller(ring, a):
+    """Oracle: iterate x -> x^q (q = p^m) until it stops moving."""
+    q = ring.residue_cardinality
+    x = a
+    while (nxt := ring.rpow(x, q)) != x:
+        x = nxt
+    return x
+
+
+def _all_raw_values(ring):
+    if isinstance(ring, Zp):
+        return list(range(ring.pk))
+    return [(a, b) for a in range(ring.pk) for b in range(ring.pk)]
+
+
+@pytest.mark.parametrize("ring", [Zp(3, 3), Zp(5, 2), UnramRing(3, 2, 2)], ids=repr)
+def test_rteichmuller_matches_fixed_point_iteration(ring):
+    """Every element, non-units included (they go to 0), against the deleted loop."""
+    for raw in _all_raw_values(ring):
+        assert ring.rteichmuller(raw) == _fixed_point_teichmuller(ring, raw)
+
+
+_BASE = Zp(3, 2).scalar(5)
+_EXT_RING = UnramRing(3, 2, 2)
+_EXT = _EXT_RING.scalar((2, 1))
+_EMBEDDED = _EXT_RING.scalar(_BASE)
+
+# (label, thunk, expected): a (ring, raw) pair, a bool, or an exception class
+OPERAND_CASES = [
+    ("base+ext", lambda: _BASE + _EXT, (_EXT_RING, (7, 1))),
+    ("ext+base", lambda: _EXT + _BASE, (_EXT_RING, (7, 1))),
+    ("base-ext", lambda: _BASE - _EXT, (_EXT_RING, (3, 8))),
+    ("ext-base", lambda: _EXT - _BASE, (_EXT_RING, (6, 1))),
+    ("base*ext", lambda: _BASE * _EXT, (_EXT_RING, (1, 5))),
+    ("ext*base", lambda: _EXT * _BASE, (_EXT_RING, (1, 5))),
+    ("base==embedded", lambda: _BASE == _EMBEDDED, True),
+    ("embedded==base", lambda: _EMBEDDED == _BASE, True),
+    ("base==ext", lambda: _BASE == _EXT, False),
+    ("ext==base", lambda: _EXT == _BASE, False),
+    ("hash-base-embedded", lambda: hash(_BASE) == hash(_EMBEDDED), True),
+    ("int+ext", lambda: 4 + _EXT, (_EXT_RING, (6, 1))),
+    ("ext+int", lambda: _EXT + 4, (_EXT_RING, (6, 1))),
+    ("int-ext", lambda: 4 - _EXT, (_EXT_RING, (2, 8))),
+    ("ext-int", lambda: _EXT - 4, (_EXT_RING, (7, 1))),
+    ("int*ext", lambda: 3 * _EXT, (_EXT_RING, (6, 3))),
+    ("int-base", lambda: 4 - _BASE, (Zp(3, 2), 8)),
+    ("base*int", lambda: _BASE * 2, (Zp(3, 2), 1)),
+    ("int==embedded", lambda: 5 == _EMBEDDED, True),
+    ("embedded==int", lambda: _EMBEDDED == 14, True),
+    ("ext==int", lambda: _EXT == 2, False),
+    ("K-mismatch+ext", lambda: Zp(3, 3).scalar(5) + _EXT, PrecisionMismatch),
+    ("ext+K-mismatch", lambda: _EXT + Zp(3, 3).scalar(5), PrecisionMismatch),
+    ("p-mismatch*ext", lambda: Zp(5, 2).scalar(5) * _EXT, PrecisionMismatch),
+    ("ext-p-mismatch", lambda: _EXT - Zp(5, 2).scalar(5), PrecisionMismatch),
+    ("degree-mismatch", lambda: _EXT + UnramRing(3, 2, 3).scalar(1), PrecisionMismatch),
+    ("base+K-mismatch", lambda: _BASE + Zp(3, 3).scalar(5), PrecisionMismatch),
+    ("mismatch==", lambda: Zp(3, 3).scalar(5) == _EXT, False),
+    ("==mismatch", lambda: _EXT == Zp(5, 2).scalar(2), False),
+    ("Zp.scalar(ext)", lambda: Zp(3, 2).scalar(_EXT), PrecisionMismatch),
+    ("base+float", lambda: _BASE + 1.5, TypeError),
+    ("float+base", lambda: 1.5 + _BASE, TypeError),
+    ("ext*float", lambda: _EXT * 0.5, TypeError),
+    ("float-ext", lambda: 0.5 - _EXT, TypeError),
+]
+
+
+@pytest.mark.parametrize("thunk,expected", [c[1:] for c in OPERAND_CASES], ids=[c[0] for c in OPERAND_CASES])
+def test_operand_rule(thunk, expected):
+    """A Z_p scalar is embedded into the extension over the same (p, K), in either order."""
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            thunk()
+        return
+    result = thunk()
+    if isinstance(expected, bool):
+        assert result is expected
+    else:
+        assert (result.ring, result.raw) == expected
