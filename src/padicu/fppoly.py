@@ -7,6 +7,12 @@ on coefficients in [0, p); division needs a divisor whose leading
 coefficient is a unit modulo p.  Factorization is over F_p: squarefree +
 distinct-degree + Cantor-Zassenhaus equal-degree splitting, driven by a
 seeded generator so runs are reproducible.
+
+The coefficients stay plain ints: these loops carry the Sylvester, Bezout
+and Hensel work, and taking the ring operations from a ring handle made
+them measurably slower.  Polynomials meet extension rings elsewhere:
+`PadicMatrix.evaluate` gives f(U), `scalars.horner` gives f(x) at a raw
+ring value, and `matrices.orbit_polynomial` gives a Frobenius-orbit product.
 """
 
 from __future__ import annotations

@@ -39,10 +39,6 @@ class LaurentPoly:
     def coeff(self, e: int) -> PadicScalar:
         return self.ring.scalar(self.terms.get(e, 0))
 
-    @property
-    def support(self) -> list[int]:
-        return sorted(self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -115,7 +111,7 @@ class LaurentPoly:
         return self.terms[self.low] % p != 0 and self.terms[self.high] % p != 0
 
     def evaluate_matrix(self, U: PadicMatrix) -> PadicMatrix:
-        """f(U) = sum a_e U^e; negative exponents use the inverse.
+        """f(U) = U^low g(U) for f = t^low g; a negative low uses the inverse.
 
         Coefficients are base-ring scalars; the matrix may live in an
         unramified extension at the same (p, K).
@@ -124,28 +120,11 @@ class LaurentPoly:
             raise PrecisionMismatch(
                 f"polynomial over {self.ring} evaluated on matrix over {U.ring}"
             )
-        n = U.n
-        acc = PadicMatrix.zeros(U.ring, n)
         if not self.terms:
-            return acc
-        inv = None
-        powers: dict[int, PadicMatrix] = {0: PadicMatrix.identity(U.ring, n)}
-
-        def power(e: int) -> PadicMatrix:
-            nonlocal inv
-            if e in powers:
-                return powers[e]
-            if e > 0:
-                powers[e] = power(e - 1) @ U
-            else:
-                if inv is None:
-                    inv = U.inverse()
-                powers[e] = power(e + 1) @ inv
-            return powers[e]
-
-        for e in sorted(self.terms):
-            acc = acc + power(e).scale(self.terms[e])
-        return acc
+            return PadicMatrix.zeros(U.ring, U.n)
+        dense, low = self.polynomial_part()
+        value = U.evaluate(dense)
+        return U.matrix_power(low) @ value if low else value
 
     def __repr__(self):
         body = " + ".join(f"{c}*t^{e}" for e, c in sorted(self.terms.items())) or "0"
@@ -321,12 +300,6 @@ class BezoutIdempotents:
     p2: list[int]
     certificate: OrthogonalityCertificate
 
-    def p1_poly(self) -> LaurentPoly:
-        return LaurentPoly.from_coeffs(self.ring, self.p1)
-
-    def p2_poly(self) -> LaurentPoly:
-        return LaurentPoly.from_coeffs(self.ring, self.p2)
-
     def verify(self) -> bool:
         """All six splitting properties, exactly mod (p^j, fg).
 
@@ -348,8 +321,9 @@ class BezoutIdempotents:
         # coefficient (ValueError from its inverse) before any check runs
         f = fppoly.divmod_poly(self.f_dense, fg, pj)[1]
         g = fppoly.divmod_poly(self.g_dense, fg, pj)[1]
+        one = fppoly.divmod_poly([1], fg, pj)[1]  # [] when fg is a unit: the zero ring
         p1, p2 = self.p1, self.p2
-        if fppoly.add(p1, p2, pj) != [1]:
+        if fppoly.add(p1, p2, pj) != one:
             return False
         p1sq = qmul(p1, p1)
         if p1sq != p1:
@@ -357,7 +331,7 @@ class BezoutIdempotents:
         if qmul(p1, p2) != []:  # = P2 P1 in the commutative quotient
             return False
         # P2^2 = (1 - P1)^2 = 1 - 2 P1 + P1^2
-        p2sq = fppoly.add(fppoly.sub([1], fppoly.add(p1, p1, pj), pj), p1sq, pj)
+        p2sq = fppoly.add(fppoly.sub(one, fppoly.add(p1, p1, pj), pj), p1sq, pj)
         if p2sq != p2:
             return False
         p1f = qmul(p1, f)
@@ -366,7 +340,7 @@ class BezoutIdempotents:
         p1g = qmul(p1, g)
         if p1g != [] or fppoly.sub(g, p1g, pj) != g:  # P1 g = 0 and P2 g = g
             return False
-        h = [0, 1] if len(fg) > 2 else [1]
+        h = fppoly.divmod_poly([0, 1] if len(fg) > 2 else [1], fg, pj)[1]
         return fppoly.add(qmul(p1, h), qmul(p2, h), pj) == h
 
 
@@ -493,9 +467,6 @@ class TeichFactorization:
             acc = fppoly.mul(acc, factor, pj)
         return LaurentPoly.from_coeffs(self.ring, acc, low=self.shift)
 
-    def orbit_degrees(self) -> dict[tuple[int, ...], int]:
-        return {label: len(label) - 1 for label in self.factors}
-
 
 def teich_factor(f: LaurentPoly, j: int, seed: int = fppoly.DEFAULT_SEED) -> TeichFactorization:
     """Group f by Teichmuller disc cluster and lift the grouped factorization.
@@ -554,9 +525,6 @@ class PrincipalExponent:
     n: int
     l: int
     N: int
-
-    def as_index(self, j: int) -> PrincipalIdealIndex:
-        return PrincipalIdealIndex(j, self.n)
 
 
 def principal_exponent(arg, j: int) -> PrincipalExponent:

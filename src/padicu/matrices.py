@@ -196,9 +196,6 @@ class PadicMatrix:
             out.append(acc)
         return tuple(PadicScalar(ring, v) for v in out)
 
-    def transpose(self) -> "PadicMatrix":
-        return PadicMatrix(self.ring, list(zip(*self.rows)))
-
     def trace(self) -> PadicScalar:
         acc = self.ring.zero
         for i in range(self.n):
@@ -264,17 +261,25 @@ class PadicMatrix:
         return PadicScalar(self.ring, self._det_raw())
 
     def inverse(self) -> "PadicMatrix":
-        ring, n = self.ring, self.n
+        ring = self.ring
         chi = self.char_poly_raw()
         if not ring.runit(chi[0]):
             raise NotInvertible("determinant is not a unit")
         # A * (A^{n-1} + c_{n-1} A^{n-2} + ... + c_1 I) = -c_0 I
-        acc = PadicMatrix.identity(ring, n)
-        for k in range(n - 1, 0, -1):
-            acc = self @ acc
-            acc = acc + PadicMatrix.identity(ring, n).scale(chi[k])
-        factor = ring.rneg(ring.rinv(chi[0]))
-        return acc.scale(factor)
+        return self.evaluate(chi[1:]).scale(ring.rneg(ring.rinv(chi[0])))
+
+    def evaluate(self, coeffs) -> "PadicMatrix":
+        """f(A) by Horner's rule on ascending coefficients; [] gives the zero matrix.
+
+        A coefficient is an int or a raw value of A's ring.
+        """
+        ring, n = self.ring, self.n
+        acc = PadicMatrix.zeros(ring, n)
+        for k, c in enumerate(reversed(coeffs)):
+            if k:
+                acc = acc @ self
+            acc = acc + PadicMatrix.diagonal(ring, [c] * n)
+        return acc
 
     def matrix_power(self, e: int) -> "PadicMatrix":
         """A^e by binary exponentiation; negative e inverts first."""
@@ -473,6 +478,26 @@ def vector_norm(ring: AnyRing, vector: Sequence) -> Norm:
     raws = [ring.scalar(v).raw for v in vector]
     val = min((ring.rval(v) for v in raws), default=ring.K)
     return Norm(ring.p, ring.K, val)
+
+
+def orbit_polynomial(ring: Zp, modulus, y) -> list[int]:
+    """prod (t - sigma^i(y)) for y in the unramified ring Z/p^K[X]/(modulus).
+
+    modulus is monic of degree m and y a coefficient list on 1, X, ..., X^(m-1).
+    The product over the Frobenius orbit is the characteristic polynomial of
+    multiplication by y, so it comes out of Berkowitz with Galois-fixed
+    (integer) coefficients.  For a Teichmuller y the conjugates are y^(p^i).
+    """
+    pk, m = ring.pk, len(modulus) - 1
+    column = [c % pk for c in y] + [0] * (m - len(y))
+    columns = []
+    for _ in range(m):
+        columns.append(column)
+        top = column[-1]  # X * column, reduced by the monic modulus
+        column = [(-top * modulus[0]) % pk] + [
+            (column[i - 1] - top * modulus[i]) % pk for i in range(1, m)
+        ]
+    return PadicMatrix(ring, list(zip(*columns))).char_poly_raw()
 
 
 def residue_matrix_order(U: PadicMatrix) -> int:

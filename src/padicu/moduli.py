@@ -83,9 +83,9 @@ def canonical_modulus(p: int, m: int, K: int) -> tuple[int, ...]:
     """Monic degree-m polynomial over Z/p^K whose roots are Teichmuller units.
 
     Built by moving the naive lift's generator X to its Teichmuller
-    representative X^alpha (alpha = 1 mod p^m - 1, 0 mod p^(K-1)) and expanding
-    the product over its Frobenius orbit; the coefficients come out
-    Galois-fixed, i.e. plain integers mod p^K.
+    representative y = X^alpha (alpha = 1 mod p^m - 1, 0 mod p^(K-1)) and
+    taking the product over its Frobenius orbit, the characteristic
+    polynomial of multiplication by y on Z/p^K[X]/(naive lift).
     """
     base = residue_modulus(p, m)
     pk = p**K
@@ -94,22 +94,16 @@ def canonical_modulus(p: int, m: int, K: int) -> tuple[int, ...]:
     y = fppoly.pow_mod([0, 1], alpha, naive, pk)
     if fppoly.pow_mod(y, p**m, naive, pk) != y:
         raise RuntimeError("Teichmuller generator is not fixed by x -> x^(p^m)")
-    conjugates = [y]
-    for _ in range(1, m):
-        conjugates.append(fppoly.pow_mod(conjugates[-1], p, naive, pk))
-    # expand prod (X - conj) with coefficients in the scaffold ring
-    coeffs = [[1]]
-    for c in conjugates:
-        neg = fppoly.sub([], c, pk)
-        new = [[] for _ in range(len(coeffs) + 1)]
-        for i, gc in enumerate(coeffs):
-            new[i + 1] = fppoly.add(new[i + 1], gc, pk)
-            prod = fppoly.divmod_poly(fppoly.mul(gc, neg, pk), naive, pk)[1]
-            new[i] = fppoly.add(new[i], prod, pk)
-        coeffs = new
-    if any(len(vec) > 1 for vec in coeffs):
-        raise RuntimeError("orbit product has a non-constant coefficient")
-    flat = [vec[0] if vec else 0 for vec in coeffs]
+    # moduli is imported by scalars, which matrices imports: bind late
+    from .matrices import orbit_polynomial
+    from .scalars import Zp
+
+    flat = orbit_polynomial(Zp(p, K), naive, y)
+    value = []  # flat(y) in the scaffold ring, by Horner's rule
+    for c in reversed(flat):
+        value = fppoly.add(fppoly.divmod_poly(fppoly.mul(value, y, pk), naive, pk)[1], [c], pk)
+    if value:
+        raise RuntimeError("orbit polynomial does not vanish at the Teichmuller generator")
     if flat[-1] != 1 or [c % p for c in flat] != [c % p for c in base]:
         raise RuntimeError("canonical modulus failed its reduction audit")
     return tuple(flat)

@@ -161,30 +161,19 @@ def exp_matrix(H: PadicMatrix, t, allow_extended_radius: bool = False) -> PadicM
     while J * mu * (p - 1) - (J - 1) < K * (p - 1):
         J += 1
     extra = factorial_valuation(max(J - 1, 0), p)
-    work = p ** (K + extra)
-    n = H.n
-    t0 = t_scalar.lift()
-    h_rows = [[v % work for v in row] for row in H.rows]
-    th_rows = [[(t0 * v) % work for v in row] for row in h_rows]
-    total = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    power = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    work_ring = Zp(p, K + extra)
+    th = PadicMatrix(work_ring, H.rows).scale(t_scalar.lift())
+    total = power = PadicMatrix.identity(work_ring, H.n)
     fact = 1
     for j in range(1, J):
-        power = [
-            [sum(power[i][k] * th_rows[k][c] for k in range(n)) % work for c in range(n)]
-            for i in range(n)
-        ]
+        power = power @ th
         fact *= j
-        v_fact = factorial_valuation(j, p)
-        pf = p**v_fact
-        unit_inv = pow(fact // pf, -1, work)
-        for i in range(n):
-            for c in range(n):
-                entry = power[i][c]
-                if entry % pf:
-                    raise ArithmeticError("inexact factorial division")  # unreachable
-                total[i][c] = (total[i][c] + (entry // pf) * unit_inv) % work
-    return PadicMatrix(ring, [[v % ring.pk for v in row] for row in total])
+        pf = p ** factorial_valuation(j, p)
+        if any(v % pf for row in power.rows for v in row):
+            raise ArithmeticError("inexact factorial division")  # unreachable
+        quotient = PadicMatrix(work_ring, [[v // pf for v in row] for row in power.rows])
+        total = total + quotient.scale(pow(fact // pf, -1, work_ring.pk))
+    return total.reduce(K)
 
 
 @dataclass(frozen=True)

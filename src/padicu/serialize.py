@@ -78,10 +78,10 @@ def _entry_to_wire(ring: AnyRing, raw):
     return [str(c) for c in raw]
 
 
-def _entry_from_wire(ring: AnyRing, wire):
+def _entry_from_wire(ring: AnyRing, wire, what: str = "matrix entry"):
     if isinstance(ring, Zp) or not isinstance(wire, list):
-        return ring.rfrom_int(read_int(wire, "matrix entry"))
-    return ring.scalar(tuple(read_int(c, "matrix entry") for c in wire)).raw
+        return ring.rfrom_int(read_int(wire, what))
+    return ring.scalar(tuple(read_int(c, what) for c in wire)).raw
 
 
 def matrix_to_doc(M: PadicMatrix) -> dict:
@@ -151,7 +151,9 @@ def wave_to_doc(psi: WaveFunction) -> dict:
 
 def wave_from_doc(doc: dict) -> WaveFunction:
     ring = ring_from_header(doc)
-    return WaveFunction(ring, [read_int(v, "wave value") for v in _need(doc, "values")])
+    return WaveFunction(
+        ring, [_entry_from_wire(ring, v, "wave value") for v in _need(doc, "values")]
+    )
 
 
 def spectral_datum_to_doc(datum: SpectralDatum) -> dict:

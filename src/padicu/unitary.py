@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 from . import fppoly, gm
 from .arith import teichmuller_exponent
 from .errors import InputError, NotAUnit, NotContinuous, NotTeichmuller, NotUnitary
-from .matrices import PadicMatrix, residue_matrix_order
-from .scalars import ONE_MINUS, AnyRing, PadicScalar, UnramRing, Zp, unram
+from .matrices import PadicMatrix, orbit_polynomial, residue_matrix_order
+from .scalars import ONE_MINUS, AnyRing, PadicScalar, UnramRing, Zp, horner, unram
 
 TEICHMULLER = "TEICHMULLER"
 CONTINUOUS = "CONTINUOUS"
@@ -190,25 +191,6 @@ def _to_base(base_ring: Zp, matrix: PadicMatrix) -> PadicMatrix:
     return PadicMatrix(base_ring, rows)
 
 
-def _embed_matrix(ring_d: UnramRing, U: PadicMatrix) -> PadicMatrix:
-    return PadicMatrix(ring_d, [[ring_d.rfrom_int(v) for v in row] for row in U.rows])
-
-
-def _eval_base_poly(coeffs, A: PadicMatrix) -> PadicMatrix:
-    acc = PadicMatrix.zeros(A.ring, A.n)
-    identity = PadicMatrix.identity(A.ring, A.n)
-    for c in reversed(coeffs):
-        acc = acc @ A + identity.scale(int(c))
-    return acc
-
-
-def _eval_base_poly_scalar(ring, coeffs, lam):
-    acc = ring.zero
-    for c in reversed(coeffs):
-        acc = ring.radd(ring.rmul(acc, lam), ring.rfrom_int(int(c)))
-    return acc
-
-
 def teichmuller_spectral(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> SpectralDatum:
     """Spectral decomposition of a Teichmuller-type matrix over Z_p.
 
@@ -229,15 +211,14 @@ def teichmuller_spectral(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> Spe
     chi = U.char_poly_raw()
     residue_chi = [c % p for c in chi]
     _, factors = fppoly.factor(residue_chi, p, seed=seed)
-    # orbit data: (ring, eigenvalues) per irreducible residue factor
+    # per irreducible residue factor: (ring, eigenvalues, multiplicity, orbit polynomial)
     raw_orbits = []
     for irr, mult in factors:
         d = len(irr) - 1
         if d == 1:
             lam_ring: AnyRing = ring
-            root = (-irr[0]) % p
-            lam = ring.rteichmuller(root)
-            eigenvalues = [lam]
+            eigenvalues = [ring.rteichmuller((-irr[0]) % p)]
+            factor_coeffs = orbit_polynomial(ring, (0, 1), eigenvalues)  # Z_p = Z_p[X]/(X)
         else:
             lam_ring = unram(p, K, d)
             res_ring = lam_ring.residue_ring()
@@ -249,28 +230,25 @@ def teichmuller_spectral(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> Spe
             eigenvalues = [lam]
             for _ in range(1, d):
                 eigenvalues.append(lam_ring.rpow(eigenvalues[-1], p))
-        factor_coeffs = _orbit_factor(lam_ring, eigenvalues)
+            factor_coeffs = orbit_polynomial(ring, lam_ring.modulus, lam)
         raw_orbits.append((lam_ring, eigenvalues, mult, factor_coeffs))
+    factor_values = [U.evaluate(factor) for _, _, _, factor in raw_orbits]
     orbits = []
     for i, (lam_ring, eigenvalues, mult, factor_coeffs) in enumerate(raw_orbits):
-        if isinstance(lam_ring, Zp):
-            U_local = U
-        else:
-            U_local = _embed_matrix(lam_ring, U)
-        identity = PadicMatrix.identity(lam_ring, U.n)
-        cross = identity
-        for i2, (_, _, _, other_factor) in enumerate(raw_orbits):
+        cross = PadicMatrix.identity(ring, U.n)
+        for i2, value in enumerate(factor_values):
             if i2 != i:
-                cross = cross @ _eval_base_poly(other_factor, U_local)
+                cross = cross @ value
+        cross = PadicMatrix.from_rows(lam_ring, cross.rows)
+        U_local = PadicMatrix.from_rows(lam_ring, U.rows)
+        identity = PadicMatrix.identity(lam_ring, U.n)
         projectors = []
         for t, lam in enumerate(eigenvalues):
             numerator = cross
             denominator = lam_ring.one
             for i2, (_, _, _, other_factor) in enumerate(raw_orbits):
                 if i2 != i:
-                    denominator = lam_ring.rmul(
-                        denominator, _eval_base_poly_scalar(lam_ring, other_factor, lam)
-                    )
+                    denominator = lam_ring.rmul(denominator, horner(lam_ring, other_factor, lam))
             for s, mu in enumerate(eigenvalues):
                 if s == t:
                     continue
@@ -302,42 +280,11 @@ def teichmuller_spectral(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> Spe
 
 def _roots_in_extension(irr: list[int], res_ring: UnramRing) -> list:
     """Brute-force roots of an F_p polynomial inside F_{p^d} (desk-scale fields)."""
-    p, d = res_ring.p, res_ring.m
-    roots = []
-    for code in range(p**d):
-        coeffs = []
-        c = code
-        for _ in range(d):
-            coeffs.append(c % p)
-            c //= p
-        x = tuple(coeffs)
-        acc = res_ring.zero
-        for coeff in reversed(irr):
-            acc = res_ring.radd(res_ring.rmul(acc, x), res_ring.rfrom_int(coeff))
-        if acc == res_ring.zero:
-            roots.append(x)
-    return roots
-
-
-def _orbit_factor(lam_ring: AnyRing, eigenvalues: list) -> list[int]:
-    """Expand prod (t - mu) over the orbit; coefficients are Galois-fixed ints."""
-    if isinstance(lam_ring, Zp):
-        coeffs = [lam_ring.rneg(eigenvalues[0]), 1]
-        return coeffs
-    acc = [lam_ring.one]
-    for mu in eigenvalues:
-        neg = lam_ring.rneg(mu)
-        new = [lam_ring.zero] * (len(acc) + 1)
-        for i, c in enumerate(acc):
-            new[i + 1] = lam_ring.radd(new[i + 1], c)
-            new[i] = lam_ring.radd(new[i], lam_ring.rmul(c, neg))
-        acc = new
-    out = []
-    for value in acc:
-        if not lam_ring.is_base_value(value):
-            raise ArithmeticError("orbit polynomial has a non-rational coefficient")
-        out.append(value[0])
-    return out
+    return [
+        x
+        for x in product(range(res_ring.p), repeat=res_ring.m)
+        if horner(res_ring, irr, x) == res_ring.zero
+    ]
 
 
 def spectral_decompose(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> SpectralDatum:

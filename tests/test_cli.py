@@ -421,3 +421,30 @@ def test_power_zp_over_extension_ring(t, upper, tmp_path, capsys):
     code, out = run_one_line("power-zp", doc, tmp_path, capsys)
     assert code == 0, out
     assert out["result"]["power"]["entries"] == [["1", "0"], [upper, "0"], ["0", "0"], ["1", "0"]]
+
+
+def test_idempotents_of_a_unit_product_split_the_zero_ring(tmp_path, capsys):
+    """f = -t, g = -t^2 - 3t at p = 3, j = 1: both shifted forms are constants,
+    so fg is a unit and the quotient by (p^j, fg) is the zero ring."""
+    doc = {"f": {"p": 3, "K": 1, "terms": [[1, "-1"]]},
+           "g": {"p": 3, "K": 1, "terms": [[1, "-3"], [2, "-1"]]}, "j": 1}
+    code, out = run_one_line("idempotents", doc, tmp_path, capsys)
+    assert code == 0, out
+    assert out["result"]["p1"] == [] and out["result"]["p2"] == []
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_measured_state_reads_back_as_psi(m, tmp_path, capsys):
+    """The state that measure writes parses as the psi of the next document."""
+    def value(*coeffs):
+        return str(coeffs[0]) if m == 1 else [str(c) for c in (coeffs + (0,) * m)[:m]]
+
+    projector = {"p": 3, "K": 2, "m": m, "n": 2,
+                 "entries": [value(1), value(0), value(0), value(0)]}
+    psi = {"p": 3, "K": 2, "m": m, "values": [value(4, 1, 2), value(5, 7, 1)]}
+    code, first = run_one_line("measure", {"projector": projector, "psi": psi}, tmp_path, capsys)
+    assert code == 0, first
+    state = first["result"]["state"]
+    code, second = run_one_line("measure", {"projector": projector, "psi": state}, tmp_path, capsys)
+    assert code == 0, second
+    assert second["result"]["state"] == state

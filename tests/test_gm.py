@@ -271,3 +271,25 @@ def test_sylvester_4x4_closed_form_matches_berkowitz():
             assert gm._det_and_adjugate_last_row(
                 rows, ring
             ) == gm._berkowitz_det_and_adjugate_last_row(rows, ring)
+
+
+def test_evaluate_matrix_with_negative_low_matches_inverse_powers():
+    """f(U) against sum c_e U^e, each U^e a product of |e| copies of U or U.inverse()."""
+    from padicu.sampling import random_unitary
+    from padicu.scalars import UnramRing
+
+    rng = random.Random(71)
+    base = Zp(5, 3)
+    for ring in (base, UnramRing(5, 3, 2)):
+        for n in (1, 2, 3):
+            U = random_unitary(ring, n, rng)
+            inv = U.inverse()
+            for low in (-3, -1, 0, 2):
+                coeffs = [rng.randrange(1, base.pk) for _ in range(4)]
+                expected = PadicMatrix.zeros(ring, n)
+                for i, c in enumerate(coeffs):
+                    power = PadicMatrix.identity(ring, n)
+                    for _ in range(abs(low + i)):
+                        power = power @ (inv if low + i < 0 else U)
+                    expected = expected + power.scale(c)
+                assert L(base, coeffs, low=low).evaluate_matrix(U) == expected

@@ -266,3 +266,26 @@ def test_smith_divisors_match_determinantal_oracle():
         for k in range(1, 4):
             partial = sum(profile.divisors[:k])
             assert min(partial, j) == minor_gcd_val_capped(lifted, k, 3, j)
+
+
+def _sum_of_powers(A, coeffs):
+    """Oracle for f(A): sum of c_k * A^k with each power from matrix_power."""
+    total = PadicMatrix.zeros(A.ring, A.n)
+    for k, c in enumerate(coeffs):
+        total = total + A.matrix_power(k).scale(c)
+    return total
+
+
+@pytest.mark.parametrize("ring", [Zp(5, 3), UnramRing(3, 2, 2)], ids=["Zp", "UnramRing"])
+def test_evaluate_matches_sum_of_powers(ring):
+    rng = random.Random(61)
+    for n in (1, 2, 3):
+        A = random_matrix(ring, n, rng)
+        assert A.evaluate([]) == PadicMatrix.zeros(ring, n)
+        assert A.evaluate([7]) == PadicMatrix.identity(ring, n).scale(7)
+        for length in range(1, 6):
+            ints = [rng.randrange(-ring.pk, ring.pk) for _ in range(length)]
+            assert A.evaluate(ints) == _sum_of_powers(A, ints)
+            raws = [random_matrix(ring, 1, rng).rows[0][0] for _ in range(length)]
+            assert A.evaluate(raws) == _sum_of_powers(A, raws)
+

@@ -364,3 +364,33 @@ def test_galois_twist_preserves_char_poly():
     twisted = unitary.galois_act(datum, 1)
     assert twisted.char_poly() == u_s.char_poly()
     assert unitary.classify(twisted).is_teichmuller
+
+
+def _horner_scalar(x, coeffs):
+    """Oracle: f(x) with the scalar class's own + and *."""
+    acc = x.ring.scalar(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@pytest.mark.parametrize("p,K,n", [(3, 4, 4), (5, 6, 4), (7, 5, 4), (5, 20, 6)])
+def test_orbit_polynomials_vanish_on_their_frobenius_orbits(p, K, n):
+    """Each orbit factor is monic of the orbit's degree, reduces to a residue
+    factor of chi mod p, and vanishes at every Frobenius image of its eigenvalue."""
+    from padicu import fppoly
+    from padicu.scalars import PadicScalar
+
+    rng = random.Random(p * 100 + K)
+    ring = Zp(p, K)
+    for _ in range(3):
+        u = random_teichmuller(ring, n, rng)
+        _, residue_factors = fppoly.factor([c % p for c in u.char_poly_raw()], p)
+        for orbit in unitary.teichmuller_spectral(u).orbits:
+            factor = list(orbit.factor)
+            assert len(factor) == orbit.degree + 1 and factor[-1] == 1
+            assert [c % p for c in factor] in [irr for irr, _ in residue_factors]
+            image = PadicScalar(orbit.ring, orbit.eigenvalues[0])
+            for _ in range(orbit.degree):
+                assert _horner_scalar(image, factor) == 0
+                image = image.frobenius()
