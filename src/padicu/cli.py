@@ -53,9 +53,9 @@ def cmd_spectral(doc):
 
 
 def cmd_galois_act(doc):
-    datum = unitary.teichmuller_spectral(_matrix(doc), seed=_seed(doc))
+    u = _matrix(doc)
     k = serialize.int_field(doc, "k")
-    return {"acted": serialize.matrix_to_doc(unitary.galois_act(datum, k))}
+    return {"acted": serialize.matrix_to_doc(unitary.galois_act(u, k))}
 
 
 def cmd_power_zp(doc):

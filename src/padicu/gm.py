@@ -552,9 +552,11 @@ def principal_exponent(arg, j: int) -> PrincipalExponent:
     reduced = U.reduce(j)
     p = reduced.ring.p
     identity = PadicMatrix.identity(reduced.ring, reduced.n)
+    power = reduced.matrix_power(N)  # U^(p^l N), one p-th power per step
     for l in range(j + U.n + 2):
-        if reduced.matrix_power(p**l * N) == identity:
+        if power == identity:
             return PrincipalExponent(p**l * N, l, N)
+        power = power.matrix_power(p)
     raise ArithmeticError("principal exponent search failed; precision exhausted")
 
 

@@ -125,9 +125,6 @@ class PadicMatrix:
     def entry(self, i: int, j: int) -> PadicScalar:
         return PadicScalar(self.ring, self.rows[i][j])
 
-    def entries(self) -> list[list[PadicScalar]]:
-        return [[PadicScalar(self.ring, v) for v in row] for row in self.rows]
-
     def _check(self, other: "PadicMatrix"):
         if self.ring != other.ring:
             raise PrecisionMismatch(f"{self.ring} vs {other.ring}")
@@ -195,12 +192,6 @@ class PadicMatrix:
                 acc = ring.radd(acc, ring.rmul(a, x))
             out.append(acc)
         return tuple(PadicScalar(ring, v) for v in out)
-
-    def trace(self) -> PadicScalar:
-        acc = self.ring.zero
-        for i in range(self.n):
-            acc = self.ring.radd(acc, self.rows[i][i])
-        return PadicScalar(self.ring, acc)
 
     # -- norms ------------------------------------------------------------
     def min_valuation(self) -> int:
@@ -282,16 +273,19 @@ class PadicMatrix:
         return acc
 
     def matrix_power(self, e: int) -> "PadicMatrix":
-        """A^e by binary exponentiation; negative e inverts first."""
+        """A^e by left-to-right binary exponentiation; negative e inverts first.
+
+        An L-bit e with w one-bits costs L - 1 squarings and w - 1 products by A.
+        """
         if e < 0:
             return self.inverse().matrix_power(-e)
-        result = PadicMatrix.identity(self.ring, self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            base = base @ base
-            e >>= 1
+        if e == 0:
+            return PadicMatrix.identity(self.ring, self.n)
+        result = self
+        for bit in bin(e)[3:]:
+            result = result @ result
+            if bit == "1":
+                result = result @ self
         return result
 
     # -- precision / residue / Galois ---------------------------------------
@@ -469,9 +463,6 @@ class SmithProfile:
 
     def kernel_dimension(self) -> int:
         return sum(1 for d in self.divisors if d > 0)
-
-    def cokernel_divisors(self) -> tuple[int, ...]:
-        return self.divisors
 
 
 def vector_norm(ring: AnyRing, vector: Sequence) -> Norm:

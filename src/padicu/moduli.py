@@ -6,15 +6,10 @@ At working precision K each entry is lifted to the unique monic polynomial
 over Z/p^K whose roots are Teichmuller elements; in the quotient ring the
 class of X is then an exact Teichmuller generator and X -> X^p induces the
 exact Frobenius endomorphism.
-
-The table can be overridden with the PADICU_MODULUS_TABLE environment
-variable pointing at a JSON file of {"p,m": [c0, c1, ..., 1]} entries.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from functools import lru_cache
 
 from . import fppoly
@@ -22,8 +17,6 @@ from .arith import teichmuller_exponent
 from .errors import InputError
 
 TABLE_VERSION = "cw1"
-
-_ENV_TABLE = "PADICU_MODULUS_TABLE"
 
 # Ascending coefficients, leading coefficient 1.  Verified primitive and
 # irreducible by tests/test_moduli.py.
@@ -43,35 +36,18 @@ _CONWAY: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 
-def _load_table() -> dict[tuple[int, int], tuple[int, ...]]:
-    path = os.environ.get(_ENV_TABLE)
-    if not path:
-        return _CONWAY
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    table = {}
-    for key, coeffs in raw.items():
-        p_str, m_str = key.split(",")
-        table[(int(p_str), int(m_str))] = tuple(int(c) for c in coeffs)
-    return table
-
-
 def has_entry(p: int, m: int) -> bool:
-    return (p, m) in _load_table()
+    return (p, m) in _CONWAY
 
 
 def residue_modulus(p: int, m: int) -> tuple[int, ...]:
     """Defining polynomial of F_{p^m} over F_p from the shipped table."""
-    table = _load_table()
     try:
-        poly = table[(p, m)]
+        return _CONWAY[(p, m)]
     except KeyError:
         raise InputError(
             f"no modulus shipped for p={p}, m={m}; table covers p in {{3,5,7}}, m <= 4"
         ) from None
-    if poly[-1] != 1 or not fppoly.is_irreducible([c % p for c in poly], p):
-        raise InputError(f"modulus table entry for p={p}, m={m} is not monic irreducible")
-    return poly
 
 
 def modulus_id(p: int, m: int) -> str:

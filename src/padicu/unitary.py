@@ -10,7 +10,9 @@ U_s of U = U_s U_n.  Nothing is factored and no residue order is searched.
 Spectral data for a Teichmuller-type matrix lives per Frobenius orbit: each
 irreducible residue factor of degree d contributes d eigenvalues in the
 degree-d unramified ring, and the Lagrange denominators are units because
-distinct Teichmuller elements are distance 1 apart.
+distinct Teichmuller elements are distance 1 apart.  Frobenius sigma acts on
+Teichmuller eigenvalues as lambda -> lambda^p, so it carries pi_lambda to
+pi_(lambda^p), and the Galois twist sum sigma^k(lambda) pi_lambda is U^(p^k).
 """
 
 from __future__ import annotations
@@ -33,6 +35,18 @@ PROFINITE_MIXED = "PROFINITE_MIXED"
 def _require_unitary(U: PadicMatrix):
     if not U.is_unitary():
         raise NotUnitary("operator must have unit determinant and integral entries")
+
+
+def _require_base_teichmuller(U: PadicMatrix):
+    """The checks behind spectral data: unitary, over Z_p, and of Teichmuller type."""
+    _require_unitary(U)
+    if not isinstance(U.ring, Zp):
+        raise InputError(
+            "spectral decomposition is supported for base-ring operators; "
+            "extension-ring eigenvalues would leave the shipped modulus table"
+        )
+    if not classify(U).is_teichmuller:
+        raise NotTeichmuller("operator is not of Teichmuller type")
 
 
 def residual_order(U: PadicMatrix) -> int:
@@ -117,25 +131,13 @@ class SpectralDatum:
             total = total + proj
         return _to_base(self.base_ring, total)
 
-    def identity_sum(self) -> PadicMatrix:
-        total = PadicMatrix.zeros(self.base_ring, self.n)
-        for i in range(len(self.orbits)):
-            total = total + self.orbit_projector(i)
-        return total
-
     def reconstruct(self) -> PadicMatrix:
         """Sum of eigenvalue * projector over every orbit, assembled over Z_p."""
-        return self.galois_image(0)
-
-    def galois_image(self, k: int) -> PadicMatrix:
-        """Sum of sigma^k(eigenvalue) * projector: the Galois twist of the operator."""
         total = PadicMatrix.zeros(self.base_ring, self.n)
         for orbit in self.orbits:
-            d = orbit.degree
             partial = PadicMatrix.zeros(orbit.ring, self.n)
-            for t, proj in enumerate(orbit.projectors):
-                lam_twisted = orbit.eigenvalues[(t + k) % d]
-                partial = partial + proj.scale(lam_twisted)
+            for lam, proj in zip(orbit.eigenvalues, orbit.projectors):
+                partial = partial + proj.scale(lam)
             total = total + _to_base(self.base_ring, partial)
         return total
 
@@ -147,7 +149,11 @@ class SpectralDatum:
 
     def verify(self, expected: PadicMatrix | None = None) -> bool:
         n = self.n
-        if self.identity_sum() != PadicMatrix.identity(self.base_ring, n):
+        base_projectors = [self.orbit_projector(i) for i in range(len(self.orbits))]
+        total = PadicMatrix.zeros(self.base_ring, n)
+        for P in base_projectors:
+            total = total + P
+        if total != PadicMatrix.identity(self.base_ring, n):
             return False
         if expected is not None and self.reconstruct() != expected:
             return False
@@ -164,7 +170,6 @@ class SpectralDatum:
                 if proj.frobenius_map() != orbit.projectors[(t + 1) % d]:
                     return False
         # cross-orbit orthogonality through the Galois-fixed orbit projectors
-        base_projectors = [self.orbit_projector(i) for i in range(len(self.orbits))]
         for i, P in enumerate(base_projectors):
             for j2, Q in enumerate(base_projectors):
                 product = P @ Q
@@ -196,17 +201,11 @@ def teichmuller_spectral(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> Spe
 
     The residue characteristic polynomial factors into Frobenius orbits; each
     orbit's eigenvalues are Teichmuller lifts inside the degree-d unramified
-    ring, and the projectors are Lagrange products with unit denominators.
+    ring.  The projector of an orbit's first eigenvalue is a Lagrange product
+    with a unit denominator; the others are its Frobenius images.
     """
-    _require_unitary(U)
+    _require_base_teichmuller(U)
     ring = U.ring
-    if not isinstance(ring, Zp):
-        raise InputError(
-            "spectral decomposition is supported for base-ring operators; "
-            "extension-ring eigenvalues would leave the shipped modulus table"
-        )
-    if not classify(U).is_teichmuller:
-        raise NotTeichmuller("operator is not of Teichmuller type")
     p, K = ring.p, ring.K
     chi = U.char_poly_raw()
     residue_chi = [c % p for c in chi]
@@ -242,22 +241,21 @@ def teichmuller_spectral(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> Spe
         cross = PadicMatrix.from_rows(lam_ring, cross.rows)
         U_local = PadicMatrix.from_rows(lam_ring, U.rows)
         identity = PadicMatrix.identity(lam_ring, U.n)
-        projectors = []
-        for t, lam in enumerate(eigenvalues):
-            numerator = cross
-            denominator = lam_ring.one
-            for i2, (_, _, _, other_factor) in enumerate(raw_orbits):
-                if i2 != i:
-                    denominator = lam_ring.rmul(denominator, horner(lam_ring, other_factor, lam))
-            for s, mu in enumerate(eigenvalues):
-                if s == t:
-                    continue
-                shifted = U_local - identity.scale(mu)
-                numerator = numerator @ shifted
-                denominator = lam_ring.rmul(denominator, lam_ring.rsub(lam, mu))
-            if not lam_ring.runit(denominator):
-                raise NotAUnit("Lagrange denominator is not a unit")  # unreachable
-            projectors.append(numerator.scale(lam_ring.rinv(denominator)))
+        lam = eigenvalues[0]
+        denominator = lam_ring.one
+        for i2, (_, _, _, other_factor) in enumerate(raw_orbits):
+            if i2 != i:
+                denominator = lam_ring.rmul(denominator, horner(lam_ring, other_factor, lam))
+        numerator = cross
+        for mu in eigenvalues[1:]:
+            numerator = numerator @ (U_local - identity.scale(mu))
+            denominator = lam_ring.rmul(denominator, lam_ring.rsub(lam, mu))
+        if not lam_ring.runit(denominator):
+            raise NotAUnit("Lagrange denominator is not a unit")  # unreachable
+        # sigma fixes U and the cross factor and maps lambda to lambda^p
+        projectors = [numerator.scale(lam_ring.rinv(denominator))]
+        for _ in range(1, len(eigenvalues)):
+            projectors.append(projectors[-1].frobenius_map())
         orbits.append(
             SpectralOrbit(
                 ring=lam_ring,
@@ -296,9 +294,16 @@ def spectral_decompose(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> Spect
     )
 
 
-def galois_act(datum: SpectralDatum, k: int) -> PadicMatrix:
-    """Apply sigma^k through the spectral datum: sum of sigma^k(lambda) pi_lambda."""
-    return datum.galois_image(k)
+def galois_act(U: PadicMatrix, k: int) -> PadicMatrix:
+    """sigma^k on a Teichmuller operator: sum of sigma^k(lambda) pi_lambda = U^(p^k).
+
+    U^M = I for the prime-to-p exponent M = gcd(E, alpha - 1), and p is a
+    unit mod M, so p^k is taken mod M and a negative k needs no inverse.
+    """
+    _require_base_teichmuller(U)
+    p = U.ring.p
+    alpha, E = teichmuller_exponent(p, p, U.ring.K, U.n)
+    return U.matrix_power(pow(p, k, math.gcd(E, alpha - 1)))
 
 
 # -- one-parameter group --------------------------------------------------------

@@ -6,7 +6,9 @@ import random
 
 import pytest
 
-from padicu import cli
+from padicu import cli, fppoly, unitary
+from padicu.matrices import PadicMatrix
+from padicu.scalars import Zp
 
 
 def run_cli(command, doc, tmp_path, capsys):
@@ -448,3 +450,18 @@ def test_measured_state_reads_back_as_psi(m, tmp_path, capsys):
     code, second = run_one_line("measure", {"projector": projector, "psi": state}, tmp_path, capsys)
     assert code == 0, second
     assert second["result"]["state"] == state
+
+
+def test_galois_act_on_a_degree_five_residue_factor(tmp_path, capsys):
+    """x^5 + 2x + 1 is irreducible mod 3: no shipped modulus, yet sigma is the cube."""
+    assert fppoly.is_irreducible([1, 2, 0, 0, 0, 1], 3)
+    ring = Zp(3, 3)
+    u, _ = unitary.jordan_decompose(PadicMatrix.companion(ring, [1, 2, 0, 0, 0]))
+    doc = {"matrix": matrix_doc([list(row) for row in u.rows]), "k": 1}
+    code, out = run_one_line("galois-act", doc, tmp_path, capsys)
+    assert code == 0, out
+    acted = out["result"]["acted"]["entries"]
+    assert acted == [str(v) for row in (u @ u @ u).rows for v in row]
+    code, out = run_one_line("galois-act", dict(doc, k=5), tmp_path, capsys)
+    assert code == 0, out
+    assert out["result"]["acted"]["entries"] == [str(v) for row in u.rows for v in row]

@@ -5,6 +5,8 @@ from itertools import product
 
 import pytest
 
+from padicu import matrices
+from padicu.arith import teichmuller_exponent
 from padicu.errors import NotInvertible
 from padicu.matrices import PadicMatrix, vector_norm
 from padicu.sampling import random_matrix, random_unitary
@@ -27,6 +29,32 @@ def test_matrix_power_rotation():
     assert r.matrix_power(4) == PadicMatrix.identity(ring, 2)
     assert r.matrix_power(0) == PadicMatrix.identity(ring, 2)
     assert r.matrix_power(-1) == r.inverse()
+
+
+def test_matrix_power_product_count(monkeypatch):
+    """An L-bit exponent with w one-bits costs L - 1 squarings and w - 1 products."""
+    calls = []
+    real = matrices._matmul
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    ring = Zp(5, 20)
+    u = random_unitary(ring, 6, random.Random(5))
+    alpha, _ = teichmuller_exponent(5, 5, 20, 6)
+    assert (alpha.bit_length(), bin(alpha).count("1")) == (75, 41)
+    monkeypatch.setattr(matrices, "_matmul", counted)
+    assert u.matrix_power(1) == u and len(calls) == 0
+    for j in range(1, 6):
+        calls.clear()
+        u.matrix_power(2**j)
+        assert len(calls) == j
+    calls.clear()
+    power = u.matrix_power(alpha)
+    assert len(calls) == 114
+    monkeypatch.undo()
+    assert power == u.matrix_power(alpha // 2) @ u.matrix_power(alpha - alpha // 2)
 
 
 def test_inverse_requires_unit_determinant():

@@ -1,7 +1,5 @@
 """Checks on the shipped modulus table and its canonical lifts."""
 
-import json
-
 import pytest
 
 from padicu import fppoly, moduli
@@ -55,16 +53,6 @@ def test_unknown_entry_rejected():
         moduli.residue_modulus(11, 2)
     with pytest.raises(InputError):
         moduli.residue_modulus(3, 5)
-
-
-def test_env_override(tmp_path, monkeypatch):
-    table = {"3,2": [2, 2, 1]}
-    path = tmp_path / "table.json"
-    path.write_text(json.dumps(table))
-    monkeypatch.setenv("PADICU_MODULUS_TABLE", str(path))
-    assert moduli.residue_modulus(3, 2) == (2, 2, 1)
-    with pytest.raises(InputError):
-        moduli.residue_modulus(5, 2)
 
 
 def _fixed_point_generator(p, m, K):

@@ -204,16 +204,55 @@ def test_spectral_random_audit():
 def test_galois_act_examples():
     ring = Zp(5, 3)
     u = M(ring, [[1, 0], [0, -1]])
-    datum = unitary.teichmuller_spectral(u)
-    assert unitary.galois_act(datum, 0) == u
-    assert unitary.galois_act(datum, 1) == u  # -1 is Frobenius-fixed
+    assert unitary.galois_act(u, 0) == u
+    assert unitary.galois_act(u, 1) == u  # -1 is Frobenius-fixed
     mixed_ring = Zp(3, 2)
     u_s, _ = unitary.jordan_decompose(M(mixed_ring, [[1, 1], [1, 0]]))
-    datum2 = unitary.teichmuller_spectral(u_s)
-    assert unitary.galois_act(datum2, 2) == u_s  # full orbit degree
-    twisted = unitary.galois_act(datum2, 1)
+    assert unitary.galois_act(u_s, 2) == u_s  # full orbit degree
+    twisted = unitary.galois_act(u_s, 1)
     assert twisted != u_s
-    assert unitary.galois_act(datum2, 1) @ u_s == u_s @ twisted  # commuting family
+    assert twisted @ u_s == u_s @ twisted  # commuting family
+    assert unitary.galois_act(twisted, -1) == u_s
+
+
+def test_galois_act_runs_the_spectral_checks():
+    with pytest.raises(NotUnitary):
+        unitary.galois_act(M(Zp(3, 2), [[3, 0], [0, 1]]), 1)
+    with pytest.raises(InputError):
+        unitary.galois_act(PadicMatrix.identity(UnramRing(3, 2, 2), 2), 1)
+    with pytest.raises(NotTeichmuller):
+        unitary.galois_act(M(Zp(3, 2), [[1, 1], [0, 1]]), 1)
+
+
+def _orbit_sum_over_zp(base, partial):
+    """Oracle: a Galois-fixed matrix over an orbit ring, read back over Z_p."""
+    if isinstance(partial.ring, Zp):
+        return partial
+    rows = []
+    for row in partial.rows:
+        assert all(not any(value[1:]) for value in row)
+        rows.append([value[0] for value in row])
+    return PadicMatrix(base, rows)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_galois_act_matches_twisted_spectral_sum(p):
+    """Oracle: sum of sigma^k(lambda_t) P_t built here from the orbits, not by a power."""
+    rng = random.Random(70 + p)
+    ring = Zp(p, 3)
+    for n in range(1, 5):
+        for _ in range(2):
+            u = random_teichmuller(ring, n, rng)
+            orbits = unitary.teichmuller_spectral(u).orbits
+            for k in range(-2, 5):
+                total = PadicMatrix.zeros(ring, n)
+                for orbit in orbits:
+                    d = orbit.degree
+                    partial = PadicMatrix.zeros(orbit.ring, n)
+                    for t, proj in enumerate(orbit.projectors):
+                        partial = partial + proj.scale(orbit.eigenvalues[(t + k) % d])
+                    total = total + _orbit_sum_over_zp(ring, partial)
+                assert unitary.galois_act(u, k) == total
 
 
 def test_spectral_decompose_attaches_unipotent():
@@ -360,8 +399,7 @@ def test_power_zp_equals_integer_power_oracle():
 def test_galois_twist_preserves_char_poly():
     ring = Zp(3, 2)
     u_s, _ = unitary.jordan_decompose(M(ring, [[1, 1], [1, 0]]))
-    datum = unitary.teichmuller_spectral(u_s)
-    twisted = unitary.galois_act(datum, 1)
+    twisted = unitary.galois_act(u_s, 1)
     assert twisted.char_poly() == u_s.char_poly()
     assert unitary.classify(twisted).is_teichmuller
 
