@@ -110,14 +110,51 @@ def ext_gcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], l
 
 
 def pow_mod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    r = [1]
+    """a^e mod f for e >= 0, by left-to-right binary exponentiation.
+
+    A residue mod f is packed into one int, d = deg f coefficients in base
+    2^s (Kronecker substitution), so a square is one big-int product and a
+    one-bit multiplies by the packed base, a shift when the base is t.  The
+    product's d - 1 high coefficients are reduced mod p and folded back
+    through the packed t^d, ..., t^(2d-2) mod f; every sum stays below
+    2d(p-1)^2 < 2^s, and each output coefficient takes one `% p`.
+    """
+    if e == 0:
+        return [1]
     b = divmod_poly(a, f, p)[1]
-    while e:
-        if e & 1:
-            r = divmod_poly(mul(r, b, p), f, p)[1]
-        b = divmod_poly(mul(b, b, p), f, p)[1]
-        e >>= 1
-    return r
+    d = len(f) - 1
+    if not b:
+        return b
+    s = (2 * d * (p - 1) ** 2).bit_length()
+    mask = (1 << s) - 1
+    low_mask = (1 << (s * d)) - 1
+    shifts = [s * i for i in range(d)]
+    high = [s * i for i in range(d, 2 * d - 1)]
+
+    def pack(c: list[int]) -> int:
+        return sum(v << k for v, k in zip(c, shifts))
+
+    folds = []
+    power = divmod_poly([0] * d + [1], f, p)[1]  # t^d mod f, then t times it
+    for _ in range(d - 1):
+        folds.append(pack(power))
+        power = divmod_poly([0] + power, f, p)[1]
+
+    def reduce(y: int) -> int:
+        low = y & low_mask
+        for k, fold in zip(high, folds):
+            c = ((y >> k) & mask) % p
+            if c:
+                low += c * fold
+        return pack([((low >> k) & mask) % p for k in shifts])
+
+    x = packed_b = pack(b)
+    shift = b == [0, 1]
+    for bit in bin(e)[3:]:
+        x = reduce(x * x)
+        if bit == "1":
+            x = reduce(x << s if shift else x * packed_b)
+    return trim([(x >> k) & mask for k in shifts])
 
 
 def evaluate(a: list[int], x: int, p: int) -> int:

@@ -6,6 +6,13 @@ API boundary.  Everything is exact modulo p^K: the characteristic polynomial
 is computed division-free (Berkowitz), inversion goes through the
 Cayley-Hamilton adjugate, and the Smith form uses minimal-valuation pivoting,
 which is enough over the local ring Z/p^j.
+
+Cayley-Hamilton also makes every function of a Z_p matrix a polynomial of
+degree < n in it: A^e is (t^e mod chi_A)(A), so a 150-bit exponent costs one
+char poly, a polynomial power mod chi_A and at most n - 2 products.  Over an
+extension ring, products pack each m-tuple into one int (Kronecker
+substitution), so an entry is one big-int dot product reduced once by the
+modulus.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import fppoly
 from .errors import NotInvertible, PrecisionMismatch
 from .scalars import AnyRing, PadicScalar, Zp
 
@@ -262,23 +270,33 @@ class PadicMatrix:
     def evaluate(self, coeffs) -> "PadicMatrix":
         """f(A) by Horner's rule on ascending coefficients; [] gives the zero matrix.
 
-        A coefficient is an int or a raw value of A's ring.
+        A coefficient is an int or a raw value of A's ring.  A polynomial of
+        degree d costs d - 1 matrix products: the first Horner step is a scaling.
         """
         ring, n = self.ring, self.n
-        acc = PadicMatrix.zeros(ring, n)
-        for k, c in enumerate(reversed(coeffs)):
-            if k:
-                acc = acc @ self
-            acc = acc + PadicMatrix.diagonal(ring, [c] * n)
+        if not coeffs:
+            return PadicMatrix.zeros(ring, n)
+        if len(coeffs) == 1:
+            return PadicMatrix.diagonal(ring, [coeffs[0]] * n)
+        acc = self.scale(coeffs[-1]) + PadicMatrix.diagonal(ring, [coeffs[-2]] * n)
+        for c in reversed(coeffs[:-2]):
+            acc = acc @ self + PadicMatrix.diagonal(ring, [c] * n)
         return acc
 
     def matrix_power(self, e: int) -> "PadicMatrix":
-        """A^e by left-to-right binary exponentiation; negative e inverts first.
+        """A^e; a negative e inverts first.
 
-        An L-bit e with w one-bits costs L - 1 squarings and w - 1 products by A.
+        Over Z_p, Cayley-Hamilton holds mod p^K, so A^e = r(A) with
+        r = t^e mod chi_A: one char poly and at most n - 2 products for any e.
+        Over an extension ring it is left-to-right binary exponentiation: an
+        L-bit e with w one-bits costs L - 1 squarings and w - 1 products by A.
         """
         if e < 0:
             return self.inverse().matrix_power(-e)
+        if isinstance(self.ring, Zp):
+            if e < self.n:
+                return self.evaluate([0] * e + [1])
+            return self.evaluate(fppoly.pow_mod([0, 1], e, self.char_poly_raw(), self.ring.pk))
         if e == 0:
             return PadicMatrix.identity(self.ring, self.n)
         result = self
@@ -395,16 +413,40 @@ def _dot(ring, xs, ys):
     return acc
 
 
-def _matmul(ring, A, B, n=None):
-    n = len(A) if n is None else n
+def _matmul(ring, A, B):
+    pk = ring.pk
+    Bt = list(zip(*B))
     if isinstance(ring, Zp):
-        pk = ring.pk
-        Bt = list(zip(*B))
         return tuple(
             tuple(sum(a * b for a, b in zip(row, col)) % pk for col in Bt) for row in A
         )
-    Bt = list(zip(*B))
-    return tuple(tuple(_dot(ring, row, col) for col in Bt) for row in A)
+    # Kronecker substitution: an m-tuple is one int in base 2^s.  A dot product
+    # of packed ints holds the 2m - 1 coefficients of the unreduced polynomial
+    # sum, each at most n*m*(p^K - 1)^2 < 2^s, so none carries into the next.
+    m, f = ring.m, ring.modulus
+    s = (len(A) * m * (pk - 1) ** 2).bit_length()
+    mask = (1 << s) - 1
+    shifts = [s * i for i in range(2 * m - 1)]
+
+    def pack(v):
+        return sum(c << k for c, k in zip(v, shifts))
+
+    rows = [[pack(v) for v in row] for row in A]
+    cols = [[pack(v) for v in col] for col in Bt]
+    out = []
+    for row in rows:
+        out_row = []
+        for col in cols:
+            x = sum(a * b for a, b in zip(row, col))
+            c = [(x >> k) & mask for k in shifts]
+            for i in range(2 * m - 2, m - 1, -1):  # reduce by the monic modulus
+                q = c[i] % pk
+                if q:
+                    for j in range(m):
+                        c[i - m + j] -= q * f[j]
+            out_row.append(tuple(v % pk for v in c[:m]))
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 def _exact_div(ring, value, pd: int):

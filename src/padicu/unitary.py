@@ -5,7 +5,12 @@ divides E = M * p^A, where M = lcm(q^d - 1, d <= n) is the prime-to-p exponent
 of GL_n(F_q) and p^A bounds the p-part at this precision.  The exponents
 p^(k!) are eventually 1 mod M and 0 mod p^A, so the limit is U^alpha for the
 alpha with those residues (`arith.teichmuller_exponent`): the Teichmuller part
-U_s of U = U_s U_n.  Nothing is factored and no residue order is searched.
+U_s of U = U_s U_n.  Nothing is factored and no residue order is searched,
+and the powers U^E and U^alpha are (t^e mod chi_U)(U) (`matrix_power`).
+`spectral_decompose` passes the Jordan datum along: after the pro-finite
+audit on U, U_s = U^alpha is Teichmuller because alpha^2 = alpha mod E, so it
+is not classified again.  `power_zp` runs its binomial series in
+Z/p^K[t]/(chi_U) and evaluates it at U once.
 
 Spectral data for a Teichmuller-type matrix lives per Frobenius orbit: each
 irreducible residue factor of degree d contributes d eigenvalues in the
@@ -37,16 +42,34 @@ def _require_unitary(U: PadicMatrix):
         raise NotUnitary("operator must have unit determinant and integral entries")
 
 
-def _require_base_teichmuller(U: PadicMatrix):
-    """The checks behind spectral data: unitary, over Z_p, and of Teichmuller type."""
+def _require_base_unitary(U: PadicMatrix):
+    """Unitary and over Z_p: what every spectral decomposition needs."""
     _require_unitary(U)
     if not isinstance(U.ring, Zp):
         raise InputError(
             "spectral decomposition is supported for base-ring operators; "
             "extension-ring eigenvalues would leave the shipped modulus table"
         )
+
+
+def _require_base_teichmuller(U: PadicMatrix):
+    """The checks behind spectral data: unitary, over Z_p, and of Teichmuller type."""
+    _require_base_unitary(U)
     if not classify(U).is_teichmuller:
         raise NotTeichmuller("operator is not of Teichmuller type")
+
+
+def _audited_exponents(U: PadicMatrix) -> tuple[int, int]:
+    """(alpha, E) for U, after the pro-finite audit U^E = I.
+
+    The audit checks the one fact the closed form relies on: the order of U
+    divides E.
+    """
+    ring = U.ring
+    alpha, E = teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, U.n)
+    if U.matrix_power(E) != PadicMatrix.identity(ring, U.n):
+        raise ArithmeticError("unitary matrix failed the pro-finite audit")
+    return alpha, E
 
 
 def residual_order(U: PadicMatrix) -> int:
@@ -64,20 +87,12 @@ class UnitaryClass:
 
 
 def classify(U: PadicMatrix) -> UnitaryClass:
-    """Compare the factorial sigma-power limit U^alpha with U and with I.
-
-    The pro-finite audit U^E = I checks the one fact the closed form relies
-    on: the order of U divides E.
-    """
+    """Compare the factorial sigma-power limit U^alpha with U and with I."""
     _require_unitary(U)
-    ring = U.ring
-    identity = PadicMatrix.identity(ring, U.n)
-    alpha, E = teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, U.n)
-    if U.matrix_power(E) != identity:
-        raise ArithmeticError("unitary matrix failed the pro-finite audit")
+    alpha, _ = _audited_exponents(U)
     limit = U.matrix_power(alpha)
     is_teich = limit == U
-    is_cont = limit == identity
+    is_cont = limit == PadicMatrix.identity(U.ring, U.n)
     kind = TEICHMULLER if is_teich else CONTINUOUS if is_cont else PROFINITE_MIXED
     return UnitaryClass(kind, limit, is_teich, is_cont)
 
@@ -205,6 +220,11 @@ def teichmuller_spectral(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> Spe
     with a unit denominator; the others are its Frobenius images.
     """
     _require_base_teichmuller(U)
+    return _teichmuller_spectral(U, seed)
+
+
+def _teichmuller_spectral(U: PadicMatrix, seed: int) -> SpectralDatum:
+    """The body of `teichmuller_spectral`, for a U that passed its checks."""
     ring = U.ring
     p, K = ring.p, ring.K
     chi = U.char_poly_raw()
@@ -286,9 +306,16 @@ def _roots_in_extension(irr: list[int], res_ring: UnramRing) -> list:
 
 
 def spectral_decompose(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> SpectralDatum:
-    """Full pipeline on any unitary: Jordan split, then the Teichmuller spectrum."""
+    """Full pipeline on any unitary: Jordan split, then the Teichmuller spectrum.
+
+    After the pro-finite audit U^E = I, U_s = U^alpha is of Teichmuller type
+    by construction (alpha^2 = alpha mod E), so it is not classified again;
+    the spectral body still verifies its reconstruction of U_s.
+    """
+    _require_base_unitary(U)
+    _audited_exponents(U)
     u_s, u_n = jordan_decompose(U)
-    datum = teichmuller_spectral(u_s, seed=seed)
+    datum = _teichmuller_spectral(u_s, seed)
     return SpectralDatum(
         base_ring=datum.base_ring, n=datum.n, orbits=datum.orbits, unipotent=u_n
     )
@@ -310,11 +337,12 @@ def galois_act(U: PadicMatrix, k: int) -> PadicMatrix:
 
 
 def power_zp(U: PadicMatrix, t) -> PadicMatrix:
-    """U^t for t in Z_p via the binomial series in (U - I).
+    """U^t for t in Z_p via the binomial series sum C(t, k) (U - I)^k.
 
-    Continuous type makes U - I topologically nilpotent, so the series
-    terminates at the first vanishing power; binomial coefficients of the
-    integer representative are exact integers, reduced mod p^K.
+    The series runs in Z/p^K[t]/(chi_U) and is evaluated at U once.  Continuous
+    type makes chi_U = (t - 1)^n + p*g, so (t - 1)^(nK) = 0 there and the
+    series ends; binomial coefficients of the integer representative are exact
+    integers, reduced mod p^K.
     """
     cls = classify(U)
     if not cls.is_continuous:
@@ -326,20 +354,28 @@ def power_zp(U: PadicMatrix, t) -> PadicMatrix:
         t0 = t.raw
     else:
         t0 = int(t) % ring.pk
-    n = U.n
-    identity = PadicMatrix.identity(ring, n)
-    delta = U - identity
-    total = PadicMatrix.zeros(ring, n)
-    term = identity
+    n, zero = U.n, ring.zero
+    chi = U.char_poly_raw()  # monic, so t^n = -(chi[0] + ... + chi[n-1] t^(n-1))
+    term = [ring.one] + [zero] * (n - 1)  # (t - 1)^k mod chi, ascending
+    total = [zero] * n
+    binomial = 1  # C(t0, k), exact
     k = 0
     cap = n * ring.K + 2
-    while not term.is_zero():
-        total = total + term.scale(math.comb(t0, k))
-        term = term @ delta
+    while any(v != zero for v in term):
+        c = ring.rfrom_int(binomial)
+        total = [ring.radd(a, ring.rmul(c, v)) for a, v in zip(total, term)]
+        binomial = binomial * (t0 - k) // (k + 1)
+        top = term[-1]
+        term = [
+            ring.rsub(ring.rsub(lower, v), ring.rmul(top, chi_i))
+            for lower, v, chi_i in zip([zero] + term[:-1], term, chi)
+        ]
         k += 1
         if k > cap:
             raise ArithmeticError("binomial series failed to terminate")
-    return total
+    while total and total[-1] == zero:
+        total.pop()
+    return U.evaluate(total)
 
 
 def zp_unit_action(U: PadicMatrix, alpha) -> PadicMatrix:

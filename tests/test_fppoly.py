@@ -72,6 +72,24 @@ def test_ext_gcd_identity():
         assert fppoly.divmod_poly(b, g, p)[1] == []
 
 
+@pytest.mark.parametrize("p,K", [(3, 1), (5, 2), (7, 30)])
+def test_pow_mod_against_naive_over_prime_powers(p, K):
+    """Packed squaring against repeated mul/divmod, for degrees 1..8 and non-monic f."""
+    rng = random.Random(p * K)
+    pk = p**K
+    for d in range(1, 9):
+        for lead in (1, 2):
+            f = [rng.randrange(pk) for _ in range(d)] + [lead]
+            for a in ([0, 1], fppoly.trim([rng.randrange(pk) for _ in range(d + 3)]), [pk - 1] * 3):
+                naive = [1]
+                for e in range(3 * d + 4):
+                    assert fppoly.pow_mod(a, e, f, pk) == fppoly.divmod_poly(naive, f, pk)[1]
+                    naive = fppoly.mul(naive, a, pk)
+                e1, e2 = rng.getrandbits(100), rng.getrandbits(60)
+                product = fppoly.mul(fppoly.pow_mod(a, e1, f, pk), fppoly.pow_mod(a, e2, f, pk), pk)
+                assert fppoly.pow_mod(a, e1 + e2, f, pk) == fppoly.divmod_poly(product, f, pk)[1]
+
+
 def test_pow_mod_against_naive():
     p = 5
     f = [2, 0, 1, 1]  # modulus

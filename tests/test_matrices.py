@@ -31,8 +31,8 @@ def test_matrix_power_rotation():
     assert r.matrix_power(-1) == r.inverse()
 
 
-def test_matrix_power_product_count(monkeypatch):
-    """An L-bit exponent with w one-bits costs L - 1 squarings and w - 1 products."""
+def test_zp_matrix_power_costs_at_most_n_minus_1_products(monkeypatch):
+    """A Z_p power is r(A) for r = t^e mod chi_A: at most n - 1 products for any e."""
     calls = []
     real = matrices._matmul
 
@@ -41,20 +41,81 @@ def test_matrix_power_product_count(monkeypatch):
         return real(*args, **kwargs)
 
     ring = Zp(5, 20)
-    u = random_unitary(ring, 6, random.Random(5))
-    alpha, _ = teichmuller_exponent(5, 5, 20, 6)
+    n = 6
+    u = random_unitary(ring, n, random.Random(5))
+    alpha, E = teichmuller_exponent(5, 5, 20, n)
     assert (alpha.bit_length(), bin(alpha).count("1")) == (75, 41)
     monkeypatch.setattr(matrices, "_matmul", counted)
-    assert u.matrix_power(1) == u and len(calls) == 0
-    for j in range(1, 6):
+    exponents = list(range(n + 2)) + [2**j for j in range(1, 12)]
+    exponents += [alpha, E, random.Random(6).getrandbits(200)]
+    powers = {}
+    for e in exponents:
         calls.clear()
-        u.matrix_power(2**j)
-        assert len(calls) == j
-    calls.clear()
-    power = u.matrix_power(alpha)
-    assert len(calls) == 114
+        powers[e] = u.matrix_power(e)
+        assert len(calls) <= n - 1, e
     monkeypatch.undo()
-    assert power == u.matrix_power(alpha // 2) @ u.matrix_power(alpha - alpha // 2)
+    assert powers[1] == u
+    assert powers[alpha] == u.matrix_power(alpha // 2) @ u.matrix_power(alpha - alpha // 2)
+
+
+def _binary_power(A, e):
+    """Oracle: right-to-left square-and-multiply on `@`, sharing no code with matrix_power."""
+    if e < 0:
+        A, e = A.inverse(), -e
+    result = PadicMatrix.identity(A.ring, A.n)
+    while e:
+        if e & 1:
+            result = result @ A
+        A = A @ A
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize(
+    "ring,n",
+    [(Zp(3, 4), 3), (Zp(5, 20), 6), (Zp(7, 30), 8), (UnramRing(3, 4, 2), 3), (UnramRing(5, 3, 3), 2)],
+    ids=["3-4-3", "5-20-6", "7-30-8", "3-4-m2-3", "5-3-m3-2"],
+)
+def test_matrix_power_matches_binary_oracle(ring, n):
+    rng = random.Random(ring.p * 100 + n)
+    alpha, E = teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, n)
+    for _ in range(2):
+        u = random_unitary(ring, n, rng)
+        for e in (-3, 0, 1, n - 1, n, alpha, E, rng.getrandbits(200)):
+            assert u.matrix_power(e) == _binary_power(u, e), e
+    a = random_matrix(ring, n, rng)  # need not be unitary
+    for e in (0, 1, n - 1, n, 2 * n + 1, alpha):
+        assert a.matrix_power(e) == _binary_power(a, e), e
+
+
+def _entrywise_matmul(ring, A, B):
+    """Oracle: one rmul and one radd per entry pair, as the ring defines them."""
+    n = len(A)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ring.zero
+            for k in range(n):
+                acc = ring.radd(acc, ring.rmul(A[i][k], B[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_packed_extension_matmul_matches_entrywise(p, m):
+    """Kronecker-packed products, including all-(p^K - 1) entries, the widest sums."""
+    rng = random.Random(p * 10 + m)
+    for K in (1, 2, 20, 30):
+        ring = UnramRing(p, K, m)
+        top = (ring.pk - 1,) * m
+        for n in (1, 2, 8):
+            full = PadicMatrix(ring, [[top] * n for _ in range(n)])
+            a, b = random_matrix(ring, n, rng), random_matrix(ring, n, rng)
+            for x, y in ((a, b), (full, full), (full, a), (b, full)):
+                assert (x @ y).rows == _entrywise_matmul(ring, x.rows, y.rows)
 
 
 def test_inverse_requires_unit_determinant():

@@ -189,6 +189,29 @@ def test_spectral_requires_teichmuller():
     ring = Zp(3, 2)
     with pytest.raises(NotTeichmuller):
         unitary.teichmuller_spectral(M(ring, [[1, 1], [0, 1]]))
+    mixed = M(ring, [[1, 1], [1, 0]])
+    assert unitary.classify(mixed).kind == unitary.PROFINITE_MIXED
+    with pytest.raises(NotTeichmuller):
+        unitary.teichmuller_spectral(mixed)
+
+
+@pytest.mark.parametrize("p,K,n", [(3, 3, 3), (5, 4, 3), (7, 6, 3), (5, 20, 4)])
+def test_spectral_decompose_equals_spectrum_of_teichmuller_part(p, K, n):
+    """Passing the Jordan datum along must give what the public checked path gives."""
+    rng = random.Random(p * K + n)
+    ring = Zp(p, K)
+    for make in (random_unitary, random_continuous, random_teichmuller):
+        u = make(ring, n, rng)
+        u_s, u_n = unitary.jordan_decompose(u)
+        datum = unitary.spectral_decompose(u)
+        reference = unitary.teichmuller_spectral(u_s)
+        assert datum.unipotent == u_n
+        assert len(datum.orbits) == len(reference.orbits)
+        for got, want in zip(datum.orbits, reference.orbits):
+            assert got.ring == want.ring
+            assert got.eigenvalues == want.eigenvalues
+            assert got.projectors == want.projectors
+            assert (got.multiplicity, got.factor) == (want.multiplicity, want.factor)
 
 
 def test_spectral_random_audit():
@@ -394,6 +417,22 @@ def test_power_zp_equals_integer_power_oracle():
         u = random_continuous(ring, 2, rng)
         t = rng.randrange(ring.pk)
         assert unitary.power_zp(u, t) == u.matrix_power(t)
+
+
+def test_power_zp_over_an_extension_ring_equals_integer_powers():
+    ring = UnramRing(3, 3, 2)
+    rng = random.Random(54)
+    gen = teichmuller_lift(ring, (0, 1))
+    for _ in range(4):
+        s = random_unitary(ring, 2, rng)
+        noise = PadicMatrix.from_rows(ring, [[3 * rng.randrange(9), gen], [0, 3 * rng.randrange(9)]])
+        u = s @ (PadicMatrix.identity(ring, 2) + noise) @ s.inverse()
+        assert unitary.classify(u).is_continuous
+        for t in (0, 1, 2, 5, 26):
+            power = PadicMatrix.identity(ring, 2)
+            for _ in range(t):
+                power = power @ u
+            assert unitary.power_zp(u, t) == power
 
 
 def test_galois_twist_preserves_char_poly():
