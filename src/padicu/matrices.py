@@ -82,14 +82,20 @@ class SeminormResult:
 
 
 class PadicMatrix:
-    """Immutable n x n matrix with sup norm; unitary means unit determinant."""
+    """Immutable n x n matrix with sup norm; unitary means unit determinant.
 
-    __slots__ = ("ring", "n", "rows")
+    The characteristic polynomial is computed on first use and kept on the
+    object, so the determinant, the inverse and every power share one
+    Berkowitz run.
+    """
+
+    __slots__ = ("ring", "n", "rows", "_chi")
 
     def __init__(self, ring: AnyRing, rows):
         self.ring = ring
         self.rows = tuple(tuple(r) for r in rows)
         self.n = len(self.rows)
+        self._chi = None
         for r in self.rows:
             if len(r) != self.n:
                 raise ValueError("matrix must be square")
@@ -221,7 +227,13 @@ class PadicMatrix:
 
     # -- char poly / det / inverse -----------------------------------------
     def char_poly_raw(self) -> list:
-        """Ascending coefficients of det(tI - A), computed division-free (Berkowitz)."""
+        """Ascending coefficients of det(tI - A), as a new list on every call."""
+        if self._chi is None:
+            self._chi = tuple(self._berkowitz())
+        return list(self._chi)
+
+    def _berkowitz(self) -> list:
+        """det(tI - A), computed division-free (Berkowitz)."""
         ring, rows, n = self.ring, self.rows, self.n
         if n == 0:
             return [ring.one]

@@ -125,9 +125,6 @@ class Zp:
             raise ValueError(f"target precision {j} outside [1, {self.K}]")
         return Zp(self.p, j)
 
-    def residue_ring(self) -> "Zp":
-        return Zp(self.p, 1)
-
     # -- scalar construction --------------------------------------------
     def scalar(self, value) -> "PadicScalar":
         if isinstance(value, PadicScalar):
@@ -296,9 +293,6 @@ class UnramRing:
         if not 1 <= j <= self.K:
             raise ValueError(f"target precision {j} outside [1, {self.K}]")
         return UnramRing(self.p, j, self.m)
-
-    def residue_ring(self) -> "UnramRing":
-        return UnramRing(self.p, 1, self.m)
 
     def scalar(self, value) -> "PadicScalar":
         """A scalar of this ring; Z_p scalars at the same (p, K) and ints are embedded."""

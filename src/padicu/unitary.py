@@ -14,17 +14,24 @@ Z/p^K[t]/(chi_U) and evaluates it at U once.
 
 Spectral data for a Teichmuller-type matrix lives per Frobenius orbit: each
 irreducible residue factor of degree d contributes d eigenvalues in the
-degree-d unramified ring, and the Lagrange denominators are units because
-distinct Teichmuller elements are distance 1 apart.  Frobenius sigma acts on
-Teichmuller eigenvalues as lambda -> lambda^p, so it carries pi_lambda to
-pi_(lambda^p), and the Galois twist sum sigma^k(lambda) pi_lambda is U^(p^k).
+degree-d unramified ring.  One root of the factor in F_{p^d} comes from
+Cantor-Zassenhaus splitting in F_{p^d}[T] (`_orbit_roots`), the others are
+its Frobenius images, and the least one lifts to the orbit's first
+eigenvalue, so the choice does not depend on the random splitting.  U is
+semisimple, so its minimal polynomial m is the product of the orbit
+polynomials, and the projector onto lambda is L(U) / L(lambda) with
+L = m / (t - lambda): one combination of U^0, ..., U^(deg m - 1), whose
+denominator m'(lambda) is a unit because distinct Teichmuller elements are
+distance 1 apart.  Frobenius sigma acts on Teichmuller eigenvalues as
+lambda -> lambda^p, so it carries pi_lambda to pi_(lambda^p), and the
+Galois twist sum sigma^k(lambda) pi_lambda is U^(p^k).
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
-from itertools import product
 
 from . import fppoly, gm
 from .arith import teichmuller_exponent
@@ -216,8 +223,12 @@ def teichmuller_spectral(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> Spe
 
     The residue characteristic polynomial factors into Frobenius orbits; each
     orbit's eigenvalues are Teichmuller lifts inside the degree-d unramified
-    ring.  The projector of an orbit's first eigenvalue is a Lagrange product
-    with a unit denominator; the others are its Frobenius images.
+    ring, the lift of the least root in F_{p^d} and its Frobenius images.  U is
+    semisimple, so its minimal polynomial m is the product of the orbit
+    polynomials, and the projector of an orbit's first eigenvalue lambda is
+    L(U) / L(lambda) with L = m / (t - lambda); the others are its Frobenius
+    images.  The seed drives the randomized factoring and root finding; the
+    datum does not depend on it.
     """
     _require_base_teichmuller(U)
     return _teichmuller_spectral(U, seed)
@@ -226,54 +237,44 @@ def teichmuller_spectral(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> Spe
 def _teichmuller_spectral(U: PadicMatrix, seed: int) -> SpectralDatum:
     """The body of `teichmuller_spectral`, for a U that passed its checks."""
     ring = U.ring
-    p, K = ring.p, ring.K
-    chi = U.char_poly_raw()
-    residue_chi = [c % p for c in chi]
-    _, factors = fppoly.factor(residue_chi, p, seed=seed)
+    p, K, pk = ring.p, ring.K, ring.pk
+    _, factors = fppoly.factor([c % p for c in U.char_poly_raw()], p, seed=seed)
+    rng = random.Random(seed)
     # per irreducible residue factor: (ring, eigenvalues, multiplicity, orbit polynomial)
     raw_orbits = []
     for irr, mult in factors:
         d = len(irr) - 1
         if d == 1:
             lam_ring: AnyRing = ring
-            eigenvalues = [ring.rteichmuller((-irr[0]) % p)]
-            factor_coeffs = orbit_polynomial(ring, (0, 1), eigenvalues)  # Z_p = Z_p[X]/(X)
+            lam = ring.rteichmuller((-irr[0]) % p)
+            factor_coeffs = [ring.rneg(lam), 1]
         else:
             lam_ring = unram(p, K, d)
-            res_ring = lam_ring.residue_ring()
-            roots = _roots_in_extension(irr, res_ring)
-            if len(roots) != d:
-                raise ArithmeticError("irreducible factor did not split in its orbit field")
-            canonical = min(roots)
+            canonical = min(_orbit_roots(irr, unram(p, 1, d), rng))
             lam = lam_ring.rteichmuller(lam_ring.rlift_residue(canonical))
-            eigenvalues = [lam]
-            for _ in range(1, d):
-                eigenvalues.append(lam_ring.rpow(eigenvalues[-1], p))
             factor_coeffs = orbit_polynomial(ring, lam_ring.modulus, lam)
+        eigenvalues = [lam]
+        for _ in range(1, d):
+            eigenvalues.append(lam_ring.rpow(eigenvalues[-1], p))
         raw_orbits.append((lam_ring, eigenvalues, mult, factor_coeffs))
-    factor_values = [U.evaluate(factor) for _, _, _, factor in raw_orbits]
+    minimal = [1]
+    for *_, factor_coeffs in raw_orbits:
+        minimal = fppoly.mul(minimal, factor_coeffs, pk)
+    slope = fppoly.derivative(minimal, pk)
+    powers = [PadicMatrix.identity(ring, U.n)]  # U^0, ..., U^(deg m - 1)
+    while len(powers) < len(minimal) - 1:
+        powers.append(U if len(powers) == 1 else powers[-1] @ U)
     orbits = []
-    for i, (lam_ring, eigenvalues, mult, factor_coeffs) in enumerate(raw_orbits):
-        cross = PadicMatrix.identity(ring, U.n)
-        for i2, value in enumerate(factor_values):
-            if i2 != i:
-                cross = cross @ value
-        cross = PadicMatrix.from_rows(lam_ring, cross.rows)
-        U_local = PadicMatrix.from_rows(lam_ring, U.rows)
-        identity = PadicMatrix.identity(lam_ring, U.n)
+    for lam_ring, eigenvalues, mult, factor_coeffs in raw_orbits:
         lam = eigenvalues[0]
-        denominator = lam_ring.one
-        for i2, (_, _, _, other_factor) in enumerate(raw_orbits):
-            if i2 != i:
-                denominator = lam_ring.rmul(denominator, horner(lam_ring, other_factor, lam))
-        numerator = cross
-        for mu in eigenvalues[1:]:
-            numerator = numerator @ (U_local - identity.scale(mu))
-            denominator = lam_ring.rmul(denominator, lam_ring.rsub(lam, mu))
-        if not lam_ring.runit(denominator):
-            raise NotAUnit("Lagrange denominator is not a unit")  # unreachable
-        # sigma fixes U and the cross factor and maps lambda to lambda^p
-        projectors = [numerator.scale(lam_ring.rinv(denominator))]
+        # L = m / (t - lambda) by synthetic division, scaled by 1 / L(lambda) = 1 / m'(lambda)
+        inv_slope = lam_ring.rinv(horner(lam_ring, slope, lam))
+        quotient = [lam_ring.one]
+        for c in reversed(minimal[1:-1]):
+            quotient.append(lam_ring.radd(lam_ring.rfrom_int(c), lam_ring.rmul(lam, quotient[-1])))
+        coeffs = [lam_ring.rmul(inv_slope, c) for c in reversed(quotient)]
+        # sigma fixes U and m and maps lambda to lambda^p
+        projectors = [_combine_powers(lam_ring, coeffs, powers)]
         for _ in range(1, len(eigenvalues)):
             projectors.append(projectors[-1].frobenius_map())
         orbits.append(
@@ -296,13 +297,89 @@ def _teichmuller_spectral(U: PadicMatrix, seed: int) -> SpectralDatum:
     return datum
 
 
-def _roots_in_extension(irr: list[int], res_ring: UnramRing) -> list:
-    """Brute-force roots of an F_p polynomial inside F_{p^d} (desk-scale fields)."""
-    return [
-        x
-        for x in product(range(res_ring.p), repeat=res_ring.m)
-        if horner(res_ring, irr, x) == res_ring.zero
-    ]
+def _combine_powers(ring: AnyRing, coeffs: list, powers: list[PadicMatrix]) -> PadicMatrix:
+    """sum c_k A_k over ring, for raw values c_k of ring and Z_p matrices A_k."""
+    pk, n = ring.pk, powers[0].n
+    entries = zip(*(sum(A.rows, ()) for A in powers))  # per entry, its values in A_0, A_1, ...
+    if isinstance(ring, Zp):
+        values = [sum(c * x for c, x in zip(coeffs, entry)) % pk for entry in entries]
+    else:
+        columns = list(zip(*coeffs))  # per coordinate of ring, its value in each c_k
+        values = [
+            tuple(sum(c * x for c, x in zip(column, entry)) % pk for column in columns)
+            for entry in entries
+        ]
+    return PadicMatrix(ring, [values[i * n : (i + 1) * n] for i in range(n)])
+
+
+def _orbit_roots(irr: list[int], field: UnramRing, rng: random.Random) -> list:
+    """The roots in F_q = F_{p^d} of an irreducible degree-d polynomial over F_p.
+
+    Cantor-Zassenhaus (1981): for a random a in F_q, gcd(g, (T + a)^((q-1)/2) - 1)
+    keeps the roots r of g with r + a a nonzero square, so it splits g about in
+    half.  The splitting stops at one linear factor, since the other roots are
+    its Frobenius images.  Polynomials in T are ascending lists of the field's
+    raw values, and g stays monic, so reducing mod g needs no inversion.
+    """
+    g = [field.rfrom_int(c) for c in irr]
+    half = (field.residue_cardinality - 1) // 2
+    while len(g) > 2:
+        a = tuple(rng.randrange(field.p) for _ in range(field.m))
+        base = [a, field.one]
+        power = base
+        for bit in bin(half)[3:]:
+            power = _poly_mulmod(field, power, power, g)
+            if bit == "1":
+                power = _poly_mulmod(field, power, base, g)
+        # (T + a)^((q-1)/2) - 1 mod g; the power is not 0, as g is squarefree of degree >= 2
+        shifted = _poly_trim(field, [field.rsub(power[0], field.one)] + power[1:])
+        h = _poly_gcd(field, g, shifted)
+        if 1 < len(h) < len(g):
+            g = h
+    roots = [field.rneg(g[0])]
+    for _ in range(1, len(irr) - 1):
+        roots.append(field.rfrob(roots[-1]))
+    if len(set(roots)) != len(irr) - 1 or horner(field, irr, roots[0]) != field.zero:
+        raise ArithmeticError("irreducible factor did not split in its orbit field")  # unreachable
+    return roots
+
+
+# Polynomials over F_q for `_orbit_roots`: ascending lists of raw field values.
+
+
+def _poly_trim(field: UnramRing, a: list) -> list:
+    while a and a[-1] == field.zero:
+        a.pop()
+    return a
+
+
+def _poly_rem(field: UnramRing, a: list, g: list) -> list:
+    """a mod the monic g."""
+    a, d = list(a), len(g) - 1
+    for top in range(len(a) - 1, d - 1, -1):
+        c = a[top]
+        if c != field.zero:
+            for k in range(d):
+                a[top - d + k] = field.rsub(a[top - d + k], field.rmul(c, g[k]))
+    return _poly_trim(field, a[:d])
+
+
+def _poly_mulmod(field: UnramRing, a: list, b: list, g: list) -> list:
+    """a * b mod the monic g."""
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = field.radd(out[i + j], field.rmul(x, y))
+    return _poly_rem(field, out, g)
+
+
+def _poly_gcd(field: UnramRing, g: list, r: list) -> list:
+    """The monic gcd of the monic g and r."""
+    while r:
+        inv = field.rinv(r[-1])
+        g, r = [field.rmul(inv, c) for c in r], g
+        r = _poly_rem(field, r, g)
+    return g
 
 
 def spectral_decompose(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> SpectralDatum:

@@ -313,6 +313,29 @@ def test_char_poly_against_cofactor_oracle():
         assert [c.lift() for c in A.char_poly()] == expected[: n + 1]
 
 
+def test_char_poly_is_computed_once_per_matrix(monkeypatch):
+    """classify reads chi_U three times (determinant, U^E, U^alpha) but runs Berkowitz once."""
+    from padicu import unitary
+
+    runs = []
+    berkowitz = PadicMatrix._berkowitz
+
+    def counted(self):
+        runs.append(self)
+        return berkowitz(self)
+
+    monkeypatch.setattr(PadicMatrix, "_berkowitz", counted)
+    u = random_unitary(Zp(5, 6), 4, random.Random(3))
+    unitary.classify(u)
+    unitary.jordan_decompose(u)
+    assert sum(1 for m in runs if m is u) == 1
+    chi = u.char_poly_raw()
+    assert chi == berkowitz(u)
+    chi[0] += 1  # a caller's list is its own
+    assert u.char_poly_raw() == berkowitz(u)
+    assert u.char_poly_raw() is not u.char_poly_raw()
+
+
 def test_smith_divisors_match_determinantal_oracle():
     """Independent oracle: gcds of k x k integer minors have valuation sum(d_i, i <= k).
 
