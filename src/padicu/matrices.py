@@ -84,18 +84,31 @@ class SeminormResult:
 class PadicMatrix:
     """Immutable n x n matrix with sup norm; unitary means unit determinant.
 
-    The characteristic polynomial is computed on first use and kept on the
-    object, so the determinant, the inverse and every power share one
-    Berkowitz run.
+    Four slots are filled lazily and kept on the object, a memo per matrix
+    rather than a cache keyed by value.  A matrix starts with all four empty.
+    - `_chi`: the characteristic polynomial, filled by `char_poly_raw`, so
+      the determinant, the inverse and every power share one Berkowitz run.
+    - `_audited`: True once the pro-finite audit U^E = I has passed, set by
+      `unitary._audit` (through `classify` and `spectral_decompose`).  A
+      failed audit raises and is never recorded.
+    - `_teich`: the Teichmuller part U_s = U^alpha, filled by
+      `unitary._teichmuller_part` (through `classify` and `jordan_decompose`).
+    - `_unipotent`: the continuous part U_n = U U_s^-1, filled only by
+      `unitary.jordan_decompose`.
+    `matrix_power` reads `_chi` and fills nothing else: a memo per exponent
+    would grow with every exponent a caller asks for.
     """
 
-    __slots__ = ("ring", "n", "rows", "_chi")
+    __slots__ = ("ring", "n", "rows", "_chi", "_audited", "_teich", "_unipotent")
 
     def __init__(self, ring: AnyRing, rows):
         self.ring = ring
         self.rows = tuple(tuple(r) for r in rows)
         self.n = len(self.rows)
         self._chi = None
+        self._audited = False
+        self._teich = None
+        self._unipotent = None
         for r in self.rows:
             if len(r) != self.n:
                 raise ValueError("matrix must be square")

@@ -152,7 +152,7 @@ class UnramRing:
     endomorphism (the Frobenius).
     """
 
-    __slots__ = ("p", "K", "m", "pk", "modulus", "modulus_id", "_frob_images")
+    __slots__ = ("p", "K", "m", "pk", "modulus", "modulus_id", "_frob_rows")
 
     def __init__(self, p: int, K: int, m: int):
         check_odd_prime(p)
@@ -166,7 +166,7 @@ class UnramRing:
         self.pk = p**K
         self.modulus = moduli.canonical_modulus(p, m, K)
         self.modulus_id = moduli.modulus_id(p, m)
-        self._frob_images = None
+        self._frob_rows = None
 
     # -- raw ops (m-tuples of ints) --------------------------------------
     @property
@@ -259,17 +259,15 @@ class UnramRing:
         return r
 
     def rfrob(self, a):
-        if self._frob_images is None:
+        """sigma(sum a_i X^i) = sum a_i X^(ip): one dot product per coordinate."""
+        if self._frob_rows is None:
             xp = self.rpow(self.generator, self.p)
-            images = [self.one]
+            images = [self.one]  # X^(ip) for i < m
             for _ in range(1, self.m):
                 images.append(self.rmul(images[-1], xp))
-            self._frob_images = tuple(images)
-        acc = self.zero
-        for coeff, image in zip(a, self._frob_images):
-            if coeff:
-                acc = self.radd(acc, tuple((coeff * x) % self.pk for x in image))
-        return acc
+            self._frob_rows = tuple(zip(*images))  # row j: coordinate j of each image
+        pk = self.pk
+        return tuple(sum(c * x for c, x in zip(a, row)) % pk for row in self._frob_rows)
 
     def rreduce(self, a, j: int):
         pj = self.p**j

@@ -7,10 +7,13 @@ p^(k!) are eventually 1 mod M and 0 mod p^A, so the limit is U^alpha for the
 alpha with those residues (`arith.teichmuller_exponent`): the Teichmuller part
 U_s of U = U_s U_n.  Nothing is factored and no residue order is searched,
 and the powers U^E and U^alpha are (t^e mod chi_U)(U) (`matrix_power`).
-`spectral_decompose` passes the Jordan datum along: after the pro-finite
-audit on U, U_s = U^alpha is Teichmuller because alpha^2 = alpha mod E, so it
-is not classified again.  `power_zp` runs its binomial series in
-Z/p^K[t]/(chi_U) and evaluates it at U once.
+The Jordan datum stays on the matrix: the passed audit U^E = I, U_s and U_n
+fill slots of U (see `PadicMatrix`), so the chain classify -> jordan ->
+spectral_decompose or power_zp pays for U^E, U^alpha and U_s^-1 once.
+`spectral_decompose` passes the datum along: after the pro-finite audit on
+U, U_s = U^alpha is Teichmuller because alpha^2 = alpha mod E, so it is not
+classified again.  `power_zp` runs its binomial series in Z/p^K[t]/(chi_U)
+and evaluates it at U once.
 
 Spectral data for a Teichmuller-type matrix lives per Frobenius orbit: each
 irreducible residue factor of degree d contributes d eigenvalues in the
@@ -25,6 +28,12 @@ denominator m'(lambda) is a unit because distinct Teichmuller elements are
 distance 1 apart.  Frobenius sigma acts on Teichmuller eigenvalues as
 lambda -> lambda^p, so it carries pi_lambda to pi_(lambda^p), and the
 Galois twist sum sigma^k(lambda) pi_lambda is U^(p^k).
+
+The same symmetry makes the audit of an orbit cheap.  sigma acts entrywise
+as a ring automorphism, so sigma(AB) = sigma(A) sigma(B); once the chain
+sigma(P_t) = P_(t+1 mod d) holds, P_s P_t = sigma^s(P_0 P_(t-s mod d)), and
+the d products P_0 P_k cover all d^2 in-orbit identities
+(`SpectralDatum.verify`).
 """
 
 from __future__ import annotations
@@ -66,17 +75,31 @@ def _require_base_teichmuller(U: PadicMatrix):
         raise NotTeichmuller("operator is not of Teichmuller type")
 
 
-def _audited_exponents(U: PadicMatrix) -> tuple[int, int]:
-    """(alpha, E) for U, after the pro-finite audit U^E = I.
+def _exponents(U: PadicMatrix) -> tuple[int, int]:
+    """(alpha, E) for U's ring and size (`arith.teichmuller_exponent`)."""
+    ring = U.ring
+    return teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, U.n)
+
+
+def _audit(U: PadicMatrix) -> None:
+    """The pro-finite audit U^E = I, run once per matrix.
 
     The audit checks the one fact the closed form relies on: the order of U
-    divides E.
+    divides E.  A pass is recorded on U; a failure raises and records nothing.
     """
-    ring = U.ring
-    alpha, E = teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, U.n)
-    if U.matrix_power(E) != PadicMatrix.identity(ring, U.n):
-        raise ArithmeticError("unitary matrix failed the pro-finite audit")
-    return alpha, E
+    if not U._audited:
+        _, E = _exponents(U)
+        if U.matrix_power(E) != PadicMatrix.identity(U.ring, U.n):
+            raise ArithmeticError("unitary matrix failed the pro-finite audit")
+        U._audited = True
+
+
+def _teichmuller_part(U: PadicMatrix) -> PadicMatrix:
+    """U_s = U^alpha, computed once per matrix and kept on it."""
+    if U._teich is None:
+        alpha, _ = _exponents(U)
+        U._teich = U.matrix_power(alpha)
+    return U._teich
 
 
 def residual_order(U: PadicMatrix) -> int:
@@ -96,8 +119,8 @@ class UnitaryClass:
 def classify(U: PadicMatrix) -> UnitaryClass:
     """Compare the factorial sigma-power limit U^alpha with U and with I."""
     _require_unitary(U)
-    alpha, _ = _audited_exponents(U)
-    limit = U.matrix_power(alpha)
+    _audit(U)
+    limit = _teichmuller_part(U)
     is_teich = limit == U
     is_cont = limit == PadicMatrix.identity(U.ring, U.n)
     kind = TEICHMULLER if is_teich else CONTINUOUS if is_cont else PROFINITE_MIXED
@@ -108,14 +131,13 @@ def jordan_decompose(U: PadicMatrix) -> tuple[PadicMatrix, PadicMatrix]:
     """U = U_s * U_n with commuting Teichmuller and continuous parts.
 
     U_s is the closed-form factorial-power limit U^alpha; both parts are
-    powers of U times its inverse, so commutation is automatic.
+    powers of U times its inverse, so commutation is automatic.  Both are
+    kept on U, so a second call returns the same two matrices.
     """
     _require_unitary(U)
-    ring = U.ring
-    alpha, _ = teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, U.n)
-    u_s = U.matrix_power(alpha)
-    u_n = U @ u_s.inverse()
-    return u_s, u_n
+    if U._unipotent is None:
+        U._unipotent = U @ _teichmuller_part(U).inverse()
+    return U._teich, U._unipotent
 
 
 # -- spectral decomposition ----------------------------------------------------
@@ -170,35 +192,46 @@ class SpectralDatum:
         return out
 
     def verify(self, expected: PadicMatrix | None = None) -> bool:
+        """Audit the datum: orthogonal idempotents summing to I, and U rebuilt.
+
+        Per orbit, the Frobenius chain sigma(P_t) = P_(t+1 mod d) and
+        sigma(lambda_t) = lambda_(t+1 mod d) is checked for every t, wrap-around
+        included.  sigma acts entrywise as a ring automorphism, so
+        sigma(AB) = sigma(A) sigma(B), and with the chain
+        P_s P_t = sigma^s(P_0 P_(t-s mod d)).  So P_0 P_0 = P_0 and
+        P_0 P_k = 0 for k = 1, ..., d - 1 cover all d^2 in-orbit identities
+        with d products.  An orbit sum Q_i = sum_t P_t is then Galois-fixed
+        and idempotent (Q_i^2 = sum_(s,t) P_s P_t = Q_i), so across orbits
+        only Q_i Q_j = 0 for i != j is checked, in both orders.  With
+        orbit degrees d_i and r orbits this is sum d_i + r(r - 1) products.
+        The chains also make every orbit sum of lambda_t P_t Galois-fixed, so
+        a broken datum reads False rather than failing in `_to_base`.
+        """
         n = self.n
+        for orbit in self.orbits:
+            ring, d = orbit.ring, orbit.degree
+            P, lam = orbit.projectors, orbit.eigenvalues
+            for t in range(d):
+                if P[t].frobenius_map() != P[(t + 1) % d]:
+                    return False
+                if ring.rfrob(lam[t]) != lam[(t + 1) % d]:
+                    return False
+            if P[0] @ P[0] != P[0]:
+                return False
+            zero = PadicMatrix.zeros(ring, n)
+            if any(P[0] @ P[k] != zero for k in range(1, d)):
+                return False
         base_projectors = [self.orbit_projector(i) for i in range(len(self.orbits))]
         total = PadicMatrix.zeros(self.base_ring, n)
-        for P in base_projectors:
-            total = total + P
+        for Q in base_projectors:
+            total = total + Q
         if total != PadicMatrix.identity(self.base_ring, n):
             return False
         if expected is not None and self.reconstruct() != expected:
             return False
-        for orbit in self.orbits:
-            d = orbit.degree
-            for t, proj in enumerate(orbit.projectors):
-                if proj @ proj != proj:
-                    return False
-                for s in range(t + 1, d):
-                    other = orbit.projectors[s]
-                    zero = PadicMatrix.zeros(orbit.ring, n)
-                    if proj @ other != zero or other @ proj != zero:
-                        return False
-                if proj.frobenius_map() != orbit.projectors[(t + 1) % d]:
-                    return False
-        # cross-orbit orthogonality through the Galois-fixed orbit projectors
-        for i, P in enumerate(base_projectors):
-            for j2, Q in enumerate(base_projectors):
-                product = P @ Q
-                if i == j2:
-                    if product != P:
-                        return False
-                elif not product.is_zero():
+        for i, Q_i in enumerate(base_projectors):
+            for j, Q_j in enumerate(base_projectors):
+                if i != j and not (Q_i @ Q_j).is_zero():
                     return False
         return True
 
@@ -390,7 +423,7 @@ def spectral_decompose(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> Spect
     the spectral body still verifies its reconstruction of U_s.
     """
     _require_base_unitary(U)
-    _audited_exponents(U)
+    _audit(U)
     u_s, u_n = jordan_decompose(U)
     datum = _teichmuller_spectral(u_s, seed)
     return SpectralDatum(
@@ -405,9 +438,8 @@ def galois_act(U: PadicMatrix, k: int) -> PadicMatrix:
     unit mod M, so p^k is taken mod M and a negative k needs no inverse.
     """
     _require_base_teichmuller(U)
-    p = U.ring.p
-    alpha, E = teichmuller_exponent(p, p, U.ring.K, U.n)
-    return U.matrix_power(pow(p, k, math.gcd(E, alpha - 1)))
+    alpha, E = _exponents(U)
+    return U.matrix_power(pow(U.ring.p, k, math.gcd(E, alpha - 1)))
 
 
 # -- one-parameter group --------------------------------------------------------

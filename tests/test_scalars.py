@@ -1,6 +1,7 @@
 """Scalar arithmetic: valuations, Teichmuller lifts, Frobenius, unit splitting."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +191,38 @@ def test_unram_frobenius_orbit_closure():
     assert image == gen**3
     # and it matches the lift of the cubed residue
     assert image == teichmuller_lift(ring, (gen**3).residue_class())
+
+
+def _rfrob_by_images(ring, a):
+    """The former `UnramRing.rfrob`: sum a_i X^(ip), accumulated image by image."""
+    xp = ring.rpow(ring.generator, ring.p)
+    images = [ring.one]
+    for _ in range(1, ring.m):
+        images.append(ring.rmul(images[-1], xp))
+    acc = ring.zero
+    for coeff, image in zip(a, images):
+        if coeff:
+            acc = ring.radd(acc, tuple((coeff * x) % ring.pk for x in image))
+    return acc
+
+
+@pytest.mark.parametrize("K", [1, 20])
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_rfrob_is_the_frobenius_automorphism(m, p, K):
+    ring = scalars.unram(p, K, m)
+    rng = random.Random(f"{m},{p},{K}")
+    X = ring.generator
+    assert ring.rfrob(X) == ring.rpow(X, p)
+    for _ in range(12):
+        a = tuple(rng.randrange(ring.pk) for _ in range(m))
+        b = tuple(rng.randrange(ring.pk) for _ in range(m))
+        assert ring.rfrob(a) == _rfrob_by_images(ring, a)
+        assert ring.rfrob(ring.rmul(a, b)) == ring.rmul(ring.rfrob(a), ring.rfrob(b))
+        image = a
+        for _ in range(m):
+            image = ring.rfrob(image)
+        assert image == a
 
 
 def test_unram_valuation_and_inverse():

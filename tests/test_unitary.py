@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -471,3 +472,245 @@ def test_orbit_polynomials_vanish_on_their_frobenius_orbits(p, K, n):
             for _ in range(orbit.degree):
                 assert _horner_scalar(image, factor) == 0
                 image = image.frobenius()
+
+
+# -- the audit of a spectral datum -------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def three_orbits():
+    """(U, datum) with Frobenius orbits of degree 3, 2 and 1 at p = 5, K = 3.
+
+    The residue characteristic polynomial is (t^3 + t + 1)(t^2 + 2)(t - 2),
+    irreducible factors over F_5, conjugated by a fixed unitary.
+    """
+    ring = Zp(5, 3)
+    blocks = [[1, 1, 0], [2, 0], [-2]]  # t^3 + t + 1, t^2 + 2, t - 2, ascending, no leading 1
+    rows = [[0] * 6 for _ in range(6)]
+    start = 0
+    for coeffs in blocks:
+        for i, row in enumerate(PadicMatrix.companion(ring, coeffs).rows):
+            rows[start + i][start : start + len(row)] = row
+        start += len(coeffs)
+    s = random_unitary(ring, 6, random.Random(3))
+    w = s @ PadicMatrix(ring, rows) @ s.inverse()
+    u, _ = unitary.jordan_decompose(w)
+    datum = unitary.teichmuller_spectral(u)
+    assert sorted(o.degree for o in datum.orbits) == [1, 2, 3]
+    return u, datum
+
+
+def _orbit_index(datum, degree):
+    return next(i for i, o in enumerate(datum.orbits) if o.degree == degree)
+
+
+def _replace_orbit(datum, index, **changes):
+    orbits = list(datum.orbits)
+    orbits[index] = replace(orbits[index], **changes)
+    return replace(datum, orbits=tuple(orbits))
+
+
+def _images(first, d):
+    """first and its d - 1 Frobenius images: a projector chain rebuilt."""
+    out = [first]
+    for _ in range(1, d):
+        out.append(out[-1].frobenius_map())
+    return tuple(out)
+
+
+def _add_at_00(matrix, value):
+    rows = [list(r) for r in matrix.rows]
+    rows[0][0] = matrix.ring.radd(rows[0][0], value)
+    return PadicMatrix(matrix.ring, rows)
+
+
+def test_verify_accepts_the_three_orbit_datum(three_orbits):
+    u, datum = three_orbits
+    assert datum.verify() and datum.verify(expected=u)
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_verify_rejects_a_perturbed_first_projector(three_orbits, degree):
+    u, datum = three_orbits
+    i = _orbit_index(datum, degree)
+    orbit = datum.orbits[i]
+    ring = orbit.ring
+    first = _add_at_00(orbit.projectors[0], ring.rfrom_int(ring.p ** (ring.K - 1)))
+    bad = _replace_orbit(datum, i, projectors=_images(first, degree))
+    assert bad.verify(expected=u) is False
+    assert bad.verify() is False
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_verify_rejects_a_broken_frobenius_chain(three_orbits, degree):
+    u, datum = three_orbits
+    i = _orbit_index(datum, degree)
+    P = datum.orbits[i].projectors
+    bad = _replace_orbit(datum, i, projectors=(P[0], P[0]) + P[2:])
+    assert bad.verify(expected=u) is False
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_verify_rejects_swapped_eigenvalues(three_orbits, degree):
+    u, datum = three_orbits
+    i = _orbit_index(datum, degree)
+    lam = datum.orbits[i].eigenvalues
+    bad = _replace_orbit(datum, i, eigenvalues=(lam[1], lam[0]) + lam[2:])
+    assert bad.verify(expected=u) is False
+
+
+def test_verify_rejects_a_non_orthogonal_cross_orbit_pair(three_orbits):
+    u, datum = three_orbits
+    i, j = _orbit_index(datum, 1), _orbit_index(datum, 2)
+    ring = datum.base_ring
+    shift = datum.orbit_projector(j).scale(ring.p ** (ring.K - 1))
+    bad = _replace_orbit(datum, i, projectors=(datum.orbits[i].projectors[0] + shift,))
+    assert not (bad.orbit_projector(i) @ bad.orbit_projector(j)).is_zero()
+    assert bad.verify(expected=u) is False
+    assert bad.verify() is False
+
+
+def test_verify_rejects_a_wrong_expected_matrix(three_orbits):
+    u, datum = three_orbits
+    assert datum.verify(expected=_add_at_00(u, u.ring.p ** (u.ring.K - 1))) is False
+
+
+def test_verify_rejects_an_orbit_out_of_frobenius_order(three_orbits):
+    """Eigenvalues and projectors reordered together still rebuild U and sum to
+    I, and every in-orbit product holds; only the chain check sees it.  With
+    the projectors reordered alone, only the chain of projectors sees it
+    when no expected matrix is given."""
+    u, datum = three_orbits
+    i = _orbit_index(datum, 3)
+    orbit = datum.orbits[i]
+    order = (0, 2, 1)
+    projectors = tuple(orbit.projectors[t] for t in order)
+    bad = _replace_orbit(
+        datum, i, eigenvalues=tuple(orbit.eigenvalues[t] for t in order), projectors=projectors
+    )
+    assert bad.reconstruct() == u and bad.orbit_projector(i) == datum.orbit_projector(i)
+    assert bad.verify(expected=u) is False
+    bad = _replace_orbit(datum, i, projectors=projectors)
+    assert bad.verify() is False and bad.verify(expected=u) is False
+
+
+def test_verify_rejects_a_chain_whose_in_orbit_products_fail(three_orbits):
+    """P_0 + p^(K-1) c E_00 with its images, for a residue c with
+    Tr(c) = Tr(lambda c) = 0: the chain, the orbit sum and the reconstruction
+    all hold, and only the in-orbit products see it."""
+    u, datum = three_orbits
+    i = _orbit_index(datum, 3)
+    orbit = datum.orbits[i]
+    ring, lam = orbit.ring, orbit.eigenvalues[0]
+    scale = ring.p ** (ring.K - 1)
+
+    def trace(x):
+        acc, image = ring.zero, x
+        for _ in range(3):
+            acc, image = ring.radd(acc, image), ring.rfrob(image)
+        return acc
+
+    residues = [(a, b, c) for a in range(ring.p) for b in range(ring.p) for c in range(ring.p)]
+    shift = next(
+        x
+        for x in (tuple(scale * r for r in res) for res in residues[1:])
+        if trace(x) == ring.zero and trace(ring.rmul(lam, x)) == ring.zero
+    )
+    bad = _replace_orbit(datum, i, projectors=_images(_add_at_00(orbit.projectors[0], shift), 3))
+    assert bad.reconstruct() == u and bad.orbit_projector(i) == datum.orbit_projector(i)
+    assert bad.verify(expected=u) is False
+
+
+def test_verify_makes_one_product_per_orbit_member_and_cross_pair(three_orbits, monkeypatch):
+    u, datum = three_orbits
+    count = {"@": 0}
+    original = PadicMatrix.__matmul__
+
+    def counted(self, other):
+        count["@"] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(PadicMatrix, "__matmul__", counted)
+    for d in (datum, unitary.spectral_decompose(random_unitary(Zp(7, 4), 4, random.Random(5)))):
+        count["@"] = 0
+        assert d.verify()
+        r = len(d.orbits)
+        assert count["@"] == sum(o.degree for o in d.orbits) + r * (r - 1)
+
+
+# -- the Jordan datum kept on the matrix ------------------------------------------------
+
+
+def _record_pow_mod(monkeypatch):
+    from padicu import fppoly
+
+    exponents = []
+    original = fppoly.pow_mod
+
+    def recorded(base, e, *args):
+        exponents.append(e)
+        return original(base, e, *args)
+
+    monkeypatch.setattr(fppoly, "pow_mod", recorded)
+    return exponents
+
+
+@pytest.mark.parametrize("make", [random_unitary, random_continuous, random_teichmuller])
+def test_the_chain_raises_u_to_e_and_alpha_once(make, monkeypatch):
+    from padicu.arith import teichmuller_exponent
+
+    ring = Zp(5, 6)
+    u = make(ring, 4, random.Random(17))
+    alpha, E = teichmuller_exponent(5, 5, 6, 4)
+    exponents = _record_pow_mod(monkeypatch)
+    kind = unitary.classify(u)
+    unitary.jordan_decompose(u)
+    if kind.is_continuous:
+        unitary.power_zp(u, 7)
+    else:
+        unitary.spectral_decompose(u)
+    assert exponents.count(E) == 1 and exponents.count(alpha) == 1
+
+
+def test_classify_on_a_fresh_matrix_inverts_nothing(monkeypatch):
+    calls = {"inverse": 0}
+    original = PadicMatrix.inverse
+
+    def counted(self):
+        calls["inverse"] += 1
+        return original(self)
+
+    monkeypatch.setattr(PadicMatrix, "inverse", counted)
+    u = random_unitary(Zp(7, 5), 4, random.Random(2))
+    witness = unitary.classify(u).witness
+    assert calls["inverse"] == 0
+    u_s, u_n = unitary.jordan_decompose(u)
+    assert calls["inverse"] == 1 and u_s is witness
+    assert unitary.jordan_decompose(u) == (u_s, u_n) and calls["inverse"] == 1
+
+
+def test_matrix_powers_leave_the_slots_as_they_were():
+    rng = random.Random(8)
+    u = random_unitary(Zp(5, 8), 4, rng)
+    exponents = [rng.randrange(1, 10**40) for _ in range(50)]
+    assert len(set(exponents)) == 50
+    unitary.jordan_decompose(u)
+    unitary.classify(u)
+    slots = (u._chi, u._audited, u._teich, u._unipotent)
+    for e in exponents:
+        u.matrix_power(e)
+    assert all(a is b for a, b in zip((u._chi, u._audited, u._teich, u._unipotent), slots))
+    fresh = PadicMatrix(u.ring, u.rows)
+    for e in exponents:
+        fresh.matrix_power(e)
+    assert (fresh._audited, fresh._teich, fresh._unipotent) == (False, None, None)
+
+
+def test_a_failed_pro_finite_audit_is_not_recorded(monkeypatch):
+    u = random_unitary(Zp(5, 3), 3, random.Random(4))
+    assert u.matrix_power(2) != PadicMatrix.identity(u.ring, 3)
+    monkeypatch.setattr(unitary, "_exponents", lambda U: (1, 2))  # a wrong E
+    for _ in range(2):
+        with pytest.raises(ArithmeticError):
+            unitary.classify(u)
+        assert u._audited is False
