@@ -10,7 +10,7 @@ import math
 import random
 from itertools import product
 
-from . import glnp, gm, quantum, unitary
+from . import glnp, gm, quantum, ringpoly, unitary
 from .matrices import PadicMatrix, vector_norm
 from .sampling import (
     random_continuous,
@@ -18,7 +18,7 @@ from .sampling import (
     random_teichmuller,
     random_unitary,
 )
-from .scalars import UnramRing, Zp, horner, teichmuller_lift
+from .scalars import UnramRing, Zp, teichmuller_lift
 
 
 class _Tally:
@@ -136,8 +136,9 @@ def audit_gm(seed: int = 0) -> dict:
 
 def _shares_root_in_f9(fr, gr) -> bool:
     field = UnramRing(3, 1, 2)
+    lifted = [[field.rfrom_int(c) for c in h] for h in (fr, gr)]
     return any(
-        horner(field, fr, x) == field.zero == horner(field, gr, x)
+        all(ringpoly.divide_linear(field, h, x)[1] == field.zero for h in lifted)
         for x in product(range(3), repeat=2)
     )
 

@@ -11,8 +11,9 @@ seeded generator so runs are reproducible.
 The coefficients stay plain ints: these loops carry the Sylvester, Bezout
 and Hensel work, and taking the ring operations from a ring handle made
 them measurably slower.  Polynomials meet extension rings elsewhere:
-`PadicMatrix.evaluate` gives f(U), `scalars.horner` gives f(x) at a raw
-ring value, and `matrices.orbit_polynomial` gives a Frobenius-orbit product.
+`PadicMatrix.evaluate` gives f(U), `ringpoly` holds polynomials over a ring
+handle (f(x) at a raw value is `ringpoly.divide_linear`), and
+`matrices.orbit_polynomial` gives a Frobenius-orbit product.
 """
 
 from __future__ import annotations

@@ -7,12 +7,12 @@ is computed division-free (Berkowitz), inversion goes through the
 Cayley-Hamilton adjugate, and the Smith form uses minimal-valuation pivoting,
 which is enough over the local ring Z/p^j.
 
-Cayley-Hamilton also makes every function of a Z_p matrix a polynomial of
+Cayley-Hamilton also makes every function of a matrix a polynomial of
 degree < n in it: A^e is (t^e mod chi_A)(A), so a 150-bit exponent costs one
-char poly, a polynomial power mod chi_A and at most n - 2 products.  Over an
-extension ring, products pack each m-tuple into one int (Kronecker
-substitution), so an entry is one big-int dot product reduced once by the
-modulus.
+char poly, a polynomial power mod chi_A and at most n - 2 products, over Z_p
+and over an extension ring alike.  Over an extension ring, products pack each
+m-tuple into one int (Kronecker substitution), so an entry is one big-int dot
+product reduced once by the modulus.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import fppoly
+from . import fppoly, ringpoly
 from .errors import NotInvertible, PrecisionMismatch
 from .scalars import AnyRing, PadicScalar, Zp
 
@@ -82,7 +82,7 @@ class SeminormResult:
 
 
 class PadicMatrix:
-    """Immutable n x n matrix with sup norm; unitary means unit determinant.
+    """Immutable n x n matrix; unitary means unit determinant.
 
     Four slots are filled lazily and kept on the object, a memo per matrix
     rather than a cache keyed by value.  A matrix starts with all four empty.
@@ -149,9 +149,6 @@ class PadicMatrix:
         return cls(ring, rows)
 
     # -- basics -----------------------------------------------------------
-    def entry(self, i: int, j: int) -> PadicScalar:
-        return PadicScalar(self.ring, self.rows[i][j])
-
     def _check(self, other: "PadicMatrix"):
         if self.ring != other.ring:
             raise PrecisionMismatch(f"{self.ring} vs {other.ring}")
@@ -211,14 +208,7 @@ class PadicMatrix:
     def apply(self, vector: Sequence) -> tuple:
         """Matrix-vector product; returns scalar objects."""
         raws = [self.ring.scalar(v).raw for v in vector]
-        ring = self.ring
-        out = []
-        for row in self.rows:
-            acc = ring.zero
-            for a, x in zip(row, raws):
-                acc = ring.radd(acc, ring.rmul(a, x))
-            out.append(acc)
-        return tuple(PadicScalar(ring, v) for v in out)
+        return tuple(PadicScalar(self.ring, _dot(self.ring, row, raws)) for row in self.rows)
 
     # -- norms ------------------------------------------------------------
     def min_valuation(self) -> int:
@@ -226,9 +216,6 @@ class PadicMatrix:
             (self.ring.rval(v) for row in self.rows for v in row),
             default=self.ring.K,
         )
-
-    def sup_norm(self) -> Norm:
-        return Norm(self.ring.p, self.ring.K, self.min_valuation())
 
     def is_zero(self) -> bool:
         z = self.ring.zero
@@ -258,10 +245,7 @@ class PadicMatrix:
             q = [pivot]
             v = col_part
             for _ in range(1, r):
-                acc = ring.zero
-                for a, x in zip(row_part, v):
-                    acc = ring.radd(acc, ring.rmul(a, x))
-                q.append(acc)
+                q.append(_dot(ring, row_part, v))
                 v = [
                     _dot(ring, rows[i][: r - 1], v) for i in range(r - 1)
                 ]
@@ -311,25 +295,21 @@ class PadicMatrix:
     def matrix_power(self, e: int) -> "PadicMatrix":
         """A^e; a negative e inverts first.
 
-        Over Z_p, Cayley-Hamilton holds mod p^K, so A^e = r(A) with
+        Cayley-Hamilton holds mod p^K over either ring, so A^e = r(A) with
         r = t^e mod chi_A: one char poly and at most n - 2 products for any e.
-        Over an extension ring it is left-to-right binary exponentiation: an
-        L-bit e with w one-bits costs L - 1 squarings and w - 1 products by A.
+        The ring type alone picks the power: `fppoly.pow_mod`, packed into big
+        ints, over Z_p, and `ringpoly.pow_mod` on raw values over an
+        extension ring.
         """
         if e < 0:
             return self.inverse().matrix_power(-e)
-        if isinstance(self.ring, Zp):
-            if e < self.n:
-                return self.evaluate([0] * e + [1])
-            return self.evaluate(fppoly.pow_mod([0, 1], e, self.char_poly_raw(), self.ring.pk))
-        if e == 0:
-            return PadicMatrix.identity(self.ring, self.n)
-        result = self
-        for bit in bin(e)[3:]:
-            result = result @ result
-            if bit == "1":
-                result = result @ self
-        return result
+        ring = self.ring
+        if e < self.n:
+            return self.evaluate([0] * e + [1])
+        chi = self.char_poly_raw()
+        if isinstance(ring, Zp):
+            return self.evaluate(fppoly.pow_mod([0, 1], e, chi, ring.pk))
+        return self.evaluate(ringpoly.pow_mod(ring, [ring.zero, ring.one], e, chi))
 
     # -- precision / residue / Galois ---------------------------------------
     def reduce(self, j: int) -> "PadicMatrix":

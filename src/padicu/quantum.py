@@ -48,9 +48,6 @@ class WaveFunction:
             self._norm = vector_norm(self.ring, self.values)
         return self._norm
 
-    def is_state(self) -> bool:
-        return self.norm().val == 0
-
     def scalars(self) -> tuple[PadicScalar, ...]:
         return tuple(self.ring.scalar(v) for v in self.values)
 

@@ -85,10 +85,3 @@ def random_teichmuller(ring: Zp, n: int, rng: random.Random) -> PadicMatrix:
     u = PadicMatrix.from_rows(ring, rows)
     v = random_unitary(ring, n, rng)
     return v @ u @ v.inverse()
-
-
-def random_unit_scalar(ring: Zp, rng: random.Random):
-    while True:
-        v = rng.randrange(ring.pk)
-        if v % ring.p:
-            return ring.scalar(v)

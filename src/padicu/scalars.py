@@ -331,14 +331,6 @@ def unram(p: int, K: int, m: int) -> UnramRing:
 AnyRing = Zp | UnramRing
 
 
-def horner(ring: AnyRing, coeffs, x):
-    """f(x) for ascending integer coefficients f and a raw value x of ring."""
-    acc = ring.zero
-    for c in reversed(coeffs):
-        acc = ring.radd(ring.rmul(acc, x), ring.rfrom_int(c))
-    return acc
-
-
 def _teichmuller_raw(ring: AnyRing, a):
     """a^alpha: the Teichmuller representative of a unit's residue, 0 for a non-unit."""
     alpha, _ = teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, 1)
@@ -424,9 +416,6 @@ class PadicScalar:
 
     def lift(self):
         return self.raw
-
-    def residue_class(self):
-        return self.ring.rresidue(self.raw)
 
     def reduce(self, j: int) -> "PadicScalar":
         return PadicScalar(self.ring.at_precision(j), self.ring.rreduce(self.raw, j))

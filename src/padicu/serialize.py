@@ -14,7 +14,7 @@ from .errors import MalformedDocument
 from .gm import LaurentPoly
 from .matrices import Norm, PadicMatrix, SeminormResult
 from .quantum import WaveFunction
-from .scalars import AnyRing, PadicScalar, UnramRing, Zp
+from .scalars import AnyRing, UnramRing, Zp
 from .unitary import SpectralDatum, SpectrumTable
 
 SCHEMA = "padicu/1"
@@ -56,20 +56,6 @@ def ring_from_header(doc: dict) -> AnyRing:
     if m == 1:
         return Zp(p, K)
     return UnramRing(p, K, m)
-
-
-def scalar_to_doc(x) -> dict:
-    if not isinstance(x, PadicScalar):
-        raise MalformedDocument(f"not a scalar: {x!r}")
-    key = "value" if isinstance(x.ring, Zp) else "coeffs"
-    return {**ring_header(x.ring), key: _entry_to_wire(x.ring, x.raw)}
-
-
-def scalar_from_doc(doc: dict):
-    ring = ring_from_header(doc)
-    if isinstance(ring, Zp):
-        return ring.scalar(int_field(doc, "value"))
-    return ring.scalar(tuple(read_int(c, "coefficient") for c in _need(doc, "coeffs")))
 
 
 def _entry_to_wire(ring: AnyRing, raw):

@@ -12,8 +12,9 @@ fill slots of U (see `PadicMatrix`), so the chain classify -> jordan ->
 spectral_decompose or power_zp pays for U^E, U^alpha and U_s^-1 once.
 `spectral_decompose` passes the datum along: after the pro-finite audit on
 U, U_s = U^alpha is Teichmuller because alpha^2 = alpha mod E, so it is not
-classified again.  `power_zp` runs its binomial series in Z/p^K[t]/(chi_U)
-and evaluates it at U once.
+classified again.  The one-parameter group is a power too: a continuous U
+has U^alpha = I, so its order divides gcd(E, alpha) = p^A, and `power_zp`
+gives U^t as U^(t mod p^A).
 
 Spectral data for a Teichmuller-type matrix lives per Frobenius orbit: each
 irreducible residue factor of degree d contributes d eigenvalues in the
@@ -42,11 +43,11 @@ import math
 import random
 from dataclasses import dataclass
 
-from . import fppoly, gm
+from . import fppoly, gm, ringpoly
 from .arith import teichmuller_exponent
-from .errors import InputError, NotAUnit, NotContinuous, NotTeichmuller, NotUnitary
+from .errors import InputError, NotAUnit, NotContinuous, NotTeichmuller, NotUnitary, PadicError
 from .matrices import PadicMatrix, orbit_polynomial, residue_matrix_order
-from .scalars import ONE_MINUS, AnyRing, PadicScalar, UnramRing, Zp, horner, unram
+from .scalars import ONE_MINUS, AnyRing, PadicScalar, UnramRing, Zp, unram
 
 TEICHMULLER = "TEICHMULLER"
 CONTINUOUS = "CONTINUOUS"
@@ -185,12 +186,6 @@ class SpectralDatum:
             total = total + _to_base(self.base_ring, partial)
         return total
 
-    def eigenvalue_scalars(self) -> list:
-        out = []
-        for orbit in self.orbits:
-            out.extend(PadicScalar(orbit.ring, lam) for lam in orbit.eigenvalues)
-        return out
-
     def verify(self, expected: PadicMatrix | None = None) -> bool:
         """Audit the datum: orthogonal idempotents summing to I, and U rebuilt.
 
@@ -293,19 +288,17 @@ def _teichmuller_spectral(U: PadicMatrix, seed: int) -> SpectralDatum:
     minimal = [1]
     for *_, factor_coeffs in raw_orbits:
         minimal = fppoly.mul(minimal, factor_coeffs, pk)
-    slope = fppoly.derivative(minimal, pk)
     powers = [PadicMatrix.identity(ring, U.n)]  # U^0, ..., U^(deg m - 1)
     while len(powers) < len(minimal) - 1:
         powers.append(U if len(powers) == 1 else powers[-1] @ U)
     orbits = []
     for lam_ring, eigenvalues, mult, factor_coeffs in raw_orbits:
         lam = eigenvalues[0]
+        minimal_raw = [lam_ring.rfrom_int(c) for c in minimal]
         # L = m / (t - lambda) by synthetic division, scaled by 1 / L(lambda) = 1 / m'(lambda)
-        inv_slope = lam_ring.rinv(horner(lam_ring, slope, lam))
-        quotient = [lam_ring.one]
-        for c in reversed(minimal[1:-1]):
-            quotient.append(lam_ring.radd(lam_ring.rfrom_int(c), lam_ring.rmul(lam, quotient[-1])))
-        coeffs = [lam_ring.rmul(inv_slope, c) for c in reversed(quotient)]
+        quotient, _ = ringpoly.divide_linear(lam_ring, minimal_raw, lam)
+        inv_slope = lam_ring.rinv(ringpoly.divide_linear(lam_ring, quotient, lam)[1])
+        coeffs = [lam_ring.rmul(inv_slope, c) for c in quotient]
         # sigma fixes U and m and maps lambda to lambda^p
         projectors = [_combine_powers(lam_ring, coeffs, powers)]
         for _ in range(1, len(eigenvalues)):
@@ -351,68 +344,26 @@ def _orbit_roots(irr: list[int], field: UnramRing, rng: random.Random) -> list:
     Cantor-Zassenhaus (1981): for a random a in F_q, gcd(g, (T + a)^((q-1)/2) - 1)
     keeps the roots r of g with r + a a nonzero square, so it splits g about in
     half.  The splitting stops at one linear factor, since the other roots are
-    its Frobenius images.  Polynomials in T are ascending lists of the field's
+    its Frobenius images.  Polynomials in T are `ringpoly` lists of the field's
     raw values, and g stays monic, so reducing mod g needs no inversion.
     """
-    g = [field.rfrom_int(c) for c in irr]
+    f = g = [field.rfrom_int(c) for c in irr]
     half = (field.residue_cardinality - 1) // 2
     while len(g) > 2:
         a = tuple(rng.randrange(field.p) for _ in range(field.m))
-        base = [a, field.one]
-        power = base
-        for bit in bin(half)[3:]:
-            power = _poly_mulmod(field, power, power, g)
-            if bit == "1":
-                power = _poly_mulmod(field, power, base, g)
+        power = ringpoly.pow_mod(field, [a, field.one], half, g)
         # (T + a)^((q-1)/2) - 1 mod g; the power is not 0, as g is squarefree of degree >= 2
-        shifted = _poly_trim(field, [field.rsub(power[0], field.one)] + power[1:])
-        h = _poly_gcd(field, g, shifted)
+        shifted = ringpoly.trim(field, [field.rsub(power[0], field.one)] + power[1:])
+        h = ringpoly.gcd(field, g, shifted)
         if 1 < len(h) < len(g):
             g = h
     roots = [field.rneg(g[0])]
     for _ in range(1, len(irr) - 1):
         roots.append(field.rfrob(roots[-1]))
-    if len(set(roots)) != len(irr) - 1 or horner(field, irr, roots[0]) != field.zero:
+    _, value = ringpoly.divide_linear(field, f, roots[0])
+    if len(set(roots)) != len(irr) - 1 or value != field.zero:
         raise ArithmeticError("irreducible factor did not split in its orbit field")  # unreachable
     return roots
-
-
-# Polynomials over F_q for `_orbit_roots`: ascending lists of raw field values.
-
-
-def _poly_trim(field: UnramRing, a: list) -> list:
-    while a and a[-1] == field.zero:
-        a.pop()
-    return a
-
-
-def _poly_rem(field: UnramRing, a: list, g: list) -> list:
-    """a mod the monic g."""
-    a, d = list(a), len(g) - 1
-    for top in range(len(a) - 1, d - 1, -1):
-        c = a[top]
-        if c != field.zero:
-            for k in range(d):
-                a[top - d + k] = field.rsub(a[top - d + k], field.rmul(c, g[k]))
-    return _poly_trim(field, a[:d])
-
-
-def _poly_mulmod(field: UnramRing, a: list, b: list, g: list) -> list:
-    """a * b mod the monic g."""
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = field.radd(out[i + j], field.rmul(x, y))
-    return _poly_rem(field, out, g)
-
-
-def _poly_gcd(field: UnramRing, g: list, r: list) -> list:
-    """The monic gcd of the monic g and r."""
-    while r:
-        inv = field.rinv(r[-1])
-        g, r = [field.rmul(inv, c) for c in r], g
-        r = _poly_rem(field, r, g)
-    return g
 
 
 def spectral_decompose(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> SpectralDatum:
@@ -446,54 +397,42 @@ def galois_act(U: PadicMatrix, k: int) -> PadicMatrix:
 
 
 def power_zp(U: PadicMatrix, t) -> PadicMatrix:
-    """U^t for t in Z_p via the binomial series sum C(t, k) (U - I)^k.
+    """U^t for t in Z_p, as U^(t mod p^A).
 
-    The series runs in Z/p^K[t]/(chi_U) and is evaluated at U once.  Continuous
-    type makes chi_U = (t - 1)^n + p*g, so (t - 1)^(nK) = 0 there and the
-    series ends; binomial coefficients of the integer representative are exact
-    integers, reduced mod p^K.
+    A continuous U has U^alpha = I, and the audit gives U^E = I, so the order
+    of U divides gcd(E, alpha) = p^A: alpha = 1 mod M is prime to M and
+    alpha = 0 mod p^A, with A = K - 1 + unipotent_depth(n, p).  This mirrors
+    `galois_act`, which reduces mod gcd(E, alpha - 1).  An int t is exact at
+    any size and sign.  A Z_p scalar t is known only mod p^K, which fixes U^t
+    only when A <= K; A > K happens for n > p, and then it raises PadicError.
     """
     cls = classify(U)
     if not cls.is_continuous:
         raise NotContinuous("one-parameter powers require continuous type")
     ring = U.ring
+    alpha, E = _exponents(U)
+    order = math.gcd(E, alpha)
     if isinstance(t, PadicScalar):
         if t.ring != Zp(ring.p, ring.K):
             raise InputError("time parameter must live in Z_p at the operator's (p, K)")
-        t0 = t.raw
-    else:
-        t0 = int(t) % ring.pk
-    n, zero = U.n, ring.zero
-    chi = U.char_poly_raw()  # monic, so t^n = -(chi[0] + ... + chi[n-1] t^(n-1))
-    term = [ring.one] + [zero] * (n - 1)  # (t - 1)^k mod chi, ascending
-    total = [zero] * n
-    binomial = 1  # C(t0, k), exact
-    k = 0
-    cap = n * ring.K + 2
-    while any(v != zero for v in term):
-        c = ring.rfrom_int(binomial)
-        total = [ring.radd(a, ring.rmul(c, v)) for a, v in zip(total, term)]
-        binomial = binomial * (t0 - k) // (k + 1)
-        top = term[-1]
-        term = [
-            ring.rsub(ring.rsub(lower, v), ring.rmul(top, chi_i))
-            for lower, v, chi_i in zip([zero] + term[:-1], term, chi)
-        ]
-        k += 1
-        if k > cap:
-            raise ArithmeticError("binomial series failed to terminate")
-    while total and total[-1] == zero:
-        total.pop()
-    return U.evaluate(total)
+        if order > ring.pk:
+            raise PadicError(
+                f"a Z_p time is known mod p^K only, and U's order may reach {order} > p^K; "
+                "pass an integer time"
+            )
+        t = t.raw
+    return U.matrix_power(int(t) % order)
 
 
 def zp_unit_action(U: PadicMatrix, alpha) -> PadicMatrix:
-    """The Z_p^x action U -> U^alpha on the one-parameter group."""
-    base = Zp(U.ring.p, U.ring.K)
-    a = alpha if isinstance(alpha, PadicScalar) else base.scalar(int(alpha))
-    if a.valuation() != 0:
+    """The Z_p^x action U -> U^alpha on the one-parameter group; an int alpha stays exact."""
+    if isinstance(alpha, PadicScalar):
+        is_unit = alpha.valuation() == 0
+    else:
+        is_unit = int(alpha) % U.ring.p != 0
+    if not is_unit:
         raise NotAUnit("group action requires a unit exponent")
-    return power_zp(U, a)
+    return power_zp(U, alpha)
 
 
 # -- projection functors ----------------------------------------------------------
@@ -541,9 +480,6 @@ class SpectrumTable:
     rows: tuple[SpectrumRow, ...]
     torsion_is_whole_module: bool
     completion_is_whole_module: bool
-
-    def rows_at(self, j: int) -> list[SpectrumRow]:
-        return [row for row in self.rows if row.j == j]
 
 
 def spectrum_table(U: PadicMatrix, j_list, seed: int = fppoly.DEFAULT_SEED) -> SpectrumTable:

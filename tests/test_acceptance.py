@@ -21,7 +21,6 @@ from padicu.sampling import (
     random_continuous,
     random_matrix,
     random_teichmuller,
-    random_unit_scalar,
     random_unitary,
 )
 from padicu.scalars import Zp, frobenius, teichmuller_lift
@@ -241,7 +240,10 @@ def test_criterion_5_stone_one_parameter_group():
                 u, t
             ) @ unitary.power_zp(u, s)
             if index < 20:
-                alpha = random_unit_scalar(ring, rng)
+                v = rng.randrange(ring.pk)
+                while v % ring.p == 0:
+                    v = rng.randrange(ring.pk)
+                alpha = ring.scalar(v)
                 roundtrip = unitary.zp_unit_action(
                     unitary.zp_unit_action(u, alpha), alpha.inverse()
                 )
@@ -281,7 +283,7 @@ def test_criterion_7_evolution_norm_invariance():
         for _ in range(50):
             h = random_matrix(ring, 2, rng)
             psi = WaveFunction(ring, [1, rng.randrange(ring.pk)])
-            assert psi.is_state()
+            assert psi.norm().val == 0
             for _ in range(20):
                 t = 3 * rng.randrange(ring.pk // 3)
                 flow = exp_matrix(h, t)

@@ -425,6 +425,19 @@ def test_power_zp_over_extension_ring(t, upper, tmp_path, capsys):
     assert out["result"]["power"]["entries"] == [["1", "0"], [upper, "0"], ["0", "0"], ["1", "0"]]
 
 
+@pytest.mark.parametrize("t", [3, -1])
+def test_power_zp_on_a_jordan_block_longer_than_p(t, tmp_path, capsys):
+    """(I + N)^3 = I + N^3 != I for the 4 x 4 block over Z/3, and t = -1 is the inverse."""
+    rows = [[1 if j in (i, i + 1) else 0 for j in range(4)] for i in range(4)]
+    doc = {"matrix": matrix_doc(rows, 3, 1), "t": t}
+    code, out = run_one_line("power-zp", doc, tmp_path, capsys)
+    assert code == 0, out
+    expected = PadicMatrix.from_rows(Zp(3, 1), rows).matrix_power(t)
+    assert out["result"]["power"]["entries"] == [str(v) for row in expected.rows for v in row]
+    if t == 3:
+        assert expected != PadicMatrix.identity(Zp(3, 1), 4)
+
+
 def test_idempotents_of_a_unit_product_split_the_zero_ring(tmp_path, capsys):
     """f = -t, g = -t^2 - 3t at p = 3, j = 1: both shifted forms are constants,
     so fg is a unit and the quotient by (p^j, fg) is the zero ring."""

@@ -14,7 +14,7 @@ import pytest
 from padicu import fppoly, unitary
 from padicu.matrices import PadicMatrix
 from padicu.sampling import random_teichmuller, random_unitary
-from padicu.scalars import Zp, horner, unram
+from padicu.scalars import Zp, unram
 
 
 def _monic_irreducibles(p, d):
@@ -88,6 +88,14 @@ def test_spectral_datum_does_not_depend_on_the_seed(p, K, n):
     assert checked >= 2
 
 
+def _value_at(ring, coeffs, x):
+    """f(x) as the sum of c_k x^k, each power taken by the ring's own rpow."""
+    total = ring.zero
+    for k, c in enumerate(coeffs):
+        total = ring.radd(total, ring.rmul(ring.rfrom_int(c), ring.rpow(x, k)))
+    return total
+
+
 def _lagrange_projector(U, orbits, index, t):
     """Projector onto the t-th eigenvalue of orbit `index`, by the Lagrange chain."""
     orbit = orbits[index]
@@ -97,7 +105,7 @@ def _lagrange_projector(U, orbits, index, t):
     for other_index, other in enumerate(orbits):
         if other_index != index:
             cross = cross @ U.evaluate(list(other.factor))
-            denominator = lam_ring.rmul(denominator, horner(lam_ring, other.factor, lam))
+            denominator = lam_ring.rmul(denominator, _value_at(lam_ring, other.factor, lam))
     numerator = PadicMatrix.from_rows(lam_ring, cross.rows)
     U_local = PadicMatrix.from_rows(lam_ring, U.rows)
     identity = PadicMatrix.identity(lam_ring, U.n)

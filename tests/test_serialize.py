@@ -10,19 +10,6 @@ from padicu.quantum import WaveFunction
 from padicu.scalars import UnramRing, Zp
 
 
-def test_scalar_round_trip():
-    x = Zp(3, 4).scalar(-7)
-    doc = serialize.scalar_to_doc(x)
-    assert doc["value"] == str(x.lift())
-    assert serialize.scalar_from_doc(doc) == x
-
-    ring = UnramRing(3, 2, 2)
-    y = ring.scalar((5, 8))
-    doc2 = serialize.scalar_to_doc(y)
-    assert doc2["modulus_id"] == "cw1-p3-m2"
-    assert serialize.scalar_from_doc(doc2) == y
-
-
 def test_matrix_round_trip():
     ring = Zp(5, 3)
     m = PadicMatrix.from_rows(ring, [[1, 2], [3, 4]])
@@ -64,7 +51,5 @@ def test_spectral_datum_doc_shape():
 def test_malformed_documents_rejected():
     with pytest.raises(MalformedDocument):
         serialize.matrix_from_doc({"p": 3, "K": 2, "n": 2, "entries": ["1"]})
-    with pytest.raises(MalformedDocument):
-        serialize.scalar_from_doc({"p": 3})
     with pytest.raises(MalformedDocument):
         serialize.laurent_from_doc({"p": 3, "K": 2, "terms": [[1]]})

@@ -7,12 +7,18 @@ from dataclasses import replace
 import pytest
 
 from padicu import gm, unitary
-from padicu.errors import InputError, NotAUnit, NotContinuous, NotTeichmuller, NotUnitary
+from padicu.errors import (
+    InputError,
+    NotAUnit,
+    NotContinuous,
+    NotTeichmuller,
+    NotUnitary,
+    PadicError,
+)
 from padicu.matrices import PadicMatrix, vector_norm
 from padicu.sampling import (
     random_continuous,
     random_teichmuller,
-    random_unit_scalar,
     random_unitary,
 )
 from padicu.scalars import ONE_MINUS, UnramRing, Zp, teichmuller_lift
@@ -163,7 +169,7 @@ def test_spectral_rotation_example():
     ring = Zp(5, 2)
     u = M(ring, [[0, -1], [1, 0]])
     datum = unitary.teichmuller_spectral(u)
-    eigen = sorted(s.lift() for s in datum.eigenvalue_scalars())
+    eigen = sorted(lam for orbit in datum.orbits for lam in orbit.eigenvalues)
     assert eigen == [7, 18]  # the Teichmuller square roots of -1 mod 25
     for orbit in datum.orbits:
         lam = orbit.eigenvalues[0]
@@ -311,6 +317,32 @@ def test_power_zp_group_law():
         assert unitary.power_zp(u, k) == u.matrix_power(k)
 
 
+def _jordan_block(ring, n):
+    return M(ring, [[1 if j in (i, i + 1) else 0 for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("K", [1, 2])
+def test_power_zp_when_n_exceeds_p(n, K):
+    """For n > p the order of U reaches p^(K - 1 + unipotent_depth(n, p)) > p^K.
+
+    So t mod p^K does not fix U^t: I + N has (I + N)^(p^K) != I here.
+    """
+    rng = random.Random(10 * n + K)
+    ring = Zp(3, K)
+    block = _jordan_block(ring, n)
+    assert block.matrix_power(ring.pk) != PadicMatrix.identity(ring, n)
+    for u in (block, random_continuous(ring, n, rng)):
+        for t in (-1, ring.pk, ring.pk + 1, 27):
+            assert unitary.power_zp(u, t) == u.matrix_power(t), t
+        assert unitary.power_zp(u, -1) == u.inverse()
+        assert unitary.zp_unit_action(u, -1) == u.inverse()
+        assert unitary.zp_unit_action(u, ring.pk + 1) == u.matrix_power(ring.pk + 1)
+    with pytest.raises(PadicError) as caught:
+        unitary.power_zp(block, ring.scalar(1))  # known mod p^K only
+    assert caught.value.exit_code == 3
+
+
 def test_power_zp_requires_continuous():
     ring = Zp(3, 3)
     with pytest.raises(NotContinuous):
@@ -322,7 +354,10 @@ def test_zp_unit_action():
     ring = Zp(3, 3)
     u = random_continuous(ring, 2, rng)
     assert unitary.zp_unit_action(u, 1) == u
-    alpha = random_unit_scalar(ring, rng)
+    v = rng.randrange(ring.pk)
+    while v % ring.p == 0:
+        v = rng.randrange(ring.pk)
+    alpha = ring.scalar(v)
     forward = unitary.zp_unit_action(u, alpha)
     assert unitary.zp_unit_action(forward, alpha.inverse()) == u
     assert unitary.zp_unit_action(u, -1) == u.inverse()
@@ -377,7 +412,7 @@ def test_spectrum_table_examples():
     ring = Zp(5, 3)
     table = unitary.spectrum_table(PadicMatrix.identity(ring, 2), [1, 2])
     assert all(row.dimension == 2 for row in table.rows)
-    assert len(table.rows_at(1)) == 1
+    assert len([r for r in table.rows if r.j == 1]) == 1
 
     u = M(ring, [[1, 0], [0, -1]])
     table2 = unitary.spectrum_table(u, [1, 2, ONE_MINUS])
@@ -389,7 +424,7 @@ def test_spectrum_table_examples():
     mixed_ring = Zp(3, 3)
     table3 = unitary.spectrum_table(M(mixed_ring, [[1, 1], [1, 0]]), [1, 2])
     for j in (1, 2):
-        rows = table3.rows_at(j)
+        rows = [r for r in table3.rows if r.j == j]
         assert len(rows) == 1 and rows[0].dimension == 2
     assert table3.torsion_is_whole_module
 
@@ -411,7 +446,7 @@ def test_classify_works_over_extension():
 
 
 def test_power_zp_equals_integer_power_oracle():
-    """Independent oracle: the binomial series must equal plain matrix powers."""
+    """power_zp must equal plain matrix powers."""
     rng = random.Random(53)
     ring = Zp(3, 3)
     for _ in range(10):
