@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import fppoly
-from .errors import NotOrthogonal, NotUnitary, PrecisionMismatch, ZeroPolynomial
+from . import fppoly, ringpoly
+from .errors import NotInvertible, NotOrthogonal, NotUnitary, PrecisionMismatch, ZeroPolynomial
 from .matrices import PadicMatrix, residue_matrix_order
 from .scalars import PadicScalar, Zp
 
@@ -111,10 +111,13 @@ class LaurentPoly:
         return self.terms[self.low] % p != 0 and self.terms[self.high] % p != 0
 
     def evaluate_matrix(self, U: PadicMatrix) -> PadicMatrix:
-        """f(U) = U^low g(U) for f = t^low g; a negative low uses the inverse.
+        """f(U) for f = t^low g, as (t^low g mod chi_U)(U): one evaluation.
 
         Coefficients are base-ring scalars; the matrix may live in an
-        unramified extension at the same (p, K).
+        unramified extension at the same (p, K).  By Cayley-Hamilton,
+        t (t^(n-1) + c_(n-1) t^(n-2) + ... + c_1) = -c_0 mod chi_U, so a
+        negative low takes t^-1 = -c_0^-1 (t^(n-1) + ... + c_1) mod chi_U and
+        needs a unit c_0 = chi_U(0), as U^-1 does.
         """
         if (self.ring.p, self.ring.K) != (U.ring.p, U.ring.K):
             raise PrecisionMismatch(
@@ -123,8 +126,19 @@ class LaurentPoly:
         if not self.terms:
             return PadicMatrix.zeros(U.ring, U.n)
         dense, low = self.polynomial_part()
-        value = U.evaluate(dense)
-        return U.matrix_power(low) @ value if low else value
+        if not low:
+            return U.evaluate(dense)
+        ring = U.ring
+        g = [ring.rfrom_int(c) for c in dense]
+        chi = U.char_poly_raw()
+        if low > 0:
+            return U.evaluate(ringpoly.rem(ring, [ring.zero] * low + g, chi))
+        if not ring.runit(chi[0]):
+            raise NotInvertible("determinant is not a unit")
+        scale = ring.rneg(ring.rinv(chi[0]))
+        inverse_t = [ring.rmul(scale, c) for c in chi[1:]]
+        shift = ringpoly.pow_mod(ring, inverse_t, -low, chi)
+        return U.evaluate(ringpoly.mulmod(ring, shift, g, chi))
 
     def __repr__(self):
         body = " + ".join(f"{c}*t^{e}" for e, c in sorted(self.terms.items())) or "0"

@@ -280,17 +280,21 @@ class PadicMatrix:
         """f(A) by Horner's rule on ascending coefficients; [] gives the zero matrix.
 
         A coefficient is an int or a raw value of A's ring.  A polynomial of
-        degree d costs d - 1 matrix products: the first Horner step is a scaling.
+        degree d costs d - 1 matrix products: the first Horner step is a
+        scaling.  Each step works on raw rows and adds its coefficient onto
+        the diagonal of the product.
         """
-        ring, n = self.ring, self.n
+        ring, n, rows = self.ring, self.n, self.rows
+        coeffs = [ring.rfrom_int(c) if isinstance(c, int) else c for c in coeffs]
         if not coeffs:
             return PadicMatrix.zeros(ring, n)
         if len(coeffs) == 1:
-            return PadicMatrix.diagonal(ring, [coeffs[0]] * n)
-        acc = self.scale(coeffs[-1]) + PadicMatrix.diagonal(ring, [coeffs[-2]] * n)
+            return PadicMatrix(ring, _plus_diagonal(ring, [[ring.zero] * n] * n, coeffs[0]))
+        mul, top = ring.rmul, coeffs[-1]
+        acc = _plus_diagonal(ring, [[mul(top, a) for a in row] for row in rows], coeffs[-2])
         for c in reversed(coeffs[:-2]):
-            acc = acc @ self + PadicMatrix.diagonal(ring, [c] * n)
-        return acc
+            acc = _plus_diagonal(ring, _matmul(ring, acc, rows), c)
+        return PadicMatrix(ring, acc)
 
     def matrix_power(self, e: int) -> "PadicMatrix":
         """A^e; a negative e inverts first.
@@ -416,6 +420,14 @@ def _dot(ring, xs, ys):
     for a, b in zip(xs, ys):
         acc = ring.radd(acc, ring.rmul(a, b))
     return acc
+
+
+def _plus_diagonal(ring, rows, c) -> list:
+    """Raw rows + c I, as new lists."""
+    out = [list(row) for row in rows]
+    for i, row in enumerate(out):
+        row[i] = ring.radd(row[i], c)
+    return out
 
 
 def _matmul(ring, A, B):

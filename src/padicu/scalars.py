@@ -104,6 +104,9 @@ class Zp:
     def rfrob(self, a):
         return a
 
+    def rtrace(self, a) -> int:
+        return a
+
     def rreduce(self, a, j: int):
         return a % self.p**j
 
@@ -152,7 +155,7 @@ class UnramRing:
     endomorphism (the Frobenius).
     """
 
-    __slots__ = ("p", "K", "m", "pk", "modulus", "modulus_id", "_frob_rows")
+    __slots__ = ("p", "K", "m", "pk", "modulus", "modulus_id", "_frob_rows", "_traces")
 
     def __init__(self, p: int, K: int, m: int):
         check_odd_prime(p)
@@ -167,6 +170,7 @@ class UnramRing:
         self.modulus = moduli.canonical_modulus(p, m, K)
         self.modulus_id = moduli.modulus_id(p, m)
         self._frob_rows = None
+        self._traces = None
 
     # -- raw ops (m-tuples of ints) --------------------------------------
     @property
@@ -268,6 +272,22 @@ class UnramRing:
             self._frob_rows = tuple(zip(*images))  # row j: coordinate j of each image
         pk = self.pk
         return tuple(sum(c * x for c, x in zip(a, row)) % pk for row in self._frob_rows)
+
+    def rtrace(self, a) -> int:
+        """Tr(a) = sum_t sigma^t(a) over t < m, an element of Z_p: sum_k a_k Tr(X^k).
+
+        Tr(X^k) is the k-th power sum of the conjugates of X, the roots of the
+        monic modulus f, so Newton's identities give it without division:
+        s_k = -(k f_(m-k) + sum_(0<i<k) f_(m-i) s_(k-i)), with s_0 = m.
+        """
+        if self._traces is None:
+            m, f, pk = self.m, self.modulus, self.pk
+            sums = [m % pk]
+            for k in range(1, m):
+                acc = k * f[m - k] + sum(f[m - i] * sums[k - i] for i in range(1, k))
+                sums.append(-acc % pk)
+            self._traces = tuple(sums)
+        return sum(c * s for c, s in zip(a, self._traces)) % self.pk
 
     def rreduce(self, a, j: int):
         pj = self.p**j

@@ -30,11 +30,18 @@ distance 1 apart.  Frobenius sigma acts on Teichmuller eigenvalues as
 lambda -> lambda^p, so it carries pi_lambda to pi_(lambda^p), and the
 Galois twist sum sigma^k(lambda) pi_lambda is U^(p^k).
 
-The same symmetry makes the audit of an orbit cheap.  sigma acts entrywise
-as a ring automorphism, so sigma(AB) = sigma(A) sigma(B); once the chain
-sigma(P_t) = P_(t+1 mod d) holds, P_s P_t = sigma^s(P_0 P_(t-s mod d)), and
-the d products P_0 P_k cover all d^2 in-orbit identities
-(`SpectralDatum.verify`).
+The same symmetry makes the orbit algebra a computation over Z_p.  Once the
+chains sigma(P_t) = P_(t+1 mod d) and sigma(lambda_t) = lambda_(t+1 mod d)
+hold, an orbit's sum of P_t is Tr(P_0) and its sum of lambda_t P_t is
+Tr(lambda_0 P_0), entrywise, for the trace Tr = sum_t sigma^t of the orbit's
+ring; Tr is Z_p-linear, so it is a combination of the coordinate matrices of
+P_0 (`SpectralDatum.reconstruct`, `orbit_projector`).  The audit
+(`SpectralDatum.verify`) takes no product over an extension ring: U is fixed
+by sigma, so the eigen-equations U P_0 = lambda_0 P_0 = P_0 U, 2d products
+over Z_p, carry along the chain to every P_t.  With unit gaps between
+eigenvalues (the orbit polynomials multiply to a squarefree polynomial mod p)
+they make P_s P_t = 0 for s != t, in one orbit or across two, and then
+sum Tr(P_0) = I makes every P_t idempotent and U = sum lambda P.
 """
 
 from __future__ import annotations
@@ -169,81 +176,122 @@ class SpectralDatum:
     unipotent: PadicMatrix
 
     def orbit_projector(self, index: int) -> PadicMatrix:
-        """Sum of the projectors in one orbit; Galois-fixed, hence a base matrix."""
+        """Sum of the projectors in one orbit, Tr(P_0) entrywise: a base matrix.
+
+        This assumes the Frobenius chain P_t = sigma^t(P_0), which every datum
+        the library returns has passed in `verify`; on a datum that breaks
+        the chain it is Tr(P_0), not the sum of the listed projectors.
+        """
         orbit = self.orbits[index]
-        total = PadicMatrix.zeros(orbit.ring, self.n)
-        for proj in orbit.projectors:
-            total = total + proj
-        return _to_base(self.base_ring, total)
+        return self._trace_sum([(orbit, orbit.ring.one)])
 
     def reconstruct(self) -> PadicMatrix:
-        """Sum of eigenvalue * projector over every orbit, assembled over Z_p."""
-        total = PadicMatrix.zeros(self.base_ring, self.n)
-        for orbit in self.orbits:
-            partial = PadicMatrix.zeros(orbit.ring, self.n)
-            for lam, proj in zip(orbit.eigenvalues, orbit.projectors):
-                partial = partial + proj.scale(lam)
-            total = total + _to_base(self.base_ring, partial)
-        return total
+        """Sum of eigenvalue * projector over every orbit: Tr(lambda_0 P_0) per orbit.
+
+        Like `orbit_projector`, this assumes the Frobenius chains of
+        eigenvalues and projectors, which `verify` checks first.
+        """
+        return self._trace_sum([(orbit, orbit.eigenvalues[0]) for orbit in self.orbits])
+
+    def _trace_sum(self, terms) -> PadicMatrix:
+        """sum Tr(y P_0) over (orbit, y) terms, entrywise, as one combination over Z_p.
+
+        Tr is Z_p-linear, so with P_0 = sum_k A_k X^k over Z_p,
+        Tr(y P_0) = sum_k Tr(y X^k) A_k: m scalar products per orbit, and no
+        product of an extension-ring value with each entry.
+        """
+        weights, coordinates = [], []
+        for orbit, y in terms:
+            ring = orbit.ring
+            weights += [ring.rtrace(v) for v in _times_basis(ring, y)]
+            coordinates += _coordinates(self.base_ring, ring, orbit.projectors[0])
+        if not coordinates:
+            return PadicMatrix.zeros(self.base_ring, self.n)
+        return _linear_combination(self.base_ring, weights, coordinates)
 
     def verify(self, expected: PadicMatrix | None = None) -> bool:
         """Audit the datum: orthogonal idempotents summing to I, and U rebuilt.
 
-        Per orbit, the Frobenius chain sigma(P_t) = P_(t+1 mod d) and
-        sigma(lambda_t) = lambda_(t+1 mod d) is checked for every t, wrap-around
-        included.  sigma acts entrywise as a ring automorphism, so
-        sigma(AB) = sigma(A) sigma(B), and with the chain
-        P_s P_t = sigma^s(P_0 P_(t-s mod d)).  So P_0 P_0 = P_0 and
-        P_0 P_k = 0 for k = 1, ..., d - 1 cover all d^2 in-orbit identities
-        with d products.  An orbit sum Q_i = sum_t P_t is then Galois-fixed
-        and idempotent (Q_i^2 = sum_(s,t) P_s P_t = Q_i), so across orbits
-        only Q_i Q_j = 0 for i != j is checked, in both orders.  With
-        orbit degrees d_i and r orbits this is sum d_i + r(r - 1) products.
-        The chains also make every orbit sum of lambda_t P_t Galois-fixed, so
-        a broken datum reads False rather than failing in `_to_base`.
+        No product over an extension ring is taken.  With U = expected, or
+        U = `reconstruct()` when no expected is given, the checks are:
+        1. per orbit of degree d = the degree of its ring, the Frobenius chains
+           sigma(P_t) = P_(t+1 mod d) and sigma(lambda_t) = lambda_(t+1 mod d);
+        2. the product of the orbit polynomials, recomputed from each lambda_0,
+           is squarefree mod p;
+        3. sum_i Tr(P_0^(i)) = I;
+        4. `reconstruct()` = expected, when one is given;
+        5. per orbit, U P_0 = lambda_0 P_0 = P_0 U.  With P_0 = sum_k A_k X^k
+           over Z_p, coordinate k of U P_0 is U A_k and of P_0 U is A_k U, and
+           lambda_0 P_0 = sum_j (lambda_0 X^j) A_j takes no product: 2d
+           products over Z_p and none over the orbit's ring.
+        They prove what the products P_s P_t and Q_i Q_j would.  U is fixed
+        by sigma, so the chains carry step 5 to U P_t = lambda_t P_t = P_t U
+        for every t.  By step 2 every gap lambda - mu between two eigenvalues
+        is a unit.  So lambda_s P_s P_t = (P_s U) P_t = P_s (U P_t)
+        = lambda_t P_s P_t gives P_s P_t = 0 inside an orbit.  Across orbits,
+        with the orbit polynomial f_j and Q_j = Tr(P_0^(j)) = sum_s P_s^(j),
+        f_j(U) Q_j = sum_s f_j(lambda_s^(j)) P_s^(j) = 0, so
+        f_j(lambda_t^(i)) P_t^(i) Q_j = P_t^(i) f_j(U) Q_j = 0 with a unit
+        f_j(lambda_t^(i)), and P_t^(i) Q_j = 0.  Step 3 then gives
+        P_t = P_t sum_j Q_j = P_t Q_i = P_t^2, and U = U sum Q = sum lambda P.
+        Step 2 makes a hand-built datum whose eigenvalue residues coincide
+        (two orbits on one residue factor, or a repeated lambda) read False,
+        even with orthogonal idempotents; the library's orbits come from
+        distinct irreducible residue factors.
         """
-        n = self.n
+        base, n, p = self.base_ring, self.n, self.base_ring.p
+        minimal = [1]
         for orbit in self.orbits:
             ring, d = orbit.ring, orbit.degree
             P, lam = orbit.projectors, orbit.eigenvalues
+            if d != ring.degree or len(P) != d:
+                return False
             for t in range(d):
                 if P[t].frobenius_map() != P[(t + 1) % d]:
                     return False
                 if ring.rfrob(lam[t]) != lam[(t + 1) % d]:
                     return False
-            if P[0] @ P[0] != P[0]:
-                return False
-            zero = PadicMatrix.zeros(ring, n)
-            if any(P[0] @ P[k] != zero for k in range(1, d)):
-                return False
-        base_projectors = [self.orbit_projector(i) for i in range(len(self.orbits))]
-        total = PadicMatrix.zeros(self.base_ring, n)
-        for Q in base_projectors:
-            total = total + Q
-        if total != PadicMatrix.identity(self.base_ring, n):
+            f = _orbit_polynomial(base, ring, lam[0])
+            minimal = fppoly.mul(minimal, [c % p for c in f], p)
+        if fppoly.gcd(minimal, fppoly.derivative(minimal, p), p) != [1]:
             return False
-        if expected is not None and self.reconstruct() != expected:
+        sums = self._trace_sum([(orbit, orbit.ring.one) for orbit in self.orbits])
+        if sums != PadicMatrix.identity(base, n):
             return False
-        for i, Q_i in enumerate(base_projectors):
-            for j, Q_j in enumerate(base_projectors):
-                if i != j and not (Q_i @ Q_j).is_zero():
+        rebuilt = self.reconstruct()
+        if expected is not None and rebuilt != expected:
+            return False
+        U = rebuilt if expected is None else expected
+        for orbit in self.orbits:
+            ring = orbit.ring
+            A = _coordinates(base, ring, orbit.projectors[0])
+            # lambda_0 P_0 = sum_j (lambda_0 X^j) A_j: no product of matrices
+            scaled = _linear_combination(ring, _times_basis(ring, orbit.eigenvalues[0]), A)
+            for A_k, B_k in zip(A, _coordinates(base, ring, scaled)):
+                if U @ A_k != B_k or A_k @ U != B_k:
                     return False
         return True
 
 
-def _to_base(base_ring: Zp, matrix: PadicMatrix) -> PadicMatrix:
-    if isinstance(matrix.ring, Zp):
-        return matrix
-    ring = matrix.ring
-    rows = []
-    for row in matrix.rows:
-        out = []
-        for value in row:
-            if not ring.is_base_value(value):
-                raise ArithmeticError("Galois-fixed value expected; got a proper extension element")
-            out.append(value[0])
-        rows.append(out)
-    return PadicMatrix(base_ring, rows)
+def _times_basis(ring: AnyRing, y) -> list:
+    """y X^k for k < m, raw values of ring: multiplication by y on the power basis."""
+    if isinstance(ring, Zp):
+        return [y]
+    return [ring.rmul(y, tuple(int(i == k) for i in range(ring.m))) for k in range(ring.m)]
+
+
+def _coordinates(base: Zp, ring: AnyRing, matrix: PadicMatrix) -> list[PadicMatrix]:
+    """A_0, ..., A_(m-1) over Z_p with matrix = sum_k A_k X^k; [matrix] over Z_p."""
+    if isinstance(ring, Zp):
+        return [matrix]
+    return [PadicMatrix(base, [[v[k] for v in row] for row in matrix.rows]) for k in range(ring.m)]
+
+
+def _orbit_polynomial(base: Zp, ring: AnyRing, lam) -> list[int]:
+    """prod (t - sigma^t(lambda)) over the orbit of lambda in ring, over Z_p."""
+    if isinstance(ring, Zp):
+        return [ring.rneg(lam), 1]
+    return orbit_polynomial(base, ring.modulus, lam)
 
 
 def teichmuller_spectral(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> SpectralDatum:
@@ -275,12 +323,11 @@ def _teichmuller_spectral(U: PadicMatrix, seed: int) -> SpectralDatum:
         if d == 1:
             lam_ring: AnyRing = ring
             lam = ring.rteichmuller((-irr[0]) % p)
-            factor_coeffs = [ring.rneg(lam), 1]
         else:
             lam_ring = unram(p, K, d)
             canonical = min(_orbit_roots(irr, unram(p, 1, d), rng))
             lam = lam_ring.rteichmuller(lam_ring.rlift_residue(canonical))
-            factor_coeffs = orbit_polynomial(ring, lam_ring.modulus, lam)
+        factor_coeffs = _orbit_polynomial(ring, lam_ring, lam)
         eigenvalues = [lam]
         for _ in range(1, d):
             eigenvalues.append(lam_ring.rpow(eigenvalues[-1], p))
@@ -300,7 +347,7 @@ def _teichmuller_spectral(U: PadicMatrix, seed: int) -> SpectralDatum:
         inv_slope = lam_ring.rinv(ringpoly.divide_linear(lam_ring, quotient, lam)[1])
         coeffs = [lam_ring.rmul(inv_slope, c) for c in quotient]
         # sigma fixes U and m and maps lambda to lambda^p
-        projectors = [_combine_powers(lam_ring, coeffs, powers)]
+        projectors = [_linear_combination(lam_ring, coeffs, powers)]
         for _ in range(1, len(eigenvalues)):
             projectors.append(projectors[-1].frobenius_map())
         orbits.append(
@@ -323,10 +370,10 @@ def _teichmuller_spectral(U: PadicMatrix, seed: int) -> SpectralDatum:
     return datum
 
 
-def _combine_powers(ring: AnyRing, coeffs: list, powers: list[PadicMatrix]) -> PadicMatrix:
+def _linear_combination(ring: AnyRing, coeffs: list, matrices: list[PadicMatrix]) -> PadicMatrix:
     """sum c_k A_k over ring, for raw values c_k of ring and Z_p matrices A_k."""
-    pk, n = ring.pk, powers[0].n
-    entries = zip(*(sum(A.rows, ()) for A in powers))  # per entry, its values in A_0, A_1, ...
+    pk, n = ring.pk, matrices[0].n
+    entries = zip(*(sum(A.rows, ()) for A in matrices))  # per entry, its values in A_0, A_1, ...
     if isinstance(ring, Zp):
         values = [sum(c * x for c, x in zip(coeffs, entry)) % pk for entry in entries]
     else:

@@ -293,3 +293,32 @@ def test_evaluate_matrix_with_negative_low_matches_inverse_powers():
                         power = power @ (inv if low + i < 0 else U)
                     expected = expected + power.scale(c)
                 assert L(base, coeffs, low=low).evaluate_matrix(U) == expected
+
+
+def test_evaluate_matrix_matches_the_power_times_value_formula():
+    """(t^low g mod chi_U)(U) against U^low g(U), with U^low from `matrix_power`."""
+    from padicu.sampling import random_unitary
+    from padicu.scalars import UnramRing
+
+    rng = random.Random(73)
+    base = Zp(7, 4)
+    for ring in (base, UnramRing(7, 4, 2)):
+        for n in (1, 2, 3, 4):
+            U = random_unitary(ring, n, rng)
+            for low in range(-3, 3):
+                for length in (1, 3, 6):
+                    coeffs = [rng.randrange(base.pk) for _ in range(length - 1)] + [1]
+                    f = L(base, coeffs, low=low)
+                    dense, shift = f.polynomial_part()
+                    expected = U.matrix_power(shift) @ U.evaluate(dense)
+                    assert f.evaluate_matrix(U) == expected
+
+
+def test_evaluate_matrix_with_negative_low_needs_a_unit_determinant():
+    from padicu.errors import NotInvertible
+
+    ring = Zp(5, 3)
+    U = PadicMatrix(ring, [[5, 1], [0, 1]])
+    assert L(ring, [1, 2], low=1).evaluate_matrix(U) == U @ U.evaluate([1, 2])
+    with pytest.raises(NotInvertible):
+        L(ring, [1, 2], low=-1).evaluate_matrix(U)

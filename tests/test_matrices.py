@@ -393,6 +393,28 @@ def _sum_of_powers(A, coeffs):
 
 
 @pytest.mark.parametrize("ring", [Zp(5, 3), UnramRing(3, 2, 2)], ids=["Zp", "UnramRing"])
+def test_evaluate_works_on_raw_rows(ring, monkeypatch):
+    """Horner steps add onto the diagonal of the raw product: no diagonal matrix,
+    no scalar object and no matrix addition."""
+    rng = random.Random(62)
+    A = random_matrix(ring, 3, rng)
+    coeffs = [rng.randrange(ring.pk) for _ in range(4)]
+    want = _sum_of_powers(A, coeffs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("evaluate left the raw rows")
+
+    monkeypatch.setattr(PadicMatrix, "diagonal", forbidden)
+    monkeypatch.setattr(PadicMatrix, "__add__", forbidden)
+    monkeypatch.setattr(type(ring), "scalar", forbidden)
+    assert A.evaluate(coeffs) == want
+    c = ring.rfrom_int(coeffs[0])
+    assert A.evaluate(coeffs[:1]).rows == tuple(
+        tuple(c if i == j else ring.zero for j in range(3)) for i in range(3)
+    )
+
+
+@pytest.mark.parametrize("ring", [Zp(5, 3), UnramRing(3, 2, 2)], ids=["Zp", "UnramRing"])
 def test_evaluate_matches_sum_of_powers(ring):
     rng = random.Random(61)
     for n in (1, 2, 3):

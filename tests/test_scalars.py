@@ -225,6 +225,34 @@ def test_rfrob_is_the_frobenius_automorphism(m, p, K):
         assert image == a
 
 
+@pytest.mark.parametrize("K", [1, 20])
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_rtrace_is_the_sum_of_the_frobenius_images(m, p, K):
+    """Tr(a) = sum_t sigma^t(a): that sum has Tr(a) in coordinate 0 and 0 elsewhere,
+    with sigma^t taken as a -> a^(p^t) on the Teichmuller generator's powers."""
+    ring = UnramRing(p, K, m)
+    rng = random.Random(f"trace {m},{p},{K}")
+    xp = ring.rpow(ring.generator, p)  # sigma(X), independent of rfrob
+    assert ring.rtrace(ring.one) == m % ring.pk
+    for _ in range(8):
+        a = tuple(rng.randrange(ring.pk) for _ in range(m))
+        b = tuple(rng.randrange(ring.pk) for _ in range(m))
+        c = rng.randrange(ring.pk)
+        total, sigma_x = ring.zero, ring.generator
+        for _ in range(m):
+            image, power = ring.zero, ring.one  # sum_k a_k sigma^t(X)^k
+            for coeff in a:
+                image = ring.radd(image, ring.rmul(ring.rfrom_int(coeff), power))
+                power = ring.rmul(power, sigma_x)
+            total = ring.radd(total, image)
+            sigma_x = ring.rpow(sigma_x, p)
+        assert total == ring.rfrom_int(ring.rtrace(a))
+        combined = ring.radd(a, ring.rmul(ring.rfrom_int(c), b))
+        assert ring.rtrace(combined) == (ring.rtrace(a) + c * ring.rtrace(b)) % ring.pk
+    assert Zp(p, K).rtrace(7 % ring.pk) == 7 % ring.pk
+
+
 def test_unram_valuation_and_inverse():
     ring = UnramRing(5, 3, 2)
     x = ring.scalar((10, 25))

@@ -657,20 +657,25 @@ def test_verify_rejects_a_chain_whose_in_orbit_products_fail(three_orbits):
 
 
 def test_verify_makes_one_product_per_orbit_member_and_cross_pair(three_orbits, monkeypatch):
+    """Two products over Z_p per orbit member, U A_k and A_k U, and none over
+    an extension ring."""
+    from padicu import matrices
+
     u, datum = three_orbits
-    count = {"@": 0}
-    original = PadicMatrix.__matmul__
+    rings = []
+    original = matrices._matmul
 
-    def counted(self, other):
-        count["@"] += 1
-        return original(self, other)
+    def counted(ring, A, B):
+        rings.append(ring)
+        return original(ring, A, B)
 
-    monkeypatch.setattr(PadicMatrix, "__matmul__", counted)
+    monkeypatch.setattr(matrices, "_matmul", counted)
     for d in (datum, unitary.spectral_decompose(random_unitary(Zp(7, 4), 4, random.Random(5)))):
-        count["@"] = 0
-        assert d.verify()
-        r = len(d.orbits)
-        assert count["@"] == sum(o.degree for o in d.orbits) + r * (r - 1)
+        for expected in (None, d.reconstruct()):
+            rings.clear()
+            assert d.verify(expected)
+            assert len(rings) == 2 * sum(o.degree for o in d.orbits)
+            assert all(ring == d.base_ring for ring in rings)
 
 
 # -- the Jordan datum kept on the matrix ------------------------------------------------
