@@ -163,15 +163,16 @@ class UnitPolynomial(LaurentPoly):
 # -- Sylvester determinant and adjugate ----------------------------------------
 
 
-def _det_and_adjugate_last_row(rows: list[list[int]], ring: Zp) -> tuple[int, list[int]]:
-    """det S and the last row of adj S over Z/p^j, entries reduced mod p^j.
+def _det_and_adjugate_last_row(rows: list[list[int]], ring: Zp) -> tuple[int, list[int] | None]:
+    """det S mod p^j, and the last row of adj S when det S is a unit.
 
-    Only the last adjugate row is needed for the Bezout coefficients.  4 x 4
-    matrices (degrees 2 + 2 and 1 + 3, the bulk of an exhaustive degree <= 2
-    sweep) use unrolled cofactors; every other size goes through Berkowitz.
+    Only the last adjugate row is needed for the Bezout coefficients, and only
+    for a unit resultant; for a non-unit det the row is None.  4 x 4 matrices
+    (degrees 2 + 2 and 1 + 3, the bulk of an exhaustive degree <= 2 sweep) use
+    unrolled cofactors; every other size goes through elimination.
     """
     if len(rows) != 4:
-        return _berkowitz_det_and_adjugate_last_row(rows, ring)
+        return _elimination_det_and_adjugate_last_row(rows, ring)
     pk = ring.pk
     # unrolled cofactors along the last column
     (a0, a1, a2, _), (b0, b1, b2, _), (c0, c1, c2, _), (d0, d1, d2, _) = rows
@@ -191,24 +192,68 @@ def _det_and_adjugate_last_row(rows: list[list[int]], ring: Zp) -> tuple[int, li
         (a0 * bc0 - a1 * bc1 + a2 * bc2) % pk,
     ]
     # cofactor expansion along the last column recovers the determinant
-    return sum(last[r] * rows[r][3] for r in range(4)) % pk, last
+    det = sum(last[r] * rows[r][3] for r in range(4)) % pk
+    return det, (last if det % ring.p else None)
 
 
-def _berkowitz_det_and_adjugate_last_row(rows: list[list[int]], ring: Zp) -> tuple[int, list[int]]:
-    """det S and the last row of adj S from the division-free char poly.
+def _elimination_det_and_adjugate_last_row(
+    rows: list[list[int]], ring: Zp
+) -> tuple[int, list[int] | None]:
+    """Gaussian elimination on S^T | e_N over Z/p^j with least-valuation pivots.
 
-    With det(tI - S) = t^N + c_(N-1) t^(N-1) + ... + c_0, det S = (-1)^N c_0
-    and adj S = (-1)^(N+1) (S^(N-1) + c_(N-1) S^(N-2) + ... + c_1 I), whose
-    last row is a Horner pass on e_N^T.
+    Each column's pivot p^v u has the least valuation in the column, so every
+    entry x below it is p^v x' and x - (x' u^-1) p^v u = 0 exactly: the row
+    operations are unimodular, a swap flips the sign, and det S is the signed
+    product of the pivots (0 once a column is all zero).  For a unit det every
+    pivot is a unit, and the last row of adj S = det S^-1 is det y with
+    S^T y = e_N, solved by back substitution.
     """
-    n, pk = len(rows), ring.pk
-    chi = PadicMatrix(ring, rows).char_poly_raw()
-    v = [0] * (n - 1) + [1]
-    for c in reversed(chi[1:n]):
-        v = [sum(v[r] * rows[r][col] for r in range(n)) % pk for col in range(n)]
-        v[n - 1] = (v[n - 1] + c) % pk
-    sign = 1 if n % 2 else -1  # (-1)^(N+1)
-    return (-sign * chi[0]) % pk, [(sign * x) % pk for x in v]
+    p, pk = ring.p, ring.pk
+    n = len(rows)
+    a = [[rows[r][c] % pk for r in range(n)] + [0] for c in range(n)]
+    a[n - 1][n] = 1
+    det, inverses = 1, []
+    for c in range(n):
+        best, best_v = -1, 0
+        for r in range(c, n):
+            x = a[r][c]
+            if not x:
+                continue
+            v = 0
+            while x % p == 0:
+                x //= p
+                v += 1
+            if best < 0 or v < best_v:
+                best, best_v = r, v
+                if not v:
+                    break
+        if best < 0:
+            return 0, None
+        if best != c:
+            a[c], a[best] = a[best], a[c]
+            det = -det
+        prow = a[c]
+        pivot = prow[c]
+        det = det * pivot % pk
+        scale = p**best_v
+        inv = pow(pivot // scale, -1, pk)
+        inverses.append(inv)
+        tail = prow[c + 1 :]
+        for r in range(c + 1, n):
+            row = a[r]
+            x = row[c]
+            if x:
+                m = (x // scale) * inv % pk
+                row[c + 1 :] = [(u - m * w) % pk for u, w in zip(row[c + 1 :], tail)]
+    if det % p == 0:
+        return det % pk, None
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        s = row[n] - sum(row[k] * y[k] for k in range(i + 1, n))
+        y[i] = s * inverses[i] % pk
+    det %= pk
+    return det, [det * v % pk for v in y]
 
 
 def _sylvester(fc: list[int], gc: list[int]) -> list[list[int]]:

@@ -499,10 +499,14 @@ def projection_functors(U: PadicMatrix, j: int, f: gm.LaurentPoly) -> Projection
     """Realize the annihilator and quotient functors of (p^j, f) on (Z/p^j)^n."""
     if not 1 <= j <= U.ring.K:
         raise InputError(f"reduction level {j} outside [1, {U.ring.K}]")
-    B = f.reduce(j).evaluate_matrix(U.reduce(j))
-    profile = B.smith_form()
+    return _functors(U.reduce(j), f.reduce(j))
+
+
+def _functors(U: PadicMatrix, f: gm.LaurentPoly) -> ProjectionResult:
+    """`projection_functors` for U and f already reduced to one level j = K."""
+    profile = f.evaluate_matrix(U).smith_form()
     return ProjectionResult(
-        j=j,
+        j=U.ring.K,
         kernel_basis=tuple(profile.kernel_basis()),
         kernel_dimension=profile.kernel_dimension(),
         cokernel_divisors=profile.divisors,
@@ -533,49 +537,60 @@ def spectrum_table(U: PadicMatrix, j_list, seed: int = fppoly.DEFAULT_SEED) -> S
     """Component dimensions of the spectrum at each reduction level.
 
     The characteristic polynomial (a unit polynomial for unitary U) is grouped
-    into Teichmuller clusters at each level; the component of a cluster is the
-    kernel of its grouped factor evaluated at U, a free direct summand whose
-    rank is reported.  Ranks sum to n: the module is entirely torsion and
-    complete under a unitary, and the spectrum is never empty.
+    into Teichmuller clusters and Hensel-lifted once, to the deepest level
+    asked for.  Monic coprime lifts are unique, so a level's grouped factors
+    are the deepest ones reduced mod p^j.  The component of a cluster is the
+    kernel of its grouped factor evaluated at U mod p^j, a free direct
+    summand whose rank is reported.  Ranks sum to n: the module is entirely
+    torsion and complete under a unitary, and the spectrum is never empty.
+    Every level is validated, in order, before any is computed; each distinct
+    level is computed once, and "1-" shares the rows of level 1.
     """
     _require_unitary(U)
     ring = U.ring
     if not isinstance(ring, Zp):
         raise InputError("spectrum tables are computed for base-ring operators")
-    chi = U.char_poly_raw()
-    f = gm.LaurentPoly.from_coeffs(ring, chi)
-    rows = []
+    levels = []
     for j_entry in j_list:
         if j_entry is ONE_MINUS:
-            j, label = 1, "1-"
+            levels.append((1, "1-"))
         else:
-            j, label = int(j_entry), f"p^{int(j_entry)}"
-        factorization = gm.teich_factor(f, j, seed=seed)
-        dims = 0
-        for orbit_label, coeffs in sorted(factorization.factors.items()):
-            poly = gm.LaurentPoly.from_coeffs(ring.at_precision(j), coeffs)
-            result = projection_functors(U, j, poly)
-            full = sum(1 for d in result.cokernel_divisors if d == j)
-            partial = [d for d in result.cokernel_divisors if 0 < d < j]
-            if partial:
-                raise ArithmeticError("component is not a free summand")
-            if full == 0:
-                raise ArithmeticError("spectrum component vanished")  # Sp(M) != {0}
-            dims += full
-            rows.append(
-                SpectrumRow(
-                    epsilon=label,
-                    j=j,
-                    orbit=orbit_label,
-                    dimension=full,
-                    cokernel_divisors=result.cokernel_divisors,
-                )
-            )
-        if dims != U.n:
-            raise ArithmeticError("component dimensions do not sum to n")
+            j = int(j_entry)
+            ring.at_precision(j)  # an out-of-range level raises ValueError here
+            levels.append((j, f"p^{j}"))
+    components = {}
+    if levels:
+        f = gm.LaurentPoly.from_coeffs(ring, U.char_poly_raw())
+        lifted = gm.teich_factor(f, max(j for j, _ in levels), seed=seed).factors
+        for j, _ in levels:
+            if j not in components:
+                components[j] = _spectrum_components(U, lifted, j)
+    rows = tuple(
+        SpectrumRow(epsilon=label, j=j, orbit=orbit, dimension=dimension, cokernel_divisors=divisors)
+        for j, label in levels
+        for orbit, dimension, divisors in components[j]
+    )
     return SpectrumTable(
         n=U.n,
-        rows=tuple(rows),
+        rows=rows,
         torsion_is_whole_module=True,
         completion_is_whole_module=True,
     )
+
+
+def _spectrum_components(U: PadicMatrix, lifted: dict, j: int) -> list:
+    """(orbit, rank, cokernel divisors) per cluster at level j, audited."""
+    ring_j = U.ring.at_precision(j)
+    U_j = U.reduce(j)
+    components = []
+    for orbit, coeffs in sorted(lifted.items()):
+        result = _functors(U_j, gm.LaurentPoly.from_coeffs(ring_j, coeffs))
+        full = sum(1 for d in result.cokernel_divisors if d == j)
+        if any(0 < d < j for d in result.cokernel_divisors):
+            raise ArithmeticError("component is not a free summand")
+        if full == 0:
+            raise ArithmeticError("spectrum component vanished")  # Sp(M) != {0}
+        components.append((orbit, full, result.cokernel_divisors))
+    if sum(dimension for _, dimension, _ in components) != U.n:
+        raise ArithmeticError("component dimensions do not sum to n")
+    return components

@@ -1,4 +1,4 @@
-"""Print one sha256 over the library's spectral, power and modulus outputs.
+"""Print one sha256 over the library's spectral, power, modulus and formal-group outputs.
 
 Usage: PYTHONPATH=src python tests/golden/digest.py [-v]
 
@@ -13,6 +13,14 @@ after.  The digest covers, on a fixed seeded grid of nine (p, K, n) shapes:
 - `PadicMatrix.matrix_power` over an unramified extension ring, for small,
   negative and 200-bit exponents.
 
+and, on a seeded grid of three (p, K) levels, the formal-group layer:
+
+- `orthogonality_test` (resultant, Bezout k and l) on unit-polynomial pairs of
+  degrees 1 + 1 up to 8 + 8, orthogonal or sharing a root mod p;
+- `bezout_idempotents` (P1, P2) on the orthogonal pairs;
+- `teich_factor` of f, of f g and of a pair sharing a root;
+- `spectrum_table` on 6 x 6 unitaries at levels 1-, 1, K/2 and K.
+
 With -v it also prints a digest per shape and the number of items hashed.
 This script is not a test: it is run by hand on two trees and compared.
 """
@@ -23,11 +31,11 @@ import hashlib
 import random
 import sys
 
-from padicu import moduli
+from padicu import fppoly, gm, moduli
 from padicu.errors import InputError
 from padicu.sampling import random_continuous, random_unitary
-from padicu.scalars import Zp, unram
-from padicu.unitary import classify, jordan_decompose, power_zp, spectral_decompose
+from padicu.scalars import ONE_MINUS, Zp, unram
+from padicu.unitary import classify, jordan_decompose, power_zp, spectral_decompose, spectrum_table
 
 SHAPES = [
     (3, 2, 2), (3, 5, 3), (3, 10, 4),
@@ -37,6 +45,9 @@ SHAPES = [
 UNITARIES = 10  # per shape, through classify, jordan and spectral
 CONTINUOUS = 10  # per shape, through power_zp at four times each
 EXTENSION = 10  # per shape, extension-ring powers
+FORMAL_GRID = [(3, 4), (5, 10), (7, 30)]
+FORMAL_DEGREES = [(d, e) for d in range(1, 9) for e in (d, 9 - d)]
+TABLES = 4  # per formal level, 6 x 6 spectrum tables
 
 
 def _spectral_items(U, seed):
@@ -78,13 +89,64 @@ def shape_items(p: int, K: int, n: int):
             yield ("ext_power", A.rows, e, A.matrix_power(e).rows)
 
 
+def _unit_coeffs(rng, p: int, pk: int, degree: int) -> list[int]:
+    coeffs = [rng.randrange(pk) for _ in range(degree + 1)]
+    for i in (0, degree):
+        coeffs[i] = rng.randrange(1, p) + p * rng.randrange(pk // p)
+    return coeffs
+
+
+def _laurent(poly) -> list | None:
+    return sorted(poly.terms.items()) if poly is not None else None
+
+
+def _teich(f):
+    t = gm.teich_factor(f, f.ring.K)
+    return ("teich_factor", t.unit.lift(), t.shift, sorted(t.factors.items()))
+
+
+def formal_items(p: int, K: int):
+    """Everything hashed for one formal-group level, in a fixed order."""
+    rng = random.Random(f"digest-formal-{p}-{K}")
+    ring = Zp(p, K)
+    pk = ring.pk
+    for dm, dn in FORMAL_DEGREES:
+        f = _unit_coeffs(rng, p, pk, dm)
+        g = _unit_coeffs(rng, p, pk, dn)
+        root = _unit_coeffs(rng, p, pk, 1)
+        shared = (fppoly.mul(root, _unit_coeffs(rng, p, pk, dm - 1), pk),
+                  fppoly.mul(root, _unit_coeffs(rng, p, pk, dn - 1), pk))
+        low = rng.randrange(-2, 3)
+        for fc, gc in ((f, g), shared):
+            F = gm.LaurentPoly.from_coeffs(ring, fc, low=low)
+            G = gm.LaurentPoly.from_coeffs(ring, gc)
+            for j in (1, K):
+                c = gm.orthogonality_test(F, G, j)
+                yield ("orthogonality", fc, gc, low, j, c.orthogonal, c.res.lift(),
+                       _laurent(c.bezout_k), _laurent(c.bezout_l), c.shifts)
+                if c.orthogonal:
+                    b = gm.bezout_idempotents(F, G, j, certificate=c)
+                    yield ("bezout_idempotents", b.modulus, b.p1, b.p2)
+        yield _teich(gm.LaurentPoly.from_coeffs(ring, f, low=low))
+        yield _teich(gm.LaurentPoly.from_coeffs(ring, fppoly.mul(f, g, pk)))
+        yield _teich(gm.LaurentPoly.from_coeffs(ring, fppoly.mul(*shared, pk)))
+    for _ in range(TABLES):
+        U = random_unitary(ring, 6, rng)
+        table = spectrum_table(U, [ONE_MINUS, 1, K // 2, K], seed=rng.randrange(1 << 16))
+        yield ("spectrum_table", U.rows, table.n, [
+            (r.epsilon, r.j, r.orbit, r.dimension, r.cokernel_divisors) for r in table.rows
+        ])
+
+
 def main(argv: list[str]) -> int:
     verbose = "-v" in argv
     total = hashlib.sha256()
     count = 0
-    for shape in SHAPES:
+    parts = [(shape, shape_items(*shape)) for shape in SHAPES]
+    parts += [(("formal", p, K), formal_items(p, K)) for p, K in FORMAL_GRID]
+    for shape, items in parts:
         part = hashlib.sha256()
-        for item in shape_items(*shape):
+        for item in items:
             line = repr(item).encode()
             part.update(line)
             total.update(line)

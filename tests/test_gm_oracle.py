@@ -2,7 +2,9 @@
 
 sympy is a test-only oracle: it computes res(f, g) over Z by its own
 subresultant PRS (``res_z``), and the certificate identity k*f + l*g = res is
-checked with sympy's polynomial arithmetic.  ``res_z`` follows the convention
+checked with sympy's polynomial arithmetic.  The Sylvester determinant and
+the last adjugate row are checked against sympy's ``Matrix.det`` and
+``Matrix.adjugate`` over Z, reduced mod p^j.  ``res_z`` follows the convention
 res(f, g) = lc(f)^deg(g) * prod of g over the roots of f; the top-level
 ``sympy.resultant`` of sympy 1.14 returns the opposite sign on some pairs
 with deg(f) * deg(g) odd, so it is not used.  Skipped when sympy is absent.
@@ -73,3 +75,57 @@ def test_resultant_and_certificate_against_sympy(dm, dn, orthogonal):
             combo = (k * _poly(f) + l * _poly(g)).all_coeffs()[::-1]
             assert [int(c) % pj for c in combo] == [res % pj] + [0] * (len(combo) - 1)
             gm.bezout_idempotents(F, G, j, certificate=cert)  # self-audits its six identities
+
+
+def _shared_root_pair(rng, p, pk, dm, dn):
+    """f, g with a common linear factor plus p^2 noise: p^2 divides res(f, g)."""
+    h = _poly(_unit_coeffs(rng, p, pk, 1))
+    f = (h * _poly(_unit_coeffs(rng, p, pk, dm - 1))).all_coeffs()[::-1]
+    g = (h * _poly(_unit_coeffs(rng, p, pk, dn - 1))).all_coeffs()[::-1]
+    f = [(int(c) + p * p * rng.randrange(pk)) % pk for c in f]
+    g = [(int(c) + p * p * rng.randrange(pk)) % pk for c in g]
+    return f, g
+
+
+def _sympy_adjugate_last_row(S):
+    n = S.rows
+    if n <= 8:
+        return [int(x) for x in S.adjugate().row(n - 1)]
+    # adj S is the transposed cofactor matrix; the full adjugate of a 16 x 16
+    # integer matrix takes seconds, its last row (N cofactors) does not
+    return [int(S.cofactor(i, n - 1)) for i in range(n)]
+
+
+KINDS = ("unit", "shared-root", "equal")
+SYLVESTER_CASES = [(dm, dn, kind) for dm, dn in SHAPES for kind in KINDS if kind != "equal" or dm == dn]
+
+
+@pytest.mark.parametrize(
+    "dm,dn,kind", SYLVESTER_CASES, ids=[f"{m}+{n}-{kind}" for m, n, kind in SYLVESTER_CASES]
+)
+def test_sylvester_det_and_adjugate_row_against_sympy(dm, dn, kind):
+    """Both Sylvester paths against sympy; the row is given only for a unit det.
+
+    Shared-root pairs have det of valuation >= 2, so elimination meets pivots
+    of positive valuation; f = g has det 0 over Z and an all-zero column.
+    """
+    rng = random.Random(f"sylvester-{dm}-{dn}-{kind}")
+    for p, j in ((3, 4), (5, 3), (7, 3)):
+        ring = Zp(p, j)
+        pj = ring.pk
+        if kind == "unit":
+            f, g, _ = _pair(rng, p, pj, dm, dn, True)
+        elif kind == "shared-root":
+            f, g = _shared_root_pair(rng, p, pj, dm, dn)
+        else:
+            f = g = _unit_coeffs(rng, p, pj, dm)
+        rows = gm._sylvester(f, g)
+        S = sympy.Matrix(rows)
+        det = int(S.det()) % pj
+        expected = (det, [x % pj for x in _sympy_adjugate_last_row(S)] if det % p else None)
+        if kind == "shared-root":
+            assert det % (p * p) == 0
+        if kind == "equal":
+            assert det == 0
+        assert gm._elimination_det_and_adjugate_last_row(rows, ring) == expected
+        assert gm._det_and_adjugate_last_row(rows, ring) == expected

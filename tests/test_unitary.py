@@ -2,11 +2,12 @@
 
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
 
-from padicu import gm, unitary
+from padicu import fppoly, gm, unitary
 from padicu.errors import (
     InputError,
     NotAUnit,
@@ -427,6 +428,77 @@ def test_spectrum_table_examples():
         rows = [r for r in table3.rows if r.j == j]
         assert len(rows) == 1 and rows[0].dimension == 2
     assert table3.torsion_is_whole_module
+
+
+def _reference_spectrum_rows(U, j_list):
+    """The table level by level: one teich_factor and projection_functors per entry."""
+    f = gm.LaurentPoly.from_coeffs(U.ring, [c.lift() for c in U.char_poly()])
+    rows = []
+    for entry in j_list:
+        j, label = (1, "1-") if entry is ONE_MINUS else (entry, f"p^{entry}")
+        for orbit, coeffs in sorted(gm.teich_factor(f, j).factors.items()):
+            factor = gm.LaurentPoly.from_coeffs(U.ring.at_precision(j), coeffs)
+            divisors = unitary.projection_functors(U, j, factor).cokernel_divisors
+            dimension = sum(1 for d in divisors if d == j)
+            rows.append(unitary.SpectrumRow(label, j, orbit, dimension, divisors))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("p,K", [(5, 10), (7, 30)])
+def test_spectrum_table_matches_a_per_level_reference(p, K):
+    ring = Zp(p, K)
+    rng = random.Random(p * K)
+    j_list = [ONE_MINUS, 1, K // 2, K, 1]
+    for _ in range(4):
+        U = random_unitary(ring, 6, rng)
+        table = unitary.spectrum_table(U, j_list)
+        assert table.rows == _reference_spectrum_rows(U, j_list)
+        assert table.n == 6
+
+
+@pytest.fixture
+def factoring_calls(monkeypatch):
+    """Counts of `fppoly.factor` calls and of top-level (non-recursive) Hensel lifts."""
+    calls = {"factor": 0, "lift": 0}
+    real_factor, real_lift = fppoly.factor, gm._hensel_lift_list
+    depth = [0]
+
+    def factor(*args, **kwargs):
+        calls["factor"] += 1
+        return real_factor(*args, **kwargs)
+
+    def lift(*args):
+        calls["lift"] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return real_lift(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(fppoly, "factor", factor)
+    monkeypatch.setattr(gm, "_hensel_lift_list", lift)
+    return calls
+
+
+def test_spectrum_table_factors_and_lifts_once(factoring_calls):
+    ring = Zp(5, 10)
+    rng = random.Random(13)
+    for _ in range(3):
+        U = random_unitary(ring, 6, rng)
+        factoring_calls.update(factor=0, lift=0)
+        unitary.spectrum_table(U, [ONE_MINUS, 1, 5, 10, 1])
+        assert factoring_calls == {"factor": 1, "lift": 1}
+    factoring_calls.update(factor=0, lift=0)
+    assert unitary.spectrum_table(U, []).rows == ()
+    assert factoring_calls == {"factor": 0, "lift": 0}
+
+
+@pytest.mark.parametrize("j_list,bad", [([1, 11], 11), ([0], 0), ([ONE_MINUS, 3, -1, 12], -1)])
+def test_spectrum_table_rejects_a_level_before_factoring(factoring_calls, j_list, bad):
+    U = random_unitary(Zp(5, 10), 4, random.Random(17))
+    with pytest.raises(ValueError, match=re.escape(f"target precision {bad} outside [1, 10]")):
+        unitary.spectrum_table(U, j_list)
+    assert factoring_calls == {"factor": 0, "lift": 0}
 
 
 def test_spectral_rejects_extension_base():
