@@ -65,21 +65,30 @@ def scale(a: list[int], c: int, p: int) -> list[int]:
 
 
 def divmod_poly(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q*b + r and deg r < deg b, for b with a unit lead.
+
+    One pass over a copy of a, from the top: each quotient coefficient is
+    reduced mod p as it is read off, and each remainder coefficient once, in
+    the last step.  The lead's inverse is taken first, so a non-unit lead
+    raises ValueError also when deg a < deg b and a itself is the remainder.
+    """
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    a = list(a)
     inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = (a[-1] * inv_lead) % p
-        d = len(a) - len(b)
-        q[d] = c
-        for i, bv in enumerate(b):
-            a[d + i] = (a[d + i] - c * bv) % p
-        trim(a)
-        if not a:
-            break
-    return trim(q), a
+    top = len(b) - 1
+    if len(a) <= top:
+        return [], trim([v % p for v in a])
+    r = list(a)
+    q = [0] * (len(r) - top)
+    for d in reversed(range(1, len(q))):
+        c = q[d] = r[d + top] * inv_lead % p
+        for i, bv in enumerate(b, d):
+            r[i] -= c * bv
+    c = q[0] = r[top] * inv_lead % p
+    del r[top:]
+    for i in range(top):
+        r[i] = (r[i] - c * b[i]) % p
+    return trim(q), trim(r)
 
 
 def monic(a: list[int], p: int) -> list[int]:

@@ -454,7 +454,10 @@ def _hensel_pair(f, g0, h0, p, j):
     """Lift f = g0*h0 (mod p) to mod p^j with quadratic Newton iteration.
 
     f, g0, h0 monic; g0, h0 coprime mod p.  Each round doubles the precision
-    and refreshes the Bezout cofactors s*g + t*h = 1 alongside.
+    and, unless it reached p^j, refreshes the Bezout cofactors s*g + t*h = 1
+    for the next round: a step to p^(2k) needs them only mod p^k, so the
+    last one is not refreshed (von zur Gathen and Gerhard, Modern Computer
+    Algebra, Algorithm 15.10).
     """
     one, s, t = fppoly.ext_gcd(g0, h0, p)
     if one != [1]:
@@ -471,12 +474,13 @@ def _hensel_pair(f, g0, h0, p, j):
         h_new, rem = fppoly.divmod_poly(f_mod, g_new, mod)
         if rem:
             raise ArithmeticError("Hensel division left a nonzero remainder")
+        if prec == j:
+            return g_new, h_new
         # cofactor refresh: s*g + t*h = 1 at the new precision
         b = fppoly.sub(
             fppoly.add(fppoly.mul(s, g_new, mod), fppoly.mul(t, h_new, mod), mod), [1], mod
         )
-        cq, cr = fppoly.divmod_poly(fppoly.mul(s, b, mod), h_new, mod)
-        s_new = fppoly.sub(s, cr, mod)
+        cq, _ = fppoly.divmod_poly(fppoly.mul(s, b, mod), h_new, mod)
         t_new = fppoly.sub(
             fppoly.sub(t, fppoly.mul(b, t, mod), mod), fppoly.mul(cq, g_new, mod), mod
         )

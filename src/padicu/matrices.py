@@ -356,6 +356,10 @@ class PadicMatrix:
                     v = ring.rval(A[i][jj])
                     if v < dmin:
                         dmin, pos = v, (i, jj)
+                        if not v:
+                            break
+                if not dmin:
+                    break  # a unit is the first strict minimum there can be
             if pos is None:
                 break  # remaining block vanishes mod p^j
             divisors[k] = dmin

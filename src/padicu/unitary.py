@@ -499,14 +499,9 @@ def projection_functors(U: PadicMatrix, j: int, f: gm.LaurentPoly) -> Projection
     """Realize the annihilator and quotient functors of (p^j, f) on (Z/p^j)^n."""
     if not 1 <= j <= U.ring.K:
         raise InputError(f"reduction level {j} outside [1, {U.ring.K}]")
-    return _functors(U.reduce(j), f.reduce(j))
-
-
-def _functors(U: PadicMatrix, f: gm.LaurentPoly) -> ProjectionResult:
-    """`projection_functors` for U and f already reduced to one level j = K."""
-    profile = f.evaluate_matrix(U).smith_form()
+    profile = f.reduce(j).evaluate_matrix(U.reduce(j)).smith_form()
     return ProjectionResult(
-        j=U.ring.K,
+        j=j,
         kernel_basis=tuple(profile.kernel_basis()),
         kernel_dimension=profile.kernel_dimension(),
         cokernel_divisors=profile.divisors,
@@ -537,14 +532,19 @@ def spectrum_table(U: PadicMatrix, j_list, seed: int = fppoly.DEFAULT_SEED) -> S
     """Component dimensions of the spectrum at each reduction level.
 
     The characteristic polynomial (a unit polynomial for unitary U) is grouped
-    into Teichmuller clusters and Hensel-lifted once, to the deepest level
+    into Teichmuller clusters and Hensel-lifted once, to the deepest level J
     asked for.  Monic coprime lifts are unique, so a level's grouped factors
     are the deepest ones reduced mod p^j.  The component of a cluster is the
     kernel of its grouped factor evaluated at U mod p^j, a free direct
     summand whose rank is reported.  Ranks sum to n: the module is entirely
     torsion and complete under a unitary, and the spectrum is never empty.
-    Every level is validated, in order, before any is computed; each distinct
-    level is computed once, and "1-" shares the rows of level 1.
+
+    Each cluster factor is evaluated at U mod p^J and put in Smith form once.
+    L A R = diag(p^d) mod p^J reduces to a Smith certificate of A mod p^j
+    with the divisors min(d, j), and Smith invariants are unique, so those
+    are the cokernel divisors of level j.  Every level is validated, in
+    order, before any is computed; each distinct level is audited once, and
+    "1-" shares the rows of level 1.
     """
     _require_unitary(U)
     ring = U.ring
@@ -560,11 +560,17 @@ def spectrum_table(U: PadicMatrix, j_list, seed: int = fppoly.DEFAULT_SEED) -> S
             levels.append((j, f"p^{j}"))
     components = {}
     if levels:
+        J = max(j for j, _ in levels)
         f = gm.LaurentPoly.from_coeffs(ring, U.char_poly_raw())
-        lifted = gm.teich_factor(f, max(j for j, _ in levels), seed=seed).factors
+        lifted = gm.teich_factor(f, J, seed=seed).factors
+        U_J = U.reduce(J)
+        deepest = []
+        for orbit, coeffs in sorted(lifted.items()):
+            factor = gm.LaurentPoly.from_coeffs(U_J.ring, coeffs)
+            deepest.append((orbit, factor.evaluate_matrix(U_J).smith_form().divisors))
         for j, _ in levels:
             if j not in components:
-                components[j] = _spectrum_components(U, lifted, j)
+                components[j] = _spectrum_components(U.n, deepest, j)
     rows = tuple(
         SpectrumRow(epsilon=label, j=j, orbit=orbit, dimension=dimension, cokernel_divisors=divisors)
         for j, label in levels
@@ -578,19 +584,20 @@ def spectrum_table(U: PadicMatrix, j_list, seed: int = fppoly.DEFAULT_SEED) -> S
     )
 
 
-def _spectrum_components(U: PadicMatrix, lifted: dict, j: int) -> list:
-    """(orbit, rank, cokernel divisors) per cluster at level j, audited."""
-    ring_j = U.ring.at_precision(j)
-    U_j = U.reduce(j)
+def _spectrum_components(n: int, deepest: list, j: int) -> list:
+    """(orbit, rank, cokernel divisors) per cluster at level j, audited.
+
+    `deepest` pairs each orbit with its Smith divisors at the deepest level.
+    """
     components = []
-    for orbit, coeffs in sorted(lifted.items()):
-        result = _functors(U_j, gm.LaurentPoly.from_coeffs(ring_j, coeffs))
-        full = sum(1 for d in result.cokernel_divisors if d == j)
-        if any(0 < d < j for d in result.cokernel_divisors):
+    for orbit, divisors in deepest:
+        level = tuple(min(d, j) for d in divisors)
+        full = level.count(j)
+        if any(0 < d < j for d in level):
             raise ArithmeticError("component is not a free summand")
         if full == 0:
             raise ArithmeticError("spectrum component vanished")  # Sp(M) != {0}
-        components.append((orbit, full, result.cokernel_divisors))
-    if sum(dimension for _, dimension, _ in components) != U.n:
+        components.append((orbit, full, level))
+    if sum(dimension for _, dimension, _ in components) != n:
         raise ArithmeticError("component dimensions do not sum to n")
     return components

@@ -19,7 +19,10 @@ and, on a seeded grid of three (p, K) levels, the formal-group layer:
   degrees 1 + 1 up to 8 + 8, orthogonal or sharing a root mod p;
 - `bezout_idempotents` (P1, P2) on the orthogonal pairs;
 - `teich_factor` of f, of f g and of a pair sharing a root;
-- `spectrum_table` on 6 x 6 unitaries at levels 1-, 1, K/2 and K.
+- `spectrum_table` on 6 x 6 unitaries at levels 1-, 1, K/2 and K;
+- at (5, 10) and (7, 30), `spectrum_table` on 2 x 2, 4 x 4 and 6 x 6
+  unitaries at non-monotone level lists with repeats, such as
+  [K, 1-, K/2, 1, K, 2].
 
 With -v it also prints a digest per shape and the number of items hashed.
 This script is not a test: it is run by hand on two trees and compared.
@@ -48,6 +51,7 @@ EXTENSION = 10  # per shape, extension-ring powers
 FORMAL_GRID = [(3, 4), (5, 10), (7, 30)]
 FORMAL_DEGREES = [(d, e) for d in range(1, 9) for e in (d, 9 - d)]
 TABLES = 4  # per formal level, 6 x 6 spectrum tables
+LEVEL_GRID = [(5, 10), (7, 30)]  # spectrum tables on unordered level lists
 
 
 def _spectral_items(U, seed):
@@ -133,9 +137,24 @@ def formal_items(p: int, K: int):
     for _ in range(TABLES):
         U = random_unitary(ring, 6, rng)
         table = spectrum_table(U, [ONE_MINUS, 1, K // 2, K], seed=rng.randrange(1 << 16))
-        yield ("spectrum_table", U.rows, table.n, [
-            (r.epsilon, r.j, r.orbit, r.dimension, r.cokernel_divisors) for r in table.rows
-        ])
+        yield ("spectrum_table", U.rows, table.n, _table_rows(table))
+
+
+def _table_rows(table) -> list:
+    return [(r.epsilon, r.j, r.orbit, r.dimension, r.cokernel_divisors) for r in table.rows]
+
+
+def level_items(p: int, K: int):
+    """Spectrum tables whose level lists are unordered and repeat levels."""
+    rng = random.Random(f"digest-levels-{p}-{K}")
+    ring = Zp(p, K)
+    for n in (2, 4, 6):
+        for _ in range(TABLES):
+            U = random_unitary(ring, n, rng)
+            seed = rng.randrange(1 << 16)
+            for levels in ([K, ONE_MINUS, K // 2, 1, K, 2], [K // 2, 2, K // 2, ONE_MINUS, K - 1]):
+                table = spectrum_table(U, levels, seed=seed)
+                yield ("spectrum_table", U.rows, levels, table.n, _table_rows(table))
 
 
 def main(argv: list[str]) -> int:
@@ -144,6 +163,7 @@ def main(argv: list[str]) -> int:
     count = 0
     parts = [(shape, shape_items(*shape)) for shape in SHAPES]
     parts += [(("formal", p, K), formal_items(p, K)) for p, K in FORMAL_GRID]
+    parts += [(("levels", p, K), level_items(p, K)) for p, K in LEVEL_GRID]
     for shape, items in parts:
         part = hashlib.sha256()
         for item in items:

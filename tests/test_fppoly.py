@@ -98,3 +98,50 @@ def test_pow_mod_against_naive():
     for e in range(12):
         assert fppoly.pow_mod(a, e, f, p) == fppoly.divmod_poly(naive, f, p)[1]
         naive = fppoly.mul(naive, a, p)
+
+
+def _schoolbook_divmod(a, b, m):
+    """Reference long division: each quotient digit from the convolution a = q*b + r,
+    top down, then r = a - q*b with exact integer products."""
+    top = len(b) - 1
+    inv = pow(b[-1], -1, m)
+    q = [0] * max(0, len(a) - top)
+    for k in reversed(range(len(q))):
+        known = sum(q[k + i] * b[top - i] for i in range(1, min(top, len(q) - 1 - k) + 1))
+        q[k] = (a[k + top] - known) * inv % m
+    qb = [0] * (len(a) + len(b))
+    for i, x in enumerate(q):
+        for k, y in enumerate(b):
+            qb[i + k] += x * y
+    r = [(x - y) % m for x, y in zip(a + [0] * len(b), qb)]
+    assert not any(r[top:]), "the reference left a remainder of degree >= deg b"
+    while q and not q[-1]:
+        q.pop()
+    r = r[:top]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+@pytest.mark.parametrize("m", [5**10, 7**30], ids=["5^10", "7^30"])
+def test_divmod_matches_schoolbook_reference(m):
+    """Dividends of degree -1 (zero) to 20 over divisors of degree 0 to 20,
+    monic and with a non-1 unit lead, deg a < deg b included."""
+    p = 5 if m % 5 == 0 else 7
+    rng = random.Random(m)
+    for da in range(-1, 21):
+        a = [rng.randrange(m) for _ in range(da)] + [rng.randrange(1, m)] if da >= 0 else []
+        for db in range(21):
+            for lead in (1, rng.randrange(2, p) + p * rng.randrange(m // p)):
+                b = [rng.randrange(m) for _ in range(db)] + [lead]
+                assert fppoly.divmod_poly(a, b, m) == _schoolbook_divmod(a, b, m)
+
+
+def test_divmod_rejects_a_non_unit_lead_on_every_path():
+    """The lead is inverted before anything else, also when deg a < deg b."""
+    m = 5**10
+    for a in ([], [3], [1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError):
+            fppoly.divmod_poly(a, [1, 2, 5], m)
+    with pytest.raises(ZeroDivisionError):
+        fppoly.divmod_poly([1, 2], [], m)

@@ -141,6 +141,98 @@ def test_hensel_lift_matches_product_mod_high_precision():
         assert [c % 3 for c in lifted] == list(label)
 
 
+def _mul(a, b, m=None):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] += x * y
+    return out if m is None else [v % m for v in out]
+
+
+def _divmod_mod_p(a, b, p):
+    """Long division over F_p, for b with a unit lead."""
+    r = [v % p for v in a]
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(0, len(r) - len(b) + 1)
+    for d in reversed(range(len(q))):
+        c = q[d] = r[d + len(b) - 1] * inv % p
+        for i, v in enumerate(b):
+            r[d + i] = (r[d + i] - c * v) % p
+    r = r[: len(b) - 1]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _inverse_mod(h, g, p):
+    """u with u*h = 1 mod (g, p), by the extended Euclidean algorithm."""
+    r0, r1, u0, u1 = g, _divmod_mod_p(h, g, p)[1], [0], [1]
+    while r1:
+        q, r = _divmod_mod_p(r0, r1, p)
+        r0, r1 = r1, r
+        qu = _mul(q, u1)
+        u0, u1 = u1, [(x - y) % p for x, y in zip(u0 + [0] * len(qu), qu + [0] * len(u0))]
+    assert len(r0) == 1, "g and h are not coprime mod p"
+    c = pow(r0[0], -1, p)
+    return [v * c % p for v in u0]
+
+
+def _linear_lift(f, g0, p, j):
+    """The monic lift of the factor g0 of monic f mod p, one p-adic digit at a time.
+
+    With f = g h mod p^k, the next digits dg, dh solve h0 dg + g0 dh = e mod p
+    for e = (f - g h) / p^k: dg = e / h0 mod g0 and dh = (e - h0 dg) / g0.
+    """
+    h0, rem = _divmod_mod_p(f, g0, p)
+    assert not rem
+    u = _inverse_mod(h0, g0, p)
+    g, h = list(g0), list(h0)
+    for k in range(1, j):
+        gh = _mul(g, h)
+        diff = [x - y for x, y in zip(f, gh)]
+        assert all(v % p**k == 0 for v in diff)
+        e = [v // p**k % p for v in diff]
+        dg = _divmod_mod_p(_mul(u, e), g0, p)[1]
+        dh, rem = _divmod_mod_p([x - y for x, y in zip(e, _mul(h0, dg) + [0] * len(e))], g0, p)
+        assert not rem
+        g = [x + p**k * y for x, y in zip(g, dg + [0] * len(g))]
+        h = [x + p**k * y for x, y in zip(h, dh + [0] * len(h))]
+    return [v % p**j for v in g]
+
+
+@pytest.mark.parametrize("p,nonsquare", [(5, 2), (7, 3)])
+def test_teich_factor_matches_a_linear_hensel_lift(p, nonsquare):
+    """Each lifted factor, not only their product, equals a digit-by-digit lift:
+    monic coprime lifts are unique.  The levels hit the last Newton step both
+    at a power of two and between two."""
+    K = 30
+    pk = p**K
+    ring = Zp(p, K)
+    rng = random.Random(p)
+
+    def tail():
+        return p * rng.randrange(pk // p)
+
+    for _ in range(3):
+        monic = [1]
+        for factor in ([-1 - tail(), 1], [-1 - tail(), 1], [-2 - tail(), 1],
+                       [-nonsquare - tail(), tail(), 1]):
+            monic = _mul(monic, factor, pk)
+        lead = rng.randrange(1, p) + tail()
+        shift = rng.randrange(-2, 3)
+        f = L(ring, [lead * v for v in monic], low=shift)
+        for j in (1, 2, 3, 4, 5, 8, 9, 16, 17, 30):
+            out = gm.teich_factor(f, j)
+            assert len(out.factors) == 3
+            for label, lifted in out.factors.items():
+                g0 = [v % p for v in lifted]
+                power = [1]
+                while len(power) < len(g0):
+                    power = _mul(power, list(label), p)
+                assert g0 == power
+                assert lifted == _linear_lift([v % p**j for v in monic], g0, p, j)
+
+
 def test_principal_exponent_examples():
     ring = Zp(3, 3)
     assert gm.principal_exponent(PadicMatrix.identity(ring, 2), 2).n == 1

@@ -383,6 +383,43 @@ def test_smith_divisors_match_determinantal_oracle():
             partial = sum(profile.divisors[:k])
             assert min(partial, j) == minor_gcd_val_capped(lifted, k, 3, j)
 
+    # Mixed valuations, over Z_p and an unramified ring: the first unit may sit
+    # anywhere in the block, or nowhere.  Over a quotient of a discrete
+    # valuation ring the gcd of the k x k minors is the one of least
+    # valuation, so each minor is a cofactor expansion in the ring itself.
+    def ring_det(ring, m):
+        if len(m) == 1:
+            return m[0][0]
+        total = ring.zero
+        for col in range(len(m)):
+            term = ring.rmul(m[0][col], ring_det(ring, [r[:col] + r[col + 1 :] for r in m[1:]]))
+            total = ring.rsub(total, term) if col % 2 else ring.radd(total, term)
+        return total
+
+    for ring, j in ((Zp(5, 4), 3), (UnramRing(3, 3, 2), 2)):
+        for _ in range(12):
+            A = _mixed_valuation_matrix(ring, 3, rng)
+            profile = A.smith_form(j)
+            assert profile.verify()
+            rows = A.reduce(j).rows
+            ring_j = profile.ring
+            for k in range(1, 4):
+                least = min(
+                    ring_j.rval(ring_det(ring_j, [[rows[r][c] for c in cols] for r in rws]))
+                    for rws in combinations(range(3), k)
+                    for cols in combinations(range(3), k)
+                )
+                assert min(sum(profile.divisors[:k]), j) == least
+
+
+def _mixed_valuation_matrix(ring, n, rng):
+    """Entries p^v times a random value, v in 0..K: valuations from 0 up to zero."""
+    p = ring.p
+    return PadicMatrix(ring, [
+        [ring.rmul(ring.rfrom_int(p ** rng.randrange(ring.K + 1)), v) for v in row]
+        for row in random_matrix(ring, n, rng).rows
+    ])
+
 
 def _sum_of_powers(A, coeffs):
     """Oracle for f(A): sum of c_k * A^k with each power from matrix_power."""

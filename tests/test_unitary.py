@@ -458,9 +458,11 @@ def test_spectrum_table_matches_a_per_level_reference(p, K):
 
 @pytest.fixture
 def factoring_calls(monkeypatch):
-    """Counts of `fppoly.factor` calls and of top-level (non-recursive) Hensel lifts."""
-    calls = {"factor": 0, "lift": 0}
+    """Counts of `fppoly.factor` calls, of top-level (non-recursive) Hensel lifts
+    and of Smith forms."""
+    calls = {"factor": 0, "lift": 0, "smith": 0}
     real_factor, real_lift = fppoly.factor, gm._hensel_lift_list
+    real_smith = PadicMatrix.smith_form
     depth = [0]
 
     def factor(*args, **kwargs):
@@ -475,22 +477,29 @@ def factoring_calls(monkeypatch):
         finally:
             depth[0] -= 1
 
+    def smith(self, *args):
+        calls["smith"] += 1
+        return real_smith(self, *args)
+
     monkeypatch.setattr(fppoly, "factor", factor)
     monkeypatch.setattr(gm, "_hensel_lift_list", lift)
+    monkeypatch.setattr(PadicMatrix, "smith_form", smith)
     return calls
 
 
 def test_spectrum_table_factors_and_lifts_once(factoring_calls):
+    """One factorization and one lift per table, and one Smith form per cluster."""
     ring = Zp(5, 10)
     rng = random.Random(13)
     for _ in range(3):
         U = random_unitary(ring, 6, rng)
-        factoring_calls.update(factor=0, lift=0)
-        unitary.spectrum_table(U, [ONE_MINUS, 1, 5, 10, 1])
-        assert factoring_calls == {"factor": 1, "lift": 1}
-    factoring_calls.update(factor=0, lift=0)
+        factoring_calls.update(factor=0, lift=0, smith=0)
+        table = unitary.spectrum_table(U, [ONE_MINUS, 1, 5, 10, 1])
+        clusters = sum(1 for r in table.rows if r.epsilon == "1-")
+        assert factoring_calls == {"factor": 1, "lift": 1, "smith": clusters}
+    factoring_calls.update(factor=0, lift=0, smith=0)
     assert unitary.spectrum_table(U, []).rows == ()
-    assert factoring_calls == {"factor": 0, "lift": 0}
+    assert factoring_calls == {"factor": 0, "lift": 0, "smith": 0}
 
 
 @pytest.mark.parametrize("j_list,bad", [([1, 11], 11), ([0], 0), ([ONE_MINUS, 3, -1, 12], -1)])
@@ -498,7 +507,7 @@ def test_spectrum_table_rejects_a_level_before_factoring(factoring_calls, j_list
     U = random_unitary(Zp(5, 10), 4, random.Random(17))
     with pytest.raises(ValueError, match=re.escape(f"target precision {bad} outside [1, 10]")):
         unitary.spectrum_table(U, j_list)
-    assert factoring_calls == {"factor": 0, "lift": 0}
+    assert factoring_calls == {"factor": 0, "lift": 0, "smith": 0}
 
 
 def test_spectral_rejects_extension_base():
