@@ -214,11 +214,7 @@ SUITES = {
 
 def run_audits(suite: str = "all", seed: int = 0) -> dict:
     names = list(SUITES) if suite == "all" else [suite]
-    results = []
-    for name in names:
-        if name not in SUITES:
-            raise KeyError(name)
-        results.append(SUITES[name](seed))
+    results = [SUITES[name](seed) for name in names]
     return {
         "suites": results,
         "passed": all(not r["failures"] for r in results),

@@ -6,7 +6,7 @@ Exit codes: 0 success; 2 invalid input (bad prime, non-unit determinant where
 a unitary is required, malformed document); 3 precondition failure with a
 machine-readable reason in the output document.  Identical input yields
 byte-identical output: keys are sorted and every randomized subroutine runs
-off the seed field (default fixed).
+off the seed field (default fixed).  Commands import their modules when run.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import argparse
 import json
 import sys
 
-from . import audits, fppoly, glnp, gm, quantum, serialize, unitary
+from . import fppoly, serialize
 from .errors import MalformedDocument, PadicError
-from .gm import haar_volume, profinite_volume
 from .matrices import PadicMatrix
 from .scalars import ONE_MINUS, Zp
 
@@ -35,11 +34,13 @@ def _seed(doc) -> int:
 
 
 def cmd_classify(doc):
+    from . import unitary
     result = unitary.classify(_matrix(doc))
     return {"class": result.kind, "witness": serialize.matrix_to_doc(result.witness)}
 
 
 def cmd_jordan(doc):
+    from . import unitary
     u_s, u_n = unitary.jordan_decompose(_matrix(doc))
     return {
         "teichmuller_part": serialize.matrix_to_doc(u_s),
@@ -48,23 +49,27 @@ def cmd_jordan(doc):
 
 
 def cmd_spectral(doc):
+    from . import unitary
     datum = unitary.teichmuller_spectral(_matrix(doc), seed=_seed(doc))
     return serialize.spectral_datum_to_doc(datum)
 
 
 def cmd_galois_act(doc):
+    from . import unitary
     u = _matrix(doc)
     k = serialize.int_field(doc, "k")
     return {"acted": serialize.matrix_to_doc(unitary.galois_act(u, k))}
 
 
 def cmd_power_zp(doc):
+    from . import unitary
     u = _matrix(doc)
     t = serialize.int_field(doc, "t")
     return {"power": serialize.matrix_to_doc(unitary.power_zp(u, t))}
 
 
 def cmd_projection(doc):
+    from . import unitary
     u = _matrix(doc)
     j = serialize.int_field(doc, "j")
     f = _poly(doc, "poly")
@@ -80,6 +85,7 @@ def cmd_projection(doc):
 
 
 def cmd_spectrum_table(doc):
+    from . import unitary
     u = _matrix(doc)
     j_list = [
         ONE_MINUS if j == "1-" else serialize.read_int(j, "j_list item")
@@ -90,6 +96,7 @@ def cmd_spectrum_table(doc):
 
 
 def cmd_orthogonal(doc):
+    from . import gm
     f, g = _poly(doc, "f"), _poly(doc, "g")
     j = serialize.int_field(doc, "j")
     cert = gm.orthogonality_test(f, g, j)
@@ -105,6 +112,7 @@ def cmd_orthogonal(doc):
 
 
 def cmd_idempotents(doc):
+    from . import gm
     f, g = _poly(doc, "f"), _poly(doc, "g")
     j = serialize.int_field(doc, "j")
     out = gm.bezout_idempotents(f, g, j)
@@ -118,6 +126,7 @@ def cmd_idempotents(doc):
 
 
 def cmd_teich_factor(doc):
+    from . import gm
     f = _poly(doc, "f")
     j = serialize.int_field(doc, "j")
     out = gm.teich_factor(f, j, seed=_seed(doc))
@@ -132,6 +141,7 @@ def cmd_teich_factor(doc):
 
 
 def cmd_principal_exponent(doc):
+    from . import gm
     j = serialize.int_field(doc, "j")
     if "matrix" in doc:
         out = gm.principal_exponent(_matrix(doc), j)
@@ -141,26 +151,30 @@ def cmd_principal_exponent(doc):
 
 
 def cmd_shift_sum(doc):
+    from . import gm
     f = _poly(doc, "f")
     value = gm.shift_sum(f, serialize.int_field(doc, "c"), serialize.int_field(doc, "d"))
     return {"sum": str(value.lift())}
 
 
 def cmd_project_mod(doc):
+    from . import gm
     f = _poly(doc, "f")
     components = gm.project_mod(f, serialize.int_field(doc, "d"))
     return {"components": [str(s.lift()) for s in components]}
 
 
 def cmd_volume(doc):
+    from . import gm
     if "quotient_order" in doc:
-        vol = profinite_volume(serialize.int_field(doc, "quotient_order"))
+        vol = gm.profinite_volume(serialize.int_field(doc, "quotient_order"))
     else:
-        vol = haar_volume(serialize.int_field(doc, "c"), serialize.int_field(doc, "d"))
+        vol = gm.haar_volume(serialize.int_field(doc, "c"), serialize.int_field(doc, "d"))
     return {"volume": f"{vol.numerator}/{vol.denominator}"}
 
 
 def cmd_decompose_fp(doc):
+    from . import glnp
     p = serialize.int_field(doc, "p")
     Zp(p, 1)  # validates the prime
     rows = [
@@ -176,6 +190,7 @@ def cmd_decompose_fp(doc):
 
 
 def cmd_decompose_zp(doc):
+    from . import glnp
     out = glnp.decompose_zp(_matrix(doc))
     return {
         "word": list(out.word.exponents),
@@ -186,6 +201,7 @@ def cmd_decompose_zp(doc):
 
 
 def cmd_probability(doc):
+    from . import quantum
     projectors = [serialize.matrix_from_doc(d) for d in serialize._need(doc, "projectors")]
     psi = serialize.wave_from_doc(serialize._need(doc, "psi"))
     report = quantum.probability(projectors, psi)
@@ -196,6 +212,7 @@ def cmd_probability(doc):
 
 
 def cmd_measure(doc):
+    from . import quantum
     pi = serialize.matrix_from_doc(serialize._need(doc, "projector"))
     psi = serialize.wave_from_doc(serialize._need(doc, "psi"))
     out = quantum.measure(psi, pi)
@@ -206,6 +223,7 @@ def cmd_measure(doc):
 
 
 def cmd_evolve(doc):
+    from . import quantum
     pair = quantum.EvolutionPair(_matrix(doc, "h"), _matrix(doc, "u"))
     psi = serialize.wave_from_doc(serialize._need(doc, "psi"))
     allow = doc.get("allow_extended_radius", False)
@@ -222,6 +240,7 @@ def cmd_evolve(doc):
 
 
 def cmd_shift_model(doc):
+    from . import quantum
     model = quantum.spectrum_shift_model(
         serialize.int_field(doc, "size"),
         serialize.int_field(doc, "p"),
@@ -238,6 +257,7 @@ def cmd_shift_model(doc):
 
 
 def cmd_torus(doc):
+    from . import quantum
     rel = quantum.torus_check(_matrix(doc, "u"), _matrix(doc, "v"))
     return {
         "xi": serialize._entry_to_wire(rel.xi.ring, rel.xi.raw),
@@ -255,11 +275,12 @@ def cmd_seminorm(doc):
 
 
 def cmd_audit(doc):
+    from . import audits
     suite = doc.get("suite", "all")
-    try:
-        return audits.run_audits(suite, serialize.int_field(doc, "seed", 0))
-    except KeyError:
-        raise MalformedDocument(f"unknown suite {suite!r}") from None
+    seed = serialize.int_field(doc, "seed", 0)
+    if suite != "all" and suite not in audits.SUITES:
+        raise MalformedDocument(f"unknown suite {suite!r}")
+    return audits.run_audits(suite, seed)
 
 
 COMMANDS = {
@@ -289,7 +310,9 @@ COMMANDS = {
 }
 
 
-def _emit(payload: dict) -> None:
+def _emit(command: str, key: str, value) -> None:
+    """Write the one output line: {"schema", "command", key: value}, keys sorted."""
+    payload = {"schema": serialize.SCHEMA, "command": command, key: value}
     sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
@@ -308,7 +331,7 @@ def main(argv=None) -> int:
     try:
         raw = open(args.input, encoding="utf-8").read() if args.input else sys.stdin.read()
     except OSError as exc:
-        _emit({"schema": serialize.SCHEMA, "command": args.command, "error": {"code": "IOError", "reason": str(exc)}})
+        _emit(args.command, "error", {"code": "IOError", "reason": str(exc)})
         return 2
     try:
         try:
@@ -319,24 +342,12 @@ def main(argv=None) -> int:
             raise MalformedDocument("input document must be a JSON object")
         result = COMMANDS[args.command](doc)
     except PadicError as exc:
-        _emit(
-            {
-                "schema": serialize.SCHEMA,
-                "command": args.command,
-                "error": {"code": type(exc).__name__, "reason": str(exc)},
-            }
-        )
+        _emit(args.command, "error", {"code": type(exc).__name__, "reason": str(exc)})
         return exc.exit_code
     except (KeyError, TypeError, ValueError, IndexError) as exc:
-        _emit(
-            {
-                "schema": serialize.SCHEMA,
-                "command": args.command,
-                "error": {"code": "MalformedDocument", "reason": str(exc)},
-            }
-        )
+        _emit(args.command, "error", {"code": "MalformedDocument", "reason": str(exc)})
         return 2
-    _emit({"schema": serialize.SCHEMA, "command": args.command, "result": result})
+    _emit(args.command, "result", result)
     if args.command == "audit" and not result.get("passed", True):
         return 3
     return 0

@@ -16,7 +16,7 @@ the full preimage of the unitriangular residue group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import moduli
 from .arith import factorize
@@ -26,21 +26,25 @@ from .scalars import Zp
 from .unitary import jordan_decompose
 
 
-@dataclass(frozen=True)
-class PhiWord:
+class PhiWord(NamedTuple("PhiWord", [("p", int), ("exponents", tuple[int, ...])])):
     """Exponent list (m_1, ..., m_n) with 1 <= m_k <= p^k - 1; identity is all p^k - 1."""
 
-    p: int
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        for k, m in enumerate(self.exponents, start=1):
-            if not 1 <= m <= self.p**k - 1:
-                raise InputError(f"exponent m_{k} = {m} outside [1, p^{k} - 1]")
+    __slots__ = ()
 
     @property
     def n(self) -> int:
         return len(self.exponents)
+
+    def __new__(cls, p: int, exponents: tuple[int, ...]):
+        self = super().__new__(cls, p, exponents)
+        for k, m in enumerate(self.exponents, start=1):
+            if not 1 <= m <= self.p**k - 1:
+                raise InputError(f"exponent m_{k} = {m} outside [1, p^{k} - 1]")
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make: validate there too
+        return cls(*fields)
 
 
 def _embed_block(block, n, mod):
@@ -52,8 +56,7 @@ def _embed_block(block, n, mod):
     return tuple(tuple(r) for r in rows)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     """Residue generators T_1, ..., T_n embedded in GL_n(F_p), orders p^k - 1."""
 
     p: int
@@ -85,8 +88,7 @@ def build_generators(n: int, p: int) -> GeneratorSet:
     return GeneratorSet(p, n, tuple(mats))
 
 
-@dataclass(frozen=True)
-class FpDecomposition:
+class FpDecomposition(NamedTuple):
     word: PhiWord
     t_matrix: tuple
     n_matrix: tuple
@@ -166,8 +168,7 @@ def b_membership(N: PadicMatrix) -> bool:
     return _is_unitriangular(N.residue_rows(), N.ring.p)
 
 
-@dataclass(frozen=True)
-class ZpDecomposition:
+class ZpDecomposition(NamedTuple):
     word: PhiWord
     t_matrix: PadicMatrix
     n_matrix: PadicMatrix

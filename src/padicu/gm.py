@@ -13,13 +13,15 @@ record the shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import fppoly, ringpoly
 from .errors import NotInvertible, NotOrthogonal, NotUnitary, PrecisionMismatch, ZeroPolynomial
 from .matrices import PadicMatrix, residue_matrix_order
 from .scalars import PadicScalar, Zp
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class LaurentPoly:
@@ -287,8 +289,7 @@ def resultant(f: LaurentPoly, g: LaurentPoly) -> PadicScalar:
     return ring.scalar(_det_and_adjugate_last_row(_sylvester(fc, gc), ring)[0])
 
 
-@dataclass(frozen=True)
-class OrthogonalityCertificate:
+class OrthogonalityCertificate(NamedTuple):
     """Unit-resultant test with the Bezout pair k*f + l*g = res over Z/p^j."""
 
     orthogonal: bool
@@ -347,8 +348,7 @@ def orthogonality_test(f: LaurentPoly, g: LaurentPoly, j: int) -> OrthogonalityC
     return OrthogonalityCertificate(True, res, k, l, (kf, kg))
 
 
-@dataclass(frozen=True)
-class BezoutIdempotents:
+class BezoutIdempotents(NamedTuple):
     """P1 + P2 = 1 splitting of the quotient by (p^j, f*g)."""
 
     ring: Zp
@@ -514,8 +514,7 @@ def _hensel_lift_list(f, residue_factors, p, j):
     return _hensel_lift_list(lf, left, p, j) + _hensel_lift_list(rf, right, p, j)
 
 
-@dataclass(frozen=True)
-class TeichFactorization:
+class TeichFactorization(NamedTuple):
     """f = unit * t^shift * prod factors over Z/p^j, one factor per orbit."""
 
     ring: Zp
@@ -569,20 +568,23 @@ def teich_factor(f: LaurentPoly, j: int, seed: int = fppoly.DEFAULT_SEED) -> Tei
 # -- principal ideals, shift sums, volumes -------------------------------------
 
 
-@dataclass(frozen=True)
-class PrincipalIdealIndex:
+class PrincipalIdealIndex(NamedTuple("PrincipalIdealIndex", [("j", int), ("n", int)])):
     """Label (j, n) for the ideal generated by p^j and t^n - 1."""
 
-    j: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, j: int, n: int):
+        self = super().__new__(cls, j, n)
         if self.j < 1 or self.n < 1:
             raise ValueError("principal ideal index needs j >= 1 and n >= 1")
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make: validate there too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class PrincipalExponent:
+class PrincipalExponent(NamedTuple):
     """n = p^l * N with t^n - 1 in the ideal: U^n = I mod p^j."""
 
     n: int
@@ -666,6 +668,8 @@ def haar_volume(c: int, d: int) -> Fraction:
     """Volume of the progression c + dZ in the profinite completion: 1/|d|."""
     if d == 0:
         raise ValueError("d must be nonzero")
+    from fractions import Fraction
+
     return Fraction(1, abs(d))
 
 
@@ -673,4 +677,6 @@ def profinite_volume(quotient_order: int) -> Fraction:
     """Volume of an open normal subgroup with the given quotient order."""
     if quotient_order < 1:
         raise ValueError("quotient order must be >= 1")
+    from fractions import Fraction
+
     return Fraction(1, quotient_order)

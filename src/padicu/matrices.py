@@ -17,17 +17,17 @@ product reduced once by the modulus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import fppoly, ringpoly
 from .errors import NotInvertible, PrecisionMismatch
 from .scalars import AnyRing, PadicScalar, Zp
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-@dataclass(frozen=True)
-class Norm:
+
+class Norm(NamedTuple):
     """Ultrametric size p^-val; val = K only means 'at most p^-K' at this precision."""
 
     p: int
@@ -39,20 +39,28 @@ class Norm:
         return self.val >= self.K
 
     def value(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(1, self.p**self.val)
 
+    # all six comparisons are by size: none may fall through to the tuple order
     def __eq__(self, other):
-        return isinstance(other, Norm) and (self.p, self.K, self.val) == (
-            other.p,
-            other.K,
-            other.val,
-        )
+        return isinstance(other, Norm) and tuple(self) == tuple(other)
+
+    def __ne__(self, other):
+        return not self == other
 
     def __lt__(self, other):
         return self.val > other.val
 
     def __le__(self, other):
         return self.val >= other.val
+
+    def __gt__(self, other):
+        return self.val < other.val
+
+    def __ge__(self, other):
+        return self.val <= other.val
 
     def __str__(self):
         if self.at_floor:
@@ -62,8 +70,7 @@ class Norm:
         return f"1/{self.p**self.val}"
 
 
-@dataclass(frozen=True)
-class SeminormResult:
+class SeminormResult(NamedTuple):
     """Limit behavior of |A^k|^(1/k): exponent pair (val, k) means value p^(-val/k)."""
 
     p: int
@@ -74,6 +81,8 @@ class SeminormResult:
     val: int
 
     def value(self) -> Fraction | float:
+        from fractions import Fraction
+
         if self.is_zero:
             return Fraction(0)
         if self.val % self.best_k == 0:
@@ -483,8 +492,7 @@ def _exact_div(ring, value, pd: int):
     return tuple(c // pd for c in value)
 
 
-@dataclass(frozen=True)
-class SmithProfile:
+class SmithProfile(NamedTuple):
     """left @ matrix @ right = diag(p^divisors) exactly over Z/p^j."""
 
     ring: AnyRing

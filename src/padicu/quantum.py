@@ -13,7 +13,7 @@ are exact, then reduced back to p^K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import factorial_valuation
 from .errors import (
@@ -79,8 +79,7 @@ def _check_projector(pi: PadicMatrix):
         raise NotOrthogonal("event operator is not idempotent")
 
 
-@dataclass(frozen=True)
-class ProbabilityReport:
+class ProbabilityReport(NamedTuple):
     per_event: tuple[Norm, ...]
     total: Norm
 
@@ -113,8 +112,7 @@ def probability(projectors, psi) -> ProbabilityReport:
     return ProbabilityReport(norms, total)
 
 
-@dataclass(frozen=True)
-class MeasurementResult:
+class MeasurementResult(NamedTuple):
     state: WaveFunction  # restricted, not renormalized
     norm: Norm
 
@@ -173,18 +171,22 @@ def exp_matrix(H: PadicMatrix, t, allow_extended_radius: bool = False) -> PadicM
     return total.reduce(K)
 
 
-@dataclass(frozen=True)
-class EvolutionPair:
+class EvolutionPair(NamedTuple("EvolutionPair", [("H", PadicMatrix), ("U", PadicMatrix)])):
     """Commuting (H, U): continuous generator with |H| <= 1 and a discrete unitary."""
 
-    H: PadicMatrix
-    U: PadicMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, H: PadicMatrix, U: PadicMatrix):
+        self = super().__new__(cls, H, U)
         if not self.U.is_unitary():
             raise NotUnitary("discrete clock must be unitary")
         if self.H @ self.U != self.U @ self.H:
             raise NonCommuting("H and U must commute")
+        return self
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through _make: validate there too
+        return cls(*fields)
 
 
 def evolve(pair: EvolutionPair, psi0, k: int, t, allow_extended_radius: bool = False) -> WaveFunction:
@@ -201,8 +203,7 @@ def evolve(pair: EvolutionPair, psi0, k: int, t, allow_extended_radius: bool = F
 # -- shift model and torus relations ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShiftModel:
+class ShiftModel(NamedTuple):
     """Shift and multiplication operators truncated to the binomial basis.
 
     The top basis vector is truncation-polluted (multiplication raises the
@@ -261,8 +262,7 @@ def _assert_on_columns(actual: PadicMatrix, expected: PadicMatrix, columns: int)
                 raise ArithmeticError("truncated relation failed inside the checked range")
 
 
-@dataclass(frozen=True)
-class TorusRelation:
+class TorusRelation(NamedTuple):
     """UV = xi VU with the power law checked up to the bound."""
 
     xi: PadicScalar

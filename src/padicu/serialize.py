@@ -9,13 +9,16 @@ errors so the CLI can map them to exit code 2.
 from __future__ import annotations
 
 import re
+from typing import TYPE_CHECKING
 
 from .errors import MalformedDocument
-from .gm import LaurentPoly
 from .matrices import Norm, PadicMatrix, SeminormResult
-from .quantum import WaveFunction
 from .scalars import AnyRing, UnramRing, Zp
-from .unitary import SpectralDatum, SpectrumTable
+
+if TYPE_CHECKING:
+    from .gm import LaurentPoly
+    from .quantum import WaveFunction
+    from .unitary import SpectralDatum, SpectrumTable
 
 SCHEMA = "padicu/1"
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -98,6 +101,8 @@ def laurent_to_doc(f: LaurentPoly) -> dict:
 
 
 def laurent_from_doc(doc: dict) -> LaurentPoly:
+    from .gm import LaurentPoly
+
     ring = ring_from_header(doc)
     if not isinstance(ring, Zp):
         raise MalformedDocument("polynomials carry base-ring coefficients")
@@ -136,6 +141,8 @@ def wave_to_doc(psi: WaveFunction) -> dict:
 
 
 def wave_from_doc(doc: dict) -> WaveFunction:
+    from .quantum import WaveFunction
+
     ring = ring_from_header(doc)
     return WaveFunction(
         ring, [_entry_from_wire(ring, v, "wave value") for v in _need(doc, "values")]

@@ -48,13 +48,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import fppoly, gm, ringpoly
+from . import fppoly, ringpoly
 from .arith import teichmuller_exponent
 from .errors import InputError, NotAUnit, NotContinuous, NotTeichmuller, NotUnitary, PadicError
 from .matrices import PadicMatrix, orbit_polynomial, residue_matrix_order
 from .scalars import ONE_MINUS, AnyRing, PadicScalar, UnramRing, Zp, unram
+
+if TYPE_CHECKING:
+    from .gm import LaurentPoly
 
 TEICHMULLER = "TEICHMULLER"
 CONTINUOUS = "CONTINUOUS"
@@ -116,8 +119,7 @@ def residual_order(U: PadicMatrix) -> int:
     return residue_matrix_order(U)
 
 
-@dataclass(frozen=True)
-class UnitaryClass:
+class UnitaryClass(NamedTuple):
     kind: str
     witness: PadicMatrix  # factorial-power limit mod p^K, the Teichmuller part
     is_teichmuller: bool
@@ -151,8 +153,7 @@ def jordan_decompose(U: PadicMatrix) -> tuple[PadicMatrix, PadicMatrix]:
 # -- spectral decomposition ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectralOrbit:
+class SpectralOrbit(NamedTuple):
     """One Frobenius orbit: eigenvalues and projectors over the orbit's ring."""
 
     ring: AnyRing
@@ -166,8 +167,7 @@ class SpectralOrbit:
         return len(self.eigenvalues)
 
 
-@dataclass(frozen=True)
-class SpectralDatum:
+class SpectralDatum(NamedTuple):
     """Teichmuller eigenvalues, projectors, orbit tags, and the unipotent part."""
 
     base_ring: Zp
@@ -485,8 +485,7 @@ def zp_unit_action(U: PadicMatrix, alpha) -> PadicMatrix:
 # -- projection functors ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
+class ProjectionResult(NamedTuple):
     """Kernel (annihilator submodule) and cokernel (quotient) of f(U) mod p^j."""
 
     j: int
@@ -495,7 +494,7 @@ class ProjectionResult:
     cokernel_divisors: tuple[int, ...]
 
 
-def projection_functors(U: PadicMatrix, j: int, f: gm.LaurentPoly) -> ProjectionResult:
+def projection_functors(U: PadicMatrix, j: int, f: LaurentPoly) -> ProjectionResult:
     """Realize the annihilator and quotient functors of (p^j, f) on (Z/p^j)^n."""
     if not 1 <= j <= U.ring.K:
         raise InputError(f"reduction level {j} outside [1, {U.ring.K}]")
@@ -511,8 +510,7 @@ def projection_functors(U: PadicMatrix, j: int, f: gm.LaurentPoly) -> Projection
 # -- spectrum table -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
+class SpectrumRow(NamedTuple):
     epsilon: str  # "p^j" or "1-"
     j: int
     orbit: tuple[int, ...]  # residue irreducible labeling the Teichmuller cluster
@@ -520,8 +518,7 @@ class SpectrumRow:
     cokernel_divisors: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
+class SpectrumTable(NamedTuple):
     n: int
     rows: tuple[SpectrumRow, ...]
     torsion_is_whole_module: bool
@@ -560,6 +557,8 @@ def spectrum_table(U: PadicMatrix, j_list, seed: int = fppoly.DEFAULT_SEED) -> S
             levels.append((j, f"p^{j}"))
     components = {}
     if levels:
+        from . import gm
+
         J = max(j for j, _ in levels)
         f = gm.LaurentPoly.from_coeffs(ring, U.char_poly_raw())
         lifted = gm.teich_factor(f, J, seed=seed).factors

@@ -151,9 +151,30 @@ def test_byte_identical_determinism(tmp_path, capsys):
     assert a == capsys.readouterr().out
 
 
-def test_unknown_suite_rejected(tmp_path, capsys):
+def test_unknown_suite_rejected(tmp_path, capsys, monkeypatch):
+    from padicu import audits
+
+    def must_not_run(seed):
+        raise AssertionError("a suite ran before the suite name was checked")
+
+    for name in audits.SUITES:
+        monkeypatch.setitem(audits.SUITES, name, must_not_run)
     code, out = run_cli("audit", {"suite": "nope"}, tmp_path, capsys)
     assert code == 2
+    assert out["error"] == {"code": "MalformedDocument", "reason": "unknown suite 'nope'"}
+
+
+def test_audit_does_not_report_a_keyerror_inside_a_suite_as_unknown(tmp_path, capsys, monkeypatch):
+    from padicu import audits
+
+    def broken(seed):
+        raise KeyError("raised inside the suite")
+
+    monkeypatch.setitem(audits.SUITES, "glnp", broken)
+    with pytest.raises(KeyError, match="raised inside the suite"):
+        cli.cmd_audit({"suite": "glnp"})
+    code, out = run_cli("audit", {"suite": "glnp"}, tmp_path, capsys)
+    assert "unknown suite" not in out["error"]["reason"]
 
 
 def test_audit_single_suite(tmp_path, capsys):

@@ -137,6 +137,21 @@ def test_sup_norm_examples():
     assert str(sup_norm(zero)) == "<=1/81"
 
 
+def test_norm_comparisons_follow_size_not_tuple_order():
+    # same p and K, so the tuple order (p, K, val) would run opposite to size
+    one, ninth, floor = Norm(3, 4, 0), Norm(3, 4, 2), Norm(3, 4, 4)
+    norms = [ninth, floor, one]
+    assert max(norms) is one and min(norms) is floor
+    assert sorted(norms) == [floor, ninth, one]
+    assert sorted(norms, reverse=True) == [one, ninth, floor]
+    assert one > ninth >= ninth >= floor and floor < ninth <= ninth <= one
+    assert not (floor > ninth or floor >= ninth or one < ninth or one <= ninth)
+    for x in norms:
+        for y in [*norms, Norm(3, 4, 2), (3, 4, 2), (3, 4, 0)]:
+            assert (x != y) is (not x == y)
+    assert ninth == Norm(3, 4, 2) and ninth != (3, 4, 2) and (3, 4, 2) != ninth
+
+
 def test_char_poly_examples():
     ring = Zp(5, 3)
     assert [c.lift() for c in M(ring, [[1, 0], [0, -1]]).char_poly()] == [

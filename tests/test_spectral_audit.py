@@ -12,7 +12,6 @@ two audits must agree.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -179,8 +178,8 @@ def _images(first, d):
 
 def _replace_orbit(datum, index, **changes):
     orbits = list(datum.orbits)
-    orbits[index] = replace(orbits[index], **changes)
-    return replace(datum, orbits=tuple(orbits))
+    orbits[index] = orbits[index]._replace(**changes)
+    return datum._replace(orbits=tuple(orbits))
 
 
 def _perturbed(datum, rng):

@@ -3,7 +3,6 @@
 import math
 import random
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -622,8 +621,8 @@ def _orbit_index(datum, degree):
 
 def _replace_orbit(datum, index, **changes):
     orbits = list(datum.orbits)
-    orbits[index] = replace(orbits[index], **changes)
-    return replace(datum, orbits=tuple(orbits))
+    orbits[index] = orbits[index]._replace(**changes)
+    return datum._replace(orbits=tuple(orbits))
 
 
 def _images(first, d):
