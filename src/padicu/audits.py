@@ -114,9 +114,7 @@ def audit_gm(seed: int = 0) -> dict:
     for i, f in enumerate(polys):
         for g in polys[i:]:
             cert = gm.orthogonality_test(f, g, 2)
-            fr = [f.terms.get(0, 0) % 3, f.terms.get(1, 0) % 3, f.terms.get(2, 0) % 3]
-            gr = [g.terms.get(0, 0) % 3, g.terms.get(1, 0) % 3, g.terms.get(2, 0) % 3]
-            shares = _shares_root_in_f9(fr, gr)
+            shares = _shares_root_in_f9([c % 3 for c in f.coeffs], [c % 3 for c in g.coeffs])
             t.check(cert.orthogonal == (not shares), "resultant vs root predicate")
             if cert.orthogonal:
                 t.check(gm.bezout_idempotents(f, g, 2).verify(), "idempotent audit")

@@ -67,3 +67,7 @@ class LiftAuditError(PadicError):
 
 class ZeroPolynomial(PadicError):
     """Operation undefined for the zero polynomial."""
+
+
+class NonUnitLead(PadicError):
+    """The product f*g has a non-unit leading coefficient, so nothing can divide by it."""

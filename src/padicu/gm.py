@@ -13,10 +13,13 @@ record the shifts.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import fppoly, ringpoly
-from .errors import NotInvertible, NotOrthogonal, NotUnitary, PrecisionMismatch, ZeroPolynomial
+from .errors import (
+    NonUnitLead, NotInvertible, NotOrthogonal, NotUnitary, PrecisionMismatch, ZeroPolynomial,
+)
 from .matrices import PadicMatrix, residue_matrix_order
 from .scalars import PadicScalar, Zp
 
@@ -25,92 +28,111 @@ if TYPE_CHECKING:
 
 
 class LaurentPoly:
-    """Finitely supported sum of a_e t^e with coefficients exact mod p^K."""
+    """Finitely supported sum of a_e t^e with coefficients exact mod p^K.
 
-    __slots__ = ("ring", "terms", "_dense")
+    Stored densely: `coeffs[i]` is the coefficient of t^(low + i), reduced
+    into [0, p^K), and the first and last entries are nonzero; the zero
+    polynomial has `coeffs == []`.  The list is shared, never mutated, so
+    `polynomial_part` hands it out without a copy.  `terms` is a derived
+    read-only mapping of the nonzero coefficients.
+    """
+
+    __slots__ = ("ring", "coeffs", "_low")
 
     def __init__(self, ring: Zp, terms: dict[int, int]):
-        self.ring = ring
-        self.terms = {e: c % ring.pk for e, c in terms.items() if c % ring.pk}
-        self._dense = None
+        pk = ring.pk
+        nonzero = {e: c % pk for e, c in terms.items() if c % pk}
+        low = min(nonzero, default=0)
+        coeffs = [0] * (max(nonzero) - low + 1) if nonzero else []
+        for e, c in nonzero.items():
+            coeffs[e - low] = c
+        self._store(ring, coeffs, low)
+
+    def _store(self, ring: Zp, coeffs: list[int], low: int) -> None:
+        """Take coefficients already reduced mod p^K; zero ends are cut in place."""
+        fppoly.trim(coeffs)
+        start = next((i for i, c in enumerate(coeffs) if c), 0)
+        del coeffs[:start]
+        self.ring, self.coeffs, self._low = ring, coeffs, low + start if coeffs else 0
+
+    @classmethod
+    def _reduced(cls, ring: Zp, coeffs: list[int], low: int) -> "LaurentPoly":
+        self = cls.__new__(cls)
+        self._store(ring, coeffs, low)
+        return self
 
     @classmethod
     def from_coeffs(cls, ring: Zp, coeffs, low: int = 0) -> "LaurentPoly":
-        return cls(ring, {low + i: int(c) for i, c in enumerate(coeffs)})
+        pk = ring.pk
+        return cls._reduced(ring, [int(c) % pk for c in coeffs], low)
 
-    def coeff(self, e: int) -> PadicScalar:
-        return self.ring.scalar(self.terms.get(e, 0))
+    @property
+    def terms(self) -> MappingProxyType:
+        return MappingProxyType({self._low + i: c for i, c in enumerate(self.coeffs) if c})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     @property
     def low(self) -> int:
-        if not self.terms:
+        if not self.coeffs:
             raise ZeroPolynomial("zero polynomial has no degree")
-        return min(self.terms)
+        return self._low
 
     @property
     def high(self) -> int:
-        if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no degree")
-        return max(self.terms)
+        return self.low + len(self.coeffs) - 1
 
     def shift(self, k: int) -> "LaurentPoly":
-        return LaurentPoly(self.ring, {e + k: c for e, c in self.terms.items()})
+        return LaurentPoly._reduced(self.ring, self.coeffs, self._low + k)
+
+    def _aligned(self, other: "LaurentPoly", op) -> "LaurentPoly":
+        """op (fppoly.add or sub) on both coefficient lists, padded to the lower low."""
+        low = min(self._low, other._low)
+        a = [0] * (self._low - low) + self.coeffs
+        b = [0] * (other._low - low) + other.coeffs
+        return LaurentPoly._reduced(self.ring, op(a, b, self.ring.pk), low)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(self.ring, out)
+        return self._aligned(other, fppoly.add)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly(self.ring, out)
+        return self._aligned(other, fppoly.sub)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = e1 + e2
-                out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPoly(self.ring, out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        prod = fppoly.mul(self.coeffs, other.coeffs, self.ring.pk)
+        return LaurentPoly._reduced(self.ring, prod, self._low + other._low)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPoly)
-            and self.ring == other.ring
-            and self.terms == other.terms
+        return isinstance(other, LaurentPoly) and (self.ring, self._low, self.coeffs) == (
+            other.ring, other._low, other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
+        return hash((self.ring, self._low, tuple(self.coeffs)))
 
     def reduce(self, j: int) -> "LaurentPoly":
         if j == self.ring.K:
             return self
-        return LaurentPoly(self.ring.at_precision(j), dict(self.terms))
+        ring_j = self.ring.at_precision(j)
+        pj = ring_j.pk
+        return LaurentPoly._reduced(ring_j, [c % pj for c in self.coeffs], self._low)
 
     def polynomial_part(self) -> tuple[list[int], int]:
-        """Return (ascending dense coefficients, shift) with f = t^shift * poly."""
-        if self._dense is None:
-            if not self.terms:
-                raise ZeroPolynomial("zero polynomial")
-            lo, hi = self.low, self.high
-            self._dense = ([self.terms.get(e, 0) for e in range(lo, hi + 1)], lo)
-        return self._dense[0][:], self._dense[1]
+        """Return (ascending dense coefficients, shift) with f = t^shift * poly; not a copy."""
+        if not self.coeffs:
+            raise ZeroPolynomial("zero polynomial")
+        return self.coeffs, self._low
+
+    def coeffs_from_zero(self) -> list[int]:
+        """Ascending coefficients from t^0, for a polynomial without negative exponents."""
+        if self._low < 0:
+            raise ValueError("negative exponents in dense conversion")
+        return [0] * self._low + self.coeffs
 
     def is_unit_polynomial(self) -> bool:
-        if not self.terms:
-            return False
         p = self.ring.p
-        return self.terms[self.low] % p != 0 and self.terms[self.high] % p != 0
+        return bool(self.coeffs) and self.coeffs[0] % p != 0 and self.coeffs[-1] % p != 0
 
     def evaluate_matrix(self, U: PadicMatrix) -> PadicMatrix:
         """f(U) for f = t^low g, as (t^low g mod chi_U)(U): one evaluation.
@@ -125,7 +147,7 @@ class LaurentPoly:
             raise PrecisionMismatch(
                 f"polynomial over {self.ring} evaluated on matrix over {U.ring}"
             )
-        if not self.terms:
+        if not self.coeffs:
             return PadicMatrix.zeros(U.ring, U.n)
         dense, low = self.polynomial_part()
         if not low:
@@ -143,7 +165,7 @@ class LaurentPoly:
         return U.evaluate(ringpoly.mulmod(ring, shift, g, chi))
 
     def __repr__(self):
-        body = " + ".join(f"{c}*t^{e}" for e, c in sorted(self.terms.items())) or "0"
+        body = " + ".join(f"{c}*t^{e}" for e, c in self.terms.items()) or "0"
         return f"LaurentPoly({body} over {self.ring})"
 
 
@@ -154,12 +176,12 @@ class UnitPolynomial(LaurentPoly):
     makes the resultant/orthogonality calculus work.
     """
 
-    def __init__(self, ring: Zp, terms: dict[int, int]):
-        super().__init__(ring, terms)
+    __slots__ = ()
+
+    def _store(self, ring: Zp, coeffs: list[int], low: int) -> None:
+        super()._store(ring, coeffs, low)
         if not self.is_unit_polynomial():
-            raise NotUnitary(
-                "unit polynomial needs nonzero unit extreme coefficients"
-            )
+            raise NotUnitary("unit polynomial needs nonzero unit extreme coefficients")
 
 
 # -- Sylvester determinant and adjugate ----------------------------------------
@@ -261,32 +283,17 @@ def _elimination_det_and_adjugate_last_row(
 def _sylvester(fc: list[int], gc: list[int]) -> list[list[int]]:
     """Sylvester matrix; rows are shifted descending coefficient vectors."""
     m, n = len(fc) - 1, len(gc) - 1
-    size = m + n
-    rows = [[0] * size for _ in range(size)]
-    fdesc = fc[::-1]
-    gdesc = gc[::-1]
-    for i in range(n):
-        for k, c in enumerate(fdesc):
-            rows[i][i + k] = c
-    for i in range(m):
-        for k, c in enumerate(gdesc):
-            rows[n + i][i + k] = c
-    return rows
+    fdesc, gdesc = fc[::-1], gc[::-1]
+    return [[0] * i + fdesc + [0] * (n - 1 - i) for i in range(n)] + [
+        [0] * i + gdesc + [0] * (m - 1 - i) for i in range(m)
+    ]
 
 
 def resultant(f: LaurentPoly, g: LaurentPoly) -> PadicScalar:
     """Sylvester determinant of the polynomial parts (Laurent shifts dropped)."""
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("resultant of the zero polynomial is undefined")
-    ring = f.ring
-    fc, _ = f.polynomial_part()
-    gc, _ = g.polynomial_part()
-    m, n = len(fc) - 1, len(gc) - 1
-    if m == 0:
-        return ring.scalar(pow(fc[0], n, ring.pk))
-    if n == 0:
-        return ring.scalar(pow(gc[0], m, ring.pk))
-    return ring.scalar(_det_and_adjugate_last_row(_sylvester(fc, gc), ring)[0])
+    return orthogonality_test(f, g, f.ring.K).res
 
 
 class OrthogonalityCertificate(NamedTuple):
@@ -306,7 +313,10 @@ def orthogonality_test(f: LaurentPoly, g: LaurentPoly, j: int) -> OrthogonalityC
     """True iff res(f, g) is a unit; then k, l with k*f + l*g = res are attached.
 
     The pair comes from the adjugate row of the Sylvester matrix (the
-    subresultant Bezout coefficients), computed exactly over Z/p^j.
+    subresultant Bezout coefficients), computed exactly over Z/p^j.  Two
+    constants have the empty determinant 1 as resultant; they generate the
+    unit ideal only when one of them is a unit, so two non-units are not
+    orthogonal.
     """
     ring_j = f.ring.at_precision(j)
     pj = ring_j.pk
@@ -315,37 +325,27 @@ def orthogonality_test(f: LaurentPoly, g: LaurentPoly, j: int) -> OrthogonalityC
     gc, kg = g.reduce(j).polynomial_part()
     m, n = len(fc) - 1, len(gc) - 1
     if m == 0 or n == 0:
-        res = ring_j.scalar(pow(fc[0], n, pj) if m == 0 else pow(gc[0], m, pj))
-        if res.lift() % p == 0:
-            return OrthogonalityCertificate(False, res, None, None, (kf, kg))
-        # constant unit side: k or l is just the scaled inverse
-        if m == 0:
-            k = LaurentPoly.from_coeffs(ring_j, [(res.lift() * pow(fc[0], -1, pj)) % pj])
-            l = LaurentPoly(ring_j, {})
-        else:
-            k = LaurentPoly(ring_j, {})
-            l = LaurentPoly.from_coeffs(ring_j, [(res.lift() * pow(gc[0], -1, pj)) % pj])
+        res_val = pow(fc[0], n, pj) if m == 0 else pow(gc[0], m, pj)
+        # a unit constant c gives the pair: k = res/c if c is f, else l = res/c
+        f_side = m == 0 and fc[0] % p != 0
+        c = fc[0] if f_side else gc[0]
+        if res_val % p == 0 or c % p == 0:
+            return OrthogonalityCertificate(False, ring_j.scalar(res_val), None, None, (kf, kg))
+        inverse = [res_val * pow(c, -1, pj) % pj]
+        k_dense, l_dense = (inverse, []) if f_side else ([], inverse)
     else:
         res_val, adj_last_row = _det_and_adjugate_last_row(_sylvester(fc, gc), ring_j)
-        res = ring_j.scalar(res_val)
         if res_val % p == 0:
-            return OrthogonalityCertificate(False, res, None, None, (kf, kg))
+            return OrthogonalityCertificate(False, ring_j.scalar(res_val), None, None, (kf, kg))
         # entries pair with rows of S: first n rows shift f, last m rows shift g;
         # row i of the f block contributes t^(n-1-i), similarly for g
-        k = LaurentPoly(
-            ring_j, {n - 1 - i: adj_last_row[i] for i in range(n)}
-        )
-        l = LaurentPoly(
-            ring_j, {m - 1 - i: adj_last_row[n + i] for i in range(m)}
-        )
-    combo = fppoly.add(
-        fppoly.mul(_dense_from_laurent(k), fc, pj),
-        fppoly.mul(_dense_from_laurent(l), gc, pj),
-        pj,
-    )
-    if combo != fppoly.trim([res.lift() % pj]):
+        k_dense, l_dense = adj_last_row[n - 1 :: -1], adj_last_row[: n - 1 : -1]
+    combo = fppoly.add(fppoly.mul(k_dense, fc, pj), fppoly.mul(l_dense, gc, pj), pj)
+    if combo != [res_val]:
         raise ArithmeticError("Bezout certificate failed self-check")
-    return OrthogonalityCertificate(True, res, k, l, (kf, kg))
+    k = LaurentPoly._reduced(ring_j, k_dense, 0)
+    l = LaurentPoly._reduced(ring_j, l_dense, 0)
+    return OrthogonalityCertificate(True, ring_j.scalar(res_val), k, l, (kf, kg))
 
 
 class BezoutIdempotents(NamedTuple):
@@ -423,28 +423,20 @@ def bezout_idempotents(
     fc, _ = f.reduce(j).polynomial_part()
     gc, _ = g.reduce(j).polynomial_part()
     fg = fppoly.mul(fc, gc, pj)
+    if fg[-1] % ring_j.p == 0:
+        raise NonUnitLead(
+            f"f*g has a non-unit leading coefficient ({fg[-1]} mod {ring_j.p}^{j}), "
+            "so the quotient by (p^j, fg) cannot be reduced by division"
+        )
     inv_res = pow(cert.res.lift(), -1, pj)
-    k_dense = _dense_from_laurent(cert.bezout_k)
-    l_dense = _dense_from_laurent(cert.bezout_l)
-    p1 = fppoly.scale(fppoly.mul(k_dense, fc, pj), inv_res, pj)
-    p2 = fppoly.scale(fppoly.mul(l_dense, gc, pj), inv_res, pj)
-    if len(p1) >= len(fg):
-        p1 = fppoly.divmod_poly(p1, fg, pj)[1]
-    if len(p2) >= len(fg):
-        p2 = fppoly.divmod_poly(p2, fg, pj)[1]
+    kf = fppoly.mul(cert.bezout_k.coeffs_from_zero(), fc, pj)
+    lg = fppoly.mul(cert.bezout_l.coeffs_from_zero(), gc, pj)
+    p1 = fppoly.divmod_poly(fppoly.scale(kf, inv_res, pj), fg, pj)[1]
+    p2 = fppoly.divmod_poly(fppoly.scale(lg, inv_res, pj), fg, pj)[1]
     result = BezoutIdempotents(ring_j, fg, fc, gc, p1, p2, cert)
     if not result.verify():
         raise ArithmeticError("idempotent construction failed its audit")
     return result
-
-
-def _dense_from_laurent(poly: LaurentPoly) -> list[int]:
-    if poly.is_zero():
-        return []
-    dense, low = poly.polynomial_part()
-    if low < 0:
-        raise ValueError("negative exponents in dense conversion")
-    return [0] * low + dense
 
 
 # -- Hensel lifting of grouped factorizations ---------------------------------
@@ -544,9 +536,7 @@ def teich_factor(f: LaurentPoly, j: int, seed: int = fppoly.DEFAULT_SEED) -> Tei
     pj = ring_j.pk
     p = f.ring.p
     dense, shift = f.reduce(j).polynomial_part()
-    lead = dense[-1]
-    inv_lead = pow(lead, -1, pj)
-    monic = [(v * inv_lead) % pj for v in dense]
+    monic = fppoly.monic(dense, pj)
     residue = [v % p for v in monic]
     _, residue_factors = fppoly.factor(residue, p, seed=seed)
     grouped = []
@@ -559,7 +549,7 @@ def teich_factor(f: LaurentPoly, j: int, seed: int = fppoly.DEFAULT_SEED) -> Tei
         labels.append(tuple(irr))
     lifted = _hensel_lift_list(monic, grouped, p, j)
     factors = dict(zip(labels, lifted))
-    result = TeichFactorization(ring_j, ring_j.scalar(lead), shift, factors)
+    result = TeichFactorization(ring_j, ring_j.scalar(dense[-1]), shift, factors)
     if result.product() != f.reduce(j):
         raise ArithmeticError("teich_factor product audit failed")
     return result
@@ -603,10 +593,7 @@ def principal_exponent(arg, j: int) -> PrincipalExponent:
         if not arg.is_unit_polynomial():
             raise NotUnitary("principal exponent needs a unit polynomial")
         dense, _ = arg.polynomial_part()
-        ring = arg.ring
-        inv_lead = pow(dense[-1], -1, ring.pk)
-        monic = [(v * inv_lead) % ring.pk for v in dense]
-        U = PadicMatrix.companion(ring, monic[:-1])
+        U = PadicMatrix.companion(arg.ring, fppoly.monic(dense, arg.ring.pk)[:-1])
     elif isinstance(arg, PadicMatrix):
         U = arg
         if not U.is_unitary():
@@ -640,11 +627,7 @@ def shift_sum(f: LaurentPoly, c: int, d: int) -> PadicScalar:
     if d == 0:
         raise ValueError("progression step d must be nonzero")
     d = abs(d)
-    total = 0
-    for e, coeff in f.terms.items():
-        if (e - c) % d == 0:
-            total += coeff
-    return f.ring.scalar(total)
+    return f.ring.scalar(sum(f.coeffs[(c - f._low) % d :: d]))
 
 
 def project_mod(f: LaurentPoly, d: int) -> tuple[PadicScalar, ...]:

@@ -100,7 +100,14 @@ def laurent_to_doc(f: LaurentPoly) -> dict:
     }
 
 
+# Largest high - low over a polynomial document's terms nonzero mod p^K; the
+# dense form allocates high - low + 1 coefficients.  At the cap the slowest
+# polynomial commands took 1.6-6.4 s (README, "Polynomial documents").
+MAX_EXPONENT_SPAN = 256
+
+
 def laurent_from_doc(doc: dict) -> LaurentPoly:
+    """Read [exponent, coefficient] pairs; an exponent may appear once."""
     from .gm import LaurentPoly
 
     ring = ring_from_header(doc)
@@ -110,7 +117,14 @@ def laurent_from_doc(doc: dict) -> LaurentPoly:
     for pair in _need(doc, "terms"):
         if len(pair) != 2:
             raise MalformedDocument("terms are [exponent, coefficient] pairs")
-        terms[read_int(pair[0], "exponent")] = read_int(pair[1], "coefficient")
+        e = read_int(pair[0], "exponent")
+        if e in terms:
+            raise MalformedDocument(f"exponent {e} appears more than once in terms")
+        terms[e] = read_int(pair[1], "coefficient") % ring.pk
+    support = [e for e, c in terms.items() if c]
+    span = max(support) - min(support) if support else 0
+    if span > MAX_EXPONENT_SPAN:
+        raise MalformedDocument(f"terms span {span} exponents, above the cap of {MAX_EXPONENT_SPAN}")
     return LaurentPoly(ring, terms)
 
 

@@ -22,7 +22,11 @@ and, on a seeded grid of three (p, K) levels, the formal-group layer:
 - `spectrum_table` on 6 x 6 unitaries at levels 1-, 1, K/2 and K;
 - at (5, 10) and (7, 30), `spectrum_table` on 2 x 2, 4 x 4 and 6 x 6
   unitaries at non-monotone level lists with repeats, such as
-  [K, 1-, K/2, 1, K, 2].
+  [K, 1-, K/2, 1, K, 2];
+- on sparse polynomials with negative exponents, zero terms and multiples of
+  p^K, `shift_sum` (both signs of d), `project_mod` and `additivity_check`;
+  and `resultant` and `evaluate_matrix` on unit polynomials with a negative
+  low, at each formal level.
 
 With -v it also prints a digest per shape and the number of items hashed.
 This script is not a test: it is run by hand on two trees and compared.
@@ -52,6 +56,7 @@ FORMAL_GRID = [(3, 4), (5, 10), (7, 30)]
 FORMAL_DEGREES = [(d, e) for d in range(1, 9) for e in (d, 9 - d)]
 TABLES = 4  # per formal level, 6 x 6 spectrum tables
 LEVEL_GRID = [(5, 10), (7, 30)]  # spectrum tables on unordered level lists
+SPARSE = 12  # per formal level, sparse polynomials through the shift sums
 
 
 def _spectral_items(U, seed):
@@ -157,6 +162,32 @@ def level_items(p: int, K: int):
                 yield ("spectrum_table", U.rows, levels, table.n, _table_rows(table))
 
 
+def sparse_items(p: int, K: int):
+    """Shift sums, projections, resultants and f(U) with negative exponents."""
+    rng = random.Random(f"digest-sparse-{p}-{K}")
+    ring = Zp(p, K)
+    pk = ring.pk
+    for _ in range(SPARSE):
+        size = rng.randrange(1, 7)
+        terms = {rng.randrange(-8, 9): rng.choice((0, pk, -pk, rng.randrange(-pk, 2 * pk)))
+                 for _ in range(size)}
+        f = gm.LaurentPoly(ring, terms)
+        for d in (1, 2, 3, 5, 8):
+            c = rng.randrange(-9, 10)
+            yield ("shift_sum", _laurent(f), c, d,
+                   gm.shift_sum(f, c, d).lift(), gm.shift_sum(f, c, -d).lift())
+            yield ("project_mod", d, [s.lift() for s in gm.project_mod(f, d)])
+            dstar = rng.randrange(1, 4)
+            yield ("additivity_check", c, d, dstar, gm.additivity_check(f, c, d, dstar))
+        F = gm.LaurentPoly.from_coeffs(ring, _unit_coeffs(rng, p, pk, rng.randrange(1, 5)),
+                                       low=rng.randrange(-4, 0))
+        G = gm.LaurentPoly.from_coeffs(ring, _unit_coeffs(rng, p, pk, rng.randrange(1, 5)),
+                                       low=rng.randrange(-4, 0))
+        yield ("resultant", _laurent(F), _laurent(G), gm.resultant(F, G).lift())
+        U = random_unitary(ring, rng.randrange(2, 5), rng)
+        yield ("evaluate_matrix", _laurent(F), U.rows, F.evaluate_matrix(U).rows)
+
+
 def main(argv: list[str]) -> int:
     verbose = "-v" in argv
     total = hashlib.sha256()
@@ -164,6 +195,7 @@ def main(argv: list[str]) -> int:
     parts = [(shape, shape_items(*shape)) for shape in SHAPES]
     parts += [(("formal", p, K), formal_items(p, K)) for p, K in FORMAL_GRID]
     parts += [(("levels", p, K), level_items(p, K)) for p, K in LEVEL_GRID]
+    parts += [(("sparse", p, K), sparse_items(p, K)) for p, K in FORMAL_GRID]
     for shape, items in parts:
         part = hashlib.sha256()
         for item in items:

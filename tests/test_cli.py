@@ -3,10 +3,11 @@
 import io
 import json
 import random
+import time
 
 import pytest
 
-from padicu import cli, fppoly, unitary
+from padicu import cli, fppoly, serialize, unitary
 from padicu.matrices import PadicMatrix
 from padicu.scalars import Zp
 
@@ -499,3 +500,51 @@ def test_galois_act_on_a_degree_five_residue_factor(tmp_path, capsys):
     code, out = run_one_line("galois-act", dict(doc, k=5), tmp_path, capsys)
     assert code == 0, out
     assert out["result"]["acted"]["entries"] == [str(v) for row in u.rows for v in row]
+
+
+def _poly_doc(terms, p=3, K=2):
+    return {"p": p, "K": K, "terms": [[e, str(c)] for e, c in terms]}
+
+
+@pytest.mark.parametrize("command", ["orthogonal", "idempotents", "teich-factor", "shift-sum", "project-mod"])
+@pytest.mark.parametrize("high", [serialize.MAX_EXPONENT_SPAN + 1, 100_000_000])
+def test_a_polynomial_wider_than_the_span_cap_is_exit_2_at_once(command, high, tmp_path, capsys):
+    wide = _poly_doc([(0, 1), (high, 1)])
+    doc = {"f": wide, "g": _poly_doc([(0, 1), (1, 1)]), "j": 2, "c": 0, "d": 3}
+    start = time.perf_counter()
+    code, out = run_one_line(command, doc, tmp_path, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out["error"]["code"] == "MalformedDocument"
+    assert f"cap of {serialize.MAX_EXPONENT_SPAN}" in out["error"]["reason"]
+
+
+@pytest.mark.parametrize("command", ["shift-sum", "project-mod"])
+def test_a_polynomial_at_the_span_cap_is_read(command, tmp_path, capsys):
+    """The span counts terms that are nonzero mod p^K; a zero term far out does not widen it."""
+    cap = serialize.MAX_EXPONENT_SPAN
+    f = _poly_doc([(-3, 1), (cap - 3, 2), (10**9, 9)])
+    code, out = run_one_line(command, {"f": f, "c": 0, "d": 3}, tmp_path, capsys)
+    assert code == 0, out
+
+
+def test_a_repeated_exponent_is_exit_2_in_either_order(tmp_path, capsys):
+    outs = []
+    for terms in ([(0, 1), (0, 2), (1, 1)], [(0, 2), (0, 1), (1, 1)]):
+        doc = {"f": _poly_doc(terms), "c": 0, "d": 1}
+        code, out = run_one_line("shift-sum", doc, tmp_path, capsys)
+        assert code == 2
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0]["error"] == {"code": "MalformedDocument",
+                                "reason": "exponent 0 appears more than once in terms"}
+
+
+def test_idempotents_with_a_non_unit_lead_of_fg_is_exit_3(tmp_path, capsys):
+    """f = 3t + 1 and g = t + 1 are orthogonal mod 9, but fg has lead 3."""
+    doc = {"f": _poly_doc([(0, 1), (1, 3)]), "g": _poly_doc([(0, 1), (1, 1)]), "j": 2}
+    code, out = run_one_line("orthogonal", doc, tmp_path, capsys)
+    assert code == 0 and out["result"]["orthogonal"] is True
+    code, out = run_one_line("idempotents", doc, tmp_path, capsys)
+    assert code == 3
+    assert out["error"]["code"] == "NonUnitLead"

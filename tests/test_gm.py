@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from padicu import gm
-from padicu.errors import NotOrthogonal, NotUnitary, ZeroPolynomial
+from padicu.errors import NonUnitLead, NotOrthogonal, NotUnitary, ZeroPolynomial
 from padicu.gm import LaurentPoly, UnitPolynomial
 from padicu.matrices import PadicMatrix
 from padicu.scalars import Zp
@@ -71,6 +71,26 @@ def test_bezout_rejects_non_orthogonal():
     ring = Zp(5, 3)
     with pytest.raises(NotOrthogonal):
         gm.bezout_idempotents(L(ring, [-1, 1]), L(ring, [-6, 1]), 2)
+
+
+def test_two_constants_are_orthogonal_only_when_one_is_a_unit():
+    """Their resultant is the empty determinant 1 either way."""
+    ring = Zp(3, 2)
+    three, two = L(ring, [3]), L(ring, [2])
+    assert gm.resultant(three, three) == ring.scalar(1)
+    assert not gm.orthogonality_test(three, three, 2)
+    cert = gm.orthogonality_test(three, two, 2)
+    assert cert and cert.bezout_k.is_zero()
+    assert cert.bezout_l * two == L(ring, [1])
+
+
+def test_bezout_rejects_a_product_with_a_non_unit_lead():
+    ring = Zp(3, 2)
+    f, g = L(ring, [1, 3]), L(ring, [1, 1])  # res = 2 is a unit, lead of fg is 3
+    assert gm.orthogonality_test(f, g, 2)
+    with pytest.raises(NonUnitLead) as info:
+        gm.bezout_idempotents(f, g, 2)
+    assert info.value.exit_code == 3
 
 
 def test_unit_polynomial_validation():
