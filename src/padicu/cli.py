@@ -160,7 +160,10 @@ def cmd_shift_sum(doc):
 def cmd_project_mod(doc):
     from . import gm
     f = _poly(doc, "f")
-    components = gm.project_mod(f, serialize.int_field(doc, "d"))
+    d = serialize.int_field(doc, "d")
+    if d > serialize.MAX_PROJECT_MOD_D:
+        raise MalformedDocument(f"d = {d} is above the cap of {serialize.MAX_PROJECT_MOD_D}")
+    components = gm.project_mod(f, d)
     return {"components": [str(s.lift()) for s in components]}
 
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import random
 
+from .arith import factorize
+
 DEFAULT_SEED = 1729
 
 
@@ -167,13 +169,6 @@ def pow_mod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
     return trim([(x >> k) & mask for k in shifts])
 
 
-def evaluate(a: list[int], x: int, p: int) -> int:
-    y = 0
-    for c in reversed(a):
-        y = (y * x + c) % p
-    return y
-
-
 def derivative(a: list[int], p: int) -> list[int]:
     return trim([(i * a[i]) % p for i in range(1, len(a))])
 
@@ -187,18 +182,10 @@ def is_irreducible(f: list[int], p: int) -> bool:
     x_mod = divmod_poly([0, 1], f, p)[1]
     if pow_mod([0, 1], p**m, f, p) != x_mod:
         return False
-    primes = set()
-    mm = m
-    q = 2
-    while q * q <= mm:
-        if mm % q == 0:
-            primes.add(q)
-            while mm % q == 0:
-                mm //= q
-        q += 1
-    if mm > 1:
-        primes.add(mm)
-    return all(pow_mod([0, 1], p ** (m // q), f, p) != x_mod for q in primes)
+    # Rabin's test: for each prime q | m, no factor of f has degree dividing m/q
+    return all(
+        gcd(sub(pow_mod([0, 1], p ** (m // q), f, p), x_mod, p), f, p) == [1] for q in factorize(m)
+    )
 
 
 def _squarefree_parts(f: list[int], p: int) -> list[tuple[list[int], int]]:

@@ -360,47 +360,38 @@ class BezoutIdempotents(NamedTuple):
     certificate: OrthogonalityCertificate
 
     def verify(self) -> bool:
-        """All six splitting properties, exactly mod (p^j, fg).
+        """All six splitting properties, exactly mod (p^j, fg), from three congruences.
 
-        The quotient ring is commutative, so the P2 statements are evaluated
-        through P2 = 1 - P1 (exact list arithmetic on the same ring elements),
-        and the resolution of the identity for arbitrary h follows from
-        P1 + P2 = 1 by linearity; one monomial is spot-checked.
+        The record must hold its own structure: the modulus is f*g and P1 is
+        stored reduced.  Then the audit checks P1 + P2 = 1 (as P2 = 1 - P1,
+        which also makes P2 reduced), P1*g = 0 and P2*f = 0 mod (p^j, fg).
+        The six properties follow:
+
+        - fg has a unit lead, so f and g are nonzero mod p.  By McCoy's
+          theorem they are then not zero divisors in (Z/p^j)[t].
+        - P1*g = q*fg gives g*(P1 - q*f) = 0, so P1 = q*f lies in (f);
+          likewise P2*f = 0 puts P2 in (g).
+        - So P1*P2 lies in (fg) = 0, and P1 + P2 = 1 gives P1^2 = P1,
+          P2^2 = P2, P1*f = f, P2*f = 0, P1*g = 0, P2*g = g and
+          h = P1*h + P2*h for every h.
+
+        The Bezout certificate is not used: orthogonality_test checked
+        k*f + l*g = res when it made it.  Reducing 1 comes first, so a modulus
+        with a non-unit lead raises ValueError before any check.
         """
-        pj = self.ring.pk
-        fg = self.modulus
+        pj, fg, p1 = self.ring.pk, self.modulus, self.p1
 
-        def qmul(a, b):
-            prod = fppoly.mul(a, b, pj)
-            if len(prod) >= len(fg):
-                prod = fppoly.divmod_poly(prod, fg, pj)[1]
-            return prod
+        def rem(a):
+            return fppoly.divmod_poly(a, fg, pj)[1]
 
-        # reducing f and g first rejects a modulus with a non-unit leading
-        # coefficient (ValueError from its inverse) before any check runs
-        f = fppoly.divmod_poly(self.f_dense, fg, pj)[1]
-        g = fppoly.divmod_poly(self.g_dense, fg, pj)[1]
-        one = fppoly.divmod_poly([1], fg, pj)[1]  # [] when fg is a unit: the zero ring
-        p1, p2 = self.p1, self.p2
-        if fppoly.add(p1, p2, pj) != one:
+        one = rem([1])  # [] when fg is a unit: the zero ring
+        if fppoly.mul(self.f_dense, self.g_dense, pj) != fg or rem(p1) != p1:
             return False
-        p1sq = qmul(p1, p1)
-        if p1sq != p1:
-            return False
-        if qmul(p1, p2) != []:  # = P2 P1 in the commutative quotient
-            return False
-        # P2^2 = (1 - P1)^2 = 1 - 2 P1 + P1^2
-        p2sq = fppoly.add(fppoly.sub(one, fppoly.add(p1, p1, pj), pj), p1sq, pj)
-        if p2sq != p2:
-            return False
-        p1f = qmul(p1, f)
-        if p1f != f or fppoly.sub(f, p1f, pj) != []:  # P1 f = f and P2 f = 0
-            return False
-        p1g = qmul(p1, g)
-        if p1g != [] or fppoly.sub(g, p1g, pj) != g:  # P1 g = 0 and P2 g = g
-            return False
-        h = fppoly.divmod_poly([0, 1] if len(fg) > 2 else [1], fg, pj)[1]
-        return fppoly.add(qmul(p1, h), qmul(p2, h), pj) == h
+        return (
+            fppoly.sub(one, p1, pj) == self.p2
+            and not rem(fppoly.mul(p1, self.g_dense, pj))
+            and not rem(fppoly.mul(self.p2, self.f_dense, pj))
+        )
 
 
 def bezout_idempotents(
@@ -411,9 +402,9 @@ def bezout_idempotents(
 ) -> BezoutIdempotents:
     """Split the quotient by (p^j, f*g) as P1 + P2 = 1 with P1*P2 = 0.
 
-    P1 = k*f/res and P2 = l*g/res reduced mod (p^j, fg); requires the
-    resultant to be a unit.  Pass an already-computed certificate for (f, g, j)
-    to skip recomputing it.
+    P1 = k*f/res reduced mod (p^j, fg), and P2 = 1 - P1, which is l*g/res
+    because k*f + l*g = res; requires the resultant to be a unit.  Pass an
+    already-computed certificate for (f, g, j) to skip recomputing it.
     """
     cert = certificate if certificate is not None else orthogonality_test(f, g, j)
     if not cert.orthogonal:
@@ -430,9 +421,8 @@ def bezout_idempotents(
         )
     inv_res = pow(cert.res.lift(), -1, pj)
     kf = fppoly.mul(cert.bezout_k.coeffs_from_zero(), fc, pj)
-    lg = fppoly.mul(cert.bezout_l.coeffs_from_zero(), gc, pj)
     p1 = fppoly.divmod_poly(fppoly.scale(kf, inv_res, pj), fg, pj)[1]
-    p2 = fppoly.divmod_poly(fppoly.scale(lg, inv_res, pj), fg, pj)[1]
+    p2 = fppoly.sub(fppoly.divmod_poly([1], fg, pj)[1], p1, pj)
     result = BezoutIdempotents(ring_j, fg, fc, gc, p1, p2, cert)
     if not result.verify():
         raise ArithmeticError("idempotent construction failed its audit")

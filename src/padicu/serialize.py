@@ -101,9 +101,14 @@ def laurent_to_doc(f: LaurentPoly) -> dict:
 
 
 # Largest high - low over a polynomial document's terms nonzero mod p^K; the
-# dense form allocates high - low + 1 coefficients.  At the cap the slowest
-# polynomial commands took 1.6-6.4 s (README, "Polynomial documents").
+# dense form allocates high - low + 1 coefficients.  At the cap idempotents
+# took 3.3-13.3 s (README, "Polynomial documents").
 MAX_EXPONENT_SPAN = 256
+
+# Largest d for project-mod, which answers d components (all but at most 257
+# of them zero).  At the cap a CLI process took 0.15-0.19 s and wrote 256 KB;
+# at d = 10^6 it took 1.8-2.0 s and wrote 4 MB (README, "Polynomial documents").
+MAX_PROJECT_MOD_D = 65536
 
 
 def laurent_from_doc(doc: dict) -> LaurentPoly:

@@ -214,7 +214,8 @@ def test_criterion_4_six_condition_equivalence(p, conway):
                 coprime = not (root_sets[i] & root_sets[k])
                 assert cert.orthogonal == coprime
                 if cert.orthogonal:
-                    # construction self-verifies all six identity properties
+                    # construction audits P1 + P2 = 1, P1*g = 0 and P2*f = 0 mod
+                    # (p^j, fg), from which the six properties follow
                     gm.bezout_idempotents(f, g, j, certificate=cert)
                 else:
                     with pytest.raises(NotOrthogonal):

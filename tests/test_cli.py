@@ -528,6 +528,24 @@ def test_a_polynomial_at_the_span_cap_is_read(command, tmp_path, capsys):
     assert code == 0, out
 
 
+@pytest.mark.parametrize("above", [0, 1, 100_000_000])
+def test_project_mod_answers_d_up_to_its_cap(above, tmp_path, capsys):
+    cap = serialize.MAX_PROJECT_MOD_D
+    doc = {"f": _poly_doc([(-1, 4), (5, 2)]), "d": str(cap + above)}
+    start = time.perf_counter()
+    code, out = run_one_line("project-mod", doc, tmp_path, capsys)
+    assert time.perf_counter() - start < 1.0
+    if above == 0:
+        components = out["result"]["components"]
+        assert code == 0 and len(components) == cap
+        assert components[5] == "2" and components[-1] == "4"
+        assert components.count("0") == cap - 2
+    else:
+        assert code == 2
+        assert out["error"] == {"code": "MalformedDocument",
+                                "reason": f"d = {cap + above} is above the cap of {cap}"}
+
+
 def test_a_repeated_exponent_is_exit_2_in_either_order(tmp_path, capsys):
     outs = []
     for terms in ([(0, 1), (0, 2), (1, 1)], [(0, 2), (0, 1), (1, 1)]):

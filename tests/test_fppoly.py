@@ -7,6 +7,13 @@ import pytest
 from padicu import fppoly
 
 
+def _horner(a, x, p):
+    y = 0
+    for c in reversed(a):
+        y = (y * x + c) % p
+    return y
+
+
 def random_monic(rng, p, deg):
     return [rng.randrange(p) for _ in range(deg)] + [1]
 
@@ -55,8 +62,33 @@ def test_irreducibility_matches_brute_force(p):
     for _ in range(40):
         deg = rng.choice([2, 3])
         f = random_monic(rng, p, deg)
-        has_root = any(fppoly.evaluate(f, x, p) == 0 for x in range(p))
+        has_root = any(_horner(f, x, p) == 0 for x in range(p))
         assert fppoly.is_irreducible(f, p) == (not has_root)
+
+
+def _has_monic_divisor(f, p):
+    """Trial division by every monic polynomial of degree 1 .. deg f // 2."""
+    m = len(f) - 1
+    for d in range(1, m // 2 + 1):
+        for index in range(p**d):
+            b = [index // p**i % p for i in range(d)] + [1]
+            r = list(f)
+            for top in range(m, d - 1, -1):
+                c = r[top]
+                for i, v in enumerate(b):
+                    r[top - d + i] = (r[top - d + i] - c * v) % p
+            if not any(r[:d]):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("p,deg", [(3, 4), (3, 6), (5, 4)])
+def test_irreducibility_at_composite_degrees_matches_trial_division(p, deg):
+    """Degree 6 has two prime divisors, and 6 = 1 + 2 + 3 splits into factors of coprime degrees."""
+    rng = random.Random(100 * p + deg)
+    for _ in range(40):
+        f = random_monic(rng, p, deg)
+        assert fppoly.is_irreducible(f, p) == (not _has_monic_divisor(f, p))
 
 
 def test_ext_gcd_identity():

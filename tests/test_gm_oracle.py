@@ -74,7 +74,8 @@ def test_resultant_and_certificate_against_sympy(dm, dn, orthogonal):
             l = _poly([cert.bezout_l.terms.get(e, 0) for e in range(dm)])
             combo = (k * _poly(f) + l * _poly(g)).all_coeffs()[::-1]
             assert [int(c) % pj for c in combo] == [res % pj] + [0] * (len(combo) - 1)
-            gm.bezout_idempotents(F, G, j, certificate=cert)  # self-audits its six identities
+            # self-audits P1 + P2 = 1, P1*g = 0 and P2*f = 0 mod (p^j, fg)
+            gm.bezout_idempotents(F, G, j, certificate=cert)
 
 
 def _shared_root_pair(rng, p, pk, dm, dn):
