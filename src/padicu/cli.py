@@ -6,7 +6,7 @@ Exit codes: 0 success; 2 invalid input (bad prime, non-unit determinant where
 a unitary is required, malformed document); 3 precondition failure with a
 machine-readable reason in the output document.  Identical input yields
 byte-identical output: keys are sorted and every randomized subroutine runs
-off the seed field (default fixed).  Commands import their modules when run.
+off one fixed seed.  Commands import their modules when run.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from . import fppoly, serialize
+from . import serialize
 from .errors import MalformedDocument, PadicError
 from .matrices import PadicMatrix
 from .scalars import ONE_MINUS, Zp
@@ -27,10 +27,6 @@ def _matrix(doc, key="matrix") -> PadicMatrix:
 
 def _poly(doc, key):
     return serialize.laurent_from_doc(serialize._need(doc, key))
-
-
-def _seed(doc) -> int:
-    return serialize.int_field(doc, "seed", fppoly.DEFAULT_SEED)
 
 
 def cmd_classify(doc):
@@ -50,7 +46,7 @@ def cmd_jordan(doc):
 
 def cmd_spectral(doc):
     from . import unitary
-    datum = unitary.teichmuller_spectral(_matrix(doc), seed=_seed(doc))
+    datum = unitary.teichmuller_spectral(_matrix(doc))
     return serialize.spectral_datum_to_doc(datum)
 
 
@@ -91,7 +87,7 @@ def cmd_spectrum_table(doc):
         ONE_MINUS if j == "1-" else serialize.read_int(j, "j_list item")
         for j in serialize._need(doc, "j_list")
     ]
-    table = unitary.spectrum_table(u, j_list, seed=_seed(doc))
+    table = unitary.spectrum_table(u, j_list)
     return serialize.spectrum_table_to_doc(table)
 
 
@@ -129,7 +125,7 @@ def cmd_teich_factor(doc):
     from . import gm
     f = _poly(doc, "f")
     j = serialize.int_field(doc, "j")
-    out = gm.teich_factor(f, j, seed=_seed(doc))
+    out = gm.teich_factor(f, j)
     return {
         "unit": str(out.unit.lift()),
         "shift": out.shift,
@@ -160,9 +156,7 @@ def cmd_shift_sum(doc):
 def cmd_project_mod(doc):
     from . import gm
     f = _poly(doc, "f")
-    d = serialize.int_field(doc, "d")
-    if d > serialize.MAX_PROJECT_MOD_D:
-        raise MalformedDocument(f"d = {d} is above the cap of {serialize.MAX_PROJECT_MOD_D}")
+    d = serialize.int_field(doc, "d", cap=serialize.MAX_PROJECT_MOD_D)
     components = gm.project_mod(f, d)
     return {"components": [str(s.lift()) for s in components]}
 
@@ -245,7 +239,7 @@ def cmd_evolve(doc):
 def cmd_shift_model(doc):
     from . import quantum
     model = quantum.spectrum_shift_model(
-        serialize.int_field(doc, "size"),
+        serialize.int_field(doc, "size", cap=serialize.MAX_SHIFT_MODEL_SIZE),
         serialize.int_field(doc, "p"),
         serialize.int_field(doc, "K"),
     )
@@ -273,7 +267,7 @@ def cmd_torus(doc):
 
 def cmd_seminorm(doc):
     u = _matrix(doc)
-    result = u.spectral_seminorm(serialize.int_field(doc, "k_max", 16))
+    result = u.spectral_seminorm(serialize.int_field(doc, "k_max", 16, serialize.MAX_SEMINORM_K))
     return serialize.seminorm_to_doc(result)
 
 

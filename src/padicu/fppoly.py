@@ -6,7 +6,8 @@ divmod_poly, pow_mod) work modulo any integer p, such as a prime power p^j,
 on coefficients in [0, p); division needs a divisor whose leading
 coefficient is a unit modulo p.  Factorization is over F_p: squarefree +
 distinct-degree + Cantor-Zassenhaus equal-degree splitting, driven by a
-seeded generator so runs are reproducible.
+generator on the fixed seed `_SEED`; the factors come back sorted, so they
+do not depend on it.
 
 The coefficients stay plain ints: these loops carry the Sylvester, Bezout
 and Hensel work, and taking the ring operations from a ring handle made
@@ -22,7 +23,7 @@ import random
 
 from .arith import factorize
 
-DEFAULT_SEED = 1729
+_SEED = 1729  # the one seed of every randomized splitting, also in `unitary`
 
 
 def trim(c: list[int]) -> list[int]:
@@ -255,7 +256,7 @@ def _equal_degree_split(f: list[int], d: int, p: int, rng: random.Random) -> lis
         return out
 
 
-def factor(f: list[int], p: int, seed: int = DEFAULT_SEED) -> tuple[int, list[tuple[list[int], int]]]:
+def factor(f: list[int], p: int) -> tuple[int, list[tuple[list[int], int]]]:
     """Factor f over F_p into (leading unit, [(monic irreducible, multiplicity), ...]).
 
     Factors come back sorted by (degree, coefficient tuple), so the output is
@@ -266,7 +267,7 @@ def factor(f: list[int], p: int, seed: int = DEFAULT_SEED) -> tuple[int, list[tu
         raise ValueError("cannot factor the zero polynomial")
     lead = f[-1]
     f = monic(f, p)
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     merged: dict[tuple[int, ...], int] = {}
     for sqf, mult in _squarefree_parts(f, p):
         for prod, d in _distinct_degree(sqf, p):

@@ -512,7 +512,7 @@ class TeichFactorization(NamedTuple):
         return LaurentPoly.from_coeffs(self.ring, acc, low=self.shift)
 
 
-def teich_factor(f: LaurentPoly, j: int, seed: int = fppoly.DEFAULT_SEED) -> TeichFactorization:
+def teich_factor(f: LaurentPoly, j: int) -> TeichFactorization:
     """Group f by Teichmuller disc cluster and lift the grouped factorization.
 
     The reduction of f is factored over F_p; each distinct irreducible (one
@@ -528,7 +528,7 @@ def teich_factor(f: LaurentPoly, j: int, seed: int = fppoly.DEFAULT_SEED) -> Tei
     dense, shift = f.reduce(j).polynomial_part()
     monic = fppoly.monic(dense, pj)
     residue = [v % p for v in monic]
-    _, residue_factors = fppoly.factor(residue, p, seed=seed)
+    _, residue_factors = fppoly.factor(residue, p)
     grouped = []
     labels = []
     for irr, mult in residue_factors:

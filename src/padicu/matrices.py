@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import fppoly, ringpoly
-from .errors import NotInvertible, PrecisionMismatch
+from .errors import InputError, NotInvertible, PrecisionMismatch
 from .scalars import AnyRing, PadicScalar, Zp
 
 if TYPE_CHECKING:
@@ -411,6 +411,8 @@ class PadicMatrix:
     # -- spectral seminorm ------------------------------------------------------
     def spectral_seminorm(self, k_max: int = 16) -> SeminormResult:
         """min over 1 <= k <= k_max of |A^k|^(1/k), with a nilpotency fast path."""
+        if k_max < 1:
+            raise InputError(f"k_max = {k_max} must be >= 1")
         ring = self.ring
         best_v, best_k = self.min_valuation(), 1
         power = self

@@ -39,11 +39,14 @@ def read_int(value, what: str) -> int:
     raise MalformedDocument(f"{what} must be an integer or a decimal string, got {value!r}")
 
 
-def int_field(doc: dict, key: str, default: int | None = None) -> int:
-    """The integer field `key` of doc; required unless a default is given."""
+def int_field(doc: dict, key: str, default: int | None = None, cap: int | None = None) -> int:
+    """The integer field `key` of doc, at most cap; required unless a default is given."""
     if default is not None and isinstance(doc, dict) and key not in doc:
         return default
-    return read_int(_need(doc, key), key)
+    value = read_int(_need(doc, key), key)
+    if cap is not None and value > cap:
+        raise MalformedDocument(f"{key} = {value} is above the cap of {cap}")
+    return value
 
 
 def ring_header(ring: AnyRing) -> dict:
@@ -109,6 +112,14 @@ MAX_EXPONENT_SPAN = 256
 # of them zero).  At the cap a CLI process took 0.15-0.19 s and wrote 256 KB;
 # at d = 10^6 it took 1.8-2.0 s and wrote 4 MB (README, "Polynomial documents").
 MAX_PROJECT_MOD_D = 65536
+
+# Largest k_max for seminorm, which takes up to k_max - 1 matrix products: 0.18 s
+# on a 2 x 2 matrix and 1.1-1.3 s on an 8 x 8 one at the cap (README, "CLI").
+MAX_SEMINORM_K = 4096
+
+# Largest size for shift-model, whose audit classifies the size x size shift:
+# 0.33 s at p = 3, K = 2 and 4.5 s at p = 1000003, K = 8 at the cap (README, "CLI").
+MAX_SHIFT_MODEL_SIZE = 32
 
 
 def laurent_from_doc(doc: dict) -> LaurentPoly:

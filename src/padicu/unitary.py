@@ -21,8 +21,8 @@ irreducible residue factor of degree d contributes d eigenvalues in the
 degree-d unramified ring.  One root of the factor in F_{p^d} comes from
 Cantor-Zassenhaus splitting in F_{p^d}[T] (`_orbit_roots`), the others are
 its Frobenius images, and the least one lifts to the orbit's first
-eigenvalue, so the choice does not depend on the random splitting.  U is
-semisimple, so its minimal polynomial m is the product of the orbit
+eigenvalue lambda_0, so the choice does not depend on the random splitting.
+U is semisimple, so its minimal polynomial m is the product of the orbit
 polynomials, and the projector onto lambda is L(U) / L(lambda) with
 L = m / (t - lambda): one combination of U^0, ..., U^(deg m - 1), whose
 denominator m'(lambda) is a unit because distinct Teichmuller elements are
@@ -30,18 +30,18 @@ distance 1 apart.  Frobenius sigma acts on Teichmuller eigenvalues as
 lambda -> lambda^p, so it carries pi_lambda to pi_(lambda^p), and the
 Galois twist sum sigma^k(lambda) pi_lambda is U^(p^k).
 
-The same symmetry makes the orbit algebra a computation over Z_p.  Once the
-chains sigma(P_t) = P_(t+1 mod d) and sigma(lambda_t) = lambda_(t+1 mod d)
-hold, an orbit's sum of P_t is Tr(P_0) and its sum of lambda_t P_t is
-Tr(lambda_0 P_0), entrywise, for the trace Tr = sum_t sigma^t of the orbit's
-ring; Tr is Z_p-linear, so it is a combination of the coordinate matrices of
-P_0 (`SpectralDatum.reconstruct`, `orbit_projector`).  The audit
+So an orbit stores lambda_0 and P_0 only (`SpectralOrbit`), and the same
+symmetry makes the orbit algebra a computation over Z_p: an orbit's sum of
+P_t is Tr(P_0) and its sum of lambda_t P_t is Tr(lambda_0 P_0), entrywise,
+for the trace Tr = sum_t sigma^t of the orbit's ring; Tr is Z_p-linear, so it
+is a combination of the coordinate matrices of P_0
+(`SpectralDatum.reconstruct`, `orbit_projector`).  The audit
 (`SpectralDatum.verify`) takes no product over an extension ring: U is fixed
 by sigma, so the eigen-equations U P_0 = lambda_0 P_0 = P_0 U, 2d products
-over Z_p, carry along the chain to every P_t.  With unit gaps between
-eigenvalues (the orbit polynomials multiply to a squarefree polynomial mod p)
-they make P_s P_t = 0 for s != t, in one orbit or across two, and then
-sum Tr(P_0) = I makes every P_t idempotent and U = sum lambda P.
+over Z_p, carry to every P_t.  With unit gaps between eigenvalues (the orbit
+polynomials multiply to a squarefree polynomial mod p) they make P_s P_t = 0
+for s != t, in one orbit or across two, and then sum Tr(P_0) = I makes every
+P_t idempotent and U = sum lambda P.
 """
 
 from __future__ import annotations
@@ -154,17 +154,39 @@ def jordan_decompose(U: PadicMatrix) -> tuple[PadicMatrix, PadicMatrix]:
 
 
 class SpectralOrbit(NamedTuple):
-    """One Frobenius orbit: eigenvalues and projectors over the orbit's ring."""
+    """One Frobenius orbit over a ring of degree d, stored as lambda_0 and P_0.
+
+    lambda_t = sigma^t(lambda_0) and P_t = sigma^t(P_0), t < d, are derived on
+    each access: sigma is an exact automorphism of order d of the ring, audited
+    by `moduli.canonical_modulus` when the ring is built."""
 
     ring: AnyRing
-    eigenvalues: tuple  # raw values, consecutive Frobenius images
-    projectors: tuple[PadicMatrix, ...]
+    eigenvalue: object  # raw value of ring: lambda_0, a Teichmuller element
+    projector: PadicMatrix  # P_0, over ring
     multiplicity: int
-    factor: tuple[int, ...]  # multiplicity-free monic orbit polynomial over Z_p
 
     @property
     def degree(self) -> int:
-        return len(self.eigenvalues)
+        return self.ring.degree
+
+    @property
+    def eigenvalues(self) -> tuple:
+        out = [self.eigenvalue]
+        for _ in range(1, self.degree):
+            out.append(self.ring.rfrob(out[-1]))
+        return tuple(out)
+
+    @property
+    def projectors(self) -> tuple[PadicMatrix, ...]:
+        out = [self.projector]
+        for _ in range(1, self.degree):
+            out.append(out[-1].frobenius_map())
+        return tuple(out)
+
+    @property
+    def factor(self) -> tuple[int, ...]:
+        """The monic orbit polynomial prod (t - lambda_t) over Z_p."""
+        return tuple(_orbit_polynomial(self.ring, self.eigenvalue))
 
 
 class SpectralDatum(NamedTuple):
@@ -176,22 +198,13 @@ class SpectralDatum(NamedTuple):
     unipotent: PadicMatrix
 
     def orbit_projector(self, index: int) -> PadicMatrix:
-        """Sum of the projectors in one orbit, Tr(P_0) entrywise: a base matrix.
-
-        This assumes the Frobenius chain P_t = sigma^t(P_0), which every datum
-        the library returns has passed in `verify`; on a datum that breaks
-        the chain it is Tr(P_0), not the sum of the listed projectors.
-        """
+        """Sum of the projectors in one orbit, Tr(P_0) entrywise: a base matrix."""
         orbit = self.orbits[index]
         return self._trace_sum([(orbit, orbit.ring.one)])
 
     def reconstruct(self) -> PadicMatrix:
-        """Sum of eigenvalue * projector over every orbit: Tr(lambda_0 P_0) per orbit.
-
-        Like `orbit_projector`, this assumes the Frobenius chains of
-        eigenvalues and projectors, which `verify` checks first.
-        """
-        return self._trace_sum([(orbit, orbit.eigenvalues[0]) for orbit in self.orbits])
+        """Sum of eigenvalue * projector over every orbit: Tr(lambda_0 P_0) per orbit."""
+        return self._trace_sum([(orbit, orbit.eigenvalue) for orbit in self.orbits])
 
     def _trace_sum(self, terms) -> PadicMatrix:
         """sum Tr(y P_0) over (orbit, y) terms, entrywise, as one combination over Z_p.
@@ -204,7 +217,7 @@ class SpectralDatum(NamedTuple):
         for orbit, y in terms:
             ring = orbit.ring
             weights += [ring.rtrace(v) for v in _times_basis(ring, y)]
-            coordinates += _coordinates(self.base_ring, ring, orbit.projectors[0])
+            coordinates += _coordinates(self.base_ring, ring, orbit.projector)
         if not coordinates:
             return PadicMatrix.zeros(self.base_ring, self.n)
         return _linear_combination(self.base_ring, weights, coordinates)
@@ -212,29 +225,30 @@ class SpectralDatum(NamedTuple):
     def verify(self, expected: PadicMatrix | None = None) -> bool:
         """Audit the datum: orthogonal idempotents summing to I, and U rebuilt.
 
-        No product over an extension ring is taken.  With U = expected, or
+        No product over an extension ring is taken.  Per orbit of degree d,
+        P_t := sigma^t(P_0) and lambda_t := sigma^t(lambda_0) for t < d, and
+        sigma has order d (`SpectralOrbit`).  With U = expected, or
         U = `reconstruct()` when no expected is given, the checks are:
-        1. per orbit of degree d = the degree of its ring, the Frobenius chains
-           sigma(P_t) = P_(t+1 mod d) and sigma(lambda_t) = lambda_(t+1 mod d);
-        2. the product of the orbit polynomials, recomputed from each lambda_0,
+        1. the product of the orbit polynomials, computed from each lambda_0,
            is squarefree mod p;
-        3. sum_i Tr(P_0^(i)) = I;
-        4. `reconstruct()` = expected, when one is given;
-        5. per orbit, U P_0 = lambda_0 P_0 = P_0 U.  With P_0 = sum_k A_k X^k
+        2. sum_i Tr(P_0^(i)) = I;
+        3. `reconstruct()` = expected, when one is given;
+        4. per orbit, U P_0 = lambda_0 P_0 = P_0 U.  With P_0 = sum_k A_k X^k
            over Z_p, coordinate k of U P_0 is U A_k and of P_0 U is A_k U, and
            lambda_0 P_0 = sum_j (lambda_0 X^j) A_j takes no product: 2d
            products over Z_p and none over the orbit's ring.
         They prove what the products P_s P_t and Q_i Q_j would.  U is fixed
-        by sigma, so the chains carry step 5 to U P_t = lambda_t P_t = P_t U
-        for every t.  By step 2 every gap lambda - mu between two eigenvalues
-        is a unit.  So lambda_s P_s P_t = (P_s U) P_t = P_s (U P_t)
-        = lambda_t P_s P_t gives P_s P_t = 0 inside an orbit.  Across orbits,
+        by sigma, so applying sigma^t to step 4 gives
+        U P_t = lambda_t P_t = P_t U for every t.  By step 1 every gap
+        lambda - mu between two eigenvalues is a unit.  So
+        lambda_s P_s P_t = (P_s U) P_t = P_s (U P_t) = lambda_t P_s P_t
+        gives P_s P_t = 0 inside an orbit.  Across orbits,
         with the orbit polynomial f_j and Q_j = Tr(P_0^(j)) = sum_s P_s^(j),
         f_j(U) Q_j = sum_s f_j(lambda_s^(j)) P_s^(j) = 0, so
         f_j(lambda_t^(i)) P_t^(i) Q_j = P_t^(i) f_j(U) Q_j = 0 with a unit
-        f_j(lambda_t^(i)), and P_t^(i) Q_j = 0.  Step 3 then gives
+        f_j(lambda_t^(i)), and P_t^(i) Q_j = 0.  Step 2 then gives
         P_t = P_t sum_j Q_j = P_t Q_i = P_t^2, and U = U sum Q = sum lambda P.
-        Step 2 makes a hand-built datum whose eigenvalue residues coincide
+        Step 1 makes a hand-built datum whose eigenvalue residues coincide
         (two orbits on one residue factor, or a repeated lambda) read False,
         even with orthogonal idempotents; the library's orbits come from
         distinct irreducible residue factors.
@@ -242,17 +256,7 @@ class SpectralDatum(NamedTuple):
         base, n, p = self.base_ring, self.n, self.base_ring.p
         minimal = [1]
         for orbit in self.orbits:
-            ring, d = orbit.ring, orbit.degree
-            P, lam = orbit.projectors, orbit.eigenvalues
-            if d != ring.degree or len(P) != d:
-                return False
-            for t in range(d):
-                if P[t].frobenius_map() != P[(t + 1) % d]:
-                    return False
-                if ring.rfrob(lam[t]) != lam[(t + 1) % d]:
-                    return False
-            f = _orbit_polynomial(base, ring, lam[0])
-            minimal = fppoly.mul(minimal, [c % p for c in f], p)
+            minimal = fppoly.mul(minimal, [c % p for c in orbit.factor], p)
         if fppoly.gcd(minimal, fppoly.derivative(minimal, p), p) != [1]:
             return False
         sums = self._trace_sum([(orbit, orbit.ring.one) for orbit in self.orbits])
@@ -264,9 +268,9 @@ class SpectralDatum(NamedTuple):
         U = rebuilt if expected is None else expected
         for orbit in self.orbits:
             ring = orbit.ring
-            A = _coordinates(base, ring, orbit.projectors[0])
+            A = _coordinates(base, ring, orbit.projector)
             # lambda_0 P_0 = sum_j (lambda_0 X^j) A_j: no product of matrices
-            scaled = _linear_combination(ring, _times_basis(ring, orbit.eigenvalues[0]), A)
+            scaled = _linear_combination(ring, _times_basis(ring, orbit.eigenvalue), A)
             for A_k, B_k in zip(A, _coordinates(base, ring, scaled)):
                 if U @ A_k != B_k or A_k @ U != B_k:
                     return False
@@ -287,14 +291,14 @@ def _coordinates(base: Zp, ring: AnyRing, matrix: PadicMatrix) -> list[PadicMatr
     return [PadicMatrix(base, [[v[k] for v in row] for row in matrix.rows]) for k in range(ring.m)]
 
 
-def _orbit_polynomial(base: Zp, ring: AnyRing, lam) -> list[int]:
+def _orbit_polynomial(ring: AnyRing, lam) -> list[int]:
     """prod (t - sigma^t(lambda)) over the orbit of lambda in ring, over Z_p."""
     if isinstance(ring, Zp):
         return [ring.rneg(lam), 1]
-    return orbit_polynomial(base, ring.modulus, lam)
+    return orbit_polynomial(Zp(ring.p, ring.K), ring.modulus, lam)
 
 
-def teichmuller_spectral(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> SpectralDatum:
+def teichmuller_spectral(U: PadicMatrix) -> SpectralDatum:
     """Spectral decomposition of a Teichmuller-type matrix over Z_p.
 
     The residue characteristic polynomial factors into Frobenius orbits; each
@@ -302,21 +306,20 @@ def teichmuller_spectral(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> Spe
     ring, the lift of the least root in F_{p^d} and its Frobenius images.  U is
     semisimple, so its minimal polynomial m is the product of the orbit
     polynomials, and the projector of an orbit's first eigenvalue lambda is
-    L(U) / L(lambda) with L = m / (t - lambda); the others are its Frobenius
-    images.  The seed drives the randomized factoring and root finding; the
-    datum does not depend on it.
+    L(U) / L(lambda) with L = m / (t - lambda).  The factoring and root
+    finding are randomized on a fixed seed; the datum does not depend on it.
     """
     _require_base_teichmuller(U)
-    return _teichmuller_spectral(U, seed)
+    return _teichmuller_spectral(U)
 
 
-def _teichmuller_spectral(U: PadicMatrix, seed: int) -> SpectralDatum:
+def _teichmuller_spectral(U: PadicMatrix) -> SpectralDatum:
     """The body of `teichmuller_spectral`, for a U that passed its checks."""
     ring = U.ring
     p, K, pk = ring.p, ring.K, ring.pk
-    _, factors = fppoly.factor([c % p for c in U.char_poly_raw()], p, seed=seed)
-    rng = random.Random(seed)
-    # per irreducible residue factor: (ring, eigenvalues, multiplicity, orbit polynomial)
+    _, factors = fppoly.factor([c % p for c in U.char_poly_raw()], p)
+    rng = random.Random(fppoly._SEED)
+    # per irreducible residue factor: (ring, lambda_0, multiplicity)
     raw_orbits = []
     for irr, mult in factors:
         d = len(irr) - 1
@@ -327,44 +330,24 @@ def _teichmuller_spectral(U: PadicMatrix, seed: int) -> SpectralDatum:
             lam_ring = unram(p, K, d)
             canonical = min(_orbit_roots(irr, unram(p, 1, d), rng))
             lam = lam_ring.rteichmuller(lam_ring.rlift_residue(canonical))
-        factor_coeffs = _orbit_polynomial(ring, lam_ring, lam)
-        eigenvalues = [lam]
-        for _ in range(1, d):
-            eigenvalues.append(lam_ring.rpow(eigenvalues[-1], p))
-        raw_orbits.append((lam_ring, eigenvalues, mult, factor_coeffs))
+        raw_orbits.append((lam_ring, lam, mult))
     minimal = [1]
-    for *_, factor_coeffs in raw_orbits:
-        minimal = fppoly.mul(minimal, factor_coeffs, pk)
+    for lam_ring, lam, _ in raw_orbits:
+        minimal = fppoly.mul(minimal, _orbit_polynomial(lam_ring, lam), pk)
     powers = [PadicMatrix.identity(ring, U.n)]  # U^0, ..., U^(deg m - 1)
     while len(powers) < len(minimal) - 1:
         powers.append(U if len(powers) == 1 else powers[-1] @ U)
     orbits = []
-    for lam_ring, eigenvalues, mult, factor_coeffs in raw_orbits:
-        lam = eigenvalues[0]
+    for lam_ring, lam, mult in raw_orbits:
         minimal_raw = [lam_ring.rfrom_int(c) for c in minimal]
         # L = m / (t - lambda) by synthetic division, scaled by 1 / L(lambda) = 1 / m'(lambda)
         quotient, _ = ringpoly.divide_linear(lam_ring, minimal_raw, lam)
         inv_slope = lam_ring.rinv(ringpoly.divide_linear(lam_ring, quotient, lam)[1])
         coeffs = [lam_ring.rmul(inv_slope, c) for c in quotient]
-        # sigma fixes U and m and maps lambda to lambda^p
-        projectors = [_linear_combination(lam_ring, coeffs, powers)]
-        for _ in range(1, len(eigenvalues)):
-            projectors.append(projectors[-1].frobenius_map())
-        orbits.append(
-            SpectralOrbit(
-                ring=lam_ring,
-                eigenvalues=tuple(eigenvalues),
-                projectors=tuple(projectors),
-                multiplicity=mult,
-                factor=tuple(factor_coeffs),
-            )
-        )
-    datum = SpectralDatum(
-        base_ring=ring,
-        n=U.n,
-        orbits=tuple(orbits),
-        unipotent=PadicMatrix.identity(ring, U.n),
-    )
+        projector = _linear_combination(lam_ring, coeffs, powers)
+        orbits.append(SpectralOrbit(ring=lam_ring, eigenvalue=lam, projector=projector, multiplicity=mult))
+    identity = PadicMatrix.identity(ring, U.n)
+    datum = SpectralDatum(base_ring=ring, n=U.n, orbits=tuple(orbits), unipotent=identity)
     if not datum.verify(expected=U):
         raise ArithmeticError("spectral reconstruction audit failed")
     return datum
@@ -413,7 +396,7 @@ def _orbit_roots(irr: list[int], field: UnramRing, rng: random.Random) -> list:
     return roots
 
 
-def spectral_decompose(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> SpectralDatum:
+def spectral_decompose(U: PadicMatrix) -> SpectralDatum:
     """Full pipeline on any unitary: Jordan split, then the Teichmuller spectrum.
 
     After the pro-finite audit U^E = I, U_s = U^alpha is of Teichmuller type
@@ -423,7 +406,7 @@ def spectral_decompose(U: PadicMatrix, seed: int = fppoly.DEFAULT_SEED) -> Spect
     _require_base_unitary(U)
     _audit(U)
     u_s, u_n = jordan_decompose(U)
-    datum = _teichmuller_spectral(u_s, seed)
+    datum = _teichmuller_spectral(u_s)
     return SpectralDatum(
         base_ring=datum.base_ring, n=datum.n, orbits=datum.orbits, unipotent=u_n
     )
@@ -525,7 +508,7 @@ class SpectrumTable(NamedTuple):
     completion_is_whole_module: bool
 
 
-def spectrum_table(U: PadicMatrix, j_list, seed: int = fppoly.DEFAULT_SEED) -> SpectrumTable:
+def spectrum_table(U: PadicMatrix, j_list) -> SpectrumTable:
     """Component dimensions of the spectrum at each reduction level.
 
     The characteristic polynomial (a unit polynomial for unitary U) is grouped
@@ -561,7 +544,7 @@ def spectrum_table(U: PadicMatrix, j_list, seed: int = fppoly.DEFAULT_SEED) -> S
 
         J = max(j for j, _ in levels)
         f = gm.LaurentPoly.from_coeffs(ring, U.char_poly_raw())
-        lifted = gm.teich_factor(f, J, seed=seed).factors
+        lifted = gm.teich_factor(f, J).factors
         U_J = U.reduce(J)
         deepest = []
         for orbit, coeffs in sorted(lifted.items()):

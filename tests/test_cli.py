@@ -317,8 +317,7 @@ INTEGER_FIELDS = [
      ["g", "terms", 0, 1]),
     ("spectrum-table", {"matrix": matrix_doc([[1, 0], [0, 24]], p=5, K=2), "j_list": [1, "1-"]},
      ["j_list", 0]),
-    ("teich-factor", {"f": {"p": 5, "K": 3, "terms": [[0, "2"], [1, "122"], [2, "1"]]}, "j": 2, "seed": 7},
-     ["seed"]),
+    ("teich-factor", {"f": {"p": 5, "K": 3, "terms": [[0, "2"], [1, "122"], [2, "1"]]}, "j": 2}, ["j"]),
     ("shift-sum", {"f": _POLY, "c": 0, "d": 2}, ["c"]),
     ("shift-sum", {"f": _POLY, "c": 0, "d": 2}, ["d"]),
     ("project-mod", {"f": _POLY, "d": 2}, ["d"]),
@@ -566,3 +565,33 @@ def test_idempotents_with_a_non_unit_lead_of_fg_is_exit_3(tmp_path, capsys):
     code, out = run_one_line("idempotents", doc, tmp_path, capsys)
     assert code == 3
     assert out["error"]["code"] == "NonUnitLead"
+
+
+@pytest.mark.parametrize("k_max", [-5, 0, serialize.MAX_SEMINORM_K, serialize.MAX_SEMINORM_K + 1, 10**8])
+def test_seminorm_answers_k_max_from_1_up_to_its_cap(k_max, tmp_path, capsys):
+    doc = {"matrix": matrix_doc([[1, 1], [0, 1]]), "k_max": k_max}
+    start = time.perf_counter()
+    code, out = run_one_line("seminorm", doc, tmp_path, capsys)
+    assert time.perf_counter() - start < 1.0
+    if k_max == serialize.MAX_SEMINORM_K:
+        assert code == 0 and out["result"]["best_k"] == 1 and out["result"]["valuation"] == 0
+    elif k_max < 1:
+        assert code == 2
+        assert out["error"] == {"code": "InputError", "reason": f"k_max = {k_max} must be >= 1"}
+    else:
+        assert code == 2
+        assert out["error"] == {"code": "MalformedDocument",
+                                "reason": f"k_max = {k_max} is above the cap of {serialize.MAX_SEMINORM_K}"}
+
+
+@pytest.mark.parametrize("size", [serialize.MAX_SHIFT_MODEL_SIZE, serialize.MAX_SHIFT_MODEL_SIZE + 1, 100_000])
+def test_shift_model_answers_sizes_up_to_its_cap(size, tmp_path, capsys):
+    start = time.perf_counter()
+    code, out = run_one_line("shift-model", {"size": size, "p": 3, "K": 2}, tmp_path, capsys)
+    assert time.perf_counter() - start < 1.0
+    if size == serialize.MAX_SHIFT_MODEL_SIZE:
+        assert code == 0 and out["result"]["checked_dimension"] == size - 1
+    else:
+        assert code == 2
+        assert out["error"] == {"code": "MalformedDocument",
+                                "reason": f"size = {size} is above the cap of {serialize.MAX_SHIFT_MODEL_SIZE}"}

@@ -7,7 +7,7 @@ import pytest
 
 from padicu import matrices
 from padicu.arith import teichmuller_exponent
-from padicu.errors import NotInvertible
+from padicu.errors import InputError, NotInvertible
 from padicu.matrices import Norm, PadicMatrix, vector_norm
 from padicu.sampling import random_matrix, random_unitary
 from padicu.scalars import UnramRing, Zp
@@ -255,6 +255,14 @@ def test_seminorm_identity_and_diagonal():
     ring = Zp(3, 4)
     assert PadicMatrix.identity(ring, 2).spectral_seminorm().value() == 1
     assert M(ring, [[3, 0], [0, 1]]).spectral_seminorm().value() == 1
+
+
+@pytest.mark.parametrize("k_max", [0, -5])
+def test_seminorm_needs_k_max_of_at_least_1(k_max):
+    ring = Zp(3, 4)
+    with pytest.raises(InputError, match=f"k_max = {k_max} must be >= 1"):
+        M(ring, [[1, 1], [0, 1]]).spectral_seminorm(k_max)
+    assert M(ring, [[1, 1], [0, 1]]).spectral_seminorm(1).best_k == 1
 
 
 def test_seminorm_subadditive_sequence():

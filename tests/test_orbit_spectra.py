@@ -71,7 +71,10 @@ def _datum_key(datum):
 
 
 @pytest.mark.parametrize("p,K,n", [(3, 3, 4), (5, 4, 4), (7, 3, 4), (5, 20, 6)])
-def test_spectral_datum_does_not_depend_on_the_seed(p, K, n):
+def test_spectral_datum_does_not_depend_on_the_seed(p, K, n, monkeypatch):
+    """The factoring and the root finder both run off `fppoly._SEED`; the
+    reference is taken at its own value, restored last in each round."""
+    default = fppoly._SEED
     ring = Zp(p, K)
     rng = random.Random(p * K * n)
     checked = 0
@@ -81,8 +84,9 @@ def test_spectral_datum_does_not_depend_on_the_seed(p, K, n):
         if max(o.degree for o in reference.orbits) < 2:
             continue
         checked += 1
-        for seed in (0, 1, 2, 3, 99991):
-            datum = unitary.teichmuller_spectral(u, seed=seed)
+        for seed in (0, 1, 2, 3, 99991, default):
+            monkeypatch.setattr(fppoly, "_SEED", seed)
+            datum = unitary.teichmuller_spectral(u)
             assert datum == reference
             assert _datum_key(datum) == _datum_key(reference)
     assert checked >= 2

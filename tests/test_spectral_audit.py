@@ -1,12 +1,13 @@
 """SpectralDatum.verify against a brute-force audit that shares no code with it.
 
-The reference takes every product the eigen-equation audit avoids: all d^2
-in-orbit products P_s P_t over the orbit's ring, Q_i Q_j for i != j over Z_p,
+The reference builds each orbit's members lambda_t = sigma^t(lambda_0) and
+P_t = sigma^t(P_0) itself, with sigma taken here as a -> sum a_k (X^p)^k, and
+takes every product the eigen-equation audit avoids: all d^2 in-orbit
+products P_s P_t over the orbit's ring, Q_i Q_j for i != j over Z_p,
 sum Q_i = I and sum lambda P = U, each by plain loops over the rings' raw
-operations.  It also checks what verify's proof rests on: the Frobenius
-chains, with sigma taken here as a -> sum a_k (X^p)^k, and pairwise distinct
-eigenvalue residues.  On library data and on seeded corruptions of it, the
-two audits must agree.
+operations.  It also checks what verify's proof rests on: sigma^d fixes
+lambda_0 and P_0, and the eigenvalue residues are pairwise distinct.  On
+library data and on seeded corruptions of it, the two audits must agree.
 """
 
 from __future__ import annotations
@@ -70,11 +71,24 @@ def _to_base(ring, rows):
     return [[v[0] for v in row] for row in rows]
 
 
-def _orbit_poly(orbit):
-    """prod (t - lambda_t) by plain multiplication, as ints, or None if not Galois-fixed."""
+def _members(orbit):
+    """[(lambda_t, P_t rows)] for t <= d: lambda_0, P_0 and d images under _sigma.
+
+    The last pair is sigma^d(lambda_0), sigma^d(P_0), for the reference's
+    check that sigma has order d there."""
     ring = orbit.ring
+    lam, P = orbit.eigenvalue, [list(r) for r in orbit.projector.rows]
+    out = [(lam, P)]
+    for _ in range(ring.degree):
+        lam, P = _sigma(ring, lam), [[_sigma(ring, v) for v in row] for row in P]
+        out.append((lam, P))
+    return out
+
+
+def _orbit_poly(ring, eigenvalues):
+    """prod (t - lambda_t) by plain multiplication, as ints, or None if not Galois-fixed."""
     poly = [ring.one]
-    for lam in orbit.eigenvalues:
+    for lam in eigenvalues:
         shifted = [ring.zero] + poly
         for k, c in enumerate(poly):
             shifted[k] = ring.rsub(shifted[k], ring.rmul(lam, c))
@@ -94,40 +108,34 @@ def reference_verify(datum, expected=None) -> bool:
     base, n = datum.base_ring, datum.n
     polys = []
     for orbit in datum.orbits:
-        ring, P, lam = orbit.ring, orbit.projectors, orbit.eigenvalues
-        d = len(lam)
-        if d != ring.degree or len(P) != d:
+        ring, members = orbit.ring, _members(orbit)
+        if members[-1] != members[0]:
             return False
-        for t in range(d):
-            if [[_sigma(ring, v) for v in row] for row in P[t].rows] != [
-                list(r) for r in P[(t + 1) % d].rows
-            ]:
-                return False
-            if _sigma(ring, lam[t]) != lam[(t + 1) % d]:
-                return False
+        lam, P = [x for x, _ in members[:-1]], [rows for _, rows in members[:-1]]
+        d = len(lam)
         for s in range(d):
             for t in range(s + 1, d):
                 if not ring.runit(ring.rsub(lam[s], lam[t])):
                     return False
         for s in range(d):
             for t in range(d):
-                want = [list(r) for r in P[s].rows] if s == t else _zeros(ring, n)
-                if _product(ring, P[s].rows, P[t].rows) != want:
+                want = P[s] if s == t else _zeros(ring, n)
+                if _product(ring, P[s], P[t]) != want:
                     return False
-        polys.append(_orbit_poly(orbit))
+        polys.append(_orbit_poly(ring, lam))
     for i, orbit in enumerate(datum.orbits):
         for j, f in enumerate(polys):
             if i == j:
                 continue
-            if any(not orbit.ring.runit(_horner(orbit.ring, f, x)) for x in orbit.eigenvalues):
+            if any(not orbit.ring.runit(_horner(orbit.ring, f, x)) for x, _ in _members(orbit)[:-1]):
                 return False
     sums, rebuilt = [], _zeros(base, n)
     for orbit in datum.orbits:
         ring = orbit.ring
         Q, L = _zeros(ring, n), _zeros(ring, n)
-        for lam, P in zip(orbit.eigenvalues, orbit.projectors):
-            Q = _sum(ring, Q, P.rows)
-            L = _sum(ring, L, [[ring.rmul(lam, v) for v in row] for row in P.rows])
+        for lam, P in _members(orbit)[:-1]:
+            Q = _sum(ring, Q, P)
+            L = _sum(ring, L, [[ring.rmul(lam, v) for v in row] for row in P])
         Q, L = _to_base(ring, Q), _to_base(ring, L)
         if Q is None or L is None:
             return False
@@ -169,13 +177,6 @@ def _library_data():
 LIBRARY = _library_data()
 
 
-def _images(first, d):
-    out = [first]
-    for _ in range(1, d):
-        out.append(out[-1].frobenius_map())
-    return tuple(out)
-
-
 def _replace_orbit(datum, index, **changes):
     orbits = list(datum.orbits)
     orbits[index] = orbits[index]._replace(**changes)
@@ -183,7 +184,7 @@ def _replace_orbit(datum, index, **changes):
 
 
 def _perturbed(datum, rng):
-    """P_0 + p^j c at one entry of one orbit, with the projector chain rebuilt."""
+    """P_0 + p^j c at one entry of one orbit."""
     i = rng.randrange(len(datum.orbits))
     orbit = datum.orbits[i]
     ring, n = orbit.ring, datum.n
@@ -192,36 +193,37 @@ def _perturbed(datum, rng):
         rng.randrange(ring.p) for _ in range(ring.m)
     )
     c = ring.rmul(ring.rfrom_int(ring.p**j), c)
-    rows = [list(r) for r in orbit.projectors[0].rows]
+    rows = [list(r) for r in orbit.projector.rows]
     a, b = rng.randrange(n), rng.randrange(n)
     rows[a][b] = ring.radd(rows[a][b], c)
-    return _replace_orbit(datum, i, projectors=_images(PadicMatrix(ring, rows), orbit.degree))
+    return _replace_orbit(datum, i, projector=PadicMatrix(ring, rows))
 
 
 def _swapped(datum, rng):
-    """Two eigenvalues of one orbit exchanged, or the eigenvalues of two degree-1 orbits."""
+    """lambda_0 of one orbit moved to sigma^s(lambda_0) with P_0 kept, or the
+    eigenvalues of two degree-1 orbits exchanged."""
     wide = [i for i, o in enumerate(datum.orbits) if o.degree > 1]
     if wide:
         i = rng.choice(wide)
-        lam = list(datum.orbits[i].eigenvalues)
-        s, t = rng.sample(range(len(lam)), 2)
-        lam[s], lam[t] = lam[t], lam[s]
-        return _replace_orbit(datum, i, eigenvalues=tuple(lam))
+        orbit = datum.orbits[i]
+        lam = orbit.eigenvalue
+        for _ in range(rng.randrange(1, orbit.degree)):
+            lam = _sigma(orbit.ring, lam)
+        return _replace_orbit(datum, i, eigenvalue=lam)
     i, j = rng.sample(range(len(datum.orbits)), 2)
-    lam_i, lam_j = datum.orbits[i].eigenvalues, datum.orbits[j].eigenvalues
-    return _replace_orbit(_replace_orbit(datum, i, eigenvalues=lam_j), j, eigenvalues=lam_i)
+    lam_i, lam_j = datum.orbits[i].eigenvalue, datum.orbits[j].eigenvalue
+    return _replace_orbit(_replace_orbit(datum, i, eigenvalue=lam_j), j, eigenvalue=lam_i)
 
 
 def _cross_shifted(datum, rng):
-    """P_0^(i) + p^j Q_k for another orbit k, with the chain of orbit i rebuilt."""
+    """P_0^(i) + p^j Q_k for another orbit k."""
     i, k = rng.sample(range(len(datum.orbits)), 2)
     orbit = datum.orbits[i]
     ring = orbit.ring
     j = rng.randrange(ring.K)
     Q = datum.orbit_projector(k)
     shift = PadicMatrix(ring, [[ring.rfrom_int(ring.p**j * v) for v in row] for row in Q.rows])
-    first = orbit.projectors[0] + shift
-    return _replace_orbit(datum, i, projectors=_images(first, orbit.degree))
+    return _replace_orbit(datum, i, projector=orbit.projector + shift)
 
 
 @pytest.mark.parametrize("index", range(len(LIBRARY)))
@@ -257,6 +259,19 @@ def test_verify_agrees_with_the_reference_on_corruptions(index, corrupt):
     assert rejected  # the corruptions are not all harmless
 
 
+@pytest.mark.parametrize("index", range(len(LIBRARY)))
+def test_derived_members_are_the_reference_images(index):
+    """eigenvalues, projectors and factor are the sigma images of lambda_0 and
+    P_0 taken here, and prod (t - lambda_t)."""
+    _, datum = LIBRARY[index]
+    assert unitary.SpectralOrbit._fields == ("ring", "eigenvalue", "projector", "multiplicity")
+    for orbit in datum.orbits:
+        members = _members(orbit)[:-1]
+        assert orbit.eigenvalues == tuple(lam for lam, _ in members)
+        assert [[list(r) for r in P.rows] for P in orbit.projectors] == [P for _, P in members]
+        assert list(orbit.factor) == _orbit_poly(orbit.ring, [lam for lam, _ in members])
+
+
 def test_the_grid_covers_extension_orbits_and_several_orbits():
     degrees = [o.degree for _, datum in LIBRARY for o in datum.orbits]
     assert max(degrees) >= 3 and sum(len(d.orbits) > 1 for _, d in LIBRARY) >= 4
@@ -269,11 +284,11 @@ def _orthogonal_idempotents(datum):
     """The reference's in-orbit products alone: P_s P_t = delta_st P_s over each orbit's ring."""
     n = datum.n
     for orbit in datum.orbits:
-        ring, P = orbit.ring, orbit.projectors
+        ring, P = orbit.ring, [rows for _, rows in _members(orbit)[:-1]]
         for s in range(len(P)):
             for t in range(len(P)):
-                want = [list(r) for r in P[s].rows] if s == t else _zeros(ring, n)
-                if _product(ring, P[s].rows, P[t].rows) != want:
+                want = P[s] if s == t else _zeros(ring, n)
+                if _product(ring, P[s], P[t]) != want:
                     return False
     return True
 
@@ -288,13 +303,7 @@ def test_two_orbits_on_one_residue_factor_read_false():
     u = identity.scale(lam)
     units = [PadicMatrix(ring, [[int(i == j == k) for j in range(2)] for i in range(2)]) for k in (0, 1)]
     orbits = tuple(
-        unitary.SpectralOrbit(
-            ring=ring,
-            eigenvalues=(lam,),
-            projectors=(E,),
-            multiplicity=1,
-            factor=(ring.rneg(lam), 1),
-        )
+        unitary.SpectralOrbit(ring=ring, eigenvalue=lam, projector=E, multiplicity=1)
         for E in units
     )
     datum = unitary.SpectralDatum(base_ring=ring, n=2, orbits=orbits, unipotent=identity)
@@ -307,9 +316,9 @@ def test_two_orbits_on_one_residue_factor_read_false():
 def test_a_repeated_eigenvalue_in_one_orbit_reads_false():
     """An orbit of degree 2 carrying a Z_p eigenvalue twice.
 
-    P_0 = (C - sigma(w)) / (w - sigma(w)) and P_1 = sigma(P_0) for the companion
-    matrix C of the modulus, whose roots are w = X and sigma(w).  The chains
-    hold and the projectors are orthogonal idempotents summing to I."""
+    P_0 = (C - sigma(w)) / (w - sigma(w)) for the companion matrix C of the
+    modulus, whose roots are w = X and sigma(w).  P_0 and P_1 = sigma(P_0) are
+    orthogonal idempotents summing to I."""
     base, ring = Zp(5, 3), unram(5, 3, 2)
     lam = base.rteichmuller(3)
     f = ring.modulus
@@ -318,14 +327,8 @@ def test_a_repeated_eigenvalue_in_one_orbit_reads_false():
     w_conj = ring.rfrob(w)
     inv_gap = ring.rinv(ring.rsub(w, w_conj))
     P0 = (C - PadicMatrix.identity(ring, 2).scale(w_conj)).scale(inv_gap)
-    raw_lam = ring.rfrom_int(lam)
-    orbit = unitary.SpectralOrbit(
-        ring=ring,
-        eigenvalues=(raw_lam, raw_lam),
-        projectors=(P0, P0.frobenius_map()),
-        multiplicity=1,
-        factor=(base.rmul(lam, lam), base.rneg(2 * lam), 1),
-    )
+    orbit = unitary.SpectralOrbit(ring=ring, eigenvalue=ring.rfrom_int(lam), projector=P0, multiplicity=1)
+    assert orbit.factor == (base.rmul(lam, lam), base.rneg(2 * lam), 1)
     identity = PadicMatrix.identity(base, 2)
     u = identity.scale(lam)
     datum = unitary.SpectralDatum(base_ring=base, n=2, orbits=(orbit,), unipotent=identity)
@@ -346,9 +349,9 @@ def test_trace_form_matches_plain_sums(index):
     for i, orbit in enumerate(datum.orbits):
         ring = orbit.ring
         Q, L = _zeros(ring, datum.n), _zeros(ring, datum.n)
-        for lam, P in zip(orbit.eigenvalues, orbit.projectors):
-            Q = _sum(ring, Q, P.rows)
-            L = _sum(ring, L, [[ring.rmul(lam, v) for v in row] for row in P.rows])
+        for lam, P in _members(orbit)[:-1]:
+            Q = _sum(ring, Q, P)
+            L = _sum(ring, L, [[ring.rmul(lam, v) for v in row] for row in P])
         assert [list(r) for r in datum.orbit_projector(i).rows] == _to_base(ring, Q)
         rebuilt = _sum(base, rebuilt, _to_base(ring, L))
     assert [list(r) for r in datum.reconstruct().rows] == rebuilt

@@ -625,14 +625,6 @@ def _replace_orbit(datum, index, **changes):
     return datum._replace(orbits=tuple(orbits))
 
 
-def _images(first, d):
-    """first and its d - 1 Frobenius images: a projector chain rebuilt."""
-    out = [first]
-    for _ in range(1, d):
-        out.append(out[-1].frobenius_map())
-    return tuple(out)
-
-
 def _add_at_00(matrix, value):
     rows = [list(r) for r in matrix.rows]
     rows[0][0] = matrix.ring.radd(rows[0][0], value)
@@ -650,27 +642,17 @@ def test_verify_rejects_a_perturbed_first_projector(three_orbits, degree):
     i = _orbit_index(datum, degree)
     orbit = datum.orbits[i]
     ring = orbit.ring
-    first = _add_at_00(orbit.projectors[0], ring.rfrom_int(ring.p ** (ring.K - 1)))
-    bad = _replace_orbit(datum, i, projectors=_images(first, degree))
+    first = _add_at_00(orbit.projector, ring.rfrom_int(ring.p ** (ring.K - 1)))
+    bad = _replace_orbit(datum, i, projector=first)
     assert bad.verify(expected=u) is False
     assert bad.verify() is False
-
-
-@pytest.mark.parametrize("degree", [2, 3])
-def test_verify_rejects_a_broken_frobenius_chain(three_orbits, degree):
-    u, datum = three_orbits
-    i = _orbit_index(datum, degree)
-    P = datum.orbits[i].projectors
-    bad = _replace_orbit(datum, i, projectors=(P[0], P[0]) + P[2:])
-    assert bad.verify(expected=u) is False
 
 
 @pytest.mark.parametrize("degree", [2, 3])
 def test_verify_rejects_swapped_eigenvalues(three_orbits, degree):
     u, datum = three_orbits
     i = _orbit_index(datum, degree)
-    lam = datum.orbits[i].eigenvalues
-    bad = _replace_orbit(datum, i, eigenvalues=(lam[1], lam[0]) + lam[2:])
+    bad = _replace_orbit(datum, i, eigenvalue=datum.orbits[i].eigenvalues[1])
     assert bad.verify(expected=u) is False
 
 
@@ -679,7 +661,7 @@ def test_verify_rejects_a_non_orthogonal_cross_orbit_pair(three_orbits):
     i, j = _orbit_index(datum, 1), _orbit_index(datum, 2)
     ring = datum.base_ring
     shift = datum.orbit_projector(j).scale(ring.p ** (ring.K - 1))
-    bad = _replace_orbit(datum, i, projectors=(datum.orbits[i].projectors[0] + shift,))
+    bad = _replace_orbit(datum, i, projector=datum.orbits[i].projector + shift)
     assert not (bad.orbit_projector(i) @ bad.orbit_projector(j)).is_zero()
     assert bad.verify(expected=u) is False
     assert bad.verify() is False
@@ -691,22 +673,15 @@ def test_verify_rejects_a_wrong_expected_matrix(three_orbits):
 
 
 def test_verify_rejects_an_orbit_out_of_frobenius_order(three_orbits):
-    """Eigenvalues and projectors reordered together still rebuild U and sum to
-    I, and every in-orbit product holds; only the chain check sees it.  With
-    the projectors reordered alone, only the chain of projectors sees it
-    when no expected matrix is given."""
+    """lambda_0 of the degree-3 orbit moved to lambda_2 with P_0 kept pairs
+    P_t with lambda_(t+2): a sound datum of sigma^2(U), which fixes the
+    degree-2 orbit, so it is rejected against U alone."""
     u, datum = three_orbits
     i = _orbit_index(datum, 3)
-    orbit = datum.orbits[i]
-    order = (0, 2, 1)
-    projectors = tuple(orbit.projectors[t] for t in order)
-    bad = _replace_orbit(
-        datum, i, eigenvalues=tuple(orbit.eigenvalues[t] for t in order), projectors=projectors
-    )
-    assert bad.reconstruct() == u and bad.orbit_projector(i) == datum.orbit_projector(i)
-    assert bad.verify(expected=u) is False
-    bad = _replace_orbit(datum, i, projectors=projectors)
-    assert bad.verify() is False and bad.verify(expected=u) is False
+    bad = _replace_orbit(datum, i, eigenvalue=datum.orbits[i].eigenvalues[2])
+    assert bad.orbit_projector(i) == datum.orbit_projector(i)
+    assert bad.reconstruct() == unitary.galois_act(u, 2) != u
+    assert bad.verify() and bad.verify(expected=u) is False
 
 
 def test_verify_rejects_a_chain_whose_in_orbit_products_fail(three_orbits):
@@ -716,7 +691,7 @@ def test_verify_rejects_a_chain_whose_in_orbit_products_fail(three_orbits):
     u, datum = three_orbits
     i = _orbit_index(datum, 3)
     orbit = datum.orbits[i]
-    ring, lam = orbit.ring, orbit.eigenvalues[0]
+    ring, lam = orbit.ring, orbit.eigenvalue
     scale = ring.p ** (ring.K - 1)
 
     def trace(x):
@@ -731,7 +706,7 @@ def test_verify_rejects_a_chain_whose_in_orbit_products_fail(three_orbits):
         for x in (tuple(scale * r for r in res) for res in residues[1:])
         if trace(x) == ring.zero and trace(ring.rmul(lam, x)) == ring.zero
     )
-    bad = _replace_orbit(datum, i, projectors=_images(_add_at_00(orbit.projectors[0], shift), 3))
+    bad = _replace_orbit(datum, i, projector=_add_at_00(orbit.projector, shift))
     assert bad.reconstruct() == u and bad.orbit_projector(i) == datum.orbit_projector(i)
     assert bad.verify(expected=u) is False
 
@@ -756,6 +731,28 @@ def test_verify_makes_one_product_per_orbit_member_and_cross_pair(three_orbits, 
             assert d.verify(expected)
             assert len(rings) == 2 * sum(o.degree for o in d.orbits)
             assert all(ring == d.base_ring for ring in rings)
+
+
+def test_spectral_decompose_takes_no_frobenius_image_of_a_matrix(three_orbits, monkeypatch):
+    """An orbit stores P_0 only, and verify reads P_0 only: the images
+    sigma^t(P_0) are taken when `projectors` is read, and not before."""
+    u, _ = three_orbits
+    calls = []
+    original = PadicMatrix.frobenius_map
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(PadicMatrix, "frobenius_map", counted)
+    for v in (u, random_unitary(Zp(7, 4), 4, random.Random(5))):
+        calls.clear()
+        datum = unitary.spectral_decompose(v)
+        assert datum.verify() and not calls
+        assert max(o.degree for o in datum.orbits) > 1
+        images = [orbit.projectors for orbit in datum.orbits]
+        assert [len(P) for P in images] == [orbit.degree for orbit in datum.orbits]
+        assert len(calls) == sum(orbit.degree - 1 for orbit in datum.orbits)
 
 
 # -- the Jordan datum kept on the matrix ------------------------------------------------
