@@ -16,9 +16,9 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import fppoly, ringpoly
+from . import fppoly
 from .errors import (
-    NonUnitLead, NotInvertible, NotOrthogonal, NotUnitary, PrecisionMismatch, ZeroPolynomial,
+    NonUnitLead, NotOrthogonal, NotUnitary, PrecisionMismatch, ZeroPolynomial,
 )
 from .matrices import PadicMatrix, residue_matrix_order
 from .scalars import PadicScalar, Zp
@@ -135,34 +135,16 @@ class LaurentPoly:
         return bool(self.coeffs) and self.coeffs[0] % p != 0 and self.coeffs[-1] % p != 0
 
     def evaluate_matrix(self, U: PadicMatrix) -> PadicMatrix:
-        """f(U) for f = t^low g, as (t^low g mod chi_U)(U): one evaluation.
+        """f(U) for f = t^low g by `PadicMatrix.evaluate`; a negative low needs U^-1.
 
         Coefficients are base-ring scalars; the matrix may live in an
-        unramified extension at the same (p, K).  By Cayley-Hamilton,
-        t (t^(n-1) + c_(n-1) t^(n-2) + ... + c_1) = -c_0 mod chi_U, so a
-        negative low takes t^-1 = -c_0^-1 (t^(n-1) + ... + c_1) mod chi_U and
-        needs a unit c_0 = chi_U(0), as U^-1 does.
+        unramified extension at the same (p, K).
         """
         if (self.ring.p, self.ring.K) != (U.ring.p, U.ring.K):
             raise PrecisionMismatch(
                 f"polynomial over {self.ring} evaluated on matrix over {U.ring}"
             )
-        if not self.coeffs:
-            return PadicMatrix.zeros(U.ring, U.n)
-        dense, low = self.polynomial_part()
-        if not low:
-            return U.evaluate(dense)
-        ring = U.ring
-        g = [ring.rfrom_int(c) for c in dense]
-        chi = U.char_poly_raw()
-        if low > 0:
-            return U.evaluate(ringpoly.rem(ring, [ring.zero] * low + g, chi))
-        if not ring.runit(chi[0]):
-            raise NotInvertible("determinant is not a unit")
-        scale = ring.rneg(ring.rinv(chi[0]))
-        inverse_t = [ring.rmul(scale, c) for c in chi[1:]]
-        shift = ringpoly.pow_mod(ring, inverse_t, -low, chi)
-        return U.evaluate(ringpoly.mulmod(ring, shift, g, chi))
+        return U.evaluate(self.coeffs, self._low)
 
     def __repr__(self):
         body = " + ".join(f"{c}*t^{e}" for e, c in self.terms.items()) or "0"
@@ -394,19 +376,13 @@ class BezoutIdempotents(NamedTuple):
         )
 
 
-def bezout_idempotents(
-    f: LaurentPoly,
-    g: LaurentPoly,
-    j: int,
-    certificate: OrthogonalityCertificate | None = None,
-) -> BezoutIdempotents:
+def bezout_idempotents(f: LaurentPoly, g: LaurentPoly, j: int) -> BezoutIdempotents:
     """Split the quotient by (p^j, f*g) as P1 + P2 = 1 with P1*P2 = 0.
 
     P1 = k*f/res reduced mod (p^j, fg), and P2 = 1 - P1, which is l*g/res
-    because k*f + l*g = res; requires the resultant to be a unit.  Pass an
-    already-computed certificate for (f, g, j) to skip recomputing it.
+    because k*f + l*g = res; requires the resultant to be a unit.
     """
-    cert = certificate if certificate is not None else orthogonality_test(f, g, j)
+    cert = orthogonality_test(f, g, j)
     if not cert.orthogonal:
         raise NotOrthogonal(f"resultant {cert.res!r} is not a unit")
     ring_j = cert.res.ring

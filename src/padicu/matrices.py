@@ -3,16 +3,15 @@
 Entries are stored as the rings' raw values (ints, or coefficient tuples),
 so the inner loops run on plain integers; scalar objects only appear at the
 API boundary.  Everything is exact modulo p^K: the characteristic polynomial
-is computed division-free (Berkowitz), inversion goes through the
-Cayley-Hamilton adjugate, and the Smith form uses minimal-valuation pivoting,
-which is enough over the local ring Z/p^j.
+is computed division-free (Berkowitz), and the Smith form uses
+minimal-valuation pivoting, which is enough over the local ring Z/p^j.
 
-Cayley-Hamilton also makes every function of a matrix a polynomial of
-degree < n in it: A^e is (t^e mod chi_A)(A), so a 150-bit exponent costs one
-char poly, a polynomial power mod chi_A and at most n - 2 products, over Z_p
-and over an extension ring alike.  Over an extension ring, products pack each
-m-tuple into one int (Kronecker substitution), so an entry is one big-int dot
-product reduced once by the modulus.
+`PadicMatrix.evaluate` is the one functional calculus.  By Cayley-Hamilton a
+Laurent polynomial f = t^low g of A is r(A) with r = t^low g mod chi_A, of
+degree < n, and t^-1 mod chi_A is read off chi_A.  So A^e for any e, the
+inverse and f(U) on the formal group each cost one char poly, at most one
+polynomial power mod chi_A and at most n - 2 products, over Z_p and over an
+extension ring alike.
 """
 
 from __future__ import annotations
@@ -104,8 +103,9 @@ class PadicMatrix:
       `unitary._teichmuller_part` (through `classify` and `jordan_decompose`).
     - `_unipotent`: the continuous part U_n = U U_s^-1, filled only by
       `unitary.jordan_decompose`.
-    `matrix_power` reads `_chi` and fills nothing else: a memo per exponent
-    would grow with every exponent a caller asks for.
+    `evaluate`, behind `matrix_power`, `inverse` and every f(A), reads
+    `_chi` and fills nothing else: a memo per exponent would grow with every
+    exponent a caller asks for.
     """
 
     __slots__ = ("ring", "n", "rows", "_chi", "_audited", "_teich", "_unipotent")
@@ -278,23 +278,38 @@ class PadicMatrix:
         return PadicScalar(self.ring, self._det_raw())
 
     def inverse(self) -> "PadicMatrix":
+        return self.evaluate(self._t_inverse())
+
+    def _t_inverse(self) -> list:
+        """t^-1 mod chi_A, raw and of degree n - 1; NotInvertible unless det A is a unit.
+
+        By Cayley-Hamilton, t (t^(n-1) + c_(n-1) t^(n-2) + ... + c_1) = -c_0
+        mod chi_A, and c_0 = chi_A(0) = +-det A, so t^-1 = -c_0^-1 (t^(n-1) + ... + c_1).
+        """
         ring = self.ring
         chi = self.char_poly_raw()
         if not ring.runit(chi[0]):
             raise NotInvertible("determinant is not a unit")
-        # A * (A^{n-1} + c_{n-1} A^{n-2} + ... + c_1 I) = -c_0 I
-        return self.evaluate(chi[1:]).scale(ring.rneg(ring.rinv(chi[0])))
+        scale = ring.rneg(ring.rinv(chi[0]))
+        return [ring.rmul(scale, c) for c in chi[1:]]
 
-    def evaluate(self, coeffs) -> "PadicMatrix":
-        """f(A) by Horner's rule on ascending coefficients; [] gives the zero matrix.
+    def evaluate(self, coeffs, low: int = 0) -> "PadicMatrix":
+        """f(A) for f = t^low g, g = c_0 + c_1 t + ... ascending; [] gives the zero matrix.
 
-        A coefficient is an int or a raw value of A's ring.  A polynomial of
-        degree d costs d - 1 matrix products: the first Horner step is a
-        scaling.  Each step works on raw rows and adds its coefficient onto
-        the diagonal of the product.
+        A coefficient is an int or a raw value of A's ring.  Unless low = 0 or
+        t^low g has degree < n, f is first replaced by t^low g mod chi_A
+        (`_reduce_mod_chi`), and a negative low raises NotInvertible unless
+        det A is a unit.  Horner then costs d - 1 matrix products at degree d
+        (the first step is a scaling), each on raw rows with its coefficient
+        added onto the diagonal of the product.
         """
         ring, n, rows = self.ring, self.n, self.rows
         coeffs = [ring.rfrom_int(c) if isinstance(c, int) else c for c in coeffs]
+        if coeffs and low:
+            if low < 0 or low + len(coeffs) > n:
+                coeffs = self._reduce_mod_chi(coeffs, low)
+            else:
+                coeffs = [ring.zero] * low + coeffs
         if not coeffs:
             return PadicMatrix.zeros(ring, n)
         if len(coeffs) == 1:
@@ -305,24 +320,25 @@ class PadicMatrix:
             acc = _plus_diagonal(ring, _matmul(ring, acc, rows), c)
         return PadicMatrix(ring, acc)
 
-    def matrix_power(self, e: int) -> "PadicMatrix":
-        """A^e; a negative e inverts first.
+    def _reduce_mod_chi(self, g: list, low: int) -> list:
+        """t^low g mod chi_A for a nonzero low, on raw coefficients.
 
-        Cayley-Hamilton holds mod p^K over either ring, so A^e = r(A) with
-        r = t^e mod chi_A: one char poly and at most n - 2 products for any e.
-        The ring type alone picks the power: `fppoly.pow_mod`, packed into big
-        ints, over Z_p, and `ringpoly.pow_mod` on raw values over an
-        extension ring.
+        t^|low| is a power of t, or of t^-1 for a negative low: `fppoly.pow_mod`
+        over Z_p and `ringpoly.pow_mod` over an extension ring.  |low| = 1
+        takes no power and g = 1 no product.
         """
-        if e < 0:
-            return self.inverse().matrix_power(-e)
-        ring = self.ring
-        if e < self.n:
-            return self.evaluate([0] * e + [1])
-        chi = self.char_poly_raw()
+        ring, chi, e = self.ring, self.char_poly_raw(), abs(low)
+        t = [ring.zero, ring.one] if low > 0 else self._t_inverse()
         if isinstance(ring, Zp):
-            return self.evaluate(fppoly.pow_mod([0, 1], e, chi, ring.pk))
-        return self.evaluate(ringpoly.pow_mod(ring, [ring.zero, ring.one], e, chi))
+            pk = ring.pk
+            power = t if e == 1 else fppoly.pow_mod(t, e, chi, pk)
+            return power if g == [1] else fppoly.divmod_poly(fppoly.mul(power, g, pk), chi, pk)[1]
+        power = t if e == 1 else ringpoly.pow_mod(ring, t, e, chi)
+        return power if g == [ring.one] else ringpoly.mulmod(ring, power, g, chi)
+
+    def matrix_power(self, e: int) -> "PadicMatrix":
+        """A^e for an e of either sign: `evaluate` of t^e, one char poly for any e."""
+        return self.evaluate([1], e)
 
     # -- precision / residue / Galois ---------------------------------------
     def reduce(self, j: int) -> "PadicMatrix":
@@ -446,39 +462,13 @@ def _plus_diagonal(ring, rows, c) -> list:
 
 
 def _matmul(ring, A, B):
-    pk = ring.pk
     Bt = list(zip(*B))
     if isinstance(ring, Zp):
+        pk = ring.pk
         return tuple(
             tuple(sum(a * b for a, b in zip(row, col)) % pk for col in Bt) for row in A
         )
-    # Kronecker substitution: an m-tuple is one int in base 2^s.  A dot product
-    # of packed ints holds the 2m - 1 coefficients of the unreduced polynomial
-    # sum, each at most n*m*(p^K - 1)^2 < 2^s, so none carries into the next.
-    m, f = ring.m, ring.modulus
-    s = (len(A) * m * (pk - 1) ** 2).bit_length()
-    mask = (1 << s) - 1
-    shifts = [s * i for i in range(2 * m - 1)]
-
-    def pack(v):
-        return sum(c << k for c, k in zip(v, shifts))
-
-    rows = [[pack(v) for v in row] for row in A]
-    cols = [[pack(v) for v in col] for col in Bt]
-    out = []
-    for row in rows:
-        out_row = []
-        for col in cols:
-            x = sum(a * b for a, b in zip(row, col))
-            c = [(x >> k) & mask for k in shifts]
-            for i in range(2 * m - 2, m - 1, -1):  # reduce by the monic modulus
-                q = c[i] % pk
-                if q:
-                    for j in range(m):
-                        c[i - m + j] -= q * f[j]
-            out_row.append(tuple(v % pk for v in c[:m]))
-        out.append(tuple(out_row))
-    return tuple(out)
+    return tuple(tuple(_dot(ring, row, col) for col in Bt) for row in A)
 
 
 def _exact_div(ring, value, pd: int):

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .matrices import Norm, PadicMatrix, vector_norm
 from .scalars import PadicScalar, Zp, teichmuller_lift
-from .unitary import classify
 
 
 class WaveFunction:
@@ -250,7 +249,13 @@ def spectrum_shift_model(size: int, p: int, K: int) -> ShiftModel:
     _assert_on_columns(commutator, PadicMatrix.identity(ring, size), checked)
     if any(s.lift() != 0 for s in lowering.apply([1] + [0] * (size - 1))):
         raise ArithmeticError("lowering operator failed to kill constants")
-    if not classify(U).is_continuous:
+    # U is continuous (U^alpha = I in `unitary`'s terms), audited through the
+    # fact it follows from: lowering = U - I is strictly upper triangular mod
+    # p^K, so N = U - I has N^size = 0 and U = I + N is unipotent.  Then
+    # U^(p^k) = sum over i < size of binom(p^k, i) N^i, which is I once k is
+    # large, so the order of U is a power of p.  It divides E = M p^A, as
+    # every unitary's order does, hence divides p^A, and alpha = 0 mod p^A.
+    if any(lowering.rows[r][c] for r in range(size) for c in range(r + 1)):
         raise ArithmeticError("shift operator must be continuous type")
     return ShiftModel(U, X, raising, lowering, hamiltonian, checked)
 

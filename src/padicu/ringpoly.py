@@ -8,9 +8,9 @@ Coefficients given as plain ints are lifted by the caller with
 `ring.rfrom_int`.
 
 This layer serves the polynomials whose coefficients are not plain ints: the
-powers t^e mod chi_A behind an extension-ring `matrix_power`, the root finder
-in F_{p^d}[T], and the division L = m / (t - lambda) behind a spectral
-projector.  `fppoly` keeps the int arithmetic mod N.
+reductions mod chi_A behind `PadicMatrix.evaluate` over an extension ring,
+the root finder in F_{p^d}[T], and the division L = m / (t - lambda) behind
+a spectral projector.  `fppoly` keeps the int arithmetic mod N.
 """
 
 from __future__ import annotations

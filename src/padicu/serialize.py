@@ -117,8 +117,9 @@ MAX_PROJECT_MOD_D = 65536
 # on a 2 x 2 matrix and 1.1-1.3 s on an 8 x 8 one at the cap (README, "CLI").
 MAX_SEMINORM_K = 4096
 
-# Largest size for shift-model, whose audit classifies the size x size shift:
-# 0.33 s at p = 3, K = 2 and 4.5 s at p = 1000003, K = 8 at the cap (README, "CLI").
+# Largest size for shift-model, which inverts the size x size shift (Berkowitz,
+# O(size^4) ring operations): 0.16-0.20 s at p = 3, K = 2 and at p = 1000003,
+# K = 8 at the cap (README, "CLI").
 MAX_SHIFT_MODEL_SIZE = 32
 
 

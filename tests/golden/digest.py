@@ -26,7 +26,11 @@ and, on a seeded grid of three (p, K) levels, the formal-group layer:
 - on sparse polynomials with negative exponents, zero terms and multiples of
   p^K, `shift_sum` (both signs of d), `project_mod` and `additivity_check`;
   and `resultant` and `evaluate_matrix` on unit polynomials with a negative
-  low, at each formal level.
+  low, at each formal level;
+- at each formal level, `evaluate_matrix` with a positive low where t^low g
+  has degree >= n, on Z_p and degree-2 and -3 extension-ring matrices, and
+  the inverse and products of extension-ring matrices, with all-(p^K - 1)
+  entries among the factors.
 
 With -v it also prints a digest per shape and the number of items hashed.
 This script is not a test: it is run by hand on two trees and compared.
@@ -40,7 +44,8 @@ import sys
 
 from padicu import fppoly, gm, moduli
 from padicu.errors import InputError
-from padicu.sampling import random_continuous, random_unitary
+from padicu.matrices import PadicMatrix
+from padicu.sampling import random_continuous, random_matrix, random_unitary
 from padicu.scalars import ONE_MINUS, Zp, unram
 from padicu.unitary import classify, jordan_decompose, power_zp, spectral_decompose, spectrum_table
 
@@ -57,6 +62,7 @@ FORMAL_DEGREES = [(d, e) for d in range(1, 9) for e in (d, 9 - d)]
 TABLES = 4  # per formal level, 6 x 6 spectrum tables
 LEVEL_GRID = [(5, 10), (7, 30)]  # spectrum tables on unordered level lists
 SPARSE = 12  # per formal level, sparse polynomials through the shift sums
+CALCULUS = 4  # per formal level and ring, positive-low f(U), inverses and products
 
 
 def _spectral_items(U):
@@ -135,7 +141,7 @@ def formal_items(p: int, K: int):
                 yield ("orthogonality", fc, gc, low, j, c.orthogonal, c.res.lift(),
                        _laurent(c.bezout_k), _laurent(c.bezout_l), c.shifts)
                 if c.orthogonal:
-                    b = gm.bezout_idempotents(F, G, j, certificate=c)
+                    b = gm.bezout_idempotents(F, G, j)
                     yield ("bezout_idempotents", b.modulus, b.p1, b.p2)
         yield _teich(gm.LaurentPoly.from_coeffs(ring, f, low=low))
         yield _teich(gm.LaurentPoly.from_coeffs(ring, fppoly.mul(f, g, pk)))
@@ -190,6 +196,27 @@ def sparse_items(p: int, K: int):
         yield ("evaluate_matrix", _laurent(F), U.rows, F.evaluate_matrix(U).rows)
 
 
+def calculus_items(p: int, K: int):
+    """f(U) with a positive low past deg chi_U, and extension-ring inverses and products."""
+    rng = random.Random(f"digest-calculus-{p}-{K}")
+    base = Zp(p, K)
+    for ring in (base, unram(p, K, 2), unram(p, K, 3)):
+        top = PadicMatrix(ring, [[ring.rfrom_int(base.pk - 1)] * 3] * 3)
+        for _ in range(CALCULUS):
+            n = rng.randrange(2, 5)
+            U = random_unitary(ring, n, rng)
+            low = rng.randrange(1, 4)
+            coeffs = _unit_coeffs(rng, p, base.pk, rng.randrange(n - low, n + 2) if low < n else 1)
+            F = gm.LaurentPoly.from_coeffs(base, coeffs, low=low)
+            yield ("evaluate_matrix", ring, _laurent(F), U.rows, F.evaluate_matrix(U).rows)
+            if ring is base:
+                continue
+            A, B = random_unitary(ring, 3, rng), random_matrix(ring, 3, rng)
+            yield ("ext_inverse", A.rows, A.inverse().rows)
+            for X, Y in ((A, B), (top, top), (top, B)):
+                yield ("ext_product", X.rows, Y.rows, (X @ Y).rows)
+
+
 def main(argv: list[str]) -> int:
     verbose = "-v" in argv
     total = hashlib.sha256()
@@ -198,6 +225,7 @@ def main(argv: list[str]) -> int:
     parts += [(("formal", p, K), formal_items(p, K)) for p, K in FORMAL_GRID]
     parts += [(("levels", p, K), level_items(p, K)) for p, K in LEVEL_GRID]
     parts += [(("sparse", p, K), sparse_items(p, K)) for p, K in FORMAL_GRID]
+    parts += [(("calculus", p, K), calculus_items(p, K)) for p, K in FORMAL_GRID]
     for shape, items in parts:
         part = hashlib.sha256()
         for item in items:

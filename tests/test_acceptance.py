@@ -210,13 +210,10 @@ def test_criterion_4_six_condition_equivalence(p, conway):
         for i, f in enumerate(polys):
             for k in range(i, len(polys)):
                 g = polys[k]
-                cert = gm.orthogonality_test(f, g, j)
-                coprime = not (root_sets[i] & root_sets[k])
-                assert cert.orthogonal == coprime
-                if cert.orthogonal:
-                    # construction audits P1 + P2 = 1, P1*g = 0 and P2*f = 0 mod
-                    # (p^j, fg), from which the six properties follow
-                    gm.bezout_idempotents(f, g, j, certificate=cert)
+                if not (root_sets[i] & root_sets[k]):
+                    # orthogonal; construction audits P1 + P2 = 1, P1*g = 0 and
+                    # P2*f = 0 mod (p^j, fg), from which the six properties follow
+                    assert gm.bezout_idempotents(f, g, j).certificate.orthogonal
                 else:
                     with pytest.raises(NotOrthogonal):
                         gm.bezout_idempotents(f, g, j)

@@ -97,9 +97,8 @@ def _records(rng):
                 dm, dn = (0, 0) if made < 2 else (rng.randint(0, 4), rng.randint(1, 4))
                 f = LaurentPoly.from_coeffs(ring, _unit_lead_poly(rng, p, m, dm))
                 g = LaurentPoly.from_coeffs(ring, _unit_lead_poly(rng, p, m, dn))
-                cert = gm.orthogonality_test(f, g, j)
-                if cert:
-                    out.append(gm.bezout_idempotents(f, g, j, certificate=cert))
+                if gm.orthogonality_test(f, g, j):
+                    out.append(gm.bezout_idempotents(f, g, j))
                     made += 1
     return out
 

@@ -595,3 +595,54 @@ def test_shift_model_answers_sizes_up_to_its_cap(size, tmp_path, capsys):
         assert code == 2
         assert out["error"] == {"code": "MalformedDocument",
                                 "reason": f"size = {size} is above the cap of {serialize.MAX_SHIFT_MODEL_SIZE}"}
+
+
+def _matrix_docs(value):
+    """Every matrix document inside a CLI result, in document order."""
+    if isinstance(value, dict):
+        if "entries" in value and "n" in value:
+            yield value
+        else:
+            for v in value.values():
+                yield from _matrix_docs(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _matrix_docs(v)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_every_matrix_the_cli_writes_reads_back(m, tmp_path, capsys):
+    """classify, jordan, power-zp, galois-act and spectral: each matrix document
+    in the result parses through `matrix_from_doc` to the library's own matrix.
+
+    `spectral` and `galois-act` take base-ring operators only (over an extension
+    ring they are exit 2), so they run on a Teichmuller operator over Z_p with
+    residue factors of degrees m and 1, whose projectors lie over those rings.
+    """
+    from padicu import moduli
+    from padicu.sampling import random_matrix, random_unitary
+    from padicu.scalars import unram
+
+    rng = random.Random(m)
+    ring = Zp(3, 3) if m == 1 else unram(3, 3, m)
+    U, R = random_unitary(ring, 3, rng), random_matrix(ring, 3, rng)
+    upper = [[v if j > i else ring.zero for j, v in enumerate(row)] for i, row in enumerate(R.rows)]
+    noise = random_matrix(ring, 3, rng).scale(3)
+    C = PadicMatrix.identity(ring, 3) + PadicMatrix(ring, upper) + noise  # unipotent residue
+    block = PadicMatrix.companion(Zp(3, 3), list(moduli.canonical_modulus(3, m, 3))[:-1])
+    T = PadicMatrix(block.ring, [list(row) + [0] for row in block.rows] + [[0] * m + [1]])
+    datum = unitary.teichmuller_spectral(T)
+    cases = [
+        ("classify", {}, U, [unitary.classify(U).witness]),
+        ("jordan", {}, U, list(unitary.jordan_decompose(U))[::-1]),  # keys sorted: U_n first
+        ("power-zp", {"t": 7}, C, [unitary.power_zp(C, 7)]),
+        ("galois-act", {"k": 1}, T, [unitary.galois_act(T, 1)]),
+        ("spectral", {}, T, [P for o in datum.orbits for P in o.projectors] + [datum.unipotent]),
+    ]
+    for command, extra, A, expected in cases:
+        doc = {"matrix": serialize.matrix_to_doc(A), **extra}
+        code, out = run_one_line(command, doc, tmp_path, capsys)
+        assert code == 0, (command, out)
+        written = list(_matrix_docs(out["result"]))
+        assert [serialize.matrix_from_doc(d) for d in written] == expected, command
+    assert {d["m"] for d in written[:-1]} == {1, m}

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -390,18 +391,20 @@ def test_sylvester_4x4_closed_form_matches_elimination():
 
 
 def test_evaluate_matrix_with_negative_low_matches_inverse_powers():
-    """f(U) against sum c_e U^e, each U^e a product of |e| copies of U or U.inverse()."""
+    """f(U) for -3 <= low <= 3 against sum c_e U^e, each U^e a product of |e|
+    copies of U or of U.inverse(), which is checked against U first."""
     from padicu.sampling import random_unitary
     from padicu.scalars import UnramRing
 
     rng = random.Random(71)
     base = Zp(5, 3)
-    for ring in (base, UnramRing(5, 3, 2)):
+    for ring in (base, UnramRing(5, 3, 2), UnramRing(5, 3, 3)):
         for n in (1, 2, 3):
             U = random_unitary(ring, n, rng)
             inv = U.inverse()
-            for low in (-3, -1, 0, 2):
-                coeffs = [rng.randrange(1, base.pk) for _ in range(4)]
+            assert inv @ U == PadicMatrix.identity(ring, n)
+            for low, length in product(range(-3, 4), (1, 4)):
+                coeffs = [rng.randrange(1, base.pk) for _ in range(length)]
                 expected = PadicMatrix.zeros(ring, n)
                 for i, c in enumerate(coeffs):
                     power = PadicMatrix.identity(ring, n)
@@ -436,5 +439,6 @@ def test_evaluate_matrix_with_negative_low_needs_a_unit_determinant():
     ring = Zp(5, 3)
     U = PadicMatrix(ring, [[5, 1], [0, 1]])
     assert L(ring, [1, 2], low=1).evaluate_matrix(U) == U @ U.evaluate([1, 2])
-    with pytest.raises(NotInvertible):
-        L(ring, [1, 2], low=-1).evaluate_matrix(U)
+    for low in (-1, -3):  # t^-1 alone, and a power of it
+        with pytest.raises(NotInvertible):
+            L(ring, [1, 2], low=low).evaluate_matrix(U)

@@ -75,7 +75,7 @@ def test_resultant_and_certificate_against_sympy(dm, dn, orthogonal):
             combo = (k * _poly(f) + l * _poly(g)).all_coeffs()[::-1]
             assert [int(c) % pj for c in combo] == [res % pj] + [0] * (len(combo) - 1)
             # self-audits P1 + P2 = 1, P1*g = 0 and P2*f = 0 mod (p^j, fg)
-            gm.bezout_idempotents(F, G, j, certificate=cert)
+            gm.bezout_idempotents(F, G, j)
 
 
 def _shared_root_pair(rng, p, pk, dm, dn):

@@ -10,7 +10,7 @@ from padicu.arith import teichmuller_exponent
 from padicu.errors import InputError, NotInvertible
 from padicu.matrices import Norm, PadicMatrix, vector_norm
 from padicu.sampling import random_matrix, random_unitary
-from padicu.scalars import UnramRing, Zp
+from padicu.scalars import PadicScalar, UnramRing, Zp, unram
 
 
 def M(ring, rows):
@@ -59,9 +59,8 @@ def test_zp_matrix_power_costs_at_most_n_minus_1_products(monkeypatch):
 
 
 def _binary_power(A, e):
-    """Oracle: right-to-left square-and-multiply on `@`, sharing no code with matrix_power."""
-    if e < 0:
-        A, e = A.inverse(), -e
+    """Oracle for e >= 0: right-to-left square-and-multiply on `@`, sharing no code
+    with matrix_power.  A negative power P = A^e is checked as P @ A^-e = I."""
     result = PadicMatrix.identity(A.ring, A.n)
     while e:
         if e & 1:
@@ -81,24 +80,26 @@ def test_matrix_power_matches_binary_oracle(ring, n):
     alpha, E = teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, n)
     for _ in range(2):
         u = random_unitary(ring, n, rng)
-        for e in (-3, 0, 1, n - 1, n, alpha, E, rng.getrandbits(200)):
+        for e in (0, 1, n - 1, n, alpha, E, rng.getrandbits(200)):
             assert u.matrix_power(e) == _binary_power(u, e), e
+        identity = PadicMatrix.identity(ring, n)
+        assert u.matrix_power(-3) @ _binary_power(u, 3) == identity
     a = random_matrix(ring, n, rng)  # need not be unitary
     for e in (0, 1, n - 1, n, 2 * n + 1, alpha):
         assert a.matrix_power(e) == _binary_power(a, e), e
 
 
-def _entrywise_matmul(ring, A, B):
-    """Oracle: one rmul and one radd per entry pair, as the ring defines them."""
+def _schoolbook(ring, A, B):
+    """Oracle: row-by-column sums of `PadicScalar` products, entry by entry."""
     n = len(A)
     out = []
     for i in range(n):
         row = []
         for j in range(n):
-            acc = ring.zero
+            acc = PadicScalar(ring, ring.zero)
             for k in range(n):
-                acc = ring.radd(acc, ring.rmul(A[i][k], B[k][j]))
-            row.append(acc)
+                acc = acc + PadicScalar(ring, A[i][k]) * PadicScalar(ring, B[k][j])
+            row.append(acc.raw)
         out.append(tuple(row))
     return tuple(out)
 
@@ -106,7 +107,11 @@ def _entrywise_matmul(ring, A, B):
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_packed_extension_matmul_matches_entrywise(p, m):
-    """Kronecker-packed products, including all-(p^K - 1) entries, the widest sums."""
+    """Extension-ring products, including all-(p^K - 1) entries, against a schoolbook.
+
+    The name is kept from when these products were Kronecker-packed; they are
+    now one ring dot product per entry.
+    """
     rng = random.Random(p * 10 + m)
     for K in (1, 2, 20, 30):
         ring = UnramRing(p, K, m)
@@ -115,13 +120,65 @@ def test_packed_extension_matmul_matches_entrywise(p, m):
             full = PadicMatrix(ring, [[top] * n for _ in range(n)])
             a, b = random_matrix(ring, n, rng), random_matrix(ring, n, rng)
             for x, y in ((a, b), (full, full), (full, a), (b, full)):
-                assert (x @ y).rows == _entrywise_matmul(ring, x.rows, y.rows)
+                assert (x @ y).rows == _schoolbook(ring, x.rows, y.rows)
+
+
+CALCULUS_RINGS = [Zp(5, 3), unram(3, 3, 2), unram(5, 2, 3)]
+CALCULUS_IDS = ["Zp", "m2", "m3"]
 
 
 def test_inverse_requires_unit_determinant():
-    ring = Zp(5, 2)
+    """The inverse, t^-1 alone (|low| = 1) and a power of it (|low| > 1) all raise
+    NotInvertible, while a positive low needs no inverse."""
     with pytest.raises(NotInvertible):
-        M(ring, [[5, 0], [0, 1]]).inverse()
+        M(Zp(5, 2), [[5, 0], [0, 1]]).inverse()
+    for ring in CALCULUS_RINGS:
+        A = PadicMatrix.from_rows(ring, [[ring.p, 1], [0, 1]])
+        assert A.evaluate([1, 2], 1) == A @ A.evaluate([1, 2])
+        for call in (A.inverse, lambda: A.matrix_power(-1), lambda: A.matrix_power(-5),
+                     lambda: A.evaluate([1, 2], -1), lambda: A.evaluate([1, 2], -3)):
+            with pytest.raises(NotInvertible):
+                call()
+
+
+@pytest.mark.parametrize("ring", CALCULUS_RINGS, ids=CALCULUS_IDS)
+def test_powers_of_either_sign_and_the_inverse_against_products(ring):
+    """A^e for -n-1 <= e <= n+1 and e = +-2^70 +- 1, and A^-1, all by `evaluate`."""
+    rng = random.Random(ring.p * 10 + ring.degree)
+    big = [s * (2**70 + d) for s in (1, -1) for d in (1, -1)]
+    for n in (1, 2, 3, 4):
+        A = random_unitary(ring, n, rng)
+        identity = PadicMatrix.identity(ring, n)
+        assert A.inverse() @ A == identity == A @ A.inverse()
+        for e in list(range(-n - 1, n + 2)) + big:
+            power = A.matrix_power(e)
+            if e >= 0:
+                assert power == _binary_power(A, e), e
+            else:
+                assert power @ _binary_power(A, -e) == identity, e
+
+
+@pytest.mark.parametrize("ring", CALCULUS_RINGS, ids=CALCULUS_IDS)
+def test_a_negative_power_runs_one_berkowitz_and_no_inverse(ring, monkeypatch):
+    """A^-5 is (t^-1)^5 mod chi_A: one char poly, and no inverse matrix on the way."""
+    berkowitz, inverses = [], []
+    real_berkowitz, real_inverse = PadicMatrix._berkowitz, PadicMatrix.inverse
+
+    def counted_berkowitz(self):
+        berkowitz.append(self)
+        return real_berkowitz(self)
+
+    def counted_inverse(self):
+        inverses.append(self)
+        return real_inverse(self)
+
+    A = PadicMatrix(ring, random_unitary(ring, 3, random.Random(5)).rows)  # no chi_A yet
+    monkeypatch.setattr(PadicMatrix, "_berkowitz", counted_berkowitz)
+    monkeypatch.setattr(PadicMatrix, "inverse", counted_inverse)
+    power = A.matrix_power(-5)
+    assert (len(berkowitz), len(inverses)) == (1, 0)
+    monkeypatch.undo()
+    assert power @ _binary_power(A, 5) == PadicMatrix.identity(ring, 3)
 
 
 def test_sup_norm_examples():
