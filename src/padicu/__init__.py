@@ -21,8 +21,9 @@ _MODULE_OF = {
     name: module
     for module, names in (
         ("errors", "InputError InvalidPrime LiftAuditError MalformedDocument NonCommuting"
-         " NotATorusPair NotAUnit NotContinuous NotInvertible NotOrthogonal NotTeichmuller"
-         " NotUnitary PadicError PrecisionMismatch RadiusViolation ZeroPolynomial"),
+         " NonUnitLead NotATorusPair NotAUnit NotContinuous NotInvertible NotOrthogonal"
+         " NotTeichmuller NotUnitary PadicError PrecisionMismatch RadiusViolation Unsupported"
+         " ZeroPolynomial"),
         ("gm", "LaurentPoly PrincipalIdealIndex UnitPolynomial additivity_check bezout_idempotents"
          " haar_volume ideal_lattice orthogonality_test principal_exponent profinite_volume"
          " project_mod resultant shift_sum teich_factor"),

@@ -2,11 +2,15 @@
 
 Usage: padicu COMMAND [INPUT.json]  (document on stdin when no file given)
 
-Exit codes: 0 success; 2 invalid input (bad prime, non-unit determinant where
-a unitary is required, malformed document); 3 precondition failure with a
-machine-readable reason in the output document.  Identical input yields
-byte-identical output: keys are sorted and every randomized subroutine runs
-off one fixed seed.  Commands import their modules when run.
+Exit codes: 0 success; 2 an invalid document or argument (bad prime, non-unit
+determinant where a unitary is required, malformed document); 3 a failed
+precondition or a valid input the library does not support.  Both write a
+machine-readable reason, and the exception class alone picks the code
+(`errors`).  Any other exception is a bug: a traceback and exit 1.
+
+Identical input yields byte-identical output: keys are sorted and every
+randomized subroutine runs off one fixed seed.  Commands import their modules
+when run.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ def cmd_spectrum_table(doc):
     u = _matrix(doc)
     j_list = [
         ONE_MINUS if j == "1-" else serialize.read_int(j, "j_list item")
-        for j in serialize._need(doc, "j_list")
+        for j in serialize._need(doc, "j_list", list)
     ]
     table = unitary.spectrum_table(u, j_list)
     return serialize.spectrum_table_to_doc(table)
@@ -174,10 +178,10 @@ def cmd_decompose_fp(doc):
     from . import glnp
     p = serialize.int_field(doc, "p")
     Zp(p, 1)  # validates the prime
-    rows = [
-        [serialize.read_int(v, "matrix entry") for v in row]
-        for row in serialize._need(doc, "matrix")
-    ]
+    rows = serialize._need(doc, "matrix", list)
+    if not all(isinstance(row, list) for row in rows):
+        raise MalformedDocument("matrix rows must be JSON arrays")
+    rows = [[serialize.read_int(v, "matrix entry") for v in row] for row in rows]
     out = glnp.decompose_fp(p, rows)
     return {
         "word": list(out.word.exponents),
@@ -199,7 +203,7 @@ def cmd_decompose_zp(doc):
 
 def cmd_probability(doc):
     from . import quantum
-    projectors = [serialize.matrix_from_doc(d) for d in serialize._need(doc, "projectors")]
+    projectors = [serialize.matrix_from_doc(d) for d in serialize._need(doc, "projectors", list)]
     psi = serialize.wave_from_doc(serialize._need(doc, "psi"))
     report = quantum.probability(projectors, psi)
     return {
@@ -241,7 +245,7 @@ def cmd_shift_model(doc):
     model = quantum.spectrum_shift_model(
         serialize.int_field(doc, "size", cap=serialize.MAX_SHIFT_MODEL_SIZE),
         serialize.int_field(doc, "p"),
-        serialize.int_field(doc, "K"),
+        serialize.int_field(doc, "K", cap=serialize.MAX_PRECISION_K),
     )
     return {
         "u": serialize.matrix_to_doc(model.U),
@@ -273,7 +277,7 @@ def cmd_seminorm(doc):
 
 def cmd_audit(doc):
     from . import audits
-    suite = doc.get("suite", "all")
+    suite = serialize._need(doc, "suite", str) if "suite" in doc else "all"
     seed = serialize.int_field(doc, "seed", 0)
     if suite != "all" and suite not in audits.SUITES:
         raise MalformedDocument(f"unknown suite {suite!r}")
@@ -326,14 +330,13 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     try:
-        raw = open(args.input, encoding="utf-8").read() if args.input else sys.stdin.read()
-    except OSError as exc:
-        _emit(args.command, "error", {"code": "IOError", "reason": str(exc)})
-        return 2
-    try:
         try:
+            raw = open(args.input, encoding="utf-8").read() if args.input else sys.stdin.read()
             doc = json.loads(raw) if raw.strip() else {}
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            _emit(args.command, "error", {"code": "IOError", "reason": str(exc)})
+            return 2
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an int over 4,300 digits
             raise MalformedDocument(f"input is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise MalformedDocument("input document must be a JSON object")
@@ -341,9 +344,6 @@ def main(argv=None) -> int:
     except PadicError as exc:
         _emit(args.command, "error", {"code": type(exc).__name__, "reason": str(exc)})
         return exc.exit_code
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        _emit(args.command, "error", {"code": "MalformedDocument", "reason": str(exc)})
-        return 2
     _emit(args.command, "result", result)
     if args.command == "audit" and not result.get("passed", True):
         return 3

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all modules.
 
-``exit_code`` is what the CLI reports: 2 for invalid input documents,
-3 for operation preconditions that fail on otherwise well-formed input.
+``exit_code`` is what the CLI reports, and the class alone decides it: 2 for
+an invalid document or argument (an `InputError`, which is also a
+`ValueError`), 3 for a precondition that fails on valid input or a valid
+input the library does not support.  Any other exception is a bug.
 """
 
 
@@ -9,7 +11,7 @@ class PadicError(Exception):
     exit_code = 3
 
 
-class InputError(PadicError):
+class InputError(PadicError, ValueError):
     exit_code = 2
 
 
@@ -27,6 +29,10 @@ class MalformedDocument(InputError):
 
 class NotUnitary(InputError):
     """A command requiring a unitary (unit-determinant integral) matrix got something else."""
+
+
+class Unsupported(PadicError):
+    """A valid input outside what the library implements, e.g. no shipped modulus."""
 
 
 class NotAUnit(PadicError):

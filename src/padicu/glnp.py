@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from . import moduli
 from .arith import factorize
-from .errors import InputError, LiftAuditError, NotInvertible, NotUnitary
+from .errors import InputError, LiftAuditError, NotInvertible, NotUnitary, Unsupported
 from .matrices import PadicMatrix
 from .scalars import Zp
 from .unitary import jordan_decompose
@@ -201,7 +201,7 @@ def decompose_zp(U: PadicMatrix) -> ZpDecomposition:
     generators, which still reduces correctly.
     """
     if not isinstance(U.ring, Zp):
-        raise InputError("the tower decomposition is defined over the base ring")
+        raise Unsupported("the tower decomposition is defined over the base ring")
     if not U.is_unitary():
         raise NotUnitary("decomposition needs a unitary matrix")
     ring = U.ring

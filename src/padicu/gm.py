@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import fppoly
 from .errors import (
-    NonUnitLead, NotOrthogonal, NotUnitary, PrecisionMismatch, ZeroPolynomial,
+    InputError, NonUnitLead, NotOrthogonal, NotUnitary, PrecisionMismatch, ZeroPolynomial,
 )
 from .matrices import PadicMatrix, residue_matrix_order
 from .scalars import PadicScalar, Zp
@@ -454,8 +454,8 @@ def _hensel_pair(f, g0, h0, p, j):
 
 
 def _hensel_lift_list(f, residue_factors, p, j):
-    """Lift a pairwise-coprime monic factorization of f mod p to mod p^j."""
-    if j == 1:
+    """Lift a pairwise-coprime monic factorization of f mod p to mod p^j; f = 1 has none."""
+    if j == 1 or not residue_factors:
         return [list(r) for r in residue_factors]
     if len(residue_factors) == 1:
         return [[v % p**j for v in f]]
@@ -532,7 +532,7 @@ class PrincipalIdealIndex(NamedTuple("PrincipalIdealIndex", [("j", int), ("n", i
     def __new__(cls, j: int, n: int):
         self = super().__new__(cls, j, n)
         if self.j < 1 or self.n < 1:
-            raise ValueError("principal ideal index needs j >= 1 and n >= 1")
+            raise InputError("principal ideal index needs j >= 1 and n >= 1")
         return self
 
     @classmethod
@@ -581,7 +581,7 @@ def principal_exponent(arg, j: int) -> PrincipalExponent:
 def ideal_lattice(n1: int, n2: int) -> tuple[int, int]:
     """Sum and intersection indexes of principal unit ideals: (gcd, lcm)."""
     if n1 < 1 or n2 < 1:
-        raise ValueError("principal indexes must be >= 1")
+        raise InputError("principal indexes must be >= 1")
     from math import gcd
 
     g = gcd(n1, n2)
@@ -591,7 +591,7 @@ def ideal_lattice(n1: int, n2: int) -> tuple[int, int]:
 def shift_sum(f: LaurentPoly, c: int, d: int) -> PadicScalar:
     """Sum of coefficients along the progression c + dZ."""
     if d == 0:
-        raise ValueError("progression step d must be nonzero")
+        raise InputError("progression step d must be nonzero")
     d = abs(d)
     return f.ring.scalar(sum(f.coeffs[(c - f._low) % d :: d]))
 
@@ -599,14 +599,14 @@ def shift_sum(f: LaurentPoly, c: int, d: int) -> PadicScalar:
 def project_mod(f: LaurentPoly, d: int) -> tuple[PadicScalar, ...]:
     """Image of f in O_p[t]/(t^d - 1): component c is the shift sum at c + dZ."""
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise InputError("d must be >= 1")
     return tuple(shift_sum(f, c, d) for c in range(d))
 
 
 def additivity_check(f: LaurentPoly, c: int, d: int, dstar: int) -> bool:
     """S_{c+dZ} equals the sum of its d* refinements."""
     if d < 1 or dstar < 1:
-        raise ValueError("d and d* must be >= 1")
+        raise InputError("d and d* must be >= 1")
     total = f.ring.scalar(0)
     for cstar in range(1, dstar + 1):
         total = total + shift_sum(f, c + cstar * d, d * dstar)
@@ -616,7 +616,7 @@ def additivity_check(f: LaurentPoly, c: int, d: int, dstar: int) -> bool:
 def haar_volume(c: int, d: int) -> Fraction:
     """Volume of the progression c + dZ in the profinite completion: 1/|d|."""
     if d == 0:
-        raise ValueError("d must be nonzero")
+        raise InputError("d must be nonzero")
     from fractions import Fraction
 
     return Fraction(1, abs(d))
@@ -625,7 +625,7 @@ def haar_volume(c: int, d: int) -> Fraction:
 def profinite_volume(quotient_order: int) -> Fraction:
     """Volume of an open normal subgroup with the given quotient order."""
     if quotient_order < 1:
-        raise ValueError("quotient order must be >= 1")
+        raise InputError("quotient order must be >= 1")
     from fractions import Fraction
 
     return Fraction(1, quotient_order)

@@ -120,7 +120,7 @@ class PadicMatrix:
         self._unipotent = None
         for r in self.rows:
             if len(r) != self.n:
-                raise ValueError("matrix must be square")
+                raise InputError("matrix must be square")
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -162,7 +162,7 @@ class PadicMatrix:
         if self.ring != other.ring:
             raise PrecisionMismatch(f"{self.ring} vs {other.ring}")
         if self.n != other.n:
-            raise ValueError("dimension mismatch")
+            raise InputError("dimension mismatch")
 
     def __eq__(self, other):
         return (
@@ -217,6 +217,8 @@ class PadicMatrix:
     def apply(self, vector: Sequence) -> tuple:
         """Matrix-vector product; returns scalar objects."""
         raws = [self.ring.scalar(v).raw for v in vector]
+        if len(raws) != self.n:
+            raise InputError(f"a {self.n} x {self.n} matrix applied to a vector of length {len(raws)}")
         return tuple(PadicScalar(self.ring, _dot(self.ring, row, raws)) for row in self.rows)
 
     # -- norms ------------------------------------------------------------

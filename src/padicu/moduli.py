@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import fppoly
 from .arith import teichmuller_exponent
-from .errors import InputError
+from .errors import Unsupported
 
 TABLE_VERSION = "cw1"
 
@@ -45,7 +45,7 @@ def residue_modulus(p: int, m: int) -> tuple[int, ...]:
     try:
         return _CONWAY[(p, m)]
     except KeyError:
-        raise InputError(
+        raise Unsupported(
             f"no modulus shipped for p={p}, m={m}; table covers p in {{3,5,7}}, m <= 4"
         ) from None
 

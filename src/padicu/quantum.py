@@ -23,6 +23,7 @@ from .errors import (
     NotOrthogonal,
     NotUnitary,
     RadiusViolation,
+    Unsupported,
 )
 from .matrices import Norm, PadicMatrix, vector_norm
 from .scalars import PadicScalar, Zp, teichmuller_lift
@@ -136,7 +137,7 @@ def exp_matrix(H: PadicMatrix, t, allow_extended_radius: bool = False) -> PadicM
     """
     ring = H.ring
     if not isinstance(ring, Zp):
-        raise InputError("evolution is implemented over the base ring")
+        raise Unsupported("evolution is implemented over the base ring")
     p, K = ring.p, ring.K
     t_scalar = ring.scalar(t) if not isinstance(t, PadicScalar) else t
     if t_scalar.ring != ring:
@@ -286,6 +287,8 @@ def torus_check(U: PadicMatrix, V: PadicMatrix, bound: int = 4) -> TorusRelation
         raise NotUnitary("torus relations require unitary operators")
     ring = U.ring
     n_dim = U.n
+    if n_dim == 0:
+        raise InputError("torus relations need n >= 1")
     commutator = U @ V @ U.inverse() @ V.inverse()
     xi_raw = commutator.rows[0][0]
     if commutator != PadicMatrix.identity(ring, n_dim).scale(xi_raw):

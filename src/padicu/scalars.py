@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import fppoly, moduli
 from .arith import check_odd_prime, padic_valuation, teichmuller_exponent
-from .errors import NotAUnit, PrecisionMismatch
+from .errors import InputError, NotAUnit, PrecisionMismatch
 
 
 class _OneMinus:
@@ -48,7 +48,7 @@ class Zp:
     def __init__(self, p: int, K: int):
         check_odd_prime(p)
         if K < 1:
-            raise ValueError("precision K must be >= 1")
+            raise InputError("precision K must be >= 1")
         self.p = p
         self.K = K
         self.pk = p**K
@@ -125,7 +125,7 @@ class Zp:
         if j == self.K:
             return self
         if not 1 <= j <= self.K:
-            raise ValueError(f"target precision {j} outside [1, {self.K}]")
+            raise InputError(f"target precision {j} outside [1, {self.K}]")
         return Zp(self.p, j)
 
     # -- scalar construction --------------------------------------------
@@ -160,9 +160,9 @@ class UnramRing:
     def __init__(self, p: int, K: int, m: int):
         check_odd_prime(p)
         if K < 1:
-            raise ValueError("precision K must be >= 1")
+            raise InputError("precision K must be >= 1")
         if m < 1:
-            raise ValueError("extension degree m must be >= 1")
+            raise InputError("extension degree m must be >= 1")
         self.p = p
         self.K = K
         self.m = m
@@ -309,7 +309,7 @@ class UnramRing:
         if j == self.K:
             return self
         if not 1 <= j <= self.K:
-            raise ValueError(f"target precision {j} outside [1, {self.K}]")
+            raise InputError(f"target precision {j} outside [1, {self.K}]")
         return UnramRing(self.p, j, self.m)
 
     def scalar(self, value) -> "PadicScalar":
@@ -324,7 +324,7 @@ class UnramRing:
             return PadicScalar(self, self.rfrom_int(value))
         coeffs = tuple(int(c) % self.pk for c in value)
         if len(coeffs) != self.m:
-            raise ValueError(f"expected {self.m} coefficients, got {len(coeffs)}")
+            raise InputError(f"expected {self.m} coefficients, got {len(coeffs)}")
         return PadicScalar(self, coeffs)
 
     def is_base_value(self, a) -> bool:

@@ -2,8 +2,8 @@
 
 Numbers cross the wire as decimal strings (no word-size assumptions); every
 composite carries its (p, K, m, modulus_id) header.  Encoders and decoders
-round-trip exactly; decoders validate and raise MalformedDocument on shape
-errors so the CLI can map them to exit code 2.
+round-trip exactly; decoders check every JSON type they read and raise
+MalformedDocument on shape errors, which the CLI reports as exit code 2.
 """
 
 from __future__ import annotations
@@ -21,12 +21,17 @@ if TYPE_CHECKING:
     from .unitary import SpectralDatum, SpectrumTable
 
 SCHEMA = "padicu/1"
-_DECIMAL = re.compile(r"-?[0-9]+")
+# at most 4,300 digits, the longest decimal string int() converts by default
+_DECIMAL = re.compile(r"-?[0-9]{1,4300}")
+_JSON_NAMES = {list: "array", str: "string"}
 
 
-def _need(doc: dict, key: str):
+def _need(doc: dict, key: str, kind: type | None = None):
+    """doc[key], which must be present and, when kind is given, an instance of it."""
     if not isinstance(doc, dict) or key not in doc:
         raise MalformedDocument(f"missing field {key!r}")
+    if kind is not None and not isinstance(doc[key], kind):
+        raise MalformedDocument(f"field {key!r} must be a JSON {_JSON_NAMES[kind]}")
     return doc[key]
 
 
@@ -49,6 +54,15 @@ def int_field(doc: dict, key: str, default: int | None = None, cap: int | None =
     return value
 
 
+# Largest K of a ring header (and of shift-model) and largest n of a matrix
+# document.  A matrix command costs more as either grows: classify took
+# 0.14-0.22 s on 8 x 8 unitaries at K = 128 (p = 3, 7) and 0.22-0.31 s on
+# 32 x 32 ones at K = 2, 10, but 1.0 s (p = 3) and 2.5 s (p = 7) at n = 32
+# and K = 128 together (README, "CLI").
+MAX_PRECISION_K = 128
+MAX_MATRIX_N = 32
+
+
 def ring_header(ring: AnyRing) -> dict:
     if isinstance(ring, Zp):
         return {"p": ring.p, "K": ring.K, "m": 1, "modulus_id": None}
@@ -57,7 +71,7 @@ def ring_header(ring: AnyRing) -> dict:
 
 def ring_from_header(doc: dict) -> AnyRing:
     p = int_field(doc, "p")
-    K = int_field(doc, "K")
+    K = int_field(doc, "K", cap=MAX_PRECISION_K)
     m = int_field(doc, "m", 1)
     if m == 1:
         return Zp(p, K)
@@ -73,6 +87,8 @@ def _entry_to_wire(ring: AnyRing, raw):
 def _entry_from_wire(ring: AnyRing, wire, what: str = "matrix entry"):
     if isinstance(ring, Zp) or not isinstance(wire, list):
         return ring.rfrom_int(read_int(wire, what))
+    if len(wire) != ring.m:
+        raise MalformedDocument(f"{what} has {len(wire)} coefficients, not m = {ring.m}")
     return ring.scalar(tuple(read_int(c, what) for c in wire)).raw
 
 
@@ -86,8 +102,10 @@ def matrix_to_doc(M: PadicMatrix) -> dict:
 
 def matrix_from_doc(doc: dict) -> PadicMatrix:
     ring = ring_from_header(doc)
-    n = int_field(doc, "n")
-    entries = _need(doc, "entries")
+    n = int_field(doc, "n", cap=MAX_MATRIX_N)
+    if n < 0:
+        raise MalformedDocument(f"n = {n} must be >= 0")
+    entries = _need(doc, "entries", list)
     if len(entries) != n * n:
         raise MalformedDocument(f"expected {n * n} entries, got {len(entries)}")
     rows = [
@@ -131,8 +149,8 @@ def laurent_from_doc(doc: dict) -> LaurentPoly:
     if not isinstance(ring, Zp):
         raise MalformedDocument("polynomials carry base-ring coefficients")
     terms = {}
-    for pair in _need(doc, "terms"):
-        if len(pair) != 2:
+    for pair in _need(doc, "terms", list):
+        if not isinstance(pair, list) or len(pair) != 2:
             raise MalformedDocument("terms are [exponent, coefficient] pairs")
         e = read_int(pair[0], "exponent")
         if e in terms:
@@ -176,7 +194,7 @@ def wave_from_doc(doc: dict) -> WaveFunction:
 
     ring = ring_from_header(doc)
     return WaveFunction(
-        ring, [_entry_from_wire(ring, v, "wave value") for v in _need(doc, "values")]
+        ring, [_entry_from_wire(ring, v, "wave value") for v in _need(doc, "values", list)]
     )
 
 

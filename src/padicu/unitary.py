@@ -52,7 +52,9 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import fppoly, ringpoly
 from .arith import teichmuller_exponent
-from .errors import InputError, NotAUnit, NotContinuous, NotTeichmuller, NotUnitary, PadicError
+from .errors import (
+    InputError, NotAUnit, NotContinuous, NotTeichmuller, NotUnitary, PadicError, Unsupported,
+)
 from .matrices import PadicMatrix, orbit_polynomial, residue_matrix_order
 from .scalars import ONE_MINUS, AnyRing, PadicScalar, UnramRing, Zp, unram
 
@@ -73,7 +75,7 @@ def _require_base_unitary(U: PadicMatrix):
     """Unitary and over Z_p: what every spectral decomposition needs."""
     _require_unitary(U)
     if not isinstance(U.ring, Zp):
-        raise InputError(
+        raise Unsupported(
             "spectral decomposition is supported for base-ring operators; "
             "extension-ring eigenvalues would leave the shipped modulus table"
         )
@@ -529,14 +531,14 @@ def spectrum_table(U: PadicMatrix, j_list) -> SpectrumTable:
     _require_unitary(U)
     ring = U.ring
     if not isinstance(ring, Zp):
-        raise InputError("spectrum tables are computed for base-ring operators")
+        raise Unsupported("spectrum tables are computed for base-ring operators")
     levels = []
     for j_entry in j_list:
         if j_entry is ONE_MINUS:
             levels.append((1, "1-"))
         else:
             j = int(j_entry)
-            ring.at_precision(j)  # an out-of-range level raises ValueError here
+            ring.at_precision(j)  # an out-of-range level raises InputError here
             levels.append((j, f"p^{j}"))
     components = {}
     if levels:

@@ -6,7 +6,7 @@ A refactor that must not change results prints the same digest before and
 after.  The digest covers, on a fixed seeded grid of nine (p, K, n) shapes:
 
 - `classify`, `jordan_decompose` and `spectral_decompose` on random unitaries
-  (an InputError "no modulus shipped" is hashed by its message);
+  (the error "no modulus shipped" is hashed by its message);
 - `power_zp` on random continuous unitaries at t = 0, 1, a random t < p^K and
   p^K - 1;
 - `moduli.canonical_modulus` for every shipped degree at the shape's (p, K);
@@ -43,7 +43,7 @@ import random
 import sys
 
 from padicu import fppoly, gm, moduli
-from padicu.errors import InputError
+from padicu.errors import PadicError
 from padicu.matrices import PadicMatrix
 from padicu.sampling import random_continuous, random_matrix, random_unitary
 from padicu.scalars import ONE_MINUS, Zp, unram
@@ -68,7 +68,7 @@ CALCULUS = 4  # per formal level and ring, positive-low f(U), inverses and produ
 def _spectral_items(U):
     try:
         datum = spectral_decompose(U)
-    except InputError as exc:
+    except PadicError as exc:  # Unsupported; versions before it raised InputError
         if "no modulus shipped" not in str(exc):
             raise
         return [("spectral-error", str(exc))]

@@ -174,8 +174,9 @@ def test_audit_does_not_report_a_keyerror_inside_a_suite_as_unknown(tmp_path, ca
     monkeypatch.setitem(audits.SUITES, "glnp", broken)
     with pytest.raises(KeyError, match="raised inside the suite"):
         cli.cmd_audit({"suite": "glnp"})
-    code, out = run_cli("audit", {"suite": "glnp"}, tmp_path, capsys)
-    assert "unknown suite" not in out["error"]["reason"]
+    # a built-in exception is a bug: it escapes main as a traceback, not as exit 2
+    with pytest.raises(KeyError, match="raised inside the suite"):
+        run_cli("audit", {"suite": "glnp"}, tmp_path, capsys)
 
 
 def test_audit_single_suite(tmp_path, capsys):
@@ -616,7 +617,7 @@ def test_every_matrix_the_cli_writes_reads_back(m, tmp_path, capsys):
     in the result parses through `matrix_from_doc` to the library's own matrix.
 
     `spectral` and `galois-act` take base-ring operators only (over an extension
-    ring they are exit 2), so they run on a Teichmuller operator over Z_p with
+    ring they are exit 3 `Unsupported`), so they run on a Teichmuller operator over Z_p with
     residue factors of degrees m and 1, whose projectors lie over those rings.
     """
     from padicu import moduli
@@ -646,3 +647,158 @@ def test_every_matrix_the_cli_writes_reads_back(m, tmp_path, capsys):
         written = list(_matrix_docs(out["result"]))
         assert [serialize.matrix_from_doc(d) for d in written] == expected, command
     assert {d["m"] for d in written[:-1]} == {1, m}
+
+
+@pytest.mark.parametrize("terms,shift,unit", [([[2, "56"]], 2, "2"), ([[0, "5"]], 0, "5")])
+def test_teich_factor_of_a_unit_monomial_is_exit_0(terms, shift, unit, tmp_path, capsys):
+    doc = {"f": {"p": 3, "K": 4, "terms": terms}, "j": 3}
+    code, out = run_one_line("teich-factor", doc, tmp_path, capsys)
+    assert code == 0
+    assert out["result"] == {"factors": [], "shift": shift, "unit": unit}
+
+
+@pytest.mark.parametrize("raw", [b"\xff", b'{"matrix": "\xff"}', b"\xef\xbb\xbf\x80{}"])
+def test_a_file_that_is_not_utf8_is_exit_2(raw, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    code = cli.main(["classify", str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 2 and len(lines) == 1
+    assert json.loads(lines[0])["error"]["code"] == "MalformedDocument"
+
+
+@pytest.mark.parametrize("digits", [4301, 10_000])
+@pytest.mark.parametrize("as_string", [False, True])
+def test_an_integer_over_4300_digits_is_exit_2(digits, as_string, tmp_path, capsys):
+    """json.loads refuses such a literal and read_int such a string: both are exit 2."""
+    entry = "1" * digits
+    raw = '{"matrix": {"p": 3, "K": 2, "n": 1, "entries": [%s]}}' % (f'"{entry}"' if as_string else entry)
+    path = tmp_path / "big.json"
+    path.write_text(raw)
+    code = cli.main(["classify", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2 and out["error"]["code"] == "MalformedDocument"
+
+
+@pytest.mark.parametrize("as_string", [False, True])
+def test_an_integer_of_4300_digits_is_read(as_string, tmp_path, capsys):
+    entry = "1" * 4300  # 7 mod 9, so the 1 x 1 matrix is 1 mod 3: continuous
+    doc = {"matrix": {"p": 3, "K": 2, "n": 1, "entries": [entry if as_string else int(entry)]}}
+    code, out = run_one_line("classify", doc, tmp_path, capsys)
+    assert code == 0 and out["result"]["class"] == "CONTINUOUS"
+
+
+_WAVE_2 = {"p": 3, "K": 2, "values": ["1", "2"]}
+_IDEM_2 = {"p": 3, "K": 2, "n": 2, "entries": ["1", "0", "0", "0"]}
+# strings, objects and scalars where a reader needs a JSON array (or a string)
+SHAPE_DOCS = [
+    ("classify", {"matrix": {"p": 3, "K": 2, "n": 2, "entries": "1101"}}),
+    ("teich-factor", {"f": {"p": 3, "K": 2, "terms": {"13": "x"}}, "j": 1}),
+    ("teich-factor", {"f": {"p": 3, "K": 2, "terms": ["13", "24"]}, "j": 1}),
+    ("teich-factor", {"f": {"p": 3, "K": 2, "terms": [{"1": 3}]}, "j": 1}),
+    ("decompose-fp", {"p": 3, "matrix": ["11", "10"]}),
+    ("decompose-fp", {"p": 3, "matrix": "1110"}),
+    ("measure", {"projector": _IDEM_2, "psi": {"p": 3, "K": 2, "values": "12"}}),
+    ("spectrum-table", {"matrix": matrix_doc([[1, 0], [0, 8]], K=2), "j_list": "12"}),
+    ("probability", {"projectors": {"p": 3, "K": 2, "n": 2, "entries": []}, "psi": _WAVE_2}),
+    ("audit", {"suite": ["glnp"]}),
+    ("audit", {"suite": 3}),
+]
+
+
+@pytest.mark.parametrize("command,doc", SHAPE_DOCS,
+                         ids=[f"{c}-{i}" for i, (c, _) in enumerate(SHAPE_DOCS)])
+def test_a_string_or_object_where_a_list_is_needed_is_exit_2(command, doc, tmp_path, capsys):
+    code, out = run_one_line(command, doc, tmp_path, capsys)
+    assert code == 2
+    assert out["error"]["code"] == "MalformedDocument"
+
+
+@pytest.mark.parametrize("K", [serialize.MAX_PRECISION_K, serialize.MAX_PRECISION_K + 1, 10**6])
+@pytest.mark.parametrize("command", ["classify", "shift-model"])
+def test_ring_headers_answer_K_up_to_its_cap(command, K, tmp_path, capsys):
+    if command == "classify":
+        doc = {"matrix": matrix_doc([[1, 1], [0, 1]], p=7, K=K)}
+    else:
+        doc = {"size": 3, "p": 7, "K": K}
+    start = time.perf_counter()
+    code, out = run_one_line(command, doc, tmp_path, capsys)
+    assert time.perf_counter() - start < 1.0
+    if K == serialize.MAX_PRECISION_K:
+        assert code == 0
+    else:
+        assert code == 2
+        assert out["error"] == {"code": "MalformedDocument",
+                                "reason": f"K = {K} is above the cap of {serialize.MAX_PRECISION_K}"}
+
+
+@pytest.mark.parametrize("n", [serialize.MAX_MATRIX_N, serialize.MAX_MATRIX_N + 1, 10**6])
+def test_matrix_documents_answer_n_up_to_its_cap(n, tmp_path, capsys):
+    side = min(n, serialize.MAX_MATRIX_N)
+    rows = [[int(i == j or j == i + 1) for j in range(side)] for i in range(side)]
+    doc = {"matrix": {**matrix_doc(rows, K=2), "n": n}}
+    start = time.perf_counter()
+    code, out = run_one_line("classify", doc, tmp_path, capsys)
+    assert time.perf_counter() - start < 1.0
+    if n == serialize.MAX_MATRIX_N:
+        assert code == 0 and out["result"]["class"] == "CONTINUOUS"
+    else:
+        assert code == 2
+        assert out["error"] == {"code": "MalformedDocument",
+                                "reason": f"n = {n} is above the cap of {serialize.MAX_MATRIX_N}"}
+
+
+def test_a_negative_n_is_exit_2_and_n_zero_is_read(tmp_path, capsys):
+    doc = {"matrix": {"p": 3, "K": 2, "n": -2, "entries": ["1", "0", "0", "1"]}}
+    code, out = run_one_line("classify", doc, tmp_path, capsys)
+    assert code == 2
+    assert out["error"] == {"code": "MalformedDocument", "reason": "n = -2 must be >= 0"}
+    code, out = run_one_line("classify", {"matrix": {"p": 3, "K": 2, "n": 0, "entries": []}},
+                             tmp_path, capsys)
+    assert code == 0 and out["result"]["class"] == "TEICHMULLER"
+
+
+_UNRAM_ID = unram_doc([(1, 0), (0, 0), (0, 0), (1, 0)])
+_UNRAM_H = unram_doc([(3, 0), (0, 0), (0, 0), (0, 0)])
+UNSUPPORTED_DOCS = [
+    ("spectral", {"matrix": _UNRAM_ID}),
+    ("galois-act", {"matrix": _UNRAM_ID, "k": 1}),
+    ("spectrum-table", {"matrix": _UNRAM_ID, "j_list": [1]}),
+    ("decompose-zp", {"matrix": _UNRAM_ID}),
+    ("decompose-zp", {"matrix": matrix_doc([[0, 1], [1, 0]], p=11, K=2)}),
+    ("decompose-fp", {"p": 11, "matrix": [[0, 1], [1, 0]]}),
+    ("classify", {"matrix": {"p": 3, "K": 2, "m": 5, "n": 1, "entries": ["1"]}}),
+    ("evolve", {"h": _UNRAM_H, "u": _UNRAM_ID, "psi": {"p": 3, "K": 2, "m": 2, "values": ["1", "0"]},
+                "k": 1, "t": 3}),
+]
+
+
+@pytest.mark.parametrize("command,doc", UNSUPPORTED_DOCS,
+                         ids=[f"{c}-{i}" for i, (c, _) in enumerate(UNSUPPORTED_DOCS)])
+def test_a_valid_input_the_library_does_not_support_is_exit_3(command, doc, tmp_path, capsys):
+    code, out = run_one_line(command, doc, tmp_path, capsys)
+    assert code == 3
+    assert out["error"]["code"] == "Unsupported"
+
+
+@pytest.mark.parametrize("values", [["1"], ["1", "2", "0"]])
+@pytest.mark.parametrize("command", ["measure", "probability", "evolve"])
+def test_a_wave_of_the_wrong_length_is_exit_2(command, values, tmp_path, capsys):
+    psi = {"p": 3, "K": 2, "values": values}
+    doc = {
+        "measure": {"projector": _IDEM_2, "psi": psi},
+        "probability": {"projectors": [_IDEM_2], "psi": psi},
+        "evolve": {"h": matrix_doc([[3, 0], [0, 3]], K=2), "u": matrix_doc([[1, 0], [0, 1]], K=2),
+                   "psi": psi, "k": 1, "t": 3},
+    }[command]
+    code, out = run_one_line(command, doc, tmp_path, capsys)
+    assert code == 2
+    assert out["error"] == {"code": "InputError",
+                            "reason": f"a 2 x 2 matrix applied to a vector of length {len(values)}"}
+
+
+def test_torus_of_two_empty_operators_is_exit_2(tmp_path, capsys):
+    empty = {"p": 3, "K": 2, "n": 0, "entries": []}
+    code, out = run_one_line("torus", {"u": empty, "v": empty}, tmp_path, capsys)
+    assert code == 2
+    assert out["error"] == {"code": "InputError", "reason": "torus relations need n >= 1"}

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from padicu import glnp
-from padicu.errors import InputError, NotInvertible
+from padicu.errors import NotInvertible, Unsupported
 from padicu.matrices import PadicMatrix
 from padicu.sampling import random_unitary
 from padicu.scalars import Zp
@@ -153,7 +153,7 @@ def test_decompose_zp_uniqueness_small_brute_force():
 
 def test_decompose_zp_requires_base_ring_and_unitary():
     ring = Zp(3, 2)
-    with pytest.raises(InputError):
+    with pytest.raises(Unsupported):
         from padicu.scalars import UnramRing
 
         glnp.decompose_zp(PadicMatrix.identity(UnramRing(3, 2, 2), 2))

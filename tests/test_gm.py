@@ -152,6 +152,18 @@ def test_teich_factor_with_unit_and_shift():
     assert out.product() == f.reduce(2)
 
 
+@pytest.mark.parametrize("coeffs,low", [([5], 0), ([56], 2), ([-1], -3)])
+@pytest.mark.parametrize("j", [2, 4])
+def test_teich_factor_of_a_unit_monomial_has_no_factors(coeffs, low, j):
+    """c t^k reduces to the constant 1 once monic: no residue factor to lift."""
+    ring = Zp(3, 4)
+    f = L(ring, coeffs, low=low)
+    out = gm.teich_factor(f, j)
+    assert out.factors == {}
+    assert (out.unit.lift(), out.shift) == (coeffs[0] % 3**j, low)
+    assert out.product() == f.reduce(j)
+
+
 def test_hensel_lift_matches_product_mod_high_precision():
     ring = Zp(3, 5)
     f = L(ring, [2, 1]) * L(ring, [4, 1]) * L(ring, [-1, -1, 1])

@@ -3,7 +3,7 @@
 import pytest
 
 from padicu import fppoly, moduli
-from padicu.errors import InputError
+from padicu.errors import Unsupported
 
 
 def _order_of_class(f, p):
@@ -49,9 +49,9 @@ def test_canonical_modulus_reduces_compatibly(p, m):
 
 
 def test_unknown_entry_rejected():
-    with pytest.raises(InputError):
+    with pytest.raises(Unsupported):
         moduli.residue_modulus(11, 2)
-    with pytest.raises(InputError):
+    with pytest.raises(Unsupported):
         moduli.residue_modulus(3, 5)
 
 

@@ -18,12 +18,13 @@ from padicu import errors, glnp, gm, matrices, quantum, scalars, unitary
 
 SRC = Path(padicu.__file__).resolve().parents[1]
 
-# the names the package exported when __init__ imported every module eagerly
+# the names the package exported when __init__ imported every module eagerly,
+# plus the error classes NonUnitLead and Unsupported
 EXPORTS = [
     "InputError", "InvalidPrime", "LiftAuditError", "MalformedDocument", "NonCommuting",
-    "NotATorusPair", "NotAUnit", "NotContinuous", "NotInvertible", "NotOrthogonal",
-    "NotTeichmuller", "NotUnitary", "PadicError", "PrecisionMismatch", "RadiusViolation",
-    "ZeroPolynomial",
+    "NonUnitLead", "NotATorusPair", "NotAUnit", "NotContinuous", "NotInvertible",
+    "NotOrthogonal", "NotTeichmuller", "NotUnitary", "PadicError", "PrecisionMismatch",
+    "RadiusViolation", "Unsupported", "ZeroPolynomial",
     "LaurentPoly", "PrincipalIdealIndex", "UnitPolynomial", "additivity_check",
     "bezout_idempotents", "haar_volume", "ideal_lattice", "orthogonality_test",
     "principal_exponent", "profinite_volume", "project_mod", "resultant", "shift_sum",

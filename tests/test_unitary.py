@@ -8,12 +8,12 @@ import pytest
 
 from padicu import fppoly, gm, unitary
 from padicu.errors import (
-    InputError,
     NotAUnit,
     NotContinuous,
     NotTeichmuller,
     NotUnitary,
     PadicError,
+    Unsupported,
 )
 from padicu.matrices import PadicMatrix, vector_norm
 from padicu.sampling import (
@@ -248,7 +248,7 @@ def test_galois_act_examples():
 def test_galois_act_runs_the_spectral_checks():
     with pytest.raises(NotUnitary):
         unitary.galois_act(M(Zp(3, 2), [[3, 0], [0, 1]]), 1)
-    with pytest.raises(InputError):
+    with pytest.raises(Unsupported):
         unitary.galois_act(PadicMatrix.identity(UnramRing(3, 2, 2), 2), 1)
     with pytest.raises(NotTeichmuller):
         unitary.galois_act(M(Zp(3, 2), [[1, 1], [0, 1]]), 1)
@@ -512,7 +512,7 @@ def test_spectrum_table_rejects_a_level_before_factoring(factoring_calls, j_list
 def test_spectral_rejects_extension_base():
     ring = UnramRing(3, 2, 2)
     u = PadicMatrix.identity(ring, 2)
-    with pytest.raises(InputError):
+    with pytest.raises(Unsupported):
         unitary.teichmuller_spectral(u)
 
 
