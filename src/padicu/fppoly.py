@@ -7,7 +7,8 @@ on coefficients in [0, p); division needs a divisor whose leading
 coefficient is a unit modulo p.  Factorization is over F_p: squarefree +
 distinct-degree + Cantor-Zassenhaus equal-degree splitting, driven by a
 generator on the fixed seed `_SEED`; the factors come back sorted, so they
-do not depend on it.
+do not depend on it.  `factor_degrees` stops before the splitting: the
+degrees alone are what the Jordan exponents need.
 
 The coefficients stay plain ints: these loops carry the Sylvester, Bezout
 and Hensel work, and taking the ring operations from a ring handle made
@@ -127,14 +128,16 @@ def pow_mod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
 
     A residue mod f is packed into one int, d = deg f coefficients in base
     2^s (Kronecker substitution), so a square is one big-int product and a
-    one-bit multiplies by the packed base, a shift when the base is t.  The
-    product's d - 1 high coefficients are reduced mod p and folded back
-    through the packed t^d, ..., t^(2d-2) mod f; every sum stays below
+    one-bit multiplies by the packed base; when the base is t the square is
+    shifted before it is reduced, so that bit costs no second reduction.  A
+    product's d high coefficients are reduced mod p and folded back through
+    the packed t^d, ..., t^(2d-1) mod f, each t times the one before, built
+    by shifting with one inverse of the lead; every sum stays below
     2d(p-1)^2 < 2^s, and each output coefficient takes one `% p`.
     """
     if e == 0:
         return [1]
-    b = divmod_poly(a, f, p)[1]
+    b = divmod_poly(a, f, p)[1]  # a non-unit lead raises ValueError, also for a = 0
     d = len(f) - 1
     if not b:
         return b
@@ -142,16 +145,20 @@ def pow_mod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
     mask = (1 << s) - 1
     low_mask = (1 << (s * d)) - 1
     shifts = [s * i for i in range(d)]
-    high = [s * i for i in range(d, 2 * d - 1)]
+    high = [s * i for i in range(d, 2 * d)]
 
     def pack(c: list[int]) -> int:
         return sum(v << k for v, k in zip(c, shifts))
 
-    folds = []
-    power = divmod_poly([0] * d + [1], f, p)[1]  # t^d mod f, then t times it
-    for _ in range(d - 1):
+    inv_lead = pow(f[-1], -1, p)
+    top_power = [(-c * inv_lead) % p for c in f[:-1]]  # t^d mod f
+    power, folds = top_power, []
+    for _ in range(d):
         folds.append(pack(power))
-        power = divmod_poly([0] + power, f, p)[1]
+        top = power[-1]  # t * power: shift up, then fold the t^d term back
+        power = [top * top_power[0] % p] + [
+            (power[i - 1] + top * top_power[i]) % p for i in range(1, d)
+        ]
 
     def reduce(y: int) -> int:
         low = y & low_mask
@@ -159,14 +166,20 @@ def pow_mod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
             c = ((y >> k) & mask) % p
             if c:
                 low += c * fold
-        return pack([((low >> k) & mask) % p for k in shifts])
+        out = 0
+        for k in shifts:
+            out |= ((low >> k) & mask) % p << k
+        return out
 
     x = packed_b = pack(b)
-    shift = b == [0, 1]
-    for bit in bin(e)[3:]:
-        x = reduce(x * x)
-        if bit == "1":
-            x = reduce(x << s if shift else x * packed_b)
+    if b == [0, 1]:
+        for bit in bin(e)[3:]:
+            x = reduce(x * x << s if bit == "1" else x * x)
+    else:
+        for bit in bin(e)[3:]:
+            x = reduce(x * x)
+            if bit == "1":
+                x = reduce(x * packed_b)
     return trim([(x >> k) & mask for k in shifts])
 
 
@@ -233,6 +246,19 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     if len(rem) > 1:
         out.append((rem, len(rem) - 1))
     return out
+
+
+def factor_degrees(f: list[int], p: int) -> set[int]:
+    """The degrees of the irreducible factors of a nonzero f over F_p.
+
+    The squarefree step comes first: the distinct-degree step assumes a
+    squarefree input and can miss a degree otherwise.  No factor is split
+    into its irreducibles.
+    """
+    f = trim([c % p for c in f])
+    if not f:
+        raise ValueError("the zero polynomial has no factor degrees")
+    return {d for sqf, _ in _squarefree_parts(monic(f, p), p) for _, d in _distinct_degree(sqf, p)}
 
 
 def _equal_degree_split(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:

@@ -8,10 +8,12 @@ minimal-valuation pivoting, which is enough over the local ring Z/p^j.
 
 `PadicMatrix.evaluate` is the one functional calculus.  By Cayley-Hamilton a
 Laurent polynomial f = t^low g of A is r(A) with r = t^low g mod chi_A, of
-degree < n, and t^-1 mod chi_A is read off chi_A.  So A^e for any e, the
-inverse and f(U) on the formal group each cost one char poly, at most one
-polynomial power mod chi_A and at most n - 2 products, over Z_p and over an
-extension ring alike.
+degree < n, and t^-1 mod chi_A is read off chi_A.  So A^e for any e and f(U)
+on the formal group each cost one char poly, at most one polynomial power
+mod chi_A and at most n - 2 products, over Z_p and over an extension ring
+alike.  The inverse alone is not a polynomial in A here: `inverse` is
+Gauss-Jordan elimination, O(n^3) ring operations against the O(n^4) of a
+char poly and its Horner products.
 """
 
 from __future__ import annotations
@@ -92,10 +94,15 @@ class SeminormResult(NamedTuple):
 class PadicMatrix:
     """Immutable n x n matrix; unitary means unit determinant.
 
-    Four slots are filled lazily and kept on the object, a memo per matrix
-    rather than a cache keyed by value.  A matrix starts with all four empty.
+    Five slots are filled lazily and kept on the object, a memo per matrix
+    rather than a cache keyed by value.  A matrix starts with all five empty.
     - `_chi`: the characteristic polynomial, filled by `char_poly_raw`, so
-      the determinant, the inverse and every power share one Berkowitz run.
+      the determinant and every power share one Berkowitz run.  `inverse`
+      eliminates and does not read it.
+    - `_exponents`: the Jordan exponents (alpha, E), filled by
+      `unitary._exponents` from the degrees of the residue factors of `_chi`
+      over Z_p (through the audit, `classify`, `jordan_decompose`,
+      `galois_act` and `power_zp`).
     - `_audited`: True once the pro-finite audit U^E = I has passed, set by
       `unitary._audit` (through `classify` and `spectral_decompose`).  A
       failed audit raises and is never recorded.
@@ -103,18 +110,19 @@ class PadicMatrix:
       `unitary._teichmuller_part` (through `classify` and `jordan_decompose`).
     - `_unipotent`: the continuous part U_n = U U_s^-1, filled only by
       `unitary.jordan_decompose`.
-    `evaluate`, behind `matrix_power`, `inverse` and every f(A), reads
-    `_chi` and fills nothing else: a memo per exponent would grow with every
-    exponent a caller asks for.
+    `evaluate`, behind `matrix_power` and every f(A), reads `_chi` and fills
+    nothing else: a memo per exponent would grow with every exponent a
+    caller asks for.
     """
 
-    __slots__ = ("ring", "n", "rows", "_chi", "_audited", "_teich", "_unipotent")
+    __slots__ = ("ring", "n", "rows", "_chi", "_exponents", "_audited", "_teich", "_unipotent")
 
     def __init__(self, ring: AnyRing, rows):
         self.ring = ring
         self.rows = tuple(tuple(r) for r in rows)
         self.n = len(self.rows)
         self._chi = None
+        self._exponents = None
         self._audited = False
         self._teich = None
         self._unipotent = None
@@ -280,7 +288,31 @@ class PadicMatrix:
         return PadicScalar(self.ring, self._det_raw())
 
     def inverse(self) -> "PadicMatrix":
-        return self.evaluate(self._t_inverse())
+        """A^-1 by Gauss-Jordan elimination on [A | I]; NotInvertible unless det A is a unit.
+
+        Over the local ring a unit pivot is the first entry of its column, at
+        or below the diagonal, that is a unit.  While det A is a unit, so is
+        the determinant of the block left to eliminate, so its first column
+        holds a unit; when no column lacks one, the elimination has built
+        A^-1.  Written once over the ring handle, for Z_p and extension rings.
+        """
+        ring, n = self.ring, self.n
+        runit, rinv, rmul, rsub, zero = ring.runit, ring.rinv, ring.rmul, ring.rsub, ring.zero
+        rows = [list(row) + [zero] * n for row in self.rows]
+        for i, row in enumerate(rows):
+            row[n + i] = ring.one
+        for k in range(n):
+            pivot = next((i for i in range(k, n) if runit(rows[i][k])), None)
+            if pivot is None:
+                raise NotInvertible("determinant is not a unit")
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            inv = rinv(rows[k][k])
+            tail = rows[k][k + 1 :] = [rmul(inv, v) for v in rows[k][k + 1 :]]
+            for i, row in enumerate(rows):
+                c = row[k]
+                if i != k and c != zero:
+                    row[k + 1 :] = [rsub(a, rmul(c, b)) for a, b in zip(row[k + 1 :], tail)]
+        return PadicMatrix(ring, [row[n:] for row in rows])
 
     def _t_inverse(self) -> list:
         """t^-1 mod chi_A, raw and of degree n - 1; NotInvertible unless det A is a unit.

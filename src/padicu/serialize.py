@@ -55,10 +55,10 @@ def int_field(doc: dict, key: str, default: int | None = None, cap: int | None =
 
 
 # Largest K of a ring header (and of shift-model) and largest n of a matrix
-# document.  A matrix command costs more as either grows: classify took
-# 0.14-0.22 s on 8 x 8 unitaries at K = 128 (p = 3, 7) and 0.22-0.31 s on
-# 32 x 32 ones at K = 2, 10, but 1.0 s (p = 3) and 2.5 s (p = 7) at n = 32
-# and K = 128 together (README, "CLI").
+# document.  A matrix command costs more as either grows: a classify process
+# took 0.09-0.14 s on 8 x 8 unitaries at K = 128 (p = 3, 7) and 0.20-0.27 s
+# on 32 x 32 ones at K = 2, 10, but 0.62 s (p = 3) and 1.22 s (p = 7) at
+# n = 32 and K = 128 together (README, "CLI").
 MAX_PRECISION_K = 128
 MAX_MATRIX_N = 32
 
@@ -135,9 +135,9 @@ MAX_PROJECT_MOD_D = 65536
 # on a 2 x 2 matrix and 1.1-1.3 s on an 8 x 8 one at the cap (README, "CLI").
 MAX_SEMINORM_K = 4096
 
-# Largest size for shift-model, which inverts the size x size shift (Berkowitz,
-# O(size^4) ring operations): 0.16-0.20 s at p = 3, K = 2 and at p = 1000003,
-# K = 8 at the cap (README, "CLI").
+# Largest size for shift-model, which inverts the size x size shift (Gauss-Jordan,
+# O(size^3) ring operations): a process took 0.11-0.15 s at p = 3, K = 2 and at
+# p = 1000003, K = 8 at the cap (README, "CLI").
 MAX_SHIFT_MODEL_SIZE = 32
 
 

@@ -1,15 +1,19 @@
 """Classification and spectral decomposition of p-adic unitary matrices.
 
 The factorial-power limit of U is computed in closed form.  The order of U
-divides E = M * p^A, where M = lcm(q^d - 1, d <= n) is the prime-to-p exponent
-of GL_n(F_q) and p^A bounds the p-part at this precision.  The exponents
-p^(k!) are eventually 1 mod M and 0 mod p^A, so the limit is U^alpha for the
-alpha with those residues (`arith.teichmuller_exponent`): the Teichmuller part
-U_s of U = U_s U_n.  Nothing is factored and no residue order is searched,
-and the powers U^E and U^alpha are (t^e mod chi_U)(U) (`matrix_power`).
-The Jordan datum stays on the matrix: the passed audit U^E = I, U_s and U_n
-fill slots of U (see `PadicMatrix`), so the chain classify -> jordan ->
-spectral_decompose or power_zp pays for U^E, U^alpha and U_s^-1 once.
+divides E = M * p^A, where p^A bounds the p-part at this precision and, over
+Z_p, M = lcm(q^d - 1) over the degrees d of the irreducible factors of
+chi_U mod p: every residue eigenvalue lies in F_(q^d) for such a d.  The
+degrees come from the squarefree and distinct-degree steps
+(`fppoly.factor_degrees`); over an extension ring M runs over every d <= n,
+the exponent of GL_n(F_q).  The exponents p^(k!) are eventually 1 mod M and
+0 mod p^A, so the limit is U^alpha for the alpha with those residues
+(`arith.teichmuller_exponent`): the Teichmuller part U_s of U = U_s U_n.  No
+integer is factored and no residue order is searched, and the powers U^E and
+U^alpha are (t^e mod chi_U)(U) (`matrix_power`).  The Jordan datum stays on
+the matrix: (alpha, E), the passed audit U^E = I, U_s and U_n fill slots of
+U (see `PadicMatrix`), so the chain classify -> jordan -> spectral_decompose
+or power_zp pays for the degrees, U^E, U^alpha and U_s^-1 once.
 `spectral_decompose` passes the datum along: after the pro-finite audit on
 U, U_s = U^alpha is Teichmuller because alpha^2 = alpha mod E, so it is not
 classified again.  The one-parameter group is a power too: a continuous U
@@ -89,9 +93,19 @@ def _require_base_teichmuller(U: PadicMatrix):
 
 
 def _exponents(U: PadicMatrix) -> tuple[int, int]:
-    """(alpha, E) for U's ring and size (`arith.teichmuller_exponent`)."""
-    ring = U.ring
-    return teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, U.n)
+    """(alpha, E) for U (`arith.teichmuller_exponent`), computed once and kept on U.
+
+    Over Z_p, M runs over the degrees of the irreducible factors of chi_U
+    mod p (`fppoly.factor_degrees`), not over every d <= n.  An extension
+    ring keeps every d <= n: chi_U mod p is not factored over F_q here.
+    """
+    if U._exponents is None:
+        ring = U.ring
+        degrees = None
+        if isinstance(ring, Zp):
+            degrees = fppoly.factor_degrees(U.char_poly_raw(), ring.p)
+        U._exponents = teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, U.n, degrees)
+    return U._exponents
 
 
 def _audit(U: PadicMatrix) -> None:
@@ -312,14 +326,18 @@ def teichmuller_spectral(U: PadicMatrix) -> SpectralDatum:
     finding are randomized on a fixed seed; the datum does not depend on it.
     """
     _require_base_teichmuller(U)
-    return _teichmuller_spectral(U)
+    return _teichmuller_spectral(U, U.char_poly_raw())
 
 
-def _teichmuller_spectral(U: PadicMatrix) -> SpectralDatum:
-    """The body of `teichmuller_spectral`, for a U that passed its checks."""
+def _teichmuller_spectral(U: PadicMatrix, chi: list[int]) -> SpectralDatum:
+    """The body of `teichmuller_spectral`, for a U that passed its checks.
+
+    Only chi mod p is read: the characteristic polynomial of U mod p, or of
+    any matrix whose Teichmuller part is U.
+    """
     ring = U.ring
     p, K, pk = ring.p, ring.K, ring.pk
-    _, factors = fppoly.factor([c % p for c in U.char_poly_raw()], p)
+    _, factors = fppoly.factor([c % p for c in chi], p)
     rng = random.Random(fppoly._SEED)
     # per irreducible residue factor: (ring, lambda_0, multiplicity)
     raw_orbits = []
@@ -403,12 +421,15 @@ def spectral_decompose(U: PadicMatrix) -> SpectralDatum:
 
     After the pro-finite audit U^E = I, U_s = U^alpha is of Teichmuller type
     by construction (alpha^2 = alpha mod E), so it is not classified again;
-    the spectral body still verifies its reconstruction of U_s.
+    the spectral body still verifies its reconstruction of U_s.  It factors
+    chi_U mod p, which is chi_(U_s) mod p: U_n commutes with U_s and is
+    unipotent mod p, so U and U_s have the same eigenvalues mod p, and U_s
+    needs no char poly of its own.
     """
     _require_base_unitary(U)
     _audit(U)
     u_s, u_n = jordan_decompose(U)
-    datum = _teichmuller_spectral(u_s)
+    datum = _teichmuller_spectral(u_s, U.char_poly_raw())
     return SpectralDatum(
         base_ring=datum.base_ring, n=datum.n, orbits=datum.orbits, unipotent=u_n
     )
@@ -417,7 +438,7 @@ def spectral_decompose(U: PadicMatrix) -> SpectralDatum:
 def galois_act(U: PadicMatrix, k: int) -> PadicMatrix:
     """sigma^k on a Teichmuller operator: sum of sigma^k(lambda) pi_lambda = U^(p^k).
 
-    U^M = I for the prime-to-p exponent M = gcd(E, alpha - 1), and p is a
+    U^M = I for the prime-to-p part M = gcd(E, alpha - 1) of E, and p is a
     unit mod M, so p^k is taken mod M and a negative k needs no inverse.
     """
     _require_base_teichmuller(U)

@@ -180,3 +180,69 @@ def test_divmod_rejects_a_non_unit_lead_on_every_path():
             fppoly.divmod_poly(a, [1, 2, 5], m)
     with pytest.raises(ZeroDivisionError):
         fppoly.divmod_poly([1, 2], [], m)
+
+
+def _naive_pow_mod(a, e, f, m):
+    """a^e mod f by e products, each reduced by divmod."""
+    power = fppoly.divmod_poly([1], f, m)[1]
+    for _ in range(e):
+        power = fppoly.divmod_poly(fppoly.mul(power, a, m), f, m)[1]
+    return power
+
+
+@pytest.mark.parametrize("p,K", [(3, 1), (5, 4), (7, 6)])
+def test_pow_mod_all_one_bit_exponents_and_linear_moduli(p, K):
+    """e = 2^k - 1 (a one-bit at every step, so t is shifted before each reduction),
+    deg f = 1, and a unit lead other than 1, against naive mul/divmod."""
+    rng = random.Random(p + K)
+    m = p**K
+    for d in (1, 2, 3, 5):
+        for lead in (1, rng.randrange(2, p) + p * rng.randrange(m // p)):
+            f = [rng.randrange(m) for _ in range(d)] + [lead]
+            for a in ([0, 1], [rng.randrange(1, m), 1], [m - 1] * (d + 2)):
+                for k in range(1, 8):
+                    e = 2**k - 1
+                    assert fppoly.pow_mod(a, e, f, m) == _naive_pow_mod(a, e, f, m), (d, a, e)
+
+
+def test_pow_mod_keeps_its_contract():
+    """e = 0 gives [1], a = 0 gives [], and a non-unit lead raises ValueError, also for a = 0."""
+    m = 5**3
+    f = [1, 2, 1]
+    assert fppoly.pow_mod([2, 3], 0, f, m) == [1]
+    assert fppoly.pow_mod([], 7, f, m) == []
+    assert fppoly.pow_mod([m, 2 * m], 7, f, m) == []
+    for a in ([], [0, 1], [3, 4, 1]):
+        with pytest.raises(ValueError):
+            fppoly.pow_mod(a, 5, [1, 2, 5], m)
+
+
+def _sympy_degrees(f, p):
+    sympy = pytest.importorskip("sympy")
+    poly = sympy.Poly(f[::-1], sympy.symbols("t"), modulus=p)
+    return {factor.degree() for factor, _ in poly.factor_list()[1]}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_factor_degrees_match_sympy(p):
+    """Random products of powers of random polynomials, so that repeated factors and
+    p-th powers occur, and phi_2^2 phi_3, where the distinct-degree step alone reads {2, 5}."""
+    rng = random.Random(p)
+    cases = []
+    for _ in range(40):
+        f = [1]
+        for _ in range(rng.randint(1, 3)):
+            g = random_monic(rng, p, rng.randint(1, 4))
+            for _ in range(rng.choice([1, 1, 2, 3, p])):
+                f = fppoly.mul(f, g, p)
+        cases.append(f)
+    irreducible = {d: next(f for f in (random_monic(rng, p, d) for _ in range(1000))
+                           if fppoly.is_irreducible(f, p)) for d in (2, 3)}
+    phi2_sq_phi3 = fppoly.mul(fppoly.mul(irreducible[2], irreducible[2], p), irreducible[3], p)
+    cases.append(phi2_sq_phi3)
+    assert {d for _, d in fppoly._distinct_degree(phi2_sq_phi3, p)} == {2, 5}
+    for f in cases:
+        assert fppoly.factor_degrees(f, p) == _sympy_degrees(f, p), f
+    assert fppoly.factor_degrees([2], p) == set()
+    with pytest.raises(ValueError):
+        fppoly.factor_degrees([p, 2 * p], p)

@@ -141,6 +141,53 @@ def test_inverse_requires_unit_determinant():
                 call()
 
 
+INVERSE_RINGS = [Zp(3, 1), Zp(5, 20), Zp(1000003, 2), unram(3, 3, 2), unram(5, 2, 3)]
+
+
+def _with_entry(ring, A, i, j, value):
+    rows = [list(row) for row in A.rows]
+    rows[i][j] = ring.scalar(value).raw
+    return PadicMatrix(ring, rows)
+
+
+def _inverse_cases(ring, rng):
+    """Random unitaries, ones whose (0, 0) entry is 0 mod p (a row swap), and over an
+    extension ring ones whose (0, 0) pivot is a unit with its first coordinate 0 mod p."""
+    p = ring.p
+    for n in (1, 2, 3, 5):
+        yield random_unitary(ring, n, rng)
+    specials = [ring.p * rng.randrange(ring.pk)]
+    if not isinstance(ring, Zp):
+        specials += [(p * rng.randrange(ring.pk), 1 + p * rng.randrange(ring.pk)) + (0,) * (ring.m - 2),
+                     (0,) * (ring.m - 1) + (1,)]
+    for value in specials:
+        for n in (2, 4):
+            while not (A := _with_entry(ring, random_matrix(ring, n, rng), 0, 0, value)).is_unitary():
+                pass
+            yield A
+
+
+@pytest.mark.parametrize("ring", INVERSE_RINGS, ids=str)
+def test_inverse_by_elimination(ring):
+    """A^-1 A = A A^-1 = I, and A^-1 equals Cayley-Hamilton's t^-1 mod chi_A evaluated at A."""
+    for A in _inverse_cases(ring, random.Random(ring.pk + ring.degree)):
+        identity = PadicMatrix.identity(ring, A.n)
+        inverse = A.inverse()
+        assert inverse @ A == identity == A @ inverse
+        assert inverse == A.evaluate(A._t_inverse())
+
+
+@pytest.mark.parametrize("ring", INVERSE_RINGS, ids=str)
+def test_inverse_rejects_a_determinant_divisible_by_p(ring):
+    """Nonzero matrices with det = 0 mod p, also where det != 0 mod p^K, raise NotInvertible."""
+    p = ring.p
+    for rows in ([[1, 2], [2, 4 + p]], [[p, 0, 1], [0, 1, 0], [p * p, 0, 1]], [[0, 1], [0, 3]]):
+        A = PadicMatrix.from_rows(ring, rows)
+        assert not A.is_zero() and not ring.runit(A._det_raw())
+        with pytest.raises(NotInvertible):
+            A.inverse()
+
+
 @pytest.mark.parametrize("ring", CALCULUS_RINGS, ids=CALCULUS_IDS)
 def test_powers_of_either_sign_and_the_inverse_against_products(ring):
     """A^e for -n-1 <= e <= n+1 and e = +-2^70 +- 1, and A^-1, all by `evaluate`."""

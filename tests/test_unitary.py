@@ -1,5 +1,6 @@
 """Classification, Jordan split, spectral data, one-parameter groups, projections."""
 
+import itertools
 import math
 import random
 import re
@@ -759,34 +760,174 @@ def test_spectral_decompose_takes_no_frobenius_image_of_a_matrix(three_orbits, m
 
 
 def _record_pow_mod(monkeypatch):
+    """Record (exponent, modulus) of every `fppoly.pow_mod` call."""
     from padicu import fppoly
 
-    exponents = []
+    calls = []
     original = fppoly.pow_mod
 
-    def recorded(base, e, *args):
-        exponents.append(e)
-        return original(base, e, *args)
+    def recorded(base, e, f, *args):
+        calls.append((e, list(f)))
+        return original(base, e, f, *args)
 
     monkeypatch.setattr(fppoly, "pow_mod", recorded)
-    return exponents
+    return calls
+
+
+def _residue_degrees(chi, p):
+    """Degrees of the irreducible factors of chi mod p, from sympy's factor_list over GF(p)."""
+    sympy = pytest.importorskip("sympy")
+    poly = sympy.Poly([c % p for c in reversed(chi)], sympy.symbols("t"), modulus=p)
+    return {factor.degree() for factor, _ in poly.factor_list()[1]}
+
+
+def _exponent_pair(q, p, K, n, degrees):
+    """(alpha, E) written out here: M = lcm(q^d - 1, d in degrees), p^A with
+    A = K - 1 + the least a with p^a >= n, E = M p^A, alpha = 1 mod M, 0 mod p^A."""
+    M = math.lcm(*(q**d - 1 for d in degrees))
+    a = 0
+    while p**a < n:
+        a += 1
+    pa = p ** (K - 1 + a)
+    return pa * pow(pa, -1, M) % (M * pa), M * pa
 
 
 @pytest.mark.parametrize("make", [random_unitary, random_continuous, random_teichmuller])
 def test_the_chain_raises_u_to_e_and_alpha_once(make, monkeypatch):
-    from padicu.arith import teichmuller_exponent
-
+    """(alpha, E) come from the degrees of chi_U's residue factors, here sympy's, and
+    the chain raises U to each once: one `pow_mod` mod chi_U per exponent."""
     ring = Zp(5, 6)
     u = make(ring, 4, random.Random(17))
-    alpha, E = teichmuller_exponent(5, 5, 6, 4)
-    exponents = _record_pow_mod(monkeypatch)
+    chi = u.char_poly_raw()
+    alpha, E = _exponent_pair(5, 5, 6, 4, _residue_degrees(chi, 5))
+    calls = _record_pow_mod(monkeypatch)
     kind = unitary.classify(u)
     unitary.jordan_decompose(u)
     if kind.is_continuous:
         unitary.power_zp(u, 7)
     else:
         unitary.spectral_decompose(u)
-    assert exponents.count(E) == 1 and exponents.count(alpha) == 1
+    on_chi = [e for e, f in calls if f == chi]
+    assert on_chi.count(E) == 1 and on_chi.count(alpha) == 1
+
+
+def _square_and_multiply(A, e):
+    """A^e for e >= 0 by right-to-left binary powering on `@`, sharing no code with
+    `matrix_power`."""
+    result = PadicMatrix.identity(A.ring, A.n)
+    while e:
+        if e & 1:
+            result = result @ A
+        A = A @ A
+        e >>= 1
+    return result
+
+
+def _gl_n_exponents(ring, n):
+    """(alpha, E) from the exponent of GL_n(F_q), M = lcm(q^d - 1, d <= n), which serve
+    every unitary of size n whatever its residue factor degrees."""
+    return _exponent_pair(ring.residue_cardinality, ring.p, ring.K, n, range(1, n + 1))
+
+
+def _block_diagonal(ring, blocks):
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            rows[at + i][at : at + len(row)] = row
+        at += len(block)
+    return M(ring, rows)
+
+
+def _an_irreducible(p, d):
+    """The first monic irreducible of degree d over F_p, ascending, found by sympy."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    for tail in itertools.product(range(p), repeat=d):
+        f = list(tail) + [1]
+        if sympy.Poly(f[::-1], t, modulus=p).is_irreducible:
+            return f
+
+
+def _phi2_squared_phi3(ring):
+    """A 7 x 7 unitary with chi = phi_2^2 phi_3 mod p: a non-split Jordan block on the
+    companion matrix C of an irreducible quadratic phi_2, then that of a cubic phi_3."""
+    phi2, phi3 = _an_irreducible(ring.p, 2), _an_irreducible(ring.p, 3)
+    c2 = [[0, -phi2[0]], [1, -phi2[1]]]
+    c3 = [[0, 0, -phi3[0]], [1, 0, -phi3[1]], [0, 1, -phi3[2]]]
+    jordan = [c2[0] + [1, 0], c2[1] + [0, 1], [0, 0] + c2[0], [0, 0] + c2[1]]
+    u = _block_diagonal(ring, [jordan, c3])
+    assert _residue_degrees(u.char_poly_raw(), ring.p) == {2, 3}
+    return u
+
+
+def _gl_n_cases():
+    for p, K, n in [(3, 3, 5), (5, 4, 6), (7, 3, 8), (5, 20, 6), (7, 30, 8)]:
+        rng = random.Random(p * 1000 + n)
+        for make in (random_unitary, random_continuous, random_teichmuller):
+            yield pytest.param(p, K, n, make, rng.randrange(10**6), id=f"{p}-{K}-{n}-{make.__name__}")
+    for p, K in [(3, 4), (5, 3), (7, 5)]:
+        yield pytest.param(p, K, 7, "phi2^2 phi3", None, id=f"{p}-{K}-7-phi2sq-phi3")
+
+
+@pytest.mark.parametrize("p,K,n,make,seed", list(_gl_n_cases()))
+def test_the_split_matches_the_gl_n_exponent(p, K, n, make, seed):
+    """U_s = U^alpha_gl and U_n U_s = U, with alpha_gl from lcm(q^d - 1, d <= n) and
+    the power taken by square-and-multiply: the residue degrees change the exponent,
+    never the split."""
+    ring = Zp(p, K)
+    u = _phi2_squared_phi3(ring) if seed is None else make(ring, n, random.Random(seed))
+    alpha_gl, _ = _gl_n_exponents(ring, n)
+    u_s_gl = _square_and_multiply(u, alpha_gl)
+    kind = unitary.classify(PadicMatrix(ring, u.rows))
+    u_s, u_n = unitary.jordan_decompose(u)
+    assert kind.witness == u_s == u_s_gl
+    assert u_n @ u_s_gl == u
+    if make is random_teichmuller:
+        assert kind.is_teichmuller
+    elif make is random_continuous:
+        assert kind.is_continuous
+    elif seed is None:
+        assert kind.kind == unitary.PROFINITE_MIXED
+
+
+@pytest.mark.parametrize("p,K,n,seed", [(3, 3, 5, 1), (5, 4, 6, 2), (7, 3, 8, 3), (5, 20, 6, 4)])
+def test_galois_act_matches_the_gl_n_exponent(p, K, n, seed):
+    """sigma^k acts as U^(p^k mod M) for k in -3..3, M = lcm(q^d - 1, d <= n)."""
+    ring = Zp(p, K)
+    u = random_teichmuller(ring, n, random.Random(seed))
+    M_gl = math.lcm(*(p**d - 1 for d in range(1, n + 1)))
+    for k in range(-3, 4):
+        assert unitary.galois_act(u, k) == _square_and_multiply(u, pow(p, k, M_gl)), k
+
+
+def test_spectral_decompose_runs_berkowitz_on_u_alone(monkeypatch):
+    """U_s is factored through chi_U mod p, equal to chi_(U_s) mod p, so the chain
+    runs Berkowitz once on U and never on U_s (the orbit polynomials run their own)."""
+    runs = []
+    berkowitz = PadicMatrix._berkowitz
+
+    def counted(self):
+        runs.append(self)
+        return berkowitz(self)
+
+    for seed in range(4):
+        u = random_unitary(Zp(5, 6), 4, random.Random(seed))
+        u = PadicMatrix(u.ring, u.rows)  # no chi_U yet
+        monkeypatch.setattr(PadicMatrix, "_berkowitz", counted)
+        runs.clear()
+        try:
+            unitary.spectral_decompose(u)
+        except Unsupported:  # a residue degree with no shipped modulus
+            continue
+        finally:
+            monkeypatch.undo()
+        u_s = unitary.jordan_decompose(u)[0]
+        assert sum(m is u for m in runs) == 1 and not any(m is u_s for m in runs)
+        assert fppoly.factor([c % 5 for c in u_s.char_poly_raw()], 5) == fppoly.factor(
+            [c % 5 for c in u.char_poly_raw()], 5
+        )
 
 
 def test_classify_on_a_fresh_matrix_inverts_nothing(monkeypatch):
