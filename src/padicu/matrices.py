@@ -2,9 +2,10 @@
 
 Entries are stored as the rings' raw values (ints, or coefficient tuples),
 so the inner loops run on plain integers; scalar objects only appear at the
-API boundary.  Everything is exact modulo p^K: the characteristic polynomial
-is computed division-free (Berkowitz), and the Smith form uses
-minimal-valuation pivoting, which is enough over the local ring Z/p^j.
+API boundary; a Z_p product packs each row of B into one int (`_matmul`).
+Everything is exact modulo p^K: the characteristic polynomial is computed
+division-free (Berkowitz), and the Smith form uses minimal-valuation
+pivoting, which is enough over the local ring Z/p^j.
 
 `PadicMatrix.evaluate` is the one functional calculus.  By Cayley-Hamilton a
 Laurent polynomial f = t^low g of A is r(A) with r = t^low g mod chi_A, of
@@ -18,6 +19,7 @@ char poly and its Horner products.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import fppoly, ringpoly
@@ -93,6 +95,9 @@ class SeminormResult(NamedTuple):
 
 class PadicMatrix:
     """Immutable n x n matrix; unitary means unit determinant.
+
+    Raw values are reduced, a Z_p raw in [0, p^K), as `from_rows` and the CLI
+    reader ensure: a packed Z_p product's slots hold no sign and no carry.
 
     Five slots are filled lazily and kept on the object, a memo per matrix
     rather than a cache keyed by value.  A matrix starts with all five empty.
@@ -265,9 +270,7 @@ class PadicMatrix:
             v = col_part
             for _ in range(1, r):
                 q.append(_dot(ring, row_part, v))
-                v = [
-                    _dot(ring, rows[i][: r - 1], v) for i in range(r - 1)
-                ]
+                v = [_dot(ring, rows[i][: r - 1], v) for i in range(r - 1)]
             new_c = []
             for i in range(r + 1):
                 acc = c[i] if i < len(c) else ring.zero
@@ -481,6 +484,8 @@ class PadicMatrix:
 
 
 def _dot(ring, xs, ys):
+    if isinstance(ring, Zp):
+        return sum(map(mul, xs, ys)) % ring.pk
     acc = ring.zero
     for a, b in zip(xs, ys):
         acc = ring.radd(acc, ring.rmul(a, b))
@@ -496,13 +501,25 @@ def _plus_diagonal(ring, rows, c) -> list:
 
 
 def _matmul(ring, A, B):
-    Bt = list(zip(*B))
+    """A B on raw rows; over Z_p row i is sum_k A[i][k] (row k of B packed), unpacked."""
+    n = len(B)
     if isinstance(ring, Zp):
-        pk = ring.pk
-        return tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) % pk for col in Bt) for row in A
-        )
+        s, packed = _pack(B, n, ring.pk)
+        return tuple(tuple(_unpack(sum(map(mul, row, packed)), s, n, ring.pk)) for row in A)
+    Bt = list(zip(*B))
     return tuple(tuple(_dot(ring, row, col) for col in Bt) for row in A)
+
+
+def _pack(vectors, terms: int, pk: int) -> tuple[int, list[int]]:
+    """(s, each vector as one int of s-bit slots, first lowest); s fits `terms` products < pk^2."""
+    s = (terms * (pk - 1) ** 2).bit_length()
+    return s, [sum(v << k for v, k in zip(vec, range(0, s * len(vec), s))) for vec in vectors]
+
+
+def _unpack(y: int, s: int, count: int, pk: int) -> list:
+    """The first `count` s-bit slots of y, each reduced mod pk."""
+    mask = (1 << s) - 1
+    return [((y >> k) & mask) % pk for k in range(0, s * count, s)]
 
 
 def _exact_div(ring, value, pd: int):

@@ -251,16 +251,11 @@ class UnramRing:
         return b
 
     def rpow(self, a, e: int):
+        """a^e as a polynomial power mod the modulus (packed, `fppoly.pow_mod`)."""
         if e < 0:
-            a = self.rinv(a)
-            e = -e
-        r = self.one
-        while e:
-            if e & 1:
-                r = self.rmul(r, a)
-            a = self.rmul(a, a)
-            e >>= 1
-        return r
+            a, e = self.rinv(a), -e
+        r = fppoly.pow_mod(a, e, self.modulus, self.pk)
+        return tuple(r) + (0,) * (self.m - len(r))
 
     def rfrob(self, a):
         """sigma(sum a_i X^i) = sum a_i X^(ip): one dot product per coordinate."""

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 import random
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import fppoly, ringpoly
@@ -59,7 +60,7 @@ from .arith import teichmuller_exponent
 from .errors import (
     InputError, NotAUnit, NotContinuous, NotTeichmuller, NotUnitary, PadicError, Unsupported,
 )
-from .matrices import PadicMatrix, orbit_polynomial, residue_matrix_order
+from .matrices import PadicMatrix, _pack, _unpack, orbit_polynomial, residue_matrix_order
 from .scalars import ONE_MINUS, AnyRing, PadicScalar, UnramRing, Zp, unram
 
 if TYPE_CHECKING:
@@ -374,17 +375,17 @@ def _teichmuller_spectral(U: PadicMatrix, chi: list[int]) -> SpectralDatum:
 
 
 def _linear_combination(ring: AnyRing, coeffs: list, matrices: list[PadicMatrix]) -> PadicMatrix:
-    """sum c_k A_k over ring, for raw values c_k of ring and Z_p matrices A_k."""
+    """sum c_k A_k over ring, for raw values c_k of ring and Z_p matrices A_k.
+
+    Over an extension ring each c_k is one int, packed by `matrices._pack`.
+    """
     pk, n = ring.pk, matrices[0].n
     entries = zip(*(sum(A.rows, ()) for A in matrices))  # per entry, its values in A_0, A_1, ...
     if isinstance(ring, Zp):
-        values = [sum(c * x for c, x in zip(coeffs, entry)) % pk for entry in entries]
+        values = [sum(map(mul, coeffs, entry)) % pk for entry in entries]
     else:
-        columns = list(zip(*coeffs))  # per coordinate of ring, its value in each c_k
-        values = [
-            tuple(sum(c * x for c, x in zip(column, entry)) % pk for column in columns)
-            for entry in entries
-        ]
+        s, packed = _pack(coeffs, len(coeffs), pk)
+        values = [tuple(_unpack(sum(map(mul, packed, entry)), s, ring.m, pk)) for entry in entries]
     return PadicMatrix(ring, [values[i * n : (i + 1) * n] for i in range(n)])
 
 

@@ -374,6 +374,14 @@ def more_audit_cases():
             for suite in ("linalg", "quantum", "gm") for seed in (0, 5)]
 
 
+def empty_matrix_cases():
+    """The 0 x 0 matrix through every command that reads one and needs no other size."""
+    empty = {"p": 3, "K": 2, "n": 0, "entries": []}
+    return [("classify", "empty", {"matrix": empty}), ("jordan", "empty", {"matrix": empty}),
+            ("spectral", "empty", {"matrix": empty}), ("galois-act", "empty", {"matrix": empty, "k": 1}),
+            ("power-zp", "empty", {"matrix": empty, "t": 2}), ("seminorm", "empty", {"matrix": empty})]
+
+
 def build_cases():
     rng = random.Random(20231018)
     cases = (formal_group_cases(rng) + teich_factor_cases(rng)
@@ -384,7 +392,7 @@ def build_cases():
               + unram_matrix_cases(rng) + decompose_zp_cases(rng))
     rng = random.Random(5)
     return (cases + projection_cases(rng) + laurent_scalar_cases(rng) + quantum_cases(rng)
-            + seminorm_cases(rng) + more_audit_cases())
+            + seminorm_cases(rng) + more_audit_cases() + empty_matrix_cases())
 
 
 def run_case(command: str, raw: str) -> tuple[int, str]:
