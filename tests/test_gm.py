@@ -384,24 +384,6 @@ def test_evaluate_matrix_requires_matching_precision():
     assert out.is_zero()
 
 
-def test_sylvester_4x4_closed_form_matches_elimination():
-    """The unrolled 4 x 4 path against the general path on 2 + 2 Sylvester matrices.
-
-    Both return the adjugate row only for a unit determinant, so the tuples
-    agree on non-unit determinants too.
-    """
-    rng = random.Random(44)
-    for p, K in ((3, 3), (5, 2), (7, 4)):
-        ring = Zp(p, K)
-        for _ in range(200):
-            fc = [rng.randrange(ring.pk) for _ in range(3)]
-            gc = [rng.randrange(ring.pk) for _ in range(3)]
-            rows = gm._sylvester(fc, gc)
-            assert gm._det_and_adjugate_last_row(
-                rows, ring
-            ) == gm._elimination_det_and_adjugate_last_row(rows, ring)
-
-
 def test_evaluate_matrix_with_negative_low_matches_inverse_powers():
     """f(U) for -3 <= low <= 3 against sum c_e U^e, each U^e a product of |e|
     copies of U or of U.inverse(), which is checked against U first."""

@@ -2,9 +2,10 @@
 
 sympy is a test-only oracle: it computes res(f, g) over Z by its own
 subresultant PRS (``res_z``), and the certificate identity k*f + l*g = res is
-checked with sympy's polynomial arithmetic.  The Sylvester determinant and
-the last adjugate row are checked against sympy's ``Matrix.det`` and
-``Matrix.adjugate`` over Z, reduced mod p^j.  ``res_z`` follows the convention
+checked with sympy's polynomial arithmetic.  The one elimination routine is
+checked on the multiplication and Sylvester matrices against sympy's
+``Matrix.det`` and ``Matrix.adjugate`` over Z, reduced mod p^j.  Pairs with a
+non-unit lead or a constant side get the same checks.  ``res_z`` follows the convention
 res(f, g) = lc(f)^deg(g) * prod of g over the roots of f; the top-level
 ``sympy.resultant`` of sympy 1.14 returns the opposite sign on some pairs
 with deg(f) * deg(g) odd, so it is not used.  Skipped when sympy is absent.
@@ -88,13 +89,31 @@ def _shared_root_pair(rng, p, pk, dm, dn):
     return f, g
 
 
-def _sympy_adjugate_last_row(S):
+def _adjugate_first_row(S):
     n = S.rows
     if n <= 8:
-        return [int(x) for x in S.adjugate().row(n - 1)]
+        return [int(x) for x in S.adjugate().row(0)]
     # adj S is the transposed cofactor matrix; the full adjugate of a 16 x 16
-    # integer matrix takes seconds, its last row (N cofactors) does not
-    return [int(S.cofactor(i, n - 1)) for i in range(n)]
+    # integer matrix takes seconds, its first row (N cofactors) does not
+    return [int(S.cofactor(i, 0)) for i in range(n)]
+
+
+def _check_det_and_solve(columns, ring):
+    """The routine against sympy over Z, reduced mod p^j.
+
+    With S the matrix whose rows are the given columns, M = S^T, so det M =
+    det S and det * M^-1 e_0 = adj(M) e_0 is the first row of adj S.
+    """
+    pj = ring.pk
+    S = sympy.Matrix(columns)
+    det = int(S.det()) % pj
+    got_det, solution = gm._det_and_solve(columns, ring)
+    assert got_det == det
+    if det % ring.p:
+        assert [det * v % pj for v in solution] == [x % pj for x in _adjugate_first_row(S)]
+    else:
+        assert solution is None
+    return det
 
 
 KINDS = ("unit", "shared-root", "equal")
@@ -105,10 +124,15 @@ SYLVESTER_CASES = [(dm, dn, kind) for dm, dn in SHAPES for kind in KINDS if kind
     "dm,dn,kind", SYLVESTER_CASES, ids=[f"{m}+{n}-{kind}" for m, n, kind in SYLVESTER_CASES]
 )
 def test_sylvester_det_and_adjugate_row_against_sympy(dm, dn, kind):
-    """Both Sylvester paths against sympy; the row is given only for a unit det.
+    """The one elimination routine on both matrices it serves, against sympy.
 
-    Shared-root pairs have det of valuation >= 2, so elimination meets pivots
-    of positive valuation; f = g has det 0 over Z and an all-zero column.
+    - Multiplication by g on (Z/p^j)[t]/(f), for f with a unit lead: det and
+      det * g^-1 mod f, the solution given only for a unit det.  res_z
+      checks the columns themselves: res(f, g) = lc(f)^deg g * det.
+      Shared-root pairs have det of valuation >= 2, so elimination meets
+      pivots of positive valuation; f = g gives the zero matrix.
+    - The Sylvester matrix of the pair with both leads times p, the only
+      pairs it serves: det only, a non-unit.
     """
     rng = random.Random(f"sylvester-{dm}-{dn}-{kind}")
     for p, j in ((3, 4), (5, 3), (7, 3)):
@@ -120,13 +144,87 @@ def test_sylvester_det_and_adjugate_row_against_sympy(dm, dn, kind):
             f, g = _shared_root_pair(rng, p, pj, dm, dn)
         else:
             f = g = _unit_coeffs(rng, p, pj, dm)
-        rows = gm._sylvester(f, g)
-        S = sympy.Matrix(rows)
-        det = int(S.det()) % pj
-        expected = (det, [x % pj for x in _sympy_adjugate_last_row(S)] if det % p else None)
+        det = _check_det_and_solve(gm._multiplication_columns(f, g, pj), ring)
+        res = int(res_z(_poly(f).as_expr(), _poly(g).as_expr(), t))
+        assert res % pj == pow(f[-1], dn, pj) * det % pj
         if kind == "shared-root":
             assert det % (p * p) == 0
         if kind == "equal":
             assert det == 0
-        assert gm._elimination_det_and_adjugate_last_row(rows, ring) == expected
-        assert gm._det_and_adjugate_last_row(rows, ring) == expected
+        f, g = f[:-1] + [f[-1] * p % pj], g[:-1] + [g[-1] * p % pj]
+        assert _check_det_and_solve(gm._sylvester(f, g), ring) % p == 0
+
+
+# -- pairs whose leads are not both units ----------------------------------------
+
+
+def _coeffs_with_lead(rng, p, pk, d, unit_lead):
+    """Random coefficients of degree d mod pk; a non-unit lead is p times a unit.
+
+    The constant term is nonzero, so no Laurent shift is split off.
+    """
+    coeffs = [rng.randrange(1, pk)] + [rng.randrange(pk) for _ in range(d)]
+    coeffs[-1] = rng.randrange(1, pk)
+    while (coeffs[-1] % p != 0) != unit_lead or coeffs[-1] % (p * p) == 0 and not unit_lead:
+        coeffs[-1] = rng.randrange(1, pk)
+    return coeffs
+
+
+def _check_certificate(F, G, f, g, j):
+    """res against res_z, and k*f + l*g = res with deg k < deg g, deg l < deg f.
+
+    Two constants have res = 1 and are orthogonal only when one is a unit;
+    their pair is the inverse of that unit, so the degree bounds skip them.
+    """
+    p, pj = F.ring.p, F.ring.p**j
+    res = int(res_z(_poly(f).as_expr(), _poly(g).as_expr(), t)) % pj
+    cert = gm.orthogonality_test(F, G, j)
+    assert cert.res.lift() == res
+    constants = len(f) == len(g) == 1
+    assert cert.orthogonal == bool(f[0] % p or g[0] % p if constants else res % p)
+    if not cert.orthogonal:
+        assert cert.bezout_k is None and cert.bezout_l is None
+        return cert
+    k, l = cert.bezout_k.coeffs_from_zero(), cert.bezout_l.coeffs_from_zero()
+    assert constants or len(k) < len(g) and len(l) < len(f)
+    combo = (_poly(k) * _poly(f) + _poly(l) * _poly(g)).all_coeffs()[::-1]
+    assert [int(c) % pj for c in combo] == [res] + [0] * (len(combo) - 1)
+    return cert
+
+
+# (deg f, deg g, f has a unit lead, g has a unit lead)
+CONSTANT_SIDE = [(0, n) for n in range(4)] + [(m, 0) for m in range(1, 4)]
+LEAD_CASES = (
+    [(m, n, False, True) for m, n in ((1, 1), (3, 3), (2, 3), (3, 1), (5, 4), (1, 6))]
+    + [(m, n, True, False) for m, n in ((1, 1), (3, 3), (3, 2), (1, 3), (4, 5), (6, 1))]
+    + [(m, n, False, False) for m, n in ((1, 1), (2, 3), (3, 3), (4, 2))]
+    + [(m, n, fu, gu) for m, n in CONSTANT_SIDE for fu in (True, False) for gu in (True, False)]
+)
+
+
+@pytest.mark.parametrize(
+    "dm,dn,f_unit,g_unit",
+    LEAD_CASES,
+    ids=[f"{m}+{n}-{'uU'[fu]}{'uU'[gu]}" for m, n, fu, gu in LEAD_CASES],
+)
+def test_pairs_with_a_non_unit_lead_or_a_constant_against_sympy(dm, dn, f_unit, g_unit):
+    """A non-unit lead is p times a unit, so the degree survives reduction mod p^j.
+
+    With one unit lead the certificate comes from the quotient by that
+    polynomial, and odd deg f * deg g checks the sign of res(f, g) =
+    (-1)^(mn) res(g, f).  With none, res is the exact non-unit Sylvester
+    determinant.  A constant side has res = c^deg of the other side.
+    """
+    rng = random.Random(f"leads-{dm}-{dn}-{f_unit}-{g_unit}")
+    seen = set()
+    for p, K, j in ((3, 4, 4), (5, 3, 2), (7, 3, 3), (3, 5, 3)):
+        ring = Zp(p, K)
+        for _ in range(6):
+            f = _coeffs_with_lead(rng, p, p**j, dm, f_unit)
+            g = _coeffs_with_lead(rng, p, p**j, dn, g_unit)
+            F = LaurentPoly.from_coeffs(ring, f, low=rng.choice((-2, 0, 1)))
+            G = LaurentPoly.from_coeffs(ring, g, low=rng.choice((-1, 0, 3)))
+            seen.add(_check_certificate(F, G, f, g, j).orthogonal)
+    # with one unit lead and no constant side both answers are reachable
+    if dm and dn and (f_unit or g_unit):
+        assert seen == {True, False}
