@@ -46,7 +46,11 @@ def padic_valuation(n: int, p: int, cap: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; fine at this library's scale."""
+    """Prime factorization by trial division, of one degree or q^d - 1 at a time.
+
+    Callers: `fppoly.is_irreducible`, `matrices._exact_order` and
+    `glnp.build_generators`.  A piece with two large primes stalls it.
+    """
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -56,13 +60,6 @@ def factorize(n: int) -> dict[int, int]:
         d += 1 if d == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
-    return out
-
-
-def merge_factorizations(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out = dict(a)
-    for q, e in b.items():
-        out[q] = max(out.get(q, 0), e)
     return out
 
 

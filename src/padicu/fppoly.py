@@ -10,12 +10,12 @@ generator on the fixed seed `_SEED`; the factors come back sorted, so they
 do not depend on it.  `factor_degrees` stops before the splitting: the
 degrees alone are what the Jordan exponents need.
 
-The coefficients stay plain ints: these loops carry the Sylvester, Bezout
+The coefficients stay plain ints: these loops carry the resultant, Bezout
 and Hensel work, and taking the ring operations from a ring handle made
-them measurably slower.  Polynomials meet extension rings elsewhere:
-`PadicMatrix.evaluate` gives f(U), `ringpoly` holds polynomials over a ring
-handle (f(x) at a raw value is `ringpoly.divide_linear`), and
-`matrices.orbit_polynomial` gives a Frobenius-orbit product.
+them measurably slower.  `mul_columns`, multiplication on (Z/p)[t]/(a), is
+eliminated by `gm.orthogonality_test` and gives `matrices.orbit_polynomial`
+its Frobenius-orbit product.  `PadicMatrix.evaluate` gives f(U), and
+`ringpoly` holds polynomials over a ring handle.
 """
 
 from __future__ import annotations
@@ -181,6 +181,33 @@ def pow_mod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
             if bit == "1":
                 x = reduce(x * packed_b)
     return trim([(x >> k) & mask for k in shifts])
+
+
+def mul_columns(a: list[int], b: list[int], p: int) -> list[list[int]]:
+    """Columns b t^i mod a, i < deg a: multiplication by b on (Z/p)[t]/(a).
+
+    a has a unit lead.  Multiplying by t folds the top coefficient back
+    through t^deg a mod a; Horner's rule with that step gives b mod a, and
+    each further column is t times the one before.
+    """
+    d = len(a) - 1
+    if not d:
+        return []
+    inv_lead = pow(a[-1], -1, p)
+    fold = [-c * inv_lead % p for c in a[:-1]]  # t^d mod a
+
+    def times_t(col):
+        top = col[-1]
+        return [(x + top * y) % p for x, y in zip([0, *col[:-1]], fold)]
+
+    col = [0] * d
+    for c in reversed(b):
+        col = times_t(col)
+        col[0] = (col[0] + c) % p
+    columns = [col]
+    for _ in range(d - 1):
+        columns.append(times_t(columns[-1]))
+    return columns
 
 
 def derivative(a: list[int], p: int) -> list[int]:

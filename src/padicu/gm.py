@@ -21,10 +21,11 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import fppoly
+from .arith import padic_valuation
 from .errors import (
     InputError, NonUnitLead, NotOrthogonal, NotUnitary, PrecisionMismatch, ZeroPolynomial,
 )
-from .matrices import PadicMatrix, residue_matrix_order
+from .matrices import PadicMatrix, _exact_order, residue_matrix_order
 from .scalars import PadicScalar, Zp
 
 if TYPE_CHECKING:
@@ -231,33 +232,6 @@ def _det_and_solve(columns: list[list[int]], ring: Zp) -> tuple[int, list[int] |
     return det, y
 
 
-def _multiplication_columns(a: list[int], b: list[int], pk: int) -> list[list[int]]:
-    """Columns b t^i mod a, i < deg a: multiplication by b on (Z/p^j)[t]/(a).
-
-    a has a unit lead.  Multiplying by t folds the top coefficient back
-    through t^deg a mod a; Horner's rule with that step gives b mod a, and
-    each further column is t times the one before.
-    """
-    d = len(a) - 1
-    if not d:
-        return []
-    inv_lead = pow(a[-1], -1, pk)
-    fold = [-c * inv_lead % pk for c in a[:-1]]  # t^d mod a
-
-    def times_t(col):
-        top = col[-1]
-        return [(x + top * y) % pk for x, y in zip([0, *col[:-1]], fold)]
-
-    col = [0] * d
-    for c in reversed(b):
-        col = times_t(col)
-        col[0] = (col[0] + c) % pk
-    columns = [col]
-    for _ in range(d - 1):
-        columns.append(times_t(columns[-1]))
-    return columns
-
-
 def _sylvester(fc: list[int], gc: list[int]) -> list[list[int]]:
     """Sylvester matrix; rows are shifted descending coefficient vectors."""
     m, n = len(fc) - 1, len(gc) - 1
@@ -310,7 +284,7 @@ def orthogonality_test(f: LaurentPoly, g: LaurentPoly, j: int) -> OrthogonalityC
     if a[-1] % p == 0:  # not orthogonal, also for two constants with res = 1
         res_val, solution = _det_and_solve(_sylvester(fc, gc), ring_j)[0], None
     else:
-        det, solution = _det_and_solve(_multiplication_columns(a, b, pj), ring_j)
+        det, solution = _det_and_solve(fppoly.mul_columns(a, b, pj), ring_j)
         sign = -1 if swap and (len(fc) - 1) * (len(gc) - 1) % 2 else 1
         res_val = sign * pow(a[-1], len(b) - 1, pj) * det % pj
     if solution is None:
@@ -548,8 +522,8 @@ def principal_exponent(arg, j: int) -> PrincipalExponent:
     """Least p^l * N with the reduction order N such that U^(p^l N) = I mod p^j.
 
     Accepts a unitary matrix or a unit polynomial (taken through its companion
-    matrix).  l <= j - 1 always suffices because 1 + p M_n has exponent
-    p^(j-1) for p >= 3.
+    matrix).  n is the exact order of U mod p^j: U^N = I mod p, and the kernel
+    of reduction mod p is a p-group, so n = p^l * N.
     """
     if isinstance(arg, LaurentPoly):
         if not arg.is_unit_polynomial():
@@ -563,15 +537,8 @@ def principal_exponent(arg, j: int) -> PrincipalExponent:
     else:
         raise TypeError("expected a unit polynomial or a unitary matrix")
     N = residue_matrix_order(U)
-    reduced = U.reduce(j)
-    p = reduced.ring.p
-    identity = PadicMatrix.identity(reduced.ring, reduced.n)
-    power = reduced.matrix_power(N)  # U^(p^l N), one p-th power per step
-    for l in range(j + U.n + 2):
-        if power == identity:
-            return PrincipalExponent(p**l * N, l, N)
-        power = power.matrix_power(p)
-    raise ArithmeticError("principal exponent search failed; precision exhausted")
+    n = _exact_order(U.reduce(j))
+    return PrincipalExponent(n, padic_valuation(n // N, U.ring.p, n), N)
 
 
 def ideal_lattice(n1: int, n2: int) -> tuple[int, int]:

@@ -23,6 +23,7 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import fppoly, ringpoly
+from .arith import factorize, teichmuller_exponent
 from .errors import InputError, NotInvertible, PrecisionMismatch
 from .scalars import AnyRing, PadicScalar, Zp
 
@@ -101,16 +102,18 @@ class PadicMatrix:
 
     Five slots are filled lazily and kept on the object, a memo per matrix
     rather than a cache keyed by value.  A matrix starts with all five empty.
+    This module fills the first three, `unitary` the last two.
     - `_chi`: the characteristic polynomial, filled by `char_poly_raw`, so
       the determinant and every power share one Berkowitz run.  `inverse`
       eliminates and does not read it.
-    - `_exponents`: the Jordan exponents (alpha, E), filled by
-      `unitary._exponents` from the degrees of the residue factors of `_chi`
-      over Z_p (through the audit, `classify`, `jordan_decompose`,
-      `galois_act` and `power_zp`).
+    - `_exponents`: the Jordan exponents (alpha, E), filled by `_exponents`
+      from the degrees of the residue factors of `_chi` over Z_p (through
+      the audit, `classify`, `jordan_decompose`, `galois_act` and
+      `power_zp`).
     - `_audited`: True once the pro-finite audit U^E = I has passed, set by
-      `unitary._audit` (through `classify` and `spectral_decompose`).  A
-      failed audit raises and is never recorded.
+      `_audit` (through `classify`, `spectral_decompose` and `_exact_order`,
+      which `residue_matrix_order` and `gm.principal_exponent` run on a
+      reduction of U).  A failed audit raises and is never recorded.
     - `_teich`: the Teichmuller part U_s = U^alpha, filled by
       `unitary._teichmuller_part` (through `classify` and `jordan_decompose`).
     - `_unipotent`: the continuous part U_n = U U_s^-1, filled only by
@@ -593,43 +596,70 @@ def orbit_polynomial(ring: Zp, modulus, y) -> list[int]:
     multiplication by y, so it comes out of Berkowitz with Galois-fixed
     (integer) coefficients.  For a Teichmuller y the conjugates are y^(p^i).
     """
-    pk, m = ring.pk, len(modulus) - 1
-    column = [c % pk for c in y] + [0] * (m - len(y))
-    columns = []
-    for _ in range(m):
-        columns.append(column)
-        top = column[-1]  # X * column, reduced by the monic modulus
-        column = [(-top * modulus[0]) % pk] + [
-            (column[i - 1] - top * modulus[i]) % pk for i in range(1, m)
-        ]
+    columns = fppoly.mul_columns(modulus, y, ring.pk)
     return PadicMatrix(ring, list(zip(*columns))).char_poly_raw()
 
 
-def residue_matrix_order(U: PadicMatrix) -> int:
-    """Multiplicative order of the reduction of U in GL_n over the residue field.
+# -- the Jordan exponents and exact orders ----------------------------------------
 
-    Found by factoring the (small) group order through its q^k - 1 pieces and
-    descending through divisors, so no power enumeration is needed.
+
+def _residue_degrees(U: PadicMatrix):
+    """Degrees d with every residue eigenvalue of U in some F_(q^d).
+
+    Over Z_p, those of the irreducible factors of chi_U mod p; an extension
+    ring keeps every d <= n, as chi_U mod p is not factored over F_q here.
     """
-    from .arith import factorize, merge_factorizations, unipotent_depth
+    if isinstance(U.ring, Zp):
+        return fppoly.factor_degrees(U.char_poly_raw(), U.ring.p)
+    return range(1, U.n + 1)
 
-    n = U.n
+
+def _exponents(U: PadicMatrix) -> tuple[int, int]:
+    """(alpha, E) for U (`arith.teichmuller_exponent`), computed once and kept on U."""
+    if U._exponents is None:
+        ring = U.ring
+        U._exponents = teichmuller_exponent(
+            ring.residue_cardinality, ring.p, ring.K, U.n, _residue_degrees(U)
+        )
+    return U._exponents
+
+
+def _audit(U: PadicMatrix) -> None:
+    """The pro-finite audit U^E = I, run once per matrix.
+
+    The audit checks the one fact the closed form relies on: the order of U
+    divides E.  A pass is recorded on U; a failure raises and records nothing.
+    """
+    if not U._audited:
+        _, E = _exponents(U)
+        if U.matrix_power(E) != PadicMatrix.identity(U.ring, U.n):
+            raise ArithmeticError("unitary matrix failed the pro-finite audit")
+        U._audited = True
+
+
+def _exact_order(U: PadicMatrix) -> int:
+    """The multiplicative order of a unitary U, descended from its audited E.
+
+    The primes of E = M * p^A are p and those of each q^d - 1, factored one
+    by one: trial division on M whole could meet two large primes from
+    different pieces.  Each prime r is divided out while U^(order / r) = I.
+    """
+    _audit(U)
+    _, order = _exponents(U)
+    ring = U.ring
+    primes = {ring.p}
+    for d in _residue_degrees(U):
+        primes.update(factorize(ring.residue_cardinality**d - 1))
+    identity = PadicMatrix.identity(ring, U.n)
+    for r in sorted(primes):
+        while order % r == 0 and U.matrix_power(order // r) == identity:
+            order //= r
+    return order
+
+
+def residue_matrix_order(U: PadicMatrix) -> int:
+    """Multiplicative order of the reduction of U in GL_n over the residue field."""
     reduced = U.reduce(1)
     if not reduced.is_unitary():
         raise NotInvertible("matrix is singular modulo p")
-    q = U.ring.residue_cardinality
-    exponent_fac: dict[int, int] = {}
-    for k in range(1, n + 1):
-        exponent_fac = merge_factorizations(exponent_fac, factorize(q**k - 1))
-    # p-part of the exponent: unipotent order is p^ceil(log_p n)
-    a = unipotent_depth(n, U.ring.p)
-    if a:
-        exponent_fac = merge_factorizations(exponent_fac, {U.ring.p: a})
-    order = 1
-    for prime, e in exponent_fac.items():
-        order *= prime**e
-    identity = PadicMatrix.identity(reduced.ring, n)
-    for prime in exponent_fac:
-        while order % prime == 0 and reduced.matrix_power(order // prime) == identity:
-            order //= prime
-    return order
+    return _exact_order(reduced)

@@ -10,10 +10,14 @@ the exponent of GL_n(F_q).  The exponents p^(k!) are eventually 1 mod M and
 0 mod p^A, so the limit is U^alpha for the alpha with those residues
 (`arith.teichmuller_exponent`): the Teichmuller part U_s of U = U_s U_n.  No
 integer is factored and no residue order is searched, and the powers U^E and
-U^alpha are (t^e mod chi_U)(U) (`matrix_power`).  The Jordan datum stays on
-the matrix: (alpha, E), the passed audit U^E = I, U_s and U_n fill slots of
-U (see `PadicMatrix`), so the chain classify -> jordan -> spectral_decompose
-or power_zp pays for the degrees, U^E, U^alpha and U_s^-1 once.
+U^alpha are (t^e mod chi_U)(U) (`matrix_power`).  (alpha, E) and the audit
+U^E = I come from `matrices._exponents` and `matrices._audit`;
+`residual_order` descends from the audited E of U mod p
+(`matrices._exact_order`), factoring q^d - 1 for the residue degrees only.
+The Jordan datum stays on the matrix: (alpha, E), the passed audit U^E = I,
+U_s and U_n fill slots of U (see `PadicMatrix`), so the chain classify ->
+jordan -> spectral_decompose or power_zp pays for the degrees, U^E, U^alpha
+and U_s^-1 once.
 `spectral_decompose` passes the datum along: after the pro-finite audit on
 U, U_s = U^alpha is Teichmuller because alpha^2 = alpha mod E, so it is not
 classified again.  The one-parameter group is a power too: a continuous U
@@ -56,11 +60,12 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import fppoly, ringpoly
-from .arith import teichmuller_exponent
 from .errors import (
     InputError, NotAUnit, NotContinuous, NotTeichmuller, NotUnitary, PadicError, Unsupported,
 )
-from .matrices import PadicMatrix, _pack, _unpack, orbit_polynomial, residue_matrix_order
+from .matrices import (
+    PadicMatrix, _audit, _exponents, _pack, _unpack, orbit_polynomial, residue_matrix_order,
+)
 from .scalars import ONE_MINUS, AnyRing, PadicScalar, UnramRing, Zp, unram
 
 if TYPE_CHECKING:
@@ -91,35 +96,6 @@ def _require_base_teichmuller(U: PadicMatrix):
     _require_base_unitary(U)
     if not classify(U).is_teichmuller:
         raise NotTeichmuller("operator is not of Teichmuller type")
-
-
-def _exponents(U: PadicMatrix) -> tuple[int, int]:
-    """(alpha, E) for U (`arith.teichmuller_exponent`), computed once and kept on U.
-
-    Over Z_p, M runs over the degrees of the irreducible factors of chi_U
-    mod p (`fppoly.factor_degrees`), not over every d <= n.  An extension
-    ring keeps every d <= n: chi_U mod p is not factored over F_q here.
-    """
-    if U._exponents is None:
-        ring = U.ring
-        degrees = None
-        if isinstance(ring, Zp):
-            degrees = fppoly.factor_degrees(U.char_poly_raw(), ring.p)
-        U._exponents = teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, U.n, degrees)
-    return U._exponents
-
-
-def _audit(U: PadicMatrix) -> None:
-    """The pro-finite audit U^E = I, run once per matrix.
-
-    The audit checks the one fact the closed form relies on: the order of U
-    divides E.  A pass is recorded on U; a failure raises and records nothing.
-    """
-    if not U._audited:
-        _, E = _exponents(U)
-        if U.matrix_power(E) != PadicMatrix.identity(U.ring, U.n):
-            raise ArithmeticError("unitary matrix failed the pro-finite audit")
-        U._audited = True
 
 
 def _teichmuller_part(U: PadicMatrix) -> PadicMatrix:

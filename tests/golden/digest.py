@@ -11,7 +11,10 @@ after.  The digest covers, on a fixed seeded grid of nine (p, K, n) shapes:
   p^K - 1;
 - `moduli.canonical_modulus` for every shipped degree at the shape's (p, K);
 - `PadicMatrix.matrix_power` over an unramified extension ring, for small,
-  negative and 200-bit exponents.
+  negative and 200-bit exponents;
+- `residual_order` and `principal_exponent` at j = 1, ceil(K/2) and K on
+  random, continuous and Teichmuller unitaries of the shape, and on random
+  unitaries over the extension ring `ORDER_EXTENSION`.
 
 and, on a seeded grid of three (p, K) levels, the formal-group layer:
 
@@ -39,15 +42,18 @@ This script is not a test: it is run by hand on two trees and compared.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import sys
 
 from padicu import fppoly, gm, moduli
 from padicu.errors import PadicError
 from padicu.matrices import PadicMatrix
-from padicu.sampling import random_continuous, random_matrix, random_unitary
+from padicu.sampling import random_continuous, random_matrix, random_teichmuller, random_unitary
 from padicu.scalars import ONE_MINUS, Zp, unram
-from padicu.unitary import classify, jordan_decompose, power_zp, spectral_decompose, spectrum_table
+from padicu.unitary import (
+    classify, jordan_decompose, power_zp, residual_order, spectral_decompose, spectrum_table,
+)
 
 SHAPES = [
     (3, 2, 2), (3, 5, 3), (3, 10, 4),
@@ -57,6 +63,8 @@ SHAPES = [
 UNITARIES = 10  # per shape, through classify, jordan and spectral
 CONTINUOUS = 10  # per shape, through power_zp at four times each
 EXTENSION = 10  # per shape, extension-ring powers
+ORDERS = 4  # per shape and sampler, through residual_order and principal_exponent
+ORDER_EXTENSION = (3, 4, 2, 3)  # (p, K, m, n): orders over unram(p, K, m)
 FORMAL_GRID = [(3, 4), (5, 10), (7, 30)]
 FORMAL_DEGREES = [(d, e) for d in range(1, 9) for e in (d, 9 - d)]
 TABLES = 4  # per formal level, 6 x 6 spectrum tables
@@ -103,6 +111,28 @@ def shape_items(p: int, K: int, n: int):
         A = random_unitary(ext, n, rng)
         for e in (0, 1, A.n - 1, A.n, -2, rng.getrandbits(200)):
             yield ("ext_power", A.rows, e, A.matrix_power(e).rows)
+
+
+def _order_items(U, K: int):
+    yield ("residual_order", U.rows, residual_order(U))
+    for j in sorted({1, math.ceil(K / 2), K}):
+        yield ("principal_exponent", U.rows, j, tuple(gm.principal_exponent(U, j)))
+
+
+def order_items(p: int, K: int, n: int):
+    """Exact orders mod p and mod p^j for one shape, from their own seed."""
+    rng = random.Random(f"digest-order-{p}-{K}-{n}")
+    ring = Zp(p, K)
+    for make in (random_unitary, random_continuous, random_teichmuller):
+        for _ in range(ORDERS):
+            yield from _order_items(make(ring, n, rng), K)
+
+
+def extension_order_items(p: int, K: int, m: int, n: int):
+    rng = random.Random(f"digest-order-{p}-{K}-{m}-{n}")
+    ring = unram(p, K, m)
+    for _ in range(ORDERS):
+        yield from _order_items(random_unitary(ring, n, rng), K)
 
 
 def _unit_coeffs(rng, p: int, pk: int, degree: int) -> list[int]:
@@ -226,6 +256,8 @@ def main(argv: list[str]) -> int:
     parts += [(("levels", p, K), level_items(p, K)) for p, K in LEVEL_GRID]
     parts += [(("sparse", p, K), sparse_items(p, K)) for p, K in FORMAL_GRID]
     parts += [(("calculus", p, K), calculus_items(p, K)) for p, K in FORMAL_GRID]
+    parts += [(("order", *shape), order_items(*shape)) for shape in SHAPES]
+    parts += [(("order-ext", *ORDER_EXTENSION), extension_order_items(*ORDER_EXTENSION))]
     for shape, items in parts:
         part = hashlib.sha256()
         for item in items:

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from padicu import gm
+from padicu import fppoly, gm
 from padicu.gm import LaurentPoly
 from padicu.scalars import Zp
 
@@ -144,7 +144,7 @@ def test_sylvester_det_and_adjugate_row_against_sympy(dm, dn, kind):
             f, g = _shared_root_pair(rng, p, pj, dm, dn)
         else:
             f = g = _unit_coeffs(rng, p, pj, dm)
-        det = _check_det_and_solve(gm._multiplication_columns(f, g, pj), ring)
+        det = _check_det_and_solve(fppoly.mul_columns(f, g, pj), ring)
         res = int(res_z(_poly(f).as_expr(), _poly(g).as_expr(), t))
         assert res % pj == pow(f[-1], dn, pj) * det % pj
         if kind == "shared-root":

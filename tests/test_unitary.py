@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from padicu import fppoly, gm, unitary
+from padicu import fppoly, gm, matrices, unitary
 from padicu.errors import (
     NotAUnit,
     NotContinuous,
@@ -967,7 +967,7 @@ def test_matrix_powers_leave_the_slots_as_they_were():
 def test_a_failed_pro_finite_audit_is_not_recorded(monkeypatch):
     u = random_unitary(Zp(5, 3), 3, random.Random(4))
     assert u.matrix_power(2) != PadicMatrix.identity(u.ring, 3)
-    monkeypatch.setattr(unitary, "_exponents", lambda U: (1, 2))  # a wrong E
+    monkeypatch.setattr(matrices, "_exponents", lambda U: (1, 2))  # a wrong E
     for _ in range(2):
         with pytest.raises(ArithmeticError):
             unitary.classify(u)
