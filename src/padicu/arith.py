@@ -77,22 +77,20 @@ def unipotent_depth(n: int, p: int) -> int:
     return a
 
 
-def teichmuller_exponent(
-    q: int, p: int, K: int, n: int, degrees: Iterable[int] | None = None
-) -> tuple[int, int]:
+def teichmuller_exponent(q: int, p: int, K: int, n: int, degrees: Iterable[int]) -> tuple[int, int]:
     """(alpha, E) for n x n unitaries mod p^K over a ring with residue field F_q.
 
     M = lcm(q^d - 1, d in degrees) is a multiple of the prime-to-p order of
     the reduction of such a unitary when every irreducible factor of its
     residue characteristic polynomial has its degree in `degrees`: each
-    residue eigenvalue lies in some F_(q^d).  The default, every d <= n, is
-    the exponent of all of GL_n(F_q).  The order of the unitary then divides
+    residue eigenvalue lies in some F_(q^d).  With every d <= n, M is the
+    exponent of all of GL_n(F_q).  The order of the unitary then divides
     E = M * p^A with A = K - 1 + unipotent_depth(n, p).  alpha = 1 mod M and
     alpha = 0 mod p^A, so U^alpha is the limit of the factorial powers
     U^(p^(k!)): its Teichmuller part.
     """
     M = 1
-    for d in range(1, n + 1) if degrees is None else degrees:
+    for d in degrees:
         M = math.lcm(M, q**d - 1)
     pa = p ** (K - 1 + unipotent_depth(n, p))
     return crt_pair(1, M, 0, pa), M * pa

@@ -70,7 +70,7 @@ def audit_linalg(seed: int = 0) -> dict:
         t.check(A.smith_form(2).verify(), "Smith profile")
         u, v = random_unitary(ring, 2, rng), random_unitary(ring, 2, rng)
         t.check((u @ v).is_unitary() and u.inverse().is_unitary(), "unitary closure")
-    nilpotent = PadicMatrix.from_rows(ring, [[1, 1], [0, 1]]) - PadicMatrix.identity(ring, 2)
+    nilpotent = PadicMatrix(ring, [[1, 1], [0, 1]]) - PadicMatrix.identity(ring, 2)
     result = nilpotent.spectral_seminorm()
     t.check(result.is_zero and result.nilpotency_k == 2, "seminorm nilpotency")
     return {"suite": "linalg", "checks": t.checks, "failures": t.failures}

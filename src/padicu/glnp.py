@@ -47,12 +47,11 @@ class PhiWord(NamedTuple("PhiWord", [("p", int), ("exponents", tuple[int, ...])]
         return cls(*fields)
 
 
-def _embed_block(block, n, mod):
+def _embed_block(block, n):
     k = len(block)
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for i in range(k):
-        for j in range(k):
-            rows[i][j] = block[i][j] % mod
+        rows[i][:k] = block[i][:k]
     return tuple(tuple(r) for r in rows)
 
 
@@ -77,7 +76,7 @@ def build_generators(n: int, p: int) -> GeneratorSet:
     mats = []
     for k in range(1, n + 1):
         block = PadicMatrix.companion(ring, list(moduli.residue_modulus(p, k))[:-1]).rows
-        embedded = PadicMatrix(ring, _embed_block(block, n, p))
+        embedded = PadicMatrix(ring, _embed_block(block, n))
         order = p**k - 1
         if embedded.matrix_power(order) != identity:
             raise ArithmeticError(f"generator T_{k} does not have order p^{k} - 1")
@@ -107,7 +106,7 @@ def decompose_fp(p: int, rows) -> FpDecomposition:
 def _decompose_fp(p: int, rows) -> tuple[FpDecomposition, GeneratorSet]:
     """`decompose_fp` together with the generator set it built."""
     ring = Zp(p, 1)
-    A = PadicMatrix.from_rows(ring, rows)
+    A = PadicMatrix(ring, rows)
     n = A.n
     if not A.is_unitary():
         raise NotInvertible("residue matrix is singular")
@@ -130,7 +129,7 @@ def _decompose_fp(p: int, rows) -> tuple[FpDecomposition, GeneratorSet]:
         exponents[k - 1] = found[0]
         # strip the translation column: recurse on the principal block
         block = [row[: k - 1] for row in found[1].rows[: k - 1]]
-        current = PadicMatrix(ring, _embed_block(block, n, p))
+        current = PadicMatrix(ring, _embed_block(block, n))
     # level 1: discrete log in F_p^*
     target = current.rows[0][0]
     gen = gens.matrices[0][0][0]
@@ -180,7 +179,7 @@ def _teichmuller_generators(ring: Zp, n: int) -> list[PadicMatrix]:
     out = []
     for k in range(1, n + 1):
         block = PadicMatrix.companion(ring, list(moduli.canonical_modulus(p, k, K))[:-1]).rows
-        out.append(PadicMatrix(ring, _embed_block(block, n, ring.pk)))
+        out.append(PadicMatrix(ring, _embed_block(block, n)))
     return out
 
 
@@ -207,7 +206,7 @@ def decompose_zp(U: PadicMatrix) -> ZpDecomposition:
     ring = U.ring
     p = ring.p
     residue, gens = _decompose_fp(p, U.residue_rows())
-    naive_gens = [PadicMatrix.from_rows(ring, g) for g in gens.matrices]
+    naive_gens = [PadicMatrix(ring, g) for g in gens.matrices]
     plain = _evaluate_word(naive_gens, residue.word)
     t_candidate, _ = jordan_decompose(plain)
     # the residue of plain is p-regular exactly when its Teichmuller part keeps it

@@ -537,7 +537,7 @@ def principal_exponent(arg, j: int) -> PrincipalExponent:
     else:
         raise TypeError("expected a unit polynomial or a unitary matrix")
     N = residue_matrix_order(U)
-    n = _exact_order(U.reduce(j))
+    n = N if j == 1 else _exact_order(U.reduce(j))
     return PrincipalExponent(n, padic_valuation(n // N, U.ring.p, n), N)
 
 

@@ -97,8 +97,12 @@ class SeminormResult(NamedTuple):
 class PadicMatrix:
     """Immutable n x n matrix; unitary means unit determinant.
 
-    Raw values are reduced, a Z_p raw in [0, p^K), as `from_rows` and the CLI
-    reader ensure: a packed Z_p product's slots hold no sign and no carry.
+    `PadicMatrix(ring, rows)` takes n rows of n entries, each an int, a raw
+    value or a scalar of `ring`, and reduces each through `ring.scalar`, so
+    a Z_p raw lies in [0, p^K) whichever residue was written: a packed Z_p
+    product's slots hold no sign and no carry.  A non-square shape raises
+    InputError.  The library's kernels hold reduced rows already and build
+    through `_of`, which stores its tuple rows with no copy and no check.
 
     Five slots are filled lazily and kept on the object, a memo per matrix
     rather than a cache keyed by value.  A matrix starts with all five empty.
@@ -106,10 +110,11 @@ class PadicMatrix:
     - `_chi`: the characteristic polynomial, filled by `char_poly_raw`, so
       the determinant and every power share one Berkowitz run.  `inverse`
       eliminates and does not read it.
-    - `_exponents`: the Jordan exponents (alpha, E), filled by `_exponents`
-      from the degrees of the residue factors of `_chi` over Z_p (through
-      the audit, `classify`, `jordan_decompose`, `galois_act` and
-      `power_zp`).
+    - `_exponents`: the Jordan exponents (alpha, E) and the residue degrees
+      they come from (the degrees of the residue factors of `_chi` over
+      Z_p), filled by `_exponents` (through the audit, `classify`,
+      `jordan_decompose`, `galois_act` and `power_zp`); `_exact_order`
+      reads the degrees.
     - `_audited`: True once the pro-finite audit U^E = I has passed, set by
       `_audit` (through `classify`, `spectral_decompose` and `_exact_order`,
       which `residue_matrix_order` and `gm.principal_exponent` run on a
@@ -126,39 +131,39 @@ class PadicMatrix:
     __slots__ = ("ring", "n", "rows", "_chi", "_exponents", "_audited", "_teich", "_unipotent")
 
     def __init__(self, ring: AnyRing, rows):
-        self.ring = ring
-        self.rows = tuple(tuple(r) for r in rows)
-        self.n = len(self.rows)
-        self._chi = None
-        self._exponents = None
-        self._audited = False
-        self._teich = None
-        self._unipotent = None
-        for r in self.rows:
-            if len(r) != self.n:
-                raise InputError("matrix must be square")
+        scalar = ring.scalar
+        rows = tuple(tuple(scalar(v).raw for v in row) for row in rows)
+        if any(len(row) != len(rows) for row in rows):
+            raise InputError("matrix must be square")
+        self._fill(ring, rows)
 
     # -- construction ---------------------------------------------------
     @classmethod
-    def from_rows(cls, ring: AnyRing, rows) -> "PadicMatrix":
-        return cls(ring, [[ring.scalar(v).raw for v in row] for row in rows])
+    def _of(cls, ring: AnyRing, rows: tuple) -> "PadicMatrix":
+        """The matrix on a kernel's rows: n tuples of n reduced raw values, kept as given."""
+        self = cls.__new__(cls)
+        self._fill(ring, rows)
+        return self
+
+    def _fill(self, ring: AnyRing, rows: tuple) -> None:
+        self.ring, self.rows, self.n = ring, rows, len(rows)
+        self._chi = self._exponents = self._teich = self._unipotent = None
+        self._audited = False
 
     @classmethod
     def identity(cls, ring: AnyRing, n: int) -> "PadicMatrix":
         z, o = ring.zero, ring.one
-        return cls(ring, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls._of(ring, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)))
 
     @classmethod
     def zeros(cls, ring: AnyRing, n: int) -> "PadicMatrix":
-        z = ring.zero
-        return cls(ring, [[z] * n for _ in range(n)])
+        return cls._of(ring, ((ring.zero,) * n,) * n)
 
     @classmethod
     def diagonal(cls, ring: AnyRing, values) -> "PadicMatrix":
-        raws = [ring.scalar(v).raw for v in values]
-        z = ring.zero
-        n = len(raws)
-        return cls(ring, [[raws[i] if i == j else z for j in range(n)] for i in range(n)])
+        values = list(values)
+        n = len(values)
+        return cls(ring, [[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def companion(cls, ring: AnyRing, monic_coeffs) -> "PadicMatrix":
@@ -171,7 +176,7 @@ class PadicMatrix:
             rows[i][i - 1] = o
         for i in range(n):
             rows[i][n - 1] = ring.rneg(coeffs[i])
-        return cls(ring, rows)
+        return cls._of(ring, tuple(map(tuple, rows)))
 
     # -- basics -----------------------------------------------------------
     def _check(self, other: "PadicMatrix"):
@@ -193,37 +198,30 @@ class PadicMatrix:
     def __add__(self, other):
         self._check(other)
         add = self.ring.radd
-        return PadicMatrix(
-            self.ring,
-            [
-                [add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
+        return PadicMatrix._of(
+            self.ring, tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.rows, other.rows))
         )
 
     def __sub__(self, other):
         self._check(other)
         sub = self.ring.rsub
-        return PadicMatrix(
-            self.ring,
-            [
-                [sub(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
+        return PadicMatrix._of(
+            self.ring, tuple(tuple(map(sub, ra, rb)) for ra, rb in zip(self.rows, other.rows))
         )
 
     def __neg__(self):
         neg = self.ring.rneg
-        return PadicMatrix(self.ring, [[neg(a) for a in row] for row in self.rows])
+        return PadicMatrix._of(self.ring, tuple(tuple(map(neg, row)) for row in self.rows))
 
     def scale(self, c) -> "PadicMatrix":
         raw = self.ring.scalar(c).raw
         mul = self.ring.rmul
-        return PadicMatrix(self.ring, [[mul(raw, a) for a in row] for row in self.rows])
+        rows = tuple(tuple(mul(raw, a) for a in row) for row in self.rows)
+        return PadicMatrix._of(self.ring, rows)
 
     def __matmul__(self, other):
         self._check(other)
-        return PadicMatrix(self.ring, _matmul(self.ring, self.rows, other.rows))
+        return PadicMatrix._of(self.ring, _matmul(self.ring, self.rows, other.rows))
 
     def __mul__(self, other):
         if isinstance(other, PadicMatrix):
@@ -318,7 +316,7 @@ class PadicMatrix:
                 c = row[k]
                 if i != k and c != zero:
                     row[k + 1 :] = [rsub(a, rmul(c, b)) for a, b in zip(row[k + 1 :], tail)]
-        return PadicMatrix(ring, [row[n:] for row in rows])
+        return PadicMatrix._of(ring, tuple(tuple(row[n:]) for row in rows))
 
     def _t_inverse(self) -> list:
         """t^-1 mod chi_A, raw and of degree n - 1; NotInvertible unless det A is a unit.
@@ -353,12 +351,12 @@ class PadicMatrix:
         if not coeffs:
             return PadicMatrix.zeros(ring, n)
         if len(coeffs) == 1:
-            return PadicMatrix(ring, _plus_diagonal(ring, [[ring.zero] * n] * n, coeffs[0]))
+            return PadicMatrix._of(ring, _plus_diagonal(ring, ((ring.zero,) * n,) * n, coeffs[0]))
         mul, top = ring.rmul, coeffs[-1]
         acc = _plus_diagonal(ring, [[mul(top, a) for a in row] for row in rows], coeffs[-2])
         for c in reversed(coeffs[:-2]):
             acc = _plus_diagonal(ring, _matmul(ring, acc, rows), c)
-        return PadicMatrix(ring, acc)
+        return PadicMatrix._of(ring, acc)
 
     def _reduce_mod_chi(self, g: list, low: int) -> list:
         """t^low g mod chi_A for a nonzero low, on raw coefficients.
@@ -382,10 +380,9 @@ class PadicMatrix:
 
     # -- precision / residue / Galois ---------------------------------------
     def reduce(self, j: int) -> "PadicMatrix":
-        target = self.ring.at_precision(j)
-        return PadicMatrix(
-            target, [[self.ring.rreduce(v, j) for v in row] for row in self.rows]
-        )
+        target, rreduce = self.ring.at_precision(j), self.ring.rreduce
+        rows = tuple(tuple(rreduce(v, j) for v in row) for row in self.rows)
+        return PadicMatrix._of(target, rows)
 
     def residue_rows(self) -> tuple:
         """Entries reduced into the residue field (ints for Zp, tuples otherwise)."""
@@ -395,7 +392,7 @@ class PadicMatrix:
 
     def frobenius_map(self) -> "PadicMatrix":
         frob = self.ring.rfrob
-        return PadicMatrix(self.ring, [[frob(v) for v in row] for row in self.rows])
+        return PadicMatrix._of(self.ring, tuple(tuple(map(frob, row)) for row in self.rows))
 
     # -- smith form ----------------------------------------------------------
     def smith_form(self, j: int | None = None) -> "SmithProfile":
@@ -459,8 +456,8 @@ class PadicMatrix:
             ring=ring,
             j=j,
             matrix=reduced,
-            left=PadicMatrix(ring, L),
-            right=PadicMatrix(ring, R),
+            left=PadicMatrix._of(ring, tuple(map(tuple, L))),
+            right=PadicMatrix._of(ring, tuple(map(tuple, R))),
             divisors=tuple(divisors),
         )
 
@@ -495,12 +492,12 @@ def _dot(ring, xs, ys):
     return acc
 
 
-def _plus_diagonal(ring, rows, c) -> list:
-    """Raw rows + c I, as new lists."""
+def _plus_diagonal(ring, rows, c) -> tuple:
+    """Raw rows + c I, as new tuple rows."""
     out = [list(row) for row in rows]
     for i, row in enumerate(out):
         row[i] = ring.radd(row[i], c)
-    return out
+    return tuple(map(tuple, out))
 
 
 def _matmul(ring, A, B):
@@ -597,7 +594,7 @@ def orbit_polynomial(ring: Zp, modulus, y) -> list[int]:
     (integer) coefficients.  For a Teichmuller y the conjugates are y^(p^i).
     """
     columns = fppoly.mul_columns(modulus, y, ring.pk)
-    return PadicMatrix(ring, list(zip(*columns))).char_poly_raw()
+    return PadicMatrix._of(ring, tuple(zip(*columns))).char_poly_raw()
 
 
 # -- the Jordan exponents and exact orders ----------------------------------------
@@ -615,13 +612,14 @@ def _residue_degrees(U: PadicMatrix):
 
 
 def _exponents(U: PadicMatrix) -> tuple[int, int]:
-    """(alpha, E) for U (`arith.teichmuller_exponent`), computed once and kept on U."""
+    """(alpha, E) for U (`arith.teichmuller_exponent`), kept on U with the residue degrees."""
     if U._exponents is None:
-        ring = U.ring
-        U._exponents = teichmuller_exponent(
-            ring.residue_cardinality, ring.p, ring.K, U.n, _residue_degrees(U)
+        ring, degrees = U.ring, _residue_degrees(U)
+        U._exponents = (
+            *teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, U.n, degrees),
+            degrees,
         )
-    return U._exponents
+    return U._exponents[:2]
 
 
 def _audit(U: PadicMatrix) -> None:
@@ -645,10 +643,10 @@ def _exact_order(U: PadicMatrix) -> int:
     different pieces.  Each prime r is divided out while U^(order / r) = I.
     """
     _audit(U)
-    _, order = _exponents(U)
+    _, order, degrees = U._exponents
     ring = U.ring
     primes = {ring.p}
-    for d in _residue_degrees(U):
+    for d in degrees:
         primes.update(factorize(ring.residue_cardinality**d - 1))
     identity = PadicMatrix.identity(ring, U.n)
     for r in sorted(primes):

@@ -66,7 +66,7 @@ def canonical_modulus(p: int, m: int, K: int) -> tuple[int, ...]:
     base = residue_modulus(p, m)
     pk = p**K
     naive = [c % pk for c in base]
-    alpha, _ = teichmuller_exponent(p**m, p, K, 1)
+    alpha, _ = teichmuller_exponent(p**m, p, K, 1, (1,))
     y = fppoly.pow_mod([0, 1], alpha, naive, pk)
     if fppoly.pow_mod(y, p**m, naive, pk) != y:
         raise RuntimeError("Teichmuller generator is not fixed by x -> x^(p^m)")

@@ -157,7 +157,7 @@ def exp_matrix(H: PadicMatrix, t, allow_extended_radius: bool = False) -> PadicM
         J += 1
     extra = factorial_valuation(max(J - 1, 0), p)
     work_ring = Zp(p, K + extra)
-    th = PadicMatrix(work_ring, H.rows).scale(t_scalar.lift())
+    th = PadicMatrix._of(work_ring, H.rows).scale(t_scalar.lift())
     total = power = PadicMatrix.identity(work_ring, H.n)
     fact = 1
     for j in range(1, J):
@@ -166,7 +166,7 @@ def exp_matrix(H: PadicMatrix, t, allow_extended_radius: bool = False) -> PadicM
         pf = p ** factorial_valuation(j, p)
         if any(v % pf for row in power.rows for v in row):
             raise ArithmeticError("inexact factorial division")  # unreachable
-        quotient = PadicMatrix(work_ring, [[v // pf for v in row] for row in power.rows])
+        quotient = PadicMatrix._of(work_ring, tuple(tuple(v // pf for v in r) for r in power.rows))
         total = total + quotient.scale(pow(fact // pf, -1, work_ring.pk))
     return total.reduce(K)
 
@@ -233,14 +233,12 @@ def spectrum_shift_model(size: int, p: int, K: int) -> ShiftModel:
     u_rows = [[0] * size for _ in range(size)]
     x_rows = [[0] * size for _ in range(size)]
     for k in range(size):
-        u_rows[k][k] = 1
+        u_rows[k][k], x_rows[k][k] = 1, k
         if k + 1 < size:
             u_rows[k][k + 1] = 1  # argument shift adds the lower binomial
-        x_rows[k][k] = k % ring.pk
-        if k + 1 < size:
-            x_rows[k + 1][k] = (k + 1) % ring.pk
-    U = PadicMatrix.from_rows(ring, u_rows)
-    X = PadicMatrix.from_rows(ring, x_rows)
+            x_rows[k + 1][k] = k + 1
+    U = PadicMatrix(ring, u_rows)
+    X = PadicMatrix(ring, x_rows)
     checked = size - 1
     _assert_on_columns(U @ X - X @ U, U, checked)
     raising = X @ U.inverse()
@@ -323,5 +321,5 @@ def clock_shift_pair(ring: Zp, d: int):
     shift_rows = [[0] * d for _ in range(d)]
     for i in range(d):
         shift_rows[(i + 1) % d][i] = 1
-    shift = PadicMatrix.from_rows(ring, shift_rows)
+    shift = PadicMatrix(ring, shift_rows)
     return clock, shift, zeta

@@ -44,7 +44,7 @@ def random_continuous(ring: AnyRing, n: int, rng: random.Random) -> PadicMatrix:
         for j in range(i + 1, n):
             rows[i][j] = rng.randrange(ring.pk)
     noise = [[ring.p * rng.randrange(ring.pk // ring.p) for _ in range(n)] for _ in range(n)]
-    base = PadicMatrix.from_rows(ring, rows) + PadicMatrix.from_rows(ring, noise)
+    base = PadicMatrix(ring, rows) + PadicMatrix(ring, noise)
     v = random_unitary(ring, n, rng)
     return v @ base @ v.inverse()
 
@@ -82,6 +82,6 @@ def random_teichmuller(ring: Zp, n: int, rng: random.Random) -> PadicMatrix:
             for j in range(d):
                 rows[at + i][at + j] = block[i][j]
         at += d
-    u = PadicMatrix.from_rows(ring, rows)
+    u = PadicMatrix(ring, rows)
     v = random_unitary(ring, n, rng)
     return v @ u @ v.inverse()

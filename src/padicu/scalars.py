@@ -348,7 +348,7 @@ AnyRing = Zp | UnramRing
 
 def _teichmuller_raw(ring: AnyRing, a):
     """a^alpha: the Teichmuller representative of a unit's residue, 0 for a non-unit."""
-    alpha, _ = teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, 1)
+    alpha, _ = teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, 1, (1,))
     return ring.rpow(a, alpha)
 
 

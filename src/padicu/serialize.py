@@ -85,11 +85,12 @@ def _entry_to_wire(ring: AnyRing, raw):
 
 
 def _entry_from_wire(ring: AnyRing, wire, what: str = "matrix entry"):
+    """An int, or a coefficient tuple over an extension ring, for a constructor to reduce."""
     if isinstance(ring, Zp) or not isinstance(wire, list):
-        return ring.rfrom_int(read_int(wire, what))
+        return read_int(wire, what)
     if len(wire) != ring.m:
         raise MalformedDocument(f"{what} has {len(wire)} coefficients, not m = {ring.m}")
-    return ring.scalar(tuple(read_int(c, what) for c in wire)).raw
+    return tuple(read_int(c, what) for c in wire)
 
 
 def matrix_to_doc(M: PadicMatrix) -> dict:

@@ -281,7 +281,8 @@ def _coordinates(base: Zp, ring: AnyRing, matrix: PadicMatrix) -> list[PadicMatr
     """A_0, ..., A_(m-1) over Z_p with matrix = sum_k A_k X^k; [matrix] over Z_p."""
     if isinstance(ring, Zp):
         return [matrix]
-    return [PadicMatrix(base, [[v[k] for v in row] for row in matrix.rows]) for k in range(ring.m)]
+    split = [tuple(zip(*row)) for row in matrix.rows]  # per row, its m coordinate rows
+    return [PadicMatrix._of(base, tuple(row[k] for row in split)) for k in range(ring.m)]
 
 
 def _orbit_polynomial(ring: AnyRing, lam) -> list[int]:
@@ -362,7 +363,7 @@ def _linear_combination(ring: AnyRing, coeffs: list, matrices: list[PadicMatrix]
     else:
         s, packed = _pack(coeffs, len(coeffs), pk)
         values = [tuple(_unpack(sum(map(mul, packed, entry)), s, ring.m, pk)) for entry in entries]
-    return PadicMatrix(ring, [values[i * n : (i + 1) * n] for i in range(n)])
+    return PadicMatrix._of(ring, tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n)))
 
 
 def _orbit_roots(irr: list[int], field: UnramRing, rng: random.Random) -> list:

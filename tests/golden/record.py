@@ -139,7 +139,7 @@ def decompose_fp_cases(rng):
         made = 0
         while made < count:
             rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-            if not PadicMatrix.from_rows(Zp(p, 1), rows).is_unitary():
+            if not PadicMatrix(Zp(p, 1), rows).is_unitary():
                 continue
             made += 1
             cases.append(("decompose-fp", f"p{p}n{n}-{made}", {"p": p, "matrix": rows}))
@@ -271,7 +271,7 @@ def projection_cases(rng):
         f = [rng.randrange(pk) for _ in range(3)]
         cases.append(("projection", f"random-p{p}K{K}n{n}",
                       {"matrix": matrix_doc(w), "j": rng.randint(1, K), "poly": poly_doc(p, K, f, -1)}))
-    u = PadicMatrix.from_rows(Zp(3, 2), [[1, 0], [0, 8]])
+    u = PadicMatrix(Zp(3, 2), [[1, 0], [0, 8]])
     cases.append(("projection", "j-zero", {"matrix": matrix_doc(u), "j": 0, "poly": poly_doc(3, 2, [8, 1])}))
     cases.append(("projection", "j-above-K", {"matrix": matrix_doc(u), "j": 3, "poly": poly_doc(3, 2, [8, 1])}))
     # over a degree-2 extension f(U) = U is invertible, so the kernel is empty
@@ -331,7 +331,7 @@ def quantum_cases(rng):
         cases.append(("evolve", f"{tag}-noncommuting",
                       {"h": matrix_doc(h), "u": matrix_doc(w), "psi": psi, "k": 1, "t": p}))
     ring = Zp(3, 2)
-    idem = PadicMatrix.from_rows(ring, [[1, 0], [0, 0]])
+    idem = PadicMatrix(ring, [[1, 0], [0, 0]])
     psi = _wave_doc(ring, [1, 3])
     cases.append(("probability", "not-orthogonal",
                   {"projectors": [matrix_doc(idem), matrix_doc(idem)], "psi": psi}))
@@ -346,7 +346,7 @@ def quantum_cases(rng):
     ring = Zp(5, 2)
     cases.append(("torus", "not-a-pair", {"u": matrix_doc(random_unitary(ring, 3, rng)),
                                           "v": matrix_doc(random_unitary(ring, 3, rng))}))
-    cases.append(("torus", "not-unitary", {"u": matrix_doc(PadicMatrix.from_rows(ring, [[5, 0], [0, 1]])),
+    cases.append(("torus", "not-unitary", {"u": matrix_doc(PadicMatrix(ring, [[5, 0], [0, 1]])),
                                            "v": matrix_doc(PadicMatrix.identity(ring, 2))}))
     return cases
 
@@ -360,7 +360,7 @@ def seminorm_cases(rng):
         cases.append(("seminorm", f"random-p{p}K{K}n{n}", {"matrix": matrix_doc(a)}))
         rows = [[(rng.randrange(ring.pk) if j > i else p * rng.randrange(p ** (K - 1)) if j == i else 0)
                  for j in range(n)] for i in range(n)]
-        m = PadicMatrix.from_rows(ring, rows)
+        m = PadicMatrix(ring, rows)
         cases.append(("seminorm", f"triangular-p{p}K{K}n{n}", {"matrix": matrix_doc(m), "k_max": rng.randint(1, 20)}))
     for p, K, m in ((3, 2, 2), (5, 2, 2), (3, 3, 3)):
         ring = UnramRing(p, K, m)

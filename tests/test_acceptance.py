@@ -108,7 +108,7 @@ def test_criterion_2_jordan_oracle():
                     if B in p_power and _mul2(B, A, mod) == U:
                         pairs.append((A, B))
             assert len(pairs) == 1, f"oracle found {len(pairs)} pairs for {U}"
-            u_matrix = PadicMatrix.from_rows(ring, [U[0:2], U[2:4]])
+            u_matrix = PadicMatrix(ring, [U[0:2], U[2:4]])
             u_s, u_n = unitary.jordan_decompose(u_matrix)
             flat_s = tuple(v for row in u_s.rows for v in row)
             flat_n = tuple(v for row in u_n.rows for v in row)
@@ -320,7 +320,7 @@ def test_criterion_8_teichmuller_lift():
 def test_criterion_9_seminorm_example():
     with criterion(9, "seminorm of the unipotent shift minus identity is exactly zero"):
         ring = Zp(3, 4)
-        u = PadicMatrix.from_rows(ring, [[1, 1], [0, 1]])
+        u = PadicMatrix(ring, [[1, 1], [0, 1]])
         a = u - PadicMatrix.identity(ring, 2)
         result = a.spectral_seminorm()
         assert result.is_zero

@@ -454,7 +454,7 @@ def test_power_zp_on_a_jordan_block_longer_than_p(t, tmp_path, capsys):
     doc = {"matrix": matrix_doc(rows, 3, 1), "t": t}
     code, out = run_one_line("power-zp", doc, tmp_path, capsys)
     assert code == 0, out
-    expected = PadicMatrix.from_rows(Zp(3, 1), rows).matrix_power(t)
+    expected = PadicMatrix(Zp(3, 1), rows).matrix_power(t)
     assert out["result"]["power"]["entries"] == [str(v) for row in expected.rows for v in row]
     if t == 3:
         assert expected != PadicMatrix.identity(Zp(3, 1), 4)

@@ -78,8 +78,8 @@ def test_decompose_fp_exhaustive_gl2f3():
 def test_b_membership_examples():
     ring = Zp(3, 2)
     assert glnp.b_membership(PadicMatrix.identity(ring, 2))
-    assert glnp.b_membership(PadicMatrix.from_rows(ring, [[1, 5], [3, 1]]))
-    assert not glnp.b_membership(PadicMatrix.from_rows(ring, [[2, 0], [0, 1]]))
+    assert glnp.b_membership(PadicMatrix(ring, [[1, 5], [3, 1]]))
+    assert not glnp.b_membership(PadicMatrix(ring, [[2, 0], [0, 1]]))
 
 
 def test_decompose_zp_trivial_and_audits():
@@ -135,14 +135,14 @@ def test_decompose_zp_uniqueness_small_brute_force():
             word = glnp.PhiWord(3, (m1, m2))
             residue_t = glnp.build_generators(2, 3).word_matrix(word)
             # reconstruct the canonical lift the way decompose_zp does
-            sample = PadicMatrix.from_rows(ring, residue_t)
+            sample = PadicMatrix(ring, residue_t)
             out = glnp.decompose_zp(sample)
             assert out.word == word
             lifts[word.exponents] = out.t_matrix
     assert len(set(lifts.values())) == 16
     b_elements = []
     for d0, d1, low, up in product((1, 4, 7), (1, 4, 7), (0, 3, 6), range(9)):
-        b_elements.append(PadicMatrix.from_rows(ring, [[d0, up], [low, d1]]))
+        b_elements.append(PadicMatrix(ring, [[d0, up], [low, d1]]))
     assert len(b_elements) == 243
     products = set()
     for t in lifts.values():
@@ -160,4 +160,4 @@ def test_decompose_zp_requires_base_ring_and_unitary():
     from padicu.errors import NotUnitary
 
     with pytest.raises(NotUnitary):
-        glnp.decompose_zp(PadicMatrix.from_rows(ring, [[3, 0], [0, 1]]))
+        glnp.decompose_zp(PadicMatrix(ring, [[3, 0], [0, 1]]))

@@ -269,10 +269,10 @@ def test_teich_factor_matches_a_linear_hensel_lift(p, nonsquare):
 def test_principal_exponent_examples():
     ring = Zp(3, 3)
     assert gm.principal_exponent(PadicMatrix.identity(ring, 2), 2).n == 1
-    u = PadicMatrix.from_rows(ring, [[1, 1], [0, 1]])
+    u = PadicMatrix(ring, [[1, 1], [0, 1]])
     out = gm.principal_exponent(u, 2)
     assert (out.n, out.l, out.N) == (9, 1, 3)
-    rot = PadicMatrix.from_rows(ring, [[0, -1], [1, 0]])
+    rot = PadicMatrix(ring, [[0, -1], [1, 0]])
     assert gm.principal_exponent(rot, 1).n == 4
 
 

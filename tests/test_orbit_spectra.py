@@ -110,8 +110,8 @@ def _lagrange_projector(U, orbits, index, t):
         if other_index != index:
             cross = cross @ U.evaluate(list(other.factor))
             denominator = lam_ring.rmul(denominator, _value_at(lam_ring, other.factor, lam))
-    numerator = PadicMatrix.from_rows(lam_ring, cross.rows)
-    U_local = PadicMatrix.from_rows(lam_ring, U.rows)
+    numerator = PadicMatrix(lam_ring, cross.rows)
+    U_local = PadicMatrix(lam_ring, U.rows)
     identity = PadicMatrix.identity(lam_ring, U.n)
     for s, mu in enumerate(orbit.eigenvalues):
         if s != t:
@@ -128,7 +128,7 @@ def test_projectors_match_the_lagrange_chain(p, K, n):
         u = random_teichmuller(ring, n, rng)
         orbits = unitary.teichmuller_spectral(u).orbits
         for index, orbit in enumerate(orbits):
-            U_local = PadicMatrix.from_rows(orbit.ring, u.rows)
+            U_local = PadicMatrix(orbit.ring, u.rows)
             for t, (lam, proj) in enumerate(zip(orbit.eigenvalues, orbit.projectors)):
                 assert proj == _lagrange_projector(u, orbits, index, t)
                 assert U_local @ proj == proj.scale(lam)

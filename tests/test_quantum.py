@@ -14,7 +14,7 @@ from padicu.scalars import Zp
 
 
 def M(ring, rows):
-    return PadicMatrix.from_rows(ring, rows)
+    return PadicMatrix(ring, rows)
 
 
 def coordinate_projectors(ring, n):

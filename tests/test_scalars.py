@@ -164,7 +164,7 @@ def test_unram_unit_decompose_is_factorial_limit(p):
 
 @pytest.mark.parametrize("q,p,K,n", [(3, 3, 1, 1), (3, 3, 4, 1), (9, 3, 2, 2), (5, 5, 3, 4), (125, 5, 2, 3), (7, 7, 30, 8)])
 def test_teichmuller_exponent_residues(q, p, K, n):
-    alpha, E = teichmuller_exponent(q, p, K, n)
+    alpha, E = teichmuller_exponent(q, p, K, n, range(1, n + 1))
     M = math.lcm(*(q**d - 1 for d in range(1, n + 1)))
     pa = p ** (K - 1 + unipotent_depth(n, p))
     assert E == M * pa

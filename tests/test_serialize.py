@@ -12,7 +12,7 @@ from padicu.scalars import UnramRing, Zp
 
 def test_matrix_round_trip():
     ring = Zp(5, 3)
-    m = PadicMatrix.from_rows(ring, [[1, 2], [3, 4]])
+    m = PadicMatrix(ring, [[1, 2], [3, 4]])
     doc = serialize.matrix_to_doc(m)
     assert serialize.matrix_from_doc(doc) == m
 
@@ -39,7 +39,7 @@ def test_wave_round_trip():
 def test_spectral_datum_doc_shape():
     ring = Zp(5, 2)
     datum = unitary.teichmuller_spectral(
-        PadicMatrix.from_rows(ring, [[0, -1], [1, 0]])
+        PadicMatrix(ring, [[0, -1], [1, 0]])
     )
     doc = serialize.spectral_datum_to_doc(datum)
     assert doc["n"] == 2
