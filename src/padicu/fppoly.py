@@ -4,11 +4,13 @@ Polynomials are dense ascending coefficient lists with no trailing zeros;
 [] is the zero polynomial.  The arithmetic helpers (add, sub, mul, scale,
 divmod_poly, pow_mod) work modulo any integer p, such as a prime power p^j,
 on coefficients in [0, p); division needs a divisor whose leading
-coefficient is a unit modulo p.  Factorization is over F_p: squarefree +
-distinct-degree + Cantor-Zassenhaus equal-degree splitting, driven by a
-generator on the fixed seed `_SEED`; the factors come back sorted, so they
-do not depend on it.  `factor_degrees` stops before the splitting: the
-degrees alone are what the Jordan exponents need.
+coefficient is a unit modulo p.  `pow_mod` and `pow_t_chain`, which takes
+t^(g c) for several c from one t^g, share one packed fold context.
+Factorization is over F_p: squarefree + distinct-degree + Cantor-Zassenhaus
+equal-degree splitting, driven by a generator on the fixed seed `_SEED`; the
+factors come back sorted, so they do not depend on it.  `factor_degrees`
+stops before the splitting: the degrees alone are what the Jordan exponents
+need.
 
 The coefficients stay plain ints: these loops carry the resultant, Bezout
 and Hensel work, and taking the ring operations from a ring handle made
@@ -123,8 +125,8 @@ def ext_gcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], l
     return scale(r0, c, p), scale(s0, c, p), scale(t0, c, p)
 
 
-def pow_mod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
-    """a^e mod f for e >= 0, by left-to-right binary exponentiation.
+def _fold_context(f: list[int], p: int):
+    """(pack, unpack, power): packed arithmetic on residues mod f, for f with a unit lead.
 
     A residue mod f is packed into one int, d = deg f coefficients in base
     2^s (Kronecker substitution), so a square is one big-int product and a
@@ -134,30 +136,30 @@ def pow_mod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
     the packed t^d, ..., t^(2d-1) mod f, each t times the one before, built
     by shifting with one inverse of the lead; every sum stays below
     2d(p-1)^2 < 2^s, and each output coefficient takes one `% p`.
+    `power(x, e)` is x^e for e >= 1 by left-to-right binary exponentiation.
     """
-    if e == 0:
-        return [1]
-    b = divmod_poly(a, f, p)[1]  # a non-unit lead raises ValueError, also for a = 0
     d = len(f) - 1
-    if not b:
-        return b
     s = (2 * d * (p - 1) ** 2).bit_length()
     mask = (1 << s) - 1
     low_mask = (1 << (s * d)) - 1
     shifts = [s * i for i in range(d)]
     high = [s * i for i in range(d, 2 * d)]
+    t = 1 << s  # t packed, when deg f >= 2
 
     def pack(c: list[int]) -> int:
         return sum(v << k for v, k in zip(c, shifts))
 
+    def unpack(x: int) -> list[int]:
+        return trim([(x >> k) & mask for k in shifts])
+
     inv_lead = pow(f[-1], -1, p)
     top_power = [(-c * inv_lead) % p for c in f[:-1]]  # t^d mod f
-    power, folds = top_power, []
+    image, folds = top_power, []
     for _ in range(d):
-        folds.append(pack(power))
-        top = power[-1]  # t * power: shift up, then fold the t^d term back
-        power = [top * top_power[0] % p] + [
-            (power[i - 1] + top * top_power[i]) % p for i in range(1, d)
+        folds.append(pack(image))
+        top = image[-1]  # t * image: shift up, then fold the t^d term back
+        image = [top * top_power[0] % p] + [
+            (image[i - 1] + top * top_power[i]) % p for i in range(1, d)
         ]
 
     def reduce(y: int) -> int:
@@ -171,16 +173,45 @@ def pow_mod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
             out |= ((low >> k) & mask) % p << k
         return out
 
-    x = packed_b = pack(b)
-    if b == [0, 1]:
-        for bit in bin(e)[3:]:
-            x = reduce(x * x << s if bit == "1" else x * x)
-    else:
-        for bit in bin(e)[3:]:
-            x = reduce(x * x)
-            if bit == "1":
-                x = reduce(x * packed_b)
-    return trim([(x >> k) & mask for k in shifts])
+    def power(x: int, e: int) -> int:
+        if x == t:
+            for bit in bin(e)[3:]:
+                x = reduce(x * x << s if bit == "1" else x * x)
+        else:
+            base = x
+            for bit in bin(e)[3:]:
+                x = reduce(x * x)
+                if bit == "1":
+                    x = reduce(x * base)
+        return x
+
+    return pack, unpack, power
+
+
+def pow_mod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
+    """a^e mod f for e >= 0, packed (`_fold_context`)."""
+    if e == 0:
+        return [1]
+    b = divmod_poly(a, f, p)[1]  # a non-unit lead raises ValueError, also for a = 0
+    if not b:
+        return b
+    pack, unpack, power = _fold_context(f, p)
+    return unpack(power(pack(b), e))
+
+
+def pow_t_chain(g: int, cofactors, f: list[int], p: int) -> list[list[int]]:
+    """[t^(g c) mod f for c in cofactors], for g >= 1 and every c >= 0.
+
+    y = t^g is taken once, by the shifted t-base squarings of `pow_mod`, and
+    each y^c in the same fold context: about bits(g) + sum of 1.5 bits(c)
+    reductions, against sum of bits(g c) for the direct powers.
+    """
+    t = divmod_poly([0, 1], f, p)[1]  # a non-unit lead raises ValueError
+    if not t:
+        return [[] if c else [1] for c in cofactors]
+    pack, unpack, power = _fold_context(f, p)
+    y = power(pack(t), g)
+    return [unpack(power(y, c)) if c else [1] for c in cofactors]
 
 
 def mul_columns(a: list[int], b: list[int], p: int) -> list[list[int]]:

@@ -2,7 +2,8 @@
 
 Entries are stored as the rings' raw values (ints, or coefficient tuples),
 so the inner loops run on plain integers; scalar objects only appear at the
-API boundary; a Z_p product packs each row of B into one int (`_matmul`).
+API boundary; a Z_p product packs each row of B into one int (`_matmul`),
+and `evaluate` packs A once for all of its Horner products.
 Everything is exact modulo p^K: the characteristic polynomial is computed
 division-free (Berkowitz), and the Smith form uses minimal-valuation
 pivoting, which is enough over the local ring Z/p^j.
@@ -12,13 +13,16 @@ Laurent polynomial f = t^low g of A is r(A) with r = t^low g mod chi_A, of
 degree < n, and t^-1 mod chi_A is read off chi_A.  So A^e for any e and f(U)
 on the formal group each cost one char poly, at most one polynomial power
 mod chi_A and at most n - 2 products, over Z_p and over an extension ring
-alike.  The inverse alone is not a polynomial in A here: `inverse` is
-Gauss-Jordan elimination, O(n^3) ring operations against the O(n^4) of a
-char poly and its Horner products.
+alike.  The audit U^E = I and U^alpha of the Jordan split, when both are
+wanted, share one power of t (`_audit_and_alpha_power`).  The inverse alone
+is not a polynomial in A here: `inverse` is Gauss-Jordan elimination,
+O(n^3) ring operations against the O(n^4) of a char poly and its Horner
+products.
 """
 
 from __future__ import annotations
 
+import math
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -98,11 +102,12 @@ class PadicMatrix:
     """Immutable n x n matrix; unitary means unit determinant.
 
     `PadicMatrix(ring, rows)` takes n rows of n entries, each an int, a raw
-    value or a scalar of `ring`, and reduces each through `ring.scalar`, so
-    a Z_p raw lies in [0, p^K) whichever residue was written: a packed Z_p
-    product's slots hold no sign and no carry.  A non-square shape raises
-    InputError.  The library's kernels hold reduced rows already and build
-    through `_of`, which stores its tuple rows with no copy and no check.
+    value or a scalar of `ring`, and reduces each through `ring.rcoerce`, the
+    reducer behind `ring.scalar`, so a Z_p raw lies in [0, p^K) whichever
+    residue was written: a packed Z_p product's slots hold no sign and no
+    carry.  A non-square shape raises InputError.  The library's kernels
+    hold reduced rows already and build through `_of`, which stores its
+    tuple rows with no copy and no check.
 
     Five slots are filled lazily and kept on the object, a memo per matrix
     rather than a cache keyed by value.  A matrix starts with all five empty.
@@ -116,23 +121,25 @@ class PadicMatrix:
       `jordan_decompose`, `galois_act` and `power_zp`); `_exact_order`
       reads the degrees.
     - `_audited`: True once the pro-finite audit U^E = I has passed, set by
-      `_audit` (through `classify`, `spectral_decompose` and `_exact_order`,
-      which `residue_matrix_order` and `gm.principal_exponent` run on a
-      reduction of U).  A failed audit raises and is never recorded.
-    - `_teich`: the Teichmuller part U_s = U^alpha, filled by
-      `unitary._teichmuller_part` (through `classify` and `jordan_decompose`).
+      `_audit_and_alpha_power` or `_audit` (through `classify`,
+      `spectral_decompose` and `_exact_order`, which `residue_matrix_order`
+      and `gm.principal_exponent` run on a reduction of U).  A failed audit
+      raises and is never recorded.
+    - `_teich`: the Teichmuller part U_s = U^alpha, filled by `unitary`
+      with the audit through `_audit_and_alpha_power` (`classify`,
+      `spectral_decompose`) or alone (`jordan_decompose`).
     - `_unipotent`: the continuous part U_n = U U_s^-1, filled only by
       `unitary.jordan_decompose`.
     `evaluate`, behind `matrix_power` and every f(A), reads `_chi` and fills
     nothing else: a memo per exponent would grow with every exponent a
-    caller asks for.
+    caller asks for.  `reduce(K)` is the matrix itself, with its slots.
     """
 
     __slots__ = ("ring", "n", "rows", "_chi", "_exponents", "_audited", "_teich", "_unipotent")
 
     def __init__(self, ring: AnyRing, rows):
-        scalar = ring.scalar
-        rows = tuple(tuple(scalar(v).raw for v in row) for row in rows)
+        coerce = ring.rcoerce
+        rows = tuple(tuple(map(coerce, row)) for row in rows)
         if any(len(row) != len(rows) for row in rows):
             raise InputError("matrix must be square")
         self._fill(ring, rows)
@@ -168,7 +175,7 @@ class PadicMatrix:
     @classmethod
     def companion(cls, ring: AnyRing, monic_coeffs) -> "PadicMatrix":
         """Companion matrix of t^n + c_{n-1} t^{n-1} + ... + c_0 (ascending c, no lead)."""
-        coeffs = [ring.scalar(c).raw for c in monic_coeffs]
+        coeffs = [ring.rcoerce(c) for c in monic_coeffs]
         n = len(coeffs)
         z, o = ring.zero, ring.one
         rows = [[z] * n for _ in range(n)]
@@ -214,7 +221,7 @@ class PadicMatrix:
         return PadicMatrix._of(self.ring, tuple(tuple(map(neg, row)) for row in self.rows))
 
     def scale(self, c) -> "PadicMatrix":
-        raw = self.ring.scalar(c).raw
+        raw = self.ring.rcoerce(c)
         mul = self.ring.rmul
         rows = tuple(tuple(mul(raw, a) for a in row) for row in self.rows)
         return PadicMatrix._of(self.ring, rows)
@@ -230,7 +237,7 @@ class PadicMatrix:
 
     def apply(self, vector: Sequence) -> tuple:
         """Matrix-vector product; returns scalar objects."""
-        raws = [self.ring.scalar(v).raw for v in vector]
+        raws = [self.ring.rcoerce(v) for v in vector]
         if len(raws) != self.n:
             raise InputError(f"a {self.n} x {self.n} matrix applied to a vector of length {len(raws)}")
         return tuple(PadicScalar(self.ring, _dot(self.ring, row, raws)) for row in self.rows)
@@ -339,7 +346,8 @@ class PadicMatrix:
         (`_reduce_mod_chi`), and a negative low raises NotInvertible unless
         det A is a unit.  Horner then costs d - 1 matrix products at degree d
         (the first step is a scaling), each on raw rows with its coefficient
-        added onto the diagonal of the product.
+        added onto the diagonal of the product; over Z_p the rows of A are
+        packed once for all of them.
         """
         ring, n, rows = self.ring, self.n, self.rows
         coeffs = [ring.rfrom_int(c) if isinstance(c, int) else c for c in coeffs]
@@ -354,6 +362,8 @@ class PadicMatrix:
             return PadicMatrix._of(ring, _plus_diagonal(ring, ((ring.zero,) * n,) * n, coeffs[0]))
         mul, top = ring.rmul, coeffs[-1]
         acc = _plus_diagonal(ring, [[mul(top, a) for a in row] for row in rows], coeffs[-2])
+        if len(coeffs) > 2 and isinstance(ring, Zp):
+            rows = _Packed(_pack(rows, n, ring.pk))
         for c in reversed(coeffs[:-2]):
             acc = _plus_diagonal(ring, _matmul(ring, acc, rows), c)
         return PadicMatrix._of(ring, acc)
@@ -380,6 +390,9 @@ class PadicMatrix:
 
     # -- precision / residue / Galois ---------------------------------------
     def reduce(self, j: int) -> "PadicMatrix":
+        """A mod p^j; at j = K, A itself with every slot it has filled."""
+        if j == self.ring.K:
+            return self
         target, rreduce = self.ring.at_precision(j), self.ring.rreduce
         rows = tuple(tuple(rreduce(v, j) for v in row) for row in self.rows)
         return PadicMatrix._of(target, rows)
@@ -406,7 +419,7 @@ class PadicMatrix:
         j = ring.K
         p = ring.p
         n = self.n
-        reduced = self if ring == self.ring else self.reduce(j)
+        reduced = self.reduce(j)
         A = [list(row) for row in reduced.rows]
         L = [list(row) for row in PadicMatrix.identity(ring, n).rows]
         R = [list(row) for row in PadicMatrix.identity(ring, n).rows]
@@ -501,13 +514,21 @@ def _plus_diagonal(ring, rows, c) -> tuple:
 
 
 def _matmul(ring, A, B):
-    """A B on raw rows; over Z_p row i is sum_k A[i][k] (row k of B packed), unpacked."""
-    n = len(B)
+    """A B on raw rows; over Z_p row i is sum_k A[i][k] (row k of B packed), unpacked.
+
+    A Z_p B may come packed already (`_Packed`), as in `evaluate`, whose
+    products all take the same B.
+    """
     if isinstance(ring, Zp):
-        s, packed = _pack(B, n, ring.pk)
+        s, packed = B if type(B) is _Packed else _pack(B, len(B), ring.pk)
+        n = len(packed)
         return tuple(tuple(_unpack(sum(map(mul, row, packed)), s, n, ring.pk)) for row in A)
     Bt = list(zip(*B))
     return tuple(tuple(_dot(ring, row, col) for col in Bt) for row in A)
+
+
+class _Packed(tuple):
+    """The (s, ints) of `_pack` for a B that `_matmul` is to take as packed."""
 
 
 def _pack(vectors, terms: int, pk: int) -> tuple[int, list[int]]:
@@ -580,7 +601,7 @@ class SmithProfile(NamedTuple):
 
 
 def vector_norm(ring: AnyRing, vector: Sequence) -> Norm:
-    raws = [ring.scalar(v).raw for v in vector]
+    raws = [ring.rcoerce(v) for v in vector]
     val = min((ring.rval(v) for v in raws), default=ring.K)
     return Norm(ring.p, ring.K, val)
 
@@ -630,9 +651,29 @@ def _audit(U: PadicMatrix) -> None:
     """
     if not U._audited:
         _, E = _exponents(U)
-        if U.matrix_power(E) != PadicMatrix.identity(U.ring, U.n):
-            raise ArithmeticError("unitary matrix failed the pro-finite audit")
-        U._audited = True
+        _record_audit(U, U.matrix_power(E))
+
+
+def _record_audit(U: PadicMatrix, power: PadicMatrix) -> None:
+    """Record the audit's pass on U if power = U^E is I; raise otherwise."""
+    if power != PadicMatrix.identity(U.ring, U.n):
+        raise ArithmeticError("unitary matrix failed the pro-finite audit")
+    U._audited = True
+
+
+def _audit_and_alpha_power(U: PadicMatrix) -> PadicMatrix:
+    """The audit U^E = I, then U^alpha, for a Z_p matrix that has taken neither.
+
+    t^E and t^alpha mod chi_U are y^(E/g) and y^(alpha/g) of one y = t^g
+    (`fppoly.pow_t_chain`), g = gcd(alpha, E): p^A here, and exact for any
+    pair, so a wrong E still fails.  The companion matrix of chi_U has U's
+    residue degrees, so t^E mod chi_U is 1 when E is right: no product.
+    """
+    alpha, E = _exponents(U)
+    g = math.gcd(alpha, E)
+    t_e, t_alpha = fppoly.pow_t_chain(g, (E // g, alpha // g), U.char_poly_raw(), U.ring.pk)
+    _record_audit(U, U.evaluate(t_e))
+    return U.evaluate(t_alpha)
 
 
 def _exact_order(U: PadicMatrix) -> int:

@@ -36,7 +36,7 @@ class WaveFunction:
 
     def __init__(self, ring, values):
         self.ring = ring
-        self.values = tuple(ring.scalar(v).raw for v in values)
+        self.values = tuple(map(ring.rcoerce, values))
         self._norm = None
 
     @property

@@ -129,12 +129,18 @@ class Zp:
         return Zp(self.p, j)
 
     # -- scalar construction --------------------------------------------
-    def scalar(self, value) -> "PadicScalar":
+    def rcoerce(self, value) -> int:
+        """The raw value of an int (any sign or size) or of a scalar of this ring."""
+        if type(value) is int:  # the common case, first
+            return value % self.pk
         if isinstance(value, PadicScalar):
             if value.ring != self:
                 raise PrecisionMismatch(f"scalar from {value.ring} used in {self}")
-            return value
-        return PadicScalar(self, int(value) % self.pk)
+            return value.raw
+        return int(value) % self.pk
+
+    def scalar(self, value) -> "PadicScalar":
+        return PadicScalar(self, self.rcoerce(value))
 
     def __eq__(self, other):
         return isinstance(other, Zp) and (self.p, self.K) == (other.p, other.K)
@@ -307,20 +313,28 @@ class UnramRing:
             raise InputError(f"target precision {j} outside [1, {self.K}]")
         return UnramRing(self.p, j, self.m)
 
-    def scalar(self, value) -> "PadicScalar":
-        """A scalar of this ring; Z_p scalars at the same (p, K) and ints are embedded."""
+    def rcoerce(self, value) -> tuple:
+        """The raw value of an int, a coefficient sequence or a scalar of this ring.
+
+        Ints and Z_p scalars at the same (p, K) are embedded; coefficients of
+        any sign or size are reduced.
+        """
         if isinstance(value, PadicScalar):
             if value.ring == self:
-                return value
+                return value.raw
             if not isinstance(value.ring, Zp) or (value.ring.p, value.ring.K) != (self.p, self.K):
                 raise PrecisionMismatch(f"scalar from {value.ring} used in {self}")
-            return PadicScalar(self, self.rfrom_int(value.raw))
+            return self.rfrom_int(value.raw)
         if isinstance(value, int):
-            return PadicScalar(self, self.rfrom_int(value))
+            return self.rfrom_int(value)
         coeffs = tuple(int(c) % self.pk for c in value)
         if len(coeffs) != self.m:
             raise InputError(f"expected {self.m} coefficients, got {len(coeffs)}")
-        return PadicScalar(self, coeffs)
+        return coeffs
+
+    def scalar(self, value) -> "PadicScalar":
+        """A scalar of this ring (`rcoerce`)."""
+        return PadicScalar(self, self.rcoerce(value))
 
     def is_base_value(self, a) -> bool:
         return all(x == 0 for x in a[1:])
@@ -375,7 +389,7 @@ class PadicScalar:
         if not isinstance(other, PadicScalar):
             return None
         ring = self.ring if isinstance(other.ring, Zp) else other.ring
-        return ring, ring.scalar(self).raw, ring.scalar(other).raw
+        return ring, ring.rcoerce(self), ring.rcoerce(other)
 
     def _binary(self, other, op: str, reflected: bool = False):
         args = self._promote(other)

@@ -10,7 +10,10 @@ the exponent of GL_n(F_q).  The exponents p^(k!) are eventually 1 mod M and
 0 mod p^A, so the limit is U^alpha for the alpha with those residues
 (`arith.teichmuller_exponent`): the Teichmuller part U_s of U = U_s U_n.  No
 integer is factored and no residue order is searched, and the powers U^E and
-U^alpha are (t^e mod chi_U)(U) (`matrix_power`).  (alpha, E) and the audit
+U^alpha are (t^e mod chi_U)(U): when both are wanted (`classify`,
+`spectral_decompose`), t^E = y^M and t^alpha = y^c share y = t^(p^A) mod
+chi_U (`matrices._audit_and_alpha_power`), and a lone one is its own power
+of t (`matrix_power`).  (alpha, E) and the audit
 U^E = I come from `matrices._exponents` and `matrices._audit`;
 `residual_order` descends from the audited E of U mod p
 (`matrices._exact_order`), factoring q^d - 1 for the residue degrees only.
@@ -64,7 +67,8 @@ from .errors import (
     InputError, NotAUnit, NotContinuous, NotTeichmuller, NotUnitary, PadicError, Unsupported,
 )
 from .matrices import (
-    PadicMatrix, _audit, _exponents, _pack, _unpack, orbit_polynomial, residue_matrix_order,
+    PadicMatrix, _audit, _audit_and_alpha_power, _exponents, _pack, _unpack, orbit_polynomial,
+    residue_matrix_order,
 )
 from .scalars import ONE_MINUS, AnyRing, PadicScalar, UnramRing, Zp, unram
 
@@ -106,6 +110,15 @@ def _teichmuller_part(U: PadicMatrix) -> PadicMatrix:
     return U._teich
 
 
+def _audited_teichmuller_part(U: PadicMatrix) -> PadicMatrix:
+    """The pro-finite audit U^E = I, then U_s: from one shared power of t when
+    a Z_p matrix has neither, else each alone, where the direct power is cheaper."""
+    if U._teich is None and not U._audited and isinstance(U.ring, Zp):
+        U._teich = _audit_and_alpha_power(U)
+    _audit(U)
+    return _teichmuller_part(U)
+
+
 def residual_order(U: PadicMatrix) -> int:
     """Exact multiplicative order of the reduction of U over the residue field."""
     _require_unitary(U)
@@ -122,8 +135,7 @@ class UnitaryClass(NamedTuple):
 def classify(U: PadicMatrix) -> UnitaryClass:
     """Compare the factorial sigma-power limit U^alpha with U and with I."""
     _require_unitary(U)
-    _audit(U)
-    limit = _teichmuller_part(U)
+    limit = _audited_teichmuller_part(U)
     is_teich = limit == U
     is_cont = limit == PadicMatrix.identity(U.ring, U.n)
     kind = TEICHMULLER if is_teich else CONTINUOUS if is_cont else PROFINITE_MIXED
@@ -405,7 +417,7 @@ def spectral_decompose(U: PadicMatrix) -> SpectralDatum:
     needs no char poly of its own.
     """
     _require_base_unitary(U)
-    _audit(U)
+    _audited_teichmuller_part(U)
     u_s, u_n = jordan_decompose(U)
     datum = _teichmuller_spectral(u_s, U.char_poly_raw())
     return SpectralDatum(

@@ -128,3 +128,26 @@ def test_a_wrong_exponent_fails_the_audit_before_any_order(monkeypatch):
     for j in (1, 3):
         with pytest.raises(ArithmeticError):
             gm.principal_exponent(u, j)
+
+
+def test_principal_exponent_at_full_precision_runs_berkowitz_on_u_once(monkeypatch):
+    """U.reduce(K) is U, so principal_exponent(U, K) reuses U's Berkowitz run, residue
+    degrees and audit: one run at precision K per call on a fresh U, none on a second
+    call, and one on U mod p for the residue order."""
+    ring = Zp(5, 20)
+    runs = []
+    berkowitz = PadicMatrix._berkowitz
+
+    def counted(self):
+        runs.append(self)
+        return berkowitz(self)
+
+    monkeypatch.setattr(PadicMatrix, "_berkowitz", counted)
+    for seed in range(3):
+        u = PadicMatrix(ring, random_unitary(ring, 6, random.Random(seed)).rows)
+        assert u.reduce(20) is u
+        for expected in ([u], []):
+            runs.clear()
+            gm.principal_exponent(u, 20)
+            assert [m for m in runs if m.ring.K == 20] == expected
+            assert [m.ring.K for m in runs if m is not u] == [1]

@@ -591,3 +591,41 @@ def test_evaluate_matches_sum_of_powers(ring):
             raws = [random_matrix(ring, 1, rng).rows[0][0] for _ in range(length)]
             assert A.evaluate(raws) == _sum_of_powers(A, raws)
 
+
+
+def _school_mul(a, b, pk):
+    n = len(b)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) % pk for j in range(n)] for i in range(len(a))]
+
+
+def _school_horner(coeffs, a, pk):
+    """sum c_i A^i mod pk by Horner on integer lists."""
+    n = len(a)
+    acc = [[0] * n for _ in range(n)]
+    for c in reversed(coeffs):
+        acc = _school_mul(acc, a, pk)
+        for i in range(n):
+            acc[i][i] = (acc[i][i] + c) % pk
+    return acc
+
+
+@pytest.mark.parametrize("p,K", [(3, 2), (5, 20), (7, 30)])
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_evaluate_matches_a_schoolbook_horner_for_long_lists_and_negative_low(p, K, n):
+    """f = t^low g with deg g >= n and low of either sign: for low >= 0, f(A) is
+    Horner on t^low g; for low < 0, X = f(A) is the one matrix with A^-low X = g(A)."""
+    ring = Zp(p, K)
+    pk = ring.pk
+    rng = random.Random(p * 100 + n)
+    for _ in range(4):
+        u = random_unitary(ring, n, rng)
+        a = [list(row) for row in u.rows]
+        g = [rng.randrange(-pk, pk) for _ in range(rng.randrange(n + 1, 3 * n + 3))]
+        for low in (-5, -1, 0, 1, 4):
+            value = [list(row) for row in u.evaluate(g, low).rows]
+            if low >= 0:
+                assert value == _school_horner([0] * low + g, a, pk), low
+            else:
+                assert _school_mul(_school_horner([0] * -low + [1], a, pk), value, pk) == (
+                    _school_horner(g, a, pk)
+                ), low

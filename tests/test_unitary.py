@@ -759,18 +759,23 @@ def test_spectral_decompose_takes_no_frobenius_image_of_a_matrix(three_orbits, m
 # -- the Jordan datum kept on the matrix ------------------------------------------------
 
 
-def _record_pow_mod(monkeypatch):
-    """Record (exponent, modulus) of every `fppoly.pow_mod` call."""
-    from padicu import fppoly
-
+def _record_powers(monkeypatch):
+    """Record (modulus, coefficient modulus, base is t, exponent) of every packed
+    power `fppoly` takes, in its one fold context."""
     calls = []
-    original = fppoly.pow_mod
+    original = fppoly._fold_context
 
-    def recorded(base, e, f, *args):
-        calls.append((e, list(f)))
-        return original(base, e, f, *args)
+    def recorded(f, p):
+        pack, unpack, power = original(f, p)
+        t = pack([0, 1])
 
-    monkeypatch.setattr(fppoly, "pow_mod", recorded)
+        def counted(x, e):
+            calls.append((list(f), p, x == t, e))
+            return power(x, e)
+
+        return pack, unpack, counted
+
+    monkeypatch.setattr(fppoly, "_fold_context", recorded)
     return calls
 
 
@@ -794,21 +799,43 @@ def _exponent_pair(q, p, K, n, degrees):
 
 @pytest.mark.parametrize("make", [random_unitary, random_continuous, random_teichmuller])
 def test_the_chain_raises_u_to_e_and_alpha_once(make, monkeypatch):
-    """(alpha, E) come from the degrees of chi_U's residue factors, here sympy's, and
-    the chain raises U to each once: one `pow_mod` mod chi_U per exponent."""
+    """(alpha, E) = (c p^A, M p^A) come from the degrees of chi_U's residue factors,
+    here sympy's.  The chain raises U to each once, through one shared power: it
+    takes y = t^(p^A) mod chi_U once, then y^M and y^c once each, and never t^E or
+    t^alpha; jordan, spectral and power_zp take none of these again."""
     ring = Zp(5, 6)
     u = make(ring, 4, random.Random(17))
     chi = u.char_poly_raw()
     alpha, E = _exponent_pair(5, 5, 6, 4, _residue_degrees(chi, 5))
-    calls = _record_pow_mod(monkeypatch)
+    pa = 5**6  # A = K - 1 + 1, as 5 >= n = 4
+    assert alpha % pa == 0 and E % pa == 0
+    M, c = E // pa, alpha // pa
+    calls = _record_powers(monkeypatch)
     kind = unitary.classify(u)
+    chain = [(is_t, e) for f, m, is_t, e in calls if (f, m) == (chi, ring.pk)]
+    assert sorted(e for _, e in chain) == sorted([pa, M, c])
+    assert chain.count((True, pa)) == 1
+    calls.clear()
     unitary.jordan_decompose(u)
     if kind.is_continuous:
         unitary.power_zp(u, 7)
     else:
         unitary.spectral_decompose(u)
-    on_chi = [e for e, f in calls if f == chi]
-    assert on_chi.count(E) == 1 and on_chi.count(alpha) == 1
+    again = [e for f, m, _, e in calls if (f, m) == (chi, ring.pk)]
+    assert not set(again) & {pa, M, c, alpha, E}
+
+
+@pytest.mark.parametrize("make", [random_unitary, random_continuous, random_teichmuller])
+def test_a_lone_jordan_decompose_raises_t_to_alpha_directly_once(make, monkeypatch):
+    """U_s alone, with no audit wanted, takes t^alpha mod chi_U directly: alone, the
+    shared power would cost more than it saves."""
+    ring = Zp(5, 6)
+    u = make(ring, 4, random.Random(17))
+    chi = u.char_poly_raw()
+    alpha, _ = _exponent_pair(5, 5, 6, 4, _residue_degrees(chi, 5))
+    calls = _record_powers(monkeypatch)
+    unitary.jordan_decompose(u)
+    assert [(is_t, e) for f, m, is_t, e in calls if (f, m) == (chi, ring.pk)] == [(True, alpha)]
 
 
 def _square_and_multiply(A, e):
@@ -972,3 +999,75 @@ def test_a_failed_pro_finite_audit_is_not_recorded(monkeypatch):
         with pytest.raises(ArithmeticError):
             unitary.classify(u)
         assert u._audited is False
+
+
+# -- the shared power against test-local oracles ------------------------------------------
+
+
+def _classify_first(u):
+    unitary.classify(u)
+
+
+def _jordan_then_classify(u):
+    unitary.jordan_decompose(u)
+    unitary.classify(u)
+
+
+def _residual_order_first(u):
+    unitary.residual_order(u)
+    unitary.classify(u)
+
+
+def _spectral_first(u):
+    try:
+        unitary.spectral_decompose(u)
+    except (NotTeichmuller, Unsupported):  # a residue degree with no shipped modulus
+        pass
+    unitary.classify(u)
+
+
+@pytest.mark.parametrize("p,K", [(3, 3), (5, 3), (7, 2), (11, 2)])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_every_call_order_gives_u_to_alpha_and_passes_u_to_e(p, K, n):
+    """Whichever operation comes first, U_s = U^alpha and U^E = I, with (alpha, E)
+    written out here from sympy's residue degrees and both powers taken by
+    square-and-multiply; the audit has run, and U_s is shared by classify and jordan."""
+    ring = Zp(p, K)
+    make = (random_unitary, random_continuous, random_teichmuller)[n % 3]
+    rows = make(ring, n, random.Random(100 * p + n)).rows
+    alpha, E = _exponent_pair(p, p, K, n, _residue_degrees(M(ring, rows).char_poly_raw(), p))
+    u_alpha = _square_and_multiply(M(ring, rows), alpha)
+    assert _square_and_multiply(M(ring, rows), E) == PadicMatrix.identity(ring, n)
+    for order in (_classify_first, _jordan_then_classify, _residual_order_first, _spectral_first):
+        u = M(ring, rows)
+        order(u)
+        assert u._audited, order.__name__
+        u_s, u_n = unitary.jordan_decompose(u)
+        assert unitary.classify(u).witness is u_s
+        assert u_s == u_alpha, order.__name__
+        assert u_s @ u_n == u
+
+
+def test_the_shared_route_still_fails_a_wrong_e(monkeypatch):
+    """E = p^A divides alpha, so the shared route takes it: y = t^(p^A) and y^1.  A U
+    with U^(p^A) != I fails the audit, and nothing is recorded."""
+    ring = Zp(5, 6)
+    u = random_unitary(ring, 4, random.Random(17))
+    pa = 5**6
+    alpha, _ = _exponent_pair(5, 5, 6, 4, _residue_degrees(u.char_poly_raw(), 5))
+    assert _square_and_multiply(u, pa) != PadicMatrix.identity(ring, 4)
+    shared = []
+    chain = fppoly.pow_t_chain
+
+    def recorded(g, cofactors, f, p):
+        shared.append((g, tuple(cofactors)))
+        return chain(g, cofactors, f, p)
+
+    monkeypatch.setattr(fppoly, "pow_t_chain", recorded)
+    monkeypatch.setattr(matrices, "_exponents", lambda U: (alpha, pa))
+    for operation in (unitary.classify, unitary.spectral_decompose):
+        shared.clear()
+        with pytest.raises(ArithmeticError):
+            operation(u)
+        assert shared == [(pa, (1, alpha // pa))]
+        assert (u._audited, u._teich) == (False, None)
