@@ -203,15 +203,16 @@ def pow_t_chain(g: int, cofactors, f: list[int], p: int) -> list[list[int]]:
     """[t^(g c) mod f for c in cofactors], for g >= 1 and every c >= 0.
 
     y = t^g is taken once, by the shifted t-base squarings of `pow_mod`, and
-    each y^c in the same fold context: about bits(g) + sum of 1.5 bits(c)
-    reductions, against sum of bits(g c) for the direct powers.
+    each y^c in the same fold context, y itself at c = 1: about bits(g) +
+    sum of 1.5 bits(c) reductions, against sum of bits(g c) for the direct
+    powers, so a lone cofactor of 1 costs exactly the direct power t^g.
     """
     t = divmod_poly([0, 1], f, p)[1]  # a non-unit lead raises ValueError
     if not t:
         return [[] if c else [1] for c in cofactors]
     pack, unpack, power = _fold_context(f, p)
     y = power(pack(t), g)
-    return [unpack(power(y, c)) if c else [1] for c in cofactors]
+    return [unpack(y if c == 1 else power(y, c)) if c else [1] for c in cofactors]
 
 
 def mul_columns(a: list[int], b: list[int], p: int) -> list[list[int]]:

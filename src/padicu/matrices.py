@@ -3,7 +3,8 @@
 Entries are stored as the rings' raw values (ints, or coefficient tuples),
 so the inner loops run on plain integers; scalar objects only appear at the
 API boundary; a Z_p product packs each row of B into one int (`_matmul`),
-and `evaluate` packs A once for all of its Horner products.
+`evaluate` packs A once for all of its Horner products, and the packed
+format (`_pack`, `_unpack`) serves `_linear_combination` too.
 Everything is exact modulo p^K: the characteristic polynomial is computed
 division-free (Berkowitz), and the Smith form uses minimal-valuation
 pivoting, which is enough over the local ring Z/p^j.
@@ -13,8 +14,9 @@ Laurent polynomial f = t^low g of A is r(A) with r = t^low g mod chi_A, of
 degree < n, and t^-1 mod chi_A is read off chi_A.  So A^e for any e and f(U)
 on the formal group each cost one char poly, at most one polynomial power
 mod chi_A and at most n - 2 products, over Z_p and over an extension ring
-alike.  The audit U^E = I and U^alpha of the Jordan split, when both are
-wanted, share one power of t (`_audit_and_alpha_power`).  The inverse alone
+alike.  The audit U^E = I and U_s = U^alpha of the Jordan split come from
+one routine, `_jordan_powers`, in every call order: over Z_p the exponents
+it still needs share one power of t.  The inverse alone
 is not a polynomial in A here: `inverse` is Gauss-Jordan elimination,
 O(n^3) ring operations against the O(n^4) of a char poly and its Horner
 products.
@@ -111,23 +113,22 @@ class PadicMatrix:
 
     Five slots are filled lazily and kept on the object, a memo per matrix
     rather than a cache keyed by value.  A matrix starts with all five empty.
-    This module fills the first three, `unitary` the last two.
+    This module fills the first four, `unitary` the last.
     - `_chi`: the characteristic polynomial, filled by `char_poly_raw`, so
       the determinant and every power share one Berkowitz run.  `inverse`
       eliminates and does not read it.
     - `_exponents`: the Jordan exponents (alpha, E) and the residue degrees
       they come from (the degrees of the residue factors of `_chi` over
-      Z_p), filled by `_exponents` (through the audit, `classify`,
-      `jordan_decompose`, `galois_act` and `power_zp`); `_exact_order`
-      reads the degrees.
+      Z_p), filled by `_exponents` (through `_jordan_powers`, `galois_act`
+      and `power_zp`); `_exact_order` reads the degrees.
     - `_audited`: True once the pro-finite audit U^E = I has passed, set by
-      `_audit_and_alpha_power` or `_audit` (through `classify`,
-      `spectral_decompose` and `_exact_order`, which `residue_matrix_order`
-      and `gm.principal_exponent` run on a reduction of U).  A failed audit
+      `_jordan_powers` (for `classify`, `spectral_decompose` and
+      `_exact_order`, which `residue_matrix_order` and
+      `gm.principal_exponent` run on a reduction of U).  A failed audit
       raises and is never recorded.
-    - `_teich`: the Teichmuller part U_s = U^alpha, filled by `unitary`
-      with the audit through `_audit_and_alpha_power` (`classify`,
-      `spectral_decompose`) or alone (`jordan_decompose`).
+    - `_teich`: the Teichmuller part U_s = U^alpha, filled by
+      `_jordan_powers` with the audit (`classify`, `spectral_decompose`) or
+      alone (`jordan_decompose`).
     - `_unipotent`: the continuous part U_n = U U_s^-1, filled only by
       `unitary.jordan_decompose`.
     `evaluate`, behind `matrix_power` and every f(A), reads `_chi` and fills
@@ -543,6 +544,21 @@ def _unpack(y: int, s: int, count: int, pk: int) -> list:
     return [((y >> k) & mask) % pk for k in range(0, s * count, s)]
 
 
+def _linear_combination(ring: AnyRing, coeffs: list, matrices: list[PadicMatrix]) -> PadicMatrix:
+    """sum c_k A_k over ring, for raw values c_k of ring and Z_p matrices A_k.
+
+    Over an extension ring each c_k is one int, packed by `_pack`.
+    """
+    pk, n = ring.pk, matrices[0].n
+    entries = zip(*(sum(A.rows, ()) for A in matrices))  # per entry, its values in A_0, A_1, ...
+    if isinstance(ring, Zp):
+        values = [sum(map(mul, coeffs, entry)) % pk for entry in entries]
+    else:
+        s, packed = _pack(coeffs, len(coeffs), pk)
+        values = [tuple(_unpack(sum(map(mul, packed, entry)), s, ring.m, pk)) for entry in entries]
+    return PadicMatrix._of(ring, tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n)))
+
+
 def _exact_div(ring, value, pd: int):
     """Divide a raw value by p^d; every coordinate is divisible by construction."""
     if pd == 1:
@@ -643,37 +659,38 @@ def _exponents(U: PadicMatrix) -> tuple[int, int]:
     return U._exponents[:2]
 
 
-def _audit(U: PadicMatrix) -> None:
-    """The pro-finite audit U^E = I, run once per matrix.
+def _jordan_powers(U: PadicMatrix, audit: bool = False, teich: bool = False) -> PadicMatrix | None:
+    """Fill whichever of the pro-finite audit U^E = I (`audit`) and the
+    Teichmuller part U_s = U^alpha (`teich`) is asked for and still missing
+    on U; return U_s, or None while it is unfilled.
 
-    The audit checks the one fact the closed form relies on: the order of U
-    divides E.  A pass is recorded on U; a failure raises and records nothing.
+    Each power is (t^e mod chi_U)(U).  Over Z_p the wanted exponents are
+    y^(e/g) of one y = t^g (`fppoly.pow_t_chain`), g their gcd: p^A for the
+    pair, and a lone e is its own g, so its y is the direct power.  The
+    companion matrix of chi_U has U's residue degrees, so t^E mod chi_U is 1
+    when E is right: no product.  An extension ring takes one
+    `ringpoly.pow_mod` per exponent (`matrix_power`).  The audit checks the
+    one fact the closed form relies on, that the order of U divides E; it
+    runs before U_s is taken, and a failure raises and records nothing.
     """
-    if not U._audited:
-        _, E = _exponents(U)
-        _record_audit(U, U.matrix_power(E))
-
-
-def _record_audit(U: PadicMatrix, power: PadicMatrix) -> None:
-    """Record the audit's pass on U if power = U^E is I; raise otherwise."""
-    if power != PadicMatrix.identity(U.ring, U.n):
-        raise ArithmeticError("unitary matrix failed the pro-finite audit")
-    U._audited = True
-
-
-def _audit_and_alpha_power(U: PadicMatrix) -> PadicMatrix:
-    """The audit U^E = I, then U^alpha, for a Z_p matrix that has taken neither.
-
-    t^E and t^alpha mod chi_U are y^(E/g) and y^(alpha/g) of one y = t^g
-    (`fppoly.pow_t_chain`), g = gcd(alpha, E): p^A here, and exact for any
-    pair, so a wrong E still fails.  The companion matrix of chi_U has U's
-    residue degrees, so t^E mod chi_U is 1 when E is right: no product.
-    """
-    alpha, E = _exponents(U)
-    g = math.gcd(alpha, E)
-    t_e, t_alpha = fppoly.pow_t_chain(g, (E // g, alpha // g), U.char_poly_raw(), U.ring.pk)
-    _record_audit(U, U.evaluate(t_e))
-    return U.evaluate(t_alpha)
+    audit, teich = audit and not U._audited, teich and U._teich is None
+    if audit or teich:
+        alpha, E = _exponents(U)
+        wanted = [e for e, want in ((E, audit), (alpha, teich)) if want]
+        ring = U.ring
+        if isinstance(ring, Zp):
+            g = math.gcd(*wanted) or 1  # alpha = 0 alone, as at n = 0: t^0 = 1
+            chain = fppoly.pow_t_chain(g, [e // g for e in wanted], U.char_poly_raw(), ring.pk)
+            powers = map(U.evaluate, chain)
+        else:
+            powers = map(U.matrix_power, wanted)
+        if audit:
+            if next(powers) != PadicMatrix.identity(ring, U.n):
+                raise ArithmeticError("unitary matrix failed the pro-finite audit")
+            U._audited = True
+        if teich:
+            U._teich = next(powers)
+    return U._teich
 
 
 def _exact_order(U: PadicMatrix) -> int:
@@ -683,7 +700,7 @@ def _exact_order(U: PadicMatrix) -> int:
     by one: trial division on M whole could meet two large primes from
     different pieces.  Each prime r is divided out while U^(order / r) = I.
     """
-    _audit(U)
+    _jordan_powers(U, audit=True)
     _, order, degrees = U._exponents
     ring = U.ring
     primes = {ring.p}

@@ -293,18 +293,15 @@ def torus_check(U: PadicMatrix, V: PadicMatrix, bound: int = 4) -> TorusRelation
         raise NotATorusPair("commutator is not a scalar operator")
     xi = PadicScalar(ring, xi_raw)
     near = None
+    v_powers = [V.matrix_power(b) for b in range(1, bound + 1)]
     for a in range(1, bound + 1):
         ua = U.matrix_power(a)
-        for b in range(1, bound + 1):
-            vb = V.matrix_power(b)
-            lhs = ua @ vb
-            rhs = (vb @ ua).scale(ring.rpow(xi_raw, a * b))
-            if lhs != rhs:
+        for b, vb in enumerate(v_powers, 1):
+            xi_ab = ring.rpow(xi_raw, a * b)
+            if ua @ vb != (vb @ ua).scale(xi_ab):
                 raise ArithmeticError("power relation failed")  # impossible if scalar
-            if near is None:
-                gap = ring.rsub(ring.rpow(xi_raw, a * b), ring.one)
-                if ring.rval(gap) >= 2:
-                    near = (a, b)
+            if near is None and ring.rval(ring.rsub(xi_ab, ring.one)) >= 2:
+                near = (a, b)
     return TorusRelation(xi, bound, near)
 
 

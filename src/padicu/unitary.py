@@ -9,12 +9,12 @@ degrees come from the squarefree and distinct-degree steps
 the exponent of GL_n(F_q).  The exponents p^(k!) are eventually 1 mod M and
 0 mod p^A, so the limit is U^alpha for the alpha with those residues
 (`arith.teichmuller_exponent`): the Teichmuller part U_s of U = U_s U_n.  No
-integer is factored and no residue order is searched, and the powers U^E and
-U^alpha are (t^e mod chi_U)(U): when both are wanted (`classify`,
-`spectral_decompose`), t^E = y^M and t^alpha = y^c share y = t^(p^A) mod
-chi_U (`matrices._audit_and_alpha_power`), and a lone one is its own power
-of t (`matrix_power`).  (alpha, E) and the audit
-U^E = I come from `matrices._exponents` and `matrices._audit`;
+integer is factored and no residue order is searched.  (alpha, E), the audit
+U^E = I and U_s = U^alpha come from `matrices._exponents` and
+`matrices._jordan_powers`, which takes each power as (t^e mod chi_U)(U):
+when both are wanted (`classify`, `spectral_decompose`), t^E = y^M and
+t^alpha = y^c share y = t^(p^A) mod chi_U over Z_p, and a lone one
+(`jordan_decompose`, `_exact_order`) is its own y, the direct power.
 `residual_order` descends from the audited E of U mod p
 (`matrices._exact_order`), factoring q^d - 1 for the residue degrees only.
 The Jordan datum stays on the matrix: (alpha, E), the passed audit U^E = I,
@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import math
 import random
-from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import fppoly, ringpoly
@@ -67,7 +66,7 @@ from .errors import (
     InputError, NotAUnit, NotContinuous, NotTeichmuller, NotUnitary, PadicError, Unsupported,
 )
 from .matrices import (
-    PadicMatrix, _audit, _audit_and_alpha_power, _exponents, _pack, _unpack, orbit_polynomial,
+    PadicMatrix, _exponents, _jordan_powers, _linear_combination, orbit_polynomial,
     residue_matrix_order,
 )
 from .scalars import ONE_MINUS, AnyRing, PadicScalar, UnramRing, Zp, unram
@@ -102,23 +101,6 @@ def _require_base_teichmuller(U: PadicMatrix):
         raise NotTeichmuller("operator is not of Teichmuller type")
 
 
-def _teichmuller_part(U: PadicMatrix) -> PadicMatrix:
-    """U_s = U^alpha, computed once per matrix and kept on it."""
-    if U._teich is None:
-        alpha, _ = _exponents(U)
-        U._teich = U.matrix_power(alpha)
-    return U._teich
-
-
-def _audited_teichmuller_part(U: PadicMatrix) -> PadicMatrix:
-    """The pro-finite audit U^E = I, then U_s: from one shared power of t when
-    a Z_p matrix has neither, else each alone, where the direct power is cheaper."""
-    if U._teich is None and not U._audited and isinstance(U.ring, Zp):
-        U._teich = _audit_and_alpha_power(U)
-    _audit(U)
-    return _teichmuller_part(U)
-
-
 def residual_order(U: PadicMatrix) -> int:
     """Exact multiplicative order of the reduction of U over the residue field."""
     _require_unitary(U)
@@ -135,7 +117,7 @@ class UnitaryClass(NamedTuple):
 def classify(U: PadicMatrix) -> UnitaryClass:
     """Compare the factorial sigma-power limit U^alpha with U and with I."""
     _require_unitary(U)
-    limit = _audited_teichmuller_part(U)
+    limit = _jordan_powers(U, audit=True, teich=True)
     is_teich = limit == U
     is_cont = limit == PadicMatrix.identity(U.ring, U.n)
     kind = TEICHMULLER if is_teich else CONTINUOUS if is_cont else PROFINITE_MIXED
@@ -151,7 +133,7 @@ def jordan_decompose(U: PadicMatrix) -> tuple[PadicMatrix, PadicMatrix]:
     """
     _require_unitary(U)
     if U._unipotent is None:
-        U._unipotent = U @ _teichmuller_part(U).inverse()
+        U._unipotent = U @ _jordan_powers(U, teich=True).inverse()
     return U._teich, U._unipotent
 
 
@@ -363,21 +345,6 @@ def _teichmuller_spectral(U: PadicMatrix, chi: list[int]) -> SpectralDatum:
     return datum
 
 
-def _linear_combination(ring: AnyRing, coeffs: list, matrices: list[PadicMatrix]) -> PadicMatrix:
-    """sum c_k A_k over ring, for raw values c_k of ring and Z_p matrices A_k.
-
-    Over an extension ring each c_k is one int, packed by `matrices._pack`.
-    """
-    pk, n = ring.pk, matrices[0].n
-    entries = zip(*(sum(A.rows, ()) for A in matrices))  # per entry, its values in A_0, A_1, ...
-    if isinstance(ring, Zp):
-        values = [sum(map(mul, coeffs, entry)) % pk for entry in entries]
-    else:
-        s, packed = _pack(coeffs, len(coeffs), pk)
-        values = [tuple(_unpack(sum(map(mul, packed, entry)), s, ring.m, pk)) for entry in entries]
-    return PadicMatrix._of(ring, tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n)))
-
-
 def _orbit_roots(irr: list[int], field: UnramRing, rng: random.Random) -> list:
     """The roots in F_q = F_{p^d} of an irreducible degree-d polynomial over F_p.
 
@@ -417,7 +384,7 @@ def spectral_decompose(U: PadicMatrix) -> SpectralDatum:
     needs no char poly of its own.
     """
     _require_base_unitary(U)
-    _audited_teichmuller_part(U)
+    _jordan_powers(U, audit=True, teich=True)
     u_s, u_n = jordan_decompose(U)
     datum = _teichmuller_spectral(u_s, U.char_poly_raw())
     return SpectralDatum(

@@ -14,7 +14,10 @@ after.  The digest covers, on a fixed seeded grid of nine (p, K, n) shapes:
   negative and 200-bit exponents;
 - `residual_order` and `principal_exponent` at j = 1, ceil(K/2) and K on
   random, continuous and Teichmuller unitaries of the shape, and on random
-  unitaries over the extension ring `ORDER_EXTENSION`.
+  unitaries over the extension ring `ORDER_EXTENSION`;
+- `classify` and `jordan_decompose` on random unitaries over the degree-2
+  and degree-3 extension rings of `JORDAN_EXTENSION`, in both call orders,
+  and `classify` on fresh copies of the two Jordan parts of each.
 
 and, on a seeded grid of three (p, K) levels, the formal-group layer:
 
@@ -65,6 +68,8 @@ CONTINUOUS = 10  # per shape, through power_zp at four times each
 EXTENSION = 10  # per shape, extension-ring powers
 ORDERS = 4  # per shape and sampler, through residual_order and principal_exponent
 ORDER_EXTENSION = (3, 4, 2, 3)  # (p, K, m, n): orders over unram(p, K, m)
+JORDAN_EXTENSION = [(3, 3, 2, 3), (5, 2, 2, 3), (3, 2, 3, 2), (5, 3, 3, 2)]  # (p, K, m, n)
+JORDANS = 4  # per JORDAN_EXTENSION shape, through classify and jordan in both orders
 FORMAL_GRID = [(3, 4), (5, 10), (7, 30)]
 FORMAL_DEGREES = [(d, e) for d in range(1, 9) for e in (d, 9 - d)]
 TABLES = 4  # per formal level, 6 x 6 spectrum tables
@@ -133,6 +138,25 @@ def extension_order_items(p: int, K: int, m: int, n: int):
     ring = unram(p, K, m)
     for _ in range(ORDERS):
         yield from _order_items(random_unitary(ring, n, rng), K)
+
+
+def extension_jordan_items(p: int, K: int, m: int, n: int):
+    """classify then jordan, and jordan then classify, on two copies of each unitary."""
+    rng = random.Random(f"digest-jordan-{p}-{K}-{m}-{n}")
+    ring = unram(p, K, m)
+    for _ in range(JORDANS):
+        rows = random_unitary(ring, n, rng).rows
+        U, V = PadicMatrix(ring, rows), PadicMatrix(ring, rows)
+        cls = classify(U)
+        yield ("ext_classify", rows, cls.kind, cls.witness.rows)
+        yield ("ext_jordan", *(part.rows for part in jordan_decompose(U)))
+        parts = jordan_decompose(V)
+        yield ("ext_jordan", *(part.rows for part in parts))
+        cls = classify(V)
+        yield ("ext_classify", rows, cls.kind, cls.witness.rows)
+        for part in parts:  # of Teichmuller and of continuous type
+            cls = classify(PadicMatrix(ring, part.rows))
+            yield ("ext_classify", part.rows, cls.kind, cls.witness.rows)
 
 
 def _unit_coeffs(rng, p: int, pk: int, degree: int) -> list[int]:
@@ -258,6 +282,7 @@ def main(argv: list[str]) -> int:
     parts += [(("calculus", p, K), calculus_items(p, K)) for p, K in FORMAL_GRID]
     parts += [(("order", *shape), order_items(*shape)) for shape in SHAPES]
     parts += [(("order-ext", *ORDER_EXTENSION), extension_order_items(*ORDER_EXTENSION))]
+    parts += [(("jordan-ext", *shape), extension_jordan_items(*shape)) for shape in JORDAN_EXTENSION]
     for shape, items in parts:
         part = hashlib.sha256()
         for item in items:

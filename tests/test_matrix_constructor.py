@@ -1,7 +1,8 @@
 """The public matrix constructor reduces what it is given; kernels bypass it.
 
 `PadicMatrix(ring, rows)` takes ints of any sign and size, raw values and
-scalars of the ring, and stores each entry through `ring.scalar(v).raw`.
+scalars of the ring, and stores each entry through `ring.rcoerce`, the raw
+reducer behind `ring.scalar`.
 The properties here check products, polynomial evaluation and the
 characteristic polynomial against a schoolbook oracle over the integers,
 kept local to this file and reduced mod p^K only at the end.

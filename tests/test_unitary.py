@@ -22,7 +22,7 @@ from padicu.sampling import (
     random_teichmuller,
     random_unitary,
 )
-from padicu.scalars import ONE_MINUS, UnramRing, Zp, teichmuller_lift
+from padicu.scalars import ONE_MINUS, UnramRing, Zp, teichmuller_lift, unram
 
 
 def M(ring, rows):
@@ -801,8 +801,9 @@ def _exponent_pair(q, p, K, n, degrees):
 def test_the_chain_raises_u_to_e_and_alpha_once(make, monkeypatch):
     """(alpha, E) = (c p^A, M p^A) come from the degrees of chi_U's residue factors,
     here sympy's.  The chain raises U to each once, through one shared power: it
-    takes y = t^(p^A) mod chi_U once, then y^M and y^c once each, and never t^E or
-    t^alpha; jordan, spectral and power_zp take none of these again."""
+    takes y = t^(p^A) mod chi_U once, then y^M once and y^c once unless c = 1, where
+    y^c is y itself, and never t^E or t^alpha; jordan, spectral and power_zp take
+    none of these again."""
     ring = Zp(5, 6)
     u = make(ring, 4, random.Random(17))
     chi = u.char_poly_raw()
@@ -813,7 +814,7 @@ def test_the_chain_raises_u_to_e_and_alpha_once(make, monkeypatch):
     calls = _record_powers(monkeypatch)
     kind = unitary.classify(u)
     chain = [(is_t, e) for f, m, is_t, e in calls if (f, m) == (chi, ring.pk)]
-    assert sorted(e for _, e in chain) == sorted([pa, M, c])
+    assert sorted(e for _, e in chain) == sorted([pa, M] + [c] * (c != 1))
     assert chain.count((True, pa)) == 1
     calls.clear()
     unitary.jordan_decompose(u)
@@ -827,8 +828,8 @@ def test_the_chain_raises_u_to_e_and_alpha_once(make, monkeypatch):
 
 @pytest.mark.parametrize("make", [random_unitary, random_continuous, random_teichmuller])
 def test_a_lone_jordan_decompose_raises_t_to_alpha_directly_once(make, monkeypatch):
-    """U_s alone, with no audit wanted, takes t^alpha mod chi_U directly: alone, the
-    shared power would cost more than it saves."""
+    """U_s alone, with no audit wanted, goes the shared route with g = alpha: y is
+    t^alpha mod chi_U, taken once from t, and y^1 is y itself, so nothing more."""
     ring = Zp(5, 6)
     u = make(ring, 4, random.Random(17))
     chi = u.char_poly_raw()
@@ -992,13 +993,17 @@ def test_matrix_powers_leave_the_slots_as_they_were():
 
 
 def test_a_failed_pro_finite_audit_is_not_recorded(monkeypatch):
-    u = random_unitary(Zp(5, 3), 3, random.Random(4))
-    assert u.matrix_power(2) != PadicMatrix.identity(u.ring, 3)
+    """A wrong E fails the audit over Z_p and over extension rings, which take U^E
+    by their own power of t; neither the audit nor U_s is recorded."""
+    rings = (Zp(5, 3), unram(3, 3, 2), unram(5, 2, 2))
+    units = [random_unitary(ring, 3, random.Random(4)) for ring in rings]
+    assert all(u.matrix_power(2) != PadicMatrix.identity(u.ring, 3) for u in units)
     monkeypatch.setattr(matrices, "_exponents", lambda U: (1, 2))  # a wrong E
-    for _ in range(2):
-        with pytest.raises(ArithmeticError):
-            unitary.classify(u)
-        assert u._audited is False
+    for u in units:
+        for _ in range(2):
+            with pytest.raises(ArithmeticError):
+                unitary.classify(u)
+            assert (u._audited, u._teich) == (False, None)
 
 
 # -- the shared power against test-local oracles ------------------------------------------
@@ -1026,16 +1031,27 @@ def _spectral_first(u):
     unitary.classify(u)
 
 
-@pytest.mark.parametrize("p,K", [(3, 3), (5, 3), (7, 2), (11, 2)])
-@pytest.mark.parametrize("n", range(2, 9))
-def test_every_call_order_gives_u_to_alpha_and_passes_u_to_e(p, K, n):
+# (n, p, K, m): Zp(p, K) at m = 1, else unram(p, K, m)
+_CALL_ORDER_CASES = [(n, p, K, 1) for p, K in [(3, 3), (5, 3), (7, 2), (11, 2)] for n in range(2, 9)]
+_CALL_ORDER_CASES += [(n, p, K, m) for p, K, m in [(3, 3, 2), (5, 2, 2)] for n in range(2, 6)]
+_CALL_ORDER_IDS = [f"{n}-{p}-{K}" + (f"-{m}" if m > 1 else "") for n, p, K, m in _CALL_ORDER_CASES]
+
+
+@pytest.mark.parametrize("n,p,K,m", _CALL_ORDER_CASES, ids=_CALL_ORDER_IDS)
+def test_every_call_order_gives_u_to_alpha_and_passes_u_to_e(n, p, K, m):
     """Whichever operation comes first, U_s = U^alpha and U^E = I, with (alpha, E)
-    written out here from sympy's residue degrees and both powers taken by
-    square-and-multiply; the audit has run, and U_s is shared by classify and jordan."""
-    ring = Zp(p, K)
-    make = (random_unitary, random_continuous, random_teichmuller)[n % 3]
-    rows = make(ring, n, random.Random(100 * p + n)).rows
-    alpha, E = _exponent_pair(p, p, K, n, _residue_degrees(M(ring, rows).char_poly_raw(), p))
+    written out here, over Z_p from sympy's residue degrees and over an extension
+    ring from the exponent of GL_n(F_q), and both powers taken by square-and-multiply;
+    the audit has run, and U_s is shared by classify and jordan."""
+    if m == 1:
+        ring = Zp(p, K)
+        make = (random_unitary, random_continuous, random_teichmuller)[n % 3]
+        rows = make(ring, n, random.Random(100 * p + n)).rows
+        alpha, E = _exponent_pair(p, p, K, n, _residue_degrees(M(ring, rows).char_poly_raw(), p))
+    else:
+        ring = unram(p, K, m)
+        rows = random_unitary(ring, n, random.Random(100 * p + n)).rows
+        alpha, E = _gl_n_exponents(ring, n)
     u_alpha = _square_and_multiply(M(ring, rows), alpha)
     assert _square_and_multiply(M(ring, rows), E) == PadicMatrix.identity(ring, n)
     for order in (_classify_first, _jordan_then_classify, _residual_order_first, _spectral_first):
