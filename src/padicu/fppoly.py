@@ -5,7 +5,10 @@ Polynomials are dense ascending coefficient lists with no trailing zeros;
 divmod_poly, pow_mod) work modulo any integer p, such as a prime power p^j,
 on coefficients in [0, p); division needs a divisor whose leading
 coefficient is a unit modulo p.  `pow_mod` and `pow_t_chain`, which takes
-t^(g c) for several c from one t^g, share one packed fold context.
+t^(g c) for several c from one t^g, share one packed fold context
+(`_fold_context`); beside it, `_bivariate_fold_context` packs
+F_p[X, T]/(h(X), f(T)) the same way for the root finder in F_{p^d}[T]
+(`unitary._orbit_roots`).
 Factorization is over F_p: squarefree + distinct-degree + Cantor-Zassenhaus
 equal-degree splitting, driven by a generator on the fixed seed `_SEED`; the
 factors come back sorted, so they do not depend on it.  `factor_degrees`
@@ -125,6 +128,23 @@ def ext_gcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], l
     return scale(r0, c, p), scale(s0, c, p), scale(t0, c, p)
 
 
+def _top_powers(f: list[int], count: int, p: int) -> list[list[int]]:
+    """[t^k mod f for d <= k < d + count], d = deg f >= 1, for f with a unit lead.
+
+    Each is t times the one before: shifted up, with the t^d term folded back
+    through t^d mod f, so only the lead is inverted.
+    """
+    d = len(f) - 1
+    inv_lead = pow(f[-1], -1, p)
+    fold = [(-c * inv_lead) % p for c in f[:-1]]  # t^d mod f
+    image, out = fold, []
+    for _ in range(count):
+        out.append(image)
+        top = image[-1]
+        image = [top * fold[0] % p] + [(image[i - 1] + top * fold[i]) % p for i in range(1, d)]
+    return out
+
+
 def _fold_context(f: list[int], p: int):
     """(pack, unpack, power): packed arithmetic on residues mod f, for f with a unit lead.
 
@@ -152,15 +172,7 @@ def _fold_context(f: list[int], p: int):
     def unpack(x: int) -> list[int]:
         return trim([(x >> k) & mask for k in shifts])
 
-    inv_lead = pow(f[-1], -1, p)
-    top_power = [(-c * inv_lead) % p for c in f[:-1]]  # t^d mod f
-    image, folds = top_power, []
-    for _ in range(d):
-        folds.append(pack(image))
-        top = image[-1]  # t * image: shift up, then fold the t^d term back
-        image = [top * top_power[0] % p] + [
-            (image[i - 1] + top * top_power[i]) % p for i in range(1, d)
-        ]
+    folds = [pack(image) for image in _top_powers(f, d, p)]
 
     def reduce(y: int) -> int:
         low = y & low_mask
@@ -183,6 +195,81 @@ def _fold_context(f: list[int], p: int):
                 x = reduce(x * x)
                 if bit == "1":
                     x = reduce(x * base)
+        return x
+
+    return pack, unpack, power
+
+
+def _bivariate_fold_context(h: list[int], f: list[int], p: int):
+    """(pack, unpack, power): packed arithmetic on F_p[X, T]/(h(X), f(T)), for monic h and f.
+
+    An element sum c_ij X^i T^j, i < deg h and j < deg f, is one int with
+    c_ij in slot i + w j of s bits, w = 2 deg h - 1, so that a product's X
+    degrees stay inside their T row and a product is one big-int multiply.
+    The product is reduced in two passes, each reading only what it folds, so
+    nothing a pass adds is folded again.  Every high X column i >= deg h, for
+    all T rows at once, is masked out, shifted down and multiplied by the
+    packed X^i mod h; then every high T row j >= deg f, an X chunk, is
+    multiplied by the packed T^j mod f, whose scalar coefficients raise no X
+    degree.  Each output slot takes one `% p`.  With coefficients in [0, p), a
+    product slot is at most B = deg h deg f (p-1)^2; the X pass adds at most
+    (deg h - 1)(p - 1) B to a slot and the T pass multiplies that bound by
+    1 + (deg f - 1)(p - 1), which sets s.  pack takes and unpack gives a list
+    of T coefficients, each a sequence of X coefficients; unpack's are tuples
+    of length deg h, with no zero top tuple.
+    `power(x, e)` is x^e for e >= 1 by left-to-right binary exponentiation.
+    """
+    dx, dt = len(h) - 1, len(f) - 1
+    w = 2 * dx - 1
+    bound = dx * dt * (p - 1) ** 2 * (1 + (dx - 1) * (p - 1)) * (1 + (dt - 1) * (p - 1))
+    s = bound.bit_length()
+    mask = (1 << s) - 1
+    row = s * w
+    chunk = (1 << s * dx) - 1  # the reduced X part of one row
+    column = sum(mask << row * j for j in range(2 * dt - 1))  # slot 0 of every product row
+    low_x = sum(chunk << row * j for j in range(2 * dt - 1))  # X degrees < deg h in every row
+    low_t = (1 << row * dt) - 1
+    x_shifts = [s * i for i in range(dx)]
+    t_shifts = [row * j for j in range(dt)]
+    slots = [i + j for j in t_shifts for i in x_shifts]
+
+    def folds(g, unit):
+        """[(unit k, packed y^k mod g) for deg g <= k <= 2 deg g - 2], y^i in slot unit i."""
+        d = len(g) - 1
+        return [(unit * k, sum(v << unit * i for i, v in enumerate(image)))
+                for k, image in enumerate(_top_powers(g, d - 1, p), d)]
+
+    x_folds = folds(h, s)
+    t_folds = folds(f, row)
+
+    def pack(c) -> int:
+        return sum(v << i + j for coeffs, j in zip(c, t_shifts) for v, i in zip(coeffs, x_shifts))
+
+    def unpack(x: int) -> list[tuple[int, ...]]:
+        zero = (0,) * dx
+        out = [tuple((x >> i + j) & mask for i in x_shifts) for j in t_shifts]
+        while out and out[-1] == zero:
+            out.pop()
+        return out
+
+    def reduce(y: int) -> int:
+        low = y & low_x
+        for k, fold in x_folds:
+            low += ((y >> k) & column) * fold
+        top = low & low_t
+        for k, fold in t_folds:
+            top += ((low >> k) & chunk) * fold
+        out = 0
+        for k in slots:
+            out |= ((top >> k) & mask) % p << k
+        return out
+
+    def power(x: int, e: int) -> int:
+        base = x
+        for bit in bin(e)[3:]:
+            x = reduce(x * x)
+            if bit == "1":
+                x = reduce(x * base)
         return x
 
     return pack, unpack, power

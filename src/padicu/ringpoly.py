@@ -8,9 +8,11 @@ Coefficients given as plain ints are lifted by the caller with
 `ring.rfrom_int`.
 
 This layer serves the polynomials whose coefficients are not plain ints: the
-reductions mod chi_A behind `PadicMatrix.evaluate` over an extension ring,
-the root finder in F_{p^d}[T], and the division L = m / (t - lambda) behind
-a spectral projector.  `fppoly` keeps the int arithmetic mod N.
+reductions mod chi_A behind `PadicMatrix.evaluate` over an extension ring
+(`pow_mod`, `mulmod`), and the division L = m / (t - lambda) behind a
+spectral projector.  The root finder in F_{p^d}[T] takes only `rem`, `gcd`
+and `divide_linear` from here: its power is packed in `fppoly`.  `fppoly`
+keeps the int arithmetic mod N.
 """
 
 from __future__ import annotations

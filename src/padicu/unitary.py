@@ -30,9 +30,13 @@ gives U^t as U^(t mod p^A).
 Spectral data for a Teichmuller-type matrix lives per Frobenius orbit: each
 irreducible residue factor of degree d contributes d eigenvalues in the
 degree-d unramified ring.  One root of the factor in F_{p^d} comes from
-Cantor-Zassenhaus splitting in F_{p^d}[T] (`_orbit_roots`), the others are
-its Frobenius images, and the least one lifts to the orbit's first
-eigenvalue lambda_0, so the choice does not depend on the random splitting.
+Cantor-Zassenhaus splitting in F_{p^d}[T] (`_orbit_roots`): its one power
+(T + a)^((q-1)/2) per random a is taken mod the factor in a packed fold
+context over F_p[X, T] (`fppoly._bivariate_fold_context`), and the gcds and
+the last division check run over the field's raw values (`ringpoly`).  The
+other roots are its Frobenius images, and the least one lifts to the orbit's
+first eigenvalue lambda_0, so the choice does not depend on the random
+splitting.
 U is semisimple, so its minimal polynomial m is the product of the orbit
 polynomials, and the projector onto lambda is L(U) / L(lambda) with
 L = m / (t - lambda): one combination of U^0, ..., U^(deg m - 1), whose
@@ -351,16 +355,22 @@ def _orbit_roots(irr: list[int], field: UnramRing, rng: random.Random) -> list:
     Cantor-Zassenhaus (1981): for a random a in F_q, gcd(g, (T + a)^((q-1)/2) - 1)
     keeps the roots r of g with r + a a nonzero square, so it splits g about in
     half.  The splitting stops at one linear factor, since the other roots are
-    its Frobenius images.  Polynomials in T are `ringpoly` lists of the field's
-    raw values, and g stays monic, so reducing mod g needs no inversion.
+    its Frobenius images.  The power is taken mod irr, packed in one fold
+    context over F_p[X, T]/(w(X), irr(T)) with w the field's modulus
+    (`fppoly._bivariate_fold_context`), and reduced mod the current factor g
+    of irr; the rest is `ringpoly` lists of the field's raw values, and g
+    stays monic, so reducing mod g needs no inversion.  The reduced power is
+    not 0: g is squarefree of degree >= 2, so it has a root r != -a, at which
+    the power takes the value (r + a)^((q-1)/2) != 0.
     """
+    p = field.p
     f = g = [field.rfrom_int(c) for c in irr]
+    pack, unpack, power = fppoly._bivariate_fold_context(field.modulus, irr, p)
     half = (field.residue_cardinality - 1) // 2
     while len(g) > 2:
-        a = tuple(rng.randrange(field.p) for _ in range(field.m))
-        power = ringpoly.pow_mod(field, [a, field.one], half, g)
-        # (T + a)^((q-1)/2) - 1 mod g; the power is not 0, as g is squarefree of degree >= 2
-        shifted = ringpoly.trim(field, [field.rsub(power[0], field.one)] + power[1:])
+        a = tuple(rng.randrange(p) for _ in range(field.m))
+        reduced = ringpoly.rem(field, unpack(power(pack([a, field.one]), half)), g)
+        shifted = ringpoly.trim(field, [field.rsub(reduced[0], field.one)] + reduced[1:])
         h = ringpoly.gcd(field, g, shifted)
         if 1 < len(h) < len(g):
             g = h

@@ -1,7 +1,8 @@
 """Frobenius-orbit spectra: the root finder, seed independence and the projectors.
 
 The references here share no code with what they check: the roots are found
-by evaluating at every element of F_{p^d}, and the projectors by the Lagrange
+by evaluating at every element of F_{p^d} (or, for all 588 quartics over F_7,
+checked by a Horner evaluation of their own), and the projectors by the Lagrange
 chain (the cross factor of the other orbits times U - mu for the rest of the
 orbit, over the unit denominator).
 """
@@ -11,7 +12,7 @@ from itertools import product
 
 import pytest
 
-from padicu import fppoly, unitary
+from padicu import fppoly, ringpoly, unitary
 from padicu.matrices import PadicMatrix
 from padicu.sampling import random_teichmuller, random_unitary
 from padicu.scalars import Zp, unram
@@ -64,6 +65,55 @@ def test_orbit_roots_match_brute_force(p, d, sample):
         assert len(roots) == d == len(set(roots))
         assert {field.rfrob(r) for r in roots} == set(roots)
         assert sorted(roots) == _brute_force_roots(irr, field, table)
+
+
+def _field_value(irr, x, field):
+    """irr(x) in F_{p^d} by Horner's rule, multiplying tuples mod the field's modulus here."""
+    p, d, w = field.p, field.m, field.modulus
+    acc = [0] * d
+    for c in reversed(irr):
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(acc):
+            for j, b in enumerate(x):
+                prod[i + j] += a * b
+        for k in range(2 * d - 2, d - 1, -1):  # X^k = X^(k-d) (X^d - w(X))
+            top, prod[k] = prod[k], 0
+            for i in range(d):
+                prod[k - d + i] -= top * w[i]
+        acc = [v % p for v in prod[:d]]
+        acc[0] = (acc[0] + c) % p
+    return tuple(acc)
+
+
+def test_orbit_roots_of_every_irreducible_quartic_over_f7():
+    """All 588, against the cheap properties; the sample above also meets the table."""
+    p, d = 7, 4
+    field = unram(p, 1, d)
+    irreducibles = _monic_irreducibles(p, d)
+    assert len(irreducibles) == IRREDUCIBLE_COUNTS[(p, d)]
+    rng = random.Random(74)
+    for irr in irreducibles:
+        roots = unitary._orbit_roots(irr, field, random.Random(rng.randrange(1 << 30)))
+        assert len(roots) == d == len(set(roots))
+        assert {field.rfrob(r) for r in roots} == set(roots)
+        assert all(_field_value(irr, r, field) == field.zero for r in roots)
+
+
+@pytest.mark.parametrize("p,K,n,seed,degrees", [(7, 30, 8, 0, [1, 3, 4]), (5, 20, 6, 4, [3]),
+                                                (5, 20, 6, 8, [1, 4])],
+                         ids=["7-30-8-seed0", "5-20-6-seed4", "5-20-6-seed8"])
+def test_spectral_decompose_takes_no_ring_polynomial_power(p, K, n, seed, degrees, monkeypatch):
+    """The root finder's power is packed (`fppoly._bivariate_fold_context`), with no
+    fallback to `ringpoly.pow_mod`, on orbits of degree 3 and 4."""
+
+    def refuse(*args):
+        raise AssertionError("ringpoly.pow_mod called")
+
+    monkeypatch.setattr(ringpoly, "pow_mod", refuse)
+    u = random_unitary(Zp(p, K), n, random.Random(seed))
+    datum = unitary.spectral_decompose(u)
+    assert sorted({o.degree for o in datum.orbits}) == degrees
+    assert datum.verify(expected=unitary.jordan_decompose(u)[0])
 
 
 def _datum_key(datum):
