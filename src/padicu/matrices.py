@@ -4,7 +4,8 @@ Entries are stored as the rings' raw values (ints, or coefficient tuples),
 so the inner loops run on plain integers; scalar objects only appear at the
 API boundary; a Z_p product packs each row of B into one int (`_matmul`),
 `evaluate` packs A once for all of its Horner products, and the packed
-format (`_pack`, `_unpack`) serves `_linear_combination` too.
+format (`_pack`, `_unpack`) serves `_linear_combination` and the spectral
+audit (`unitary.SpectralDatum.verify`) too.
 Everything is exact modulo p^K: the characteristic polynomial is computed
 division-free (Berkowitz), and the Smith form uses minimal-valuation
 pivoting, which is enough over the local ring Z/p^j.
@@ -535,7 +536,12 @@ class _Packed(tuple):
 def _pack(vectors, terms: int, pk: int) -> tuple[int, list[int]]:
     """(s, each vector as one int of s-bit slots, first lowest); s fits `terms` products < pk^2."""
     s = (terms * (pk - 1) ** 2).bit_length()
-    return s, [sum(v << k for v, k in zip(vec, range(0, s * len(vec), s))) for vec in vectors]
+    return s, _pack_slots(vectors, s)
+
+
+def _pack_slots(vectors, s: int) -> list[int]:
+    """Each vector as one int of s-bit slots, first lowest."""
+    return [sum(v << k for v, k in zip(vec, range(0, s * len(vec), s))) for vec in vectors]
 
 
 def _unpack(y: int, s: int, count: int, pk: int) -> list:

@@ -239,22 +239,23 @@ class UnramRing:
         return any(x % self.p != 0 for x in a)
 
     def rinv(self, a):
+        """1/a = conj / N(a): conj = sigma(a) ... sigma^(m-1)(a), N(a) = a conj.
+
+        sigma is an exact automorphism of order m (`moduli.canonical_modulus`
+        audits the generator), so N(a), the product of all m conjugates, is
+        fixed by sigma: an element of Z_p, a unit exactly when a is (its
+        residue is the norm of a's residue from F_q).  That costs m - 1
+        Frobenius images, m products and one inverse mod p^K.
+        """
         if not self.runit(a):
             raise NotAUnit(f"{a} has positive valuation")
-        p = self.p
-        res_poly = fppoly.trim([x % p for x in a])
-        mod_poly = fppoly.trim([c % p for c in self.modulus])
-        g, s, _ = fppoly.ext_gcd(res_poly, mod_poly, p)
-        if g != [1]:
-            raise NotAUnit("residue not invertible")  # unreachable for units
-        b = tuple(s[i] if i < len(s) else 0 for i in range(self.m))
-        # Newton: b <- b(2 - ab), doubling correct digits up to K
-        two = self.rfrom_int(2)
-        prec = 1
-        while prec < self.K:
-            b = self.rmul(b, self.rsub(two, self.rmul(a, b)))
-            prec *= 2
-        return b
+        conj, image = self.one, a
+        for _ in range(1, self.m):
+            image = self.rfrob(image)
+            conj = self.rmul(conj, image)
+        pk = self.pk
+        scale = pow(self.rmul(a, conj)[0], -1, pk)
+        return tuple(c * scale % pk for c in conj)
 
     def rpow(self, a, e: int):
         """a^e as a polynomial power mod the modulus (packed, `fppoly.pow_mod`)."""

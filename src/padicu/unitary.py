@@ -49,11 +49,12 @@ So an orbit stores lambda_0 and P_0 only (`SpectralOrbit`), and the same
 symmetry makes the orbit algebra a computation over Z_p: an orbit's sum of
 P_t is Tr(P_0) and its sum of lambda_t P_t is Tr(lambda_0 P_0), entrywise,
 for the trace Tr = sum_t sigma^t of the orbit's ring; Tr is Z_p-linear, so it
-is a combination of the coordinate matrices of P_0
-(`SpectralDatum.reconstruct`, `orbit_projector`).  The audit
-(`SpectralDatum.verify`) takes no product over an extension ring: U is fixed
-by sigma, so the eigen-equations U P_0 = lambda_0 P_0 = P_0 U, 2d products
-over Z_p, carry to every P_t.  With unit gaps between eigenvalues (the orbit
+is a combination of the coordinate matrices A_k of P_0, packed row by row
+once (`_Stack`, behind `SpectralDatum.reconstruct` and `orbit_projector`).
+The audit (`SpectralDatum.verify`) takes no matrix product: the
+eigen-equations U P_0 = lambda_0 P_0 = P_0 U are packed residuals over Z_p
+on those rows, which must vanish mod p^K in every slot, and U is fixed by
+sigma, so they carry to every P_t.  With unit gaps between eigenvalues (the orbit
 polynomials multiply to a squarefree polynomial mod p) they make P_s P_t = 0
 for s != t, in one orbit or across two, and then sum Tr(P_0) = I makes every
 P_t idempotent and U = sum lambda P.
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import math
 import random
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import fppoly, ringpoly
@@ -70,8 +72,8 @@ from .errors import (
     InputError, NotAUnit, NotContinuous, NotTeichmuller, NotUnitary, PadicError, Unsupported,
 )
 from .matrices import (
-    PadicMatrix, _exponents, _jordan_powers, _linear_combination, orbit_polynomial,
-    residue_matrix_order,
+    PadicMatrix, _exponents, _jordan_powers, _linear_combination, _pack_slots, _unpack,
+    orbit_polynomial, residue_matrix_order,
 )
 from .scalars import ONE_MINUS, AnyRing, PadicScalar, UnramRing, Zp, unram
 
@@ -190,44 +192,40 @@ class SpectralDatum(NamedTuple):
 
     def orbit_projector(self, index: int) -> PadicMatrix:
         """Sum of the projectors in one orbit, Tr(P_0) entrywise: a base matrix."""
-        orbit = self.orbits[index]
-        return self._trace_sum([(orbit, orbit.ring.one)])
+        stack = _stack((self.orbits[index],), self.n, self.base_ring.pk)
+        return PadicMatrix._of(self.base_ring, stack.combine(stack.ones))
 
     def reconstruct(self) -> PadicMatrix:
         """Sum of eigenvalue * projector over every orbit: Tr(lambda_0 P_0) per orbit."""
-        return self._trace_sum([(orbit, orbit.eigenvalue) for orbit in self.orbits])
-
-    def _trace_sum(self, terms) -> PadicMatrix:
-        """sum Tr(y P_0) over (orbit, y) terms, entrywise, as one combination over Z_p.
-
-        Tr is Z_p-linear, so with P_0 = sum_k A_k X^k over Z_p,
-        Tr(y P_0) = sum_k Tr(y X^k) A_k: m scalar products per orbit, and no
-        product of an extension-ring value with each entry.
-        """
-        weights, coordinates = [], []
-        for orbit, y in terms:
-            ring = orbit.ring
-            weights += [ring.rtrace(v) for v in _times_basis(ring, y)]
-            coordinates += _coordinates(self.base_ring, ring, orbit.projector)
-        if not coordinates:
-            return PadicMatrix.zeros(self.base_ring, self.n)
-        return _linear_combination(self.base_ring, weights, coordinates)
+        stack = _stack(self.orbits, self.n, self.base_ring.pk)
+        return PadicMatrix._of(self.base_ring, stack.combine(stack.lams))
 
     def verify(self, expected: PadicMatrix | None = None) -> bool:
         """Audit the datum: orthogonal idempotents summing to I, and U rebuilt.
 
-        No product over an extension ring is taken.  Per orbit of degree d,
-        P_t := sigma^t(P_0) and lambda_t := sigma^t(lambda_0) for t < d, and
-        sigma has order d (`SpectralOrbit`).  With U = expected, or
-        U = `reconstruct()` when no expected is given, the checks are:
+        No product over an extension ring is taken, and no matrix product:
+        steps 2 to 4 are packed combinations and residuals over Z_p on the
+        rows of the coordinate matrices (`_Stack`).  Per orbit of
+        degree d, P_t := sigma^t(P_0) and lambda_t := sigma^t(lambda_0) for
+        t < d, and sigma has order d (`SpectralOrbit`).  With
+        P_0 = sum_k A_k X^k over Z_p and U = `reconstruct()`, the checks are:
         1. the product of the orbit polynomials, computed from each lambda_0,
            is squarefree mod p;
-        2. sum_i Tr(P_0^(i)) = I;
-        3. `reconstruct()` = expected, when one is given;
-        4. per orbit, U P_0 = lambda_0 P_0 = P_0 U.  With P_0 = sum_k A_k X^k
-           over Z_p, coordinate k of U P_0 is U A_k and of P_0 U is A_k U, and
-           lambda_0 P_0 = sum_j (lambda_0 X^j) A_j takes no product: 2d
-           products over Z_p and none over the orbit's ring.
+        2. sum_i Tr(P_0^(i)) = I, one combination of the A_k with weights
+           Tr(X^k);
+        3. U = expected, when one is given (over the same ring; U is the
+           combination with weights Tr(lambda_0 X^k));
+        4. per orbit, U P_0 = lambda_0 P_0 = P_0 U.  Coordinate k of U P_0 is
+           U A_k, of P_0 U is A_k U, and of lambda_0 P_0 is sum_j c_kj A_j,
+           with c_kj coordinate k of lambda_0 X^j.  With w_kj = -c_kj mod p^K,
+           row i of the residuals
+             sum_l U[i][l] (row l of A_k) + sum_j w_kj (row i of A_j),
+             sum_l A_k[i][l] (row l of U) + sum_j w_kj (row i of A_j)
+           must vanish mod p^K in every slot, rows packed in s-bit slots.
+           A slot sums at most n + d nonnegative products < p^(2K), and d <= D
+           = sum d over the orbits, so s fits n + D products (D <= n for the
+           library's data, whose orbit degrees add up to at most n): no carry
+           crosses a slot, in steps 2 and 3 (D products) either.
         They prove what the products P_s P_t and Q_i Q_j would.  U is fixed
         by sigma, so applying sigma^t to step 4 gives
         U P_t = lambda_t P_t = P_t U for every t.  By step 1 every gap
@@ -244,43 +242,104 @@ class SpectralDatum(NamedTuple):
         even with orthogonal idempotents; the library's orbits come from
         distinct irreducible residue factors.
         """
-        base, n, p = self.base_ring, self.n, self.base_ring.p
+        base, n, p, pk = self.base_ring, self.n, self.base_ring.p, self.base_ring.pk
         minimal = [1]
         for orbit in self.orbits:
             minimal = fppoly.mul(minimal, [c % p for c in orbit.factor], p)
         if fppoly.gcd(minimal, fppoly.derivative(minimal, p), p) != [1]:
             return False
-        sums = self._trace_sum([(orbit, orbit.ring.one) for orbit in self.orbits])
-        if sums != PadicMatrix.identity(base, n):
+        stack = _stack(self.orbits, n, pk)
+        if stack.combine(stack.ones) != PadicMatrix.identity(base, n).rows:
             return False
-        rebuilt = self.reconstruct()
-        if expected is not None and rebuilt != expected:
+        U = stack.combine(stack.lams)
+        if expected is not None and (expected.ring != base or expected.rows != U):
             return False
-        U = rebuilt if expected is None else expected
-        for orbit in self.orbits:
-            ring = orbit.ring
-            A = _coordinates(base, ring, orbit.projector)
-            # lambda_0 P_0 = sum_j (lambda_0 X^j) A_j: no product of matrices
-            scaled = _linear_combination(ring, _times_basis(ring, orbit.eigenvalue), A)
-            for A_k, B_k in zip(A, _coordinates(base, ring, scaled)):
-                if U @ A_k != B_k or A_k @ U != B_k:
-                    return False
+        rows, packed, vanishes = stack.rows, stack.packed, stack.vanishes
+        packed_u = _pack_slots(U, stack.s)
+        t = 0  # the orbit's A_0 is entry t of the stack
+        for columns in stack.columns:
+            d = len(columns)
+            weights = [[-c[k] % pk for c in columns] for k in range(d)]  # w_kj
+            for i in range(n):
+                row_i = packed[t * n + i : (t + d) * n : n]  # row i of A_0, ..., A_(d-1)
+                for k, w in enumerate(weights):
+                    e = (t + k) * n
+                    shift = sum(map(mul, w, row_i))
+                    if not vanishes(sum(map(mul, U[i], packed[e : e + n])) + shift):
+                        return False
+                    if not vanishes(sum(map(mul, rows[e + i], packed_u)) + shift):
+                        return False
+            t += d
         return True
 
 
-def _times_basis(ring: AnyRing, y) -> list:
-    """y X^k for k < m, raw values of ring: multiplication by y on the power basis."""
-    if isinstance(ring, Zp):
-        return [y]
-    return [ring.rmul(y, tuple(int(i == k) for i in range(ring.m))) for k in range(ring.m)]
+class _Stack(NamedTuple):
+    """The coordinate matrices over Z_p of some orbits' P_0 = sum_k A_k X^k.
+
+    A_0, ..., A_(d-1) of each orbit in turn, D = sum d of them: entry t of
+    the stack has its row i at rows[t n + i], and packed holds each row as
+    one int of s-bit slots.  Tr is Z_p-linear, so the orbits' sum
+    Tr(y P_0) is sum_k Tr(y X^k) A_k: ones[t] = Tr(X^k) and
+    lams[t] = Tr(lambda_0 X^k) weigh sum Tr(P_0) and sum Tr(lambda_0 P_0).
+    columns[o][j] holds the coordinates of lambda_0 X^j for orbit o.
+
+    A slot is to hold at most n + D products < p^(2K), so its values stay
+    at most bound = (n + D)(p^K - 1)^2, and a multiple p^K q of p^K there
+    has q < 2^h, h the bit length of bound // p^K.  s = h + the bit length
+    of p^K makes p^K 2^h <= 2^s: every slot value lies below 2^s, and
+    `vanishes` can read all n slots of a row at once.
+    """
+
+    n: int
+    pk: int
+    s: int
+    high: int  # bits h to s - 1 of each of n slots
+    rows: list
+    packed: list[int]
+    ones: list[int]
+    lams: list[int]
+    columns: list
+
+    def combine(self, weights: list[int]) -> tuple:
+        """Rows of sum_t weights[t] A_t mod p^K: one packed combination per row."""
+        n, s, pk, packed = self.n, self.s, self.pk, self.packed
+        return tuple(tuple(_unpack(sum(map(mul, weights, packed[i::n])), s, n, pk)) for i in range(n))
+
+    def vanishes(self, y: int) -> bool:
+        """Whether each of the n slots of y, a packed row of sums of at most
+        n + D products < p^(2K), is 0 mod p^K.
+
+        If every slot value is p^K q_i, then y / p^K has the slots q_i < 2^h.
+        Conversely, if p^K divides y and y / p^K (below 2^(s n), as y is)
+        has slots z_i < 2^h, then y = sum p^K z_i 2^(s i) with each
+        p^K z_i < 2^s, so no carry crosses a slot and these are y's slot
+        values.  One division tests all n.
+        """
+        q, r = divmod(y, self.pk)
+        return not r and not q & self.high
 
 
-def _coordinates(base: Zp, ring: AnyRing, matrix: PadicMatrix) -> list[PadicMatrix]:
-    """A_0, ..., A_(m-1) over Z_p with matrix = sum_k A_k X^k; [matrix] over Z_p."""
-    if isinstance(ring, Zp):
-        return [matrix]
-    split = [tuple(zip(*row)) for row in matrix.rows]  # per row, its m coordinate rows
-    return [PadicMatrix._of(base, tuple(row[k] for row in split)) for k in range(ring.m)]
+def _stack(orbits, n: int, pk: int) -> _Stack:
+    """The `_Stack` of the orbits' P_0, each split into its coordinates once."""
+    rows, ones, lams, columns = [], [], [], []
+    for orbit in orbits:
+        ring, lam, P = orbit.ring, orbit.eigenvalue, orbit.projector.rows
+        if isinstance(ring, Zp):
+            rows += P
+            ones.append(1)
+            lams.append(lam)
+            columns.append([(lam,)])
+            continue
+        split = [tuple(zip(*row)) for row in P]  # per row, its m coordinate rows
+        rows += [row[k] for k in range(ring.m) for row in split]
+        ones += [ring.rtrace(tuple(int(i == k) for i in range(ring.m))) for k in range(ring.m)]
+        times_basis = fppoly.mul_columns(ring.modulus, list(lam), pk)  # lambda_0 X^j, j < m
+        lams += map(ring.rtrace, times_basis)
+        columns.append(times_basis)
+    h = ((n + len(ones)) * (pk - 1) ** 2 // pk).bit_length()
+    s = h + pk.bit_length()
+    high = sum(((1 << s) - (1 << h)) << (i * s) for i in range(n))
+    return _Stack(n, pk, s, high, rows, _pack_slots(rows, s), ones, lams, columns)
 
 
 def _orbit_polynomial(ring: AnyRing, lam) -> list[int]:

@@ -15,7 +15,7 @@ from padicu.arith import teichmuller_exponent
 from padicu.errors import NotAUnit
 from padicu.matrices import PadicMatrix
 from padicu.scalars import Zp, unram
-from padicu.unitary import _linear_combination
+from padicu.unitary import SpectralOrbit, _linear_combination, _stack
 
 LEVELS = [(3, 1), (7, 128), (1000003, 8)]
 SIZES = [1, 2, 8, 32]
@@ -186,3 +186,42 @@ def test_empty_matrix_products():
         assert empty.evaluate([1, 2, 3]).rows == ()
         assert empty.matrix_power(5).rows == ()
         assert empty.apply([]) == ()
+
+
+def _zp_orbits(ring, n, count):
+    """count degree-1 orbits whose P_0 has every entry p^K - 1: only the stack's shape matters."""
+    P = PadicMatrix(ring, [[ring.pk - 1] * n for _ in range(n)])
+    return tuple(SpectralOrbit(ring=ring, eigenvalue=1, projector=P, multiplicity=1) for _ in range(count))
+
+
+@pytest.mark.parametrize("n, D", [(1, 1), (3, 2), (8, 8), (32, 5)])
+@pytest.mark.parametrize("p,K", LEVELS)
+def test_spectral_residual_slots_at_the_bound(p, K, n, D):
+    """A row of `_Stack` slots holds sums of up to n + D products < p^(2K);
+    `vanishes` reads True exactly when every slot is 0 mod p^K."""
+    ring, pk = Zp(p, K), p**K
+    stack = _stack(_zp_orbits(ring, n, D), n, pk)
+    s, high = stack.s, stack.high
+    h = (high & -high).bit_length() - 1
+    bound = (n + D) * (pk - 1) ** 2
+    assert bound < 1 << s and bound // pk < 1 << h and pk << h <= 1 << s
+    assert stack.rows == [tuple([pk - 1] * n)] * (n * D)
+
+    def row(values):
+        return sum(v << (s * i) for i, v in enumerate(values))
+
+    top = bound // pk * pk  # the largest multiple of p^K a slot can hold
+    rng = random.Random(f"vanish {p},{K},{n},{D}")
+    assert stack.vanishes(row([top] * n)) and stack.vanishes(0)
+    assert not stack.vanishes(row([bound] * n)) or (n + D) % pk == 0
+    for _ in range(20):
+        values = [pk * rng.randrange(bound // pk + 1) for _ in range(n)]
+        assert stack.vanishes(row(values))
+        j, c = rng.randrange(n), rng.randrange(1, pk)
+        values[j] += c if values[j] + c <= bound else -c
+        assert not stack.vanishes(row(values))
+    for i in range(n - 1):
+        # slot i off by -2^s mod p^K and slot i + 1 by 1: the row is 0 mod p^K, its slots are not
+        values = [0] * n
+        values[i], values[i + 1] = -(1 << s) % pk, 1
+        assert row(values) % pk == 0 and not stack.vanishes(row(values))

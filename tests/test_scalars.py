@@ -1,5 +1,6 @@
 """Scalar arithmetic: valuations, Teichmuller lifts, Frobenius, unit splitting."""
 
+import itertools
 import math
 import random
 
@@ -261,6 +262,51 @@ def test_unram_valuation_and_inverse():
     assert u * u.inverse() == ring.scalar(1)
     with pytest.raises(NotAUnit):
         ring.scalar((5, 10)).inverse()
+
+
+def _product_mod_modulus(ring, a, b):
+    """a b in Z/p^K[X]/(f), schoolbook: the product, then each X^i, i >= m, folded
+    by X^m = -(f_0 + ... + f_(m-1) X^(m-1))."""
+    m, f, pk = ring.m, ring.modulus, ring.pk
+    product = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] += x * y
+    for i in range(2 * m - 2, m - 1, -1):
+        for j in range(m):
+            product[i - m + j] -= product[i] * f[j]
+    return tuple(c % pk for c in product[:m])
+
+
+@pytest.mark.parametrize("p, K, m", [(3, 1, 2), (3, 2, 2), (5, 1, 3), (7, 1, 2)])
+def test_rinv_on_every_element_of_small_rings(p, K, m):
+    """a rinv(a) = 1 for every unit; every non-unit raises NotAUnit."""
+    ring = scalars.unram(p, K, m)
+    units = 0
+    for a in itertools.product(range(ring.pk), repeat=m):
+        if any(c % p for c in a):
+            assert _product_mod_modulus(ring, a, ring.rinv(a)) == ring.one
+            units += 1
+        else:
+            with pytest.raises(NotAUnit):
+                ring.rinv(a)
+    assert units == p ** (K * m) - p ** ((K - 1) * m)
+
+
+@pytest.mark.parametrize("p, K", [(5, 20), (7, 30)])
+def test_rinv_on_seeded_units_of_degree_four(p, K):
+    ring = scalars.unram(p, K, 4)
+    rng = random.Random(f"rinv {p},{K}")
+    tested = 0
+    for _ in range(40):
+        a = [rng.randrange(ring.pk) for _ in range(4)]
+        a[0] -= a[0] % p * rng.randrange(2)  # about half with p | a_0
+        if any(c % p for c in a):
+            assert _product_mod_modulus(ring, a, ring.rinv(tuple(a))) == ring.one
+            tested += 1
+    assert tested >= 36
+    with pytest.raises(NotAUnit):
+        ring.rinv(tuple(p * rng.randrange(ring.pk // p) for _ in range(4)))
 
 
 def test_unram_teichmuller_fixed_point():

@@ -712,26 +712,31 @@ def test_verify_rejects_a_chain_whose_in_orbit_products_fail(three_orbits):
     assert bad.verify(expected=u) is False
 
 
-def test_verify_makes_one_product_per_orbit_member_and_cross_pair(three_orbits, monkeypatch):
-    """Two products over Z_p per orbit member, U A_k and A_k U, and none over
-    an extension ring."""
-    from padicu import matrices
-
+def test_verify_takes_no_matrix_product(three_orbits, monkeypatch):
+    """verify checks U P_0 = lambda_0 P_0 = P_0 U as packed residuals over
+    Z_p: it calls neither `matrices._matmul` nor `PadicMatrix.__matmul__`."""
     u, datum = three_orbits
-    rings = []
-    original = matrices._matmul
+    calls = []
+    original_matmul, original_op = matrices._matmul, PadicMatrix.__matmul__
 
-    def counted(ring, A, B):
-        rings.append(ring)
-        return original(ring, A, B)
+    def counted_matmul(ring, A, B):
+        calls.append("_matmul")
+        return original_matmul(ring, A, B)
 
-    monkeypatch.setattr(matrices, "_matmul", counted)
-    for d in (datum, unitary.spectral_decompose(random_unitary(Zp(7, 4), 4, random.Random(5)))):
-        for expected in (None, d.reconstruct()):
-            rings.clear()
+    def counted_op(self, other):
+        calls.append("__matmul__")
+        return original_op(self, other)
+
+    other = unitary.spectral_decompose(random_unitary(Zp(7, 4), 4, random.Random(5)))
+    data = [(d, d.reconstruct()) for d in (datum, other)]
+    monkeypatch.setattr(matrices, "_matmul", counted_matmul)
+    monkeypatch.setattr(PadicMatrix, "__matmul__", counted_op)
+    for d, rebuilt in data:
+        assert max(o.degree for o in d.orbits) > 1
+        for expected in (None, rebuilt):
             assert d.verify(expected)
-            assert len(rings) == 2 * sum(o.degree for o in d.orbits)
-            assert all(ring == d.base_ring for ring in rings)
+    assert calls == []
+    assert u @ PadicMatrix.identity(u.ring, u.n) == u and calls == ["__matmul__", "_matmul"]
 
 
 def test_spectral_decompose_takes_no_frobenius_image_of_a_matrix(three_orbits, monkeypatch):
