@@ -16,8 +16,8 @@ degree < n, and t^-1 mod chi_A is read off chi_A.  So A^e for any e and f(U)
 on the formal group each cost one char poly, at most one polynomial power
 mod chi_A and at most n - 2 products, over Z_p and over an extension ring
 alike.  The audit U^E = I and U_s = U^alpha of the Jordan split come from
-one routine, `_jordan_powers`, in every call order: over Z_p the exponents
-it still needs share one power of t.  The inverse alone
+one routine, `_jordan`, together: over Z_p the two exponents share one power
+of t, and no U_s is returned unaudited.  The inverse alone
 is not a polynomial in A here: `inverse` is Gauss-Jordan elimination,
 O(n^3) ring operations against the O(n^4) of a char poly and its Horner
 products.
@@ -112,24 +112,17 @@ class PadicMatrix:
     hold reduced rows already and build through `_of`, which stores its
     tuple rows with no copy and no check.
 
-    Five slots are filled lazily and kept on the object, a memo per matrix
-    rather than a cache keyed by value.  A matrix starts with all five empty.
-    This module fills the first four, `unitary` the last.
+    Three slots are filled lazily and kept on the object, a memo per matrix
+    rather than a cache keyed by value.  A matrix starts with all three empty.
+    This module fills the first two, `unitary` the last.
     - `_chi`: the characteristic polynomial, filled by `char_poly_raw`, so
       the determinant and every power share one Berkowitz run.  `inverse`
       eliminates and does not read it.
-    - `_exponents`: the Jordan exponents (alpha, E) and the residue degrees
-      they come from (the degrees of the residue factors of `_chi` over
-      Z_p), filled by `_exponents` (through `_jordan_powers`, `galois_act`
-      and `power_zp`); `_exact_order` reads the degrees.
-    - `_audited`: True once the pro-finite audit U^E = I has passed, set by
-      `_jordan_powers` (for `classify`, `spectral_decompose` and
-      `_exact_order`, which `residue_matrix_order` and
-      `gm.principal_exponent` run on a reduction of U).  A failed audit
-      raises and is never recorded.
-    - `_teich`: the Teichmuller part U_s = U^alpha, filled by
-      `_jordan_powers` with the audit (`classify`, `spectral_decompose`) or
-      alone (`jordan_decompose`).
+    - `_jordan`: (alpha, E, the residue degrees, U_s = U^alpha), filled by
+      `_jordan` only once the pro-finite audit U^E = I has passed; a failed
+      audit raises and is never recorded.  `classify`, `jordan_decompose`,
+      `spectral_decompose`, `galois_act`, `power_zp` and `_exact_order`
+      (behind `residue_matrix_order` and `gm.principal_exponent`) read it.
     - `_unipotent`: the continuous part U_n = U U_s^-1, filled only by
       `unitary.jordan_decompose`.
     `evaluate`, behind `matrix_power` and every f(A), reads `_chi` and fills
@@ -137,7 +130,7 @@ class PadicMatrix:
     caller asks for.  `reduce(K)` is the matrix itself, with its slots.
     """
 
-    __slots__ = ("ring", "n", "rows", "_chi", "_exponents", "_audited", "_teich", "_unipotent")
+    __slots__ = ("ring", "n", "rows", "_chi", "_jordan", "_unipotent")
 
     def __init__(self, ring: AnyRing, rows):
         coerce = ring.rcoerce
@@ -156,8 +149,7 @@ class PadicMatrix:
 
     def _fill(self, ring: AnyRing, rows: tuple) -> None:
         self.ring, self.rows, self.n = ring, rows, len(rows)
-        self._chi = self._exponents = self._teich = self._unipotent = None
-        self._audited = False
+        self._chi = self._jordan = self._unipotent = None
 
     @classmethod
     def identity(cls, ring: AnyRing, n: int) -> "PadicMatrix":
@@ -654,49 +646,32 @@ def _residue_degrees(U: PadicMatrix):
     return range(1, U.n + 1)
 
 
-def _exponents(U: PadicMatrix) -> tuple[int, int]:
-    """(alpha, E) for U (`arith.teichmuller_exponent`), kept on U with the residue degrees."""
-    if U._exponents is None:
-        ring, degrees = U.ring, _residue_degrees(U)
-        U._exponents = (
-            *teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, U.n, degrees),
-            degrees,
-        )
-    return U._exponents[:2]
+def _jordan(U: PadicMatrix) -> tuple:
+    """(alpha, E, residue degrees, U_s = U^alpha) for a unitary U, audited and kept on U.
 
-
-def _jordan_powers(U: PadicMatrix, audit: bool = False, teich: bool = False) -> PadicMatrix | None:
-    """Fill whichever of the pro-finite audit U^E = I (`audit`) and the
-    Teichmuller part U_s = U^alpha (`teich`) is asked for and still missing
-    on U; return U_s, or None while it is unfilled.
-
-    Each power is (t^e mod chi_U)(U).  Over Z_p the wanted exponents are
-    y^(e/g) of one y = t^g (`fppoly.pow_t_chain`), g their gcd: p^A for the
-    pair, and a lone e is its own g, so its y is the direct power.  The
-    companion matrix of chi_U has U's residue degrees, so t^E mod chi_U is 1
-    when E is right: no product.  An extension ring takes one
-    `ringpoly.pow_mod` per exponent (`matrix_power`).  The audit checks the
-    one fact the closed form relies on, that the order of U divides E; it
-    runs before U_s is taken, and a failure raises and records nothing.
+    (alpha, E) come from the residue degrees (`arith.teichmuller_exponent`).
+    Each power is (t^e mod chi_U)(U).  Over Z_p both are y^(e/g) of one
+    y = t^g (`fppoly.pow_t_chain`), g = gcd(alpha, E) = p^A: alpha = c p^A
+    with c prime to M = E / p^A.  The companion matrix of chi_U has U's
+    residue degrees, so t^E mod chi_U is 1 when E is right: no product.  An
+    extension ring takes one `ringpoly.pow_mod` per exponent
+    (`matrix_power`).  The audit checks the one fact the closed form relies
+    on, that the order of U divides E; it runs before U_s is taken, and a
+    failure raises and records nothing.
     """
-    audit, teich = audit and not U._audited, teich and U._teich is None
-    if audit or teich:
-        alpha, E = _exponents(U)
-        wanted = [e for e, want in ((E, audit), (alpha, teich)) if want]
-        ring = U.ring
+    if U._jordan is None:
+        ring, degrees = U.ring, _residue_degrees(U)
+        alpha, E = teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, U.n, degrees)
         if isinstance(ring, Zp):
-            g = math.gcd(*wanted) or 1  # alpha = 0 alone, as at n = 0: t^0 = 1
-            chain = fppoly.pow_t_chain(g, [e // g for e in wanted], U.char_poly_raw(), ring.pk)
+            g = math.gcd(alpha, E)
+            chain = fppoly.pow_t_chain(g, [E // g, alpha // g], U.char_poly_raw(), ring.pk)
             powers = map(U.evaluate, chain)
         else:
-            powers = map(U.matrix_power, wanted)
-        if audit:
-            if next(powers) != PadicMatrix.identity(ring, U.n):
-                raise ArithmeticError("unitary matrix failed the pro-finite audit")
-            U._audited = True
-        if teich:
-            U._teich = next(powers)
-    return U._teich
+            powers = map(U.matrix_power, (E, alpha))
+        if next(powers) != PadicMatrix.identity(ring, U.n):
+            raise ArithmeticError("unitary matrix failed the pro-finite audit")
+        U._jordan = (alpha, E, degrees, next(powers))
+    return U._jordan
 
 
 def _exact_order(U: PadicMatrix) -> int:
@@ -706,8 +681,7 @@ def _exact_order(U: PadicMatrix) -> int:
     by one: trial division on M whole could meet two large primes from
     different pieces.  Each prime r is divided out while U^(order / r) = I.
     """
-    _jordan_powers(U, audit=True)
-    _, order, degrees = U._exponents
+    _, order, degrees, _ = _jordan(U)
     ring = U.ring
     primes = {ring.p}
     for d in degrees:

@@ -10,20 +10,20 @@ the exponent of GL_n(F_q).  The exponents p^(k!) are eventually 1 mod M and
 0 mod p^A, so the limit is U^alpha for the alpha with those residues
 (`arith.teichmuller_exponent`): the Teichmuller part U_s of U = U_s U_n.  No
 integer is factored and no residue order is searched.  (alpha, E), the audit
-U^E = I and U_s = U^alpha come from `matrices._exponents` and
-`matrices._jordan_powers`, which takes each power as (t^e mod chi_U)(U):
-when both are wanted (`classify`, `spectral_decompose`), t^E = y^M and
-t^alpha = y^c share y = t^(p^A) mod chi_U over Z_p, and a lone one
-(`jordan_decompose`, `_exact_order`) is its own y, the direct power.
+U^E = I and U_s = U^alpha come from one routine, `matrices._jordan`, which
+takes each power as (t^e mod chi_U)(U): over Z_p, t^E = y^M and
+t^alpha = y^c share y = t^(p^A) mod chi_U.  Every U_s the library returns
+has passed the audit, which runs before U_s is taken.
 `residual_order` descends from the audited E of U mod p
 (`matrices._exact_order`), factoring q^d - 1 for the residue degrees only.
-The Jordan datum stays on the matrix: (alpha, E), the passed audit U^E = I,
-U_s and U_n fill slots of U (see `PadicMatrix`), so the chain classify ->
-jordan -> spectral_decompose or power_zp pays for the degrees, U^E, U^alpha
-and U_s^-1 once.
+The Jordan datum stays on the matrix: (alpha, E), the residue degrees and
+U_s fill one slot of U, and U_n another (see `PadicMatrix`), so the chain
+classify -> jordan -> spectral_decompose or power_zp pays for the degrees,
+U^E, U^alpha and U_s^-1 once.
 `spectral_decompose` passes the datum along: after the pro-finite audit on
 U, U_s = U^alpha is Teichmuller because alpha^2 = alpha mod E, so it is not
-classified again.  The one-parameter group is a power too: a continuous U
+classified again; `teichmuller_spectral` is the same body after the type
+check.  The one-parameter group is a power too: a continuous U
 has U^alpha = I, so its order divides gcd(E, alpha) = p^A, and `power_zp`
 gives U^t as U^(t mod p^A).
 
@@ -72,8 +72,8 @@ from .errors import (
     InputError, NotAUnit, NotContinuous, NotTeichmuller, NotUnitary, PadicError, Unsupported,
 )
 from .matrices import (
-    PadicMatrix, _exponents, _jordan_powers, _linear_combination, _pack_slots, _unpack,
-    orbit_polynomial, residue_matrix_order,
+    PadicMatrix, _jordan, _linear_combination, _pack_slots, _unpack, orbit_polynomial,
+    residue_matrix_order,
 )
 from .scalars import ONE_MINUS, AnyRing, PadicScalar, UnramRing, Zp, unram
 
@@ -123,7 +123,7 @@ class UnitaryClass(NamedTuple):
 def classify(U: PadicMatrix) -> UnitaryClass:
     """Compare the factorial sigma-power limit U^alpha with U and with I."""
     _require_unitary(U)
-    limit = _jordan_powers(U, audit=True, teich=True)
+    limit = _jordan(U)[3]
     is_teich = limit == U
     is_cont = limit == PadicMatrix.identity(U.ring, U.n)
     kind = TEICHMULLER if is_teich else CONTINUOUS if is_cont else PROFINITE_MIXED
@@ -133,14 +133,16 @@ def classify(U: PadicMatrix) -> UnitaryClass:
 def jordan_decompose(U: PadicMatrix) -> tuple[PadicMatrix, PadicMatrix]:
     """U = U_s * U_n with commuting Teichmuller and continuous parts.
 
-    U_s is the closed-form factorial-power limit U^alpha; both parts are
-    powers of U times its inverse, so commutation is automatic.  Both are
-    kept on U, so a second call returns the same two matrices.
+    U_s is the closed-form factorial-power limit U^alpha, audited by U^E = I
+    (`matrices._jordan`); both parts are powers of U times its inverse, so
+    commutation is automatic.  Both are kept on U, so a second call returns
+    the same two matrices.
     """
     _require_unitary(U)
+    u_s = _jordan(U)[3]
     if U._unipotent is None:
-        U._unipotent = U @ _jordan_powers(U, teich=True).inverse()
-    return U._teich, U._unipotent
+        U._unipotent = U @ u_s.inverse()
+    return u_s, U._unipotent
 
 
 # -- spectral decomposition ----------------------------------------------------
@@ -352,27 +354,35 @@ def _orbit_polynomial(ring: AnyRing, lam) -> list[int]:
 def teichmuller_spectral(U: PadicMatrix) -> SpectralDatum:
     """Spectral decomposition of a Teichmuller-type matrix over Z_p.
 
-    The residue characteristic polynomial factors into Frobenius orbits; each
-    orbit's eigenvalues are Teichmuller lifts inside the degree-d unramified
-    ring, the lift of the least root in F_{p^d} and its Frobenius images.  U is
-    semisimple, so its minimal polynomial m is the product of the orbit
-    polynomials, and the projector of an orbit's first eigenvalue lambda is
-    L(U) / L(lambda) with L = m / (t - lambda).  The factoring and root
-    finding are randomized on a fixed seed; the datum does not depend on it.
+    `spectral_decompose` after the type check: U_s = U, so the datum's
+    continuous part is U U_s^-1 = I.
     """
     _require_base_teichmuller(U)
-    return _teichmuller_spectral(U, U.char_poly_raw())
+    return spectral_decompose(U)
 
 
-def _teichmuller_spectral(U: PadicMatrix, chi: list[int]) -> SpectralDatum:
-    """The body of `teichmuller_spectral`, for a U that passed its checks.
+def spectral_decompose(U: PadicMatrix) -> SpectralDatum:
+    """Full pipeline on any unitary: Jordan split, then the spectrum of U_s.
 
-    Only chi mod p is read: the characteristic polynomial of U mod p, or of
-    any matrix whose Teichmuller part is U.
+    The residue characteristic polynomial factors into Frobenius orbits; each
+    orbit's eigenvalues are Teichmuller lifts inside the degree-d unramified
+    ring, the lift of the least root in F_{p^d} and its Frobenius images.
+    After the pro-finite audit U^E = I, U_s = U^alpha is of Teichmuller type
+    by construction (alpha^2 = alpha mod E), so it is not classified again.
+    It is semisimple, so its minimal polynomial m is the product of the
+    orbit polynomials, and the projector of an orbit's first eigenvalue
+    lambda is L(U_s) / L(lambda) with L = m / (t - lambda).  chi_U mod p is
+    factored, which is chi_(U_s) mod p: U_n commutes with U_s and is
+    unipotent mod p, so U and U_s have the same eigenvalues mod p, and U_s
+    needs no char poly of its own.  The factoring and root finding are
+    randomized on a fixed seed; the datum does not depend on it, and it is
+    verified against U_s before it is returned.
     """
+    _require_base_unitary(U)
+    u_s, u_n = jordan_decompose(U)
     ring = U.ring
     p, K, pk = ring.p, ring.K, ring.pk
-    _, factors = fppoly.factor([c % p for c in chi], p)
+    _, factors = fppoly.factor([c % p for c in U.char_poly_raw()], p)
     rng = random.Random(fppoly._SEED)
     # per irreducible residue factor: (ring, lambda_0, multiplicity)
     raw_orbits = []
@@ -389,9 +399,9 @@ def _teichmuller_spectral(U: PadicMatrix, chi: list[int]) -> SpectralDatum:
     minimal = [1]
     for lam_ring, lam, _ in raw_orbits:
         minimal = fppoly.mul(minimal, _orbit_polynomial(lam_ring, lam), pk)
-    powers = [PadicMatrix.identity(ring, U.n)]  # U^0, ..., U^(deg m - 1)
+    powers = [PadicMatrix.identity(ring, U.n)]  # U_s^0, ..., U_s^(deg m - 1)
     while len(powers) < len(minimal) - 1:
-        powers.append(U if len(powers) == 1 else powers[-1] @ U)
+        powers.append(u_s if len(powers) == 1 else powers[-1] @ u_s)
     orbits = []
     for lam_ring, lam, mult in raw_orbits:
         minimal_raw = [lam_ring.rfrom_int(c) for c in minimal]
@@ -401,9 +411,8 @@ def _teichmuller_spectral(U: PadicMatrix, chi: list[int]) -> SpectralDatum:
         coeffs = [lam_ring.rmul(inv_slope, c) for c in quotient]
         projector = _linear_combination(lam_ring, coeffs, powers)
         orbits.append(SpectralOrbit(ring=lam_ring, eigenvalue=lam, projector=projector, multiplicity=mult))
-    identity = PadicMatrix.identity(ring, U.n)
-    datum = SpectralDatum(base_ring=ring, n=U.n, orbits=tuple(orbits), unipotent=identity)
-    if not datum.verify(expected=U):
+    datum = SpectralDatum(base_ring=ring, n=U.n, orbits=tuple(orbits), unipotent=u_n)
+    if not datum.verify(expected=u_s):
         raise ArithmeticError("spectral reconstruction audit failed")
     return datum
 
@@ -442,25 +451,6 @@ def _orbit_roots(irr: list[int], field: UnramRing, rng: random.Random) -> list:
     return roots
 
 
-def spectral_decompose(U: PadicMatrix) -> SpectralDatum:
-    """Full pipeline on any unitary: Jordan split, then the Teichmuller spectrum.
-
-    After the pro-finite audit U^E = I, U_s = U^alpha is of Teichmuller type
-    by construction (alpha^2 = alpha mod E), so it is not classified again;
-    the spectral body still verifies its reconstruction of U_s.  It factors
-    chi_U mod p, which is chi_(U_s) mod p: U_n commutes with U_s and is
-    unipotent mod p, so U and U_s have the same eigenvalues mod p, and U_s
-    needs no char poly of its own.
-    """
-    _require_base_unitary(U)
-    _jordan_powers(U, audit=True, teich=True)
-    u_s, u_n = jordan_decompose(U)
-    datum = _teichmuller_spectral(u_s, U.char_poly_raw())
-    return SpectralDatum(
-        base_ring=datum.base_ring, n=datum.n, orbits=datum.orbits, unipotent=u_n
-    )
-
-
 def galois_act(U: PadicMatrix, k: int) -> PadicMatrix:
     """sigma^k on a Teichmuller operator: sum of sigma^k(lambda) pi_lambda = U^(p^k).
 
@@ -468,7 +458,7 @@ def galois_act(U: PadicMatrix, k: int) -> PadicMatrix:
     unit mod M, so p^k is taken mod M and a negative k needs no inverse.
     """
     _require_base_teichmuller(U)
-    alpha, E = _exponents(U)
+    alpha, E, _, _ = _jordan(U)
     return U.matrix_power(pow(U.ring.p, k, math.gcd(E, alpha - 1)))
 
 
@@ -489,7 +479,7 @@ def power_zp(U: PadicMatrix, t) -> PadicMatrix:
     if not cls.is_continuous:
         raise NotContinuous("one-parameter powers require continuous type")
     ring = U.ring
-    alpha, E = _exponents(U)
+    alpha, E, _, _ = _jordan(U)
     order = math.gcd(E, alpha)
     if isinstance(t, PadicScalar):
         if t.ring != Zp(ring.p, ring.K):

@@ -169,7 +169,7 @@ def _library_data():
                 datum = unitary.spectral_decompose(w)
             except Unsupported:  # a residue degree without a shipped modulus
                 continue
-            out.append((w._teich, datum))
+            out.append((unitary.jordan_decompose(w)[0], datum))
             break
     return out
 

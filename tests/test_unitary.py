@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from padicu import fppoly, gm, matrices, unitary
+from padicu import fppoly, glnp, gm, matrices, unitary
 from padicu.errors import (
     NotAUnit,
     NotContinuous,
@@ -832,16 +832,21 @@ def test_the_chain_raises_u_to_e_and_alpha_once(make, monkeypatch):
 
 
 @pytest.mark.parametrize("make", [random_unitary, random_continuous, random_teichmuller])
-def test_a_lone_jordan_decompose_raises_t_to_alpha_directly_once(make, monkeypatch):
-    """U_s alone, with no audit wanted, goes the shared route with g = alpha: y is
-    t^alpha mod chi_U, taken once from t, and y^1 is y itself, so nothing more."""
+def test_a_lone_jordan_decompose_pays_the_audit_through_the_shared_power(make, monkeypatch):
+    """U_s is never taken without the audit U^E = I: a lone jordan_decompose takes
+    y = t^(p^A) mod chi_U once from t, then y^M for the audit, then y^c unless c = 1,
+    where y^c is y itself."""
     ring = Zp(5, 6)
     u = make(ring, 4, random.Random(17))
     chi = u.char_poly_raw()
-    alpha, _ = _exponent_pair(5, 5, 6, 4, _residue_degrees(chi, 5))
+    alpha, E = _exponent_pair(5, 5, 6, 4, _residue_degrees(chi, 5))
+    pa = 5**6
+    M, c = E // pa, alpha // pa
     calls = _record_powers(monkeypatch)
     unitary.jordan_decompose(u)
-    assert [(is_t, e) for f, m, is_t, e in calls if (f, m) == (chi, ring.pk)] == [(True, alpha)]
+    chain = [(is_t, e) for f, m, is_t, e in calls if (f, m) == (chi, ring.pk)]
+    assert [e for _, e in chain] == [pa, M] + [c] * (c != 1)
+    assert chain[0] == (True, pa) and u._jordan is not None
 
 
 def _square_and_multiply(A, e):
@@ -987,14 +992,14 @@ def test_matrix_powers_leave_the_slots_as_they_were():
     assert len(set(exponents)) == 50
     unitary.jordan_decompose(u)
     unitary.classify(u)
-    slots = (u._chi, u._audited, u._teich, u._unipotent)
+    slots = (u._chi, u._jordan, u._unipotent)
     for e in exponents:
         u.matrix_power(e)
-    assert all(a is b for a, b in zip((u._chi, u._audited, u._teich, u._unipotent), slots))
+    assert all(a is b for a, b in zip((u._chi, u._jordan, u._unipotent), slots))
     fresh = PadicMatrix(u.ring, u.rows)
     for e in exponents:
         fresh.matrix_power(e)
-    assert (fresh._audited, fresh._teich, fresh._unipotent) == (False, None, None)
+    assert (fresh._jordan, fresh._unipotent) == (None, None)
 
 
 def test_a_failed_pro_finite_audit_is_not_recorded(monkeypatch):
@@ -1003,12 +1008,43 @@ def test_a_failed_pro_finite_audit_is_not_recorded(monkeypatch):
     rings = (Zp(5, 3), unram(3, 3, 2), unram(5, 2, 2))
     units = [random_unitary(ring, 3, random.Random(4)) for ring in rings]
     assert all(u.matrix_power(2) != PadicMatrix.identity(u.ring, 3) for u in units)
-    monkeypatch.setattr(matrices, "_exponents", lambda U: (1, 2))  # a wrong E
+    monkeypatch.setattr(matrices, "teichmuller_exponent", lambda *args: (1, 2))  # a wrong E
     for u in units:
         for _ in range(2):
             with pytest.raises(ArithmeticError):
                 unitary.classify(u)
-            assert (u._audited, u._teich) == (False, None)
+            assert u._jordan is None
+
+
+_WRONG_E_RINGS = {"Zp(5,3)": Zp(5, 3), "unram(3,3,2)": unram(3, 3, 2), "unram(5,2,2)": unram(5, 2, 2)}
+_JORDAN_READERS = {
+    "jordan_decompose": unitary.jordan_decompose,
+    "power_zp": lambda u: unitary.power_zp(u, 1),
+    "residual_order": unitary.residual_order,
+    "decompose_zp": glnp.decompose_zp,
+    "galois_act": lambda u: unitary.galois_act(u, 1),
+    "spectral_decompose": unitary.spectral_decompose,
+}
+_BASE_ONLY = {"decompose_zp", "galois_act", "spectral_decompose"}
+
+
+@pytest.mark.parametrize(
+    "ring_name,operation",
+    [(r, o) for r in _WRONG_E_RINGS for o in _JORDAN_READERS if r == "Zp(5,3)" or o not in _BASE_ONLY],
+)
+def test_no_operation_returns_a_jordan_part_that_failed_the_audit(ring_name, operation, monkeypatch):
+    """With a wrong E, every operation that reads U_s, (alpha, E) or the residue
+    degrees raises ArithmeticError and records nothing on U: a lone jordan_decompose
+    and the tower decomposition, which runs it on a lifted word, included.  The
+    base-ring operations raise Unsupported over an extension ring before any power,
+    so they run over Z_p only."""
+    ring = _WRONG_E_RINGS[ring_name]
+    u = random_unitary(ring, 3, random.Random(4))
+    assert u.matrix_power(2) != PadicMatrix.identity(ring, 3)
+    monkeypatch.setattr(matrices, "teichmuller_exponent", lambda *args: (1, 2))  # a wrong E
+    with pytest.raises(ArithmeticError):
+        _JORDAN_READERS[operation](u)
+    assert u._jordan is None
 
 
 # -- the shared power against test-local oracles ------------------------------------------
@@ -1062,7 +1098,7 @@ def test_every_call_order_gives_u_to_alpha_and_passes_u_to_e(n, p, K, m):
     for order in (_classify_first, _jordan_then_classify, _residual_order_first, _spectral_first):
         u = M(ring, rows)
         order(u)
-        assert u._audited, order.__name__
+        assert u._jordan is not None, order.__name__
         u_s, u_n = unitary.jordan_decompose(u)
         assert unitary.classify(u).witness is u_s
         assert u_s == u_alpha, order.__name__
@@ -1085,10 +1121,10 @@ def test_the_shared_route_still_fails_a_wrong_e(monkeypatch):
         return chain(g, cofactors, f, p)
 
     monkeypatch.setattr(fppoly, "pow_t_chain", recorded)
-    monkeypatch.setattr(matrices, "_exponents", lambda U: (alpha, pa))
+    monkeypatch.setattr(matrices, "teichmuller_exponent", lambda *args: (alpha, pa))
     for operation in (unitary.classify, unitary.spectral_decompose):
         shared.clear()
         with pytest.raises(ArithmeticError):
             operation(u)
         assert shared == [(pa, (1, alpha // pa))]
-        assert (u._audited, u._teich) == (False, None)
+        assert u._jordan is None
