@@ -12,12 +12,14 @@ pivoting, which is enough over the local ring Z/p^j.
 
 `PadicMatrix.evaluate` is the one functional calculus.  By Cayley-Hamilton a
 Laurent polynomial f = t^low g of A is r(A) with r = t^low g mod chi_A, of
-degree < n, and t^-1 mod chi_A is read off chi_A.  So A^e for any e and f(U)
-on the formal group each cost one char poly, at most one polynomial power
-mod chi_A and at most n - 2 products, over Z_p and over an extension ring
-alike.  The audit U^E = I and U_s = U^alpha of the Jordan split come from
-one routine, `_jordan`, together: over Z_p the two exponents share one power
-of t, and no U_s is returned unaudited.  The inverse alone
+degree < n, and t^-1 mod chi_A is read off chi_A.  So over Z_p, A^e for any e
+and f(U) on the formal group each cost one char poly, at most one polynomial
+power mod chi_A and at most n - 2 products.  Over an extension ring of degree
+m, restriction of scalars R: M_n(O) -> M_nm(Z/p^K) (`_restrict`) is an
+injective ring homomorphism, so A^e is read back (`_extend`) from R(A)^e, and
+the audit U^E = I and U_s = U^alpha of the Jordan split come from R(U) in one
+routine, `_jordan`, for both ring kinds: the two exponents share one power of
+t, and no U_s is returned unaudited.  The inverse alone
 is not a polynomial in A here: `inverse` is Gauss-Jordan elimination,
 O(n^3) ring operations against the O(n^4) of a char poly and its Horner
 products.
@@ -29,7 +31,7 @@ import math
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import fppoly, ringpoly
+from . import fppoly
 from .arith import factorize, teichmuller_exponent
 from .errors import InputError, NotInvertible, PrecisionMismatch
 from .scalars import AnyRing, PadicScalar, Zp
@@ -116,8 +118,8 @@ class PadicMatrix:
     rather than a cache keyed by value.  A matrix starts with all three empty.
     This module fills the first two, `unitary` the last.
     - `_chi`: the characteristic polynomial, filled by `char_poly_raw`, so
-      the determinant and every power share one Berkowitz run.  `inverse`
-      eliminates and does not read it.
+      the determinant and every Z_p power share one Berkowitz run (an
+      extension-ring power reads R(A)'s).  `inverse` eliminates and does not read it.
     - `_jordan`: (alpha, E, the residue degrees, U_s = U^alpha), filled by
       `_jordan` only once the pro-finite audit U^E = I has passed; a failed
       audit raises and is never recorded.  `classify`, `jordan_decompose`,
@@ -337,16 +339,20 @@ class PadicMatrix:
 
         A coefficient is an int or a raw value of A's ring.  Unless low = 0 or
         t^low g has degree < n, f is first replaced by t^low g mod chi_A
-        (`_reduce_mod_chi`), and a negative low raises NotInvertible unless
-        det A is a unit.  Horner then costs d - 1 matrix products at degree d
-        (the first step is a scaling), each on raw rows with its coefficient
-        added onto the diagonal of the product; over Z_p the rows of A are
-        packed once for all of them.
+        (`_reduce_mod_chi`) over Z_p; an extension ring takes A^low from
+        R(A)^low and multiplies it by g(A).  A negative low raises
+        NotInvertible unless det A is a unit.  Horner then costs d - 1 matrix
+        products at degree d (the first step is a scaling), each on raw rows
+        with its coefficient added onto the diagonal of the product; over Z_p
+        the rows of A are packed once for all of them.
         """
         ring, n, rows = self.ring, self.n, self.rows
         coeffs = [ring.rfrom_int(c) if isinstance(c, int) else c for c in coeffs]
         if coeffs and low:
             if low < 0 or low + len(coeffs) > n:
+                if not isinstance(ring, Zp):
+                    power = _extend(ring, _restrict(self).matrix_power(low))
+                    return power if coeffs == [ring.one] else power @ self.evaluate(coeffs)
                 coeffs = self._reduce_mod_chi(coeffs, low)
             else:
                 coeffs = [ring.zero] * low + coeffs
@@ -363,20 +369,15 @@ class PadicMatrix:
         return PadicMatrix._of(ring, acc)
 
     def _reduce_mod_chi(self, g: list, low: int) -> list:
-        """t^low g mod chi_A for a nonzero low, on raw coefficients.
+        """t^low g mod chi_A over Z_p for a nonzero low, on raw coefficients.
 
-        t^|low| is a power of t, or of t^-1 for a negative low: `fppoly.pow_mod`
-        over Z_p and `ringpoly.pow_mod` over an extension ring.  |low| = 1
-        takes no power and g = 1 no product.
+        t^|low| is a power of t, or of t^-1 for a negative low (`fppoly.pow_mod`).
+        |low| = 1 takes no power and g = 1 no product.
         """
-        ring, chi, e = self.ring, self.char_poly_raw(), abs(low)
-        t = [ring.zero, ring.one] if low > 0 else self._t_inverse()
-        if isinstance(ring, Zp):
-            pk = ring.pk
-            power = t if e == 1 else fppoly.pow_mod(t, e, chi, pk)
-            return power if g == [1] else fppoly.divmod_poly(fppoly.mul(power, g, pk), chi, pk)[1]
-        power = t if e == 1 else ringpoly.pow_mod(ring, t, e, chi)
-        return power if g == [ring.one] else ringpoly.mulmod(ring, power, g, chi)
+        pk, chi, e = self.ring.pk, self.char_poly_raw(), abs(low)
+        t = [0, 1] if low > 0 else self._t_inverse()
+        power = t if e == 1 else fppoly.pow_mod(t, e, chi, pk)
+        return power if g == [1] else fppoly.divmod_poly(fppoly.mul(power, g, pk), chi, pk)[1]
 
     def matrix_power(self, e: int) -> "PadicMatrix":
         """A^e for an e of either sign: `evaluate` of t^e, one char poly for any e."""
@@ -635,42 +636,54 @@ def orbit_polynomial(ring: Zp, modulus, y) -> list[int]:
 # -- the Jordan exponents and exact orders ----------------------------------------
 
 
-def _residue_degrees(U: PadicMatrix):
-    """Degrees d with every residue eigenvalue of U in some F_(q^d).
-
-    Over Z_p, those of the irreducible factors of chi_U mod p; an extension
-    ring keeps every d <= n, as chi_U mod p is not factored over F_q here.
+def _restrict(A: PadicMatrix) -> PadicMatrix:
+    """R(A): A over Z_p; over an extension ring of degree m, the nm x nm matrix
+    over Z_p whose block (i, j) is multiplication by A[i][j] on the power
+    basis, built as in `orbit_polynomial`.  R is an injective ring
+    homomorphism, so R(A^e) = R(A)^e.
     """
-    if isinstance(U.ring, Zp):
-        return fppoly.factor_degrees(U.char_poly_raw(), U.ring.p)
-    return range(1, U.n + 1)
+    ring = A.ring
+    if isinstance(ring, Zp):
+        return A
+    rows = []
+    for row in A.rows:
+        blocks = [zip(*fppoly.mul_columns(ring.modulus, y, ring.pk)) for y in row]
+        rows.extend(sum(block_row, ()) for block_row in zip(*blocks))
+    return PadicMatrix._of(Zp(ring.p, ring.K), tuple(rows))
+
+
+def _extend(ring: AnyRing, R: PadicMatrix) -> PadicMatrix:
+    """The A over ring with R(A) = R: entry (i, j) is the first column of block (i, j)."""
+    if isinstance(ring, Zp):
+        return R
+    m, columns = ring.m, list(zip(*R.rows))[:: ring.m]
+    return PadicMatrix._of(ring, tuple(tuple(col[i : i + m] for col in columns) for i in range(0, R.n, m)))
 
 
 def _jordan(U: PadicMatrix) -> tuple:
     """(alpha, E, residue degrees, U_s = U^alpha) for a unitary U, audited and kept on U.
 
-    (alpha, E) come from the residue degrees (`arith.teichmuller_exponent`).
-    Each power is (t^e mod chi_U)(U).  Over Z_p both are y^(e/g) of one
-    y = t^g (`fppoly.pow_t_chain`), g = gcd(alpha, E) = p^A: alpha = c p^A
-    with c prime to M = E / p^A.  The companion matrix of chi_U has U's
-    residue degrees, so t^E mod chi_U is 1 when E is right: no product.  An
-    extension ring takes one `ringpoly.pow_mod` per exponent
-    (`matrix_power`).  The audit checks the one fact the closed form relies
-    on, that the order of U divides E; it runs before U_s is taken, and a
-    failure raises and records nothing.
+    Both powers are taken on R = R(U) (`_restrict`), U itself over Z_p.  An
+    F_p factor of chi_R of degree d holds eigenvalues of degree d / gcd(d, m)
+    over F_q, q = p^m; (alpha, E) come from those residue degrees and U's own
+    n (`arith.teichmuller_exponent`).  Each power is (t^e mod chi_R)(R), and
+    both are y^(e/g) of one y = t^g (`fppoly.pow_t_chain`), g = gcd(alpha, E)
+    = p^A: alpha = c p^A with c prime to M = E / p^A.  Over Z_p the companion
+    matrix of chi_U has U's residue degrees, so t^E mod chi_U is 1 when E is
+    right: no product.  The audit checks the one fact the closed form relies
+    on, that the order of U divides E, as R^E = I; it runs before U_s is
+    taken, and a failure raises and records nothing.
     """
     if U._jordan is None:
-        ring, degrees = U.ring, _residue_degrees(U)
-        alpha, E = teichmuller_exponent(ring.residue_cardinality, ring.p, ring.K, U.n, degrees)
-        if isinstance(ring, Zp):
-            g = math.gcd(alpha, E)
-            chain = fppoly.pow_t_chain(g, [E // g, alpha // g], U.char_poly_raw(), ring.pk)
-            powers = map(U.evaluate, chain)
-        else:
-            powers = map(U.matrix_power, (E, alpha))
-        if next(powers) != PadicMatrix.identity(ring, U.n):
+        ring, R = U.ring, _restrict(U)
+        chi, p = R.char_poly_raw(), ring.p
+        degrees = {d // math.gcd(d, ring.degree) for d in fppoly.factor_degrees(chi, p)}
+        alpha, E = teichmuller_exponent(ring.residue_cardinality, p, ring.K, U.n, degrees)
+        g = math.gcd(alpha, E)
+        powers = map(R.evaluate, fppoly.pow_t_chain(g, [E // g, alpha // g], chi, ring.pk))
+        if next(powers) != PadicMatrix.identity(R.ring, R.n):
             raise ArithmeticError("unitary matrix failed the pro-finite audit")
-        U._jordan = (alpha, E, degrees, next(powers))
+        U._jordan = (alpha, E, degrees, _extend(ring, next(powers)))
     return U._jordan
 
 
@@ -679,16 +692,16 @@ def _exact_order(U: PadicMatrix) -> int:
 
     The primes of E = M * p^A are p and those of each q^d - 1, factored one
     by one: trial division on M whole could meet two large primes from
-    different pieces.  Each prime r is divided out while U^(order / r) = I.
+    different pieces.  Each prime r is divided out while R(U)^(order / r) = I.
     """
     _, order, degrees, _ = _jordan(U)
-    ring = U.ring
+    ring, R = U.ring, _restrict(U)
     primes = {ring.p}
     for d in degrees:
         primes.update(factorize(ring.residue_cardinality**d - 1))
-    identity = PadicMatrix.identity(ring, U.n)
+    identity = PadicMatrix.identity(R.ring, R.n)
     for r in sorted(primes):
-        while order % r == 0 and U.matrix_power(order // r) == identity:
+        while order % r == 0 and R.matrix_power(order // r) == identity:
             order //= r
     return order
 

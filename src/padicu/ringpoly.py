@@ -8,11 +8,10 @@ Coefficients given as plain ints are lifted by the caller with
 `ring.rfrom_int`.
 
 This layer serves the polynomials whose coefficients are not plain ints: the
-reductions mod chi_A behind `PadicMatrix.evaluate` over an extension ring
-(`pow_mod`, `mulmod`), and the division L = m / (t - lambda) behind a
-spectral projector.  The root finder in F_{p^d}[T] takes only `rem`, `gcd`
-and `divide_linear` from here: its power is packed in `fppoly`.  `fppoly`
-keeps the int arithmetic mod N.
+division L = m / (t - lambda) behind a spectral projector, and the root finder
+in F_{p^d}[T], which takes `rem`, `gcd` and `divide_linear` from here: its
+power is packed in `fppoly`.  Powers of an extension-ring matrix go through
+Z_p (`matrices._restrict`).  `fppoly` keeps the int arithmetic mod N.
 """
 
 from __future__ import annotations
@@ -35,28 +34,6 @@ def rem(ring, a: list, g: list) -> list:
             for k in range(d):
                 a[top - d + k] = ring.rsub(a[top - d + k], ring.rmul(c, g[k]))
     return trim(ring, a[:d])
-
-
-def mulmod(ring, a: list, b: list, g: list) -> list:
-    """a * b mod the monic g."""
-    out = [ring.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = ring.radd(out[i + j], ring.rmul(x, y))
-    return rem(ring, out, g)
-
-
-def pow_mod(ring, a: list, e: int, g: list) -> list:
-    """a^e mod the monic g for e >= 0, by left-to-right binary exponentiation."""
-    if e == 0:
-        return rem(ring, [ring.one], g)
-    base = rem(ring, a, g)
-    power = base
-    for bit in bin(e)[3:]:
-        power = mulmod(ring, power, power, g)
-        if bit == "1":
-            power = mulmod(ring, power, base, g)
-    return power
 
 
 def gcd(ring, a: list, b: list) -> list:

@@ -1,19 +1,19 @@
 """Classification and spectral decomposition of p-adic unitary matrices.
 
 The factorial-power limit of U is computed in closed form.  The order of U
-divides E = M * p^A, where p^A bounds the p-part at this precision and, over
-Z_p, M = lcm(q^d - 1) over the degrees d of the irreducible factors of
-chi_U mod p: every residue eigenvalue lies in F_(q^d) for such a d.  The
-degrees come from the squarefree and distinct-degree steps
-(`fppoly.factor_degrees`); over an extension ring M runs over every d <= n,
-the exponent of GL_n(F_q).  The exponents p^(k!) are eventually 1 mod M and
-0 mod p^A, so the limit is U^alpha for the alpha with those residues
-(`arith.teichmuller_exponent`): the Teichmuller part U_s of U = U_s U_n.  No
-integer is factored and no residue order is searched.  (alpha, E), the audit
-U^E = I and U_s = U^alpha come from one routine, `matrices._jordan`, which
-takes each power as (t^e mod chi_U)(U): over Z_p, t^E = y^M and
-t^alpha = y^c share y = t^(p^A) mod chi_U.  Every U_s the library returns
-has passed the audit, which runs before U_s is taken.
+divides E = M * p^A, where p^A bounds the p-part at this precision and
+M = lcm(q^d - 1) over the degrees d of the irreducible factors of chi_U mod p
+over F_q: every residue eigenvalue lies in F_(q^d) for such a d.  They come
+from the squarefree and distinct-degree steps (`fppoly.factor_degrees`) on
+R = R(U), U restricted to Z_p (`matrices._restrict`, U itself over Z_p): an
+F_p degree d of R is d / gcd(d, m) over F_q = F_(p^m).  The exponents p^(k!)
+are eventually 1 mod M and 0 mod p^A, so the limit is U^alpha for the alpha
+with those residues (`arith.teichmuller_exponent`): the Teichmuller part U_s
+of U = U_s U_n.  No integer is factored and no residue order is searched.
+(alpha, E), the audit U^E = I and U_s = U^alpha come from one routine,
+`matrices._jordan`, which takes each power as (t^e mod chi_R)(R):
+t^E = y^M and t^alpha = y^c share y = t^(p^A) mod chi_R.  Every U_s the
+library returns has passed the audit, which runs before U_s is taken.
 `residual_order` descends from the audited E of U mod p
 (`matrices._exact_order`), factoring q^d - 1 for the residue degrees only.
 The Jordan datum stays on the matrix: (alpha, E), the residue degrees and
@@ -135,13 +135,14 @@ def jordan_decompose(U: PadicMatrix) -> tuple[PadicMatrix, PadicMatrix]:
 
     U_s is the closed-form factorial-power limit U^alpha, audited by U^E = I
     (`matrices._jordan`); both parts are powers of U times its inverse, so
-    commutation is automatic.  Both are kept on U, so a second call returns
-    the same two matrices.
+    commutation is automatic.  A Teichmuller U has U_s = U and U_n = I, which
+    takes no inverse.  Both are kept on U, so a second call returns the same
+    two matrices.
     """
     _require_unitary(U)
     u_s = _jordan(U)[3]
     if U._unipotent is None:
-        U._unipotent = U @ u_s.inverse()
+        U._unipotent = PadicMatrix.identity(U.ring, U.n) if u_s == U else U @ u_s.inverse()
     return u_s, U._unipotent
 
 
@@ -355,7 +356,7 @@ def teichmuller_spectral(U: PadicMatrix) -> SpectralDatum:
     """Spectral decomposition of a Teichmuller-type matrix over Z_p.
 
     `spectral_decompose` after the type check: U_s = U, so the datum's
-    continuous part is U U_s^-1 = I.
+    continuous part is I, with no inverse taken (`jordan_decompose`).
     """
     _require_base_teichmuller(U)
     return spectral_decompose(U)

@@ -36,7 +36,12 @@ and, on a seeded grid of three (p, K) levels, the formal-group layer:
 - at each formal level, `evaluate_matrix` with a positive low where t^low g
   has degree >= n, on Z_p and degree-2 and -3 extension-ring matrices, and
   the inverse and products of extension-ring matrices, with all-(p^K - 1)
-  entries among the factors.
+  entries among the factors;
+- at each formal level, `evaluate_matrix` with a negative low on degree-2 and
+  -3 extension-ring matrices;
+- `power_zp` on continuous unitaries over unram(p, K, 2) on the grid
+  `EXTENSION_CONTINUOUS`, at int times of either sign and at a Z_p time (the
+  error, where its order may exceed p^K, is hashed by its message).
 
 With -v it also prints a digest per shape and the number of items hashed.
 This script is not a test: it is run by hand on two trees and compared.
@@ -70,6 +75,7 @@ ORDERS = 4  # per shape and sampler, through residual_order and principal_expone
 ORDER_EXTENSION = (3, 4, 2, 3)  # (p, K, m, n): orders over unram(p, K, m)
 JORDAN_EXTENSION = [(3, 3, 2, 3), (5, 2, 2, 3), (3, 2, 3, 2), (5, 3, 3, 2)]  # (p, K, m, n)
 JORDANS = 4  # per JORDAN_EXTENSION shape, through classify and jordan in both orders
+EXTENSION_CONTINUOUS = [(3, 3, 2), (3, 3, 4), (5, 10, 3), (7, 30, 4)]  # (p, K, n): over unram(p, K, 2)
 FORMAL_GRID = [(3, 4), (5, 10), (7, 30)]
 FORMAL_DEGREES = [(d, e) for d in range(1, 9) for e in (d, 9 - d)]
 TABLES = 4  # per formal level, 6 x 6 spectrum tables
@@ -271,6 +277,41 @@ def calculus_items(p: int, K: int):
                 yield ("ext_product", X.rows, Y.rows, (X @ Y).rows)
 
 
+def negative_low_items(p: int, K: int):
+    """f(U) = U^low g(U) with a negative low on extension-ring matrices."""
+    rng = random.Random(f"digest-negative-low-{p}-{K}")
+    base = Zp(p, K)
+    for ring in (unram(p, K, 2), unram(p, K, 3)):
+        for _ in range(CALCULUS):
+            U = random_unitary(ring, rng.randrange(2, 5), rng)
+            coeffs = _unit_coeffs(rng, p, base.pk, rng.randrange(0, 5))
+            F = gm.LaurentPoly.from_coeffs(base, coeffs, low=rng.randrange(-5, 0))
+            yield ("ext_evaluate_matrix", ring, _laurent(F), U.rows, F.evaluate_matrix(U).rows)
+
+
+def _extension_continuous(ring, n: int, rng):
+    """S (I + N) S^-1 with N strictly upper triangular plus p times noise."""
+    rows = [[tuple(rng.randrange(ring.pk) * (1 if j > i else ring.p) for _ in range(ring.m))
+             for j in range(n)] for i in range(n)]
+    S = random_unitary(ring, n, rng)
+    return S @ (PadicMatrix.identity(ring, n) + PadicMatrix(ring, rows)) @ S.inverse()
+
+
+def extension_power_items(p: int, K: int, n: int):
+    """power_zp on continuous unitaries over unram(p, K, 2), at int and Z_p times."""
+    rng = random.Random(f"digest-ext-power-{p}-{K}-{n}")
+    ring, base = unram(p, K, 2), Zp(p, K)
+    for _ in range(CONTINUOUS):
+        C = _extension_continuous(ring, n, rng)
+        for t in (0, 1, rng.randrange(ring.pk), ring.pk - 1, -1, -rng.randrange(2, ring.pk)):
+            yield ("ext_power_zp", C.rows, t, power_zp(C, t).rows)
+        t = base.scalar(rng.randrange(ring.pk))
+        try:
+            yield ("ext_power_zp", C.rows, t.raw, power_zp(C, t).rows)
+        except PadicError as exc:
+            yield ("ext_power_zp-error", C.rows, t.raw, str(exc))
+
+
 def main(argv: list[str]) -> int:
     verbose = "-v" in argv
     total = hashlib.sha256()
@@ -283,6 +324,8 @@ def main(argv: list[str]) -> int:
     parts += [(("order", *shape), order_items(*shape)) for shape in SHAPES]
     parts += [(("order-ext", *ORDER_EXTENSION), extension_order_items(*ORDER_EXTENSION))]
     parts += [(("jordan-ext", *shape), extension_jordan_items(*shape)) for shape in JORDAN_EXTENSION]
+    parts += [(("negative-low-ext", p, K), negative_low_items(p, K)) for p, K in FORMAL_GRID]
+    parts += [(("power-zp-ext", *shape), extension_power_items(*shape)) for shape in EXTENSION_CONTINUOUS]
     for shape, items in parts:
         part = hashlib.sha256()
         for item in items:

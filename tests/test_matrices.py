@@ -629,3 +629,73 @@ def test_evaluate_matches_a_schoolbook_horner_for_long_lists_and_negative_low(p,
                 assert _school_mul(_school_horner([0] * -low + [1], a, pk), value, pk) == (
                     _school_horner(g, a, pk)
                 ), low
+
+
+# -- restriction of scalars against a schoolbook ------------------------------
+
+
+def _times_mod(a, b, modulus, pk):
+    """a b in Z/pk[X]/(modulus) on coefficient tuples: the schoolbook product,
+    then each top coefficient folded back through X^m = -(modulus below its lead)."""
+    m = len(modulus) - 1
+    out = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for top in range(2 * m - 2, m - 1, -1):
+        for k in range(m):
+            out[top - m + k] -= out[top] * modulus[k]
+    return tuple(v % pk for v in out[:m])
+
+
+def _ring_matmul(a, b, modulus, pk):
+    """A B over the extension ring, entry by entry from `_times_mod`."""
+    m, n = len(modulus) - 1, len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = [0] * m
+            for k in range(n):
+                acc = [x + y for x, y in zip(acc, _times_mod(a[i][k], b[k][j], modulus, pk))]
+            row.append(tuple(v % pk for v in acc))
+        out.append(row)
+    return out
+
+
+def _restricted(a, modulus, pk):
+    """R(A) by its definition: entry (i m + r, j m + c) is coordinate r of A[i][j] X^c."""
+    m = len(modulus) - 1
+    basis = [tuple(int(r == c) for r in range(m)) for c in range(m)]
+    return [[_times_mod(y, basis[c], modulus, pk)[r] for y in row for c in range(m)]
+            for row in a for r in range(m)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_restriction_of_scalars_is_an_injective_ring_homomorphism(p, m):
+    """R(A B) = R(A) R(B), R(A + B) = R(A) + R(B), R(I) = I and A is read back
+    from R(A), on seeded matrices and an all-(p^K - 1) one; every product here
+    is the schoolbook one of this file."""
+    ring = unram(p, 3, m)
+    pk, modulus = ring.pk, list(ring.modulus)
+    rng = random.Random(p * 10 + m)
+    top = M(ring, [[(pk - 1,) * m] * 3] * 3)
+    for _ in range(4):
+        a, b = random_matrix(ring, 3, rng), random_matrix(ring, 3, rng)
+        for x, y in ((a, b), (top, b), (top, top)):
+            rx, ry = matrices._restrict(x), matrices._restrict(y)
+            assert rx.ring == Zp(p, 3) and rx.n == 3 * m
+            assert [list(row) for row in rx.rows] == _restricted(x.rows, modulus, pk)
+            product = _ring_matmul(x.rows, y.rows, modulus, pk)
+            assert [list(row) for row in matrices._restrict(M(ring, product)).rows] == (
+                _school_mul([list(row) for row in rx.rows], [list(row) for row in ry.rows], pk)
+            )
+            total = [[tuple((u + v) % pk for u, v in zip(s, t)) for s, t in zip(r, q)]
+                     for r, q in zip(x.rows, y.rows)]
+            assert [list(row) for row in matrices._restrict(M(ring, total)).rows] == [
+                [(u + v) % pk for u, v in zip(r, q)] for r, q in zip(rx.rows, ry.rows)
+            ]
+            assert matrices._extend(ring, rx) == x
+    identity = matrices._restrict(PadicMatrix.identity(ring, 3))
+    assert [list(row) for row in identity.rows] == [[int(i == j) for j in range(3 * m)] for i in range(3 * m)]

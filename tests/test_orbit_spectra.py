@@ -12,7 +12,7 @@ from itertools import product
 
 import pytest
 
-from padicu import fppoly, ringpoly, unitary
+from padicu import fppoly, unitary
 from padicu.matrices import PadicMatrix
 from padicu.sampling import random_teichmuller, random_unitary
 from padicu.scalars import Zp, unram
@@ -103,16 +103,21 @@ def test_orbit_roots_of_every_irreducible_quartic_over_f7():
                                                 (5, 20, 6, 8, [1, 4])],
                          ids=["7-30-8-seed0", "5-20-6-seed4", "5-20-6-seed8"])
 def test_spectral_decompose_takes_no_ring_polynomial_power(p, K, n, seed, degrees, monkeypatch):
-    """The root finder's power is packed (`fppoly._bivariate_fold_context`), with no
-    fallback to `ringpoly.pow_mod`, on orbits of degree 3 and 4."""
+    """The root finder's power is taken in the packed fold context
+    (`fppoly._bivariate_fold_context`) on orbits of degree 3 and 4: the library
+    has no polynomial power over a ring handle to fall back to."""
+    contexts = []
+    packed = fppoly._bivariate_fold_context
 
-    def refuse(*args):
-        raise AssertionError("ringpoly.pow_mod called")
+    def record(h, f, p):
+        contexts.append(len(f) - 1)
+        return packed(h, f, p)
 
-    monkeypatch.setattr(ringpoly, "pow_mod", refuse)
+    monkeypatch.setattr(fppoly, "_bivariate_fold_context", record)
     u = random_unitary(Zp(p, K), n, random.Random(seed))
     datum = unitary.spectral_decompose(u)
     assert sorted({o.degree for o in datum.orbits}) == degrees
+    assert set(contexts) == {d for d in degrees if d > 1}
     assert datum.verify(expected=unitary.jordan_decompose(u)[0])
 
 

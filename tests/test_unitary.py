@@ -52,6 +52,19 @@ def test_residual_order_matches_enumeration():
         assert unitary.residual_order(u) == order
 
 
+@pytest.mark.parametrize("seed,order,pieces", [(0, 6560, [6560]), (1, 120, [8, 80]), (2, 182, [8, 728])])
+def test_an_extension_ring_order_factors_only_the_residue_degrees_that_occur(seed, order, pieces,
+                                                                             monkeypatch):
+    """Over unram(3, 2, 2), q = 9: the residue degrees over F_q come from the F_p
+    factors of chi_R, so only their q^d - 1 are factored, not those of every d <= n."""
+    factored = []
+    factorize = matrices.factorize
+    monkeypatch.setattr(matrices, "factorize", lambda n: factored.append(n) or factorize(n))
+    u = random_unitary(unram(3, 2, 2), 4, random.Random(seed))
+    assert unitary.residual_order(u) == order
+    assert sorted(factored) == pieces
+
+
 def test_classify_examples():
     ring = Zp(3, 3)
     assert unitary.classify(M(ring, [[1, 1], [0, 1]])).kind == "CONTINUOUS"
@@ -552,6 +565,38 @@ def test_power_zp_over_an_extension_ring_equals_integer_powers():
             assert unitary.power_zp(u, t) == power
 
 
+def _extension_continuous(ring, n, rng):
+    """S (I + N) S^-1 over ring: N strictly upper triangular plus p times noise."""
+    def entry(i, j):
+        c = tuple(rng.randrange(ring.pk) for _ in range(ring.m))
+        return c if j > i else tuple(ring.p * x for x in c)
+
+    noise = PadicMatrix(ring, [[entry(i, j) for j in range(n)] for i in range(n)])
+    s = random_unitary(ring, n, rng)
+    return s @ (PadicMatrix.identity(ring, n) + noise) @ s.inverse()
+
+
+def test_a_zp_time_over_an_extension_ring_is_bounded_by_the_operators_own_n():
+    """(alpha, E) of U come from U's own n, not from the nm of its restriction R(U):
+    over unram(3, 3, 2) at n = 2 (nm = 4 > p) a Z_p time t gives U^t, and only
+    at n = 4 > p can the order exceed p^K."""
+    ring, rng = unram(3, 3, 2), random.Random(55)
+    base = Zp(3, 3)
+    for _ in range(4):
+        u = _extension_continuous(ring, 2, rng)
+        assert unitary.classify(u).is_continuous
+        t = rng.randrange(base.pk)
+        power = PadicMatrix.identity(ring, 2)
+        for _ in range(t):
+            power = power @ u
+        assert unitary.power_zp(u, base.scalar(t)) == power
+        u = _extension_continuous(ring, 4, rng)
+        assert unitary.classify(u).is_continuous
+        with pytest.raises(PadicError) as caught:
+            unitary.power_zp(u, base.scalar(t))
+        assert caught.value.exit_code == 3
+
+
 def test_galois_twist_preserves_char_poly():
     ring = Zp(3, 2)
     u_s, _ = unitary.jordan_decompose(M(ring, [[1, 1], [1, 0]]))
@@ -784,6 +829,24 @@ def _record_powers(monkeypatch):
     return calls
 
 
+def test_a_teichmuller_spectral_datum_takes_no_inverse(monkeypatch):
+    """U_s = U for a Teichmuller U, so its continuous part is I: neither
+    `teichmuller_spectral` nor the `jordan_decompose` under it inverts U_s."""
+    rng = random.Random(61)
+    draws = [random_teichmuller(ring, n, rng)
+             for ring, n in ((Zp(3, 4), 3), (Zp(5, 20), 6), (Zp(7, 30), 8)) for _ in range(3)]
+
+    def refuse(self):
+        raise AssertionError("PadicMatrix.inverse called")
+
+    monkeypatch.setattr(PadicMatrix, "inverse", refuse)
+    for u in draws:
+        datum = unitary.teichmuller_spectral(u)
+        assert datum.unipotent == PadicMatrix.identity(u.ring, u.n)
+        assert datum.verify(expected=u)
+        assert unitary.jordan_decompose(u) == (u, datum.unipotent)
+
+
 def _residue_degrees(chi, p):
     """Degrees of the irreducible factors of chi mod p, from sympy's factor_list over GF(p)."""
     sympy = pytest.importorskip("sympy")
@@ -1004,7 +1067,8 @@ def test_matrix_powers_leave_the_slots_as_they_were():
 
 def test_a_failed_pro_finite_audit_is_not_recorded(monkeypatch):
     """A wrong E fails the audit over Z_p and over extension rings, which take U^E
-    by their own power of t; neither the audit nor U_s is recorded."""
+    on their restriction of scalars R(U) to Z_p; neither the audit nor U_s is
+    recorded."""
     rings = (Zp(5, 3), unram(3, 3, 2), unram(5, 2, 2))
     units = [random_unitary(ring, 3, random.Random(4)) for ring in rings]
     assert all(u.matrix_power(2) != PadicMatrix.identity(u.ring, 3) for u in units)
