@@ -11,8 +11,9 @@ computation; t is invertible, so the ideals do not change.  The certificates
 record the shifts.
 
 A resultant eliminates the multiplication matrix of the quotient by whichever
-of f, g has a unit lead: at degrees 256 + 256 and j = K = 10 that took 0.9 s
-(p = 3) to 3.3 s (p = 1000003) in process on an Intel Xeon, Python 3.11.
+of f, g has a unit lead, through the library's one elimination over Z/p^j,
+`matrices._det_and_solve`: at degrees 256 + 256 and j = K = 10 that took
+0.9 s (p = 3) to 3.3 s (p = 1000003) in process on an Intel Xeon, Python 3.11.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .arith import padic_valuation
 from .errors import (
     InputError, NonUnitLead, NotOrthogonal, NotUnitary, PrecisionMismatch, ZeroPolynomial,
 )
-from .matrices import PadicMatrix, _exact_order, residue_matrix_order
+from .matrices import PadicMatrix, _det_and_solve, _exact_order, residue_matrix_order
 from .scalars import PadicScalar, Zp
 
 if TYPE_CHECKING:
@@ -174,64 +175,6 @@ class UnitPolynomial(LaurentPoly):
 # -- resultants and Bezout pairs ----------------------------------------------
 
 
-def _det_and_solve(columns: list[list[int]], ring: Zp) -> tuple[int, list[int] | None]:
-    """det M mod p^j for the matrix M with these columns, and M^-1 e_0 for a unit det.
-
-    Gaussian elimination on M | e_0 over Z/p^j with least-valuation pivots.
-    Each column's pivot p^v u has the least valuation in the column, so every
-    entry x below it is p^v x' and x - (x' u^-1) p^v u = 0 exactly: the row
-    operations are unimodular, a swap flips the sign, and det M is the signed
-    product of the pivots (0 once a column is all zero; 1 for the empty
-    matrix).  For a unit det every pivot is a unit, and M y = e_0 is solved by
-    back substitution; for a non-unit det the solution is None.  The entries
-    come reduced mod p^j.
-    """
-    p, pk = ring.p, ring.pk
-    n = len(columns)
-    a = [[*row, int(r == 0)] for r, row in enumerate(zip(*columns))]
-    det, inverses = 1, []
-    for c in range(n):
-        best, best_v = -1, 0
-        for r in range(c, n):
-            x = a[r][c]
-            if not x:
-                continue
-            v = 0
-            while x % p == 0:
-                x //= p
-                v += 1
-            if best < 0 or v < best_v:
-                best, best_v = r, v
-                if not v:
-                    break
-        if best < 0:
-            return 0, None
-        if best != c:
-            a[c], a[best] = a[best], a[c]
-            det = -det
-        prow = a[c]
-        pivot = prow[c]
-        det = det * pivot % pk
-        scale = p**best_v
-        inv = pow(pivot // scale, -1, pk)
-        inverses.append(inv)
-        tail = prow[c + 1 :]
-        for r in range(c + 1, n):
-            row = a[r]
-            x = row[c]
-            if x:
-                m = (x // scale) * inv % pk
-                row[c + 1 :] = [(u - m * w) % pk for u, w in zip(row[c + 1 :], tail)]
-    if det % p == 0:
-        return det, None
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        s = row[n] - sum(row[k] * y[k] for k in range(i + 1, n))
-        y[i] = s * inverses[i] % pk
-    return det, y
-
-
 def _sylvester(fc: list[int], gc: list[int]) -> list[list[int]]:
     """Sylvester matrix; rows are shifted descending coefficient vectors."""
     m, n = len(fc) - 1, len(gc) - 1
@@ -282,14 +225,15 @@ def orthogonality_test(f: LaurentPoly, g: LaurentPoly, j: int) -> OrthogonalityC
     swap = fc[-1] % p == 0
     a, b = (gc, fc) if swap else (fc, gc)
     if a[-1] % p == 0:  # not orthogonal, also for two constants with res = 1
-        res_val, solution = _det_and_solve(_sylvester(fc, gc), ring_j)[0], None
+        res_val, solution = _det_and_solve(ring_j, _sylvester(fc, gc), [])[0], None
     else:
-        det, solution = _det_and_solve(fppoly.mul_columns(a, b, pj), ring_j)
+        e0 = [int(r == 0) for r in range(len(a) - 1)]
+        det, solution = _det_and_solve(ring_j, zip(*fppoly.mul_columns(a, b, pj)), [e0])
         sign = -1 if swap and (len(fc) - 1) * (len(gc) - 1) % 2 else 1
         res_val = sign * pow(a[-1], len(b) - 1, pj) * det % pj
     if solution is None:
         return OrthogonalityCertificate(False, ring_j.scalar(res_val), None, None, (kf, kg))
-    b_coeff = fppoly.scale(solution, res_val, pj)  # res * b^-1 mod a
+    b_coeff = fppoly.scale(solution[0], res_val, pj)  # res * b^-1 mod a
     a_coeff = fppoly.divmod_poly(fppoly.sub([res_val], fppoly.mul(b_coeff, b, pj), pj), a, pj)[0]
     k_dense, l_dense = (b_coeff, a_coeff) if swap else (a_coeff, b_coeff)
     combo = fppoly.add(fppoly.mul(k_dense, fc, pj), fppoly.mul(l_dense, gc, pj), pj)

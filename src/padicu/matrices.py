@@ -20,9 +20,11 @@ injective ring homomorphism, so A^e is read back (`_extend`) from R(A)^e, and
 the audit U^E = I and U_s = U^alpha of the Jordan split come from R(U) in one
 routine, `_jordan`, for both ring kinds: the two exponents share one power of
 t, and no U_s is returned unaudited.  The inverse alone
-is not a polynomial in A here: `inverse` is Gauss-Jordan elimination,
+is not a polynomial in A here: over Z_p it is `_det_and_solve` on [A | I],
 O(n^3) ring operations against the O(n^4) of a char poly and its Horner
-products.
+products, and over an extension ring it is read back from R(A)^-1.
+`_det_and_solve` is the one elimination over Z/p^K: it also gives
+`gm.orthogonality_test` its determinants and M^-1 e_0.
 """
 
 from __future__ import annotations
@@ -295,31 +297,19 @@ class PadicMatrix:
         return PadicScalar(self.ring, self._det_raw())
 
     def inverse(self) -> "PadicMatrix":
-        """A^-1 by Gauss-Jordan elimination on [A | I]; NotInvertible unless det A is a unit.
+        """A^-1; NotInvertible unless det A is a unit.
 
-        Over the local ring a unit pivot is the first entry of its column, at
-        or below the diagonal, that is a unit.  While det A is a unit, so is
-        the determinant of the block left to eliminate, so its first column
-        holds a unit; when no column lacks one, the elimination has built
-        A^-1.  Written once over the ring handle, for Z_p and extension rings.
+        Over Z_p, `_det_and_solve` on [A | I] (I's rows are its columns)
+        gives the columns of A^-1.  Over an extension ring, R(A^-1) = R(A)^-1
+        (`_restrict`), so A^-1 is read back from the Z_p inverse of R(A).
         """
-        ring, n = self.ring, self.n
-        runit, rinv, rmul, rsub, zero = ring.runit, ring.rinv, ring.rmul, ring.rsub, ring.zero
-        rows = [list(row) + [zero] * n for row in self.rows]
-        for i, row in enumerate(rows):
-            row[n + i] = ring.one
-        for k in range(n):
-            pivot = next((i for i in range(k, n) if runit(rows[i][k])), None)
-            if pivot is None:
-                raise NotInvertible("determinant is not a unit")
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            inv = rinv(rows[k][k])
-            tail = rows[k][k + 1 :] = [rmul(inv, v) for v in rows[k][k + 1 :]]
-            for i, row in enumerate(rows):
-                c = row[k]
-                if i != k and c != zero:
-                    row[k + 1 :] = [rsub(a, rmul(c, b)) for a, b in zip(row[k + 1 :], tail)]
-        return PadicMatrix._of(ring, tuple(tuple(row[n:]) for row in rows))
+        ring = self.ring
+        if not isinstance(ring, Zp):
+            return _extend(ring, _restrict(self).inverse())
+        columns = _det_and_solve(ring, self.rows, PadicMatrix.identity(ring, self.n).rows)[1]
+        if columns is None:
+            raise NotInvertible("determinant is not a unit")
+        return PadicMatrix._of(ring, tuple(zip(*columns)))
 
     def _t_inverse(self) -> list:
         """t^-1 mod chi_A, raw and of degree n - 1; NotInvertible unless det A is a unit.
@@ -556,6 +546,70 @@ def _linear_combination(ring: AnyRing, coeffs: list, matrices: list[PadicMatrix]
         s, packed = _pack(coeffs, len(coeffs), pk)
         values = [tuple(_unpack(sum(map(mul, packed, entry)), s, ring.m, pk)) for entry in entries]
     return PadicMatrix._of(ring, tuple(tuple(values[i * n : (i + 1) * n]) for i in range(n)))
+
+
+def _det_and_solve(ring: Zp, rows, rhs) -> tuple[int, list[list[int]] | None]:
+    """det M mod p^K for the matrix M with these rows, and M^-1 B for a unit det.
+
+    B is given by its columns (`rhs`), and so is M^-1 B.  Gaussian
+    elimination on M | B over Z/p^K with least-valuation pivots.  Each
+    column's pivot p^v u has the least valuation in the column, so every
+    entry x below it is p^v x' and x - (x' u^-1) p^v u = 0 exactly: the row
+    operations are unimodular, a swap flips the sign, and det M is the signed
+    product of the pivots (0 once a column is all zero; 1 for the empty
+    matrix).  For a unit det every pivot is a unit, and each M y = b is
+    solved by back substitution; for a non-unit det the solution is None.
+    The entries come reduced mod p^K.
+    """
+    p, pk = ring.p, ring.pk
+    a = [list(row) for row in rows]
+    for b in rhs:
+        for row, x in zip(a, b):
+            row.append(x)
+    n = len(a)
+    det, inverses = 1, []
+    for c in range(n):
+        best, best_v = -1, 0
+        for r in range(c, n):
+            x = a[r][c]
+            if not x:
+                continue
+            v = 0
+            while x % p == 0:
+                x //= p
+                v += 1
+            if best < 0 or v < best_v:
+                best, best_v = r, v
+                if not v:
+                    break
+        if best < 0:
+            return 0, None
+        if best != c:
+            a[c], a[best] = a[best], a[c]
+            det = -det
+        prow = a[c]
+        pivot = prow[c]
+        det = det * pivot % pk
+        scale = p**best_v
+        inv = pow(pivot // scale, -1, pk)
+        inverses.append(inv)
+        tail = prow[c + 1 :]
+        for r in range(c + 1, n):
+            row = a[r]
+            x = row[c]
+            if x:
+                m = (x // scale) * inv % pk
+                row[c + 1 :] = [(u - m * w) % pk for u, w in zip(row[c + 1 :], tail)]
+    if det % p == 0:
+        return det, None
+    columns = []
+    for b in range(n, n + len(rhs)):
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            row = a[i]
+            y[i] = (row[b] - sum(map(mul, row[i + 1 : n], y[i + 1 :]))) * inverses[i] % pk
+        columns.append(y)
+    return det, columns
 
 
 def _exact_div(ring, value, pd: int):

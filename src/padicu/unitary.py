@@ -51,13 +51,14 @@ P_t is Tr(P_0) and its sum of lambda_t P_t is Tr(lambda_0 P_0), entrywise,
 for the trace Tr = sum_t sigma^t of the orbit's ring; Tr is Z_p-linear, so it
 is a combination of the coordinate matrices A_k of P_0, packed row by row
 once (`_Stack`, behind `SpectralDatum.reconstruct` and `orbit_projector`).
-The audit (`SpectralDatum.verify`) takes no matrix product: the
-eigen-equations U P_0 = lambda_0 P_0 = P_0 U are packed residuals over Z_p
-on those rows, which must vanish mod p^K in every slot, and U is fixed by
-sigma, so they carry to every P_t.  With unit gaps between eigenvalues (the orbit
-polynomials multiply to a squarefree polynomial mod p) they make P_s P_t = 0
-for s != t, in one orbit or across two, and then sum Tr(P_0) = I makes every
-P_t idempotent and U = sum lambda P.
+The audit (`SpectralDatum.verify`) takes no matrix product: the one
+eigen-equation U P_0 = lambda_0 P_0 per orbit, for the U it is given, is a
+packed residual over Z_p on those rows, which must vanish mod p^K in every
+slot, and U is fixed by sigma, so it carries to every P_t.  With sum
+Tr(P_0) = I and unit gaps between eigenvalues (the orbit polynomials
+multiply to a squarefree polynomial mod p), each P_t is a unit times
+prod_(s != t)(U - lambda_s), a polynomial in U: so P_t U = lambda_t P_t,
+P_s P_t = 0 for s != t, every P_t is idempotent, and U = sum lambda P.
 """
 
 from __future__ import annotations
@@ -207,45 +208,46 @@ class SpectralDatum(NamedTuple):
         """Audit the datum: orthogonal idempotents summing to I, and U rebuilt.
 
         No product over an extension ring is taken, and no matrix product:
-        steps 2 to 4 are packed combinations and residuals over Z_p on the
-        rows of the coordinate matrices (`_Stack`).  Per orbit of
+        steps 2 and 3 are a packed combination and packed residuals over Z_p
+        on the rows of the coordinate matrices (`_Stack`).  Per orbit of
         degree d, P_t := sigma^t(P_0) and lambda_t := sigma^t(lambda_0) for
-        t < d, and sigma has order d (`SpectralOrbit`).  With
-        P_0 = sum_k A_k X^k over Z_p and U = `reconstruct()`, the checks are:
+        t < d, and sigma has order d (`SpectralOrbit`).  U is `expected` when
+        one is given (False unless it has the datum's ring and n), else
+        `reconstruct()`, the combination with weights Tr(lambda_0 X^k).
+        With P_0 = sum_k A_k X^k over Z_p, the checks are:
         1. the product of the orbit polynomials, computed from each lambda_0,
            is squarefree mod p;
         2. sum_i Tr(P_0^(i)) = I, one combination of the A_k with weights
            Tr(X^k);
-        3. U = expected, when one is given (over the same ring; U is the
-           combination with weights Tr(lambda_0 X^k));
-        4. per orbit, U P_0 = lambda_0 P_0 = P_0 U.  Coordinate k of U P_0 is
-           U A_k, of P_0 U is A_k U, and of lambda_0 P_0 is sum_j c_kj A_j,
-           with c_kj coordinate k of lambda_0 X^j.  With w_kj = -c_kj mod p^K,
-           row i of the residuals
-             sum_l U[i][l] (row l of A_k) + sum_j w_kj (row i of A_j),
-             sum_l A_k[i][l] (row l of U) + sum_j w_kj (row i of A_j)
+        3. per orbit, U P_0 = lambda_0 P_0.  Coordinate k of U P_0 is U A_k,
+           and of lambda_0 P_0 it is sum_j c_kj A_j, with c_kj coordinate k
+           of lambda_0 X^j.  With w_kj = -c_kj mod p^K, row i of the residual
+             sum_l U[i][l] (row l of A_k) + sum_j w_kj (row i of A_j)
            must vanish mod p^K in every slot, rows packed in s-bit slots.
            A slot sums at most n + d nonnegative products < p^(2K), and d <= D
            = sum d over the orbits, so s fits n + D products (D <= n for the
            library's data, whose orbit degrees add up to at most n): no carry
-           crosses a slot, in steps 2 and 3 (D products) either.
-        They prove what the products P_s P_t and Q_i Q_j would.  U is fixed
-        by sigma, so applying sigma^t to step 4 gives
-        U P_t = lambda_t P_t = P_t U for every t.  By step 1 every gap
-        lambda - mu between two eigenvalues is a unit.  So
-        lambda_s P_s P_t = (P_s U) P_t = P_s (U P_t) = lambda_t P_s P_t
-        gives P_s P_t = 0 inside an orbit.  Across orbits,
-        with the orbit polynomial f_j and Q_j = Tr(P_0^(j)) = sum_s P_s^(j),
-        f_j(U) Q_j = sum_s f_j(lambda_s^(j)) P_s^(j) = 0, so
-        f_j(lambda_t^(i)) P_t^(i) Q_j = P_t^(i) f_j(U) Q_j = 0 with a unit
-        f_j(lambda_t^(i)), and P_t^(i) Q_j = 0.  Step 2 then gives
-        P_t = P_t sum_j Q_j = P_t Q_i = P_t^2, and U = U sum Q = sum lambda P.
+           crosses a slot, in step 2 (D products) either.
+        They prove what the products P_s P_t would, and that U is the
+        reconstruction.  U is over Z_p, fixed by sigma, so sigma^t carries
+        step 3 to U P_t = lambda_t P_t for every member t of every orbit.  By
+        step 2, sum_r P_r = I over all members, so
+        prod_(s != t)(U - lambda_s) = prod_(s != t)(U - lambda_s) sum_r P_r
+        = prod_(s != t)(lambda_t - lambda_s) P_t, and by step 1 each gap
+        lambda_t - lambda_s is a unit: P_t is a polynomial in U.  So
+        P_t U = lambda_t P_t, P_s P_t = 0 for s != t (P_t holds the factor
+        U - lambda_s, and P_s (U - lambda_s) = 0), P_t = P_t sum_r P_r = P_t^2,
+        and U = U sum Tr(P_0) = sum Tr(lambda_0 P_0), the reconstruction.
+        So the audit reads True exactly when U P_0 = lambda_0 P_0 = P_0 U
+        holds for the reconstruction and it equals `expected`, if given.
         Step 1 makes a hand-built datum whose eigenvalue residues coincide
         (two orbits on one residue factor, or a repeated lambda) read False,
         even with orthogonal idempotents; the library's orbits come from
         distinct irreducible residue factors.
         """
         base, n, p, pk = self.base_ring, self.n, self.base_ring.p, self.base_ring.pk
+        if expected is not None and (expected.ring != base or expected.n != n):
+            return False
         minimal = [1]
         for orbit in self.orbits:
             minimal = fppoly.mul(minimal, [c % p for c in orbit.factor], p)
@@ -254,11 +256,8 @@ class SpectralDatum(NamedTuple):
         stack = _stack(self.orbits, n, pk)
         if stack.combine(stack.ones) != PadicMatrix.identity(base, n).rows:
             return False
-        U = stack.combine(stack.lams)
-        if expected is not None and (expected.ring != base or expected.rows != U):
-            return False
-        rows, packed, vanishes = stack.rows, stack.packed, stack.vanishes
-        packed_u = _pack_slots(U, stack.s)
+        U = stack.combine(stack.lams) if expected is None else expected.rows
+        packed, vanishes = stack.packed, stack.vanishes
         t = 0  # the orbit's A_0 is entry t of the stack
         for columns in stack.columns:
             d = len(columns)
@@ -267,10 +266,7 @@ class SpectralDatum(NamedTuple):
                 row_i = packed[t * n + i : (t + d) * n : n]  # row i of A_0, ..., A_(d-1)
                 for k, w in enumerate(weights):
                     e = (t + k) * n
-                    shift = sum(map(mul, w, row_i))
-                    if not vanishes(sum(map(mul, U[i], packed[e : e + n])) + shift):
-                        return False
-                    if not vanishes(sum(map(mul, rows[e + i], packed_u)) + shift):
+                    if not vanishes(sum(map(mul, U[i], packed[e : e + n])) + sum(map(mul, w, row_i))):
                         return False
             t += d
         return True
@@ -279,9 +275,9 @@ class SpectralDatum(NamedTuple):
 class _Stack(NamedTuple):
     """The coordinate matrices over Z_p of some orbits' P_0 = sum_k A_k X^k.
 
-    A_0, ..., A_(d-1) of each orbit in turn, D = sum d of them: entry t of
-    the stack has its row i at rows[t n + i], and packed holds each row as
-    one int of s-bit slots.  Tr is Z_p-linear, so the orbits' sum
+    A_0, ..., A_(d-1) of each orbit in turn, D = sum d of them: packed holds
+    row i of entry t of the stack at packed[t n + i], as one int of s-bit
+    slots.  Tr is Z_p-linear, so the orbits' sum
     Tr(y P_0) is sum_k Tr(y X^k) A_k: ones[t] = Tr(X^k) and
     lams[t] = Tr(lambda_0 X^k) weigh sum Tr(P_0) and sum Tr(lambda_0 P_0).
     columns[o][j] holds the coordinates of lambda_0 X^j for orbit o.
@@ -297,7 +293,6 @@ class _Stack(NamedTuple):
     pk: int
     s: int
     high: int  # bits h to s - 1 of each of n slots
-    rows: list
     packed: list[int]
     ones: list[int]
     lams: list[int]
@@ -342,7 +337,7 @@ def _stack(orbits, n: int, pk: int) -> _Stack:
     h = ((n + len(ones)) * (pk - 1) ** 2 // pk).bit_length()
     s = h + pk.bit_length()
     high = sum(((1 << s) - (1 << h)) << (i * s) for i in range(n))
-    return _Stack(n, pk, s, high, rows, _pack_slots(rows, s), ones, lams, columns)
+    return _Stack(n, pk, s, high, _pack_slots(rows, s), ones, lams, columns)
 
 
 def _orbit_polynomial(ring: AnyRing, lam) -> list[int]:

@@ -6,7 +6,8 @@ A refactor that must not change results prints the same digest before and
 after.  The digest covers, on a fixed seeded grid of nine (p, K, n) shapes:
 
 - `classify`, `jordan_decompose` and `spectral_decompose` on random unitaries
-  (the error "no modulus shipped" is hashed by its message);
+  (the error "no modulus shipped" is hashed by its message), and the datum's
+  `verify` against U_s, against a corrupted U_s and on a corrupted datum;
 - `power_zp` on random continuous unitaries at t = 0, 1, a random t < p^K and
   p^K - 1;
 - `moduli.canonical_modulus` for every shipped degree at the shape's (p, K);
@@ -41,7 +42,10 @@ and, on a seeded grid of three (p, K) levels, the formal-group layer:
   -3 extension-ring matrices;
 - `power_zp` on continuous unitaries over unram(p, K, 2) on the grid
   `EXTENSION_CONTINUOUS`, at int times of either sign and at a Z_p time (the
-  error, where its order may exceed p^K, is hashed by its message).
+  error, where its order may exceed p^K, is hashed by its message);
+- `inverse` of random unitaries over Z_p for n = 1..8 on the grid
+  `INVERSE_GRID`, and over unram(p, K, m) for m = 2, 3, 4 on the grid
+  `INVERSE_EXTENSION`.
 
 With -v it also prints a digest per shape and the number of items hashed.
 This script is not a test: it is run by hand on two trees and compared.
@@ -82,6 +86,8 @@ TABLES = 4  # per formal level, 6 x 6 spectrum tables
 LEVEL_GRID = [(5, 10), (7, 30)]  # spectrum tables on unordered level lists
 SPARSE = 12  # per formal level, sparse polynomials through the shift sums
 CALCULUS = 4  # per formal level and ring, positive-low f(U), inverses and products
+INVERSE_GRID = [(3, 4), (5, 10), (7, 30), (1000003, 3)]  # (p, K): Z_p inverses, n = 1..8
+INVERSE_EXTENSION = [(3, 3), (5, 2), (7, 4)]  # (p, K): inverses over unram(p, K, m), n = 1..4
 
 
 def _spectral_items(U):
@@ -95,7 +101,18 @@ def _spectral_items(U):
     for orbit in datum.orbits:
         items.append(("orbit", orbit.ring, orbit.eigenvalues, orbit.multiplicity, orbit.factor))
         items.extend(("projector", P.rows) for P in orbit.projectors)
+    u_s, first = jordan_decompose(U)[0], datum.orbits[0]
+    corrupted = datum._replace(orbits=(first._replace(projector=_bumped(first.projector)), *datum.orbits[1:]))
+    items.append(("verify", datum.verify(expected=u_s), datum.verify(expected=_bumped(u_s)),
+                  corrupted.verify(expected=u_s)))
     return items
+
+
+def _bumped(A):
+    """A copy of A with one added to entry (0, 0)."""
+    rows = [list(row) for row in A.rows]
+    rows[0][0] = A.ring.radd(rows[0][0], A.ring.one)
+    return PadicMatrix(A.ring, rows)
 
 
 def shape_items(p: int, K: int, n: int):
@@ -312,6 +329,25 @@ def extension_power_items(p: int, K: int, n: int):
             yield ("ext_power_zp-error", C.rows, t.raw, str(exc))
 
 
+def inverse_items(p: int, K: int):
+    """Inverses of random unitaries over Z_p, n = 1..8."""
+    rng = random.Random(f"digest-inverse-{p}-{K}")
+    ring = Zp(p, K)
+    for n in range(1, 9):
+        A = random_unitary(ring, n, rng)
+        yield ("inverse", ring, A.rows, A.inverse().rows)
+
+
+def extension_inverse_items(p: int, K: int):
+    """Inverses of random unitaries over unram(p, K, m), m = 2, 3, 4 and n = 1..4."""
+    rng = random.Random(f"digest-ext-inverse-{p}-{K}")
+    for m in (2, 3, 4):
+        ring = unram(p, K, m)
+        for n in range(1, 5):
+            A = random_unitary(ring, n, rng)
+            yield ("ext_inverse", ring, A.rows, A.inverse().rows)
+
+
 def main(argv: list[str]) -> int:
     verbose = "-v" in argv
     total = hashlib.sha256()
@@ -326,6 +362,8 @@ def main(argv: list[str]) -> int:
     parts += [(("jordan-ext", *shape), extension_jordan_items(*shape)) for shape in JORDAN_EXTENSION]
     parts += [(("negative-low-ext", p, K), negative_low_items(p, K)) for p, K in FORMAL_GRID]
     parts += [(("power-zp-ext", *shape), extension_power_items(*shape)) for shape in EXTENSION_CONTINUOUS]
+    parts += [(("inverse", p, K), inverse_items(p, K)) for p, K in INVERSE_GRID]
+    parts += [(("inverse-ext", p, K), extension_inverse_items(p, K)) for p, K in INVERSE_EXTENSION]
     for shape, items in parts:
         part = hashlib.sha256()
         for item in items:

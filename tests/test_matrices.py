@@ -188,6 +188,44 @@ def test_inverse_rejects_a_determinant_divisible_by_p(ring):
             A.inverse()
 
 
+@pytest.mark.parametrize("p,K", [(3, 4), (5, 3), (7, 10)])
+def test_det_and_solve_on_a_block_of_right_hand_sides(p, K):
+    """A Y = B, each column of Y against a schoolbook product, for a unit det; None
+    and the same det for a non-unit one; and the empty matrix has det 1."""
+    ring, pk = Zp(p, K), p**K
+    rng = random.Random(f"block-rhs-{p}-{K}")
+    for n in (1, 2, 3, 5, 8):
+        A = random_unitary(ring, n, rng)
+        for k in (1, 2, n + 1):
+            B = [[rng.randrange(pk) for _ in range(n)] for _ in range(k)]  # columns
+            det, Y = matrices._det_and_solve(ring, A.rows, B)
+            assert det == A._det_raw() and len(Y) == k
+            for y, b in zip(Y, B):
+                assert [sum(A.rows[i][l] * y[l] for l in range(n)) % pk for i in range(n)] == b
+        singular = PadicMatrix(ring, [[p * v for v in A.rows[0]], *A.rows[1:]])
+        det, Y = matrices._det_and_solve(ring, singular.rows, [[1] * n])
+        assert Y is None and det == singular._det_raw() and det % p == 0
+    assert matrices._det_and_solve(ring, [], [[]]) == (1, [[]])
+    assert matrices._det_and_solve(ring, [], []) == (1, [])
+
+
+@pytest.mark.parametrize("ring", [unram(3, 3, 2), unram(5, 2, 3)], ids=["m2", "m3"])
+def test_extension_inverse_takes_no_extension_ring_inverse(ring, monkeypatch):
+    """Over an extension ring A^-1 is read back from the Z_p inverse of R(A): no
+    entry of the extension ring is ever inverted."""
+    rng = random.Random(f"restricted-inverse-{ring}")
+    cases = [random_unitary(ring, n, rng) for n in (1, 2, 3, 4)]
+
+    def refuse(self, a):
+        raise AssertionError("an extension-ring entry was inverted")
+
+    monkeypatch.setattr(UnramRing, "rinv", refuse)
+    inverses = [A.inverse() for A in cases]
+    monkeypatch.undo()
+    for A, inverse in zip(cases, inverses):
+        assert inverse @ A == PadicMatrix.identity(ring, A.n)
+
+
 @pytest.mark.parametrize("ring", CALCULUS_RINGS, ids=CALCULUS_IDS)
 def test_powers_of_either_sign_and_the_inverse_against_products(ring):
     """A^e for -n-1 <= e <= n+1 and e = +-2^70 +- 1, and A^-1, all by `evaluate`."""

@@ -205,10 +205,11 @@ def test_spectral_residual_slots_at_the_bound(p, K, n, D):
     h = (high & -high).bit_length() - 1
     bound = (n + D) * (pk - 1) ** 2
     assert bound < 1 << s and bound // pk < 1 << h and pk << h <= 1 << s
-    assert stack.rows == [tuple([pk - 1] * n)] * (n * D)
 
     def row(values):
         return sum(v << (s * i) for i, v in enumerate(values))
+
+    assert stack.packed == [row([pk - 1] * n)] * (n * D)
 
     top = bound // pk * pk  # the largest multiple of p^K a slot can hold
     rng = random.Random(f"vanish {p},{K},{n},{D}")
