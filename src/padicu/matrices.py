@@ -2,12 +2,12 @@
 
 Entries are stored as the rings' raw values (ints, or coefficient tuples),
 so the inner loops run on plain integers; scalar objects only appear at the
-API boundary; a Z_p product packs each row of B into one int (`_matmul`),
-`evaluate` packs A once for all of its Horner products, and the packed
-format (`_pack`, `_unpack`) serves `_linear_combination` and the spectral
-audit (`unitary.SpectralDatum.verify`) too.
-Everything is exact modulo p^K: the characteristic polynomial is computed
-division-free (Berkowitz), and the Smith form uses minimal-valuation
+API boundary.  There is one matrix product, over Z_p: `_matmul` packs each
+row of B into one int, `evaluate` packs A once for all of its Horner
+products, and the packed format (`_pack`, `_unpack`) serves
+`_linear_combination` and the spectral audit (`unitary.SpectralDatum.verify`)
+too.  Everything is exact modulo p^K: the characteristic polynomial is
+computed division-free (Berkowitz), and the Smith form uses minimal-valuation
 pivoting, which is enough over the local ring Z/p^j.
 
 `PadicMatrix.evaluate` is the one functional calculus.  By Cayley-Hamilton a
@@ -15,16 +15,16 @@ Laurent polynomial f = t^low g of A is r(A) with r = t^low g mod chi_A, of
 degree < n, and t^-1 mod chi_A is read off chi_A.  So over Z_p, A^e for any e
 and f(U) on the formal group each cost one char poly, at most one polynomial
 power mod chi_A and at most n - 2 products.  Over an extension ring of degree
-m, restriction of scalars R: M_n(O) -> M_nm(Z/p^K) (`_restrict`) is an
-injective ring homomorphism, so A^e is read back (`_extend`) from R(A)^e, and
-the audit U^E = I and U_s = U^alpha of the Jordan split come from R(U) in one
-routine, `_jordan`, for both ring kinds: the two exponents share one power of
-t, and no U_s is returned unaudited.  The inverse alone
-is not a polynomial in A here: over Z_p it is `_det_and_solve` on [A | I],
-O(n^3) ring operations against the O(n^4) of a char poly and its Horner
-products, and over an extension ring it is read back from R(A)^-1.
-`_det_and_solve` is the one elimination over Z/p^K: it also gives
-`gm.orthogonality_test` its determinants and M^-1 e_0.
+m, restriction of scalars R: M_n(O) -> M_nm(Z/p^K) (`_restrict`) is a unital
+injective ring homomorphism, so A B, every f(A) and A^-1 are read back
+(`_extend`) from R(A) over Z_p, and the audit U^E = I and U_s = U^alpha of
+the Jordan split come from R(U) in one routine, `_jordan`, for both ring
+kinds: the two exponents share one power of t, and no U_s is returned
+unaudited.  The inverse alone is not a polynomial in A here: it is
+`_det_and_solve` on [A | I], O(n^3) ring operations against the O(n^4) of a
+char poly and its Horner products.  `_det_and_solve` is the one elimination
+over Z/p^K: it also gives `gm.orthogonality_test` its determinants and
+M^-1 e_0.
 """
 
 from __future__ import annotations
@@ -225,8 +225,12 @@ class PadicMatrix:
         return PadicMatrix._of(self.ring, rows)
 
     def __matmul__(self, other):
+        """A B; over an extension ring read back from R(A) R(B) (`_restrict`)."""
         self._check(other)
-        return PadicMatrix._of(self.ring, _matmul(self.ring, self.rows, other.rows))
+        ring = self.ring
+        if not isinstance(ring, Zp):
+            return _extend(ring, _restrict(self) @ _restrict(other))
+        return PadicMatrix._of(ring, _matmul(ring, self.rows, other.rows))
 
     def __mul__(self, other):
         if isinstance(other, PadicMatrix):
@@ -325,35 +329,35 @@ class PadicMatrix:
         return [ring.rmul(scale, c) for c in chi[1:]]
 
     def evaluate(self, coeffs, low: int = 0) -> "PadicMatrix":
-        """f(A) for f = t^low g, g = c_0 + c_1 t + ... ascending; [] gives the zero matrix.
+        """f(A) for f = t^low g, g = c_0 + c_1 t + ... ascending ints; [] gives the zero matrix.
 
-        A coefficient is an int or a raw value of A's ring.  Unless low = 0 or
-        t^low g has degree < n, f is first replaced by t^low g mod chi_A
-        (`_reduce_mod_chi`) over Z_p; an extension ring takes A^low from
-        R(A)^low and multiplies it by g(A).  A negative low raises
+        Over an extension ring f(A) is read back from f(R(A)) (`_restrict`):
+        R is a unital injective ring homomorphism, so R(f(A)) = f(R(A)).  Over
+        Z_p, unless low = 0 or t^low g has degree < n, f is first replaced by
+        t^low g mod chi_A (`_reduce_mod_chi`).  A negative low raises
         NotInvertible unless det A is a unit.  Horner then costs d - 1 matrix
         products at degree d (the first step is a scaling), each on raw rows
-        with its coefficient added onto the diagonal of the product; over Z_p
-        the rows of A are packed once for all of them.
+        packed once for all of them, with its coefficient added onto the
+        diagonal of the product.
         """
         ring, n, rows = self.ring, self.n, self.rows
-        coeffs = [ring.rfrom_int(c) if isinstance(c, int) else c for c in coeffs]
+        if not isinstance(ring, Zp):
+            return _extend(ring, _restrict(self).evaluate(coeffs, low))
+        pk = ring.pk
+        coeffs = [c % pk for c in coeffs]
         if coeffs and low:
             if low < 0 or low + len(coeffs) > n:
-                if not isinstance(ring, Zp):
-                    power = _extend(ring, _restrict(self).matrix_power(low))
-                    return power if coeffs == [ring.one] else power @ self.evaluate(coeffs)
                 coeffs = self._reduce_mod_chi(coeffs, low)
             else:
-                coeffs = [ring.zero] * low + coeffs
+                coeffs = [0] * low + coeffs
         if not coeffs:
             return PadicMatrix.zeros(ring, n)
         if len(coeffs) == 1:
-            return PadicMatrix._of(ring, _plus_diagonal(ring, ((ring.zero,) * n,) * n, coeffs[0]))
-        mul, top = ring.rmul, coeffs[-1]
-        acc = _plus_diagonal(ring, [[mul(top, a) for a in row] for row in rows], coeffs[-2])
-        if len(coeffs) > 2 and isinstance(ring, Zp):
-            rows = _Packed(_pack(rows, n, ring.pk))
+            return PadicMatrix._of(ring, _plus_diagonal(ring, ((0,) * n,) * n, coeffs[0]))
+        top = coeffs[-1]
+        acc = _plus_diagonal(ring, [[top * a % pk for a in row] for row in rows], coeffs[-2])
+        if len(coeffs) > 2:
+            rows = _Packed(_pack(rows, n, pk))
         for c in reversed(coeffs[:-2]):
             acc = _plus_diagonal(ring, _matmul(ring, acc, rows), c)
         return PadicMatrix._of(ring, acc)
@@ -464,12 +468,12 @@ class PadicMatrix:
         """min over 1 <= k <= k_max of |A^k|^(1/k), with a nilpotency fast path."""
         if k_max < 1:
             raise InputError(f"k_max = {k_max} must be >= 1")
-        ring = self.ring
-        best_v, best_k = self.min_valuation(), 1
-        power = self
+        ring, R = self.ring, _restrict(self)  # R keeps every entry valuation and every zero power
+        best_v, best_k = R.min_valuation(), 1
+        power = R
         for k in range(1, k_max + 1):
             if k > 1:
-                power = power @ self
+                power = power @ R
             if power.is_zero():
                 return SeminormResult(ring.p, ring.K, True, k, k, ring.K)
             v = power.min_valuation()
@@ -498,18 +502,15 @@ def _plus_diagonal(ring, rows, c) -> tuple:
     return tuple(map(tuple, out))
 
 
-def _matmul(ring, A, B):
-    """A B on raw rows; over Z_p row i is sum_k A[i][k] (row k of B packed), unpacked.
+def _matmul(ring: Zp, A, B):
+    """A B on raw Z_p rows: row i is sum_k A[i][k] (row k of B packed), unpacked.
 
-    A Z_p B may come packed already (`_Packed`), as in `evaluate`, whose
-    products all take the same B.
+    B may come packed already (`_Packed`), as in `evaluate`, whose products
+    all take the same B.
     """
-    if isinstance(ring, Zp):
-        s, packed = B if type(B) is _Packed else _pack(B, len(B), ring.pk)
-        n = len(packed)
-        return tuple(tuple(_unpack(sum(map(mul, row, packed)), s, n, ring.pk)) for row in A)
-    Bt = list(zip(*B))
-    return tuple(tuple(_dot(ring, row, col) for col in Bt) for row in A)
+    s, packed = B if type(B) is _Packed else _pack(B, len(B), ring.pk)
+    n = len(packed)
+    return tuple(tuple(_unpack(sum(map(mul, row, packed)), s, n, ring.pk)) for row in A)
 
 
 class _Packed(tuple):

@@ -7,8 +7,8 @@ Measurement restricts the state without renormalizing; the norm is returned
 so callers can renormalize when it is a unit.
 
 Evolution pairs a discrete unitary clock with a continuous exponential clock.
-exp(Ht) is summed at an internally extended precision so the divisions by j!
-are exact, then reduced back to p^K.
+exp(tH) is one `PadicMatrix.evaluate` over Z/p^K of a polynomial in
+Y = tH / p^mu, mu = v(t) + v(H), with the integral coefficients p^(mu j) / j!.
 """
 
 from __future__ import annotations
@@ -129,16 +129,20 @@ def measure(psi, pi: PadicMatrix) -> MeasurementResult:
 
 
 def exp_matrix(H: PadicMatrix, t, allow_extended_radius: bool = False) -> PadicMatrix:
-    """Truncated exp(Ht), exact mod p^K.
+    """Truncated exp(tH), exact mod p^K, as one `PadicMatrix.evaluate` at H's precision.
 
     Default domain is t in pZ_p; with the override flag the radius is
-    |t| < 1/(p|H|) instead, which widens the domain when |H| < 1.  The series
-    is summed at precision K + v_p(J!) so every division by j! is exact.
+    |t| < 1/(p|H|) instead, which widens the domain when |H| < 1.  Either way
+    mu = v(t) + v(H) >= 1, and tH = p^mu Y for Y = (t / p^v(t)) (H / p^v(H)).
+    (tH)^j / j! = c_j Y^j with c_j = p^(mu j) / j! of valuation >= mu for
+    j >= 1, so a term mod p^K depends on Y mod p^(K - mu) only: exp(tH) is
+    sum_(j < J) c_j Y^j over Z/p^K, J the least index past which every term
+    vanishes mod p^K.
     """
     ring = H.ring
     if not isinstance(ring, Zp):
         raise Unsupported("evolution is implemented over the base ring")
-    p, K = ring.p, ring.K
+    p, K, pk = ring.p, ring.K, ring.pk
     t_scalar = ring.scalar(t) if not isinstance(t, PadicScalar) else t
     if t_scalar.ring != ring:
         raise InputError("time parameter must match the operator ring")
@@ -149,26 +153,17 @@ def exp_matrix(H: PadicMatrix, t, allow_extended_radius: bool = False) -> PadicM
             f"t has valuation {v_t}; need t in pZ_p (or |t| < 1/(p|H|) with the override)"
         )
     mu = v_t + v_h
-    if mu == 0:
-        raise RadiusViolation("series does not converge at this t")
     # least J with J*mu - (J-1)/(p-1) >= K for all later terms
     J = 1
     while J * mu * (p - 1) - (J - 1) < K * (p - 1):
         J += 1
-    extra = factorial_valuation(max(J - 1, 0), p)
-    work_ring = Zp(p, K + extra)
-    th = PadicMatrix._of(work_ring, H.rows).scale(t_scalar.lift())
-    total = power = PadicMatrix.identity(work_ring, H.n)
-    fact = 1
+    u, ph = t_scalar.lift() // p**v_t, p**v_h
+    Y = PadicMatrix._of(ring, tuple(tuple(u * (h // ph) % pk for h in row) for row in H.rows))
+    coeffs, fact = [1], 1
     for j in range(1, J):
-        power = power @ th
-        fact *= j
-        pf = p ** factorial_valuation(j, p)
-        if any(v % pf for row in power.rows for v in row):
-            raise ArithmeticError("inexact factorial division")  # unreachable
-        quotient = PadicMatrix._of(work_ring, tuple(tuple(v // pf for v in r) for r in power.rows))
-        total = total + quotient.scale(pow(fact // pf, -1, work_ring.pk))
-    return total.reduce(K)
+        fact, v = fact * j, factorial_valuation(j, p)
+        coeffs.append(pow(p, mu * j - v, pk) * pow(fact // p**v, -1, pk))
+    return Y.evaluate(coeffs)
 
 
 class EvolutionPair(NamedTuple("EvolutionPair", [("H", PadicMatrix), ("U", PadicMatrix)])):

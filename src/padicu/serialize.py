@@ -136,9 +136,9 @@ MAX_PROJECT_MOD_D = 65536
 # on a 2 x 2 matrix and 1.1-1.3 s on an 8 x 8 one at the cap (README, "CLI").
 MAX_SEMINORM_K = 4096
 
-# Largest size for shift-model, which inverts the size x size shift (Gauss-Jordan,
-# O(size^3) ring operations): a process took 0.11-0.15 s at p = 3, K = 2 and at
-# p = 1000003, K = 8 at the cap (README, "CLI").
+# Largest size for shift-model, which inverts the size x size shift by elimination
+# over Z/p^K (`matrices._det_and_solve`, O(size^3) ring operations): a process took
+# 0.08-0.14 s at p = 3, K = 2 and at p = 1000003, K = 8 at the cap (README, "CLI").
 MAX_SHIFT_MODEL_SIZE = 32
 
 

@@ -183,7 +183,7 @@ class SpectralOrbit(NamedTuple):
     @property
     def factor(self) -> tuple[int, ...]:
         """The monic orbit polynomial prod (t - lambda_t) over Z_p."""
-        return tuple(_orbit_polynomial(self.ring, self.eigenvalue))
+        return tuple(_orbit_polynomial(self.ring, self.eigenvalue, self.ring.K))
 
 
 class SpectralDatum(NamedTuple):
@@ -215,8 +215,8 @@ class SpectralDatum(NamedTuple):
         one is given (False unless it has the datum's ring and n), else
         `reconstruct()`, the combination with weights Tr(lambda_0 X^k).
         With P_0 = sum_k A_k X^k over Z_p, the checks are:
-        1. the product of the orbit polynomials, computed from each lambda_0,
-           is squarefree mod p;
+        1. the product of the orbit polynomials, computed from each lambda_0
+           at precision 1, is squarefree mod p;
         2. sum_i Tr(P_0^(i)) = I, one combination of the A_k with weights
            Tr(X^k);
         3. per orbit, U P_0 = lambda_0 P_0.  Coordinate k of U P_0 is U A_k,
@@ -250,7 +250,7 @@ class SpectralDatum(NamedTuple):
             return False
         minimal = [1]
         for orbit in self.orbits:
-            minimal = fppoly.mul(minimal, [c % p for c in orbit.factor], p)
+            minimal = fppoly.mul(minimal, _orbit_polynomial(orbit.ring, orbit.eigenvalue, 1), p)
         if fppoly.gcd(minimal, fppoly.derivative(minimal, p), p) != [1]:
             return False
         stack = _stack(self.orbits, n, pk)
@@ -340,11 +340,10 @@ def _stack(orbits, n: int, pk: int) -> _Stack:
     return _Stack(n, pk, s, high, _pack_slots(rows, s), ones, lams, columns)
 
 
-def _orbit_polynomial(ring: AnyRing, lam) -> list[int]:
-    """prod (t - sigma^t(lambda)) over the orbit of lambda in ring, over Z_p."""
-    if isinstance(ring, Zp):
-        return [ring.rneg(lam), 1]
-    return orbit_polynomial(Zp(ring.p, ring.K), ring.modulus, lam)
+def _orbit_polynomial(ring: AnyRing, lam, j: int) -> list[int]:
+    """prod (t - sigma^t(lambda)) over the orbit of lambda in ring, mod p^j (division-free)."""
+    base = Zp(ring.p, j)
+    return [-lam % base.pk, 1] if isinstance(ring, Zp) else orbit_polynomial(base, ring.modulus, lam)
 
 
 def teichmuller_spectral(U: PadicMatrix) -> SpectralDatum:
@@ -394,7 +393,7 @@ def spectral_decompose(U: PadicMatrix) -> SpectralDatum:
         raw_orbits.append((lam_ring, lam, mult))
     minimal = [1]
     for lam_ring, lam, _ in raw_orbits:
-        minimal = fppoly.mul(minimal, _orbit_polynomial(lam_ring, lam), pk)
+        minimal = fppoly.mul(minimal, _orbit_polynomial(lam_ring, lam, K), pk)
     powers = [PadicMatrix.identity(ring, U.n)]  # U_s^0, ..., U_s^(deg m - 1)
     while len(powers) < len(minimal) - 1:
         powers.append(u_s if len(powers) == 1 else powers[-1] @ u_s)

@@ -45,7 +45,14 @@ and, on a seeded grid of three (p, K) levels, the formal-group layer:
   error, where its order may exceed p^K, is hashed by its message);
 - `inverse` of random unitaries over Z_p for n = 1..8 on the grid
   `INVERSE_GRID`, and over unram(p, K, m) for m = 2, 3, 4 on the grid
-  `INVERSE_EXTENSION`.
+  `INVERSE_EXTENSION`;
+- `quantum.exp_matrix` on seeded (H, t) with v(H) in {0, 1, 2} and t of
+  either sign at v(t) in {0, 1, 2, K}, with and without the override radius
+  (each `RadiusViolation` is hashed by its message), and `quantum.evolve` on
+  seeded commuting pairs, on the grid `EXP_GRID`;
+- over unram(p, K, m) on the grid `PRODUCT_EXTENSION`: products,
+  `spectral_seminorm(16)` (also on p A and on strictly upper triangular A)
+  and `evaluate_matrix` with a non-negative low, for n = 1, 2, 3, 5.
 
 With -v it also prints a digest per shape and the number of items hashed.
 This script is not a test: it is run by hand on two trees and compared.
@@ -58,7 +65,7 @@ import math
 import random
 import sys
 
-from padicu import fppoly, gm, moduli
+from padicu import fppoly, gm, moduli, quantum
 from padicu.errors import PadicError
 from padicu.matrices import PadicMatrix
 from padicu.sampling import random_continuous, random_matrix, random_teichmuller, random_unitary
@@ -88,6 +95,9 @@ SPARSE = 12  # per formal level, sparse polynomials through the shift sums
 CALCULUS = 4  # per formal level and ring, positive-low f(U), inverses and products
 INVERSE_GRID = [(3, 4), (5, 10), (7, 30), (1000003, 3)]  # (p, K): Z_p inverses, n = 1..8
 INVERSE_EXTENSION = [(3, 3), (5, 2), (7, 4)]  # (p, K): inverses over unram(p, K, m), n = 1..4
+EXP_GRID = [(3, 4, 3), (5, 10, 4), (7, 30, 2), (3, 128, 2)]  # (p, K, n): exp(tH) and evolve
+EXPS = 6  # per EXP_GRID shape and v(H), each at six times
+PRODUCT_EXTENSION = [(3, 3, 2), (5, 2, 3), (7, 4, 4)]  # (p, K, m): products, seminorms, f(A)
 
 
 def _spectral_items(U):
@@ -348,6 +358,50 @@ def extension_inverse_items(p: int, K: int):
             yield ("ext_inverse", ring, A.rows, A.inverse().rows)
 
 
+def exp_items(p: int, K: int, n: int):
+    """exp(tH) with and without the override radius, and evolve on commuting pairs."""
+    rng = random.Random(f"digest-exp-{p}-{K}-{n}")
+    ring = Zp(p, K)
+    for v_h in (0, 1, 2):
+        for _ in range(EXPS):
+            H = random_matrix(ring, n, rng).scale(p**v_h)
+            for v_t in (0, 1, 2, K):
+                t = rng.choice((1, -1)) * p**v_t * rng.randrange(1, p) if v_t < K else p**K
+                for override in (False, True):
+                    try:
+                        yield ("exp", H.rows, t, override,
+                               quantum.exp_matrix(H, t, allow_extended_radius=override).rows)
+                    except PadicError as exc:
+                        yield ("exp-error", H.rows, t, override, type(exc).__name__, str(exc))
+    for _ in range(EXPS):
+        U = random_unitary(ring, n, rng)
+        H = U.evaluate([rng.randrange(ring.pk) for _ in range(n)]).scale(p)
+        pair = quantum.EvolutionPair(H, U)
+        psi0 = [rng.randrange(ring.pk) for _ in range(n)]
+        psi0[rng.randrange(n)] = rng.randrange(1, p)
+        for k, t in ((0, 0), (1, p), (-2, -p * rng.randrange(1, ring.pk)), (rng.randrange(-9, 10), 1)):
+            try:
+                yield ("evolve", H.rows, U.rows, psi0, k, t, quantum.evolve(pair, psi0, k, t).values)
+            except PadicError as exc:
+                yield ("evolve-error", H.rows, U.rows, psi0, k, t, type(exc).__name__, str(exc))
+
+
+def extension_product_items(p: int, K: int, m: int):
+    """Products, seminorms and non-negative-low f(A) over unram(p, K, m)."""
+    rng = random.Random(f"digest-ext-product-{p}-{K}-{m}")
+    ring, base = unram(p, K, m), Zp(p, K)
+    for n in (1, 2, 3, 5):
+        A, B = random_matrix(ring, n, rng), random_matrix(ring, n, rng)
+        upper = PadicMatrix(ring, [[v if j > i else 0 for j, v in enumerate(row)] for i, row in enumerate(B.rows)])
+        yield ("ext_matmul", A.rows, B.rows, (A @ B).rows, (B @ A).rows)
+        for X in (A, A.scale(p), upper):
+            yield ("ext_seminorm", X.rows, tuple(X.spectral_seminorm(16)))
+        for low in (0, 1, 2, 4):
+            coeffs = [rng.randrange(base.pk) for _ in range(rng.randrange(1, 2 * n + 2))]
+            F = gm.LaurentPoly.from_coeffs(base, coeffs, low=low)
+            yield ("ext_evaluate_matrix", ring, _laurent(F), A.rows, F.evaluate_matrix(A).rows)
+
+
 def main(argv: list[str]) -> int:
     verbose = "-v" in argv
     total = hashlib.sha256()
@@ -364,6 +418,8 @@ def main(argv: list[str]) -> int:
     parts += [(("power-zp-ext", *shape), extension_power_items(*shape)) for shape in EXTENSION_CONTINUOUS]
     parts += [(("inverse", p, K), inverse_items(p, K)) for p, K in INVERSE_GRID]
     parts += [(("inverse-ext", p, K), extension_inverse_items(p, K)) for p, K in INVERSE_EXTENSION]
+    parts += [(("exp", *shape), exp_items(*shape)) for shape in EXP_GRID]
+    parts += [(("product-ext", *shape), extension_product_items(*shape)) for shape in PRODUCT_EXTENSION]
     for shape, items in parts:
         part = hashlib.sha256()
         for item in items:

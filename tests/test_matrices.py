@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from padicu import matrices
+from padicu import gm, matrices
 from padicu.arith import teichmuller_exponent
 from padicu.errors import InputError, NotInvertible
 from padicu.matrices import Norm, PadicMatrix, vector_norm
@@ -109,8 +109,9 @@ def _schoolbook(ring, A, B):
 def test_packed_extension_matmul_matches_entrywise(p, m):
     """Extension-ring products, including all-(p^K - 1) entries, against a schoolbook.
 
-    The name is kept from when these products were Kronecker-packed; they are
-    now one ring dot product per entry.
+    An extension-ring product is the packed Z_p product of the two
+    restrictions R(A) R(B), read back (`matrices._restrict`, `_extend`); m = 1
+    is the packed Z_p product itself.
     """
     rng = random.Random(p * 10 + m)
     for K in (1, 2, 20, 30):
@@ -169,12 +170,17 @@ def _inverse_cases(ring, rng):
 
 @pytest.mark.parametrize("ring", INVERSE_RINGS, ids=str)
 def test_inverse_by_elimination(ring):
-    """A^-1 A = A A^-1 = I, and A^-1 equals Cayley-Hamilton's t^-1 mod chi_A evaluated at A."""
+    """A^-1 A = A A^-1 = I, and A^-1 equals Cayley-Hamilton's t^-1 mod chi_A evaluated at A:
+    over Z_p on A's own chi, over an extension ring through `matrix_power(-1)`, which
+    evaluates t^-1 mod chi_R on R(A) (`evaluate` takes int coefficients only)."""
     for A in _inverse_cases(ring, random.Random(ring.pk + ring.degree)):
         identity = PadicMatrix.identity(ring, A.n)
         inverse = A.inverse()
         assert inverse @ A == identity == A @ inverse
-        assert inverse == A.evaluate(A._t_inverse())
+        if isinstance(ring, Zp):
+            assert inverse == A.evaluate(A._t_inverse())
+        else:
+            assert inverse == A.matrix_power(-1)
 
 
 @pytest.mark.parametrize("ring", INVERSE_RINGS, ids=str)
@@ -618,6 +624,8 @@ def test_evaluate_works_on_raw_rows(ring, monkeypatch):
 
 @pytest.mark.parametrize("ring", [Zp(5, 3), UnramRing(3, 2, 2)], ids=["Zp", "UnramRing"])
 def test_evaluate_matches_sum_of_powers(ring):
+    """Int coefficients over both ring kinds; Z_p raw values are ints too.  An
+    extension ring's raw values are not coefficients `evaluate` takes."""
     rng = random.Random(61)
     for n in (1, 2, 3):
         A = random_matrix(ring, n, rng)
@@ -627,7 +635,8 @@ def test_evaluate_matches_sum_of_powers(ring):
             ints = [rng.randrange(-ring.pk, ring.pk) for _ in range(length)]
             assert A.evaluate(ints) == _sum_of_powers(A, ints)
             raws = [random_matrix(ring, 1, rng).rows[0][0] for _ in range(length)]
-            assert A.evaluate(raws) == _sum_of_powers(A, raws)
+            if isinstance(ring, Zp):
+                assert A.evaluate(raws) == _sum_of_powers(A, raws)
 
 
 
@@ -737,3 +746,95 @@ def test_restriction_of_scalars_is_an_injective_ring_homomorphism(p, m):
             assert matrices._extend(ring, rx) == x
     identity = matrices._restrict(PadicMatrix.identity(ring, 3))
     assert [list(row) for row in identity.rows] == [[int(i == j) for j in range(3 * m)] for i in range(3 * m)]
+
+
+def _ring_identity(n, m, pk, c=1):
+    return [[(c % pk,) + (0,) * (m - 1) if i == j else (0,) * m for j in range(n)] for i in range(n)]
+
+
+def _ring_power(a, e, modulus, pk):
+    """A^e for e >= 0 by square-and-multiply on `_ring_matmul`."""
+    out, square = _ring_identity(len(a), len(modulus) - 1, pk), a
+    while e:
+        if e & 1:
+            out = _ring_matmul(out, square, modulus, pk)
+        e >>= 1
+        if e:
+            square = _ring_matmul(square, square, modulus, pk)
+    return out
+
+
+def _ring_horner(coeffs, a, modulus, pk):
+    """sum c_k A^k on `_ring_matmul`, with c_k added onto the first coordinate of the diagonal."""
+    n, m = len(a), len(modulus) - 1
+    acc = [[(0,) * m] * n for _ in range(n)]
+    for c in reversed(coeffs):
+        acc = _ring_matmul(acc, a, modulus, pk)
+        for i in range(n):
+            acc[i][i] = ((acc[i][i][0] + c) % pk,) + acc[i][i][1:]
+    return acc
+
+
+def _ring_seminorm(a, modulus, p, K, k_max):
+    """(is_zero, nilpotency_k, best_k, val) of min_k |A^k|^(1/k), powers on `_ring_matmul`."""
+    pk = p**K
+
+    def val(x):
+        return min((next(v for v in range(K) if c % p ** (v + 1)) for c in x if c), default=K)
+
+    best_v, best_k, power = None, 1, a
+    for k in range(1, k_max + 1):
+        if k > 1:
+            power = _ring_matmul(power, a, modulus, pk)
+        if not any(c for row in power for x in row for c in x):
+            return (True, k, k, K)
+        v = min(val(x) for row in power for x in row)
+        if best_v is None or v * best_k > best_v * k:
+            best_v, best_k = v, k
+    return (False, None, best_k, best_v)
+
+
+@pytest.mark.parametrize("p,K,m", [(3, 3, 2), (5, 2, 3), (7, 4, 4)])
+def test_extension_ring_algebra_takes_no_ring_product(p, K, m, monkeypatch):
+    """Over unram(p, K, m), `@`, `matrix_power`, `evaluate_matrix` and
+    `spectral_seminorm` run the packed Z_p kernel on R(A): with
+    `UnramRing.rmul` made to raise, each still matches a schoolbook over the
+    ring written in this file (`_ring_matmul`).  A negative power X = A^e is
+    checked as A^-e X = I, and f = t^low g with low < 0 as A^-low f(A) = g(A)."""
+    ring, base = unram(p, K, m), Zp(p, K)
+    pk, modulus = ring.pk, list(ring.modulus)
+    rng = random.Random(f"ext-kernel-{p}-{K}-{m}")
+    cases = []
+    for n in (1, 2, 5):
+        a, b = random_unitary(ring, n, rng), random_matrix(ring, n, rng)
+        scaled = M(ring, [[tuple(p * c for c in x) for x in row] for row in b.rows])
+        upper = M(ring, [[x if j > i else (0,) * m for j, x in enumerate(row)] for i, row in enumerate(b.rows)])
+        polys = [(low, [rng.randrange(pk) for _ in range(rng.randrange(1, 2 * n + 3))]) for low in (-3, 0, 2)]
+        cases.append((a, b, scaled, upper, polys))
+
+    def forbidden(*args):
+        raise AssertionError("a ring product was taken")
+
+    monkeypatch.setattr(UnramRing, "rmul", forbidden)
+    for a, b, scaled, upper, polys in cases:
+        x, y, n = [list(row) for row in a.rows], [list(row) for row in b.rows], a.n
+        identity = _ring_identity(n, m, pk)
+        assert [list(row) for row in (a @ b).rows] == _ring_matmul(x, y, modulus, pk)
+        assert [list(row) for row in (b @ a).rows] == _ring_matmul(y, x, modulus, pk)
+        for e in (-5, -1, 0, 1, 4, 2**70 + 3):
+            power = [list(row) for row in a.matrix_power(e).rows]
+            if e >= 0:
+                assert power == _ring_power(x, e, modulus, pk), e
+            else:
+                assert _ring_matmul(_ring_power(x, -e, modulus, pk), power, modulus, pk) == identity, e
+        for low, g in polys:
+            value = [list(row) for row in gm.LaurentPoly.from_coeffs(base, g, low=low).evaluate_matrix(a).rows]
+            if low >= 0:
+                assert value == _ring_horner([0] * low + g, x, modulus, pk), low
+            else:
+                assert _ring_matmul(_ring_power(x, -low, modulus, pk), value, modulus, pk) == (
+                    _ring_horner(g, x, modulus, pk)
+                ), low
+        for z in (a, b, scaled, upper):
+            rows = [list(row) for row in z.rows]
+            assert tuple(z.spectral_seminorm(16))[2:] == _ring_seminorm(rows, modulus, p, K, 16)

@@ -1,11 +1,13 @@
 """Probability, measurement, evolution, the shift model, torus relations."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from padicu import quantum, unitary
+from padicu import matrices, quantum, unitary
 from padicu.errors import NonCommuting, NotATorusPair, NotOrthogonal, RadiusViolation
 from padicu.matrices import PadicMatrix
 from padicu.quantum import EvolutionPair, WaveFunction, clock_shift_pair
@@ -124,39 +126,68 @@ def test_exp_matrix_group_law():
         assert lhs == rhs
 
 
-def test_exp_matrix_against_series_oracle():
-    # brute-force oracle: sum the series with exact rational arithmetic
-    ring = Zp(5, 3)
-    h = M(ring, [[1, 2], [3, 4]])
-    t = 5
-    out = quantum.exp_matrix(h, t)
-    import math
+def _series_oracle(h_rows, t, p, K):
+    """exp(tH) mod p^K: sum_j (tH)^j / j! over Q, each term a Fraction reduced mod p^K.
 
-    n = 2
-    acc = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    power = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    hq = [[Fraction(t * v) for v in row] for row in [[1, 2], [3, 4]]]
-    for j in range(1, 40):
-        power = [
-            [sum(power[i][k] * hq[k][c] for k in range(n)) for c in range(n)]
-            for i in range(n)
-        ]
+    Every term is p-integral, and for p >= 3 term j has valuation at least
+    j - (j - 1)/2, so the terms past j = 2K vanish mod p^K."""
+    pk, n = p**K, len(h_rows)
+    x = [[t * v for v in row] for row in h_rows]
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    acc = [row[:] for row in power]
+    for j in range(1, 2 * K + 2):
+        power = [[sum(power[i][k] * x[k][c] for k in range(n)) for c in range(n)] for i in range(n)]
         for i in range(n):
             for c in range(n):
-                acc[i][c] += power[i][c] / math.factorial(j)
-    for i in range(n):
-        for c in range(n):
-            frac = acc[i][c]
-            # reduce the rational mod 5^3: denominator is prime to 5 up to 5-parts
-            num, den = frac.numerator, frac.denominator
-            v5 = 0
-            while den % 5 == 0:
-                den //= 5
-                v5 += 1
-            assert v5 == 0 or num % 5**v5 == 0
-            num //= 5**v5
-            expected = num * pow(den, -1, 125) % 125
-            assert out.rows[i][c] == expected
+                term = Fraction(power[i][c], math.factorial(j))
+                assert term.denominator % p != 0
+                acc[i][c] = (acc[i][c] + term.numerator * pow(term.denominator, -1, pk)) % pk
+    return tuple(map(tuple, acc))
+
+
+def _exp_cases(p, K, n, rng):
+    """(H, t, override): v(H) in {0, 1, 2} with v(t) = 1..K, both signs of t, and
+    v(t) = 0 under the override where v(H) >= 2."""
+    ring = Zp(p, K)
+    for v_h in (0, 1, 2):
+        H = random_matrix(ring, n, rng).scale(p**v_h)
+        for v_t in range(1, K + 1):
+            yield H, rng.choice((1, -1)) * p**v_t * rng.randrange(1, p), False
+        if H.min_valuation() >= 2:
+            yield H, rng.randrange(1, p) * rng.choice((1, -1)), True
+
+
+def test_exp_matrix_against_series_oracle():
+    """exp(tH) against the series over Q at p in {3, 5, 7}, K in {1, 4, 20} and
+    n in {1, 2, 4}, and on one fixed example; where mu = v(t) + v(H) >= K it is I."""
+    h = M(Zp(5, 3), [[1, 2], [3, 4]])
+    assert quantum.exp_matrix(h, 5).rows == _series_oracle([[1, 2], [3, 4]], 5, 5, 3)
+    for p, K, n in product((3, 5, 7), (1, 4, 20), (1, 2, 4)):
+        rng = random.Random(f"exp-oracle-{p}-{K}-{n}")
+        identity = PadicMatrix.identity(Zp(p, K), n)
+        for H, t, override in _exp_cases(p, K, n, rng):
+            out = quantum.exp_matrix(H, t, allow_extended_radius=override)
+            assert out.rows == _series_oracle([list(row) for row in H.rows], t, p, K), (p, K, t, override)
+            if H.ring.scalar(t).valuation() + H.min_valuation() >= K:
+                assert out == identity
+
+
+def test_exp_matrix_multiplies_only_at_the_operator_precision(monkeypatch):
+    """Every product exp(tH) takes is a `matrices._matmul` over H's own ring."""
+    rings = []
+    real = matrices._matmul
+
+    def recorded(ring, A, B):
+        rings.append(ring)
+        return real(ring, A, B)
+
+    monkeypatch.setattr(matrices, "_matmul", recorded)
+    rng = random.Random(71)
+    for p, K, n in [(3, 4, 3), (5, 10, 4), (3, 40, 2)]:
+        H = random_matrix(Zp(p, K), n, rng)
+        rings.clear()
+        quantum.exp_matrix(H, p)
+        assert rings and all(ring == H.ring for ring in rings)
 
 
 def test_evolution_pair_validation():
