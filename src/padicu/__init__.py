@@ -14,8 +14,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("arith audits cli errors fppoly glnp gm matrices moduli quantum ringpoly sampling"
-               " scalars serialize unitary").split()
+_SUBMODULES = ("arith audits cli errors fppoly glnp gm matrices moduli quantum sampling scalars"
+               " serialize unitary").split()
 # exported name -> the submodule that defines it, in the order of __all__
 _MODULE_OF = {
     name: module

@@ -10,7 +10,7 @@ import math
 import random
 from itertools import product
 
-from . import glnp, gm, quantum, ringpoly, unitary
+from . import glnp, gm, quantum, unitary
 from .matrices import PadicMatrix, vector_norm
 from .sampling import (
     random_continuous,
@@ -136,7 +136,7 @@ def _shares_root_in_f9(fr, gr) -> bool:
     field = UnramRing(3, 1, 2)
     lifted = [[field.rfrom_int(c) for c in h] for h in (fr, gr)]
     return any(
-        all(ringpoly.divide_linear(field, h, x)[1] == field.zero for h in lifted)
+        all(unitary.divide_linear(field, h, x)[1] == field.zero for h in lifted)
         for x in product(range(3), repeat=2)
     )
 

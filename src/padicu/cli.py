@@ -179,6 +179,8 @@ def cmd_decompose_fp(doc):
     p = serialize.int_field(doc, "p")
     Zp(p, 1)  # validates the prime
     rows = serialize._need(doc, "matrix", list)
+    if len(rows) > serialize.MAX_MATRIX_N:
+        raise MalformedDocument(f"n = {len(rows)} is above the cap of {serialize.MAX_MATRIX_N}")
     if not all(isinstance(row, list) for row in rows):
         raise MalformedDocument("matrix rows must be JSON arrays")
     rows = [[serialize.read_int(v, "matrix entry") for v in row] for row in rows]

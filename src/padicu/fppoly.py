@@ -7,8 +7,10 @@ on coefficients in [0, p); division needs a divisor whose leading
 coefficient is a unit modulo p.  `pow_mod` and `pow_t_chain`, which takes
 t^(g c) for several c from one t^g, share one packed fold context
 (`_fold_context`); beside it, `_bivariate_fold_context` packs
-F_p[X, T]/(h(X), f(T)) the same way for the root finder in F_{p^d}[T]
-(`unitary._orbit_roots`).
+F_p[X, T]/(h(X), f(T)) the same way for the root finder in F_{p^d}, which
+splits by idempotents of that algebra (`unitary._orbit_roots`).  This is the
+one polynomial layer: what runs over a ring handle's raw values is the
+synthetic division `unitary.divide_linear`.
 Factorization is over F_p: squarefree + distinct-degree + Cantor-Zassenhaus
 equal-degree splitting, driven by a generator on the fixed seed `_SEED`; the
 factors come back sorted, so they do not depend on it.  `factor_degrees`
@@ -19,8 +21,7 @@ The coefficients stay plain ints: these loops carry the resultant, Bezout
 and Hensel work, and taking the ring operations from a ring handle made
 them measurably slower.  `mul_columns`, multiplication on (Z/p)[t]/(a), is
 eliminated by `gm.orthogonality_test` and gives `matrices.orbit_polynomial`
-its Frobenius-orbit product.  `PadicMatrix.evaluate` gives f(U), and
-`ringpoly` holds polynomials over a ring handle.
+its Frobenius-orbit product.  `PadicMatrix.evaluate` gives f(U).
 """
 
 from __future__ import annotations
@@ -201,7 +202,7 @@ def _fold_context(f: list[int], p: int):
 
 
 def _bivariate_fold_context(h: list[int], f: list[int], p: int):
-    """(pack, unpack, power): packed arithmetic on F_p[X, T]/(h(X), f(T)), for monic h and f.
+    """(pack, unpack, power, product): packed arithmetic on F_p[X, T]/(h(X), f(T)), for monic h and f.
 
     An element sum c_ij X^i T^j, i < deg h and j < deg f, is one int with
     c_ij in slot i + w j of s bits, w = 2 deg h - 1, so that a product's X
@@ -216,7 +217,7 @@ def _bivariate_fold_context(h: list[int], f: list[int], p: int):
     (deg h - 1)(p - 1) B to a slot and the T pass multiplies that bound by
     1 + (deg f - 1)(p - 1), which sets s.  pack takes and unpack gives a list
     of T coefficients, each a sequence of X coefficients; unpack's are tuples
-    of length deg h, with no zero top tuple.
+    of length deg h, with no zero top tuple.  `product(x, y)` is x y, and
     `power(x, e)` is x^e for e >= 1 by left-to-right binary exponentiation.
     """
     dx, dt = len(h) - 1, len(f) - 1
@@ -264,6 +265,9 @@ def _bivariate_fold_context(h: list[int], f: list[int], p: int):
             out |= ((top >> k) & mask) % p << k
         return out
 
+    def product(x: int, y: int) -> int:
+        return reduce(x * y)
+
     def power(x: int, e: int) -> int:
         base = x
         for bit in bin(e)[3:]:
@@ -272,7 +276,7 @@ def _bivariate_fold_context(h: list[int], f: list[int], p: int):
                 x = reduce(x * base)
         return x
 
-    return pack, unpack, power
+    return pack, unpack, power, product
 
 
 def pow_mod(a: list[int], e: int, f: list[int], p: int) -> list[int]:

@@ -16,6 +16,7 @@ representative of a unit a is computed in closed form as a^alpha, with alpha
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 from . import fppoly, moduli
@@ -38,6 +39,14 @@ class _OneMinus:
 
 
 ONE_MINUS = _OneMinus()
+
+
+def _index(value) -> int:
+    """value as an int by `operator.index`, so ints and bools pass; else InputError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InputError(f"{value!r} is not an integer") from None
 
 
 class Zp:
@@ -113,10 +122,6 @@ class Zp:
     def rresidue(self, a):
         return a % self.p
 
-    def rlift_residue(self, r) -> int:
-        """Embed a residue-field element as a raw value."""
-        return int(r) % self.pk
-
     def rteichmuller(self, a):
         return _teichmuller_raw(self, a)
 
@@ -130,14 +135,17 @@ class Zp:
 
     # -- scalar construction --------------------------------------------
     def rcoerce(self, value) -> int:
-        """The raw value of an int (any sign or size) or of a scalar of this ring."""
+        """The raw value of an integer (any sign or size) or of a scalar of this ring.
+
+        Anything else raises InputError (`_index`): nothing is truncated or parsed.
+        """
         if type(value) is int:  # the common case, first
             return value % self.pk
         if isinstance(value, PadicScalar):
             if value.ring != self:
                 raise PrecisionMismatch(f"scalar from {value.ring} used in {self}")
             return value.raw
-        return int(value) % self.pk
+        return _index(value) % self.pk
 
     def scalar(self, value) -> "PadicScalar":
         return PadicScalar(self, self.rcoerce(value))
@@ -298,11 +306,6 @@ class UnramRing:
     def rresidue(self, a):
         return tuple(x % self.p for x in a)
 
-    def rlift_residue(self, r):
-        if isinstance(r, int):
-            return self.rfrom_int(r)
-        return tuple(int(x) % self.pk for x in r)
-
     def rteichmuller(self, a):
         return _teichmuller_raw(self, a)
 
@@ -315,10 +318,11 @@ class UnramRing:
         return UnramRing(self.p, j, self.m)
 
     def rcoerce(self, value) -> tuple:
-        """The raw value of an int, a coefficient sequence or a scalar of this ring.
+        """The raw value of an integer, a sequence of m integers or a scalar of this ring.
 
-        Ints and Z_p scalars at the same (p, K) are embedded; coefficients of
-        any sign or size are reduced.
+        Integers and Z_p scalars at the same (p, K) are embedded; integer
+        coefficients of any sign or size are reduced.  Anything else raises
+        InputError (`_index`): nothing is truncated or parsed.
         """
         if isinstance(value, PadicScalar):
             if value.ring == self:
@@ -326,12 +330,16 @@ class UnramRing:
             if not isinstance(value.ring, Zp) or (value.ring.p, value.ring.K) != (self.p, self.K):
                 raise PrecisionMismatch(f"scalar from {value.ring} used in {self}")
             return self.rfrom_int(value.raw)
-        if isinstance(value, int):
-            return self.rfrom_int(value)
-        coeffs = tuple(int(c) % self.pk for c in value)
+        if hasattr(value, "__index__"):
+            return self.rfrom_int(operator.index(value))
+        try:
+            coeffs = tuple(map(_index, value))
+        except TypeError:  # not iterable
+            raise InputError(f"{value!r} is neither an integer nor a coefficient sequence") from None
         if len(coeffs) != self.m:
             raise InputError(f"expected {self.m} coefficients, got {len(coeffs)}")
-        return coeffs
+        pk = self.pk
+        return tuple(c % pk for c in coeffs)
 
     def scalar(self, value) -> "PadicScalar":
         """A scalar of this ring (`rcoerce`)."""
@@ -478,7 +486,7 @@ def teichmuller_lift(ring: AnyRing, r) -> PadicScalar:
     The result x = r^alpha satisfies x^(p^m) = x exactly modulo p^K and
     reduces to r.
     """
-    raw = ring.rlift_residue(r.raw if isinstance(r, PadicScalar) else r)
+    raw = ring.rcoerce(r.raw if isinstance(r, PadicScalar) else r)
     if not ring.runit(raw):
         raise NotAUnit("zero residue has no Teichmuller lift")
     return PadicScalar(ring, _teichmuller_raw(ring, raw))

@@ -30,13 +30,12 @@ gives U^t as U^(t mod p^A).
 Spectral data for a Teichmuller-type matrix lives per Frobenius orbit: each
 irreducible residue factor of degree d contributes d eigenvalues in the
 degree-d unramified ring.  One root of the factor in F_{p^d} comes from
-Cantor-Zassenhaus splitting in F_{p^d}[T] (`_orbit_roots`): its one power
-(T + a)^((q-1)/2) per random a is taken mod the factor in a packed fold
-context over F_p[X, T] (`fppoly._bivariate_fold_context`), and the gcds and
-the last division check run over the field's raw values (`ringpoly`).  The
-other roots are its Frobenius images, and the least one lifts to the orbit's
-first eigenvalue lambda_0, so the choice does not depend on the random
-splitting.
+Cantor-Zassenhaus splitting (`_orbit_roots`) by idempotents of the packed
+algebra F_p[X, T]/(w(X), factor(T)) = F_{p^d}^d
+(`fppoly._bivariate_fold_context`): no polynomial gcd is taken, and the
+root is read off a primitive idempotent with one inverse.  The other roots
+are its Frobenius images, and the least one lifts to the orbit's first
+eigenvalue lambda_0, so the choice does not depend on the random splitting.
 U is semisimple, so its minimal polynomial m is the product of the orbit
 polynomials, and the projector onto lambda is L(U) / L(lambda) with
 L = m / (t - lambda): one combination of U^0, ..., U^(deg m - 1), whose
@@ -68,7 +67,7 @@ import random
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import fppoly, ringpoly
+from . import fppoly
 from .errors import (
     InputError, NotAUnit, NotContinuous, NotTeichmuller, NotUnitary, PadicError, Unsupported,
 )
@@ -389,7 +388,7 @@ def spectral_decompose(U: PadicMatrix) -> SpectralDatum:
         else:
             lam_ring = unram(p, K, d)
             canonical = min(_orbit_roots(irr, unram(p, 1, d), rng))
-            lam = lam_ring.rteichmuller(lam_ring.rlift_residue(canonical))
+            lam = lam_ring.rteichmuller(lam_ring.rcoerce(canonical))
         raw_orbits.append((lam_ring, lam, mult))
     minimal = [1]
     for lam_ring, lam, _ in raw_orbits:
@@ -401,8 +400,8 @@ def spectral_decompose(U: PadicMatrix) -> SpectralDatum:
     for lam_ring, lam, mult in raw_orbits:
         minimal_raw = [lam_ring.rfrom_int(c) for c in minimal]
         # L = m / (t - lambda) by synthetic division, scaled by 1 / L(lambda) = 1 / m'(lambda)
-        quotient, _ = ringpoly.divide_linear(lam_ring, minimal_raw, lam)
-        inv_slope = lam_ring.rinv(ringpoly.divide_linear(lam_ring, quotient, lam)[1])
+        quotient, _ = divide_linear(lam_ring, minimal_raw, lam)
+        inv_slope = lam_ring.rinv(divide_linear(lam_ring, quotient, lam)[1])
         coeffs = [lam_ring.rmul(inv_slope, c) for c in quotient]
         projector = _linear_combination(lam_ring, coeffs, powers)
         orbits.append(SpectralOrbit(ring=lam_ring, eigenvalue=lam, projector=projector, multiplicity=mult))
@@ -415,35 +414,60 @@ def spectral_decompose(U: PadicMatrix) -> SpectralDatum:
 def _orbit_roots(irr: list[int], field: UnramRing, rng: random.Random) -> list:
     """The roots in F_q = F_{p^d} of an irreducible degree-d polynomial over F_p.
 
-    Cantor-Zassenhaus (1981): for a random a in F_q, gcd(g, (T + a)^((q-1)/2) - 1)
-    keeps the roots r of g with r + a a nonzero square, so it splits g about in
-    half.  The splitting stops at one linear factor, since the other roots are
-    its Frobenius images.  The power is taken mod irr, packed in one fold
-    context over F_p[X, T]/(w(X), irr(T)) with w the field's modulus
-    (`fppoly._bivariate_fold_context`), and reduced mod the current factor g
-    of irr; the rest is `ringpoly` lists of the field's raw values, and g
-    stays monic, so reducing mod g needs no inversion.  The reduced power is
-    not 0: g is squarefree of degree >= 2, so it has a root r != -a, at which
-    the power takes the value (r + a)^((q-1)/2) != 0.
+    Cantor-Zassenhaus (1981), split by idempotents: irr has d distinct roots
+    r in F_q, so B = F_p[X, T]/(w(X), irr(T)), w the field's modulus, is
+    F_q[T]/(irr) = F_q^d, one coordinate per root, in one packed fold context
+    (`fppoly._bivariate_fold_context`).  For a random a in F_q the power
+    eps = (T + a)^((q-1)/2) is 1, -1 or 0 at r as r + a is a nonzero square,
+    a non-square or 0, so u = (eps^2 + eps)/2 is 1 at the roots of the first
+    kind and 0 at the rest.  eps^2 + eps has slots below 2p, so its product
+    with the constant (p + 1)/2 stays in the context's slot bound.
+    e starts at 1 and becomes e u whenever 0 != e u != e: packed elements
+    are canonical, so both tests compare ints.  e is 1 at one root r and 0
+    at the rest exactly when T e = r e.  With c the first nonzero
+    T-coefficient of e, at index j, that is c (T e) = (T e)_j e, which needs
+    no inverse, and then r = (T e)_j / c.  At d = 2 any e != 1 is one root,
+    so the test is skipped.  The other roots are r's Frobenius images.
     """
-    p = field.p
-    f = g = [field.rfrom_int(c) for c in irr]
-    pack, unpack, power = fppoly._bivariate_fold_context(field.modulus, irr, p)
-    half = (field.residue_cardinality - 1) // 2
-    while len(g) > 2:
+    p, d = field.p, len(irr) - 1
+    pack, unpack, power, product = fppoly._bivariate_fold_context(field.modulus, irr, p)
+    half, inv2 = (field.residue_cardinality - 1) // 2, (p + 1) // 2
+    t = pack([field.zero, field.one])
+    e = 1  # packed, the unit of B
+    while True:
         a = tuple(rng.randrange(p) for _ in range(field.m))
-        reduced = ringpoly.rem(field, unpack(power(pack([a, field.one]), half)), g)
-        shifted = ringpoly.trim(field, [field.rsub(reduced[0], field.one)] + reduced[1:])
-        h = ringpoly.gcd(field, g, shifted)
-        if 1 < len(h) < len(g):
-            g = h
-    roots = [field.rneg(g[0])]
-    for _ in range(1, len(irr) - 1):
+        eps = power(pack([a, field.one]), half)
+        u = product(product(eps, eps) + eps, inv2)
+        eu = u if e == 1 else product(e, u)
+        if eu == 0 or eu == e:
+            continue
+        e = eu
+        te = product(t, e)
+        coeffs, shifted = unpack(e), unpack(te)
+        j = next(j for j, row in enumerate(coeffs) if any(row))
+        c, tc = coeffs[j], (shifted[j] if j < len(shifted) else field.zero)  # unpack drops zero top rows
+        if d == 2 or product(pack([c]), te) == product(pack([tc]), e):
+            break
+    roots = [field.rmul(tc, field.rinv(c))]
+    for _ in range(1, d):
         roots.append(field.rfrob(roots[-1]))
-    _, value = ringpoly.divide_linear(field, f, roots[0])
-    if len(set(roots)) != len(irr) - 1 or value != field.zero:
+    _, value = divide_linear(field, [field.rfrom_int(v) for v in irr], roots[0])
+    if len(set(roots)) != d or value != field.zero:
         raise ArithmeticError("irreducible factor did not split in its orbit field")  # unreachable
     return roots
+
+
+def divide_linear(ring: AnyRing, f: list, x) -> tuple[list, object]:
+    """(q, v) with f = q * (t - x) + v for a nonzero f of raw values, by synthetic division.
+
+    The remainder is Horner's value v = f(x), so `divide_linear(ring, f, x)[1]`
+    evaluates f at a raw value x.
+    """
+    acc, q = f[-1], []
+    for c in reversed(f[:-1]):
+        q.append(acc)
+        acc = ring.radd(c, ring.rmul(acc, x))
+    return q[::-1], acc
 
 
 def galois_act(U: PadicMatrix, k: int) -> PadicMatrix:

@@ -748,6 +748,19 @@ def test_matrix_documents_answer_n_up_to_its_cap(n, tmp_path, capsys):
                                 "reason": f"n = {n} is above the cap of {serialize.MAX_MATRIX_N}"}
 
 
+def test_decompose_fp_caps_its_matrix_like_a_matrix_document(tmp_path, capsys):
+    """An upper-unitriangular matrix over F_3 one above the cap is refused before
+    any work; at 160 x 160 the decomposition ran for seconds to reach exit 3."""
+    n = serialize.MAX_MATRIX_N + 1
+    rows = [[int(i == j or j == i + 1) for j in range(n)] for i in range(n)]
+    start = time.perf_counter()
+    code, out = run_one_line("decompose-fp", {"p": 3, "matrix": rows}, tmp_path, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out["error"] == {"code": "MalformedDocument",
+                            "reason": f"n = {n} is above the cap of {serialize.MAX_MATRIX_N}"}
+
+
 def test_a_negative_n_is_exit_2_and_n_zero_is_read(tmp_path, capsys):
     doc = {"matrix": {"p": 3, "K": 2, "n": -2, "entries": ["1", "0", "0", "1"]}}
     code, out = run_one_line("classify", doc, tmp_path, capsys)

@@ -324,6 +324,14 @@ def _bivariate_product_here(a, b, h, f, p):
     return rows[:dt]
 
 
+def _unpacked_here(rows):
+    """rows as the context's unpack gives them: tuples, with no zero top row."""
+    rows = [tuple(r) for r in rows]
+    while rows and not any(rows[-1]):
+        rows.pop()
+    return rows
+
+
 def _bivariate_power_here(x, e, h, f, p):
     dx, dt = len(h) - 1, len(f) - 1
     power = [[1] + [0] * (dx - 1)] + [[0] * dx for _ in range(dt - 1)]
@@ -331,9 +339,7 @@ def _bivariate_power_here(x, e, h, f, p):
         if e & 1:
             power = _bivariate_product_here(power, x, h, f, p)
         x, e = _bivariate_product_here(x, x, h, f, p), e >> 1
-    while power and not any(power[-1]):
-        power.pop()
-    return [tuple(r) for r in power]
+    return _unpacked_here(power)
 
 
 BIVARIATE_DEGREES = [(d, d) for d in range(2, 9)] + [(1, 3), (3, 1), (2, 5), (5, 2)]
@@ -343,14 +349,18 @@ BIVARIATE_DEGREES = [(d, d) for d in range(2, 9)] + [(1, 3), (3, 1), (2, 5), (5,
                          + [(1000003, [(2, 2)])], ids=["p3", "p5", "p7", "p11", "p13", "p1000003"])
 def test_bivariate_fold_context_matches_the_schoolbook(p, degrees):
     """Seeded irreducible h and f; all-(p-1) elements, whose products reach the slot
-    bound deg h deg f (p-1)^2, a random element and T + a, at e = 1, 2 and random e."""
+    bound deg h deg f (p-1)^2, a random element and T + a, at e = 1, 2 and random e,
+    and the context's product of every pair of them."""
     rng = random.Random(p)
     for dx, dt in degrees:
         h, f = _irreducible_here(p, dx, rng), _irreducible_here(p, dt, rng)
-        pack, unpack, power = fppoly._bivariate_fold_context(h, f, p)
+        pack, unpack, power, product = fppoly._bivariate_fold_context(h, f, p)
         full = [[p - 1] * dx for _ in range(dt)]
         shifted_t = [[rng.randrange(p) for _ in range(dx)], [1] + [0] * (dx - 1)][:dt]
         some = [[rng.randrange(p) for _ in range(dx)] for _ in range(dt)]
         for x in (full, shifted_t, some):
             for e in (1, 2, rng.randrange(3, 1 << 10)):
                 assert unpack(power(pack(x), e)) == _bivariate_power_here(x, e, h, f, p), (dx, dt, e)
+            for y in (full, shifted_t, some):
+                expected = _unpacked_here(_bivariate_product_here(x, y, h, f, p))
+                assert unpack(product(pack(x), pack(y))) == expected, (dx, dt)

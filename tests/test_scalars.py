@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from padicu import scalars
 from padicu.arith import teichmuller_exponent, unipotent_depth
-from padicu.errors import InvalidPrime, NotAUnit, PrecisionMismatch
+from padicu.errors import InputError, InvalidPrime, NotAUnit, PrecisionMismatch
+from padicu.matrices import PadicMatrix
+from padicu.quantum import WaveFunction
 from padicu.scalars import (
     ONE_MINUS,
     UnramRing,
@@ -400,3 +403,28 @@ def test_operand_rule(thunk, expected):
         assert result is expected
     else:
         assert (result.ring, result.raw) == expected
+
+
+_NON_INTEGERS = [2.5, 2.0, Fraction(1, 2), Fraction(4, 1), "7", None]
+
+
+@pytest.mark.parametrize("value", _NON_INTEGERS, ids=repr)
+@pytest.mark.parametrize("ring", [Zp(3, 2), UnramRing(3, 2, 2)], ids=repr)
+def test_a_non_integer_is_refused_not_truncated(ring, value):
+    """Both handles read values through `operator.index`: a float, Fraction or str
+    (even an integral one) is InputError wherever a value enters, never int(value)."""
+    entries = [value] if isinstance(ring, Zp) else [value, (1, value)]
+    for entry in entries:
+        for build in (lambda: PadicMatrix(ring, [[entry]]), lambda: ring.scalar(entry),
+                      lambda: WaveFunction(ring, [1, entry]), lambda: teichmuller_lift(ring, entry)):
+            with pytest.raises(InputError):
+                build()
+
+
+@pytest.mark.parametrize("ring", [Zp(3, 2), UnramRing(3, 2, 2)], ids=repr)
+def test_ints_and_bools_still_coerce(ring):
+    assert ring.scalar(True) == ring.scalar(1) and ring.scalar(-1) == ring.scalar(8)
+    assert PadicMatrix(ring, [[False, True], [True, 0]]) == PadicMatrix(ring, [[0, 1], [1, 0]])
+    assert teichmuller_lift(ring, True) == ring.scalar(1)
+    if isinstance(ring, UnramRing):
+        assert ring.scalar([True, -1]) == ring.scalar((1, 8))

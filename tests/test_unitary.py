@@ -635,6 +635,52 @@ def test_orbit_polynomials_vanish_on_their_frobenius_orbits(p, K, n):
                 image = image.frobenius()
 
 
+def _random_raw(ring, rng):
+    return rng.randrange(ring.pk) if ring.degree == 1 else tuple(rng.randrange(ring.pk) for _ in range(ring.m))
+
+
+@pytest.mark.parametrize("ring", [Zp(5, 6), unram(3, 4, 2), unram(7, 30, 3)], ids=repr)
+def test_divide_linear_is_synthetic_division(ring):
+    """q (t - x) + v rebuilds f, with the product taken here term by term."""
+    rng = random.Random(ring.p * ring.K)
+    for _ in range(20):
+        f = [_random_raw(ring, rng) for _ in range(rng.randint(1, 9))]
+        x = _random_raw(ring, rng)
+        q, v = unitary.divide_linear(ring, f, x)
+        assert len(q) == len(f) - 1
+        rebuilt = [ring.zero] * len(f)
+        for i, c in enumerate(q):
+            rebuilt[i] = ring.rsub(rebuilt[i], ring.rmul(c, x))
+            rebuilt[i + 1] = ring.radd(rebuilt[i + 1], c)
+        rebuilt[0] = ring.radd(rebuilt[0], v)
+        assert rebuilt == f
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_the_root_finder_inverts_once_per_call(p, monkeypatch):
+    """Every monic irreducible of degree 2 to 4 over F_p: the split takes no
+    inverse, and the root is (T e)_j / c, one `UnramRing.rinv`."""
+    from padicu import fppoly
+
+    calls = []
+    rinv = UnramRing.rinv
+
+    def counted(self, a):
+        calls.append(a)
+        return rinv(self, a)
+
+    monkeypatch.setattr(UnramRing, "rinv", counted)
+    rng = random.Random(p)
+    for d in (2, 3, 4):
+        field = unram(p, 1, d)
+        for coeffs in itertools.product(range(p), repeat=d):
+            irr = [*coeffs, 1]
+            if fppoly.is_irreducible(irr, p):
+                del calls[:]
+                assert len(unitary._orbit_roots(irr, field, rng)) == d
+                assert len(calls) == 1, (irr, len(calls))
+
+
 # -- the audit of a spectral datum -------------------------------------------------
 
 
