@@ -3,7 +3,8 @@
 Laurent polynomials with O_p coefficients carry the spectral bookkeeping:
 orthogonality of two unit polynomials is a unit resultant, splitting
 idempotents come from the Bezout identity, and grouped factorizations lift
-from the residue field by quadratic Hensel iteration.  Shift sums realize the
+from the residue field by quadratic Hensel iteration with one cofactor,
+refreshed by Newton's inverse iteration.  Shift sums realize the
 coefficient functionals picked out by reduction modulo t^d - 1.
 
 Laurent units t^k are factored out before any resultant or quotient-ring
@@ -323,15 +324,19 @@ def bezout_idempotents(f: LaurentPoly, g: LaurentPoly, j: int) -> BezoutIdempote
 
 
 def _hensel_pair(f, g0, h0, p, j):
-    """Lift f = g0*h0 (mod p) to mod p^j with quadratic Newton iteration.
+    """Lift f = g0*h0 (mod p) to mod p^j, doubling the precision each round.
 
-    f, g0, h0 monic; g0, h0 coprime mod p.  Each round doubles the precision
-    and, unless it reached p^j, refreshes the Bezout cofactors s*g + t*h = 1
-    for the next round: a step to p^(2k) needs them only mod p^k, so the
-    last one is not refreshed (von zur Gathen and Gerhard, Modern Computer
-    Algebra, Algorithm 15.10).
+    f, g0, h0 monic; g0, h0 coprime mod p.  One cofactor t with t*h = 1 mod
+    (g, p^k) is kept: with e = f - g*h = 0 mod p^k, g' = g + (t*e mod g) is
+    the lift mod p^2k, and h' = f / g' exactly.  Before the next round t is
+    refreshed by Newton's inverse iteration t <- t*(2 - t*h') mod g': g' = g
+    and h' = h mod p^k, so t*h' = 1 + eps mod g' with eps = 0 mod p^k, and
+    the new t has t*h' = 1 - eps^2 = 1 mod (g', p^2k) (von zur Gathen and Gerhard, Modern Computer Algebra,
+    Algorithm 15.10 and section 9.1).  The zero remainder of f / g' certifies
+    each round whatever t is: g' = g mod p^k lifts g0, and a monic divisor of
+    monic f mod p^k that lifts g0, coprime to f / g0 mod p, is unique.
     """
-    one, s, t = fppoly.ext_gcd(g0, h0, p)
+    one, _, t = fppoly.ext_gcd(g0, h0, p)
     if one != [1]:
         raise ArithmeticError("factors are not coprime mod p")
     g, h = list(g0), list(h0)
@@ -341,29 +346,13 @@ def _hensel_pair(f, g0, h0, p, j):
         mod = p**prec
         f_mod = [v % mod for v in f]
         e = fppoly.sub(f_mod, fppoly.mul(g, h, mod), mod)
-        _, r = fppoly.divmod_poly(fppoly.mul(t, e, mod), g, mod)
-        g_new = fppoly.add(g, r, mod)
-        h_new, rem = fppoly.divmod_poly(f_mod, g_new, mod)
+        g = fppoly.add(g, fppoly.divmod_poly(fppoly.mul(t, e, mod), g, mod)[1], mod)
+        h, rem = fppoly.divmod_poly(f_mod, g, mod)
         if rem:
             raise ArithmeticError("Hensel division left a nonzero remainder")
-        if prec == j:
-            return g_new, h_new
-        # cofactor refresh: s*g + t*h = 1 at the new precision
-        b = fppoly.sub(
-            fppoly.add(fppoly.mul(s, g_new, mod), fppoly.mul(t, h_new, mod), mod), [1], mod
-        )
-        cq, _ = fppoly.divmod_poly(fppoly.mul(s, b, mod), h_new, mod)
-        t_new = fppoly.sub(
-            fppoly.sub(t, fppoly.mul(b, t, mod), mod), fppoly.mul(cq, g_new, mod), mod
-        )
-        # normalize degrees: t mod g, then s = (1 - t*h) / g exactly
-        _, t_new = fppoly.divmod_poly(t_new, g_new, mod)
-        s_new, srem = fppoly.divmod_poly(
-            fppoly.sub([1], fppoly.mul(t_new, h_new, mod), mod), g_new, mod
-        )
-        if srem:
-            raise ArithmeticError("cofactor refresh failed")
-        g, h, s, t = g_new, h_new, s_new, t_new
+        if prec < j:
+            th = fppoly.divmod_poly(fppoly.mul(t, fppoly.divmod_poly(h, g, mod)[1], mod), g, mod)[1]
+            t = fppoly.divmod_poly(fppoly.mul(t, fppoly.sub([2], th, mod), mod), g, mod)[1]
     return g, h
 
 

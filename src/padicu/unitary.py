@@ -356,11 +356,13 @@ def teichmuller_spectral(U: PadicMatrix) -> SpectralDatum:
 
 
 def spectral_decompose(U: PadicMatrix) -> SpectralDatum:
-    """Full pipeline on any unitary: Jordan split, then the spectrum of U_s.
+    """Full pipeline on any unitary: residue orbits, Jordan split, spectrum of U_s.
 
     The residue characteristic polynomial factors into Frobenius orbits; each
     orbit's eigenvalues are Teichmuller lifts inside the degree-d unramified
     ring, the lift of the least root in F_{p^d} and its Frobenius images.
+    The orbit rings are built before the Jordan split, so a residue degree
+    with no shipped modulus raises `Unsupported` without paying for it.
     After the pro-finite audit U^E = I, U_s = U^alpha is of Teichmuller type
     by construction (alpha^2 = alpha mod E), so it is not classified again.
     It is semisimple, so its minimal polynomial m is the product of the
@@ -373,7 +375,6 @@ def spectral_decompose(U: PadicMatrix) -> SpectralDatum:
     verified against U_s before it is returned.
     """
     _require_base_unitary(U)
-    u_s, u_n = jordan_decompose(U)
     ring = U.ring
     p, K, pk = ring.p, ring.K, ring.pk
     _, factors = fppoly.factor([c % p for c in U.char_poly_raw()], p)
@@ -390,6 +391,7 @@ def spectral_decompose(U: PadicMatrix) -> SpectralDatum:
             canonical = min(_orbit_roots(irr, unram(p, 1, d), rng))
             lam = lam_ring.rteichmuller(lam_ring.rcoerce(canonical))
         raw_orbits.append((lam_ring, lam, mult))
+    u_s, u_n = jordan_decompose(U)
     minimal = [1]
     for lam_ring, lam, _ in raw_orbits:
         minimal = fppoly.mul(minimal, _orbit_polynomial(lam_ring, lam, K), pk)

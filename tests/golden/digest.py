@@ -26,6 +26,9 @@ and, on a seeded grid of three (p, K) levels, the formal-group layer:
   degrees 1 + 1 up to 8 + 8, orthogonal or sharing a root mod p;
 - `bezout_idempotents` (P1, P2) on the orthogonal pairs;
 - `teich_factor` of f, of f g and of a pair sharing a root;
+- on the grid `TEICH_GRID`, `teich_factor` at every level j in `TEICH_LEVELS`
+  up to K of products of 3-5 residue clusters (irreducibles of degree 1-3 mod
+  p) with multiplicities 1-3, each cluster a random monic lift;
 - `spectrum_table` on 6 x 6 unitaries at levels 1-, 1, K/2 and K;
 - at (5, 10) and (7, 30), `spectrum_table` on 2 x 2, 4 x 4 and 6 x 6
   unitaries at non-monotone level lists with repeats, such as
@@ -89,6 +92,9 @@ JORDANS = 4  # per JORDAN_EXTENSION shape, through classify and jordan in both o
 EXTENSION_CONTINUOUS = [(3, 3, 2), (3, 3, 4), (5, 10, 3), (7, 30, 4)]  # (p, K, n): over unram(p, K, 2)
 FORMAL_GRID = [(3, 4), (5, 10), (7, 30)]
 FORMAL_DEGREES = [(d, e) for d in range(1, 9) for e in (d, 9 - d)]
+TEICH_GRID = FORMAL_GRID + [(1000003, 3)]  # (p, K): teich_factor on cluster products
+TEICH_LEVELS = (1, 2, 3, 5, 8, 9, 16, 17)  # and K: precisions around the Newton doublings
+TEICHS = 6  # per TEICH_GRID level, cluster products
 TABLES = 4  # per formal level, 6 x 6 spectrum tables
 LEVEL_GRID = [(5, 10), (7, 30)]  # spectrum tables on unordered level lists
 SPARSE = 12  # per formal level, sparse polynomials through the shift sums
@@ -238,6 +244,39 @@ def formal_items(p: int, K: int):
         rng.randrange(1 << 16)  # a former seed draw, kept so later inputs stay the same
         table = spectrum_table(U, [ONE_MINUS, 1, K // 2, K])
         yield ("spectrum_table", U.rows, table.n, _table_rows(table))
+
+
+def _irreducible(rng, p: int, degree: int) -> list[int]:
+    """A random monic irreducible of the given degree mod p, never t itself."""
+    while True:
+        f = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(degree - 1)] + [1]
+        if fppoly.factor(f, p)[1] == [(f, 1)]:
+            return f
+
+
+def teich_items(p: int, K: int):
+    """teich_factor at every level of TEICH_LEVELS up to K, and at K, of cluster products."""
+    rng = random.Random(f"digest-teich-{p}-{K}")
+    ring = Zp(p, K)
+    pk = ring.pk
+    for _ in range(TEICHS):
+        clusters: list[list[int]] = []
+        count = rng.randint(3, 5)
+        while len(clusters) < count:
+            irr = _irreducible(rng, p, rng.randint(1, 3))
+            if irr not in clusters:
+                clusters.append(irr)
+        f = [rng.randrange(1, p) + p * rng.randrange(pk // p)]  # a unit lead
+        for irr in clusters:
+            power = [1]
+            for _ in range(rng.randint(1, 3)):
+                power = fppoly.mul(power, irr, p)
+            lift = [v + p * rng.randrange(pk // p) for v in power[:-1]] + [1]
+            f = fppoly.mul(f, lift, pk)
+        F = gm.LaurentPoly.from_coeffs(ring, f, low=rng.randrange(-2, 3))
+        for j in sorted({j for j in TEICH_LEVELS if j <= K} | {K}):
+            t = gm.teich_factor(F, j)
+            yield ("teich_factor", _laurent(F), j, t.unit.lift(), t.shift, sorted(t.factors.items()))
 
 
 def _table_rows(table) -> list:
@@ -409,6 +448,7 @@ def main(argv: list[str]) -> int:
     parts = [(shape, shape_items(*shape)) for shape in SHAPES]
     parts += [(("formal", p, K), formal_items(p, K)) for p, K in FORMAL_GRID]
     parts += [(("levels", p, K), level_items(p, K)) for p, K in LEVEL_GRID]
+    parts += [(("teich", p, K), teich_items(p, K)) for p, K in TEICH_GRID]
     parts += [(("sparse", p, K), sparse_items(p, K)) for p, K in FORMAL_GRID]
     parts += [(("calculus", p, K), calculus_items(p, K)) for p, K in FORMAL_GRID]
     parts += [(("order", *shape), order_items(*shape)) for shape in SHAPES]

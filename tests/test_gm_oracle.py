@@ -9,6 +9,10 @@ non-unit lead or a constant side get the same checks.  ``res_z`` follows the con
 res(f, g) = lc(f)^deg(g) * prod of g over the roots of f; the top-level
 ``sympy.resultant`` of sympy 1.14 returns the opposite sign on some pairs
 with deg(f) * deg(g) odd, so it is not used.  Skipped when sympy is absent.
+
+Hensel lifting (`gm._hensel_pair`) is checked against a test-local
+digit-by-digit lift built on schoolbook products and a Gauss-Jordan inverse
+mod p, and a corrupted cofactor must trip the exact-division audit.
 """
 
 import random
@@ -229,3 +233,131 @@ def test_pairs_with_a_non_unit_lead_or_a_constant_against_sympy(dm, dn, f_unit, 
     # with one unit lead and no constant side both answers are reachable
     if dm and dn and (f_unit or g_unit):
         assert seen == {True, False}
+
+
+# -- Hensel lifting against a digit-by-digit lift ----------------------------------
+
+HENSEL_PRIMES = (3, 5, 7, 11, 1000003)
+HENSEL_LEVELS = (1, 2, 3, 4, 5, 8, 9, 16, 17, 30, 31)
+HENSEL_SPLITS = [(1, 1), (1, 5), (5, 1), (4, 4), (2, 8)]
+
+
+def _school_mul(a, b, m):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] += x * y
+    return [v % m for v in out]
+
+
+def _monic_divmod(a, b, m):
+    """(q, r) with a = q*b + r mod m for monic b; r has exactly deg b entries."""
+    r = [v % m for v in a] + [0] * max(0, len(b) - 1 - len(a))
+    q = [0] * max(0, len(r) - len(b) + 1)
+    for d in reversed(range(len(q))):
+        c = q[d] = r[d + len(b) - 1]
+        for i, v in enumerate(b):
+            r[d + i] = (r[d + i] - c * v) % m
+    return q, r[: len(b) - 1]
+
+
+def _inverse_mod(h, g, p):
+    """u with u*h = 1 mod (g, p), by Gauss-Jordan on multiplication by h; None if singular."""
+    d = len(g) - 1
+    cols, image = [], _monic_divmod(h, g, p)[1]
+    for _ in range(d):
+        cols.append(image)
+        image = _monic_divmod([0] + image, g, p)[1]
+    rows = [[cols[i][r] for i in range(d)] + [int(r == 0)] for r in range(d)]
+    for c in range(d):
+        pivot = next((r for r in range(c, d) if rows[r][c]), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        rows[c] = [v * inv % p for v in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c]:
+                x = rows[r][c]
+                rows[r] = [(a - x * b) % p for a, b in zip(rows[r], rows[c])]
+    return [row[d] for row in rows]
+
+
+def _digit_lift(f, g0, h0, p, j):
+    """The monic lifts (g, h) of g0*h0 = f mod p to mod p^j, one p-adic digit a round.
+
+    With f = g*h mod p^k, the next digits dg, dh solve h0*dg + g0*dh = e mod p
+    for e = (f - g*h) / p^k: dg = u*e mod g0 with u*h0 = 1 mod (g0, p), and
+    dh = (e - h0*dg) / g0 exactly.
+    """
+    u = _inverse_mod(h0, g0, p)
+    g, h = list(g0), list(h0)
+    for k in range(1, j):
+        pk = p**k
+        diff = [x - y for x, y in zip(f, _school_mul(g, h, p**j))]
+        assert all(v % pk == 0 for v in diff)
+        e = [v // pk % p for v in diff]
+        dg = _monic_divmod(_school_mul(u, e, p), g0, p)[1]
+        rest = [(x - y) % p for x, y in zip(e, _school_mul(h0, dg, p) + [0] * len(e))]
+        dh, rem = _monic_divmod(rest, g0, p)
+        assert not any(rem)
+        g = [x + pk * y for x, y in zip(g, dg + [0])]
+        h = [x + pk * y for x, y in zip(h, dh + [0] * len(h))]
+    return g, h
+
+
+def _coprime_monic_pair(rng, p, dg, dh):
+    while True:
+        g0 = [rng.randrange(p) for _ in range(dg)] + [1]
+        h0 = [rng.randrange(p) for _ in range(dh)] + [1]
+        if _inverse_mod(h0, g0, p) is not None:
+            return g0, h0
+
+
+@pytest.mark.parametrize("dg,dh", HENSEL_SPLITS, ids=[f"{a}+{b}" for a, b in HENSEL_SPLITS])
+@pytest.mark.parametrize("p", HENSEL_PRIMES)
+def test_hensel_pair_against_a_digit_by_digit_lift(p, dg, dh):
+    """Monic lifts of a coprime g0*h0 are unique, so every level must equal the
+    oracle's, which shares no code with `gm` or `fppoly`."""
+    rng = random.Random(f"hensel-{p}-{dg}-{dh}")
+    for _ in range(2):
+        g0, h0 = _coprime_monic_pair(rng, p, dg, dh)
+        top = p ** max(HENSEL_LEVELS)
+        f = [v + p * rng.randrange(top // p) for v in _school_mul(g0, h0, p)[:-1]] + [1]
+        want_g, want_h = _digit_lift(f, g0, h0, p, max(HENSEL_LEVELS))
+        for j in HENSEL_LEVELS:
+            pj = p**j
+            fj = [v % pj for v in f]
+            g, h = gm._hensel_pair(fj, g0, h0, p, j)
+            assert (len(g), len(h), g[-1], h[-1]) == (dg + 1, dh + 1, 1, 1)
+            assert [v % p for v in g] == g0 and [v % p for v in h] == h0
+            assert _school_mul(g, h, pj) == fj
+            assert (g, h) == ([v % pj for v in want_g], [v % pj for v in want_h])
+
+
+@pytest.mark.parametrize("dg,dh", HENSEL_SPLITS, ids=[f"{a}+{b}" for a, b in HENSEL_SPLITS])
+@pytest.mark.parametrize("p", HENSEL_PRIMES)
+def test_hensel_pair_with_a_corrupted_cofactor_fails_its_audit(monkeypatch, p, dg, dh):
+    """A cofactor scaled by 2 moves g by (2 - 1)*t*e mod g: with g = g0 + p*r,
+    r != 0 mod p, that is p*r mod p^2, so g' is not the lift and f / g' leaves a
+    remainder in the first round (f != g0*h0 mod p^2)."""
+    rng = random.Random(f"hensel-corrupt-{p}-{dg}-{dh}")
+    g0, h0 = _coprime_monic_pair(rng, p, dg, dh)
+    real = fppoly.ext_gcd
+
+    def scaled(a, b, q):
+        one, s, t_ = real(a, b, q)
+        return one, s, [2 * v % q for v in t_]
+
+    monkeypatch.setattr(fppoly, "ext_gcd", scaled)
+    top = p ** max(HENSEL_LEVELS)
+    r = [0] * dg
+    while not any(r):
+        r = [rng.randrange(p) for _ in range(dg)]
+    G = [x + p * y for x, y in zip(g0, r + [0])]
+    H = [v + p * rng.randrange(top // p) for v in h0[:-1]] + [1]
+    f = _school_mul(G, H, top)
+    assert any(x != y for x, y in zip([v % p**2 for v in f], _school_mul(g0, h0, p**2)))
+    for j in HENSEL_LEVELS[1:]:
+        with pytest.raises(ArithmeticError, match="Hensel division left a nonzero remainder"):
+            gm._hensel_pair([v % p**j for v in f], g0, h0, p, j)

@@ -530,6 +530,21 @@ def test_spectral_rejects_extension_base():
         unitary.teichmuller_spectral(u)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: random_unitary(Zp(5, 20), 6, random.Random(3)),  # residue factors of degree 1 and 5
+    lambda: M(Zp(11, 4), [[0, -1], [1, 0]]),  # t^2 + 1, irreducible mod 11
+], ids=["5-20-6-degree-5", "11-4-2-quadratic"])
+def test_spectral_without_a_shipped_modulus_raises_before_the_jordan_split(monkeypatch, make):
+    U = make()
+
+    def no_split(_):
+        raise AssertionError("the Jordan split ran before the orbit rings were built")
+
+    monkeypatch.setattr(unitary, "jordan_decompose", no_split)
+    with pytest.raises(Unsupported, match="no modulus shipped"):
+        unitary.spectral_decompose(U)
+
+
 def test_classify_works_over_extension():
     ring = UnramRing(3, 2, 2)
     gen = teichmuller_lift(ring, (0, 1))
