@@ -1,11 +1,15 @@
-"""Shipped table of Conway-style defining polynomials and their canonical lifts.
+"""Teichmuller lifts of residue moduli, and the shipped table of Conway-style moduli.
 
-The residue-field moduli (version "cw1") are the standard Conway polynomials
-for p in {3, 5, 7} and degrees m <= 4: monic, irreducible mod p, primitive.
-At working precision K each entry is lifted to the unique monic polynomial
-over Z/p^K whose roots are Teichmuller elements; in the quotient ring the
-class of X is then an exact Teichmuller generator and X -> X^p induces the
-exact Frobenius endomorphism.
+For a monic irreducible pi of degree m over F_p, `teichmuller_modulus` gives
+the unique monic polynomial phi_pi over Z/p^K that reduces to pi and whose
+roots are Teichmuller elements.  In Z/p^K[X]/(phi_pi), the degree-m
+unramified ring, the class of X is then an exact Teichmuller root of phi_pi
+and X -> X^p induces the exact Frobenius endomorphism (Serre, *Local
+Fields*, ch. II, sections 4-5).  The ring is named by its modulus
+(`modulus_id`).  The residue-field moduli of the table (version "cw1") are
+the standard Conway polynomials for p in {3, 5, 7} and degrees m <= 4:
+monic, irreducible mod p, primitive; `canonical_modulus` lifts them, and
+`UnramRing(p, K, m)` is the ring over that lift.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from functools import lru_cache
 
 from . import fppoly
 from .arith import teichmuller_exponent
-from .errors import Unsupported
+from .errors import InputError, Unsupported
 
 TABLE_VERSION = "cw1"
 
@@ -50,20 +54,40 @@ def residue_modulus(p: int, m: int) -> tuple[int, ...]:
         ) from None
 
 
-def modulus_id(p: int, m: int) -> str:
-    return f"{TABLE_VERSION}-p{p}-m{m}"
+def ring_modulus(p: int, residue: tuple[int, ...], K: int) -> tuple[str, tuple[int, ...]]:
+    """(name, modulus) of the unramified ring over the Teichmuller lift of residue.
+
+    The name depends only on the modulus: `cw1-p{p}-m{m}` when residue is
+    the table's entry of its degree m, whose lift is `canonical_modulus`'s,
+    else `tl1-p{p}-` and residue's coefficients, ascending, joined by ".".
+    """
+    m = len(residue) - 1
+    if _CONWAY.get((p, m)) == residue:
+        return f"{TABLE_VERSION}-p{p}-m{m}", canonical_modulus(p, m, K)
+    return f"tl1-p{p}-" + ".".join(map(str, residue)), teichmuller_modulus(p, residue, K)
 
 
 @lru_cache(maxsize=None)
 def canonical_modulus(p: int, m: int, K: int) -> tuple[int, ...]:
-    """Monic degree-m polynomial over Z/p^K whose roots are Teichmuller units.
+    """The Teichmuller lift of the table's degree-m modulus (`teichmuller_modulus`)."""
+    return teichmuller_modulus(p, residue_modulus(p, m), K)
 
-    Built by moving the naive lift's generator X to its Teichmuller
-    representative y = X^alpha (alpha = 1 mod p^m - 1, 0 mod p^(K-1)) and
-    taking the product over its Frobenius orbit, the characteristic
-    polynomial of multiplication by y on Z/p^K[X]/(naive lift).
+
+def teichmuller_modulus(p: int, residue, K: int) -> tuple[int, ...]:
+    """Monic polynomial over Z/p^K whose roots are Teichmuller units, reducing to residue.
+
+    residue is a monic irreducible polynomial over F_p, ascending, of degree
+    m.  The lift is built by moving the naive lift's generator X to its
+    Teichmuller representative y = X^alpha (alpha = 1 mod p^m - 1, 0 mod
+    p^(K-1)) and taking the product over its Frobenius orbit, the
+    characteristic polynomial of multiplication by y on Z/p^K[X]/(naive
+    lift).  Three audits: y^(p^m) = y, the product vanishes at y, and it is
+    monic and reduces to residue.  Any other residue raises InputError.
     """
-    base = residue_modulus(p, m)
+    base, m = tuple(residue), len(residue) - 1
+    monic = m >= 1 and base[-1] == 1 and all(0 <= c < p for c in base)
+    if not (monic and fppoly.is_irreducible(list(base), p)):
+        raise InputError(f"{list(base)} is not a monic irreducible polynomial mod {p} with coefficients in [0, {p})")
     pk = p**K
     naive = [c % pk for c in base]
     alpha, _ = teichmuller_exponent(p**m, p, K, 1, (1,))

@@ -161,28 +161,34 @@ class Zp:
 
 
 class UnramRing:
-    """Degree-m unramified extension ring at precision K, over the shipped modulus.
+    """Degree-m unramified extension ring Z/p^K[X]/(phi) at precision K.
 
-    Raw values are m-tuples of ints in [0, p^K), coefficients with respect to
-    the power basis of the canonical Teichmuller generator.  The generator w
-    satisfies w^{p^m} = w exactly, which makes X -> X^p an exact ring
-    endomorphism (the Frobenius).
+    phi is the Teichmuller lift of residue, a monic irreducible of degree m
+    over F_p given by its ascending coefficients in [0, p), by default the
+    shipped table's (`moduli.ring_modulus`).  Raw values are m-tuples of ints
+    in [0, p^K), coefficients with respect to the power basis of the
+    generator X, a root of phi.  X satisfies X^{p^m} = X exactly, which makes
+    X -> X^p an exact ring endomorphism (the Frobenius).  residue is read
+    back as phi mod p, so it needs no slot of its own.
     """
 
     __slots__ = ("p", "K", "m", "pk", "modulus", "modulus_id", "_frob_rows", "_traces")
 
-    def __init__(self, p: int, K: int, m: int):
+    def __init__(self, p: int, K: int, m: int, residue: tuple[int, ...] | None = None):
         check_odd_prime(p)
         if K < 1:
             raise InputError("precision K must be >= 1")
         if m < 1:
             raise InputError("extension degree m must be >= 1")
+        if residue is None:
+            residue = moduli.residue_modulus(p, m)
+        elif len(residue) != m + 1:
+            raise InputError(f"a residue modulus of degree {len(residue) - 1} makes no ring of degree {m}")
         self.p = p
         self.K = K
         self.m = m
         self.pk = p**K
-        self.modulus = moduli.canonical_modulus(p, m, K)
-        self.modulus_id = moduli.modulus_id(p, m)
+        self.modulus_id, self.modulus = moduli.ring_modulus(p, tuple(residue), K)
         self._frob_rows = None
         self._traces = None
 
@@ -249,7 +255,7 @@ class UnramRing:
     def rinv(self, a):
         """1/a = conj / N(a): conj = sigma(a) ... sigma^(m-1)(a), N(a) = a conj.
 
-        sigma is an exact automorphism of order m (`moduli.canonical_modulus`
+        sigma is an exact automorphism of order m (`moduli.teichmuller_modulus`
         audits the generator), so N(a), the product of all m conjugates, is
         fixed by sigma: an element of Z_p, a unit exactly when a is (its
         residue is the norm of a's residue from F_q).  That costs m - 1
@@ -315,7 +321,7 @@ class UnramRing:
             return self
         if not 1 <= j <= self.K:
             raise InputError(f"target precision {j} outside [1, {self.K}]")
-        return UnramRing(self.p, j, self.m)
+        return UnramRing(self.p, j, self.m, tuple(c % self.p for c in self.modulus))
 
     def rcoerce(self, value) -> tuple:
         """The raw value of an integer, a sequence of m integers or a scalar of this ring.

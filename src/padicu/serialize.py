@@ -62,6 +62,13 @@ def int_field(doc: dict, key: str, default: int | None = None, cap: int | None =
 MAX_PRECISION_K = 128
 MAX_MATRIX_N = 32
 
+# Largest n m of a matrix document over a degree-m ring, which is worked on as
+# its nm x nm restriction over Z_p: the table's rings (m <= 4) reach it at
+# n = MAX_MATRIX_N.  A tl1 ring has degree at most MAX_MATRIX_N, which holds
+# every orbit ring `spectral` writes; its lift took 0.1-0.4 s at p = 3, 7 and
+# degree 32, K = 128, but 37 s at p = 1000003 (README, "CLI").
+MAX_RESTRICTED_N = 4 * MAX_MATRIX_N
+
 
 def ring_header(ring: AnyRing) -> dict:
     if isinstance(ring, Zp):
@@ -69,13 +76,38 @@ def ring_header(ring: AnyRing) -> dict:
     return {"p": ring.p, "K": ring.K, "m": ring.m, "modulus_id": ring.modulus_id}
 
 
+# `tl1-p{p}-` and the residue modulus's coefficients, ascending, with no leading zeros
+_TL1 = re.compile(r"tl1-p([1-9][0-9]*)-((?:0|[1-9][0-9]*)(?:\.(?:0|[1-9][0-9]*))+)")
+
+
 def ring_from_header(doc: dict) -> AnyRing:
+    """The ring a header names; for m > 1 its modulus_id, if present, names the modulus.
+
+    m = 1 is Z_p, with modulus_id absent or null.  For m > 1 an absent
+    modulus_id is the table's ring, and otherwise it is what `ring_header`
+    writes: `cw1-p{p}-m{m}` for the table's ring, or `tl1-p{p}-{coefficients}`
+    for the ring over the lift of a monic irreducible of degree m mod p with
+    coefficients in [0, p), of degree at most MAX_MATRIX_N.
+    """
     p = int_field(doc, "p")
     K = int_field(doc, "K", cap=MAX_PRECISION_K)
     m = int_field(doc, "m", 1)
+    name = doc.get("modulus_id")
     if m == 1:
+        if name is not None:
+            raise MalformedDocument(f"modulus_id {name!r} names no modulus of degree 1; write null")
         return Zp(p, K)
-    return UnramRing(p, K, m)
+    if "modulus_id" not in doc or name == f"cw1-p{p}-m{m}":
+        return UnramRing(p, K, m)
+    match = _TL1.fullmatch(name) if isinstance(name, str) else None
+    digits = match[2].split(".") if match else []
+    if not match or match[1] != str(p) or len(digits) != m + 1:
+        raise MalformedDocument(f"modulus_id {name!r} names no modulus of degree {m} mod p = {p}")
+    if m > MAX_MATRIX_N:
+        raise MalformedDocument(f"a tl1 ring of degree {m} is above the cap of {MAX_MATRIX_N}")
+    if any(len(c) > len(match[1]) for c in digits):
+        raise MalformedDocument(f"modulus_id {name!r} has a coefficient outside [0, {p})")
+    return UnramRing(p, K, m, tuple(map(int, digits)))  # InputError unless monic, irreducible, in [0, p)
 
 
 def _entry_to_wire(ring: AnyRing, raw):
@@ -106,6 +138,8 @@ def matrix_from_doc(doc: dict) -> PadicMatrix:
     n = int_field(doc, "n", cap=MAX_MATRIX_N)
     if n < 0:
         raise MalformedDocument(f"n = {n} must be >= 0")
+    if n * ring.degree > MAX_RESTRICTED_N:
+        raise MalformedDocument(f"n m = {n * ring.degree} is above the cap of {MAX_RESTRICTED_N}")
     entries = _need(doc, "entries", list)
     if len(entries) != n * n:
         raise MalformedDocument(f"expected {n * n} entries, got {len(entries)}")

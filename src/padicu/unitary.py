@@ -28,16 +28,15 @@ has U^alpha = I, so its order divides gcd(E, alpha) = p^A, and `power_zp`
 gives U^t as U^(t mod p^A).
 
 Spectral data for a Teichmuller-type matrix lives per Frobenius orbit: each
-irreducible residue factor of degree d contributes d eigenvalues in the
-degree-d unramified ring.  One root of the factor in F_{p^d} comes from
-Cantor-Zassenhaus splitting (`_orbit_roots`) by idempotents of the packed
-algebra F_p[X, T]/(w(X), factor(T)) = F_{p^d}^d
-(`fppoly._bivariate_fold_context`): no polynomial gcd is taken, and the
-root is read off a primitive idempotent with one inverse.  The other roots
-are its Frobenius images, and the least one lifts to the orbit's first
-eigenvalue lambda_0, so the choice does not depend on the random splitting.
+irreducible residue factor pi of degree d contributes d eigenvalues.  The
+orbit's ring is Z_p[X]/(phi_pi), with phi_pi the Teichmuller lift of pi
+(`moduli.teichmuller_modulus`; Serre, *Local Fields*, ch. II, sections 4-5).
+There the class of X is a Teichmuller root of phi_pi, one of the orbit's
+eigenvalues, so it is taken as the first one, lambda_0, and the others are
+its Frobenius images X^p, ..., X^(p^(d-1)).  No root is searched for and
+none is lifted, and the datum depends on pi alone.
 U is semisimple, so its minimal polynomial m is the product of the orbit
-polynomials, and the projector onto lambda is L(U) / L(lambda) with
+moduli phi_pi, and the projector onto lambda is L(U) / L(lambda) with
 L = m / (t - lambda): one combination of U^0, ..., U^(deg m - 1), whose
 denominator m'(lambda) is a unit because distinct Teichmuller elements are
 distance 1 apart.  Frobenius sigma acts on Teichmuller eigenvalues as
@@ -63,7 +62,6 @@ P_s P_t = 0 for s != t, every P_t is idempotent, and U = sum lambda P.
 from __future__ import annotations
 
 import math
-import random
 from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -75,7 +73,7 @@ from .matrices import (
     PadicMatrix, _jordan, _linear_combination, _pack_slots, _unpack, orbit_polynomial,
     residue_matrix_order,
 )
-from .scalars import ONE_MINUS, AnyRing, PadicScalar, UnramRing, Zp, unram
+from .scalars import ONE_MINUS, AnyRing, PadicScalar, UnramRing, Zp
 
 if TYPE_CHECKING:
     from .gm import LaurentPoly
@@ -96,7 +94,7 @@ def _require_base_unitary(U: PadicMatrix):
     if not isinstance(U.ring, Zp):
         raise Unsupported(
             "spectral decomposition is supported for base-ring operators; "
-            "extension-ring eigenvalues would leave the shipped modulus table"
+            "an extension-ring operator's orbits would be taken under sigma^m"
         )
 
 
@@ -152,9 +150,12 @@ def jordan_decompose(U: PadicMatrix) -> tuple[PadicMatrix, PadicMatrix]:
 class SpectralOrbit(NamedTuple):
     """One Frobenius orbit over a ring of degree d, stored as lambda_0 and P_0.
 
-    lambda_t = sigma^t(lambda_0) and P_t = sigma^t(P_0), t < d, are derived on
-    each access: sigma is an exact automorphism of order d of the ring, audited
-    by `moduli.canonical_modulus` when the ring is built."""
+    `spectral_decompose` takes the ring over the Teichmuller lift phi_pi of
+    the orbit's residue factor pi and lambda_0 = X, its generator, so that
+    `factor` is the ring's modulus.  lambda_t = sigma^t(lambda_0) and
+    P_t = sigma^t(P_0), t < d, are derived on each access: sigma is an exact
+    automorphism of order d of the ring, audited by
+    `moduli.teichmuller_modulus` when the ring is built."""
 
     ring: AnyRing
     eigenvalue: object  # raw value of ring: lambda_0, a Teichmuller element
@@ -358,48 +359,43 @@ def teichmuller_spectral(U: PadicMatrix) -> SpectralDatum:
 def spectral_decompose(U: PadicMatrix) -> SpectralDatum:
     """Full pipeline on any unitary: residue orbits, Jordan split, spectrum of U_s.
 
-    The residue characteristic polynomial factors into Frobenius orbits; each
-    orbit's eigenvalues are Teichmuller lifts inside the degree-d unramified
-    ring, the lift of the least root in F_{p^d} and its Frobenius images.
-    The orbit rings are built before the Jordan split, so a residue degree
-    with no shipped modulus raises `Unsupported` without paying for it.
-    After the pro-finite audit U^E = I, U_s = U^alpha is of Teichmuller type
-    by construction (alpha^2 = alpha mod E), so it is not classified again.
-    It is semisimple, so its minimal polynomial m is the product of the
-    orbit polynomials, and the projector of an orbit's first eigenvalue
-    lambda is L(U_s) / L(lambda) with L = m / (t - lambda).  chi_U mod p is
-    factored, which is chi_(U_s) mod p: U_n commutes with U_s and is
-    unipotent mod p, so U and U_s have the same eigenvalues mod p, and U_s
-    needs no char poly of its own.  The factoring and root finding are
-    randomized on a fixed seed; the datum does not depend on it, and it is
-    verified against U_s before it is returned.
+    The residue characteristic polynomial factors into Frobenius orbits, one
+    per irreducible factor pi.  A degree-1 orbit holds the Teichmuller lift
+    of pi's root in Z_p.  A degree-d >= 2 orbit lives in the ring
+    Z_p[X]/(phi_pi) over the Teichmuller lift of pi, where its eigenvalues
+    are X, X^p, ..., X^(p^(d-1)), with lambda_0 = X.  After the pro-finite
+    audit U^E = I, U_s = U^alpha is of Teichmuller type by construction
+    (alpha^2 = alpha mod E), so it is not classified again.  It is
+    semisimple, so its minimal polynomial m is the product of the orbit
+    moduli, and the projector of an orbit's first eigenvalue lambda is
+    L(U_s) / L(lambda) with L = m / (t - lambda).  chi_U mod p is factored,
+    which is chi_(U_s) mod p: U_n commutes with U_s and is unipotent mod p,
+    so U and U_s have the same eigenvalues mod p, and U_s needs no char poly
+    of its own.  The factoring is randomized on a fixed seed; the datum does
+    not depend on it, and it is verified against U_s before it is returned.
     """
     _require_base_unitary(U)
     ring = U.ring
     p, K, pk = ring.p, ring.K, ring.pk
     _, factors = fppoly.factor([c % p for c in U.char_poly_raw()], p)
-    rng = random.Random(fppoly._SEED)
-    # per irreducible residue factor: (ring, lambda_0, multiplicity)
+    # per irreducible residue factor: (ring, lambda_0, orbit modulus, multiplicity)
     raw_orbits = []
     for irr, mult in factors:
-        d = len(irr) - 1
-        if d == 1:
-            lam_ring: AnyRing = ring
-            lam = ring.rteichmuller((-irr[0]) % p)
+        if len(irr) == 2:
+            lam = ring.rteichmuller(-irr[0] % p)
+            raw_orbits.append((ring, lam, [-lam % pk, 1], mult))
         else:
-            lam_ring = unram(p, K, d)
-            canonical = min(_orbit_roots(irr, unram(p, 1, d), rng))
-            lam = lam_ring.rteichmuller(lam_ring.rcoerce(canonical))
-        raw_orbits.append((lam_ring, lam, mult))
+            lam_ring = UnramRing(p, K, len(irr) - 1, tuple(irr))
+            raw_orbits.append((lam_ring, lam_ring.generator, list(lam_ring.modulus), mult))
     u_s, u_n = jordan_decompose(U)
     minimal = [1]
-    for lam_ring, lam, _ in raw_orbits:
-        minimal = fppoly.mul(minimal, _orbit_polynomial(lam_ring, lam, K), pk)
+    for _, _, modulus, _ in raw_orbits:
+        minimal = fppoly.mul(minimal, modulus, pk)
     powers = [PadicMatrix.identity(ring, U.n)]  # U_s^0, ..., U_s^(deg m - 1)
     while len(powers) < len(minimal) - 1:
         powers.append(u_s if len(powers) == 1 else powers[-1] @ u_s)
     orbits = []
-    for lam_ring, lam, mult in raw_orbits:
+    for lam_ring, lam, _, mult in raw_orbits:
         minimal_raw = [lam_ring.rfrom_int(c) for c in minimal]
         # L = m / (t - lambda) by synthetic division, scaled by 1 / L(lambda) = 1 / m'(lambda)
         quotient, _ = divide_linear(lam_ring, minimal_raw, lam)
@@ -411,52 +407,6 @@ def spectral_decompose(U: PadicMatrix) -> SpectralDatum:
     if not datum.verify(expected=u_s):
         raise ArithmeticError("spectral reconstruction audit failed")
     return datum
-
-
-def _orbit_roots(irr: list[int], field: UnramRing, rng: random.Random) -> list:
-    """The roots in F_q = F_{p^d} of an irreducible degree-d polynomial over F_p.
-
-    Cantor-Zassenhaus (1981), split by idempotents: irr has d distinct roots
-    r in F_q, so B = F_p[X, T]/(w(X), irr(T)), w the field's modulus, is
-    F_q[T]/(irr) = F_q^d, one coordinate per root, in one packed fold context
-    (`fppoly._bivariate_fold_context`).  For a random a in F_q the power
-    eps = (T + a)^((q-1)/2) is 1, -1 or 0 at r as r + a is a nonzero square,
-    a non-square or 0, so u = (eps^2 + eps)/2 is 1 at the roots of the first
-    kind and 0 at the rest.  eps^2 + eps has slots below 2p, so its product
-    with the constant (p + 1)/2 stays in the context's slot bound.
-    e starts at 1 and becomes e u whenever 0 != e u != e: packed elements
-    are canonical, so both tests compare ints.  e is 1 at one root r and 0
-    at the rest exactly when T e = r e.  With c the first nonzero
-    T-coefficient of e, at index j, that is c (T e) = (T e)_j e, which needs
-    no inverse, and then r = (T e)_j / c.  At d = 2 any e != 1 is one root,
-    so the test is skipped.  The other roots are r's Frobenius images.
-    """
-    p, d = field.p, len(irr) - 1
-    pack, unpack, power, product = fppoly._bivariate_fold_context(field.modulus, irr, p)
-    half, inv2 = (field.residue_cardinality - 1) // 2, (p + 1) // 2
-    t = pack([field.zero, field.one])
-    e = 1  # packed, the unit of B
-    while True:
-        a = tuple(rng.randrange(p) for _ in range(field.m))
-        eps = power(pack([a, field.one]), half)
-        u = product(product(eps, eps) + eps, inv2)
-        eu = u if e == 1 else product(e, u)
-        if eu == 0 or eu == e:
-            continue
-        e = eu
-        te = product(t, e)
-        coeffs, shifted = unpack(e), unpack(te)
-        j = next(j for j, row in enumerate(coeffs) if any(row))
-        c, tc = coeffs[j], (shifted[j] if j < len(shifted) else field.zero)  # unpack drops zero top rows
-        if d == 2 or product(pack([c]), te) == product(pack([tc]), e):
-            break
-    roots = [field.rmul(tc, field.rinv(c))]
-    for _ in range(1, d):
-        roots.append(field.rfrob(roots[-1]))
-    _, value = divide_linear(field, [field.rfrom_int(v) for v in irr], roots[0])
-    if len(set(roots)) != d or value != field.zero:
-        raise ArithmeticError("irreducible factor did not split in its orbit field")  # unreachable
-    return roots
 
 
 def divide_linear(ring: AnyRing, f: list, x) -> tuple[list, object]:

@@ -5,8 +5,12 @@ Usage: PYTHONPATH=src python tests/golden/digest.py [-v]
 A refactor that must not change results prints the same digest before and
 after.  The digest covers, on a fixed seeded grid of nine (p, K, n) shapes:
 
-- `classify`, `jordan_decompose` and `spectral_decompose` on random unitaries
-  (the error "no modulus shipped" is hashed by its message), and the datum's
+- `classify` and `jordan_decompose` on random unitaries;
+- in a part of its own per shape, `spectral_decompose` on the same unitaries
+  (the error "no modulus shipped", which versions with a modulus table for
+  the orbit rings raised, is hashed by its message), by what does not depend
+  on the basis of an orbit's ring: each orbit's `factor`, degree,
+  multiplicity and `orbit_projector`, the unipotent part, and the datum's
   `verify` against U_s, against a corrupted U_s and on a corrupted datum;
 - `power_zp` on random continuous unitaries at t = 0, 1, a random t < p^K and
   p^K - 1;
@@ -114,9 +118,9 @@ def _spectral_items(U):
             raise
         return [("spectral-error", str(exc))]
     items = [("unipotent", datum.unipotent.rows)]
-    for orbit in datum.orbits:
-        items.append(("orbit", orbit.ring, orbit.eigenvalues, orbit.multiplicity, orbit.factor))
-        items.extend(("projector", P.rows) for P in orbit.projectors)
+    for i, orbit in enumerate(datum.orbits):
+        items.append(("orbit", orbit.factor, orbit.degree, orbit.multiplicity))
+        items.append(("orbit_projector", datum.orbit_projector(i).rows))
     u_s, first = jordan_decompose(U)[0], datum.orbits[0]
     corrupted = datum._replace(orbits=(first._replace(projector=_bumped(first.projector)), *datum.orbits[1:]))
     items.append(("verify", datum.verify(expected=u_s), datum.verify(expected=_bumped(u_s)),
@@ -131,20 +135,23 @@ def _bumped(A):
     return PadicMatrix(A.ring, rows)
 
 
-def shape_items(p: int, K: int, n: int):
-    """Everything hashed for one shape, in a fixed order."""
+def shape_items(p: int, K: int, n: int, unitaries: list):
+    """Everything hashed for one shape but its spectral data, in a fixed order.
+
+    The random unitaries are appended to `unitaries` for `spectral_items`.
+    """
     rng = random.Random(f"digest-{p}-{K}-{n}")
     ring = Zp(p, K)
     for m in range(1, 5):
         yield ("modulus", p, m, K, moduli.canonical_modulus(p, m, K))
     for _ in range(UNITARIES):
         U = random_unitary(ring, n, rng)
+        unitaries.append(U)
         cls = classify(U)
         yield ("classify", U.rows, cls.kind, cls.witness.rows)
         u_s, u_n = jordan_decompose(U)
         yield ("jordan", u_s.rows, u_n.rows)
         rng.randrange(1 << 16)  # a former seed draw, kept so later inputs stay the same
-        yield from _spectral_items(U)
     for _ in range(CONTINUOUS):
         C = random_continuous(ring, n, rng)
         for t in (0, 1, rng.randrange(ring.pk), ring.pk - 1):
@@ -155,6 +162,12 @@ def shape_items(p: int, K: int, n: int):
         A = random_unitary(ext, n, rng)
         for e in (0, 1, A.n - 1, A.n, -2, rng.getrandbits(200)):
             yield ("ext_power", A.rows, e, A.matrix_power(e).rows)
+
+
+def spectral_items(unitaries: list):
+    """The spectral data of one shape's unitaries, once `shape_items` has drawn them."""
+    for U in unitaries:
+        yield from _spectral_items(U)
 
 
 def _order_items(U, K: int):
@@ -445,7 +458,10 @@ def main(argv: list[str]) -> int:
     verbose = "-v" in argv
     total = hashlib.sha256()
     count = 0
-    parts = [(shape, shape_items(*shape)) for shape in SHAPES]
+    parts = []
+    for shape in SHAPES:
+        unitaries: list = []
+        parts += [(shape, shape_items(*shape, unitaries)), (("spectral", *shape), spectral_items(unitaries))]
     parts += [(("formal", p, K), formal_items(p, K)) for p, K in FORMAL_GRID]
     parts += [(("levels", p, K), level_items(p, K)) for p, K in LEVEL_GRID]
     parts += [(("teich", p, K), teich_items(p, K)) for p, K in TEICH_GRID]

@@ -382,6 +382,23 @@ def empty_matrix_cases():
             ("power-zp", "empty", {"matrix": empty, "t": 2}), ("seminorm", "empty", {"matrix": empty})]
 
 
+def orbit_ring_cases():
+    """Orbit rings outside the modulus table, and the modulus_id of an m = 2 header."""
+    pk = 11**4
+    # t^2 + 1 at p = 11, and the Teichmuller part of the companion of t^5 + 2t + 1 at p = 3
+    quadratic = {"p": 11, "K": 4, "n": 2, "entries": ["0", str(pk - 1), "1", "0"]}
+    quintic = {"p": 3, "K": 3, "n": 5, "entries": [
+        "12", "15", "3", "9", "23", "4", "15", "21", "21", "1", "18", "4", "15",
+        "21", "21", "24", "18", "4", "15", "21", "12", "24", "18", "4", "15"]}
+    cases = [("spectral", "quadratic-p11K4", {"matrix": quadratic}),
+             ("spectral", "quintic-p3K3", {"matrix": quintic})]
+    entries = [["1", "1"], ["1", "0"], ["0", "0"], ["4", "3"]]  # [[1 + X, 1], [0, 4 + 3X]]
+    for tag, modulus_id in (("tl1", "tl1-p3-1.0.1"), ("bogus", "bogus"), ("null", None)):
+        matrix = {"p": 3, "K": 2, "m": 2, "modulus_id": modulus_id, "n": 2, "entries": entries}
+        cases.append(("classify", f"modulus-id-{tag}", {"matrix": matrix}))
+    return cases
+
+
 def build_cases():
     rng = random.Random(20231018)
     cases = (formal_group_cases(rng) + teich_factor_cases(rng)
@@ -392,7 +409,7 @@ def build_cases():
               + unram_matrix_cases(rng) + decompose_zp_cases(rng))
     rng = random.Random(5)
     return (cases + projection_cases(rng) + laurent_scalar_cases(rng) + quantum_cases(rng)
-            + seminorm_cases(rng) + more_audit_cases() + empty_matrix_cases())
+            + seminorm_cases(rng) + more_audit_cases() + empty_matrix_cases() + orbit_ring_cases())
 
 
 def run_case(command: str, raw: str) -> tuple[int, str]:

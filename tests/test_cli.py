@@ -649,6 +649,69 @@ def test_every_matrix_the_cli_writes_reads_back(m, tmp_path, capsys):
     assert {d["m"] for d in written[:-1]} == {1, m}
 
 
+# [[1 + X, 1], [0, 4 + 3X]] over a degree-2 ring at p = 3, K = 2
+_M2_ENTRIES = [["1", "1"], ["1", "0"], ["0", "0"], ["4", "3"]]
+
+
+def _m2_doc(**header):
+    return {"matrix": {"p": 3, "K": 2, "m": 2, "n": 2, "entries": _M2_ENTRIES, **header}}
+
+
+def test_classify_over_a_tl1_ring(tmp_path, capsys):
+    """A header naming the ring over the lift of t^2 + 1, which is not the table's
+    t^2 + 2t + 2: the answer is over that ring and echoes its id."""
+    from padicu.scalars import UnramRing
+
+    code, out = run_one_line("classify", _m2_doc(modulus_id="tl1-p3-1.0.1"), tmp_path, capsys)
+    assert code == 0, out
+    ring = UnramRing(3, 2, 2, (1, 0, 1))
+    U = PadicMatrix(ring, [[(1, 1), (1, 0)], [(0, 0), (4, 3)]])
+    assert out["result"]["witness"] == serialize.matrix_to_doc(unitary.classify(U).witness)
+    assert out["result"]["witness"]["modulus_id"] == "tl1-p3-1.0.1"
+    for name in ("cw1-p3-m2", "tl1-p3-2.2.1"):  # the table's modulus, by either name
+        code, out = run_one_line("classify", _m2_doc(modulus_id=name), tmp_path, capsys)
+        assert code == 0 and out["result"]["witness"]["modulus_id"] == "cw1-p3-m2"
+
+
+@pytest.mark.parametrize("modulus_id", [
+    None, "bogus", "", 7, True, ["tl1-p3-1.0.1"],
+    "cw1-p3-m3", "cw1-p5-m2", "cw1-p3-m2 ",  # the table's id for another (p, m), or misspelled
+    "tl1-p5-1.0.1", "tl1-p03-1.0.1",  # another p, or p written otherwise
+    "tl1-p3-1.0.0.1", "tl1-p3-1.1",  # degree 3 or 1 at m = 2
+    "tl1-p3-1.0.2",  # not monic
+    "tl1-p3-4.0.1", "tl1-p3-01.0.1", "tl1-p3-1.-0.1", "tl1-p3-1" + "0" * 5000 + ".0.1",  # outside [0, p)
+    "tl1-p3-1.1.1", "tl1-p3-0.0.1",  # (t + 2)^2 and t^2: reducible mod 3
+])
+def test_a_modulus_id_that_names_no_modulus_of_the_header_is_exit_2(modulus_id, tmp_path, capsys):
+    code, out = run_one_line("classify", _m2_doc(modulus_id=modulus_id), tmp_path, capsys)
+    assert code == 2, out
+    assert out["error"]["code"] in ("MalformedDocument", "InputError")
+
+
+@pytest.mark.parametrize("modulus_id", ["cw1-p3-m1", "tl1-p3-1.1", "bogus", "", 0, False, []])
+def test_a_modulus_id_at_m_1_is_exit_2(modulus_id, tmp_path, capsys):
+    doc = {"matrix": {**matrix_doc([[1, 0], [0, 1]]), "modulus_id": modulus_id}}
+    code, out = run_one_line("classify", doc, tmp_path, capsys)
+    assert code == 2 and out["error"]["code"] == "MalformedDocument", out
+    doc["matrix"]["modulus_id"] = None
+    assert run_one_line("classify", doc, tmp_path, capsys)[0] == 0
+
+
+def test_tl1_rings_are_capped(tmp_path, capsys):
+    """A tl1 degree above MAX_MATRIX_N, and n m above MAX_RESTRICTED_N, are exit 2
+    before any lift or matrix work."""
+    m = serialize.MAX_MATRIX_N + 1
+    doc = {"matrix": {"p": 3, "K": 2, "m": m, "n": 1, "entries": [["1"] + ["0"] * (m - 1)],
+                      "modulus_id": "tl1-p3-" + ".".join(["1"] + ["0"] * (m - 1) + ["1"])}}
+    code, out = run_one_line("classify", doc, tmp_path, capsys)
+    assert code == 2 and "cap" in out["error"]["reason"], out
+    n = serialize.MAX_RESTRICTED_N // 5 + 1  # over the lift of t^5 + 2t + 1 mod 3
+    doc = {"matrix": {"p": 3, "K": 2, "m": 5, "n": n, "entries": [["1", "0", "0", "0", "0"]] * (n * n),
+                      "modulus_id": "tl1-p3-1.2.0.0.0.1"}}
+    code, out = run_one_line("classify", doc, tmp_path, capsys)
+    assert code == 2 and "cap" in out["error"]["reason"], out
+
+
 @pytest.mark.parametrize("terms,shift,unit", [([[2, "56"]], 2, "2"), ([[0, "5"]], 0, "5")])
 def test_teich_factor_of_a_unit_monomial_is_exit_0(terms, shift, unit, tmp_path, capsys):
     doc = {"f": {"p": 3, "K": 4, "terms": terms}, "j": 3}

@@ -247,120 +247,3 @@ def test_factor_degrees_match_sympy(p):
     with pytest.raises(ValueError):
         fppoly.factor_degrees([p, 2 * p], p)
 
-
-# -- packed arithmetic on F_p[X, T]/(h(X), f(T)), against a schoolbook of its own ---------
-
-
-def _product_here(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _rem_here(a, g, p):
-    """a mod the monic g over F_p, as deg g coefficients."""
-    d = len(g) - 1
-    a = list(a) + [0] * d
-    for k in range(len(a) - 1, d - 1, -1):
-        c = a[k] % p
-        for i, v in enumerate(g):
-            a[k - d + i] -= c * v
-    return [v % p for v in a[:d]]
-
-
-def _gcd_degree_here(a, b, p):
-    """deg gcd(a, b) over F_p by Euclid's algorithm, for a nonzero b; gcd(0, b) = b."""
-    def trimmed(c):
-        c = [v % p for v in c]
-        while c and not c[-1]:
-            c.pop()
-        return c
-
-    a, b = trimmed(a), trimmed(b)
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            c, shift = a[-1] * inv, len(a) - len(b)
-            for i, v in enumerate(b):
-                a[shift + i] -= c * v
-            a = trimmed(a)
-        a, b = b, a
-    return len(a) - 1
-
-
-def _irreducible_here(p, d, rng):
-    """A seeded monic irreducible of degree d over F_p, by Ben-Or's test:
-    gcd(x^(p^k) - x, f) = 1 for every k <= d / 2."""
-    while True:
-        f = [rng.randrange(p) for _ in range(d)] + [1]
-        x = y = _rem_here([0, 1], f, p)
-        for _ in range(d // 2):
-            power, base, e = _rem_here([1], f, p), y, p  # y^p, right to left
-            while e:
-                if e & 1:
-                    power = _rem_here(_product_here(power, base), f, p)
-                base, e = _rem_here(_product_here(base, base), f, p), e >> 1
-            y = power
-            if _gcd_degree_here([u - v for u, v in zip(y, x)], f, p) > 0:
-                break
-        else:
-            return f
-
-
-def _bivariate_product_here(a, b, h, f, p):
-    """a b in F_p[X, T]/(h, f), elements as deg f rows of deg h X coefficients."""
-    dt = len(f) - 1
-    rows = [[0] * (2 * len(h) - 3) for _ in range(2 * dt - 1)]
-    for j, ra in enumerate(a):
-        for k, rb in enumerate(b):
-            for i, v in enumerate(_product_here(ra, rb)):
-                rows[j + k][i] += v
-    rows = [_rem_here(r, h, p) for r in rows]
-    for j in range(2 * dt - 2, dt - 1, -1):  # T^j = T^(j - dt) (T^dt - f(T))
-        for k in range(dt):
-            rows[j - dt + k] = [(u - v * f[k]) % p for u, v in zip(rows[j - dt + k], rows[j])]
-    return rows[:dt]
-
-
-def _unpacked_here(rows):
-    """rows as the context's unpack gives them: tuples, with no zero top row."""
-    rows = [tuple(r) for r in rows]
-    while rows and not any(rows[-1]):
-        rows.pop()
-    return rows
-
-
-def _bivariate_power_here(x, e, h, f, p):
-    dx, dt = len(h) - 1, len(f) - 1
-    power = [[1] + [0] * (dx - 1)] + [[0] * dx for _ in range(dt - 1)]
-    while e:
-        if e & 1:
-            power = _bivariate_product_here(power, x, h, f, p)
-        x, e = _bivariate_product_here(x, x, h, f, p), e >> 1
-    return _unpacked_here(power)
-
-
-BIVARIATE_DEGREES = [(d, d) for d in range(2, 9)] + [(1, 3), (3, 1), (2, 5), (5, 2)]
-
-
-@pytest.mark.parametrize("p,degrees", [(p, BIVARIATE_DEGREES) for p in (3, 5, 7, 11, 13)]
-                         + [(1000003, [(2, 2)])], ids=["p3", "p5", "p7", "p11", "p13", "p1000003"])
-def test_bivariate_fold_context_matches_the_schoolbook(p, degrees):
-    """Seeded irreducible h and f; all-(p-1) elements, whose products reach the slot
-    bound deg h deg f (p-1)^2, a random element and T + a, at e = 1, 2 and random e,
-    and the context's product of every pair of them."""
-    rng = random.Random(p)
-    for dx, dt in degrees:
-        h, f = _irreducible_here(p, dx, rng), _irreducible_here(p, dt, rng)
-        pack, unpack, power, product = fppoly._bivariate_fold_context(h, f, p)
-        full = [[p - 1] * dx for _ in range(dt)]
-        shifted_t = [[rng.randrange(p) for _ in range(dx)], [1] + [0] * (dx - 1)][:dt]
-        some = [[rng.randrange(p) for _ in range(dx)] for _ in range(dt)]
-        for x in (full, shifted_t, some):
-            for e in (1, 2, rng.randrange(3, 1 << 10)):
-                assert unpack(power(pack(x), e)) == _bivariate_power_here(x, e, h, f, p), (dx, dt, e)
-            for y in (full, shifted_t, some):
-                expected = _unpacked_here(_bivariate_product_here(x, y, h, f, p))
-                assert unpack(product(pack(x), pack(y))) == expected, (dx, dt)

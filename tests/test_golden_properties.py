@@ -173,3 +173,21 @@ def test_every_written_value_parses_back_to_itself(command):
         checked += bool(pairs)
         differ += [(case["case"], written) for written, again in pairs if written != again]
     assert checked and not differ
+
+
+def test_round_trip_covers_rings_outside_the_table():
+    """Spectral orbit rings over a residue factor that is not the table's, and a
+    classify over such a header, write `tl1-...` ids: each of their matrices
+    parses back to the same document and to a ring with that id."""
+    written = [
+        m
+        for case in CASES
+        if case["command"] in _MATRIX_COMMANDS and case["exit"] == 0
+        for m in _written(json.loads(case["stdout"])["result"], "entries")
+        if str(m.get("modulus_id")).startswith("tl1-")
+    ]
+    assert {m["m"] for m in written} >= {2, 3, 5}
+    for m in written:
+        A = serialize.matrix_from_doc(m)
+        assert A.ring.modulus_id == m["modulus_id"]
+        assert serialize.matrix_to_doc(A) == m

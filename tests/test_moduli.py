@@ -1,9 +1,11 @@
-"""Checks on the shipped modulus table and its canonical lifts."""
+"""Checks on the shipped modulus table, the Teichmuller lifts and the ring names."""
+
+import random
 
 import pytest
 
 from padicu import fppoly, moduli
-from padicu.errors import Unsupported
+from padicu.errors import InputError, Unsupported
 
 
 def _order_of_class(f, p):
@@ -55,10 +57,10 @@ def test_unknown_entry_rejected():
         moduli.residue_modulus(3, 5)
 
 
-def _fixed_point_generator(p, m, K):
+def _fixed_point_generator(p, m, K, residue=None):
     """Oracle: iterate y -> y^(p^m) from the class of X until it stops moving."""
     pk = p**K
-    naive = [c % pk for c in moduli.residue_modulus(p, m)]
+    naive = [c % pk for c in (residue or moduli.residue_modulus(p, m))]
     y = fppoly.divmod_poly([0, 1], naive, pk)[1]
     while (nxt := fppoly.pow_mod(y, p**m, naive, pk)) != y:
         y = nxt
@@ -79,3 +81,38 @@ def test_canonical_modulus_vanishes_at_fixed_point_generator(p, m, K):
     for c in reversed(F):
         value = fppoly.add(fppoly.divmod_poly(fppoly.mul(value, y, pk), naive, pk)[1], [c], pk)
     assert fppoly.trim(value) == []
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_teichmuller_modulus_of_any_irreducible(p):
+    """Seeded monic irreducibles of degree 1 to 6, table entries or not: the lift
+    is monic, reduces to the residue, vanishes at the fixed-point generator, and
+    its ring name is the table's exactly for the table's entries."""
+    rng = random.Random(p)
+    for m in range(1, 7):
+        for _ in range(2):
+            while True:
+                residue = tuple(rng.randrange(p) for _ in range(m)) + (1,)
+                if fppoly.is_irreducible(list(residue), p):
+                    break
+            for K in (1, 3, 10):
+                F = moduli.teichmuller_modulus(p, residue, K)
+                assert F[-1] == 1 and [c % p for c in F] == list(residue)
+                y, naive = _fixed_point_generator(p, m, K, residue)
+                value = []
+                for c in reversed(F):
+                    value = fppoly.add(fppoly.divmod_poly(fppoly.mul(value, y, p**K), naive, p**K)[1], [c], p**K)
+                assert value == []
+                name, modulus = moduli.ring_modulus(p, residue, K)
+                assert modulus == F
+                in_table = (p, m) in moduli._CONWAY and moduli._CONWAY[(p, m)] == residue
+                assert name == (f"cw1-p{p}-m{m}" if in_table else f"tl1-p{p}-" + ".".join(map(str, residue)))
+        if (p, m) in moduli._CONWAY:
+            assert moduli.ring_modulus(p, moduli.residue_modulus(p, m), 4) == (
+                f"cw1-p{p}-m{m}", moduli.canonical_modulus(p, m, 4))
+
+
+@pytest.mark.parametrize("residue", [(1, 1, 1), (0, 0, 1), (1, 0, 2), (4, 0, 1), (-2, 0, 1), (1,), (2, 0)])
+def test_teichmuller_modulus_needs_a_monic_irreducible(residue):
+    with pytest.raises(InputError):
+        moduli.teichmuller_modulus(3, residue, 2)

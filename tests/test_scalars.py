@@ -428,3 +428,23 @@ def test_ints_and_bools_still_coerce(ring):
     assert teichmuller_lift(ring, True) == ring.scalar(1)
     if isinstance(ring, UnramRing):
         assert ring.scalar([True, -1]) == ring.scalar((1, 8))
+
+
+def test_a_ring_over_any_residue_keeps_it_at_every_precision():
+    """UnramRing over the lift of t^3 + t^2 + 2t + 1 mod 3 (not the table's
+    t^3 + 2t + 1): its name follows the modulus, reduction keeps the residue,
+    and the Frobenius has order 3 with X^(p^3) = X."""
+    ring = UnramRing(3, 6, 3, (1, 2, 1, 1))
+    assert ring.modulus_id == "tl1-p3-1.2.1.1" and ring != UnramRing(3, 6, 3)
+    low = ring.at_precision(2)
+    assert low == UnramRing(3, 2, 3, (1, 2, 1, 1)) and low.modulus_id == ring.modulus_id
+    assert low.modulus == tuple(c % 9 for c in ring.modulus)
+    assert UnramRing(3, 6, 3).at_precision(2) == UnramRing(3, 2, 3)
+    x = ring.generator
+    images = [x]
+    for _ in range(3):
+        images.append(ring.rfrob(images[-1]))
+    assert images[3] == x == ring.rpow(x, 27) and len(set(images[:3])) == 3
+    assert UnramRing(3, 6, 3, scalars.moduli.residue_modulus(3, 3)).modulus_id == "cw1-p3-m3"
+    with pytest.raises(InputError):
+        UnramRing(3, 6, 2, (1, 2, 1, 1))  # a degree-3 residue for a degree-2 ring

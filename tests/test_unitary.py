@@ -530,21 +530,6 @@ def test_spectral_rejects_extension_base():
         unitary.teichmuller_spectral(u)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: random_unitary(Zp(5, 20), 6, random.Random(3)),  # residue factors of degree 1 and 5
-    lambda: M(Zp(11, 4), [[0, -1], [1, 0]]),  # t^2 + 1, irreducible mod 11
-], ids=["5-20-6-degree-5", "11-4-2-quadratic"])
-def test_spectral_without_a_shipped_modulus_raises_before_the_jordan_split(monkeypatch, make):
-    U = make()
-
-    def no_split(_):
-        raise AssertionError("the Jordan split ran before the orbit rings were built")
-
-    monkeypatch.setattr(unitary, "jordan_decompose", no_split)
-    with pytest.raises(Unsupported, match="no modulus shipped"):
-        unitary.spectral_decompose(U)
-
-
 def test_classify_works_over_extension():
     ring = UnramRing(3, 2, 2)
     gen = teichmuller_lift(ring, (0, 1))
@@ -669,31 +654,6 @@ def test_divide_linear_is_synthetic_division(ring):
             rebuilt[i + 1] = ring.radd(rebuilt[i + 1], c)
         rebuilt[0] = ring.radd(rebuilt[0], v)
         assert rebuilt == f
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_the_root_finder_inverts_once_per_call(p, monkeypatch):
-    """Every monic irreducible of degree 2 to 4 over F_p: the split takes no
-    inverse, and the root is (T e)_j / c, one `UnramRing.rinv`."""
-    from padicu import fppoly
-
-    calls = []
-    rinv = UnramRing.rinv
-
-    def counted(self, a):
-        calls.append(a)
-        return rinv(self, a)
-
-    monkeypatch.setattr(UnramRing, "rinv", counted)
-    rng = random.Random(p)
-    for d in (2, 3, 4):
-        field = unram(p, 1, d)
-        for coeffs in itertools.product(range(p), repeat=d):
-            irr = [*coeffs, 1]
-            if fppoly.is_irreducible(irr, p):
-                del calls[:]
-                assert len(unitary._orbit_roots(irr, field, rng)) == d
-                assert len(calls) == 1, (irr, len(calls))
 
 
 # -- the audit of a spectral datum -------------------------------------------------
@@ -1081,8 +1041,6 @@ def test_spectral_decompose_runs_berkowitz_on_u_alone(monkeypatch):
         runs.clear()
         try:
             unitary.spectral_decompose(u)
-        except Unsupported:  # a residue degree with no shipped modulus
-            continue
         finally:
             monkeypatch.undo()
         u_s = unitary.jordan_decompose(u)[0]
@@ -1192,7 +1150,7 @@ def _residual_order_first(u):
 def _spectral_first(u):
     try:
         unitary.spectral_decompose(u)
-    except (NotTeichmuller, Unsupported):  # a residue degree with no shipped modulus
+    except Unsupported:  # an extension-ring operator
         pass
     unitary.classify(u)
 

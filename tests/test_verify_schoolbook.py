@@ -18,7 +18,6 @@ import random
 import pytest
 
 from padicu import unitary
-from padicu.errors import InputError, Unsupported
 from padicu.matrices import PadicMatrix
 from padicu.sampling import random_unitary
 from padicu.scalars import Zp
@@ -178,16 +177,19 @@ def schoolbook_verify(datum, expected=None) -> bool:
 
 
 def _data():
-    """(U_s, datum) from `spectral_decompose` on seeded random unitaries, two per shape."""
+    """(U_s, datum) from `spectral_decompose` on seeded random unitaries, two per shape.
+
+    Draws with a residue degree above 4 are passed over, so that the data
+    stay those these tests were written on, when such degrees had no ring.
+    """
     out = []
     for p, K, n in SHAPES:
         rng = random.Random(f"schoolbook {p},{K},{n}")
         found = 0
         while found < 2:
             u = random_unitary(Zp(p, K), n, rng)
-            try:
-                datum = unitary.spectral_decompose(u)
-            except (Unsupported, InputError):  # a residue degree without a shipped modulus
+            datum = unitary.spectral_decompose(u)
+            if max(o.degree for o in datum.orbits) > 4:
                 continue
             out.append((unitary.jordan_decompose(u)[0], datum))
             found += 1
