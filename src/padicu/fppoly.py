@@ -10,11 +10,11 @@ t^(g c) for several c from one t^g, share one packed fold context
 handle's raw values is the synthetic division `unitary.divide_linear`.  No
 root of a residue factor is ever searched for: a Frobenius orbit's ring is
 presented by the factor's own Teichmuller lift (`moduli.teichmuller_modulus`).
-Factorization is over F_p: squarefree + distinct-degree + Cantor-Zassenhaus
-equal-degree splitting, driven by a generator on the fixed seed `_SEED`; the
-factors come back sorted, so they do not depend on it.  `factor_degrees`
-stops before the splitting: the degrees alone are what the Jordan exponents
-need.
+Factorization over F_p: `parts` runs the squarefree and distinct-degree
+steps, all the Jordan exponents need (`matrices._jordan` keeps the parts of
+chi mod p on the matrix), and `split` takes parts to their irreducibles by
+Cantor-Zassenhaus on the fixed seed `_SEED`, sorted, so they do not depend
+on it; `factor` is the split of f's own parts.
 
 The coefficients stay plain ints: these loops carry the resultant, Bezout
 and Hensel work, and taking the ring operations from a ring handle made
@@ -319,17 +319,17 @@ def _distinct_degree(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
-def factor_degrees(f: list[int], p: int) -> set[int]:
-    """The degrees of the irreducible factors of a nonzero f over F_p.
+def parts(f: list[int], p: int) -> list[tuple[list[int], int, int]]:
+    """[(product, degree, multiplicity)] of nonzero f over F_p, f = lead * prod product^multiplicity.
 
-    The squarefree step comes first: the distinct-degree step assumes a
-    squarefree input and can miss a degree otherwise.  No factor is split
-    into its irreducibles.
+    Each product is monic and squarefree, all the irreducible factors of one
+    degree and multiplicity.  The squarefree step comes first: the
+    distinct-degree step assumes a squarefree input and can miss a degree.
     """
     f = trim([c % p for c in f])
     if not f:
-        raise ValueError("the zero polynomial has no factor degrees")
-    return {d for sqf, _ in _squarefree_parts(monic(f, p), p) for _, d in _distinct_degree(sqf, p)}
+        raise ValueError("the zero polynomial has no parts")
+    return [(g, d, k) for sqf, k in _squarefree_parts(monic(f, p), p) for g, d in _distinct_degree(sqf, p)]
 
 
 def _equal_degree_split(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
@@ -353,23 +353,18 @@ def _equal_degree_split(f: list[int], d: int, p: int, rng: random.Random) -> lis
         return out
 
 
-def factor(f: list[int], p: int) -> tuple[int, list[tuple[list[int], int]]]:
-    """Factor f over F_p into (leading unit, [(monic irreducible, multiplicity), ...]).
-
-    Factors come back sorted by (degree, coefficient tuple), so the output is
-    canonical regardless of the splitting randomness.
-    """
-    f = trim(list(f))
-    if not f:
-        raise ValueError("cannot factor the zero polynomial")
-    lead = f[-1]
-    f = monic(f, p)
+def split(triples: list[tuple[list[int], int, int]], p: int) -> list[tuple[list[int], int]]:
+    """[(monic irreducible, multiplicity)] of `parts` output, sorted by (degree, coefficients)."""
     rng = random.Random(_SEED)
     merged: dict[tuple[int, ...], int] = {}
-    for sqf, mult in _squarefree_parts(f, p):
-        for prod, d in _distinct_degree(sqf, p):
-            for irr in _equal_degree_split(prod, d, p, rng):
-                key = tuple(irr)
-                merged[key] = merged.get(key, 0) + mult
-    ordered = sorted(merged.items(), key=lambda it: (len(it[0]), it[0]))
-    return lead, [(list(g), k) for g, k in ordered]
+    for prod, d, mult in triples:
+        for irr in map(tuple, _equal_degree_split(prod, d, p, rng)):
+            merged[irr] = merged.get(irr, 0) + mult
+    return [(list(g), k) for g, k in sorted(merged.items(), key=lambda it: (len(it[0]), it[0]))]
+
+
+def factor(f: list[int], p: int) -> tuple[int, list[tuple[list[int], int]]]:
+    """Factor f over F_p into (leading unit, the `split` of f's `parts`)."""
+    f = trim(list(f))
+    factors = split(parts(monic(f, p), p), p)  # ValueError for f = 0 or a lead divisible by p
+    return f[-1], factors

@@ -122,11 +122,11 @@ class PadicMatrix:
     - `_chi`: the characteristic polynomial, filled by `char_poly_raw`, so
       the determinant and every Z_p power share one Berkowitz run (an
       extension-ring power reads R(A)'s).  `inverse` eliminates and does not read it.
-    - `_jordan`: (alpha, E, the residue degrees, U_s = U^alpha), filled by
-      `_jordan` only once the pro-finite audit U^E = I has passed; a failed
-      audit raises and is never recorded.  `classify`, `jordan_decompose`,
-      `spectral_decompose`, `galois_act`, `power_zp` and `_exact_order`
-      (behind `residue_matrix_order` and `gm.principal_exponent`) read it.
+    - `_jordan`: (alpha, E, the `fppoly.parts` of chi_R mod p, U_s = U^alpha),
+      filled by `_jordan` only once the pro-finite audit U^E = I has passed;
+      a failed audit raises and is never recorded.  `classify`,
+      `jordan_decompose`, `spectral_decompose` (which splits the parts),
+      `galois_act`, `power_zp` and `_exact_order` read it.
     - `_unipotent`: the continuous part U_n = U U_s^-1, filled only by
       `unitary.jordan_decompose`.
     `evaluate`, behind `matrix_power` and every f(A), reads `_chi` and fills
@@ -716,12 +716,12 @@ def _extend(ring: AnyRing, R: PadicMatrix) -> PadicMatrix:
 
 
 def _jordan(U: PadicMatrix) -> tuple:
-    """(alpha, E, residue degrees, U_s = U^alpha) for a unitary U, audited and kept on U.
+    """(alpha, E, `fppoly.parts` of chi_R mod p, U_s = U^alpha) for a unitary U, audited, kept on U.
 
-    Both powers are taken on R = R(U) (`_restrict`), U itself over Z_p.  An
-    F_p factor of chi_R of degree d holds eigenvalues of degree d / gcd(d, m)
-    over F_q, q = p^m; (alpha, E) come from those residue degrees and U's own
-    n (`arith.teichmuller_exponent`).  Each power is (t^e mod chi_R)(R), and
+    Both powers are taken on R = R(U) (`_restrict`), U itself over Z_p.  A
+    part of F_p degree d holds eigenvalues of degree d / gcd(d, m) over F_q,
+    q = p^m; (alpha, E) come from those residue degrees and U's own n
+    (`arith.teichmuller_exponent`).  Each power is (t^e mod chi_R)(R), and
     both are y^(e/g) of one y = t^g (`fppoly.pow_t_chain`), g = gcd(alpha, E)
     = p^A: alpha = c p^A with c prime to M = E / p^A.  Over Z_p the companion
     matrix of chi_U has U's residue degrees, so t^E mod chi_U is 1 when E is
@@ -732,13 +732,14 @@ def _jordan(U: PadicMatrix) -> tuple:
     if U._jordan is None:
         ring, R = U.ring, _restrict(U)
         chi, p = R.char_poly_raw(), ring.p
-        degrees = {d // math.gcd(d, ring.degree) for d in fppoly.factor_degrees(chi, p)}
+        parts = fppoly.parts(chi, p)
+        degrees = {d // math.gcd(d, ring.degree) for _, d, _ in parts}
         alpha, E = teichmuller_exponent(ring.residue_cardinality, p, ring.K, U.n, degrees)
         g = math.gcd(alpha, E)
         powers = map(R.evaluate, fppoly.pow_t_chain(g, [E // g, alpha // g], chi, ring.pk))
         if next(powers) != PadicMatrix.identity(R.ring, R.n):
             raise ArithmeticError("unitary matrix failed the pro-finite audit")
-        U._jordan = (alpha, E, degrees, _extend(ring, next(powers)))
+        U._jordan = (alpha, E, parts, _extend(ring, next(powers)))
     return U._jordan
 
 
@@ -749,10 +750,10 @@ def _exact_order(U: PadicMatrix) -> int:
     by one: trial division on M whole could meet two large primes from
     different pieces.  Each prime r is divided out while R(U)^(order / r) = I.
     """
-    _, order, degrees, _ = _jordan(U)
+    _, order, parts, _ = _jordan(U)
     ring, R = U.ring, _restrict(U)
     primes = {ring.p}
-    for d in degrees:
+    for d in {d // math.gcd(d, ring.degree) for _, d, _ in parts}:
         primes.update(factorize(ring.residue_cardinality**d - 1))
     identity = PadicMatrix.identity(R.ring, R.n)
     for r in sorted(primes):

@@ -10,6 +10,11 @@ Fields*, ch. II, sections 4-5).  The ring is named by its modulus
 the standard Conway polynomials for p in {3, 5, 7} and degrees m <= 4:
 monic, irreducible mod p, primitive; `canonical_modulus` lifts them, and
 `UnramRing(p, K, m)` is the ring over that lift.
+
+A lift is a constant of the residue field, like a table modulus: `_lift`
+keeps `LIFTS_KEPT` per process, keyed by (p, residue as a tuple of ints, K),
+each about (m + 1)(K bits(p) / 8 + 80) + 200 bytes: 56 MB in all at the
+CLI's caps m <= 32, K <= 128 and p = 1000003 (p is not capped).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .arith import teichmuller_exponent
 from .errors import InputError, Unsupported
 
 TABLE_VERSION = "cw1"
+LIFTS_KEPT = 4096  # Teichmuller lifts kept per process (`_lift`)
 
 # Ascending coefficients, leading coefficient 1.  Verified primitive and
 # irreducible by tests/test_moduli.py.
@@ -67,7 +73,6 @@ def ring_modulus(p: int, residue: tuple[int, ...], K: int) -> tuple[str, tuple[i
     return f"tl1-p{p}-" + ".".join(map(str, residue)), teichmuller_modulus(p, residue, K)
 
 
-@lru_cache(maxsize=None)
 def canonical_modulus(p: int, m: int, K: int) -> tuple[int, ...]:
     """The Teichmuller lift of the table's degree-m modulus (`teichmuller_modulus`)."""
     return teichmuller_modulus(p, residue_modulus(p, m), K)
@@ -82,13 +87,21 @@ def teichmuller_modulus(p: int, residue, K: int) -> tuple[int, ...]:
     p^(K-1)) and taking the product over its Frobenius orbit, the
     characteristic polynomial of multiplication by y on Z/p^K[X]/(naive
     lift).  Three audits: y^(p^m) = y, the product vanishes at y, and it is
-    monic and reduces to residue.  Any other residue raises InputError.
+    monic and reduces to residue.  Any other residue raises InputError on
+    every call: `_lift`, keyed by residue as a tuple of ints, keeps no failure.
     """
-    base, m = tuple(residue), len(residue) - 1
+    base = tuple(residue)
+    if not all(isinstance(c, int) for c in base):
+        raise InputError(f"{list(base)} is not a polynomial with int coefficients")
+    return _lift(p, base, K)
+
+
+@lru_cache(maxsize=LIFTS_KEPT)
+def _lift(p: int, base: tuple[int, ...], K: int) -> tuple[int, ...]:
+    m, pk = len(base) - 1, p**K
     monic = m >= 1 and base[-1] == 1 and all(0 <= c < p for c in base)
     if not (monic and fppoly.is_irreducible(list(base), p)):
         raise InputError(f"{list(base)} is not a monic irreducible polynomial mod {p} with coefficients in [0, {p})")
-    pk = p**K
     naive = [c % pk for c in base]
     alpha, _ = teichmuller_exponent(p**m, p, K, 1, (1,))
     y = fppoly.pow_mod([0, 1], alpha, naive, pk)

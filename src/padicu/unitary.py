@@ -4,10 +4,10 @@ The factorial-power limit of U is computed in closed form.  The order of U
 divides E = M * p^A, where p^A bounds the p-part at this precision and
 M = lcm(q^d - 1) over the degrees d of the irreducible factors of chi_U mod p
 over F_q: every residue eigenvalue lies in F_(q^d) for such a d.  They come
-from the squarefree and distinct-degree steps (`fppoly.factor_degrees`) on
-R = R(U), U restricted to Z_p (`matrices._restrict`, U itself over Z_p): an
-F_p degree d of R is d / gcd(d, m) over F_q = F_(p^m).  The exponents p^(k!)
-are eventually 1 mod M and 0 mod p^A, so the limit is U^alpha for the alpha
+from the squarefree and distinct-degree parts (`fppoly.parts`) of chi_R mod
+p, for R = R(U), U restricted to Z_p (`matrices._restrict`, U itself over
+Z_p): an F_p degree d of R is d / gcd(d, m) over F_q = F_(p^m).  p^(k!) is
+eventually 1 mod M and 0 mod p^A, so the limit is U^alpha for the alpha
 with those residues (`arith.teichmuller_exponent`): the Teichmuller part U_s
 of U = U_s U_n.  No integer is factored and no residue order is searched.
 (alpha, E), the audit U^E = I and U_s = U^alpha come from one routine,
@@ -16,10 +16,10 @@ t^E = y^M and t^alpha = y^c share y = t^(p^A) mod chi_R.  Every U_s the
 library returns has passed the audit, which runs before U_s is taken.
 `residual_order` descends from the audited E of U mod p
 (`matrices._exact_order`), factoring q^d - 1 for the residue degrees only.
-The Jordan datum stays on the matrix: (alpha, E), the residue degrees and
-U_s fill one slot of U, and U_n another (see `PadicMatrix`), so the chain
-classify -> jordan -> spectral_decompose or power_zp pays for the degrees,
-U^E, U^alpha and U_s^-1 once.
+The Jordan datum stays on the matrix: (alpha, E), those parts and U_s fill
+one slot of U, and U_n another (see `PadicMatrix`), so the chain
+classify -> jordan -> spectral_decompose or power_zp pays for the parts,
+U^E, U^alpha and U_s^-1 once, and only `spectral_decompose` splits parts.
 `spectral_decompose` passes the datum along: after the pro-finite audit on
 U, U_s = U^alpha is Teichmuller because alpha^2 = alpha mod E, so it is not
 classified again; `teichmuller_spectral` is the same body after the type
@@ -155,7 +155,7 @@ class SpectralOrbit(NamedTuple):
     `factor` is the ring's modulus.  lambda_t = sigma^t(lambda_0) and
     P_t = sigma^t(P_0), t < d, are derived on each access: sigma is an exact
     automorphism of order d of the ring, audited by
-    `moduli.teichmuller_modulus` when the ring is built."""
+    `moduli.teichmuller_modulus` when the lift is first made."""
 
     ring: AnyRing
     eigenvalue: object  # raw value of ring: lambda_0, a Teichmuller element
@@ -341,9 +341,13 @@ def _stack(orbits, n: int, pk: int) -> _Stack:
 
 
 def _orbit_polynomial(ring: AnyRing, lam, j: int) -> list[int]:
-    """prod (t - sigma^t(lambda)) over the orbit of lambda in ring, mod p^j (division-free)."""
+    """prod (t - sigma^t(lambda)) mod p^j: at the ring's generator X its modulus, else Berkowitz."""
     base = Zp(ring.p, j)
-    return [-lam % base.pk, 1] if isinstance(ring, Zp) else orbit_polynomial(base, ring.modulus, lam)
+    if isinstance(ring, Zp):
+        return [-lam % base.pk, 1]
+    if lam == ring.generator:
+        return [c % base.pk for c in ring.modulus]
+    return orbit_polynomial(base, ring.modulus, lam)
 
 
 def teichmuller_spectral(U: PadicMatrix) -> SpectralDatum:
@@ -359,43 +363,30 @@ def teichmuller_spectral(U: PadicMatrix) -> SpectralDatum:
 def spectral_decompose(U: PadicMatrix) -> SpectralDatum:
     """Full pipeline on any unitary: residue orbits, Jordan split, spectrum of U_s.
 
-    The residue characteristic polynomial factors into Frobenius orbits, one
-    per irreducible factor pi.  A degree-1 orbit holds the Teichmuller lift
-    of pi's root in Z_p.  A degree-d >= 2 orbit lives in the ring
-    Z_p[X]/(phi_pi) over the Teichmuller lift of pi, where its eigenvalues
-    are X, X^p, ..., X^(p^(d-1)), with lambda_0 = X.  After the pro-finite
-    audit U^E = I, U_s = U^alpha is of Teichmuller type by construction
-    (alpha^2 = alpha mod E), so it is not classified again.  It is
-    semisimple, so its minimal polynomial m is the product of the orbit
-    moduli, and the projector of an orbit's first eigenvalue lambda is
-    L(U_s) / L(lambda) with L = m / (t - lambda).  chi_U mod p is factored,
-    which is chi_(U_s) mod p: U_n commutes with U_s and is unipotent mod p,
-    so U and U_s have the same eigenvalues mod p, and U_s needs no char poly
-    of its own.  The factoring is randomized on a fixed seed; the datum does
-    not depend on it, and it is verified against U_s before it is returned.
+    One orbit per irreducible factor pi of chi_U mod p, in Z_p with lambda_0
+    the Teichmuller lift of pi's root for a degree-1 pi, else in
+    Z_p[X]/(phi_pi) with lambda_0 = X (see the module docstring).  The
+    factors split the parts of chi_U mod p that `_jordan(U)` keeps
+    (`fppoly.split`), and chi_U mod p is chi_(U_s) mod p: U_n commutes with
+    U_s and is unipotent mod p, so U_s needs no char poly of its own.  The
+    split is randomized on a fixed seed; the datum does not depend on it,
+    and it is verified against U_s before it is returned.
     """
     _require_base_unitary(U)
     ring = U.ring
     p, K, pk = ring.p, ring.K, ring.pk
-    _, factors = fppoly.factor([c % p for c in U.char_poly_raw()], p)
-    # per irreducible residue factor: (ring, lambda_0, orbit modulus, multiplicity)
-    raw_orbits = []
-    for irr, mult in factors:
-        if len(irr) == 2:
-            lam = ring.rteichmuller(-irr[0] % p)
-            raw_orbits.append((ring, lam, [-lam % pk, 1], mult))
-        else:
-            lam_ring = UnramRing(p, K, len(irr) - 1, tuple(irr))
-            raw_orbits.append((lam_ring, lam_ring.generator, list(lam_ring.modulus), mult))
     u_s, u_n = jordan_decompose(U)
-    minimal = [1]
-    for _, _, modulus, _ in raw_orbits:
-        minimal = fppoly.mul(minimal, modulus, pk)
+    raw_orbits, minimal = [], [1]  # per irreducible residue factor: (ring, lambda_0, multiplicity)
+    for irr, mult in fppoly.split(_jordan(U)[2], p):
+        lam_ring = ring if len(irr) == 2 else UnramRing(p, K, len(irr) - 1, tuple(irr))
+        lam = ring.rteichmuller(-irr[0] % p) if len(irr) == 2 else lam_ring.generator
+        raw_orbits.append((lam_ring, lam, mult))
+        minimal = fppoly.mul(minimal, _orbit_polynomial(lam_ring, lam, K), pk)
     powers = [PadicMatrix.identity(ring, U.n)]  # U_s^0, ..., U_s^(deg m - 1)
     while len(powers) < len(minimal) - 1:
         powers.append(u_s if len(powers) == 1 else powers[-1] @ u_s)
     orbits = []
-    for lam_ring, lam, _, mult in raw_orbits:
+    for lam_ring, lam, mult in raw_orbits:
         minimal_raw = [lam_ring.rfrom_int(c) for c in minimal]
         # L = m / (t - lambda) by synthetic division, scaled by 1 / L(lambda) = 1 / m'(lambda)
         quotient, _ = divide_linear(lam_ring, minimal_raw, lam)

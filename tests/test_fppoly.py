@@ -224,9 +224,10 @@ def _sympy_degrees(f, p):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_factor_degrees_match_sympy(p):
+def test_parts_match_sympy(p):
     """Random products of powers of random polynomials, so that repeated factors and
-    p-th powers occur, and phi_2^2 phi_3, where the distinct-degree step alone reads {2, 5}."""
+    p-th powers occur, and phi_2^2 phi_3, where the distinct-degree step alone reads {2, 5}:
+    the parts' degrees are sympy's factor degrees, and prod product^mult is monic f."""
     rng = random.Random(p)
     cases = []
     for _ in range(40):
@@ -241,9 +242,17 @@ def test_factor_degrees_match_sympy(p):
     phi2_sq_phi3 = fppoly.mul(fppoly.mul(irreducible[2], irreducible[2], p), irreducible[3], p)
     cases.append(phi2_sq_phi3)
     assert {d for _, d in fppoly._distinct_degree(phi2_sq_phi3, p)} == {2, 5}
+    assert len(cases) == 41
     for f in cases:
-        assert fppoly.factor_degrees(f, p) == _sympy_degrees(f, p), f
-    assert fppoly.factor_degrees([2], p) == set()
+        parts = fppoly.parts(f, p)
+        assert {d for _, d, _ in parts} == _sympy_degrees(f, p), f
+        product = [1]
+        for g, d, mult in parts:
+            assert g[-1] == 1 and (len(g) - 1) % d == 0
+            for _ in range(mult):
+                product = fppoly.mul(product, g, p)
+        assert product == fppoly.monic(f, p), f
+    assert fppoly.parts([2], p) == []
     with pytest.raises(ValueError):
-        fppoly.factor_degrees([p, 2 * p], p)
+        fppoly.parts([p, 2 * p], p)
 

@@ -87,7 +87,9 @@ def test_canonical_modulus_vanishes_at_fixed_point_generator(p, m, K):
 def test_teichmuller_modulus_of_any_irreducible(p):
     """Seeded monic irreducibles of degree 1 to 6, table entries or not: the lift
     is monic, reduces to the residue, vanishes at the fixed-point generator, and
-    its ring name is the table's exactly for the table's entries."""
+    its ring name is the table's exactly for the table's entries.  The cache of
+    lifts is cleared first, so each lift is computed and audited here."""
+    moduli._lift.cache_clear()
     rng = random.Random(p)
     for m in range(1, 7):
         for _ in range(2):
@@ -116,3 +118,21 @@ def test_teichmuller_modulus_of_any_irreducible(p):
 def test_teichmuller_modulus_needs_a_monic_irreducible(residue):
     with pytest.raises(InputError):
         moduli.teichmuller_modulus(3, residue, 2)
+
+
+def test_an_invalid_residue_raises_on_every_call():
+    """Neither a reducible residue nor a non-int coefficient is ever served a lift."""
+    for _ in range(2):
+        with pytest.raises(InputError):
+            moduli.teichmuller_modulus(3, (1, 1, 1), 2)  # (t - 1)^2 mod 3
+        with pytest.raises(InputError):
+            moduli.teichmuller_modulus(3, (1.0, 0, 1), 2)
+
+
+def test_list_and_tuple_residues_give_the_same_lift():
+    """The key is the residue as a tuple of ints: a list residue is the same key."""
+    moduli._lift.cache_clear()
+    first = moduli.teichmuller_modulus(3, [1, 0, 1], 5)
+    again = moduli.teichmuller_modulus(3, (1, 0, 1), 5)
+    assert type(first) is tuple and again == first
+    assert moduli._lift.cache_info()[:2] == (1, 1)  # (hits, misses)

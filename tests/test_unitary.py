@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from padicu import fppoly, glnp, gm, matrices, unitary
+from padicu import fppoly, glnp, gm, matrices, moduli, unitary
 from padicu.errors import (
     NotAUnit,
     NotContinuous,
@@ -521,6 +521,53 @@ def test_spectrum_table_rejects_a_level_before_factoring(factoring_calls, j_list
     with pytest.raises(ValueError, match=re.escape(f"target precision {bad} outside [1, 10]")):
         unitary.spectrum_table(U, j_list)
     assert factoring_calls == {"factor": 0, "lift": 0, "smith": 0}
+
+
+def _conjugated_companion(ring, factors, rng):
+    """S C S^-1 for a random unitary S and C the companion matrix of the product of factors."""
+    chi = [1]
+    for f in factors:
+        chi = fppoly.mul(chi, f, ring.pk)
+    S = random_unitary(ring, len(chi) - 1, rng)
+    return S @ PadicMatrix.companion(ring, chi[:-1]) @ S.inverse()
+
+
+def test_the_chain_factors_chi_mod_p_once(monkeypatch):
+    """classify -> jordan_decompose -> spectral_decompose runs the distinct-degree step
+    once per squarefree part of chi mod p, all of it in classify, and no `fppoly.factor`."""
+    p, ring = 5, Zp(5, 6)
+    pi = [2, 4, 1]  # irreducible mod 5
+    U = _conjugated_companion(ring, [pi, pi, [3, 1], [2, 1], [2, 1], [2, 1]], random.Random(5))
+    chi = [c % p for c in U.char_poly_raw()]
+    assert len(fppoly._squarefree_parts(chi, p)) == 3
+    calls = []
+    real = fppoly._distinct_degree
+    monkeypatch.setattr(fppoly, "_distinct_degree", lambda f, q: calls.append(f) or real(f, q))
+    monkeypatch.setattr(fppoly, "factor", None)
+    unitary.classify(U)
+    assert len(calls) == 3
+    unitary.jordan_decompose(U)
+    datum = unitary.spectral_decompose(U)
+    assert len(calls) == 3
+    assert sorted((o.degree, o.multiplicity) for o in datum.orbits) == [(1, 1), (1, 3), (2, 2)]
+    assert sorted(calls) == sorted(g for g, _ in fppoly._squarefree_parts(chi, p))
+
+
+def test_a_second_matrix_with_the_same_residue_factor_takes_no_new_lift():
+    """The lift of a residue factor is kept per (p, pi, K): the second matrix whose chi mod p
+    has the same quadratic pi takes it from the cache, with every spectral audit still run."""
+    p, ring = 11, Zp(11, 4)
+    pi = [1, 0, 1]  # t^2 + 1, irreducible mod 11, which has no table entry
+    moduli._lift.cache_clear()
+    misses = []
+    for seed, roots in ((1, [3, 5]), (2, [7, 7])):
+        U = _conjugated_companion(ring, [pi] + [[-r, 1] for r in roots], random.Random(seed))
+        before = moduli._lift.cache_info().misses
+        datum = unitary.spectral_decompose(U)
+        misses.append(moduli._lift.cache_info().misses - before)
+        assert datum.verify(expected=unitary.jordan_decompose(U)[0])
+        assert [o.factor for o in datum.orbits if o.degree == 2] == [moduli.teichmuller_modulus(p, (1, 0, 1), 4)]
+    assert misses == [1, 0]
 
 
 def test_spectral_rejects_extension_base():
